@@ -13,7 +13,6 @@ report on standard output; progress goes to standard error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -25,7 +24,6 @@ from .errors import CombCurvError, NotASphere, NotPure, PreconditionNotMet
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
 from .metric import check_sd_prime, delta_four_point, interval, interval_thinness
-from .parallel import default_jobs, parallel_map
 from .verdicts import Verdict, failed
 
 
@@ -34,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="curvature checkers for simplicial complexes")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--timings", action="store_true", help="include elapsed times in JSON")
-    p.add_argument("--jobs", type=int, default=default_jobs(),
-                   help="parallel workers for per-item checks")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="closed-3-manifold and edge-degree checks")
@@ -200,22 +196,21 @@ def cmd_cover(args):
     return code
 
 
-def _link_check(X, v):
+def _link_check(X, v) -> Verdict:
+    """Sphere checks on the link of ``v``, reported as ``link_<v>``."""
     try:
         sphere, _ = manifold_mod.vertex_link_sphere(X, v)
     except CombCurvError as exc:
-        return failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
-    return manifold_mod.is_5_6_star_sphere(sphere)
+        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
+    else:
+        r = manifold_mod.is_5_6_star_sphere(sphere)
+    return Verdict(check=f"link_{v}", passed=r.passed, detail=r.detail,
+                   witness=r.witness, stats=r.stats)
 
 
 def cmd_links(args):
     X = _load(args.path)
-    worker = functools.partial(_link_check, X)
-    verdicts = parallel_map(worker, X.vertices, jobs=args.jobs)
-    named = [Verdict(check=f"link_{v}", passed=r.passed, detail=r.detail,
-                     witness=r.witness, stats=r.stats)
-             for v, r in zip(X.vertices, verdicts)]
-    return _emit(args, "links", named)
+    return _emit(args, "links", [_link_check(X, v) for v in X.vertices])
 
 
 def cmd_lemmas(args):

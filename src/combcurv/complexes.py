@@ -2,9 +2,15 @@
 
 The complex stores its simplices explicitly per dimension (vertices, edges,
 triangles, tetrahedra) together with the adjacency relation of the
-1-skeleton.  All queries used by the curvature checkers live here: spans
-(induced subcomplexes), links, chord tests for cycles, flagness, and
-chordless-cycle enumeration.
+1-skeleton and a per-vertex coface index.  All queries used by the
+curvature checkers live here: spans (induced subcomplexes), links, chord
+tests for cycles, flagness, and chordless-cycle enumeration.
+
+The coface index makes the local queries cost the size of a vertex star,
+not the size of the complex: ``link`` reads the star of one vertex of the
+simplex, ``span`` the stars of the kept vertices, and
+``maximal_simplices`` one star per simplex.  A per-vertex or per-simplex
+loop over a complex therefore costs about the sum of its vertex stars.
 """
 
 from __future__ import annotations
@@ -67,19 +73,36 @@ class SimplicialComplex:
     ``vertex_count`` is one more than the largest vertex id mentioned at
     build time; ids without a 0-simplex are simply absent from the complex.
     ``simplices(d)`` returns the stored d-simplices as sorted tuples.
+
+    Construction also builds the coface index, in O(F) for F faces: for
+    each vertex, the tuple of stored simplices of dimension 1 to 3 that
+    contain it.  It holds the same tuple objects as the face sets, so it
+    adds one reference per vertex of each simplex.  ``link``, ``span`` and
+    ``maximal_simplices`` read it instead of scanning every face.
     """
 
-    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_dist_cache")
+    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces", "_dist_cache")
 
     def __init__(self, vertex_count: int, faces: dict, name: Optional[str] = None):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_faces", {d: frozenset(faces.get(d, ())) for d in range(MAX_DIM + 1)})
         adj = [set() for _ in range(vertex_count)]
-        for (u, v) in self._faces[1]:
+        # cofaces[v]: the stored simplices of dimension >= 1 containing v,
+        # edges first, then triangles, then tetrahedra (shared tuples)
+        cofaces = [[] for _ in range(vertex_count)]
+        for e in self._faces[1]:
+            u, v = e
             adj[u].add(v)
             adj[v].add(u)
+            cofaces[u].append(e)
+            cofaces[v].append(e)
+        for d in range(2, MAX_DIM + 1):
+            for s in self._faces[d]:
+                for v in s:
+                    cofaces[v].append(s)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "_cofaces", tuple(map(tuple, cofaces)))
         object.__setattr__(self, "_dist_cache", {})
 
     def __setattr__(self, *args):
@@ -136,13 +159,16 @@ class SimplicialComplex:
         return sum((-1) ** d * len(self._faces[d]) for d in range(MAX_DIM + 1))
 
     def maximal_simplices(self) -> list:
-        """Simplices not properly contained in any stored simplex."""
+        """Simplices not properly contained in any stored simplex.
+
+        A simplex is maximal when no coface of its first vertex, one
+        dimension up, contains it.
+        """
         out = []
         for d in range(MAX_DIM + 1):
-            higher = self._faces[d + 1] if d < MAX_DIM else frozenset()
             for s in self._faces[d]:
                 sset = set(s)
-                if not any(sset < set(t) for t in higher):
+                if not any(len(t) == d + 2 and sset.issubset(t) for t in self._cofaces[s[0]]):
                     out.append(s)
         return sorted(out, key=lambda s: (s, len(s)))
 
@@ -161,29 +187,37 @@ class SimplicialComplex:
     # -- derived complexes -------------------------------------------------
 
     def span(self, vertex_set: Iterable[int]) -> "SimplicialComplex":
-        """Full subcomplex induced by a vertex set, on the same vertex ids."""
+        """Full subcomplex induced by a vertex set, on the same vertex ids.
+
+        Ids that are not vertices of this complex are ignored.  Each kept
+        simplex is read once, from the cofaces of its smallest vertex.
+        """
         keep = set(vertex_set)
-        faces = {
-            d: [s for s in self._faces[d] if keep.issuperset(s)]
-            for d in range(MAX_DIM + 1)
-        }
+        faces = {d: [] for d in range(MAX_DIM + 1)}
+        for v in keep:
+            if (v,) not in self._faces[0]:
+                continue
+            faces[0].append((v,))
+            for t in self._cofaces[v]:
+                if t[0] == v and keep.issuperset(t):
+                    faces[len(t) - 1].append(t)
         return SimplicialComplex(self.vertex_count, faces, name=self.name)
 
     def link(self, simplex: Iterable[int]):
         """Link of a stored simplex, relabeled to contiguous ids.
 
         Returns ``(link_complex, vertex_map)`` where ``vertex_map[i]`` is the
-        id in this complex of link vertex ``i``.
+        id in this complex of link vertex ``i``.  Built from the cofaces of
+        the simplex's vertex with the fewest cofaces.
         """
         sigma = tuple(sorted(simplex))
         if not self.has_simplex(sigma):
             raise SimplexNotPresent(f"simplex {sigma} not in complex")
+        # every proper coface of sigma is a coface of each of its vertices
         sset = set(sigma)
-        members = []
-        for d in range(MAX_DIM + 1 - len(sigma)):
-            for tau in self._faces[d]:
-                if sset.isdisjoint(tau) and self.has_simplex(tau + sigma):
-                    members.append(tau)
+        cofaces = min((self._cofaces[v] for v in sigma), key=len)
+        members = [tuple(u for u in t if u not in sset)
+                   for t in cofaces if len(t) > len(sigma) and sset.issubset(t)]
         vertex_map = sorted({v for tau in members for v in tau})
         back = {v: i for i, v in enumerate(vertex_map)}
         faces = {d: [] for d in range(MAX_DIM + 1)}
@@ -195,8 +229,7 @@ class SimplicialComplex:
 def _close_downward(simplex: tuple, faces: dict):
     k = len(simplex)
     for size in range(1, k + 1):
-        for sub in combinations(simplex, size):
-            faces[size - 1].add(sub)
+        faces[size - 1].update(combinations(simplex, size))
 
 
 def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str] = None) -> SimplicialComplex:

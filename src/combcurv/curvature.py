@@ -203,19 +203,6 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP,
     return sorted(out, key=lambda w: (w.center, len(w.rim), w.rim))
 
 
-def _oriented_arc(whl: Wheel, shared: int, other_apex: int) -> Optional[tuple]:
-    """Free boundary arc (v1, ..., v_{k-2}) of a wheel read so its rim is
-    (v1, ..., v_{k-2}, shared, other_apex); None when (shared, other_apex)
-    is not a consecutive rim pair."""
-    r = whl.rim
-    k = len(r)
-    for orient in (r, r[::-1]):
-        for i in range(k):
-            if orient[i] == shared and orient[(i + 1) % k] == other_apex:
-                return tuple(orient[(i + 2 + j) % k] for j in range(k - 2))
-    return None
-
-
 def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     """All dwheels with boundary length at most ``max_boundary``, one per
     unordered wheel pair.
@@ -223,45 +210,44 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     Types are normalized with k >= l; for equal rim lengths the two wheels
     are ordered by (apex, arc)."""
     max_k = max_boundary  # second rim has length >= 4
-    by_center = {}
+    # (center, shared, other_apex) -> free arcs (v1, ..., v_{k-2}) of the
+    # wheels at center whose rim reads (v1, ..., v_{k-2}, shared, other_apex)
+    arcs = {}
     for whl in wheels(X, 4, max_k, cap=max(max_k, DEFAULT_CYCLE_CAP)):
-        by_center.setdefault(whl.center, []).append(whl)
-
-    seen = {}
-    for v0, lst in by_center.items():
-        for w1 in lst:
-            rim = w1.rim
-            k = len(rim)
+        k = len(whl.rim)
+        for orient in (whl.rim, whl.rim[::-1]):
+            twice = orient + orient
             for i in range(k):
-                for (w, v0p) in ((rim[i], rim[(i + 1) % k]), (rim[(i + 1) % k], rim[i])):
-                    # rim read as (v1 ... v_{k-2}, w, v0'): w then v0' consecutive
-                    if not X.adjacent(v0, v0p):
-                        continue
-                    arc1 = _oriented_arc(w1, w, v0p)
-                    for w2 in by_center.get(v0p, ()):
-                        arc2 = _oriented_arc(w2, w, v0)
-                        if arc2 is None:
-                            continue
-                        l = len(arc2) + 2
-                        v1, v1p = arc1[0], arc2[0]
-                        if v1 == v1p:
-                            junction = "identified"
-                            blen = k + l - 4
-                        elif X.adjacent(v1, v1p):
-                            junction = "edge"
-                            blen = k + l - 3
-                        else:
-                            continue
-                        if blen > max_boundary:
-                            continue
-                        if k < l or (k == l and (v0p, arc2) < (v0, arc1)):
-                            dw = DWheel((v0p, v0), w, arc2, arc1, junction)
-                        else:
-                            dw = DWheel((v0, v0p), w, arc1, arc2, junction)
-                        key = (dw.apexes, dw.shared, dw.rim1, dw.rim2, dw.junction)
-                        seen.setdefault(key, dw)
-    return sorted(seen.values(),
-                  key=lambda d: (d.boundary_length, d.type, d.apexes, d.shared, d.rim1, d.rim2))
+                arcs.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
+                    twice[i + 2:i + k])
+
+    seen = {}  # canonical (apexes, shared, rim1, rim2, junction) -> (boundary, type)
+    for (v0, w, v0p), arcs1 in arcs.items():
+        # a wheel pair is met from both apexes; take it from the smaller
+        if v0 > v0p:
+            continue
+        # the second wheels sit at v0' with w then v0 consecutive on the rim
+        arcs2 = arcs.get((v0p, w, v0), ())
+        for arc1 in arcs1:
+            k = len(arc1) + 2
+            for arc2 in arcs2:
+                l = len(arc2) + 2
+                v1, v1p = arc1[0], arc2[0]
+                if v1 == v1p:
+                    junction = "identified"
+                    blen = k + l - 4
+                elif X.adjacent(v1, v1p):
+                    junction = "edge"
+                    blen = k + l - 3
+                else:
+                    continue
+                if blen > max_boundary:
+                    continue
+                if k < l or (k == l and (v0p, arc2) < (v0, arc1)):
+                    seen[((v0p, v0), w, arc2, arc1, junction)] = (blen, (l, k))
+                else:
+                    seen[((v0, v0p), w, arc1, arc2, junction)] = (blen, (k, l))
+    return [DWheel(*key) for key in sorted(seen, key=lambda key: (seen[key], key))]
 
 
 def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:

@@ -64,7 +64,11 @@ def parse_json(text: str) -> ParsedComplex:
     if not isinstance(doc, dict) or "maximal_simplices" not in doc:
         raise ParseError("expected an object with 'maximal_simplices'")
     simplices = doc["maximal_simplices"]
-    if not all(isinstance(s, list) and all(isinstance(v, int) and v >= 0 for v in s)
+    if not isinstance(simplices, list):
+        raise ParseError("'maximal_simplices' must be an array")
+    # JSON true/false load as bool, a subclass of int: they are not vertex ids
+    if not all(isinstance(s, list)
+               and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in s)
                for s in simplices):
         raise ParseError("'maximal_simplices' must be arrays of non-negative integers")
     for s in simplices:

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations.
 
-These deliberately avoid the library's optimized code paths: cycles are
-found by plain DFS over vertex sequences, wheel pairs are matched by
+These deliberately avoid the library's optimized code paths: links, spans
+and maximal simplices come from full scans of every stored face, cycles
+are found by plain DFS over vertex sequences, wheel pairs are matched by
 trying every rotation, distances come from Floyd-Warshall, and the
 four-point constant is computed from basepoint Gromov products.  Tests
 compare library output against these on small inputs.
@@ -10,7 +11,51 @@ compare library output against these on small inputs.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from combcurv.complexes import canonical_cycle
+from combcurv.complexes import MAX_DIM, SimplicialComplex, canonical_cycle
+from combcurv.errors import SimplexNotPresent
+
+
+def naive_maximal_simplices(X):
+    """Simplices not properly contained in any stored simplex, by testing
+    every simplex against every simplex one dimension up."""
+    out = []
+    for d in range(MAX_DIM + 1):
+        higher = X.simplices(d + 1) if d < MAX_DIM else frozenset()
+        for s in X.simplices(d):
+            sset = set(s)
+            if not any(sset < set(t) for t in higher):
+                out.append(s)
+    return sorted(out, key=lambda s: (s, len(s)))
+
+
+def naive_span(X, vertex_set):
+    """Full subcomplex induced by a vertex set, by a scan of every face."""
+    keep = set(vertex_set)
+    faces = {
+        d: [s for s in X.simplices(d) if keep.issuperset(s)]
+        for d in range(MAX_DIM + 1)
+    }
+    return SimplicialComplex(X.vertex_count, faces, name=X.name)
+
+
+def naive_link(X, simplex):
+    """Link of a stored simplex as ``(link_complex, vertex_map)``, by
+    testing every face for disjointness and a joint simplex."""
+    sigma = tuple(sorted(simplex))
+    if not X.has_simplex(sigma):
+        raise SimplexNotPresent(f"simplex {sigma} not in complex")
+    sset = set(sigma)
+    members = []
+    for d in range(MAX_DIM + 1 - len(sigma)):
+        for tau in X.simplices(d):
+            if sset.isdisjoint(tau) and X.has_simplex(tau + sigma):
+                members.append(tau)
+    vertex_map = sorted({v for tau in members for v in tau})
+    back = {v: i for i, v in enumerate(vertex_map)}
+    faces = {d: [] for d in range(MAX_DIM + 1)}
+    for tau in members:
+        faces[len(tau) - 1].append(tuple(back[v] for v in tau))
+    return SimplicialComplex(len(vertex_map), faces), vertex_map
 
 
 def naive_full_cycles(X, min_len, max_len):

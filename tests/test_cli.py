@@ -132,12 +132,16 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     assert "precondition" in capsys.readouterr().out
 
 
-def test_parallel_map_matches_sequential():
-    from combcurv.parallel import parallel_map
-
-    items = list(range(20))
-    assert parallel_map(_square, items, jobs=1) == parallel_map(_square, items, jobs=4)
-
-
-def _square(x):
-    return x * x
+@pytest.mark.parametrize("doc", [
+    '{"maximal_simplices": 5}',
+    '{"maximal_simplices": [[0, 1], 7]}',
+    '{"maximal_simplices": [[0, true], [true, 2]]}',
+], ids=["non-array", "non-array-entry", "boolean-ids"])
+def test_malformed_json_types_exit_2(tmp_path, capsys, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(doc)
+    assert main(["check", "--flag", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

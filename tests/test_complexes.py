@@ -1,5 +1,7 @@
 """Core complex construction, spans, links, fullness, flagness, cycles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,8 @@ from combcurv.errors import (
 )
 from combcurv.generators import flag_completion
 
-from conftest import gen
-from oracles import naive_full_cycles
+from conftest import gen, load_degree7_fixture
+from oracles import naive_full_cycles, naive_link, naive_maximal_simplices, naive_span
 
 
 class TestBuildComplex:
@@ -231,3 +233,68 @@ def test_complex_equality_and_pickle(octa):
     again = pickle.loads(pickle.dumps(octa))
     assert again == octa
     assert again.neighbors(0) == octa.neighbors(0)
+
+
+def _simplex_soup(seed):
+    """Random simplices over a sparse id set: ids below ``vertex_count``
+    that no simplex mentions are absent from the complex."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(40), rng.randint(1, 14))
+    simplices = [rng.sample(ids, rng.randint(1, min(4, len(ids))))
+                 for _ in range(rng.randint(0, 18))]
+    return build_complex(simplices, name=f"soup_{seed}")
+
+
+def _index_inputs():
+    yield from (gen("random_flag", n, p, seed)
+                for (n, p, seed) in ((10, 0.5, 1), (14, 0.35, 2), (16, 0.3, 3), (20, 0.25, 4)))
+    yield from (_simplex_soup(seed) for seed in range(12))
+    yield build_complex([])
+    for name in ("octahedron", "boundary_4_simplex"):
+        yield gen(name)
+    for name in ("disk37_r3", "surf37_psl2_7"):
+        yield load_degree7_fixture(name)
+
+
+class TestCofaceIndex:
+    """The coface-indexed queries against full scans of every face."""
+
+    @pytest.fixture(scope="class")
+    def complexes(self):
+        return list(_index_inputs())
+
+    def test_soups_have_absent_ids(self, complexes):
+        assert any(len(X.vertices) < X.vertex_count for X in complexes)
+
+    def test_link_of_every_simplex(self, complexes):
+        for X in complexes:
+            for sigma in X.all_simplices():
+                link, vmap = X.link(sigma)
+                ref_link, ref_vmap = naive_link(X, sigma)
+                assert vmap == ref_vmap, (X.name, sigma)
+                assert link == ref_link, (X.name, sigma)
+
+    def test_link_of_missing_simplex_raises(self, complexes):
+        for X in complexes:
+            absent = next(v for v in range(X.vertex_count + 1) if not X.has_vertex(v))
+            with pytest.raises(SimplexNotPresent):
+                X.link((absent,))
+            for (u, v) in [(u, v) for u in X.vertices for v in X.vertices
+                           if u < v and not X.adjacent(u, v)][:5]:
+                with pytest.raises(SimplexNotPresent):
+                    X.link((u, v))
+
+    def test_span_with_non_vertices(self, complexes):
+        rng = random.Random(0)
+        for X in complexes:
+            pool = list(range(-2, X.vertex_count + 5))
+            subsets = [set(), set(X.vertices), set(pool)]
+            subsets += [set(rng.sample(pool, rng.randint(1, len(pool)))) for _ in range(10)]
+            for keep in subsets:
+                mine, ref = X.span(keep), naive_span(X, keep)
+                assert mine == ref, (X.name, sorted(keep))
+                assert mine.name == ref.name
+
+    def test_maximal_simplices(self, complexes):
+        for X in complexes:
+            assert X.maximal_simplices() == naive_maximal_simplices(X), X.name

@@ -146,10 +146,16 @@ class TestDWheels:
         assert len(set(boundary)) == len(boundary)
 
     def test_against_naive_oracle(self, octa, icosa):
-        for X in (octa, icosa, gen("tri_torus", 4, 4), gen("random_flag", 12, 0.35, 7)):
+        junctions = set()
+        for X in (octa, icosa, gen("tri_torus", 4, 4), gen("random_flag", 12, 0.35, 7),
+                  gen("random_flag", 12, 0.35, 5), gen("random_flag", 13, 0.4, 7)):
             mine = sorted((d.apexes, d.shared, d.rim1, d.rim2, d.junction)
                           for d in dwheels(X, 8))
             assert mine == naive_dwheels(X, 8)
+            if X.name.startswith("random_flag"):
+                junctions.update(key[-1] for key in mine)
+        # the random inputs exercise both junction kinds
+        assert junctions == {"identified", "edge"}
 
     def test_revalidation(self, icosa, torus66):
         for X in (icosa, torus66):

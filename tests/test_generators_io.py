@@ -134,6 +134,22 @@ class TestFormats:
         with pytest.raises(ParseError):
             parse_json('{"maximal_simplices": [[0, -1]]}')
 
+    @pytest.mark.parametrize("doc", [
+        '{"maximal_simplices": 5}',
+        '{"maximal_simplices": "0 1 2"}',
+        '{"maximal_simplices": {"0": [1, 2]}}',
+        '{"maximal_simplices": [[0, 1], 2]}',
+        '{"maximal_simplices": [[0, 1], "1 2"]}',
+        '{"maximal_simplices": [[0, 1], null]}',
+        '{"maximal_simplices": [[0, true], [true, 2]]}',
+        '{"maximal_simplices": [[0, 1, false]]}',
+        '{"maximal_simplices": [[0, 1.0]]}',
+    ], ids=["number", "string", "object", "number-entry", "string-entry", "null-entry",
+            "true-ids", "false-id", "float-id"])
+    def test_json_type_errors(self, doc):
+        with pytest.raises(ParseError):
+            parse_json(doc)
+
     def test_load_path_dispatch(self, tmp_path, octa):
         t = tmp_path / "octa.cplx"
         t.write_text(serialize_text(octa))

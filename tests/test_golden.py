@@ -1,0 +1,85 @@
+"""Golden CLI output: SHA-256 of ``combcurv --json`` standard output.
+
+The digests pin verdicts, witnesses, stats and report shapes byte for byte
+(timings are off by default), so an internal rewrite that changes any of
+them fails here.  They were recorded before the coface index and the
+rim-edge dwheel join were introduced; regenerate them only for a change
+that is meant to alter the output.
+"""
+
+import hashlib
+
+import pytest
+
+from combcurv.cli import main
+
+from conftest import FIXTURE_DIR
+
+GENERATED = {
+    "icosahedron": ["icosahedron"],
+    "gs3": ["geodesic_sphere", "3"],
+    "torus66": ["tri_torus", "6", "6"],
+    "bd4": ["boundary_4_simplex"],
+}
+
+COMMANDS = {
+    "check": ["check", "--k", "5", "--m", "8"],
+    "validate": ["validate"],
+    "links": ["links"],
+    "theorem-b": ["theorem-b"],
+    "cover": ["cover", "--base", "0", "--radius", "3"],
+}
+
+# (input, command, exit code, sha256 of stdout)
+GOLDEN = [
+    ("disk37_r3", "check", 0, "79bf52ff5f7add824ebe9f85c227d8b177ee1e1ee825acfd629b51591f98f9c0"),
+    ("disk37_r3", "validate", 1, "61bad9e6220654a76222a4ad56be29176e1f58d897abf5293f6847404c6fbc3a"),
+    ("disk37_r3", "links", 1, "1915ed6570ef2b997324210498da4a1641fefb7c327acad73fae2f8529103412"),
+    ("disk37_r3", "theorem-b", 1, "c5079359c1ea8fdd131d64c02c70a8c4590fefb98bed7ab803ea6952c23d56c4"),
+    ("disk37_r3", "cover", 0, "2751cd31c70e0f8e976704b7339ea54161bb843954eb34132e3ed1f5bdc498e6"),
+    ("surf37_psl2_7", "check", 0, "74ddf6bc26b14d8443f99d84d54118193acabd22297c7c935f2469b1c21c2b1a"),
+    ("surf37_psl2_7", "validate", 1, "61bad9e6220654a76222a4ad56be29176e1f58d897abf5293f6847404c6fbc3a"),
+    ("surf37_psl2_7", "links", 1, "25c4293cb0fad1a98b59831e41d58e1f48b4c9dde0ed23b1d9998c3a646dd637"),
+    ("surf37_psl2_7", "theorem-b", 1, "c5079359c1ea8fdd131d64c02c70a8c4590fefb98bed7ab803ea6952c23d56c4"),
+    ("surf37_psl2_7", "cover", 0, "d4a0755a116e6c95e4bcf2317cc3b7f2d9bde9dbc5be7c5aea734bb9ac9567d7"),
+    ("icosahedron", "check", 1, "d479c46ab0f3cdbd34993a87ecbb3d8f96d79d046f4497044e75d422bab71960"),
+    ("icosahedron", "validate", 1, "845d2a971f04158283ce53734a49e51e22e2fa313437d5bb7a7d3d6cce9e03a9"),
+    ("icosahedron", "links", 1, "44563cf90422470de0688ced25b7e67e729e8d0da329630460c9b7ff9660039d"),
+    ("icosahedron", "theorem-b", 1, "bdd476260c5fe1bc9f40ccf1dce161f73a6bc2b870733815554c46d5aa150755"),
+    ("icosahedron", "cover", 0, "456c71f74ee46e367c3a7b5c2d953de6dbdb1746ee1e0c4709f7ac1137ca9716"),
+    ("gs3", "check", 1, "d004a04f05f90d5754d75be7a94eceb7ea4db230e155ebd034f9b2c812b557d3"),
+    ("gs3", "validate", 1, "2a8093dcc3c16e76c029404b71e01d55550b2ab1cbc074e3e39c531072ac3d32"),
+    ("gs3", "links", 1, "73ee314818b64dc3b6f26e3c46812b518e4f07dbab9b25c9a271dc88465b598b"),
+    ("gs3", "theorem-b", 1, "d6b6e24af533a125f53a2d875e2cda0db7efb6bac243235d4c95c802ad4fe6d6"),
+    ("gs3", "cover", 0, "a7b710bbdc6c6886c4ac3ee013a02d4dfba460e071f77243c917d3205edc3705"),
+    ("torus66", "check", 1, "6d094250a6757a92c937d0d54d289ff662897bc37ecd92206baa03cfc9c4c435"),
+    ("torus66", "validate", 1, "53732b38951d14871340a5262977147a4145991afff0c2df957b2711293908ad"),
+    ("torus66", "links", 1, "ff59cc41bf4f5fbfc61f429ea12797b1aeeb06d4a66fb59a4d9b23d99b635ad0"),
+    ("torus66", "theorem-b", 1, "3a950a70c80969b12eab71506d92159d9a267d4e1f4656ad85f45c535628acce"),
+    ("torus66", "cover", 0, "6a8203e7e84f769130f345432517f06146771d4c35886cc1b92a2d53c55cd467"),
+    ("bd4", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
+    ("bd4", "validate", 1, "a19eddb969fc27330a02d5823db047c4bef2050ee7fb5cd9e3e81cd606398c14"),
+    ("bd4", "links", 1, "8b4208bf2e0fee5fb10ee1ce6c5ef24650aad46a6e6a018700f530f5d41d787d"),
+    ("bd4", "theorem-b", 1, "1ed29c339f130a790eef9d607d487697f3e0d13d2be3fe431f626a0ca067eb2a"),
+    # not flag: the cover builder refuses it, so stdout stays empty
+    ("bd4", "cover", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    # file stems become complex names, so they are fixed here
+    work = tmp_path_factory.mktemp("golden")
+    paths = {name: FIXTURE_DIR / f"{name}.cplx" for name in ("disk37_r3", "surf37_psl2_7")}
+    for name, spec in GENERATED.items():
+        paths[name] = work / f"{name}.cplx"
+        assert main(["gen", *spec, "-o", str(paths[name])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name,command,code,digest", GOLDEN,
+                         ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN])
+def test_json_output_is_byte_identical(inputs, capsys, name, command, code, digest):
+    assert main(["--json", *COMMANDS[command], str(inputs[name])]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
