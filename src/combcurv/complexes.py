@@ -189,8 +189,16 @@ class SimplicialComplex:
     def span(self, vertex_set: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex induced by a vertex set, on the same vertex ids.
 
-        Ids that are not vertices of this complex are ignored.  Each kept
-        simplex is read once, from the cofaces of its smallest vertex.
+        Ids that are not vertices of this complex are ignored.
+        """
+        return SimplicialComplex(self.vertex_count, self._span_faces(vertex_set), name=self.name)
+
+    def _span_faces(self, vertex_set: Iterable[int]) -> dict:
+        """The face sets of ``span(vertex_set)``, without building the complex.
+
+        Each kept simplex is read once, from the cofaces of its smallest
+        vertex.  The frozensets are the ones ``span`` stores, so they
+        iterate in the same order.
         """
         keep = set(vertex_set)
         faces = {d: [] for d in range(MAX_DIM + 1)}
@@ -201,7 +209,7 @@ class SimplicialComplex:
             for t in self._cofaces[v]:
                 if t[0] == v and keep.issuperset(t):
                     faces[len(t) - 1].append(t)
-        return SimplicialComplex(self.vertex_count, faces, name=self.name)
+        return {d: frozenset(fs) for d, fs in faces.items()}
 
     def link(self, simplex: Iterable[int]):
         """Link of a stored simplex, relabeled to contiguous ids.
@@ -295,11 +303,6 @@ def is_full(X: SimplicialComplex, cycle: Sequence[int]) -> Verdict:
         return failed("is_full", {"kind": "chord", "edge": list(ch[0]), "cycle": list(vs)},
                       detail=f"chord {ch[0]} inside cycle", chords=len(ch))
     return passed("is_full", detail=f"cycle of length {len(vs)} has no chords")
-
-
-def full_cycle(X: SimplicialComplex, vertices: Sequence[int]) -> Cycle:
-    """Construct a Cycle value, flagging chordlessness against ``X``."""
-    return Cycle(canonical_cycle(vertices), is_full=not chords(X, vertices) and is_cycle(X, vertices))
 
 
 def flag_witness(X: SimplicialComplex):

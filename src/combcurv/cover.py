@@ -4,12 +4,17 @@ Starting from the 1-ball of a base vertex, each expansion stage collects the
 uncovered link directions on the current boundary sphere, glues equivalence
 classes of them (transitive closure of "same target, adjacent bases") as new
 vertices, wires the prescribed edges, and flag-completes.  Three invariants
-are re-verified after every stage:
+are verified once per stage:
 
-    (P) the stage balls are exactly the metric balls of the final complex;
+    (P) the birth layers are the metric layers, and the previous stage ball
+        is the induced ball one radius down; by induction every earlier
+        stage ball is then an induced ball of the current complex;
     (Q) the ball satisfies the descent property one radius below its own;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
         and onto full 1-balls at interior vertices.
+
+The (Q) and (R) results of the last stage are the ones ``build_cover``
+reports; the final ball is not checked a second time.
 
 Constructions whose input fails the entry hypotheses (8-location, local
 5-largeness) still run, but invariant failures are then recorded as
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .complexes import SimplicialComplex, is_flag
 from .curvature import check_covering_map, is_locally_k_large, is_m_located
@@ -41,10 +47,6 @@ class ZClass:
     members: tuple  # sorted (base, z) pairs
 
     @property
-    def representative(self):
-        return self.members[0]
-
-    @property
     def bases(self) -> tuple:
         return tuple(b for (b, _z) in self.members)
 
@@ -58,7 +60,9 @@ class CoverState:
 
     Cover vertex ids are stable across stages; the base vertex is id 0 and
     ``birth[v]`` (the stage at which v appeared) equals its distance from
-    the base.  ``history`` keeps the ball of every earlier stage.
+    the base.  ``sd`` and ``covering`` are this stage's (Q) report and (R)
+    verdict.  (P) holds by induction against the previous stage, so no
+    earlier ball is kept.
     """
 
     stage: int
@@ -68,9 +72,10 @@ class CoverState:
     target: SimplicialComplex
     birth: tuple
     hypotheses_ok: bool
-    history: tuple = ()
     last_classes: tuple = ()
     warnings: tuple = ()
+    sd: Optional[SDReport] = None
+    covering: Optional[Verdict] = None
 
     def sphere_ids(self, radius: int) -> list:
         return [v for v in range(self.ball.vertex_count) if self.birth[v] == radius]
@@ -120,28 +125,30 @@ def _flag_faces_from_graph(n: int, edges, on_five_clique="error"):
     return faces
 
 
-def _verify_invariants(state: CoverState):
-    """Check (P), (Q), (R) on a state; returns the list of violations."""
+def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] = None):
+    """Check (P), (Q), (R) on a state.
+
+    ``previous`` is the ball of the stage before, if there is one.  Returns
+    the (Q) report, the (R) verdict and the list of violations.
+    """
     problems = []
     ball, birth = state.ball, state.birth
 
-    # (P): birth layers are the metric layers, and earlier stage balls are
-    # exactly the induced balls of the current complex.
+    # (P): birth layers are the metric layers, and the previous ball is the
+    # induced ball one radius down.  The stages before it were checked
+    # against their own predecessors, and spans of spans are spans.
     dist = distances_from(ball, state.base)
-    for v in range(ball.vertex_count):
-        if dist[v] != birth[v]:
-            problems.append(("P", {"kind": "layer_mismatch", "vertex": v,
-                                   "distance": dist[v], "birth": birth[v]},
-                             f"vertex {v} born at stage {birth[v]} but at distance {dist[v]}"))
-            break
-    else:
-        for j, old in enumerate(state.history, start=1):
-            span = ball.span([v for v in range(ball.vertex_count) if birth[v] <= j])
-            same = all(span.simplices(d) == old.simplices(d) for d in range(4))
-            if not same:
-                problems.append(("P", {"kind": "stage_span_mismatch", "stage": j},
-                                 f"induced ball at radius {j} differs from the stage-{j} ball"))
-                break
+    v = next((v for v in range(ball.vertex_count) if dist[v] != birth[v]), None)
+    if v is not None:
+        problems.append(("P", {"kind": "layer_mismatch", "vertex": v,
+                               "distance": dist[v], "birth": birth[v]},
+                         f"vertex {v} born at stage {birth[v]} but at distance {dist[v]}"))
+    elif previous is not None:
+        j = state.stage - 1
+        span = ball.span(state.interior_ids())
+        if any(span.simplices(d) != previous.simplices(d) for d in range(4)):
+            problems.append(("P", {"kind": "stage_span_mismatch", "stage": j},
+                             f"induced ball at radius {j} differs from the stage-{j} ball"))
 
     # (Q): descent property one radius below the current stage.
     sd = check_sd_prime(ball, state.base, state.stage - 1)
@@ -153,21 +160,22 @@ def _verify_invariants(state: CoverState):
     try:
         check_covering_map(state.sheet_map, ball, state.target,
                            full_at=state.interior_ids())
+        covering = passed("covering_condition")
     except NotACovering as exc:
-        problems.append(("R", {"kind": "local_isomorphism", "vertex": exc.vertex},
-                         exc.reason))
-    return problems
+        covering = failed("covering_condition",
+                          {"kind": "local_isomorphism", "vertex": exc.vertex},
+                          detail=exc.reason)
+        problems.append(("R", covering.witness, covering.detail))
+    return sd, covering, problems
 
 
-def _apply_invariants(state: CoverState) -> CoverState:
-    problems = _verify_invariants(state)
-    if not problems:
-        return state
-    if state.hypotheses_ok:
+def _apply_invariants(state: CoverState, previous: Optional[SimplicialComplex] = None) -> CoverState:
+    sd, covering, problems = _verify_invariants(state, previous)
+    if problems and state.hypotheses_ok:
         which, witness, detail = problems[0]
         raise InvariantViolation(which, witness, detail)
     diags = tuple(HypothesisViolation(w, wit, det) for (w, wit, det) in problems)
-    return replace(state, warnings=state.warnings + diags)
+    return replace(state, warnings=state.warnings + diags, sd=sd, covering=covering)
 
 
 def init_cover(X: SimplicialComplex, base: int) -> CoverState:
@@ -188,8 +196,7 @@ def init_cover(X: SimplicialComplex, base: int) -> CoverState:
     ball = SimplicialComplex(len(sheet), faces, name="cover_ball_stage_1")
     state = CoverState(
         stage=1, ball=ball, base=0, sheet_map=sheet, target=X,
-        birth=(0,) + (1,) * (len(sheet) - 1), hypotheses_ok=hyp,
-        history=(ball,))
+        birth=(0,) + (1,) * (len(sheet) - 1), hypotheses_ok=hyp)
     return _apply_invariants(state)
 
 
@@ -274,11 +281,10 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
         target=X,
         birth=state.birth + (i + 1,) * len(classes),
         hypotheses_ok=state.hypotheses_ok,
-        history=state.history + (new_ball,),
         last_classes=classes,
         warnings=state.warnings,
     )
-    return _apply_invariants(new_state)
+    return _apply_invariants(new_state, previous=ball)
 
 
 def verify_equiv_shortcut(state: CoverState) -> Verdict:
@@ -351,10 +357,12 @@ class CoverReport:
 def build_cover(X: SimplicialComplex, base: int, radius: int,
                 stage_limit: int = DEFAULT_STAGE_LIMIT,
                 vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> CoverReport:
-    """Run the construction out to the requested radius and re-verify the
-    final ball: descent property, covering condition, shortcut property,
-    location and largeness of the interior span, and interval thinness
-    from the base to every interior vertex."""
+    """Run the construction out to the requested radius.
+
+    The descent property and the covering condition are the ones the last
+    stage verified.  On top of them the final ball gets the shortcut
+    property, location and largeness of the interior span, and interval
+    thinness from the base to every interior vertex."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if radius > stage_limit:
@@ -371,15 +379,6 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
                       len(state.ball.simplices(1)), len(state.last_classes)))
 
     ball = state.ball
-    sd = check_sd_prime(ball, state.base, state.stage - 1)
-    try:
-        check_covering_map(state.sheet_map, ball, X, full_at=state.interior_ids())
-        covering = passed("covering_condition")
-    except NotACovering as exc:
-        covering = failed("covering_condition",
-                          {"kind": "local_isomorphism", "vertex": exc.vertex},
-                          detail=exc.reason)
-
     interior = ball.span(state.interior_ids())
     interior_located = is_m_located(interior, 8)
     interior_large = is_locally_k_large(interior, 5)
@@ -393,8 +392,8 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     return CoverReport(
         state=state,
         stage_stats=tuple(stats),
-        sd=sd,
-        covering=covering,
+        sd=state.sd,
+        covering=state.covering,
         shortcut=shortcut,
         interior_located=interior_located,
         interior_large=interior_large,

@@ -329,14 +329,16 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
             images[u] = fu
         image_set = frozenset(images.values())
         # forward: simplices inside the 1-ball must map to simplices
+        star = cover._span_faces(bv)
         for d in range(1, 4):
-            for s in cover.span(bv).simplices(d):
+            for s in star[d]:
                 if not base.has_simplex(tuple(images[u] for u in s)):
                     raise NotACovering(v, f"simplex {s} maps to a non-simplex")
         # backward: simplices of the image span must pull back
         inverse = {fu: u for u, fu in images.items()}
+        image_span = base._span_faces(image_set)
         for d in range(1, 4):
-            for s in base.span(image_set).simplices(d):
+            for s in image_span[d]:
                 pre = tuple(sorted(inverse[x] for x in s))
                 if not cover.has_simplex(pre):
                     raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")

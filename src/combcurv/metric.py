@@ -75,15 +75,6 @@ def sphere(X: SimplicialComplex, v: int, i: int) -> frozenset:
     return frozenset(u for u in range(X.vertex_count) if X.has_vertex(u) and d[u] == i)
 
 
-def ball_span(X: SimplicialComplex, v: int, i: int) -> SimplicialComplex:
-    """The ball as a full subcomplex (same vertex ids)."""
-    return X.span(ball(X, v, i))
-
-
-def sphere_span(X: SimplicialComplex, v: int, i: int) -> SimplicialComplex:
-    return X.span(sphere(X, v, i))
-
-
 # -- geodesic intervals ------------------------------------------------------
 
 
@@ -107,13 +98,12 @@ def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
     n = do[o2]
     if n == INF:
         raise DisconnectedError(f"vertices {o} and {o2} are not connected")
-    layers = []
-    for k in range(n + 1):
-        layers.append(frozenset(
-            v for v in range(X.vertex_count)
-            if X.has_vertex(v) and do[v] == k and do2[v] == n - k
-        ))
-    return LayeredInterval((o, o2), n, tuple(layers))
+    # one pass: v is on a geodesic exactly when do[v] + do2[v] == n
+    layers = [[] for _ in range(n + 1)]
+    for v, (k, k2) in enumerate(zip(do.dist, do2.dist)):
+        if k + k2 == n and X.has_vertex(v):
+            layers[k].append(v)
+    return LayeredInterval((o, o2), n, tuple(map(frozenset, layers)))
 
 
 def interval_thinness(X: SimplicialComplex, o: int, o2: int):

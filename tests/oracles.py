@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from combcurv.complexes import MAX_DIM, SimplicialComplex, canonical_cycle
-from combcurv.errors import SimplexNotPresent
+from combcurv.errors import NotACovering, SimplexNotPresent
 
 
 def naive_maximal_simplices(X):
@@ -215,3 +215,37 @@ def naive_interval_vertices(X, o, o2):
 
     walk(o, (o,))
     return hits
+
+
+def naive_check_covering_map(f, cover, base, full_at=None):
+    """The covering condition as first written: six span complexes per
+    cover vertex, built inside the per-dimension loops.
+
+    It reads the face sets of ``span`` complexes, so it meets offenders in
+    the same order as the library and must raise on the same vertex with
+    the same reason.
+    """
+    full_at = set(full_at) if full_at is not None else set()
+    for v in cover.vertices:
+        bv = frozenset({v}) | cover.neighbors(v)
+        images = {}
+        for u in bv:
+            fu = f[u]
+            if not base.has_vertex(fu):
+                raise NotACovering(v, f"image {fu} of {u} is not a vertex of the base")
+            if fu in images.values():
+                raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
+            images[u] = fu
+        image_set = frozenset(images.values())
+        for d in range(1, 4):
+            for s in cover.span(bv).simplices(d):
+                if not base.has_simplex(tuple(images[u] for u in s)):
+                    raise NotACovering(v, f"simplex {s} maps to a non-simplex")
+        inverse = {fu: u for u, fu in images.items()}
+        for d in range(1, 4):
+            for s in base.span(image_set).simplices(d):
+                pre = tuple(sorted(inverse[x] for x in s))
+                if not cover.has_simplex(pre):
+                    raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
+        if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
+            raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")

@@ -145,3 +145,61 @@ def test_malformed_json_types_exit_2(tmp_path, capsys, doc):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# Malformed or odd input files: (suffix, bytes).  The ones in PARSES are
+# read and run, and may pass or fail; every other one must exit 2.
+MALFORMED = {
+    "json-not-object": (".json", b"[[0, 1]]"),
+    "json-missing-key": (".json", b'{"simplices": [[0, 1]]}'),
+    "json-number": (".json", b'{"maximal_simplices": 5}'),
+    "json-null-entry": (".json", b'{"maximal_simplices": [null]}'),
+    "json-string-id": (".json", b'{"maximal_simplices": [[0, "1"]]}'),
+    "json-float-id": (".json", b'{"maximal_simplices": [[0, 1.5]]}'),
+    "json-boolean-id": (".json", b'{"maximal_simplices": [[0, true]]}'),
+    "json-negative-id": (".json", b'{"maximal_simplices": [[0, -1]]}'),
+    "json-five-vertices": (".json", b'{"maximal_simplices": [[0, 1, 2, 3, 4]]}'),
+    "json-repeated-vertex": (".json", b'{"maximal_simplices": [[0, 0, 1]]}'),
+    "json-truncated": (".json", b'{"maximal_simplices": [[0, 1]'),
+    "json-odd-name": (".json", b'{"name": [1], "maximal_simplices": [[0, 1], [1, 2]]}'),
+    "json-empty-complex": (".json", b'{"maximal_simplices": []}'),
+    "json-undecodable": (".json", b'\xff\xfe{"maximal_simplices": []}'),
+    "text-non-integer": (".cplx", b"0 1 x\n"),
+    "text-float-id": (".cplx", b"0 1.5\n"),
+    "text-negative-id": (".cplx", b"0 -1 2\n"),
+    "text-five-vertices": (".cplx", b"0 1 2 3 4\n"),
+    "text-repeated-vertex": (".cplx", b"0 0 1\n"),
+    "text-undecodable": (".cplx", b"0 1\n\xff\xfe 2\n"),
+    "text-empty": (".cplx", b""),
+    "text-huge-id": (".cplx", b"0 99999999999999999999\n"),
+}
+PARSES = {"json-odd-name", "json-empty-complex", "text-empty", "text-huge-id"}
+
+FUZZ_COMMANDS = {
+    "validate": ["validate"],
+    "check": ["check"],
+    "check-all": ["check", "--k", "5", "--m", "8", "--sphere-56"],
+    "sd": ["sd", "--base", "0", "--n", "2"],
+    "metric": ["metric", "--base", "0", "--other", "1"],
+    "metric-delta": ["metric", "--delta"],
+    "cover": ["cover", "--base", "0", "--radius", "2"],
+    "links": ["links"],
+    "lemmas": ["lemmas"],
+    "theorem-b": ["theorem-b"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_cleanly(tmp_path, capsys, name, command):
+    # an exception escaping main() fails the test: in the installed script
+    # it would be a traceback with exit code 1
+    suffix, data = MALFORMED[name]
+    p = tmp_path / f"input{suffix}"
+    p.write_bytes(data)
+    code = main(["--json", *FUZZ_COMMANDS[command], str(p)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if name not in PARSES:
+        assert code == 2 and captured.out == ""

@@ -80,8 +80,10 @@ class TestInvariants:
         for X, radius in ((c4, 5), (c5, 4), (tetra, 3), (disk37, 3), (surf37, 4)):
             state = init_cover(X, 0)
             while state.stage < radius:
-                state = expand_ball(state)
-            assert _verify_invariants(state) == []
+                previous, state = state.ball, expand_ball(state)
+            sd, covering, problems = _verify_invariants(state, previous)
+            assert problems == []
+            assert sd.passed and covering.passed
             assert check_sd_prime(state.ball, 0, state.stage - 1).passed
 
     def test_tampered_sheet_map_detected(self, surf37):
@@ -90,9 +92,17 @@ class TestInvariants:
             stage=state.stage, ball=state.ball, base=0,
             sheet_map=state.sheet_map[:-1] + (state.sheet_map[0],),
             target=state.target, birth=state.birth,
-            hypotheses_ok=True, history=state.history)
-        problems = _verify_invariants(bad)
+            hypotheses_ok=True)
+        _sd, _covering, problems = _verify_invariants(bad)
         assert any(which == "R" for which, _w, _d in problems)
+
+    def test_previous_ball_checked(self, c4):
+        first = init_cover(c4, 0)
+        state = expand_ball(first)
+        assert _verify_invariants(state, first.ball)[2] == []
+        # any other ball than the previous stage's is a (P) violation
+        _sd, _covering, problems = _verify_invariants(state, state.ball)
+        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 1})]
 
     def test_tampered_birth_detected(self, c4):
         state = expand_ball(init_cover(c4, 0))
@@ -100,8 +110,9 @@ class TestInvariants:
             stage=state.stage, ball=state.ball, base=0,
             sheet_map=state.sheet_map, target=state.target,
             birth=state.birth[:-1] + (1,),
-            hypotheses_ok=True, history=state.history)
-        assert any(which == "P" for which, _w, _d in _verify_invariants(bad))
+            hypotheses_ok=True)
+        _sd, _covering, problems = _verify_invariants(bad)
+        assert any(which == "P" for which, _w, _d in problems)
 
 
 class TestShortcut:

@@ -1,5 +1,7 @@
 """Largeness, wheels, dwheels, dwheel location, covering preservation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from combcurv import build_complex, build_cover
 from combcurv.complexes import Cycle
 from combcurv.curvature import (
+    check_covering_map,
     check_covering_preservation,
     dwheels,
     in_one_ball,
@@ -18,7 +21,7 @@ from combcurv.curvature import (
 from combcurv.errors import NotACovering
 
 from conftest import gen
-from oracles import naive_dwheels, naive_four_wheel_free
+from oracles import naive_check_covering_map, naive_dwheels, naive_four_wheel_free
 
 
 def dwheel_complex(k, l, junction):
@@ -271,3 +274,50 @@ class TestCoveringPreservation:
         # the span condition; both implications are vacuous here
         sub = build_complex([[1, 2], [2, 3], [3, 4], [4, 1]])
         assert check_covering_preservation((0, 1, 2, 3, 4), sub, octa, 8, 5).passed
+
+
+def covering_outcome(check, f, cover, base, full_at):
+    try:
+        check(f, cover, base, full_at=full_at)
+    except NotACovering as exc:
+        return exc.vertex, exc.reason
+    return None
+
+
+class TestCoveringMapOracle:
+    """``check_covering_map`` reads span face sets without building span
+    complexes; the span-building referee must fail on the same vertex with
+    the same reason, or pass with it."""
+
+    RANDOM_FLAG = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12), (12, 0.4, 3), (14, 0.3, 5))
+
+    def cases(self, icosa, octa, torus66, disk37, surf37):
+        rng = random.Random(2013)
+        bases = [icosa, octa, torus66, disk37, surf37] + [gen("random_flag", *p) for p in self.RANDOM_FLAG]
+        for X in bases:
+            identity = tuple(range(X.vertex_count))
+            yield identity, X, X, X.vertices
+            for _ in range(6):
+                a, b = rng.sample(X.vertices, 2)
+                collapsed = list(identity)
+                collapsed[a] = b
+                yield tuple(collapsed), X, X, X.vertices
+                swapped = list(identity)
+                swapped[a], swapped[b] = b, a
+                yield tuple(swapped), X, X, None
+        for p in self.RANDOM_FLAG:
+            X = gen("random_flag", *p)
+            for r in (2, 3, 4):
+                state = build_cover(X, 0, r).state
+                yield state.sheet_map, state.ball, X, state.interior_ids()
+
+    def test_same_first_offender(self, icosa, octa, torus66, disk37, surf37):
+        reasons = []
+        for f, cover, base, full_at in self.cases(icosa, octa, torus66, disk37, surf37):
+            got = covering_outcome(check_covering_map, f, cover, base, full_at)
+            assert got == covering_outcome(naive_check_covering_map, f, cover, base, full_at)
+            reasons.append(got[1] if got else "pass")
+        # every outcome is exercised, including the order-sensitive failures
+        for kind in ("pass", "collides", "maps to a non-simplex", "has no preimage",
+                     "does not cover the full 1-ball"):
+            assert any(kind in r for r in reasons), kind
