@@ -20,7 +20,7 @@ from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
 from .curvature import is_locally_k_large, is_m_located
-from .errors import CombCurvError, NotASphere, NotPure, PreconditionNotMet
+from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
 from .metric import check_sd_prime, delta_four_point, interval, interval_thinness
@@ -226,7 +226,7 @@ def cmd_lemmas(args):
         else:
             verdicts.append(manifold_mod.check_sphere_cycle_lemma(X))
             verdicts.append(manifold_mod.check_7cycle_fillings(X))
-    except (PreconditionNotMet, NotASphere, CombCurvError) as exc:
+    except CombCurvError as exc:
         verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
     return _emit(args, "lemmas", verdicts)
 

@@ -263,6 +263,30 @@ def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str
     return SimplicialComplex(top + 1, faces, name=name)
 
 
+def flag_completion(n: int, edges, name: Optional[str] = None) -> SimplicialComplex:
+    """Complex on vertices ``0..n-1`` whose simplices are the cliques of a
+    graph, capped at 4 vertices (the dimension cap).
+
+    Triangles are read off the common neighbours of each edge and
+    tetrahedra off those of each triangle, so the face sets come out
+    downward closed with no separate closure pass.
+    """
+    adj = [set() for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    faces = {0: {(v,) for v in range(n)}, 1: {(min(e), max(e)) for e in edges},
+             2: set(), 3: set()}
+    for (u, v) in sorted(faces[1]):
+        for w in sorted(adj[u] & adj[v]):
+            if w > v:
+                faces[2].add((u, v, w))
+                for x in sorted(adj[u] & adj[v] & adj[w]):
+                    if x > w:
+                        faces[3].add((u, v, w, x))
+    return SimplicialComplex(n, faces, name=name)
+
+
 # -- fullness and flagness -------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .complexes import SimplicialComplex, is_flag
+from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
 from .metric import SDReport, check_sd_prime, distances_from, interval_thinness
@@ -97,32 +97,6 @@ class CoverState:
             "stage": self.stage,
             "base": self.base,
         }
-
-
-def _flag_faces_from_graph(n: int, edges, on_five_clique="error"):
-    """Downward-closed faces of the flag completion of a graph, capped at
-    tetrahedra.  ``on_five_clique`` is 'error' or 'cap'."""
-    adj = [set() for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    faces = {0: {(v,) for v in range(n)}, 1: set(), 2: set(), 3: set()}
-    for (u, v) in edges:
-        faces[1].add(tuple(sorted((u, v))))
-    for (u, v) in sorted(faces[1]):
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                faces[2].add((u, v, w))
-                for x in sorted(adj[u] & adj[v] & adj[w]):
-                    if x > w:
-                        faces[3].add((u, v, w, x))
-                        bigger = adj[u] & adj[v] & adj[w] & adj[x]
-                        if on_five_clique == "error" and any(y > x for y in bigger):
-                            raise InvariantViolation(
-                                "R", {"kind": "five_clique",
-                                      "vertices": [u, v, w, x, max(bigger)]},
-                                "flag completion exceeds dimension 3")
-    return faces
 
 
 def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] = None):
@@ -269,9 +243,16 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
                     edges.add(tuple(sorted((class_id[c1], class_id[c2]))))
 
     n_new = n_old + len(classes)
-    faces = _flag_faces_from_graph(
-        n_new, edges, on_five_clique="error" if state.hypotheses_ok else "cap")
-    new_ball = SimplicialComplex(n_new, faces, name=f"cover_ball_stage_{i + 1}")
+    new_ball = flag_completion(n_new, edges, name=f"cover_ball_stage_{i + 1}")
+    if state.hypotheses_ok:
+        # a 5-clique is capped at its tetrahedra; under the hypotheses it is
+        # an invariant failure, reported at its first tetrahedron
+        for tet in sorted(new_ball.simplices(3)):
+            bigger = frozenset.intersection(*map(new_ball.neighbors, tet))
+            if any(y > tet[3] for y in bigger):
+                raise InvariantViolation(
+                    "R", {"kind": "five_clique", "vertices": [*tet, max(bigger)]},
+                    "flag completion exceeds dimension 3")
 
     new_state = CoverState(
         stage=i + 1,

@@ -144,7 +144,7 @@ def is_k_large(X: SimplicialComplex, k: int) -> Verdict:
     if not fv.passed:
         return failed("is_k_large", fv.witness, detail="not flag: " + fv.detail, k=k)
     if k > 4:
-        offenders = full_cycles(X, 4, k - 1, cap=max(DEFAULT_CYCLE_CAP, k - 1))
+        offenders = full_cycles(X, 4, k - 1, cap=k - 1)
         if offenders:
             shortest = offenders[0]
             return failed("is_k_large", shortest,
@@ -155,35 +155,41 @@ def is_k_large(X: SimplicialComplex, k: int) -> Verdict:
 
 @timed
 def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
-    """Every link (of every simplex) is k-large.
+    """Every link (of every simplex) is k-large, read off the vertex links.
 
-    The witness names the simplex together with the offending configuration
-    inside its link, mapped back to ambient vertex ids.
+    A k-large complex is flag, and the link of a simplex tau in a flag
+    complex L is the full subcomplex of L on the common neighbours of tau,
+    so it is k-large whenever L is.  For a vertex v of sigma,
+    Lk(sigma, X) = Lk(sigma - v, Lk(v, X)); once every vertex link is
+    k-large, every link is, and only vertex links are built.
+
+    The witness names the simplex (a vertex) together with the offending
+    configuration inside its link, mapped back to ambient vertex ids.
+    ``links_checked`` counts the simplices whose link the verdict covers:
+    the vertices up to the failing one, or every simplex of X on a pass.
     """
-    links = 0
-    for sigma in X.all_simplices():
+    for links, v in enumerate(X.vertices, 1):
+        sigma = (v,)
         link, vmap = X.link(sigma)
-        links += 1
         inner = is_k_large(link, k)
         if not inner.passed:
             witness = inner.witness
             if isinstance(witness, Cycle):
                 mapped = {"kind": "cycle_in_link", "simplex": list(sigma),
-                          "cycle": [vmap[v] for v in witness.vertices]}
+                          "cycle": [vmap[u] for u in witness.vertices]}
             else:
                 mapped = {"kind": "clique_in_link", "simplex": list(sigma),
-                          "vertices": [vmap[v] for v in witness["vertices"]]}
+                          "vertices": [vmap[u] for u in witness["vertices"]]}
             return failed("is_locally_k_large", mapped,
                           detail=f"link of {sigma} is not {k}-large: {inner.detail}",
                           k=k, links_checked=links)
-    return passed("is_locally_k_large", k=k, links_checked=links)
+    return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
 
 
 # -- wheels and dwheels --------------------------------------------------------
 
 
-def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP,
-           cap: int = DEFAULT_CYCLE_CAP) -> list:
+def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP) -> list:
     """All k-wheels with k in range, one per (center, canonical rim).
 
     Rims are the chordless cycles of each vertex link that stay chordless
@@ -196,7 +202,8 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP,
         link, vmap = X.link((v,))
         if link.vertex_count < k_min:
             continue
-        for cyc in full_cycles(link, k_min, min(k_max, link.vertex_count), cap=max(cap, k_max)):
+        top = min(k_max, link.vertex_count)
+        for cyc in full_cycles(link, k_min, top, cap=top):
             rim = tuple(vmap[u] for u in cyc.vertices)
             if not chords(X, rim):
                 out.append(Wheel(v, canonical_cycle(rim)))
@@ -213,7 +220,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     # (center, shared, other_apex) -> free arcs (v1, ..., v_{k-2}) of the
     # wheels at center whose rim reads (v1, ..., v_{k-2}, shared, other_apex)
     arcs = {}
-    for whl in wheels(X, 4, max_k, cap=max(max_k, DEFAULT_CYCLE_CAP)):
+    for whl in wheels(X, 4, max_k):
         k = len(whl.rim)
         for orient in (whl.rim, whl.rim[::-1]):
             twice = orient + orient
@@ -250,21 +257,22 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     return [DWheel(*key) for key in sorted(seen, key=lambda key: (seen[key], key))]
 
 
-def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:
-    """Some vertex whose closed neighborhood contains the whole set, or None.
-
-    Candidate centers are the set's own vertices and their common neighbors.
-    """
-    vs = sorted(set(vertex_set))
-    if not vs:
-        raise ValueError("empty vertex set")
-    candidates = set(vs)
+def _center_candidates(X: SimplicialComplex, vs) -> list:
+    """The only possible 1-ball centers of a vertex set, sorted: its own
+    vertices and their common neighbors."""
     common = None
     for v in vs:
         nb = X.neighbors(v)
         common = set(nb) if common is None else common & nb
-    candidates |= common
-    for y in sorted(candidates):
+    return sorted(common.union(vs))
+
+
+def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:
+    """Some vertex whose closed neighborhood contains the whole set, or None."""
+    vs = sorted(set(vertex_set))
+    if not vs:
+        raise ValueError("empty vertex set")
+    for y in _center_candidates(X, vs):
         if all(a == y or X.adjacent(a, y) for a in vs):
             return y
     return None
@@ -286,14 +294,10 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
         verts = dw.vertex_set
         center = in_one_ball(X, verts)
         if center is None:
-            common = None
-            for v in verts:
-                nb = X.neighbors(v)
-                common = set(nb) if common is None else common & nb
             return failed(
                 "is_m_located",
                 {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
-                 "candidates_tried": sorted(verts | common)},
+                 "candidates_tried": _center_candidates(X, verts)},
                 detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
                        "fits in no 1-ball",
                 m=m, dwheels=count)

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, build_complex
+from .complexes import SimplicialComplex, build_complex, flag_completion
 
 # Standard icosahedron combinatorics: 12 vertices, 30 edges, 20 faces,
 # every vertex of degree 5.
@@ -116,25 +116,6 @@ def tri_torus(m: int, n: int) -> SimplicialComplex:
             faces.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
             faces.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     return build_complex(faces, name=f"tri_torus_{m}_{n}")
-
-
-def flag_completion(n: int, edges, name=None) -> SimplicialComplex:
-    """Complex whose simplices are the cliques of a graph, capped at
-    4 vertices (the dimension cap)."""
-    adj = [set() for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    maximal = [[v] for v in range(n)]
-    maximal += [list(e) for e in edges]
-    for (u, v) in edges:
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                maximal.append([u, v, w])
-                for x in sorted(adj[u] & adj[v] & adj[w]):
-                    if x > w:
-                        maximal.append([u, v, w, x])
-    return build_complex(maximal, name=name)
 
 
 def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:

@@ -384,7 +384,10 @@ def verify_theorem_b(X: SimplicialComplex) -> Verdict:
 
     The pipeline reports the first failing stage; on inputs passing the
     degree condition and flagness, the later stages are expected to pass
-    and any counterexample is surfaced with its witness.
+    and any counterexample is surfaced with its witness.  The dwheel-type
+    stage cannot fail once ``locally_5_large`` has passed: every wheel rim
+    then has length at least 5, so a dwheel of boundary at most 8 has
+    l >= 5 and k + l <= 12, which leaves exactly ``ALLOWED_DWHEEL_TYPES``.
     """
     try:
         report = validate_closed_3manifold(X)

@@ -64,7 +64,7 @@ def ball(X: SimplicialComplex, v: int, i: int) -> frozenset:
     if i < 0:
         raise ValueError("radius must be non-negative")
     d = distances_from(X, v)
-    return frozenset(u for u in range(X.vertex_count) if X.has_vertex(u) and d[u] <= i)
+    return frozenset(u for u in range(X.vertex_count) if d[u] <= i)
 
 
 def sphere(X: SimplicialComplex, v: int, i: int) -> frozenset:
@@ -72,7 +72,7 @@ def sphere(X: SimplicialComplex, v: int, i: int) -> frozenset:
     if i < 0:
         raise ValueError("radius must be non-negative")
     d = distances_from(X, v)
-    return frozenset(u for u in range(X.vertex_count) if X.has_vertex(u) and d[u] == i)
+    return frozenset(u for u in range(X.vertex_count) if d[u] == i)
 
 
 # -- geodesic intervals ------------------------------------------------------
@@ -98,10 +98,11 @@ def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
     n = do[o2]
     if n == INF:
         raise DisconnectedError(f"vertices {o} and {o2} are not connected")
-    # one pass: v is on a geodesic exactly when do[v] + do2[v] == n
+    # one pass: v is on a geodesic exactly when do[v] + do2[v] == n (never
+    # for an absent id, whose distances are inf)
     layers = [[] for _ in range(n + 1)]
     for v, (k, k2) in enumerate(zip(do.dist, do2.dist)):
-        if k + k2 == n and X.has_vertex(v):
+        if k + k2 == n:
             layers[k].append(v)
     return LayeredInterval((o, o2), n, tuple(map(frozenset, layers)))
 
@@ -192,7 +193,7 @@ def _vertex_condition(X, dist, i) -> Verdict:
     """
     pairs = 0
     for v in range(X.vertex_count):
-        if not X.has_vertex(v) or dist[v] != i + 1:
+        if dist[v] != i + 1:
             continue
         down = sorted(u for u in X.neighbors(v) if dist[u] <= i)
         for u, w in combinations(down, 2):
@@ -240,7 +241,7 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
     instances = 0
     for i in range(1, n + 1):
         for v in range(X.vertex_count):
-            if not X.has_vertex(v) or dist[v] != i + 1:
+            if dist[v] != i + 1:
                 continue
             down = sorted(u for u in X.neighbors(v) if dist[u] <= i)
             for y, z in combinations(down, 2):

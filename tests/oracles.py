@@ -1,18 +1,21 @@
 """Independent brute-force reference implementations.
 
 These deliberately avoid the library's optimized code paths: links, spans
-and maximal simplices come from full scans of every stored face, cycles
-are found by plain DFS over vertex sequences, wheel pairs are matched by
-trying every rotation, distances come from Floyd-Warshall, and the
-four-point constant is computed from basepoint Gromov products.  Tests
-compare library output against these on small inputs.
+and maximal simplices come from full scans of every stored face, local
+largeness tests the link of every simplex, cycles are found by plain DFS
+over vertex sequences, wheel pairs are matched by trying every rotation,
+distances come from Floyd-Warshall, and the four-point constant is
+computed from basepoint Gromov products.  Tests compare library output
+against these on small inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from combcurv.complexes import MAX_DIM, SimplicialComplex, canonical_cycle
+from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
+from combcurv.curvature import is_k_large
 from combcurv.errors import NotACovering, SimplexNotPresent
+from combcurv.verdicts import failed, passed
 
 
 def naive_maximal_simplices(X):
@@ -56,6 +59,29 @@ def naive_link(X, simplex):
     for tau in members:
         faces[len(tau) - 1].append(tuple(back[v] for v in tau))
     return SimplicialComplex(len(vertex_map), faces), vertex_map
+
+
+def naive_is_locally_k_large(X, k):
+    """Local k-largeness as first written: the link of every simplex, not
+    only of every vertex, built by a full face scan and tested for
+    k-largeness.  Its verdict must match the library's byte for byte."""
+    links = 0
+    for sigma in X.all_simplices():
+        link, vmap = naive_link(X, sigma)
+        links += 1
+        inner = is_k_large(link, k)
+        if not inner.passed:
+            witness = inner.witness
+            if isinstance(witness, Cycle):
+                mapped = {"kind": "cycle_in_link", "simplex": list(sigma),
+                          "cycle": [vmap[u] for u in witness.vertices]}
+            else:
+                mapped = {"kind": "clique_in_link", "simplex": list(sigma),
+                          "vertices": [vmap[u] for u in witness["vertices"]]}
+            return failed("is_locally_k_large", mapped,
+                          detail=f"link of {sigma} is not {k}-large: {inner.detail}",
+                          k=k, links_checked=links)
+    return passed("is_locally_k_large", k=k, links_checked=links)
 
 
 def naive_full_cycles(X, min_len, max_len):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcurv import build_complex, build_cover
-from combcurv.complexes import Cycle
+from combcurv.complexes import Cycle, SimplicialComplex
 from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
@@ -21,7 +21,12 @@ from combcurv.curvature import (
 from combcurv.errors import NotACovering
 
 from conftest import gen
-from oracles import naive_check_covering_map, naive_dwheels, naive_four_wheel_free
+from oracles import (
+    naive_check_covering_map,
+    naive_dwheels,
+    naive_four_wheel_free,
+    naive_is_locally_k_large,
+)
 
 
 def dwheel_complex(k, l, junction):
@@ -97,6 +102,49 @@ class TestLocallyLarge:
             return
         wheel = naive_four_wheel_free(X)
         assert is_locally_k_large(X, 5).passed == (wheel is None)
+
+    def test_builds_vertex_links_only(self, gs2, monkeypatch):
+        built = []
+        link = SimplicialComplex.link
+
+        def counting_link(X, sigma):
+            built.append(tuple(sigma))
+            return link(X, sigma)
+
+        monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+        verdict = is_locally_k_large(gs2, 5)
+        assert verdict.passed
+        assert built == [(v,) for v in gs2.vertices]
+        # the stat still counts every simplex whose link is certified
+        assert verdict.stats["links_checked"] == sum(gs2.counts())
+
+
+def simplex_soups(rng, count):
+    """Downward closures of random simplices on vertex ids with gaps: mostly
+    not flag, and some ids below the largest are absent."""
+    for _ in range(count):
+        ids = sorted(rng.sample(range(14), rng.randint(5, 11)))
+        yield build_complex(rng.sample(ids, rng.randint(2, 4))
+                            for _ in range(rng.randint(3, 14)))
+
+
+class TestLocallyLargeOracle:
+    """Vertex links suffice: the all-simplices scan of the referee gives
+    the same verdict, witness and ``links_checked`` for every k."""
+
+    def test_same_verdict_as_all_links(self, octa, icosa, bd4, gs2, disk37, surf37):
+        rng = random.Random(2013)
+        inputs = [octa, icosa, bd4, gs2, disk37, surf37]
+        inputs += [gen("random_flag", rng.randint(6, 16), rng.choice((0.2, 0.3, 0.4, 0.5)),
+                       seed) for seed in range(80)]
+        inputs += list(simplex_soups(rng, 80))
+        kinds = set()
+        for X in inputs:
+            for k in range(4, 9):
+                got = is_locally_k_large(X, k).to_json()
+                assert got == naive_is_locally_k_large(X, k).to_json(), (X, k)
+                kinds.add(got["witness"]["kind"] if got["witness"] else "pass")
+        assert kinds == {"pass", "cycle_in_link", "clique_in_link"}
 
 
 class TestWheels:

@@ -1,12 +1,16 @@
 """3-manifold validation, vertex links, sphere conditions, dual cellulation,
 cycle-filling checks, and the full pipeline."""
 
+import random
+
 import pytest
 
 from combcurv import build_complex
 from combcurv.complexes import full_cycles
+from combcurv.curvature import dwheels, is_locally_k_large
 from combcurv.errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
+    ALLOWED_DWHEEL_TYPES,
     check_7cycle_fillings,
     check_sphere_cycle_lemma,
     check_wheel_in_link,
@@ -232,3 +236,21 @@ class TestTheoremB:
         verdict = verify_theorem_b(gs2)
         assert not verdict.passed
         assert verdict.stats["stage"] == "validate"
+
+    def test_dwheel_types_stage_cannot_fail_after_local_5_largeness(self):
+        # locally 5-large: every wheel rim has length >= 5, so a dwheel of
+        # boundary <= 8 has l >= 5 and k + l <= 12, i.e. an allowed type
+        rng = random.Random(56)
+        draws = [(21, 0.243, 586410), (26, 0.221, 724161), (24, 0.254, 754688)]
+        for _ in range(300):
+            n = rng.randint(14, 60)
+            draws.append((n, round((rng.uniform(0.5, 1.6) / n) ** 0.5, 3), rng.randrange(10**6)))
+        seen = set()
+        for draw in draws:
+            X = gen("random_flag", *draw)
+            if is_locally_k_large(X, 5).passed:
+                types = {dw.type for dw in dwheels(X, 8)}
+                assert types <= ALLOWED_DWHEEL_TYPES, draw
+                seen |= types
+        # the pinned draws make every allowed type occur
+        assert seen == ALLOWED_DWHEEL_TYPES
