@@ -42,7 +42,6 @@ from .manifold import (
     vertex_link_sphere,
 )
 from .metric import (
-    DistanceField,
     LayeredInterval,
     SDReport,
     ball,
@@ -63,7 +62,6 @@ __all__ = [
     "CoverReport",
     "CoverState",
     "DWheel",
-    "DistanceField",
     "FillingPair",
     "GeneratorSpec",
     "LayeredInterval",

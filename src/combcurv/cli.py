@@ -116,11 +116,11 @@ def cmd_validate(args):
 def cmd_check(args):
     X = _load(args.path)
     verdicts = []
-    if args.flag or not (args.m or args.k or args.sphere_56):
+    if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(is_flag(X))
-    if args.k:
+    if args.k is not None:
         verdicts.append(is_locally_k_large(X, args.k))
-    if args.m:
+    if args.m is not None:
         verdicts.append(is_m_located(X, args.m))
     if args.sphere_56:
         try:
@@ -132,6 +132,8 @@ def cmd_check(args):
 
 
 def cmd_sd(args):
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     X = _load(args.path)
     report = check_sd_prime(X, args.base, args.n)
     code = 0 if report.passed else 1

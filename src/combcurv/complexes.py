@@ -81,7 +81,7 @@ class SimplicialComplex:
     ``maximal_simplices`` read it instead of scanning every face.
     """
 
-    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces", "_dist_cache")
+    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
 
     def __init__(self, vertex_count: int, faces: dict, name: Optional[str] = None):
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -103,7 +103,6 @@ class SimplicialComplex:
                     cofaces[v].append(s)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
         object.__setattr__(self, "_cofaces", tuple(map(tuple, cofaces)))
-        object.__setattr__(self, "_dist_cache", {})
 
     def __setattr__(self, *args):
         raise AttributeError("SimplicialComplex is immutable")

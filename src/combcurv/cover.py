@@ -364,11 +364,8 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     interior_located = is_m_located(interior, 8)
     interior_large = is_locally_k_large(interior, 5)
 
-    thin = 0
-    for v in state.interior_ids():
-        if v != state.base:
-            t, _pair = interval_thinness(ball, state.base, v)
-            thin = max(thin, t)
+    thin, _pair = interval_thinness(
+        ball, state.base, *(v for v in state.interior_ids() if v != state.base))
 
     return CoverReport(
         state=state,

@@ -124,6 +124,8 @@ def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     Reproducible across platforms: edges are drawn in fixed (u, v) order
     from ``random.Random(seed)``.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
@@ -131,16 +133,17 @@ def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     return flag_completion(n, edges, name=f"random_flag_{n}_{p}_{seed}")
 
 
+# name -> (function, parameter kinds: "i" integer, "f" number)
 GENERATORS = {
-    "triangle": (triangle, 0),
-    "tetrahedron": (tetrahedron, 0),
-    "c_n": (cycle_complex, 1),
-    "octahedron": (octahedron, 0),
-    "icosahedron": (icosahedron, 0),
-    "boundary_4_simplex": (boundary_4_simplex, 0),
-    "geodesic_sphere": (geodesic_sphere, 1),
-    "tri_torus": (tri_torus, 2),
-    "random_flag": (random_flag, 3),
+    "triangle": (triangle, ""),
+    "tetrahedron": (tetrahedron, ""),
+    "c_n": (cycle_complex, "i"),
+    "octahedron": (octahedron, ""),
+    "icosahedron": (icosahedron, ""),
+    "boundary_4_simplex": (boundary_4_simplex, ""),
+    "geodesic_sphere": (geodesic_sphere, "i"),
+    "tri_torus": (tri_torus, "ii"),
+    "random_flag": (random_flag, "ifi"),
 }
 
 
@@ -153,9 +156,12 @@ class GeneratorSpec:
 def generate(spec: GeneratorSpec) -> SimplicialComplex:
     if spec.name not in GENERATORS:
         raise ValueError(f"unknown generator {spec.name!r}; known: {sorted(GENERATORS)}")
-    fn, arity = GENERATORS[spec.name]
-    if len(spec.params) != arity:
-        raise ValueError(f"{spec.name} takes {arity} parameter(s), got {len(spec.params)}")
+    fn, kinds = GENERATORS[spec.name]
+    if len(spec.params) != len(kinds):
+        raise ValueError(f"{spec.name} takes {len(kinds)} parameter(s), got {len(spec.params)}")
+    for i, (kind, x) in enumerate(zip(kinds, spec.params), 1):
+        if kind == "i" and not isinstance(x, int):
+            raise ValueError(f"{spec.name} parameter {i} must be an integer, got {x!r}")
     return fn(*spec.params)
 
 

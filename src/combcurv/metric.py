@@ -1,10 +1,11 @@
 """Path-metric machinery on the 1-skeleton.
 
-Distances are hop counts in the 1-skeleton.  On top of BFS this module
-provides combinatorial balls and spheres, geodesic intervals sliced into
-layers, the layered descent checker with its triangle (T) and vertex (V)
-conditions, the projection cross-check that consumes it, and an exact
-four-point hyperbolicity constant for small complexes.
+Distances are hop counts in the 1-skeleton, one BFS per call (a complex
+keeps none).  On top of BFS this module provides combinatorial balls and
+spheres, geodesic intervals sliced into layers, the layered descent
+checker with its triangle (T) and vertex (V) conditions, the projection
+cross-check that consumes it, and an exact four-point hyperbolicity
+constant for small complexes.
 """
 
 from __future__ import annotations
@@ -24,21 +25,9 @@ INF = float("inf")
 DELTA_VERTEX_CAP = 200
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Hop distances from a base vertex; unreachable vertices get inf."""
-
-    base: int
-    dist: tuple
-
-    def __getitem__(self, v):
-        return self.dist[v]
-
-
-def distances_from(X: SimplicialComplex, base: int) -> DistanceField:
-    cached = X._dist_cache.get(base)
-    if cached is not None:
-        return cached
+def distances_from(X: SimplicialComplex, base: int) -> tuple:
+    """Hop distances from ``base``, one per vertex id; unreachable vertices
+    get inf."""
     if not X.has_vertex(base):
         raise ValueError(f"vertex {base} not in complex")
     dist = [INF] * X.vertex_count
@@ -50,9 +39,7 @@ def distances_from(X: SimplicialComplex, base: int) -> DistanceField:
             if dist[u] > dist[v] + 1:
                 dist[u] = dist[v] + 1
                 q.append(u)
-    field_ = DistanceField(base, tuple(dist))
-    X._dist_cache[base] = field_
-    return field_
+    return tuple(dist)
 
 
 def distance(X: SimplicialComplex, u: int, v: int):
@@ -87,41 +74,51 @@ class LayeredInterval:
     n: int
     layers: tuple
 
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset(v for layer in self.layers for v in layer)
 
-
-def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
-    do = distances_from(X, o)
-    do2 = distances_from(X, o2)
+def _layers(do, do2, o, o2) -> list:
+    """Geodesic layers between ``o`` and ``o2``, each in vertex order."""
     n = do[o2]
     if n == INF:
         raise DisconnectedError(f"vertices {o} and {o2} are not connected")
     # one pass: v is on a geodesic exactly when do[v] + do2[v] == n (never
     # for an absent id, whose distances are inf)
     layers = [[] for _ in range(n + 1)]
-    for v, (k, k2) in enumerate(zip(do.dist, do2.dist)):
+    for v, (k, k2) in enumerate(zip(do, do2)):
         if k + k2 == n:
             layers[k].append(v)
-    return LayeredInterval((o, o2), n, tuple(map(frozenset, layers)))
+    return layers
 
 
-def interval_thinness(X: SimplicialComplex, o: int, o2: int):
-    """Maximum pairwise distance inside any interval layer, measured in X.
+def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
+    layers = _layers(distances_from(X, o), distances_from(X, o2), o, o2)
+    return LayeredInterval((o, o2), len(layers) - 1, tuple(map(frozenset, layers)))
 
-    Returns ``(thinness, witness_pair)`` where the witness realizes the
-    maximum (None for degenerate intervals).
+
+def interval_thinness(X: SimplicialComplex, o: int, *targets):
+    """Maximum pairwise distance inside any layer of the intervals from ``o``
+    to each target, measured in X.
+
+    Returns ``(thinness, witness_pair)``: the witness is the first pair that
+    reaches the maximum, in target, layer and sorted-pair order (None when
+    no layer has two vertices).  Each distance row is computed once and
+    kept only for this call.
     """
-    itv = interval(X, o, o2)
+    rows = {}
+
+    def row(v):
+        if v not in rows:
+            rows[v] = distances_from(X, v)
+        return rows[v]
+
     best = 0
     witness = None
-    for layer in itv.layers:
-        for u, v in combinations(sorted(layer), 2):
-            d = distances_from(X, u)[v]
-            if d > best:
-                best = d
-                witness = (u, v)
+    for o2 in targets:
+        for layer in _layers(row(o), row(o2), o, o2):
+            for u, v in combinations(layer, 2):
+                d = row(u)[v]
+                if d > best:
+                    best = d
+                    witness = (u, v)
     return best, witness
 
 

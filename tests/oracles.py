@@ -4,9 +4,9 @@ These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
 largeness tests the link of every simplex, cycles are found by plain DFS
 over vertex sequences, wheel pairs are matched by trying every rotation,
-distances come from Floyd-Warshall, and the four-point constant is
-computed from basepoint Gromov products.  Tests compare library output
-against these on small inputs.
+distances come from Floyd-Warshall, interval thinness runs one BFS per
+layer pair, and the four-point constant is computed from basepoint Gromov
+products.  Tests compare library output against these on small inputs.
 """
 
 from fractions import Fraction
@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
 from combcurv.curvature import is_k_large
 from combcurv.errors import NotACovering, SimplexNotPresent
+from combcurv.metric import distances_from, interval
 from combcurv.verdicts import failed, passed
 
 
@@ -241,6 +242,19 @@ def naive_interval_vertices(X, o, o2):
 
     walk(o, (o,))
     return hits
+
+
+def naive_interval_thinness(X, o, o2):
+    """Interval thinness as first written: the layers of one interval, then
+    a fresh BFS for every pair inside a layer.  The witness is the first
+    pair reaching the maximum, in layer and sorted-pair order."""
+    best, witness = 0, None
+    for layer in interval(X, o, o2).layers:
+        for u, v in combinations(sorted(layer), 2):
+            d = distances_from(X, u)[v]
+            if d > best:
+                best, witness = d, (u, v)
+    return best, witness
 
 
 def naive_check_covering_map(f, cover, base, full_at=None):

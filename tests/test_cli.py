@@ -75,6 +75,21 @@ def test_sd_exit_codes(files):
     assert main(["sd", "--base", "0", "--n", "2", files["icosahedron"]]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--k", "0"],
+    ["check", "--m", "0"],
+    ["check", "--m", "0", "--k", "5"],
+    ["sd", "--base", "0", "--n", "0"],
+    ["sd", "--base", "0", "--n", "-1"],
+], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative"])
+def test_zero_and_negative_parameters_exit_2(files, capsys, argv):
+    # a 0 is a given value, not a missing one
+    assert main([*argv, files["icosahedron"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_metric_delta(files, capsys):
     assert main(["metric", "--delta", files["c4"]]) == 0
     assert "delta: 1" in capsys.readouterr().out
@@ -132,15 +147,25 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     assert "precondition" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("doc", [
-    '{"maximal_simplices": 5}',
-    '{"maximal_simplices": [[0, 1], 7]}',
-    '{"maximal_simplices": [[0, true], [true, 2]]}',
-], ids=["non-array", "non-array-entry", "boolean-ids"])
-def test_malformed_json_types_exit_2(tmp_path, capsys, doc):
-    p = tmp_path / "bad.json"
-    p.write_text(doc)
-    assert main(["check", "--flag", str(p)]) == 2
+# malformed JSON types, and generator parameters that are not integers or
+# are negative: one error line, nothing on stdout
+@pytest.mark.parametrize("doc,argv", [
+    ('{"maximal_simplices": 5}', ["check", "--flag"]),
+    ('{"maximal_simplices": [[0, 1], 7]}', ["check", "--flag"]),
+    ('{"maximal_simplices": [[0, true], [true, 2]]}', ["check", "--flag"]),
+    (None, ["gen", "tri_torus", "4.5", "4"]),
+    (None, ["gen", "c_n", "5.5"]),
+    (None, ["gen", "random_flag", "10.5", "0.3", "1"]),
+    (None, ["gen", "random_flag", "10", "0.3", "1.5"]),
+    (None, ["gen", "random_flag", "-3", "0.5", "1"]),
+], ids=["non-array", "non-array-entry", "boolean-ids", "gen-torus-float", "gen-cycle-float",
+        "gen-random-float-size", "gen-random-float-seed", "gen-random-negative-size"])
+def test_malformed_json_types_exit_2(tmp_path, capsys, doc, argv):
+    if doc is not None:
+        p = tmp_path / "bad.json"
+        p.write_text(doc)
+        argv = [*argv, str(p)]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -67,6 +67,14 @@ class TestGenerators:
             generate(GeneratorSpec("nonsense"))
         with pytest.raises(ValueError):
             generate(GeneratorSpec("tri_torus", (6,)))
+        with pytest.raises(ValueError):
+            gen("tri_torus", 4.5, 4)
+        with pytest.raises(ValueError):
+            gen("random_flag", 10, 0.3, 1.5)
+        with pytest.raises(ValueError):
+            gen("random_flag", -3, 0.5, 1)
+        assert gen("random_flag", 0, 1, 0).vertex_count == 0
+        assert gen("random_flag", 4, 1, 0).counts() == gen("random_flag", 4, 1.0, 0).counts()
 
     def test_random_flag_reproducible(self):
         a = gen("random_flag", 14, 0.3, 1234)

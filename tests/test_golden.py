@@ -4,8 +4,9 @@ The digests pin verdicts, witnesses, stats and report shapes byte for byte
 (timings are off by default), so an internal rewrite that changes any of
 them fails here.  They were recorded before the coface index and the
 rim-edge dwheel join were introduced, and the three ``random_flag`` cover
-cases before the cover builder stopped re-running its checks; regenerate
-them only for a change that is meant to alter the output.
+cases before the cover builder stopped re-running its checks, and the
+``metric`` and ``sd`` cases before complexes stopped caching distances;
+regenerate them only for a change that is meant to alter the output.
 """
 
 import hashlib
@@ -33,7 +34,13 @@ COMMANDS = {
     "links": ["links"],
     "theorem-b": ["theorem-b"],
     "cover": ["cover", "--base", "0", "--radius", "3"],
+    "metric": ["metric", "--base", "0", "--other"],  # + FAR[input]
+    "sd": ["sd", "--base", "0", "--n", "2"],
 }
+
+# the lowest vertex at the largest distance from vertex 0
+FAR = {"disk37_r3": 29, "surf37_psl2_7": 8, "icosahedron": 3, "gs3": 3, "torus66": 16,
+       "bd4": 1, "rf13_7": 3, "rf15_11": 14, "rf15_12": 3}
 
 # (input, command, exit code, sha256 of stdout)
 GOLDEN = [
@@ -73,6 +80,25 @@ GOLDEN = [
     ("rf13_7", "cover", 1, "8471918e8c724bc8da6d65524a6a0f78f39e8991c31e6ade30b16031782b848c"),
     ("rf15_11", "cover", 1, "599aa7a61526cd671e1ff19dd49558f9c29290c1d46776039645eb98f0bbbef0"),
     ("rf15_12", "cover", 1, "bc592b4ae43784989a47133482cf310e21e7d35361595e409368bd438065e1ad"),
+    # interval layers and the first thinness witness, and the descent report
+    ("disk37_r3", "metric", 0, "6ba8f164af170b7368a088f766c5d9308bd99c4b990a32e08d0e15f9aef4730d"),
+    ("disk37_r3", "sd", 0, "576c84b901b532f541c1a64e48aa537dac77c985ae9a5425e9e36bc2f34aad86"),
+    ("surf37_psl2_7", "metric", 0, "4b18dc9f6e33a6e59baed6a9356b2d8580198f3543e9c460c42e33445c00923d"),
+    ("surf37_psl2_7", "sd", 1, "463b4f127ed8cbdd759dcdd0019d47f37b765538d72ac47a4e98013c9d8a82c5"),
+    ("icosahedron", "metric", 0, "2f456c502c9a4671f74939a473ffe1b038da0dda897ca8f950e236e2d815799f"),
+    ("icosahedron", "sd", 0, "0fff5dd8432aeb839d6480dbcfbe3501ae821f243dd2ad9eb7ffab225e5c9f16"),
+    ("gs3", "metric", 0, "c34bbd716ef7abfb4b9e4784f50ac6b72f928fcdb8e7ad8ae05681fbe7e5e5a8"),
+    ("gs3", "sd", 0, "33fc51c86f2218620600c2d804c0a752f0d292f4a23b79b357adc54538070638"),
+    ("torus66", "metric", 0, "349333dccf96b7235463f5b164e9f70e75519ba6ddd4b5373a702aa430b29aed"),
+    ("torus66", "sd", 1, "108659f0efee70bfa449eb2000fd6bed3c92e05ca94d58479dd65a81e0f3ed13"),
+    ("bd4", "metric", 0, "ba0991f5edd135d8ab4f389bc83f3194891bb18f108bf28304668497b4d9ebc4"),
+    ("bd4", "sd", 0, "a713ea162f53522c54a286fee628270ddc6ab28522a24997c8e65bb595cc255b"),
+    ("rf13_7", "metric", 0, "179afa75efe1b091b78e58fea606602b07eba968895312f22042341f33fe46b1"),
+    ("rf13_7", "sd", 1, "1bbcb175b39085cefd24c8c48c228539e67f0ba627f8df569d1a01a14f59a1db"),
+    ("rf15_11", "metric", 0, "597497265ae64d5ca9109ed1ac24aceb725619512f3a64fa0f4ea51ff1b6ed86"),
+    ("rf15_11", "sd", 1, "97db4d914e8e570cf654e5d88439b806268882167163a2d2f85f87026afec9c0"),
+    ("rf15_12", "metric", 0, "19ec8e1488a67e951f413b224bb8bde9a908c802031f9becbda423ce512fc149"),
+    ("rf15_12", "sd", 1, "699039cf88ae97b4d57b23ab8abdfa0f7c13147bd06105b1e371224aac376f74"),
 ]
 
 
@@ -90,6 +116,7 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("name,command,code,digest", GOLDEN,
                          ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN])
 def test_json_output_is_byte_identical(inputs, capsys, name, command, code, digest):
-    assert main(["--json", *COMMANDS[command], str(inputs[name])]) == code
+    argv = COMMANDS[command] + ([str(FAR[name])] if command == "metric" else [])
+    assert main(["--json", *argv, str(inputs[name])]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex
+from combcurv import build_complex, build_cover
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.metric import (
     ball,
@@ -23,7 +23,7 @@ from combcurv.metric import (
 )
 
 from conftest import gen
-from oracles import floyd_warshall, naive_delta, naive_interval_vertices
+from oracles import floyd_warshall, naive_delta, naive_interval_thinness, naive_interval_vertices
 
 
 def path_complex(n):
@@ -134,6 +134,60 @@ class TestThinness:
             for v in X.vertices:
                 if 0 < d[v] <= n:
                     assert interval_thinness(X, base, v)[0] <= 2, (X.name, v)
+
+
+class TestThinnessOracle:
+    """Thinness over many targets in one call equals the maximum of the
+    one-target referee, with the first witness in target order."""
+
+    @staticmethod
+    def per_target(X, o, targets):
+        best = (0, None)
+        ties = 0
+        for t in targets:
+            got = naive_interval_thinness(X, o, t)
+            if got[0] > best[0]:
+                best, ties = got, 0
+            elif got[0] == best[0] and got[1] is not None:
+                ties += 1
+        assert interval_thinness(X, o, *targets) == best
+        return best[0], ties
+
+    @pytest.mark.parametrize("name,radius,thin", [
+        ("disk37", 2, 0), ("disk37", 3, 1), ("disk37", 4, 1),
+        ("surf37", 2, 0), ("surf37", 3, 1), ("surf37", 4, 1),
+        ("torus8", 5, 2),
+    ])
+    def test_cover_balls(self, request, name, radius, thin):
+        X = gen("tri_torus", 8, 8) if name == "torus8" else request.getfixturevalue(name)
+        report = build_cover(X, 0, radius)
+        state = report.state
+        interior = [v for v in state.interior_ids() if v != state.base]
+        assert self.per_target(state.ball, state.base, interior)[0] == thin
+        assert report.max_interior_thinness == thin
+        # every vertex, outermost first
+        self.per_target(state.ball, state.base, state.ball.vertices[:0:-1])
+
+    def test_random_flag(self):
+        rng = random.Random(5)
+        thick = tied = 0
+        for seed in range(60):
+            X = gen("random_flag", rng.randint(8, 24), rng.choice([0.2, 0.3, 0.4]), seed)
+            d = distances_from(X, 0)
+            targets = [v for v in X.vertices if d[v] != float("inf")]
+            rng.shuffle(targets)
+            thin, ties = self.per_target(X, 0, targets)
+            thick += thin >= 2
+            tied += ties > 0
+        # the maximum is often reached by more than one target, so the
+        # witness order is exercised
+        assert thick > 10 and tied > 10, (thick, tied)
+
+    def test_no_targets_and_disconnected(self):
+        X = build_complex([[0, 1], [2, 3]])
+        assert interval_thinness(X, 0) == (0, None)
+        with pytest.raises(DisconnectedError):
+            interval_thinness(X, 0, 1, 3)
 
 
 class TestSDPrime:
