@@ -6,8 +6,9 @@ One subcommand per pipeline: ``validate`` (manifold + edge degrees),
 construction), ``links``, ``lemmas``, ``theorem-b`` and ``gen``.
 
 Exit codes: 0 all checks passed, 1 some check failed (witness in the
-report), 2 usage or input error.  ``--json`` emits the machine-readable
-report on standard output; progress goes to standard error.
+report), 2 usage or input error, 3 internal error (one stderr line, no
+traceback).  ``--json`` emits the machine-readable report on standard
+output; progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -201,11 +202,10 @@ def cmd_cover(args):
 def _link_check(X, v) -> Verdict:
     """Sphere checks on the link of ``v``, reported as ``link_<v>``."""
     try:
-        sphere, _ = manifold_mod.vertex_link_sphere(X, v)
-    except CombCurvError as exc:
-        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
-    else:
-        r = manifold_mod.is_5_6_star_sphere(sphere)
+        r = manifold_mod.is_5_6_star_sphere(X.link((v,))[0])
+    except NotASphere as exc:
+        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v},
+                   detail=f"link of vertex {v}: {exc}")
     return Verdict(check=f"link_{v}", passed=r.passed, detail=r.detail,
                    witness=r.witness, stats=r.stats)
 
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except (CombCurvError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -168,6 +168,8 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     ``links_checked`` counts the simplices whose link the verdict covers:
     the vertices up to the failing one, or every simplex of X on a pass.
     """
+    if k < 4:
+        raise ValueError("largeness starts at k = 4")
     for links, v in enumerate(X.vertices, 1):
         sigma = (v,)
         link, vmap = X.link(sigma)

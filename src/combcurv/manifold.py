@@ -5,7 +5,7 @@ counted in tetrahedra) and no triangle carries two degree-5 edges; vertex
 links are then triangulated 2-spheres whose degrees repeat the edge degrees.
 This module validates the manifold structure, extracts links, checks the
 sphere-level degree conditions, builds the pentagon/hexagon dual cellulation,
-and verifies by direct enumeration the cycle-filling facts the main pipeline
+and checks on every chordless cycle the cycle-filling facts the main pipeline
 relies on.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .complexes import SimplicialComplex, full_cycles, is_flag
@@ -57,14 +58,18 @@ class ManifoldReport:
         }
 
 
+def _incidences(X: SimplicialComplex, d: int, e: int) -> dict:
+    """Number of e-simplices on each d-simplex."""
+    out = dict.fromkeys(X.simplices(d), 0)
+    for s in X.simplices(e):
+        for face in combinations(s, d + 1):
+            out[face] += 1
+    return out
+
+
 def edge_degrees(X: SimplicialComplex) -> dict:
     """Number of tetrahedra around each edge."""
-    out = {e: 0 for e in X.simplices(1)}
-    for tet in X.simplices(3):
-        for a in range(4):
-            for b in range(a + 1, 4):
-                out[(tet[a], tet[b])] += 1
-    return out
+    return _incidences(X, 1, 3)
 
 
 @timed
@@ -101,12 +106,7 @@ def _closed_surface_failure(Y: SimplicialComplex):
     for s in Y.maximal_simplices():
         if len(s) != 3:
             return f"maximal simplex {s} is not a triangle"
-    tri_per_edge = {e: 0 for e in Y.simplices(1)}
-    for tri in Y.simplices(2):
-        for a in range(3):
-            for b in range(a + 1, 3):
-                tri_per_edge[(tri[a], tri[b])] += 1
-    for e, c in sorted(tri_per_edge.items()):
+    for e, c in sorted(_incidences(Y, 1, 2).items()):
         if c != 2:
             return f"edge {e} lies in {c} triangles"
     if not _connected(Y):
@@ -126,10 +126,7 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
         raise NotPure(f"maximal simplex {bad} has dimension below 3"
                       if bad else "complex has no tetrahedra")
 
-    tets_per_tri = {t: 0 for t in X.simplices(2)}
-    for tet in X.simplices(3):
-        for k in range(4):
-            tets_per_tri[tet[:k] + tet[k + 1:]] += 1
+    tets_per_tri = _incidences(X, 2, 3)
     pseudo = passed("pseudomanifold", triangles=len(tets_per_tri))
     for tri, c in sorted(tets_per_tri.items()):
         if c != 2:
@@ -153,12 +150,11 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
 
     sphere_links = passed("vertex_links_spheres", vertices=len(X.simplices(0)))
     for v in X.vertices:
-        link, _ = X.link((v,))
-        reason = _closed_surface_failure(link)
-        if reason is not None:
+        try:
+            vertex_link_sphere(X, v)
+        except LinkNotSphere as exc:
             sphere_links = failed("vertex_links_spheres",
-                                  {"kind": "vertex_link", "vertex": v},
-                                  detail=f"link of vertex {v}: {reason}")
+                                  {"kind": "vertex_link", "vertex": v}, detail=str(exc))
             break
 
     degrees = edge_degrees(X)
@@ -246,17 +242,15 @@ def soccer_dual(Y: SimplicialComplex) -> SoccerDual:
     if not v56.passed:
         raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
     tris = sorted(Y.simplices(2))
-    tri_index = {t: i for i, t in enumerate(tris)}
     edge_tris = defaultdict(list)
-    for t in tris:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                edge_tris[(t[a], t[b])].append(tri_index[t])
-    dual_edges = tuple((e, tuple(sorted(idxs))) for e, idxs in sorted(edge_tris.items()))
-    cell_faces = {
-        v: tuple(i for i, t in enumerate(tris) if v in t)
-        for v in Y.vertices
-    }
+    vertex_tris = {v: [] for v in Y.vertices}
+    for i, t in enumerate(tris):
+        for e in combinations(t, 2):
+            edge_tris[e].append(i)
+        for v in t:
+            vertex_tris[v].append(i)
+    dual_edges = tuple((e, tuple(idxs)) for e, idxs in sorted(edge_tris.items()))
+    cell_faces = {v: tuple(idxs) for v, idxs in vertex_tris.items()}
     cells = tuple((v, Y.degree(v)) for v in Y.vertices)
     return SoccerDual(cells=cells, dual_vertices=tuple(tris),
                       dual_edges=dual_edges, cell_faces=cell_faces)
@@ -277,33 +271,38 @@ class FillingPair:
 
 
 def find_7cycle_filling(Y: SimplicialComplex, cycle) -> FillingPair:
-    """Exhaustive search for the splitting pair of a chordless 7-cycle.
+    """Search for the splitting pair of a chordless 7-cycle.
 
-    Raises :class:`NoFillingPair` when no adjacent pair matches; on inputs
-    that passed the sphere checks this would falsify the expected filling
-    property and is treated as a failure by callers.
+    For each rotation of either orientation, y is a common neighbour of
+    ``rot[0:4]`` and z one of ``rot[3:7] + rot[0]``; of the adjacent pairs,
+    the one returned comes first in sorted-edge order, each edge read both
+    ways.  Raises :class:`NoFillingPair` when no adjacent pair matches; on
+    inputs that passed the sphere checks this would falsify the expected
+    filling property and is treated as a failure by callers.
     """
     c = tuple(cycle)
     if len(c) != 7:
         raise ValueError("expected a 7-cycle")
-    orientations = [c, c[::-1]]
-    for base in orientations:
+    for base in (c, c[::-1]):
         for r in range(7):
             rot = base[r:] + base[:r]
-            need_y = rot[0:4]
-            need_z = (rot[3], rot[4], rot[5], rot[6], rot[0])
-            for (y, z) in sorted(Y.simplices(1)):
-                for (yy, zz) in ((y, z), (z, y)):
-                    if all(Y.adjacent(yy, v) for v in need_y) and \
-                       all(Y.adjacent(zz, v) for v in need_z):
-                        return FillingPair(yy, zz, rot)
+            ys = frozenset.intersection(*map(Y.neighbors, rot[0:4]))
+            zs = frozenset.intersection(*map(Y.neighbors, rot[3:] + rot[:1]))
+            pairs = [(y, z) for y in ys for z in zs & Y.neighbors(y)]
+            if pairs:
+                y, z = min(pairs, key=lambda p: (min(p), max(p), p[0] > p[1]))
+                return FillingPair(y, z, rot)
     raise NoFillingPair(f"no filling pair for 7-cycle {c}")
 
 
 @timed
 def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     """No chordless 4-cycles, and every chordless 5- or 6-cycle is the rim
-    of a wheel (verified by direct center search over common neighbors)."""
+    of a wheel.
+
+    A chordless cycle with a centre outside it and every cone triangle is a
+    chordless cycle of the centre's link, and conversely, so the filled
+    cycles are exactly the rims that ``wheels`` finds."""
     v56 = is_5_6_star_sphere(Y)
     if not v56.passed:
         raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
@@ -311,23 +310,12 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     if quads:
         return failed("sphere_cycle_lemma", quads[0],
                       detail="chordless 4-cycle present")
+    rims = {w.rim for w in wheels(Y, 5, 6)}
     filled = 0
     for cyc in full_cycles(Y, 5, 6):
-        vs = cyc.vertices
-        k = len(vs)
-        center = None
-        common = set(Y.neighbors(vs[0]))
-        for v in vs[1:]:
-            common &= Y.neighbors(v)
-        for cand in sorted(common):
-            if cand in vs:
-                continue
-            if all(Y.has_simplex((cand, vs[j], vs[(j + 1) % k])) for j in range(k)):
-                center = cand
-                break
-        if center is None:
+        if cyc.vertices not in rims:
             return failed("sphere_cycle_lemma", cyc,
-                          detail=f"chordless {k}-cycle is the rim of no wheel",
+                          detail=f"chordless {len(cyc)}-cycle is the rim of no wheel",
                           filled=filled)
         filled += 1
     return passed("sphere_cycle_lemma", filled=filled, quads=0)
@@ -361,11 +349,8 @@ def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
         count += 1
         rim = whl.rim
         k = len(rim)
-        common = set(X.neighbors(whl.center))
-        for v in rim:
-            common &= X.neighbors(v)
         hit = None
-        for cand in sorted(common - whl.vertex_set):
+        for cand in sorted(frozenset.intersection(*map(X.neighbors, whl.vertex_set))):
             if all(X.has_simplex((cand, whl.center, rim[j], rim[(j + 1) % k]))
                    for j in range(k)):
                 hit = cand

@@ -4,9 +4,10 @@ These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
 largeness tests the link of every simplex, cycles are found by plain DFS
 over vertex sequences, wheel pairs are matched by trying every rotation,
-distances come from Floyd-Warshall, interval thinness runs one BFS per
-layer pair, and the four-point constant is computed from basepoint Gromov
-products.  Tests compare library output against these on small inputs.
+wheel centres and 7-cycle filling pairs by scanning candidate vertices and
+every edge, distances come from Floyd-Warshall, interval thinness runs one
+BFS per layer pair, and the four-point constant is computed from basepoint
+Gromov products.  Tests compare library output against these on small inputs.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ from itertools import combinations, permutations
 
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
 from combcurv.curvature import is_k_large
-from combcurv.errors import NotACovering, SimplexNotPresent
+from combcurv.errors import NoFillingPair, NotACovering, SimplexNotPresent
+from combcurv.manifold import FillingPair
 from combcurv.metric import distances_from, interval
 from combcurv.verdicts import failed, passed
 
@@ -124,6 +126,39 @@ def naive_wheels(X, k_min, k_max):
             if all(X.has_simplex((center, rim[i], rim[(i + 1) % k])) for i in range(k)):
                 out.add((center, rim))
     return sorted(out)
+
+
+def naive_rim_filled(X, cycle):
+    """Whether a cycle is the rim of a wheel: some common neighbour of all
+    its vertices, outside it, spans every cone triangle."""
+    vs = tuple(cycle)
+    k = len(vs)
+    common = set(X.neighbors(vs[0]))
+    for v in vs[1:]:
+        common &= X.neighbors(v)
+    for cand in sorted(common):
+        if cand in vs:
+            continue
+        if all(X.has_simplex((cand, vs[j], vs[(j + 1) % k])) for j in range(k)):
+            return True
+    return False
+
+
+def naive_find_7cycle_filling(X, cycle):
+    """The 7-cycle filling search as first written: for each rotation of
+    each orientation, scan the sorted edges, each read both ways."""
+    c = tuple(cycle)
+    for base in (c, c[::-1]):
+        for r in range(7):
+            rot = base[r:] + base[:r]
+            need_y = rot[0:4]
+            need_z = (rot[3], rot[4], rot[5], rot[6], rot[0])
+            for (y, z) in sorted(X.simplices(1)):
+                for (yy, zz) in ((y, z), (z, y)):
+                    if all(X.adjacent(yy, v) for v in need_y) and \
+                       all(X.adjacent(zz, v) for v in need_z):
+                        return FillingPair(yy, zz, rot)
+    raise NoFillingPair(f"no filling pair for 7-cycle {c}")
 
 
 def naive_dwheels(X, max_boundary):

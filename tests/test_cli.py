@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from combcurv.cli import main
+from combcurv.cli import HANDLERS, main
 
 
 @pytest.fixture()
@@ -20,6 +20,9 @@ def files(tmp_path):
     p = tmp_path / "c4.cplx"
     assert main(["gen", "c_n", "4", "-o", str(p)]) == 0
     paths["c4"] = str(p)
+    p = tmp_path / "empty.json"
+    p.write_text('{"maximal_simplices": []}')
+    paths["empty"] = str(p)
     return paths
 
 
@@ -75,19 +78,32 @@ def test_sd_exit_codes(files):
     assert main(["sd", "--base", "0", "--n", "2", files["icosahedron"]]) == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--k", "0"],
-    ["check", "--m", "0"],
-    ["check", "--m", "0", "--k", "5"],
-    ["sd", "--base", "0", "--n", "0"],
-    ["sd", "--base", "0", "--n", "-1"],
-], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative"])
-def test_zero_and_negative_parameters_exit_2(files, capsys, argv):
+@pytest.mark.parametrize("argv,name", [
+    (["check", "--k", "0"], "icosahedron"),
+    (["check", "--m", "0"], "icosahedron"),
+    (["check", "--m", "0", "--k", "5"], "icosahedron"),
+    (["sd", "--base", "0", "--n", "0"], "icosahedron"),
+    (["sd", "--base", "0", "--n", "-1"], "icosahedron"),
+    # no vertex link to look at: k is checked before the vertex loop
+    (["check", "--k", "0"], "empty"),
+], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty"])
+def test_zero_and_negative_parameters_exit_2(files, capsys, argv, name):
     # a 0 is a given value, not a missing one
-    assert main([*argv, files["icosahedron"]]) == 2
+    assert main([*argv, files[name]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_unexpected_exception_exits_3(files, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(HANDLERS, "links", broken)
+    assert main(["links", files["c4"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_metric_delta(files, capsys):
@@ -217,8 +233,8 @@ FUZZ_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_cleanly(tmp_path, capsys, name, command):
-    # an exception escaping main() fails the test: in the installed script
-    # it would be a traceback with exit code 1
+    # an unexpected exception gives exit 3 (internal error) and fails the
+    # test; one escaping main() would be a traceback with exit code 1
     suffix, data = MALFORMED[name]
     p = tmp_path / f"input{suffix}"
     p.write_bytes(data)

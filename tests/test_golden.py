@@ -5,7 +5,9 @@ The digests pin verdicts, witnesses, stats and report shapes byte for byte
 them fails here.  They were recorded before the coface index and the
 rim-edge dwheel join were introduced, and the three ``random_flag`` cover
 cases before the cover builder stopped re-running its checks, and the
-``metric`` and ``sd`` cases before complexes stopped caching distances;
+``metric`` and ``sd`` cases before complexes stopped caching distances,
+and the ``lemmas`` cases before the manifold searches were rebuilt on the
+wheel and neighbourhood primitives;
 regenerate them only for a change that is meant to alter the output.
 """
 
@@ -36,6 +38,7 @@ COMMANDS = {
     "cover": ["cover", "--base", "0", "--radius", "3"],
     "metric": ["metric", "--base", "0", "--other"],  # + FAR[input]
     "sd": ["sd", "--base", "0", "--n", "2"],
+    "lemmas": ["lemmas"],
 }
 
 # the lowest vertex at the largest distance from vertex 0
@@ -99,6 +102,16 @@ GOLDEN = [
     ("rf15_11", "sd", 1, "97db4d914e8e570cf654e5d88439b806268882167163a2d2f85f87026afec9c0"),
     ("rf15_12", "metric", 0, "19ec8e1488a67e951f413b224bb8bde9a908c802031f9becbda423ce512fc149"),
     ("rf15_12", "sd", 1, "699039cf88ae97b4d57b23ab8abdfa0f7c13147bd06105b1e371224aac376f74"),
+    # the sphere-lemma suite: gs3 passes, the rest stop at a precondition
+    ("disk37_r3", "lemmas", 1, "b6a42d4cd90ba3d6d9f96fa478356f54e73886e87e088202396cc57136cc6de1"),
+    ("surf37_psl2_7", "lemmas", 1, "28261228f6b0612409cf63888f984fb177adf1a6c6abd02a568920489b960f8d"),
+    ("icosahedron", "lemmas", 1, "f82799e2f19a1366bc92dde3285531e4a1584d29db05603661b660e7387d57e5"),
+    ("gs3", "lemmas", 0, "a802bdad755e7ad371140f453e1b863644f0895cf5a92aab42bb5b4341e99522"),
+    ("torus66", "lemmas", 1, "0b08df867674147c5d69c5cd4f37eebb9b459c4569c44bef0fe1b20aec92a2f8"),
+    ("bd4", "lemmas", 1, "0d407c118680b66d824249dfd52ba157dfe5b2f15ff6d789a8f3d690784e907e"),
+    ("rf13_7", "lemmas", 1, "78bd9fdc348fa6f770f5fdfb0a2127d1c6a8f7ba42bf56ae35f0bb7c370c54a8"),
+    ("rf15_11", "lemmas", 1, "b7722928387cabf8ac345b782690372b8e668e6fee31a3598a99936bf562136a"),
+    ("rf15_12", "lemmas", 1, "a85a019d215e8568d5c78528f49b63c17b25db788395f1555b833df7acdf34c5"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from combcurv import build_complex
 from combcurv.complexes import full_cycles
-from combcurv.curvature import dwheels, is_locally_k_large
+from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
     ALLOWED_DWHEEL_TYPES,
@@ -25,6 +25,7 @@ from combcurv.manifold import (
 )
 
 from conftest import gen
+from oracles import naive_find_7cycle_filling, naive_rim_filled
 
 
 def flip_edge(Y, u, v):
@@ -184,6 +185,49 @@ class TestSevenCycleFilling:
     def test_length_validation(self, gs2):
         with pytest.raises(ValueError):
             find_7cycle_filling(gs2, (0, 1, 2))
+
+
+class TestSearchReferees:
+    """The filling searches against the vertex and edge scans they replaced,
+    on spheres and on random flag complexes (no sphere precondition)."""
+
+    # dense draws where one edge fills a 7-cycle read both ways, so only the
+    # scan's (y, z)-before-(z, y) order picks the pair
+    PINNED = [(18, 0.55, 501764), (17, 0.5, 849342), (19, 0.52, 587054), (20, 0.46, 447668)]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, gs2, gs3):
+        rng = random.Random(1312)
+        draws = self.PINNED + [(rng.randint(14, 20), rng.choice((0.4, 0.5)),
+                                rng.randrange(10**6)) for _ in range(20)]
+        return [gs2, gs3, gen("geodesic_sphere", 4)] + [gen("random_flag", *d) for d in draws]
+
+    def test_7cycle_filling_matches_edge_scan(self, inputs):
+        found = missing = 0
+        for X in inputs:
+            for cyc in full_cycles(X, 7, 7):
+                for c in (cyc.vertices, cyc.vertices[::-1]):
+                    try:
+                        expected = naive_find_7cycle_filling(X, c)
+                    except NoFillingPair:
+                        with pytest.raises(NoFillingPair):
+                            find_7cycle_filling(X, c)
+                        missing += 1
+                    else:
+                        assert find_7cycle_filling(X, c) == expected, (X.name, c)
+                        found += 1
+        assert found > 100 and missing > 100
+
+    def test_filled_cycles_are_wheel_rims(self, inputs):
+        filled = unfilled = 0
+        for X in inputs:
+            rims = {w.rim for w in wheels(X, 5, 6)}
+            for cyc in full_cycles(X, 5, 6):
+                expected = naive_rim_filled(X, cyc.vertices)
+                assert (cyc.vertices in rims) == expected, (X.name, cyc.vertices)
+                filled += expected
+                unfilled += not expected
+        assert filled > 100 and unfilled > 100
 
 
 class TestWheelInLink:
