@@ -212,51 +212,60 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
     return sorted(out, key=lambda w: (w.center, len(w.rim), w.rim))
 
 
+def _dwheel_stream(X: SimplicialComplex, max_boundary: int):
+    """Dwheels with boundary length at most ``max_boundary`` in the order of
+    :func:`dwheels`, one (boundary, type) bucket at a time.
+
+    A bucket has one junction kind: identified when k + l - 4 is the
+    boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
+    l-wheels, so a caller that stops early never builds the later buckets.
+    """
+    # rim length k -> (center, shared, other_apex) -> free arcs
+    # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
+    # (v1, ..., v_{k-2}, shared, other_apex); the second rim has length >= 4
+    arcs = {}
+    for whl in wheels(X, 4, max_boundary):
+        k = len(whl.rim)
+        by_edge = arcs.setdefault(k, {})
+        for orient in (whl.rim, whl.rim[::-1]):
+            twice = orient + orient
+            for i in range(k):
+                by_edge.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
+                    twice[i + 2:i + k])
+
+    for blen in range(4, max_boundary + 1):
+        # the types k >= l >= 4 with k + l - 3 or k + l - 4 equal to blen
+        types = sorted((k, total - k) for total in (blen + 3, blen + 4)
+                       for k in range((total + 1) // 2, total - 3))
+        for k, l in types:
+            if k not in arcs or l not in arcs:
+                continue
+            identified = k + l - 4 == blen
+            junction = "identified" if identified else "edge"
+            keys = []
+            for (v0, w, v0p), arcs1 in arcs[k].items():
+                # equal rim lengths: the pair is taken from its smaller apex
+                if k == l and v0 > v0p:
+                    continue
+                # the second wheels sit at v0' with w then v0 consecutive on the rim
+                for arc2 in arcs[l].get((v0p, w, v0), ()):
+                    v1p = arc2[0]
+                    for arc1 in arcs1:
+                        v1 = arc1[0]
+                        if v1 == v1p if identified else X.adjacent(v1, v1p):
+                            keys.append(((v0, v0p), w, arc1, arc2, junction))
+            for key in sorted(keys):
+                yield DWheel(*key)
+
+
 def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     """All dwheels with boundary length at most ``max_boundary``, one per
     unordered wheel pair.
 
-    Types are normalized with k >= l; for equal rim lengths the two wheels
-    are ordered by (apex, arc)."""
-    max_k = max_boundary  # second rim has length >= 4
-    # (center, shared, other_apex) -> free arcs (v1, ..., v_{k-2}) of the
-    # wheels at center whose rim reads (v1, ..., v_{k-2}, shared, other_apex)
-    arcs = {}
-    for whl in wheels(X, 4, max_k):
-        k = len(whl.rim)
-        for orient in (whl.rim, whl.rim[::-1]):
-            twice = orient + orient
-            for i in range(k):
-                arcs.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
-                    twice[i + 2:i + k])
-
-    seen = {}  # canonical (apexes, shared, rim1, rim2, junction) -> (boundary, type)
-    for (v0, w, v0p), arcs1 in arcs.items():
-        # a wheel pair is met from both apexes; take it from the smaller
-        if v0 > v0p:
-            continue
-        # the second wheels sit at v0' with w then v0 consecutive on the rim
-        arcs2 = arcs.get((v0p, w, v0), ())
-        for arc1 in arcs1:
-            k = len(arc1) + 2
-            for arc2 in arcs2:
-                l = len(arc2) + 2
-                v1, v1p = arc1[0], arc2[0]
-                if v1 == v1p:
-                    junction = "identified"
-                    blen = k + l - 4
-                elif X.adjacent(v1, v1p):
-                    junction = "edge"
-                    blen = k + l - 3
-                else:
-                    continue
-                if blen > max_boundary:
-                    continue
-                if k < l or (k == l and (v0p, arc2) < (v0, arc1)):
-                    seen[((v0p, v0), w, arc2, arc1, junction)] = (blen, (l, k))
-                else:
-                    seen[((v0, v0p), w, arc1, arc2, junction)] = (blen, (k, l))
-    return [DWheel(*key) for key in sorted(seen, key=lambda key: (seen[key], key))]
+    Types are normalized with k >= l; for equal rim lengths the first wheel
+    is the one at the smaller apex.  The list is sorted by boundary length,
+    then type, then (apexes, shared, rim1, rim2, junction)."""
+    return list(_dwheel_stream(X, max_boundary))
 
 
 def _center_candidates(X: SimplicialComplex, vs) -> list:
@@ -291,7 +300,7 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
     count = 0
-    for dw in dwheels(X, m):
+    for dw in _dwheel_stream(X, m):
         count += 1
         verts = dw.vertex_set
         center = in_one_ball(X, verts)

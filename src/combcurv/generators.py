@@ -6,9 +6,10 @@ give byte-identical complexes after canonical serialization.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .complexes import SimplicialComplex, build_complex, flag_completion
 
@@ -118,6 +119,47 @@ def tri_torus(m: int, n: int) -> SimplicialComplex:
     return build_complex(faces, name=f"tri_torus_{m}_{n}")
 
 
+def cell600() -> SimplicialComplex:
+    """Boundary of the 600-cell: 120 vertices, 600 tetrahedra, every edge
+    of degree 5 and every vertex link an icosahedron.
+
+    Vertices are the 120 unit icosians: the 8 permutations of (+-1, 0, 0, 0),
+    the 16 points (+-1/2, +-1/2, +-1/2, +-1/2) and the 96 even permutations of
+    (0, +-1/2, +-phi/2, +-1/(2 phi)).  Two are joined when their inner product
+    is phi/2; the tetrahedra are the 4-cliques of that graph.  Vertex ids
+    follow the sorted coordinates.
+    """
+    phi = (1 + math.sqrt(5)) / 2
+    pts = set()
+    for i in range(4):
+        for s in (1.0, -1.0):
+            pts.add(tuple(s if j == i else 0.0 for j in range(4)))
+    pts.update(product((0.5, -0.5), repeat=4))
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    for p in even:
+        for sa, sb, sc in product((1, -1), repeat=3):
+            vals = (0.0, sa * 0.5, sb * phi / 2, sc / (2 * phi))
+            v = [0.0] * 4
+            for i in range(4):
+                v[p[i]] = round(vals[i], 12) + 0.0
+            pts.add(tuple(v))
+    pts = sorted(pts)
+    adj = {i: set() for i in range(len(pts))}
+    for i, j in combinations(range(len(pts)), 2):
+        if abs(sum(a * b for a, b in zip(pts[i], pts[j])) - phi / 2) < 1e-9:
+            adj[i].add(j)
+            adj[j].add(i)
+    tets = []
+    for a in adj:
+        for b in adj[a]:
+            if b > a:
+                for c in adj[a] & adj[b]:
+                    if c > b:
+                        tets.extend([a, b, c, d] for d in adj[a] & adj[b] & adj[c] if d > c)
+    return build_complex(tets, name="cell600")
+
+
 def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:
     """Flag completion (cliques up to size 4) of a seeded random graph.
 
@@ -144,6 +186,7 @@ GENERATORS = {
     "geodesic_sphere": (geodesic_sphere, "i"),
     "tri_torus": (tri_torus, "ii"),
     "random_flag": (random_flag, "ifi"),
+    "cell600": (cell600, ""),
 }
 
 

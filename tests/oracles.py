@@ -3,19 +3,21 @@
 These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
 largeness tests the link of every simplex, cycles are found by plain DFS
-over vertex sequences, wheel pairs are matched by trying every rotation,
+over simple paths, wheel pairs are matched by trying every rotation,
+dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
 every edge, distances come from Floyd-Warshall, interval thinness runs one
 BFS per layer pair, and the four-point constant is computed from basepoint
-Gromov products.  Tests compare library output against these on small inputs.
+Gromov products or from every vertex quadruple.  Tests compare library
+output against these on small inputs.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
-from combcurv.curvature import is_k_large
-from combcurv.errors import NoFillingPair, NotACovering, SimplexNotPresent
+from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle, is_flag
+from combcurv.curvature import DWheel, is_k_large
+from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
 from combcurv.manifold import FillingPair
 from combcurv.metric import distances_from, interval
 from combcurv.verdicts import failed, passed
@@ -88,7 +90,7 @@ def naive_is_locally_k_large(X, k):
 
 
 def naive_full_cycles(X, min_len, max_len):
-    """Chordless cycles by DFS over all vertex sequences."""
+    """Chordless cycles by DFS over all simple paths of the 1-skeleton."""
     found = set()
 
     def extend(path):
@@ -104,8 +106,8 @@ def naive_full_cycles(X, min_len, max_len):
             if ok and min_len <= k <= max_len:
                 found.add(canonical_cycle(path))
         if k < max_len:
-            for u in X.vertices:
-                if u not in path and X.adjacent(path[-1], u):
+            for u in X.neighbors(path[-1]):
+                if u not in path:
                     extend(path + (u,))
 
     for v in X.vertices:
@@ -202,6 +204,45 @@ def naive_dwheels(X, max_boundary):
     return sorted(keys)
 
 
+def naive_sorted_dwheels(X, max_boundary):
+    """``naive_dwheels`` as DWheels in one global sort by
+    ``((boundary, type), key)``, the order the library must stream."""
+    dws = [DWheel(*key) for key in naive_dwheels(X, max_boundary)]
+    return sorted(dws, key=lambda d: ((d.boundary_length, d.type),
+                                      (d.apexes, d.shared, d.rim1, d.rim2, d.junction)))
+
+
+def naive_is_m_located(X, m, sorted_dwheels=None):
+    """m-location as first written: every dwheel built and sorted, then
+    each tried against every centre among its vertices and their common
+    neighbours.  Its verdict must match the library's byte for byte.
+
+    ``sorted_dwheels``, when given, is ``naive_sorted_dwheels(X, m2)`` for
+    some m2 >= m; only its dwheels of boundary at most m are used."""
+    if m < 6:
+        raise ValueError("location starts at m = 6")
+    fv = is_flag(X)
+    if not fv.passed:
+        return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
+    if sorted_dwheels is None:
+        sorted_dwheels = naive_sorted_dwheels(X, m)
+    count = 0
+    for dw in (d for d in sorted_dwheels if d.boundary_length <= m):
+        count += 1
+        verts = dw.vertex_set
+        common = {y for y in X.vertices if all(X.adjacent(y, a) for a in verts)}
+        candidates = sorted(common | verts)
+        if not any(all(a == y or X.adjacent(a, y) for a in verts) for y in candidates):
+            return failed(
+                "is_m_located",
+                {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
+                 "candidates_tried": candidates},
+                detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
+                       "fits in no 1-ball",
+                m=m, dwheels=count)
+    return passed("is_m_located", m=m, dwheels=count)
+
+
 def naive_four_wheel_free(X):
     """Direct search for a 4-wheel: a vertex plus four neighbors forming a
     chordless 4-cycle with all cone triangles present."""
@@ -259,6 +300,26 @@ def naive_delta(X):
                     if need > worst:
                         worst = need
     return worst
+
+
+def naive_delta_quadruples(X):
+    """Four-point constant as first written: the three pair sums of every
+    vertex quadruple, from one BFS row per vertex."""
+    verts = X.vertices
+    if len(verts) < 4:
+        return Fraction(0)
+    dist = {v: distances_from(X, v) for v in verts}
+    if any(dist[u][v] == float("inf") for u in verts for v in verts):
+        raise DisconnectedError("four-point constant needs a connected complex")
+    worst = 0
+    for x, y, z, w in combinations(verts, 4):
+        s1 = dist[x][y] + dist[z][w]
+        s2 = dist[x][z] + dist[y][w]
+        s3 = dist[x][w] + dist[y][z]
+        smid, smax = sorted((s1, s2, s3))[1:]
+        if smax - smid > worst:
+            worst = smax - smid
+    return Fraction(worst, 2)
 
 
 def naive_interval_vertices(X, o, o2):

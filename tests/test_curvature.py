@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover
+from combcurv import build_complex, build_cover, curvature
 from combcurv.complexes import Cycle, SimplicialComplex
 from combcurv.curvature import (
     check_covering_map,
@@ -26,6 +26,8 @@ from oracles import (
     naive_dwheels,
     naive_four_wheel_free,
     naive_is_locally_k_large,
+    naive_is_m_located,
+    naive_sorted_dwheels,
 )
 
 
@@ -47,6 +49,13 @@ def dwheel_complex(k, l, junction):
     if junction == "edge":
         faces.append((arc1[0], arc2[0]))
     return build_complex(faces), arc1, arc2
+
+
+def cone(X):
+    """Cone over a complex of dimension at most 2 from a new apex, whose
+    1-ball then holds every dwheel."""
+    apex = X.vertex_count
+    return build_complex([s + (apex,) for s in X.maximal_simplices()])
 
 
 class TestLargeness:
@@ -217,6 +226,79 @@ class TestDWheels:
 
     def test_deterministic_order(self, icosa):
         assert dwheels(icosa, 8) == dwheels(icosa, 8)
+
+
+# is_m_located(cell600(), 8) as the global-sort join gave it, timings excluded
+CELL600_M8 = {
+    "check": "is_m_located", "status": "fail",
+    "detail": "(5,5)-dwheel of boundary length 7 fits in no 1-ball",
+    "witness": {"kind": "unlocated_dwheel",
+                "dwheel": {"kind": "dwheel", "apexes": [0, 1], "shared": 2,
+                           "rims": [[5, 9, 7], [6, 16, 14]], "junction": "edge",
+                           "type": [5, 5], "boundary_length": 7},
+                "candidates_tried": [0, 1, 2, 5, 6, 7, 9, 14, 16]},
+    "stats": {"m": 8, "dwheels": 7201},
+}
+
+
+class TestDWheelStream:
+    """Dwheels come one (boundary, type) bucket at a time; the referee
+    builds them all and sorts them once."""
+
+    SHAPES = ((5, 5, "identified"), (5, 5, "edge"), (6, 4, "edge"), (6, 5, "edge"),
+              (7, 5, "identified"), (6, 6, "identified"))
+    RANDOM_FLAG = ((12, 0.35, 7), (12, 0.35, 5), (13, 0.4, 7), (11, 0.4, 3),
+                   (12, 0.45, 9))
+
+    def test_stops_at_first_unlocated_dwheel_on_600_cell(self, monkeypatch):
+        built = 0
+        real = curvature.DWheel
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return real(*args)
+
+        monkeypatch.setattr(curvature, "DWheel", counting)
+        assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
+        # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
+        # edge dwheels of boundary 7, comes right after 7 200 identified ones
+        assert built <= 14400
+
+    def cases(self, icosa, disk37, surf37):
+        yield icosa, 8
+        yield gen("tri_torus", 4, 4), 8
+        for k, l, junction in self.SHAPES:
+            yield dwheel_complex(k, l, junction)[0], 8
+        # an edge junction leaves an empty triangle, so only identified
+        # shapes give flag cones
+        for k, l in ((5, 5), (7, 5)):
+            yield cone(dwheel_complex(k, l, "identified")[0]), 8
+        for p in self.RANDOM_FLAG:
+            yield gen("random_flag", *p), 8
+        # every wheel of a degree-7 surface is a 7-wheel, so its dwheels have
+        # boundary >= 10; m = 6 keeps the path-enumerating referee quick
+        yield disk37, 6
+        yield surf37, 6
+
+    def test_same_dwheels_and_verdict_as_global_sort(self, icosa, disk37, surf37):
+        outcomes, junctions, buckets = set(), set(), set()
+        for X, top in self.cases(icosa, disk37, surf37):
+            ref = naive_sorted_dwheels(X, top)
+            streamed = dwheels(X, top)
+            assert streamed == ref, X.name
+            for m in range(6, top + 1):
+                got = is_m_located(X, m).to_json()
+                assert got == naive_is_m_located(X, m, ref).to_json(), (X.name, m)
+                if got["status"] == "pass":
+                    outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
+                else:
+                    outcomes.add(got["witness"]["kind"])
+            junctions.update(d.junction for d in streamed)
+            buckets.update((d.boundary_length, d.type) for d in streamed)
+        assert {"pass", "vacuous", "unlocated_dwheel"} <= outcomes
+        assert junctions == {"identified", "edge"}
+        assert len(buckets) >= 3
 
 
 class TestInOneBall:

@@ -1,6 +1,7 @@
 """Generator corpus invariants and file round trips."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,32 @@ class TestGenerators:
             verdict = is_m_located(X, 8)
             assert not verdict.passed
             assert tuple(verdict.witness["dwheel"]["type"]) == (6, 6)
+
+    def test_cell600_census(self):
+        # counted from the tetrahedra alone, without the library's links
+        X = gen("cell600")
+        assert X.counts() == (120, 720, 1200, 600)
+        tets = X.simplices(3)
+        edge_degree = {}
+        for t in tets:
+            for e in combinations(t, 2):
+                edge_degree[e] = edge_degree.get(e, 0) + 1
+        assert set(edge_degree.values()) == {5}
+        for v in X.vertices:
+            # the link of v: the triangles opposite v in its tetrahedra
+            link = [tuple(u for u in t if u != v) for t in tets if v in t]
+            per_edge = {}
+            for tri in link:
+                for e in combinations(tri, 2):
+                    per_edge[e] = per_edge.get(e, 0) + 1
+            link_degree = {}
+            for a, b in per_edge:
+                link_degree[a] = link_degree.get(a, 0) + 1
+                link_degree[b] = link_degree.get(b, 0) + 1
+            # an icosahedron: 12 vertices of degree 5, 30 edges, 20 triangles,
+            # every edge on two triangles
+            assert (len(link), len(per_edge), len(link_degree)) == (20, 30, 12), v
+            assert set(per_edge.values()) == {2} and set(link_degree.values()) == {5}, v
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

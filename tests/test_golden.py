@@ -7,7 +7,10 @@ rim-edge dwheel join were introduced, and the three ``random_flag`` cover
 cases before the cover builder stopped re-running its checks, and the
 ``metric`` and ``sd`` cases before complexes stopped caching distances,
 and the ``lemmas`` cases before the manifold searches were rebuilt on the
-wheel and neighbourhood primitives;
+wheel and neighbourhood primitives, and the ``delta`` cases and the 600-cell
+``check`` before the dwheel join became a bucketed stream and the four-point
+constant was pruned to far-apart pairs (the 600-cell file then written from
+the identical construction, before ``gen cell600`` existed);
 regenerate them only for a change that is meant to alter the output.
 """
 
@@ -28,6 +31,7 @@ GENERATED = {
     "rf13_7": ["random_flag", "13", "0.35", "7"],
     "rf15_11": ["random_flag", "15", "0.35", "11"],
     "rf15_12": ["random_flag", "15", "0.35", "12"],
+    "cell600": ["cell600"],
 }
 
 COMMANDS = {
@@ -39,6 +43,7 @@ COMMANDS = {
     "metric": ["metric", "--base", "0", "--other"],  # + FAR[input]
     "sd": ["sd", "--base", "0", "--n", "2"],
     "lemmas": ["lemmas"],
+    "delta": ["metric", "--delta"],
 }
 
 # the lowest vertex at the largest distance from vertex 0
@@ -112,6 +117,18 @@ GOLDEN = [
     ("rf13_7", "lemmas", 1, "78bd9fdc348fa6f770f5fdfb0a2127d1c6a8f7ba42bf56ae35f0bb7c370c54a8"),
     ("rf15_11", "lemmas", 1, "b7722928387cabf8ac345b782690372b8e668e6fee31a3598a99936bf562136a"),
     ("rf15_12", "lemmas", 1, "a85a019d215e8568d5c78528f49b63c17b25db788395f1555b833df7acdf34c5"),
+    # the four-point constant
+    ("disk37_r3", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    ("surf37_psl2_7", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    ("icosahedron", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    ("gs3", "delta", 0, "0ecb44a7f989eab53863356ee1a87875d618b1f65b9da1835adc281557f9f78c"),
+    ("torus66", "delta", 0, "28b0eeb3d677feeee678a882da3d195aecce8c49d469beae55036ea85367c477"),
+    ("bd4", "delta", 0, "0e20ca6f5d8079ce7e7616aca23854b272e8f962a55152b4d98a67f72db3cc62"),
+    ("rf13_7", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    ("rf15_11", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    ("rf15_12", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
+    # the 600-cell fails 8-location at its 7 201st dwheel
+    ("cell600", "check", 1, "2022d736fdbdbcaed1b884d17526f5a68c1b79f5d00288ac786e001c633452dd"),
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from combcurv import build_complex, build_cover
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.metric import (
+    INF,
     ball,
     check_projection_lemma,
     check_sd_prime,
@@ -23,7 +24,13 @@ from combcurv.metric import (
 )
 
 from conftest import gen
-from oracles import floyd_warshall, naive_delta, naive_interval_thinness, naive_interval_vertices
+from oracles import (
+    floyd_warshall,
+    naive_delta,
+    naive_delta_quadruples,
+    naive_interval_thinness,
+    naive_interval_vertices,
+)
 
 
 def path_complex(n):
@@ -263,8 +270,30 @@ class TestDelta:
         assert delta_four_point(icosa) == Fraction(1)
 
     def test_oracle_agreement(self, c4, octa, icosa):
-        for X in (c4, octa, icosa, gen("tri_torus", 4, 4)):
-            assert delta_four_point(X) == naive_delta(X)
+        rng = random.Random(2015)
+        inputs = [c4, octa, icosa, gen("tri_torus", 4, 4)]
+        inputs += [gen("c_n", n) for n in range(5, 14)]
+        for _ in range(30):
+            n = rng.randint(4, 12)
+            inputs.append(build_complex([[v, rng.randrange(v)] for v in range(1, n)]))
+        flags = 0
+        while flags < 10:
+            X = gen("random_flag", rng.randint(8, 16), rng.choice((0.2, 0.3, 0.4)),
+                    rng.randrange(10**6))
+            if INF not in distances_from(X, 0):
+                inputs.append(X)
+                flags += 1
+        values = set()
+        for X in inputs:
+            delta = delta_four_point(X)
+            assert delta == naive_delta(X), X.name
+            values.add(delta)
+        assert len(values) >= 4
+
+    def test_quadruple_referee_on_mid_size(self, gs2, disk37, surf37):
+        # too large for the Floyd-Warshall referee: every quadruple instead
+        for X in (gs2, gen("tri_torus", 8, 8), disk37, surf37):
+            assert delta_four_point(X) == naive_delta_quadruples(X), X.name
 
     def test_half_integer_value(self):
         # a 5-cycle has delta 1/2
@@ -283,7 +312,7 @@ class TestDelta:
             delta_four_point(gs3, cap=50)
 
     def test_disconnected(self):
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(DisconnectedError, match="needs a connected complex"):
             delta_four_point(build_complex([[0, 1, 2], [3, 4, 5], [6, 7]]))
 
     def test_small_inputs_are_zero(self, triangle):
