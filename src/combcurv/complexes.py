@@ -392,7 +392,7 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
         s_adj = adj[s]
         # DFS over chordless paths (s, v1, ..., vt) with vi > s; a cycle is
         # emitted when the tip is adjacent to s, and only in the orientation
-        # with path[1] < tip, so each cycle appears exactly once.
+        # with path[1] < tip, so each appears once and already canonical.
         stack = [((s, v1), frozenset((s, v1))) for v1 in sorted(s_adj) if v1 > s]
         while stack:
             path, used = stack.pop()
@@ -405,7 +405,7 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
                     continue
                 if u in s_adj:
                     if min_len <= len(path) + 1 <= max_len and path[1] < u:
-                        out.append(Cycle(canonical_cycle(path + (u,)), is_full=True))
+                        out.append(Cycle(path + (u,), is_full=True))
                     # extending past u would leave the chord u~s in place
                     continue
                 if len(path) + 1 < max_len:

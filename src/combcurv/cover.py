@@ -50,9 +50,6 @@ class ZClass:
     def bases(self) -> tuple:
         return tuple(b for (b, _z) in self.members)
 
-    def to_json(self):
-        return {"kind": "z_class", "z": self.z, "members": [list(m) for m in self.members]}
-
 
 @dataclass(frozen=True)
 class CoverState:

@@ -192,11 +192,11 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
 
 
 def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP) -> list:
-    """All k-wheels with k in range, one per (center, canonical rim).
+    """All k-wheels with k in range, in (center, length, rim) order.
 
     Rims are the chordless cycles of each vertex link that stay chordless
-    in the ambient complex (the two notions agree on flag complexes).
-    """
+    in the ambient complex (the two notions agree on flag complexes); the
+    link's increasing vertex map keeps them canonical and in order."""
     out = []
     for v in range(X.vertex_count):
         if not X.has_vertex(v):
@@ -208,8 +208,8 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
         for cyc in full_cycles(link, k_min, top, cap=top):
             rim = tuple(vmap[u] for u in cyc.vertices)
             if not chords(X, rim):
-                out.append(Wheel(v, canonical_cycle(rim)))
-    return sorted(out, key=lambda w: (w.center, len(w.rim), w.rim))
+                out.append(Wheel(v, rim))
+    return out
 
 
 def _dwheel_stream(X: SimplicialComplex, max_boundary: int):

@@ -126,7 +126,7 @@ def cell600() -> SimplicialComplex:
     Vertices are the 120 unit icosians: the 8 permutations of (+-1, 0, 0, 0),
     the 16 points (+-1/2, +-1/2, +-1/2, +-1/2) and the 96 even permutations of
     (0, +-1/2, +-phi/2, +-1/(2 phi)).  Two are joined when their inner product
-    is phi/2; the tetrahedra are the 4-cliques of that graph.  Vertex ids
+    is phi/2; the complex is the flag completion of that graph.  Vertex ids
     follow the sorted coordinates.
     """
     phi = (1 + math.sqrt(5)) / 2
@@ -145,19 +145,9 @@ def cell600() -> SimplicialComplex:
                 v[p[i]] = round(vals[i], 12) + 0.0
             pts.add(tuple(v))
     pts = sorted(pts)
-    adj = {i: set() for i in range(len(pts))}
-    for i, j in combinations(range(len(pts)), 2):
-        if abs(sum(a * b for a, b in zip(pts[i], pts[j])) - phi / 2) < 1e-9:
-            adj[i].add(j)
-            adj[j].add(i)
-    tets = []
-    for a in adj:
-        for b in adj[a]:
-            if b > a:
-                for c in adj[a] & adj[b]:
-                    if c > b:
-                        tets.extend([a, b, c, d] for d in adj[a] & adj[b] & adj[c] if d > c)
-    return build_complex(tets, name="cell600")
+    edges = [(i, j) for i, j in combinations(range(len(pts)), 2)
+             if abs(sum(a * b for a, b in zip(pts[i], pts[j])) - phi / 2) < 1e-9]
+    return flag_completion(len(pts), edges, name="cell600")
 
 
 def random_flag(n: int, p: float, seed: int) -> SimplicialComplex:

@@ -113,6 +113,27 @@ def _closed_surface_failure(Y: SimplicialComplex):
         return "not connected"
     if Y.euler_characteristic() != 2:
         return f"Euler characteristic {Y.euler_characteristic()} != 2"
+    # two spheres pinched at vertices pass every count above; a surface has
+    # each vertex's triangles close into one cycle, read off its cofaces.
+    # As every edge lies on two triangles, the rim of v is a union of cycles
+    # of length >= 3 through all its neighbours: one cycle below degree 6.
+    for v in Y.vertices:
+        if Y.degree(v) < 6:
+            continue
+        rim = {}
+        for t in Y._cofaces[v]:
+            if len(t) == 3:
+                i = t.index(v)
+                a, b = t[i - 1], t[i - 2]
+                rim.setdefault(a, []).append(b)
+                rim.setdefault(b, []).append(a)
+        # each rim vertex has two rim neighbours: walk from the last (a, b)
+        prev, cur, steps = a, b, 1
+        while cur != a:
+            x, y = rim[cur]
+            prev, cur, steps = cur, y if x == prev else x, steps + 1
+        if steps != len(rim):
+            return f"triangles at vertex {v} do not close into one cycle"
     return None
 
 

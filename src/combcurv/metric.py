@@ -75,22 +75,22 @@ class LayeredInterval:
     layers: tuple
 
 
-def _layers(do, do2, o, o2) -> list:
-    """Geodesic layers between ``o`` and ``o2``, each in vertex order."""
+def _layers(do, X, o, o2) -> list:
+    """Geodesic layers between ``o`` and ``o2`` in vertex order: layer k - 1
+    is the neighbours of layer k at distance k - 1 on o's row ``do``."""
+    if not X.has_vertex(o2):
+        raise ValueError(f"vertex {o2} not in complex")
     n = do[o2]
     if n == INF:
         raise DisconnectedError(f"vertices {o} and {o2} are not connected")
-    # one pass: v is on a geodesic exactly when do[v] + do2[v] == n (never
-    # for an absent id, whose distances are inf)
-    layers = [[] for _ in range(n + 1)]
-    for v, (k, k2) in enumerate(zip(do, do2)):
-        if k + k2 == n:
-            layers[k].append(v)
-    return layers
+    layers = [[o2]]
+    for k in range(n - 1, -1, -1):
+        layers.append(sorted({u for v in layers[-1] for u in X.neighbors(v) if do[u] == k}))
+    return layers[::-1]
 
 
 def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
-    layers = _layers(distances_from(X, o), distances_from(X, o2), o, o2)
+    layers = _layers(distances_from(X, o), X, o, o2)
     return LayeredInterval((o, o2), len(layers) - 1, tuple(map(frozenset, layers)))
 
 
@@ -113,7 +113,7 @@ def interval_thinness(X: SimplicialComplex, o: int, *targets):
     best = 0
     witness = None
     for o2 in targets:
-        for layer in _layers(row(o), row(o2), o, o2):
+        for layer in _layers(row(o), X, o, o2):
             for u, v in combinations(layer, 2):
                 d = row(u)[v]
                 if d > best:

@@ -86,7 +86,9 @@ def test_sd_exit_codes(files):
     (["sd", "--base", "0", "--n", "-1"], "icosahedron"),
     # no vertex link to look at: k is checked before the vertex loop
     (["check", "--k", "0"], "empty"),
-], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty"])
+    # the interval walk reads the target's row entry only after checking it
+    (["metric", "--base", "0", "--other", "99"], "icosahedron"),
+], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty", "metric-other-absent"])
 def test_zero_and_negative_parameters_exit_2(files, capsys, argv, name):
     # a 0 is a given value, not a missing one
     assert main([*argv, files[name]]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcurv import build_complex, build_cover, curvature
-from combcurv.complexes import Cycle, SimplicialComplex
+from combcurv.complexes import Cycle, SimplicialComplex, chords, full_cycles
 from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
@@ -28,6 +28,7 @@ from oracles import (
     naive_is_locally_k_large,
     naive_is_m_located,
     naive_sorted_dwheels,
+    naive_wheels,
 )
 
 
@@ -172,6 +173,25 @@ class TestWheels:
         for X in (icosa, gs2, torus66):
             for w in wheels(X, 4, 7):
                 assert w.validate(X)
+
+    def test_against_naive_oracle_in_order(self):
+        # rims come out canonical and in order with no re-sort; the soups
+        # are mostly not flag, so link cycles with ambient chords occur
+        rng = random.Random(8)
+        inputs = [gen("random_flag", rng.randint(8, 13), rng.choice((0.3, 0.4, 0.5)), seed)
+                  for seed in range(40)]
+        inputs += list(simplex_soups(rng, 120))
+        found = dropped = 0
+        for X in inputs:
+            mine = [(w.center, w.rim) for w in wheels(X, 4, 5)]
+            ref = sorted(naive_wheels(X, 4, 5), key=lambda cr: (cr[0], len(cr[1]), cr[1]))
+            assert mine == ref, X
+            found += len(mine)
+            for v in X.vertices:
+                link, vmap = X.link((v,))
+                dropped += sum(bool(chords(X, [vmap[u] for u in c.vertices]))
+                               for c in full_cycles(link, 4, 5))
+        assert found > 100 and dropped > 0, (found, dropped)
 
 
 class TestDWheels:

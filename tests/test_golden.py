@@ -10,8 +10,10 @@ and the ``lemmas`` cases before the manifold searches were rebuilt on the
 wheel and neighbourhood primitives, and the ``delta`` cases and the 600-cell
 ``check`` before the dwheel join became a bucketed stream and the four-point
 constant was pruned to far-apart pairs (the 600-cell file then written from
-the identical construction, before ``gen cell600`` existed);
-regenerate them only for a change that is meant to alter the output.
+the identical construction, before ``gen cell600`` existed), and the
+radius-5 ``cover`` cases before geodesic intervals were walked down from
+the base row alone; regenerate them only for a change that is meant to
+alter the output.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ COMMANDS = {
     "links": ["links"],
     "theorem-b": ["theorem-b"],
     "cover": ["cover", "--base", "0", "--radius", "3"],
+    "cover5": ["cover", "--base", "0", "--radius", "5"],
     "metric": ["metric", "--base", "0", "--other"],  # + FAR[input]
     "sd": ["sd", "--base", "0", "--n", "2"],
     "lemmas": ["lemmas"],
@@ -129,6 +132,9 @@ GOLDEN = [
     ("rf15_12", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
     # the 600-cell fails 8-location at its 7 201st dwheel
     ("cell600", "check", 1, "2022d736fdbdbcaed1b884d17526f5a68c1b79f5d00288ac786e001c633452dd"),
+    # interior thinness over hundreds of intervals per ball
+    ("surf37_psl2_7", "cover5", 0, "5744866ae51e6fc7e5b46f1fe182e992e5469c01152e591e3036938d84d0a5c7"),
+    ("torus66", "cover5", 0, "47b839f9990cdadc3dc93ef1e1bb9e13249e27e7a7a99e7765dfc74ca7d3b576"),
 ]
 
 

@@ -39,6 +39,23 @@ def flip_edge(Y, u, v):
     return build_complex(keep)
 
 
+def pinched_pair(tris, poles):
+    """Two copies of a sphere glued at two non-adjacent vertices ``poles``:
+    every edge on two triangles, connected, Euler characteristic 2, yet
+    not a sphere."""
+    top = max(v for t in tris for v in t)
+    copy = {v: v if v in poles else v + top + 1 for t in tris for v in t}
+    return build_complex(list(tris) + [[copy[v] for v in t] for t in tris])
+
+
+def pinched_octahedra():
+    return pinched_pair(sorted(gen("octahedron").simplices(2)), (0, 5))
+
+
+# the triangular bipyramid: apexes 0 and 4 of degree 3 around the equator 1 2 3
+BIPYRAMID = [(0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)]
+
+
 class TestValidate:
     def test_boundary_4_simplex_is_a_closed_manifold(self, bd4):
         report = validate_closed_3manifold(bd4)
@@ -88,6 +105,14 @@ class TestVertexLinks:
         with pytest.raises(LinkNotSphere):
             vertex_link_sphere(X, 0)
 
+    def test_cone_over_pinched_spheres_raises(self):
+        Y = pinched_octahedra()
+        apex = Y.vertex_count
+        X = build_complex([t + (apex,) for t in Y.simplices(2)])
+        with pytest.raises(LinkNotSphere, match=f"link of vertex {apex}: triangles at "
+                                                "vertex 0 do not close into one cycle"):
+            vertex_link_sphere(X, apex)
+
 
 class TestSphereCondition:
     def test_icosahedron_fails_adjacent_low_degree(self, icosa):
@@ -111,6 +136,16 @@ class TestSphereCondition:
     def test_torus_is_not_a_sphere(self, torus66):
         with pytest.raises(NotASphere):
             is_5_6_star_sphere(torus66)
+
+    @pytest.mark.parametrize("Y,counts", [
+        (pinched_octahedra(), (10, 24, 16, 0)),
+        # the glued vertices have degree 6, two triangles around each
+        (pinched_pair(BIPYRAMID, (0, 4)), (8, 18, 12, 0)),
+    ], ids=["octahedra", "bipyramids"])
+    def test_pinched_spheres_are_not_a_sphere(self, Y, counts):
+        assert Y.counts() == counts and Y.euler_characteristic() == 2
+        with pytest.raises(NotASphere, match="vertex 0 do not close"):
+            is_5_6_star_sphere(Y)
 
 
 class TestSoccerDual:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover
+from combcurv import build_complex, build_cover, metric
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.metric import (
     INF,
@@ -35,6 +35,18 @@ from oracles import (
 
 def path_complex(n):
     return build_complex([[i, i + 1] for i in range(n)])
+
+
+def count_bfs(monkeypatch):
+    """Record the base of every BFS run through ``metric``."""
+    bases = []
+
+    def counting(X, base):
+        bases.append(base)
+        return distances_from(X, base)
+
+    monkeypatch.setattr(metric, "distances_from", counting)
+    return bases
 
 
 class TestBallsSpheres:
@@ -104,6 +116,23 @@ class TestInterval:
         X = build_complex([[0, 1], [2, 3]])
         with pytest.raises(DisconnectedError):
             interval(X, 0, 3)
+
+    def test_absent_target_raises(self):
+        # id 2 lies below vertex_count, id 9 past it
+        X = build_complex([[0, 1], [1, 3]])
+        for o2 in (2, 9):
+            with pytest.raises(ValueError, match=f"vertex {o2} not in complex"):
+                interval(X, 0, o2)
+            with pytest.raises(ValueError, match=f"vertex {o2} not in complex"):
+                interval_thinness(X, 0, 1, o2)
+
+    def test_one_bfs_from_the_first_endpoint(self, octa, torus66, monkeypatch):
+        bases = count_bfs(monkeypatch)
+        for X in (octa, torus66):
+            for o2 in X.vertices:
+                bases.clear()
+                interval(X, 0, o2)
+                assert bases == [0]
 
 
 class TestThinness:
@@ -195,6 +224,18 @@ class TestThinnessOracle:
         assert interval_thinness(X, 0) == (0, None)
         with pytest.raises(DisconnectedError):
             interval_thinness(X, 0, 1, 3)
+
+    def test_rows_only_for_the_base_and_shared_layers(self, torus66, monkeypatch):
+        bases = count_bfs(monkeypatch)
+        assert interval_thinness(path_complex(6), 0, 6, 3) == (0, None)
+        assert bases == [0]
+        targets = torus66.vertices[1:]
+        shared = {u for t in targets for layer in interval(torus66, 0, t).layers
+                  if len(layer) > 1 for u in layer}
+        bases.clear()
+        interval_thinness(torus66, 0, *targets)
+        assert bases[0] == 0 and len(set(bases)) == len(bases)
+        assert set(bases[1:]) <= shared
 
 
 class TestSDPrime:
