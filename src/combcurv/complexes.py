@@ -393,21 +393,25 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
         # DFS over chordless paths (s, v1, ..., vt) with vi > s; a cycle is
         # emitted when the tip is adjacent to s, and only in the orientation
         # with path[1] < tip, so each appears once and already canonical.
-        stack = [((s, v1), frozenset((s, v1))) for v1 in sorted(s_adj) if v1 > s]
+        # ``blocked`` is the path and the neighbours of its inner vertices
+        # (all but s and the tip): a next vertex outside it repeats no
+        # vertex and closes no chord except possibly one to s.
+        stack = [((s, v1), frozenset((s, v1))) for v1 in s_adj if v1 > s]
         while stack:
-            path, used = stack.pop()
+            path, blocked = stack.pop()
             tip = path[-1]
-            for u in sorted(adj[tip]):
-                if u <= s or u in used:
-                    continue
-                # chord tests against everything before the tip
-                if any(p in adj[u] for p in path[1:-1]):
+            grow = len(path) + 1 < max_len
+            closes = len(path) + 1 >= min_len
+            if grow:
+                # the children's inner vertices gain the tip
+                child_blocked = blocked | adj[tip]
+            for u in adj[tip] - blocked:
+                if u <= s:
                     continue
                 if u in s_adj:
-                    if min_len <= len(path) + 1 <= max_len and path[1] < u:
+                    if closes and path[1] < u:
                         out.append(Cycle(path + (u,), is_full=True))
                     # extending past u would leave the chord u~s in place
-                    continue
-                if len(path) + 1 < max_len:
-                    stack.append((path + (u,), used | {u}))
+                elif grow:
+                    stack.append((path + (u,), child_blocked))
     return sorted(out, key=lambda c: (len(c.vertices), c.vertices))

@@ -270,7 +270,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
 
 def _center_candidates(X: SimplicialComplex, vs) -> list:
     """The only possible 1-ball centers of a vertex set, sorted: its own
-    vertices and their common neighbors."""
+    vertices and their common neighbors (the failure witness lists them)."""
     common = None
     for v in vs:
         nb = X.neighbors(v)
@@ -279,14 +279,27 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
 
 
 def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:
-    """Some vertex whose closed neighborhood contains the whole set, or None."""
-    vs = sorted(set(vertex_set))
-    if not vs:
+    """The smallest vertex whose closed neighborhood contains the whole set,
+    or None.
+
+    The centers of a set are exactly the common members of the closed
+    neighborhoods ``N(a) | {a}`` of its vertices."""
+    centers = None
+    for a in vertex_set:
+        if centers is None:
+            centers = set(X.neighbors(a))
+            centers.add(a)
+        else:
+            # meet N(a) | {a} without building it: a stays if it was in
+            was_center = a in centers
+            centers &= X.neighbors(a)
+            if was_center:
+                centers.add(a)
+        if not centers:
+            return None
+    if centers is None:
         raise ValueError("empty vertex set")
-    for y in _center_candidates(X, vs):
-        if all(a == y or X.adjacent(a, y) for a in vs):
-            return y
-    return None
+    return min(centers)
 
 
 @timed

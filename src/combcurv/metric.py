@@ -288,12 +288,14 @@ def delta_four_point(X: SimplicialComplex, cap: int = DELTA_VERTEX_CAP) -> Fract
     verts = X.vertices
     if len(verts) > cap:
         raise TooLarge(f"{len(verts)} vertices exceeds delta cap {cap}")
-    if len(verts) < 4:
+    if not verts:
         return Fraction(0)
     dist = {v: distances_from(X, v) for v in verts}
-    pairs = sorted(((dist[x][y], x, y) for x, y in combinations(verts, 2)), reverse=True)
-    if pairs[0][0] == INF:
+    if INF in (dist[verts[0]][v] for v in verts):
         raise DisconnectedError("four-point constant needs a connected complex")
+    if len(verts) < 4:
+        return Fraction(0)
+    pairs = sorted(((dist[x][y], x, y) for x, y in combinations(verts, 2)), reverse=True)
     worst = 0
     kept = []
     for dxy, x, y in pairs:

@@ -20,6 +20,9 @@ def files(tmp_path):
     p = tmp_path / "c4.cplx"
     assert main(["gen", "c_n", "4", "-o", str(p)]) == 0
     paths["c4"] = str(p)
+    p = tmp_path / "two_points.cplx"
+    p.write_text("0\n1\n")
+    paths["two_points"] = str(p)
     p = tmp_path / "empty.json"
     p.write_text('{"maximal_simplices": []}')
     paths["empty"] = str(p)
@@ -88,7 +91,10 @@ def test_sd_exit_codes(files):
     (["check", "--k", "0"], "empty"),
     # the interval walk reads the target's row entry only after checking it
     (["metric", "--base", "0", "--other", "99"], "icosahedron"),
-], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty", "metric-other-absent"])
+    # connectivity is checked before the fewer-than-four-vertices shortcut
+    (["metric", "--delta"], "two_points"),
+], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty", "metric-other-absent",
+        "delta-two-points"])
 def test_zero_and_negative_parameters_exit_2(files, capsys, argv, name):
     # a 0 is a given value, not a missing one
     assert main([*argv, files[name]]) == 2

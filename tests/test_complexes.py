@@ -147,6 +147,32 @@ class TestIsFlag:
         assert all(X.adjacent(u, v) for u in vs for v in vs if u != v)
 
 
+CYCLE_CAP = 8
+RANGES = [(lo, hi) for lo in range(4, 8) for hi in range(lo, CYCLE_CAP + 1)]
+
+
+def _check_every_range(X):
+    """full_cycles against the oracle on each range of RANGES; returns the
+    chordless cycles up to the cap."""
+    ref = naive_full_cycles(X, 4, CYCLE_CAP)
+    for lo, hi in RANGES:
+        mine = [c.vertices for c in full_cycles(X, lo, hi, cap=CYCLE_CAP)]
+        assert mine == [c for c in ref if lo <= len(c) <= hi], (X.name, lo, hi)
+    return ref
+
+
+def _two_dim_soup(rng):
+    """Random edges and triangles on vertex ids with gaps: mostly not flag."""
+    ids = rng.sample(range(24), rng.randint(8, 12))
+    return build_complex((rng.sample(ids, rng.choice((2, 3, 3)))
+                          for _ in range(rng.randint(6, 14))), name="soup")
+
+
+def _relabel(X, f):
+    return build_complex(([f(v) for v in s] for s in X.maximal_simplices()),
+                         name=f"{X.name}_relabeled")
+
+
 class TestFullCycles:
     def test_c4_single_cycle(self, c4):
         out = full_cycles(c4, 4, 4)
@@ -183,9 +209,21 @@ class TestFullCycles:
     @given(n=st.integers(4, 9), p=st.floats(0.2, 0.7), seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_against_naive_oracle_random(self, n, p, seed):
-        X = gen("random_flag", n, p, seed)
-        mine = [c.vertices for c in full_cycles(X, 4, min(7, n))]
-        assert mine == naive_full_cycles(X, 4, min(7, n))
+        # every length range with min_len in 4..7 and max_len up to the cap
+        _check_every_range(gen("random_flag", n, p, seed))
+
+    def test_against_naive_oracle_ranges_on_soups_and_gaps(self, octa, icosa):
+        rng = random.Random(1980)
+        soups = [_two_dim_soup(rng) for _ in range(40)]
+        assert sum(not is_flag(X).passed for X in soups) >= 30
+        gapped = [_relabel(X, lambda v: 3 * v + 2)
+                  for X in (octa, icosa, gen("c_n", 7), gen("c_n", 8))]
+        assert all(len(X.vertices) < X.vertex_count for X in gapped)
+        lengths = set()
+        for X in soups + gapped:
+            lengths.update(map(len, _check_every_range(X)))
+        # the inputs reach every length of the ranges, so each bound is tested
+        assert lengths == set(range(4, CYCLE_CAP + 1))
 
     def test_reported_cycles_are_chordless(self, gs2):
         for cyc in full_cycles(gs2, 4, 6):

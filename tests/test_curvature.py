@@ -335,14 +335,21 @@ class TestInOneBall:
             assert in_one_ball(icosa, w.vertex_set) == w.center
 
     def test_exhaustive_centre_scan_agrees(self, octa, icosa):
-        # candidate restriction loses nothing: compare with trying everything
-        for X in (octa, icosa):
-            for d in dwheels(X, 8):
-                brute = next(
-                    (y for y in X.vertices
-                     if all(a == y or X.adjacent(a, y) for a in d.vertex_set)),
-                    None)
-                assert (in_one_ball(X, d.vertex_set) is None) == (brute is None)
+        # the smallest centre, against trying every vertex in order
+        inputs = [(X, d.vertex_set) for X in (octa, icosa) for d in dwheels(X, 8)]
+        rng = random.Random(1973)
+        for seed in range(40):
+            X = gen("random_flag", rng.randint(5, 14), rng.choice((0.3, 0.5, 0.7)), seed)
+            for size in (1, 1, 2, 2, 3, 4, 5):
+                inputs.append((X, rng.sample(X.vertices, min(size, len(X.vertices)))))
+        located = 0
+        for X, vs in inputs:
+            brute = next((y for y in X.vertices if all(a == y or X.adjacent(a, y) for a in vs)),
+                         None)
+            assert in_one_ball(X, vs) == brute, (X.name, vs)
+            located += brute is not None
+        # both outcomes occur
+        assert 0 < located < len(inputs)
 
     def test_empty_set_rejected(self, octa):
         with pytest.raises(ValueError):

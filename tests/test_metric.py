@@ -353,8 +353,14 @@ class TestDelta:
             delta_four_point(gs3, cap=50)
 
     def test_disconnected(self):
-        with pytest.raises(DisconnectedError, match="needs a connected complex"):
-            delta_four_point(build_complex([[0, 1, 2], [3, 4, 5], [6, 7]]))
+        # fewer than four vertices too: connectivity is checked first
+        for simplices in ([[0, 1, 2], [3, 4, 5], [6, 7]], [[0], [1]], [[0, 1], [2]],
+                          [[0], [2], [5]]):
+            with pytest.raises(DisconnectedError, match="needs a connected complex"):
+                delta_four_point(build_complex(simplices))
 
     def test_small_inputs_are_zero(self, triangle):
         assert delta_four_point(triangle) == 0
+        assert delta_four_point(build_complex([])) == 0
+        assert delta_four_point(build_complex([[3]])) == 0
+        assert delta_four_point(build_complex([[0, 1], [1, 2]])) == 0
