@@ -168,11 +168,6 @@ def _two_dim_soup(rng):
                           for _ in range(rng.randint(6, 14))), name="soup")
 
 
-def _relabel(X, f):
-    return build_complex(([f(v) for v in s] for s in X.maximal_simplices()),
-                         name=f"{X.name}_relabeled")
-
-
 class TestFullCycles:
     def test_c4_single_cycle(self, c4):
         out = full_cycles(c4, 4, 4)
@@ -216,7 +211,8 @@ class TestFullCycles:
         rng = random.Random(1980)
         soups = [_two_dim_soup(rng) for _ in range(40)]
         assert sum(not is_flag(X).passed for X in soups) >= 30
-        gapped = [_relabel(X, lambda v: 3 * v + 2)
+        gapped = [build_complex(([3 * v + 2 for v in s] for s in X.maximal_simplices()),
+                                name=X.name)
                   for X in (octa, icosa, gen("c_n", 7), gen("c_n", 8))]
         assert all(len(X.vertices) < X.vertex_count for X in gapped)
         lengths = set()
