@@ -8,9 +8,9 @@ tests for cycles, flagness, and chordless-cycle enumeration.
 
 The coface index makes the local queries cost the size of a vertex star,
 not the size of the complex: ``link`` reads the star of one vertex of the
-simplex, ``span`` the stars of the kept vertices, and
-``maximal_simplices`` one star per simplex.  A per-vertex or per-simplex
-loop over a complex therefore costs about the sum of its vertex stars.
+simplex, and ``span`` the stars of the kept vertices.  A per-vertex or
+per-simplex loop over a complex therefore costs about the sum of its
+vertex stars.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class SimplicialComplex:
     Construction also builds the coface index, in O(F) for F faces: for
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
     contain it.  It holds the same tuple objects as the face sets, so it
-    adds one reference per vertex of each simplex.  ``link``, ``span`` and
-    ``maximal_simplices`` read it instead of scanning every face.
+    adds one reference per vertex of each simplex.  ``link`` and ``span``
+    read it instead of scanning every face.
     """
 
     __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
@@ -160,15 +160,14 @@ class SimplicialComplex:
     def maximal_simplices(self) -> list:
         """Simplices not properly contained in any stored simplex.
 
-        A simplex is maximal when no coface of its first vertex, one
-        dimension up, contains it.
+        Every tetrahedron is maximal; a d-simplex below that is maximal
+        unless it is one of the d-faces of a stored (d + 1)-simplex.  Those
+        faces are combinations of sorted tuples, so sorted themselves.
         """
-        out = []
-        for d in range(MAX_DIM + 1):
-            for s in self._faces[d]:
-                sset = set(s)
-                if not any(len(t) == d + 2 and sset.issubset(t) for t in self._cofaces[s[0]]):
-                    out.append(s)
+        out = list(self._faces[MAX_DIM])
+        for d in range(MAX_DIM):
+            out.extend(self._faces[d].difference(
+                *(combinations(t, d + 1) for t in self._faces[d + 1])))
         return sorted(out, key=lambda s: (s, len(s)))
 
     def __eq__(self, other):
@@ -384,19 +383,35 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
     if max_len > cap:
         raise BoundExceeded(f"max_len {max_len} above safety cap {cap}")
 
-    out = []
-    adj = X._adj
-    for s in range(X.vertex_count):
-        if not X.has_vertex(s):
-            continue
+    cycles = []
+    # the stored edges are the starts (s, v1) with v1 > s
+    grow_chordless(X._adj, X._faces[1], min_len, max_len, cycles, None)
+    return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
+
+
+def grow_chordless(adj, starts, min_len: int, max_len: int, cycles: list, leaves) -> None:
+    """Grow chordless paths (s, v1, ..., vt) with every vi > s, by DFS.
+
+    ``adj`` is an adjacency table.  ``starts`` are chordless paths of fewer
+    than ``max_len`` vertices whose later vertices all exceed s and, past
+    v1, are not adjacent to s: an edge (s, v1) with v1 > s is one, and so
+    is each leaf below.  A path is closed into a cycle when its tip is
+    adjacent to s, and only in the orientation with path[1] < tip, so each
+    cycle appears once and already canonical; those of length in
+    ``[min_len, max_len]`` are appended to ``cycles`` as tuples.  When
+    ``leaves`` is a list, the open paths that reach ``max_len`` vertices are
+    appended to it: they are the starts that grow the next length.
+    """
+    for start in starts:
+        s = start[0]
         s_adj = adj[s]
-        # DFS over chordless paths (s, v1, ..., vt) with vi > s; a cycle is
-        # emitted when the tip is adjacent to s, and only in the orientation
-        # with path[1] < tip, so each appears once and already canonical.
         # ``blocked`` is the path and the neighbours of its inner vertices
         # (all but s and the tip): a next vertex outside it repeats no
         # vertex and closes no chord except possibly one to s.
-        stack = [((s, v1), frozenset((s, v1))) for v1 in s_adj if v1 > s]
+        blocked = frozenset(start)
+        if len(start) > 2:  # an edge has no inner vertex
+            blocked = blocked.union(*[adj[v] for v in start[1:-1]])
+        stack = [(start, blocked)]
         while stack:
             path, blocked = stack.pop()
             tip = path[-1]
@@ -410,8 +425,9 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
                     continue
                 if u in s_adj:
                     if closes and path[1] < u:
-                        out.append(Cycle(path + (u,), is_full=True))
+                        cycles.append(path + (u,))
                     # extending past u would leave the chord u~s in place
                 elif grow:
                     stack.append((path + (u,), child_blocked))
-    return sorted(out, key=lambda c: (len(c.vertices), c.vertices))
+                elif leaves is not None:
+                    leaves.append(path + (u,))

@@ -18,6 +18,7 @@ from .complexes import (
     canonical_cycle,
     chords,
     full_cycles,
+    grow_chordless,
     is_flag,
 )
 from .errors import NotACovering
@@ -195,21 +196,43 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
     """All k-wheels with k in range, in (center, length, rim) order.
 
     Rims are the chordless cycles of each vertex link that stay chordless
-    in the ambient complex (the two notions agree on flag complexes); the
-    link's increasing vertex map keeps them canonical and in order."""
-    out = []
-    for v in range(X.vertex_count):
-        if not X.has_vertex(v):
-            continue
+    in the ambient complex (the two notions agree on flag complexes)."""
+    if k_min < 4:
+        raise ValueError("cycles start at length 4")
+    if k_min > k_max:
+        raise ValueError("empty length range")
+    out = [w for _, ws in _wheels_by_length(X, k_min, k_max) for w in ws]
+    return sorted(out, key=lambda w: (w.center, len(w.rim)))
+
+
+def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
+    """Yield ``(k, the k-wheels in (center, rim) order)`` for k = 4 .. k_max,
+    with no wheels below ``k_min``.
+
+    Each vertex link is built once.  Between two lengths only its adjacency,
+    vertex map and open chordless paths are kept, so length k + 1 grows the
+    paths of length k instead of searching the link again; the link's
+    increasing vertex map keeps the rims canonical.
+    """
+    links = []
+    for v in X.vertices:
         link, vmap = X.link((v,))
-        if link.vertex_count < k_min:
-            continue
-        top = min(k_max, link.vertex_count)
-        for cyc in full_cycles(link, k_min, top, cap=top):
-            rim = tuple(vmap[u] for u in cyc.vertices)
-            if not chords(X, rim):
-                out.append(Wheel(v, rim))
-    return out
+        # the paths start as the link's edges (s, v1) with v1 > s
+        links.append((v, link._adj, vmap, link.simplices(1)))
+    for k in range(4, k_max + 1):
+        found, live = [], []
+        for v, adj, vmap, paths in links:
+            cycles, leaves = [], [] if k < k_max else None
+            # below k_min the paths grow, but close into no cycle
+            grow_chordless(adj, paths, max(k, k_min), k, cycles, leaves)
+            for cyc in sorted(cycles):
+                rim = tuple(vmap[u] for u in cyc)
+                if not chords(X, rim):
+                    found.append(Wheel(v, rim))
+            if leaves:
+                live.append((v, adj, vmap, leaves))
+        links = live
+        yield k, found
 
 
 def _dwheel_stream(X: SimplicialComplex, max_boundary: int):
@@ -224,31 +247,41 @@ def _dwheel_stream(X: SimplicialComplex, max_boundary: int):
     # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
     # (v1, ..., v_{k-2}, shared, other_apex); the second rim has length >= 4
     arcs = {}
-    for whl in wheels(X, 4, max_boundary):
-        k = len(whl.rim)
-        by_edge = arcs.setdefault(k, {})
-        for orient in (whl.rim, whl.rim[::-1]):
-            twice = orient + orient
-            for i in range(k):
-                by_edge.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
-                    twice[i + 2:i + k])
+    by_length = _wheels_by_length(X, 4, max_boundary)
+
+    def arcs_of(k):
+        # the lengths come in increasing order
+        while k not in arcs:
+            n, whls = next(by_length)
+            by_edge = arcs[n] = {}
+            for whl in whls:
+                for orient in (whl.rim, whl.rim[::-1]):
+                    twice = orient + orient
+                    for i in range(n):
+                        by_edge.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
+                            twice[i + 2:i + n])
+        return arcs[k]
 
     for blen in range(4, max_boundary + 1):
         # the types k >= l >= 4 with k + l - 3 or k + l - 4 equal to blen
         types = sorted((k, total - k) for total in (blen + 3, blen + 4)
                        for k in range((total + 1) // 2, total - 3))
         for k, l in types:
-            if k not in arcs or l not in arcs:
+            # the shorter rim first: a bucket with no l-wheels never
+            # enumerates the k-wheels
+            second = arcs_of(l)
+            if not second:
                 continue
+            first = arcs_of(k)
             identified = k + l - 4 == blen
             junction = "identified" if identified else "edge"
             keys = []
-            for (v0, w, v0p), arcs1 in arcs[k].items():
+            for (v0, w, v0p), arcs1 in first.items():
                 # equal rim lengths: the pair is taken from its smaller apex
                 if k == l and v0 > v0p:
                     continue
                 # the second wheels sit at v0' with w then v0 consecutive on the rim
-                for arc2 in arcs[l].get((v0p, w, v0), ()):
+                for arc2 in second.get((v0p, w, v0), ()):
                     v1p = arc2[0]
                     for arc1 in arcs1:
                         v1 = arc1[0]

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
-largeness tests the link of every simplex, cycles are found by plain DFS
+largeness tests the link of every simplex, edge links are complexes
+tested for one cycle by a BFS, cycles are found by plain DFS
 over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
@@ -64,6 +65,22 @@ def naive_link(X, simplex):
     for tau in members:
         faces[len(tau) - 1].append(tuple(back[v] for v in tau))
     return SimplicialComplex(len(vertex_map), faces), vertex_map
+
+
+def naive_edge_link_cycles(X):
+    """The edge-link stage of ``validate_closed_3manifold`` as first
+    written: one link complex per edge, in sorted edge order, tested for a
+    single cycle by its counts and degrees and one BFS."""
+    for e in sorted(X.simplices(1)):
+        link, _ = naive_link(X, e)
+        n = link.vertex_count
+        ok = (n >= 3 and len(link.simplices(1)) == n
+              and all(link.degree(v) == 2 for v in range(n))
+              and float("inf") not in distances_from(link, 0))
+        if not ok:
+            return failed("edge_link_cycles", {"kind": "edge_link", "edge": list(e)},
+                          detail=f"link of edge {e} is not a single cycle")
+    return passed("edge_link_cycles", edges=len(X.simplices(1)))
 
 
 def naive_is_locally_k_large(X, k):

@@ -1,9 +1,14 @@
 """CLI behavior: exit codes, JSON shape, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import combcurv
 from combcurv.cli import HANDLERS, main
 
 
@@ -252,3 +257,15 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys, name, command):
     assert "Traceback" not in captured.err
     if name not in PARSES:
         assert code == 2 and captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["gen", "icosahedron"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(combcurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "combcurv", "gen", "icosahedron"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

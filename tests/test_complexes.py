@@ -11,6 +11,7 @@ from combcurv.complexes import (
     canonical_cycle,
     chords,
     full_cycles,
+    grow_chordless,
     is_flag,
     is_full,
 )
@@ -219,6 +220,27 @@ class TestFullCycles:
         for X in soups + gapped:
             lengths.update(map(len, _check_every_range(X)))
         # the inputs reach every length of the ranges, so each bound is tested
+        assert lengths == set(range(4, CYCLE_CAP + 1))
+
+    def test_growth_one_length_at_a_time(self):
+        # the leaves of each length are the only starts of the next; every
+        # length then holds exactly the referee's cycles of that length
+        rng = random.Random(1999)
+        inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
+                  for seed in range(25)]
+        inputs += [_two_dim_soup(rng) for _ in range(25)]
+        inputs += [gen("c_n", n) for n in range(4, 9)]
+        lengths = set()
+        for X in inputs:
+            ref = naive_full_cycles(X, 4, CYCLE_CAP)
+            paths = X.simplices(1)
+            for k in range(4, CYCLE_CAP + 1):
+                cycles, leaves = [], []
+                grow_chordless(X._adj, paths, k, k, cycles, leaves)
+                assert sorted(cycles) == [c for c in ref if len(c) == k], (X.name, k)
+                assert all(len(p) == k for p in leaves)
+                paths = leaves
+            lengths.update(map(len, ref))
         assert lengths == set(range(4, CYCLE_CAP + 1))
 
     def test_reported_cycles_are_chordless(self, gs2):

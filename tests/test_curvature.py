@@ -174,6 +174,32 @@ class TestWheels:
             for w in wheels(X, 4, 7):
                 assert w.validate(X)
 
+    def test_length_range_validated_on_every_input(self, triangle, gs2):
+        # checked before any link is built, also where no link is large enough
+        for X in (build_complex([]), triangle, gs2):
+            with pytest.raises(ValueError, match="cycles start at length 4"):
+                wheels(X, 3, 8)
+            with pytest.raises(ValueError, match="empty length range"):
+                wheels(X, 6, 5)
+
+    def test_chord_checks_only_the_rims_in_range(self, monkeypatch):
+        # shorter link cycles are grown through but never chord-checked
+        X = gen("random_flag", 30, 0.3, 1)
+        links = [X.link((v,))[0] for v in X.vertices]
+        shorter = sum(len(full_cycles(link, 4, 4)) for link in links)
+        in_range = sum(len(full_cycles(link, 5, 6)) for link in links)
+        calls = 0
+        real = curvature.chords
+
+        def counting(Y, cycle):
+            nonlocal calls
+            calls += 1
+            return real(Y, cycle)
+
+        monkeypatch.setattr(curvature, "chords", counting)
+        assert len(wheels(X, 5, 6)) == 98
+        assert calls == in_range and shorter > 0, (calls, in_range, shorter)
+
     def test_against_naive_oracle_in_order(self):
         # rims come out canonical and in order with no re-sort; the soups
         # are mostly not flag, so link cycles with ambient chords occur
@@ -396,6 +422,21 @@ class TestMLocation:
     def test_m_range_validated(self, icosa):
         with pytest.raises(ValueError):
             is_m_located(icosa, 5)
+
+    def test_600_cell_chord_checks_only_the_5_rims(self, monkeypatch):
+        # the stream fails inside the (5,5) buckets, so only the 1 440 link
+        # 5-cycles are built and chord-checked, not all 6 240 rims up to 8
+        calls = 0
+        real = curvature.chords
+
+        def counting(X, cycle):
+            nonlocal calls
+            calls += 1
+            return real(X, cycle)
+
+        monkeypatch.setattr(curvature, "chords", counting)
+        assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
+        assert calls == 1440
 
     def test_vacuity_on_locally_7_large(self, disk37, surf37):
         for X in (disk37, surf37):

@@ -25,7 +25,7 @@ from combcurv.manifold import (
 )
 
 from conftest import gen
-from oracles import naive_find_7cycle_filling, naive_rim_filled
+from oracles import naive_edge_link_cycles, naive_find_7cycle_filling, naive_rim_filled
 
 
 def flip_edge(Y, u, v):
@@ -81,6 +81,41 @@ class TestValidate:
         assert doc["status"] == "fail"
         assert doc["stages"]["pseudomanifold"]["status"] == "pass"
         assert doc["edge_degrees"]["0-1"] == 3
+
+    def test_edge_link_stage_matches_link_complexes(self, bd4):
+        # two boundaries of the 4-simplex sharing only the edge 0-1: every
+        # triangle still lies on two tetrahedra, but that edge's link is two
+        # triangles
+        second = {v: v if v < 2 else v + 3 for v in range(5)}
+        glued = build_complex(list(bd4.simplices(3))
+                              + [[second[v] for v in t] for t in bd4.simplices(3)])
+        inputs = [bd4, gen("cell600"), glued, build_complex([[0, 1, 2, 3]]),
+                  build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])]
+        rng = random.Random(2003)
+        for i in range(30):
+            if i % 2:
+                ids = rng.sample(range(12), rng.randint(5, 9))
+                tets = [rng.sample(ids, 4) for _ in range(rng.randint(2, 12))]
+            else:
+                # two randomly placed copies of bd4, sometimes less a tetrahedron
+                tets = []
+                for _ in range(2):
+                    place = rng.sample(range(12), 5)
+                    tets += [[place[v] for v in t] for t in bd4.simplices(3)]
+                if rng.random() < 0.3:
+                    tets.pop(rng.randrange(len(tets)))
+            inputs.append(build_complex(tets))
+        statuses, later = set(), 0
+        for X in inputs:
+            got = validate_closed_3manifold(X).edge_link_cycles.to_json()
+            assert got == naive_edge_link_cycles(X).to_json(), sorted(X.simplices(3))
+            statuses.add(got["status"])
+            later += bool(got["witness"]) and tuple(got["witness"]["edge"]) != min(X.simplices(1))
+        glued_report = validate_closed_3manifold(glued)
+        assert glued_report.is_pseudomanifold.passed
+        assert glued_report.edge_link_cycles.witness["edge"] == [0, 1]
+        # both outcomes, and first failures past the smallest edge
+        assert statuses == {"pass", "fail"} and later >= 5, (statuses, later)
 
 
 class TestVertexLinks:
