@@ -148,11 +148,14 @@ def cmd_sd(args):
 
 
 def cmd_metric(args):
+    if (args.base is None) != (args.other is None):
+        missing = "--other" if args.other is None else "--base"
+        raise ValueError(f"metric: {missing} is missing (--base and --other go together)")
     X = _load(args.path)
     out = {}
     if args.delta:
         out["delta"] = delta_four_point(X, cap=args.delta_cap)
-    if args.base is not None and args.other is not None:
+    if args.base is not None:
         itv = interval(X, args.base, args.other)
         thin, pair = interval_thinness(X, args.base, args.other)
         out["distance"] = itv.n

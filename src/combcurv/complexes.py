@@ -191,22 +191,22 @@ class SimplicialComplex:
         """
         return SimplicialComplex(self.vertex_count, self._span_faces(vertex_set), name=self.name)
 
-    def _span_faces(self, vertex_set: Iterable[int]) -> dict:
-        """The face sets of ``span(vertex_set)``, without building the complex.
+    def _span_faces(self, vertex_set: Iterable[int], dims=range(MAX_DIM + 1)) -> dict:
+        """The ``dims`` face sets of ``span(vertex_set)``, without building the complex.
 
         Each kept simplex is read once, from the cofaces of its smallest
         vertex.  The frozensets are the ones ``span`` stores, so they
         iterate in the same order.
         """
         keep = set(vertex_set)
-        faces = {d: [] for d in range(MAX_DIM + 1)}
+        faces = {d: [] for d in dims}
         for v in keep:
             if (v,) not in self._faces[0]:
                 continue
-            faces[0].append((v,))
-            for t in self._cofaces[v]:
-                if t[0] == v and keep.issuperset(t):
-                    faces[len(t) - 1].append(t)
+            for t in ((v,),) + self._cofaces[v]:
+                fs = faces.get(len(t) - 1)
+                if fs is not None and t[0] == v and keep.issuperset(t):
+                    fs.append(t)
         return {d: frozenset(fs) for d, fs in faces.items()}
 
     def link(self, simplex: Iterable[int]):

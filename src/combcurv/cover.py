@@ -11,7 +11,8 @@ are verified once per stage:
         stage ball is then an induced ball of the current complex;
     (Q) the ball satisfies the descent property one radius below its own;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
-        and onto full 1-balls at interior vertices.
+        and onto full 1-balls at interior vertices.  Ball and base are flag,
+        so an injective map that matches edges both ways matches simplices.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.

@@ -9,6 +9,7 @@ small-boundary dwheel to fit inside a single 1-ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -196,18 +197,18 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
     """All k-wheels with k in range, in (center, length, rim) order.
 
     Rims are the chordless cycles of each vertex link that stay chordless
-    in the ambient complex (the two notions agree on flag complexes)."""
+    in X; this ambient chord filter runs here, and drops nothing on flag X."""
     if k_min < 4:
         raise ValueError("cycles start at length 4")
     if k_min > k_max:
         raise ValueError("empty length range")
-    out = [w for _, ws in _wheels_by_length(X, k_min, k_max) for w in ws]
+    out = [w for _, ws in _wheels_by_length(X, k_min, k_max) for w in ws if not chords(X, w.rim)]
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
 def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
     """Yield ``(k, the k-wheels in (center, rim) order)`` for k = 4 .. k_max,
-    with no wheels below ``k_min``.
+    with no wheels below ``k_min``; a rim may have a chord in X if X is not flag.
 
     Each vertex link is built once.  Between two lengths only its adjacency,
     vertex map and open chordless paths are kept, so length k + 1 grows the
@@ -225,19 +226,17 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
             cycles, leaves = [], [] if k < k_max else None
             # below k_min the paths grow, but close into no cycle
             grow_chordless(adj, paths, max(k, k_min), k, cycles, leaves)
-            for cyc in sorted(cycles):
-                rim = tuple(vmap[u] for u in cyc)
-                if not chords(X, rim):
-                    found.append(Wheel(v, rim))
+            found.extend(Wheel(v, tuple(vmap[u] for u in cyc)) for cyc in sorted(cycles))
             if leaves:
                 live.append((v, adj, vmap, leaves))
         links = live
         yield k, found
 
 
-def _dwheel_stream(X: SimplicialComplex, max_boundary: int):
+def _dwheel_stream(X: SimplicialComplex, max_boundary: int, by_length):
     """Dwheels with boundary length at most ``max_boundary`` in the order of
-    :func:`dwheels`, one (boundary, type) bucket at a time.
+    :func:`dwheels`, one (boundary, type) bucket at a time, joined from the
+    wheels that ``by_length`` yields, as :func:`_wheels_by_length` does.
 
     A bucket has one junction kind: identified when k + l - 4 is the
     boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
@@ -247,7 +246,6 @@ def _dwheel_stream(X: SimplicialComplex, max_boundary: int):
     # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
     # (v1, ..., v_{k-2}, shared, other_apex); the second rim has length >= 4
     arcs = {}
-    by_length = _wheels_by_length(X, 4, max_boundary)
 
     def arcs_of(k):
         # the lengths come in increasing order
@@ -297,8 +295,11 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
 
     Types are normalized with k >= l; for equal rim lengths the first wheel
     is the one at the smaller apex.  The list is sorted by boundary length,
-    then type, then (apexes, shared, rim1, rim2, junction)."""
-    return list(_dwheel_stream(X, max_boundary))
+    then type, then (apexes, shared, rim1, rim2, junction).  The ambient
+    chord filter of :func:`wheels` runs here, on the wheels before the join."""
+    by_length = ((k, [w for w in ws if not chords(X, w.rim)])
+                 for k, ws in _wheels_by_length(X, 4, max_boundary))
+    return list(_dwheel_stream(X, max_boundary, by_length))
 
 
 def _center_candidates(X: SimplicialComplex, vs) -> list:
@@ -346,7 +347,8 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
     count = 0
-    for dw in _dwheel_stream(X, m):
+    # X is flag, so a rim chordless in a vertex link is chordless in X
+    for dw in _dwheel_stream(X, m, _wheels_by_length(X, 4, m)):
         count += 1
         verts = dw.vertex_set
         center = in_one_ball(X, verts)
@@ -364,10 +366,6 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
 # -- covering preservation -----------------------------------------------------
 
 
-def _closed_star_vertices(X: SimplicialComplex, v: int) -> frozenset:
-    return frozenset({v}) | X.neighbors(v)
-
-
 def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
                        full_at: Optional[Iterable[int]] = None):
     """Verify that the vertex map ``f`` restricts on every 1-ball to an
@@ -376,34 +374,33 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     ``full_at`` optionally lists vertices where the restriction must in
     addition be surjective onto the whole 1-ball of the image.  Raises
     :class:`NotACovering` at the first violating 1-ball.
+
+    If both complexes are flag, only span edges are compared: f is injective
+    on the 1-ball, so once edges match both ways so do cliques, the simplices.
+    Otherwise dimensions 1-3 are, and in span order either way: same offender.
     """
     full_at = set(full_at) if full_at is not None else set()
+    dims = (1,) if is_flag(cover).passed and is_flag(base).passed else (1, 2, 3)
     for v in cover.vertices:
-        bv = _closed_star_vertices(cover, v)
-        images = {}
+        bv = frozenset({v}) | cover.neighbors(v)
+        inverse = {}
         for u in bv:
             fu = f[u]
             if not base.has_vertex(fu):
                 raise NotACovering(v, f"image {fu} of {u} is not a vertex of the base")
-            if fu in images.values():
+            if fu in inverse:
                 raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
-            images[u] = fu
-        image_set = frozenset(images.values())
+            inverse[fu] = u
+        image_set = frozenset(inverse.keys())  # not frozenset(inverse): layout sets span order
         # forward: simplices inside the 1-ball must map to simplices
-        star = cover._span_faces(bv)
-        for d in range(1, 4):
-            for s in star[d]:
-                if not base.has_simplex(tuple(images[u] for u in s)):
-                    raise NotACovering(v, f"simplex {s} maps to a non-simplex")
+        for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
+            if not base.has_simplex(f[u] for u in s):
+                raise NotACovering(v, f"simplex {s} maps to a non-simplex")
         # backward: simplices of the image span must pull back
-        inverse = {fu: u for u, fu in images.items()}
-        image_span = base._span_faces(image_set)
-        for d in range(1, 4):
-            for s in image_span[d]:
-                pre = tuple(sorted(inverse[x] for x in s))
-                if not cover.has_simplex(pre):
-                    raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
-        if v in full_at and image_set != _closed_star_vertices(base, f[v]):
+        for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
+            if not cover.has_simplex(inverse[x] for x in s):
+                raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
+        if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 
 

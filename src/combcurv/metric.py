@@ -246,10 +246,9 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
                     continue
                 xs = [x for x in down if X.adjacent(x, y) and X.adjacent(x, z)]
                 for x in xs:
-                    ys = [t for t in X.neighbors(x) & X.neighbors(y)
-                          if dist[t] <= i - 1 and X.has_simplex((x, y, t))]
-                    zs = [t for t in X.neighbors(x) & X.neighbors(z)
-                          if dist[t] <= i - 1 and X.has_simplex((x, z, t))]
+                    # X is flag (8-located), so xyt and xzt are triangles
+                    ys = [t for t in X.neighbors(x) & X.neighbors(y) if dist[t] <= i - 1]
+                    zs = [t for t in X.neighbors(x) & X.neighbors(z) if dist[t] <= i - 1]
                     for yp in ys:
                         for zp in zs:
                             instances += 1

@@ -98,8 +98,11 @@ def test_sd_exit_codes(files):
     (["metric", "--base", "0", "--other", "99"], "icosahedron"),
     # connectivity is checked before the fewer-than-four-vertices shortcut
     (["metric", "--delta"], "two_points"),
+    # --base and --other come as a pair, also next to --delta
+    (["metric", "--delta", "--base", "0"], "icosahedron"),
+    (["metric", "--other", "0"], "icosahedron"),
 ], ids=["k0", "m0", "m0-k5", "sd-n0", "sd-n-negative", "k0-empty", "metric-other-absent",
-        "delta-two-points"])
+        "delta-two-points", "metric-base-alone", "metric-other-alone"])
 def test_zero_and_negative_parameters_exit_2(files, capsys, argv, name):
     # a 0 is a given value, not a missing one
     assert main([*argv, files[name]]) == 2
@@ -133,6 +136,12 @@ def test_metric_interval(files, capsys):
 
 def test_metric_requires_a_request(files, capsys):
     assert main(["metric", files["c4"]]) == 2
+
+
+@pytest.mark.parametrize("given,missing", [("--base", "--other"), ("--other", "--base")])
+def test_metric_names_the_missing_half_of_the_pair(files, capsys, given, missing):
+    assert main(["metric", "--delta", given, "1", files["c4"]]) == 2
+    assert missing in capsys.readouterr().err
 
 
 def test_lemmas_on_sphere(files):

@@ -1,6 +1,7 @@
 """Largeness, wheels, dwheels, dwheel location, covering preservation."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,18 @@ def simplex_soups(rng, count):
                             for _ in range(rng.randint(3, 14)))
 
 
+def without_some_triangles(X, rng, share=1 / 8):
+    """X less about ``share`` of its triangles and the tetrahedra on them.
+
+    The edges stay, so each dropped triangle leaves three pairwise adjacent
+    vertices spanning nothing: X is no longer flag, and a cycle of a vertex
+    link can have a chord in X that is not a link edge."""
+    dropped = {t for t in sorted(X.simplices(2)) if rng.random() < share}
+    tets = [t for t in X.simplices(3) if dropped.isdisjoint(combinations(t, 3))]
+    faces = {0: X.simplices(0), 1: X.simplices(1), 2: X.simplices(2) - dropped, 3: tets}
+    return SimplicialComplex(X.vertex_count, faces, name=X.name)
+
+
 class TestLocallyLargeOracle:
     """Vertex links suffice: the all-simplices scan of the referee gives
     the same verdict, witness and ``links_checked`` for every k."""
@@ -251,17 +264,33 @@ class TestDWheels:
         assert len(boundary) == dw.boundary_length
         assert len(set(boundary)) == len(boundary)
 
-    def test_against_naive_oracle(self, octa, icosa):
-        junctions = set()
-        for X in (octa, icosa, gen("tri_torus", 4, 4), gen("random_flag", 12, 0.35, 7),
-                  gen("random_flag", 12, 0.35, 5), gen("random_flag", 13, 0.4, 7)):
-            mine = sorted((d.apexes, d.shared, d.rim1, d.rim2, d.junction)
-                          for d in dwheels(X, 8))
-            assert mine == naive_dwheels(X, 8)
+    def test_against_naive_oracle(self, octa, icosa, monkeypatch):
+        flag = [octa, icosa, gen("tri_torus", 4, 4), gen("random_flag", 12, 0.35, 7),
+                gen("random_flag", 12, 0.35, 5), gen("random_flag", 13, 0.4, 7)]
+        # less some triangles, a link-chordless rim can have a chord in X:
+        # dwheels drops those wheels before the join
+        rng = random.Random(1113)
+        non_flag = [without_some_triangles(gen("random_flag", rng.randint(9, 13),
+                                                rng.choice((0.35, 0.45)), seed), rng)
+                    for seed in range(60)]
+        junctions, found, chorded = set(), 0, 0
+        for X in flag + non_flag:
+            mine = dwheels(X, 8)
+            assert mine == naive_sorted_dwheels(X, 8), X.name
             if X.name.startswith("random_flag"):
-                junctions.update(key[-1] for key in mine)
+                junctions.update(d.junction for d in mine)
+        for X in non_flag:
+            found += len(dwheels(X, 8))
+            for v in X.vertices:
+                link, vmap = X.link((v,))
+                chorded += sum(bool(chords(X, [vmap[u] for u in c.vertices]))
+                               for c in full_cycles(link, 4, 8))
         # the random inputs exercise both junction kinds
         assert junctions == {"identified", "edge"}
+        assert found > 40 and chorded > 0, (found, chorded)
+        # and the filter drops dwheels: without it the non-flag inputs give more
+        monkeypatch.setattr(curvature, "chords", lambda X, cycle: [])
+        assert sum(len(dwheels(X, 8)) for X in non_flag) > found
 
     def test_revalidation(self, icosa, torus66):
         for X in (icosa, torus66):
@@ -425,7 +454,8 @@ class TestMLocation:
 
     def test_600_cell_chord_checks_only_the_5_rims(self, monkeypatch):
         # the stream fails inside the (5,5) buckets, so only the 1 440 link
-        # 5-cycles are built and chord-checked, not all 6 240 rims up to 8
+        # 5-cycles are built, not all 6 240 rims up to 8; X is flag, so a
+        # link-chordless rim is chordless in X and none is chord-checked
         calls = 0
         real = curvature.chords
 
@@ -436,7 +466,7 @@ class TestMLocation:
 
         monkeypatch.setattr(curvature, "chords", counting)
         assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
-        assert calls == 1440
+        assert calls == 0
 
     def test_vacuity_on_locally_7_large(self, disk37, surf37):
         for X in (disk37, surf37):
@@ -484,8 +514,9 @@ def covering_outcome(check, f, cover, base, full_at):
 
 class TestCoveringMapOracle:
     """``check_covering_map`` reads span face sets without building span
-    complexes; the span-building referee must fail on the same vertex with
-    the same reason, or pass with it."""
+    complexes, and only their edges when both complexes are flag; the
+    span-building referee must fail on the same vertex with the same
+    reason, or pass with it."""
 
     RANDOM_FLAG = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12), (12, 0.4, 3), (14, 0.3, 5))
 
@@ -508,6 +539,28 @@ class TestCoveringMapOracle:
             for r in (2, 3, 4):
                 state = build_cover(X, 0, r).state
                 yield state.sheet_map, state.ball, X, state.interior_ids()
+        # non-flag pairs: a soup and a copy less some triangles, each the
+        # cover of the other, so every dimension is compared
+        for A in simplex_soups(rng, 60):
+            B = without_some_triangles(A, rng, share=1 / 3)
+            identity = tuple(range(A.vertex_count))
+            a, b = rng.sample(A.vertices, 2)
+            swapped = list(identity)
+            swapped[a], swapped[b] = b, a
+            for f in (identity, tuple(swapped)):
+                yield f, A, B, A.vertices
+                yield f, B, A, None
+        # ids up to 63 collide in small hash tables, where the layout of the
+        # image set decides the span order and so which offender comes first
+        wide = random.Random(5)
+        for _ in range(900):
+            ids = wide.sample(range(64), wide.randint(8, 20))
+            A = build_complex(wide.sample(ids, wide.randint(2, 4))
+                              for _ in range(wide.randint(10, 40)))
+            B = without_some_triangles(A, wide, share=1 / 2)
+            identity = tuple(range(A.vertex_count))
+            yield identity, A, B, None
+            yield identity, B, A, None
 
     def test_same_first_offender(self, icosa, octa, torus66, disk37, surf37):
         reasons = []
@@ -519,3 +572,23 @@ class TestCoveringMapOracle:
         for kind in ("pass", "collides", "maps to a non-simplex", "has no preimage",
                      "does not cover the full 1-ball"):
             assert any(kind in r for r in reasons), kind
+        # and on non-flag pairs a triangle or tetrahedron is the first
+        # offender both ways: "simplex (a, b, c) ..." has two commas
+        for kind in ("maps to a non-simplex", "has no preimage"):
+            assert any(kind in r and r.count(",") >= 2 for r in reasons), kind
+
+    def test_flag_cover_ball_compares_only_edges(self, surf37, monkeypatch):
+        state = build_cover(surf37, 0, 4).state
+        sizes = []
+        real = SimplicialComplex._span_faces
+
+        def recording(self, vertex_set, dims=range(4)):
+            faces = real(self, vertex_set, dims)
+            sizes.extend(len(s) for fs in faces.values() for s in fs)
+            return faces
+
+        monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
+        check_covering_map(state.sheet_map, state.ball, surf37, full_at=state.interior_ids())
+        # the ball has triangles, but no simplex of more than two vertices
+        # is compared
+        assert state.ball.simplices(2) and set(sizes) == {2}
