@@ -225,12 +225,12 @@ def cmd_lemmas(args):
         if X.dimension() == 3:
             verdicts.append(manifold_mod.check_wheel_in_link(X))
             for v in X.vertices:
+                # vertex_link_sphere has already checked that the link is a sphere
                 sphere, _ = manifold_mod.vertex_link_sphere(X, v)
-                verdicts.append(manifold_mod.check_sphere_cycle_lemma(sphere))
-                verdicts.append(manifold_mod.check_7cycle_fillings(sphere))
+                verdicts += manifold_mod._sphere_lemmas(
+                    sphere, manifold_mod._five_six_star_degrees(sphere))
         else:
-            verdicts.append(manifold_mod.check_sphere_cycle_lemma(X))
-            verdicts.append(manifold_mod.check_7cycle_fillings(X))
+            verdicts += manifold_mod._sphere_lemmas(X, manifold_mod.is_5_6_star_sphere(X))
     except CombCurvError as exc:
         verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
     return _emit(args, "lemmas", verdicts)

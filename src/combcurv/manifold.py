@@ -146,27 +146,69 @@ def _is_one_cycle(nbrs: dict) -> bool:
     return steps == len(nbrs)
 
 
-def _edge_link_graph(X: SimplicialComplex, e: tuple) -> dict:
-    """The link of an edge as vertex -> list of neighbours, read off the
-    cofaces of its endpoint with fewer: the third vertex of each triangle
-    on it is a link vertex, the opposite edge of each tetrahedron on it a
-    link edge."""
-    a, b = e
-    nbrs = {}
-    for t in min(X._cofaces[a], X._cofaces[b], key=len):
-        if len(t) > 2 and a in t and b in t:
-            rest = [u for u in t if u != a and u != b]
-            ns = nbrs.setdefault(rest[0], [])
-            if len(rest) == 2:
-                ns.append(rest[1])
-                nbrs.setdefault(rest[1], []).append(rest[0])
-    return nbrs
+def _edge_link_graphs(X: SimplicialComplex) -> dict:
+    """The link of every edge as vertex -> list of neighbours, in one pass
+    over the faces: each triangle puts its third vertex into the link of
+    each of its edges, each tetrahedron its opposite edge."""
+    links = {e: {} for e in X.simplices(1)}
+    for a, b, c in X.simplices(2):
+        links[(a, b)][c] = []
+        links[(a, c)][b] = []
+        links[(b, c)][a] = []
+    for t in X.simplices(3):
+        # the k-th edge of a tetrahedron in combinations order is opposite
+        # the k-th from the end
+        pairs = list(combinations(t, 2))
+        for e, (x, y) in zip(pairs, reversed(pairs)):
+            nbrs = links[e]
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+    return links
+
+
+def _check_surface_link(X: SimplicialComplex, v: int) -> None:
+    """Raise :class:`LinkNotSphere` unless the link of ``v``, known to be a
+    closed surface, is a 2-sphere: its edges {t - v : t a triangle at v}
+    must join all of N(v), and its Euler characteristic must be 2.  Both
+    are read off the cofaces of v."""
+    cofaces = X._cofaces[v]
+    nbrs = {u: [] for u in X.neighbors(v)}
+    triangles = 0
+    for t in cofaces:
+        if len(t) == 3:
+            i = t.index(v)
+            a, b = t[i - 1], t[i - 2]
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            triangles += 1
+    start = next(iter(nbrs))
+    seen, todo = {start}, [start]
+    while todo:
+        for u in nbrs[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    if len(seen) != len(nbrs):
+        raise LinkNotSphere(f"link of vertex {v}: not connected")
+    # the cofaces of v are its edges, triangles and tetrahedra
+    tetrahedra = len(cofaces) - len(nbrs) - triangles
+    chi = len(nbrs) - triangles + tetrahedra
+    if chi != 2:
+        raise LinkNotSphere(f"link of vertex {v}: Euler characteristic {chi} != 2")
 
 
 def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     """Pseudomanifold, edge-link and vertex-link checks plus the edge-degree
     census.  Raises :class:`NotPure` when a maximal simplex has dimension
-    below 3."""
+    below 3.
+
+    The edge links are read off the face sets in one pass.  Once every
+    edge link is a cycle, each vertex link is a closed surface: the link
+    of u in Lk(v) is Lk(vu).  Of the closed-surface checks only
+    connectivity and the Euler characteristic can then fail, and both are
+    read off the cofaces of v.  When some edge link is not a cycle, each
+    vertex link is built and checked by :func:`vertex_link_sphere`.
+    """
     maximal = X.maximal_simplices()
     if not maximal or any(len(s) != 4 for s in maximal):
         bad = next((s for s in maximal if len(s) != 4), None)
@@ -182,18 +224,20 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
                             detail=f"triangle {tri} lies in {c} tetrahedra")
             break
 
-    link_cycles = passed("edge_link_cycles", edges=len(X.simplices(1)))
-    for e in sorted(X.simplices(1)):
-        if not _is_one_cycle(_edge_link_graph(X, e)):
+    edge_links = _edge_link_graphs(X)
+    link_cycles = passed("edge_link_cycles", edges=len(edge_links))
+    for e in sorted(edge_links):
+        if not _is_one_cycle(edge_links[e]):
             link_cycles = failed("edge_link_cycles",
                                  {"kind": "edge_link", "edge": list(e)},
                                  detail=f"link of edge {e} is not a single cycle")
             break
 
     sphere_links = passed("vertex_links_spheres", vertices=len(X.simplices(0)))
+    check_link = _check_surface_link if link_cycles.passed else vertex_link_sphere
     for v in X.vertices:
         try:
-            vertex_link_sphere(X, v)
+            check_link(X, v)
         except LinkNotSphere as exc:
             sphere_links = failed("vertex_links_spheres",
                                   {"kind": "vertex_link", "vertex": v}, detail=str(exc))
@@ -233,6 +277,12 @@ def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     reason = _closed_surface_failure(Y)
     if reason is not None:
         raise NotASphere(reason)
+    return _five_six_star_degrees(Y)
+
+
+def _five_six_star_degrees(Y: SimplicialComplex) -> Verdict:
+    """The degree conditions of :func:`is_5_6_star_sphere`, on a complex
+    already known to be a closed triangulated 2-sphere."""
     for v in Y.vertices:
         if Y.degree(v) not in (5, 6):
             return failed("is_5_6_star_sphere",
@@ -280,9 +330,7 @@ class SoccerDual:
 
 def soccer_dual(Y: SimplicialComplex) -> SoccerDual:
     """Dual cellulation of a valid degree-5/6 sphere."""
-    v56 = is_5_6_star_sphere(Y)
-    if not v56.passed:
-        raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
+    _require_5_6_star(is_5_6_star_sphere(Y))
     tris = sorted(Y.simplices(2))
     edge_tris = defaultdict(list)
     vertex_tris = {v: [] for v in Y.vertices}
@@ -337,7 +385,19 @@ def find_7cycle_filling(Y: SimplicialComplex, cycle) -> FillingPair:
     raise NoFillingPair(f"no filling pair for 7-cycle {c}")
 
 
-@timed
+def _require_5_6_star(v56: Verdict) -> None:
+    if not v56.passed:
+        raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
+
+
+def _sphere_lemmas(Y: SimplicialComplex, v56: Verdict) -> list:
+    """The verdicts of :func:`check_sphere_cycle_lemma` and
+    :func:`check_7cycle_fillings` on ``Y``, whose 5/6* verdict ``v56`` the
+    caller has computed once for both."""
+    _require_5_6_star(v56)
+    return [_sphere_cycle_lemma(Y), _seven_cycle_fillings(Y)]
+
+
 def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     """No chordless 4-cycles, and every chordless 5- or 6-cycle is the rim
     of a wheel.
@@ -345,9 +405,12 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     A chordless cycle with a centre outside it and every cone triangle is a
     chordless cycle of the centre's link, and conversely, so the filled
     cycles are exactly the rims that ``wheels`` finds."""
-    v56 = is_5_6_star_sphere(Y)
-    if not v56.passed:
-        raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
+    _require_5_6_star(is_5_6_star_sphere(Y))
+    return _sphere_cycle_lemma(Y)
+
+
+@timed
+def _sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     quads = full_cycles(Y, 4, 4)
     if quads:
         return failed("sphere_cycle_lemma", quads[0],
@@ -363,12 +426,14 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     return passed("sphere_cycle_lemma", filled=filled, quads=0)
 
 
-@timed
 def check_7cycle_fillings(Y: SimplicialComplex) -> Verdict:
     """Run the filling-pair search over every chordless 7-cycle."""
-    v56 = is_5_6_star_sphere(Y)
-    if not v56.passed:
-        raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
+    _require_5_6_star(is_5_6_star_sphere(Y))
+    return _seven_cycle_fillings(Y)
+
+
+@timed
+def _seven_cycle_fillings(Y: SimplicialComplex) -> Verdict:
     sevens = full_cycles(Y, 7, 7)
     for cyc in sevens:
         try:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from combcurv import GeneratorSpec, generate, is_flag, is_locally_k_large
+from combcurv import GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large
 from combcurv.formats import load_path
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -13,6 +13,22 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 def gen(name, *params):
     return generate(GeneratorSpec(name, tuple(params)))
+
+
+def suspended_torus():
+    """The suspension of ``tri_torus(4, 4)``, poles 16 and 17: every
+    triangle lies on two tetrahedra and every edge link is a cycle, but the
+    links of the poles are tori (Euler characteristic 0)."""
+    torus = gen("tri_torus", 4, 4)
+    poles = (torus.vertex_count, torus.vertex_count + 1)
+    return build_complex([t + (p,) for t in torus.simplices(2) for p in poles])
+
+
+def bd4_pair_at_vertex():
+    """Two boundaries of the 4-simplex sharing vertex 0 only: every edge
+    link is a triangle, but the link of vertex 0 is two disjoint spheres."""
+    tets = sorted(gen("boundary_4_simplex").simplices(3))
+    return build_complex(tets + [[v and v + 4 for v in t] for t in tets])
 
 
 @pytest.fixture(scope="session")

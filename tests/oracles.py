@@ -3,7 +3,8 @@
 These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
 largeness tests the link of every simplex, edge links are complexes
-tested for one cycle by a BFS, cycles are found by plain DFS
+tested for one cycle by a BFS, vertex links are complexes put through
+every closed-surface check, cycles are found by plain DFS
 over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
@@ -19,7 +20,7 @@ from itertools import combinations, permutations
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle, is_flag
 from combcurv.curvature import DWheel, is_k_large
 from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
-from combcurv.manifold import FillingPair
+from combcurv.manifold import FillingPair, _closed_surface_failure
 from combcurv.metric import distances_from, interval
 from combcurv.verdicts import failed, passed
 
@@ -81,6 +82,19 @@ def naive_edge_link_cycles(X):
             return failed("edge_link_cycles", {"kind": "edge_link", "edge": list(e)},
                           detail=f"link of edge {e} is not a single cycle")
     return passed("edge_link_cycles", edges=len(X.simplices(1)))
+
+
+def naive_vertex_links_spheres(X):
+    """The vertex-link stage of ``validate_closed_3manifold`` as first
+    written: one link complex per vertex, in vertex order, put through
+    every closed-surface check of the sphere condition."""
+    for v in X.vertices:
+        link, _ = naive_link(X, (v,))
+        reason = _closed_surface_failure(link)
+        if reason is not None:
+            return failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
+                          detail=f"link of vertex {v}: {reason}")
+    return passed("vertex_links_spheres", vertices=len(X.simplices(0)))
 
 
 def naive_is_locally_k_large(X, k):

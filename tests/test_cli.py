@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import combcurv
+from combcurv import manifold
 from combcurv.cli import HANDLERS, main
+from combcurv.errors import PreconditionNotMet
+from combcurv.formats import load_path
+from combcurv.verdicts import passed
 
 
 @pytest.fixture()
@@ -183,6 +187,32 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     code = main(["lemmas", files["boundary_4_simplex"]])
     assert code == 1
     assert "precondition" in capsys.readouterr().out
+
+
+def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
+    surface_checks = []
+    check = manifold._closed_surface_failure
+    monkeypatch.setattr(manifold, "_closed_surface_failure",
+                        lambda Y: surface_checks.append(Y) or check(Y))
+    # a sphere: one closed-surface check, the verdicts of the public checks
+    assert main(["--json", "lemmas", files["s2"]]) == 0
+    got = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(surface_checks) == 1
+    Y = load_path(files["s2"]).complex
+    assert got == [manifold.check_sphere_cycle_lemma(Y).to_json(),
+                   manifold.check_7cycle_fillings(Y).to_json()]
+    # a 3-manifold past its wheel check: the closed-surface check of the
+    # first vertex link is the one vertex_link_sphere makes
+    surface_checks.clear()
+    monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
+    assert main(["--json", "lemmas", files["boundary_4_simplex"]]) == 1
+    got = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(surface_checks) == 1
+    bd4 = load_path(files["boundary_4_simplex"]).complex
+    with pytest.raises(PreconditionNotMet) as exc:
+        manifold.check_sphere_cycle_lemma(manifold.vertex_link_sphere(bd4, 0)[0])
+    assert got[1]["detail"] == str(exc.value) == \
+        "precondition not met: is_5_6_star_sphere (vertex 0 has degree 3)"
 
 
 # malformed JSON types, and generator parameters that are not integers or

@@ -12,7 +12,9 @@ wheel and neighbourhood primitives, and the ``delta`` cases and the 600-cell
 constant was pruned to far-apart pairs (the 600-cell file then written from
 the identical construction, before ``gen cell600`` existed), and the
 radius-5 ``cover`` cases before geodesic intervals were walked down from
-the base row alone; regenerate them only for a change that is meant to
+the base row alone, and the ``validate`` and ``theorem-b`` cases of the two
+built inputs before the vertex-link stage read its links off the coface
+index; regenerate them only for a change that is meant to
 alter the output.
 """
 
@@ -21,8 +23,9 @@ import hashlib
 import pytest
 
 from combcurv.cli import main
+from combcurv.formats import dump_path
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, bd4_pair_at_vertex, suspended_torus
 
 GENERATED = {
     "icosahedron": ["icosahedron"],
@@ -34,6 +37,12 @@ GENERATED = {
     "rf15_11": ["random_flag", "15", "0.35", "11"],
     "rf15_12": ["random_flag", "15", "0.35", "12"],
     "cell600": ["cell600"],
+}
+
+# built, then written as files: each fails the vertex-link stage only
+BUILT = {
+    "susp_torus44": suspended_torus,
+    "bd4_pair": bd4_pair_at_vertex,
 }
 
 COMMANDS = {
@@ -135,6 +144,11 @@ GOLDEN = [
     # interior thinness over hundreds of intervals per ball
     ("surf37_psl2_7", "cover5", 0, "5744866ae51e6fc7e5b46f1fe182e992e5469c01152e591e3036938d84d0a5c7"),
     ("torus66", "cover5", 0, "47b839f9990cdadc3dc93ef1e1bb9e13249e27e7a7a99e7765dfc74ca7d3b576"),
+    # the link of a pole is a torus; the link of the shared vertex is two spheres
+    ("susp_torus44", "validate", 1, "1ca546547de581891f16f76aba2917da6bc7eef753576a63c1f5aaca1e5e5b07"),
+    ("susp_torus44", "theorem-b", 1, "a0c64ba5e9c054b042480c008cf7206208543e1f48e0d0c34b3637f65c7c54d7"),
+    ("bd4_pair", "validate", 1, "836085fcdd6e970891dcc2a12ea259a96f6fb5a905e527611c129c43eaeb7aa1"),
+    ("bd4_pair", "theorem-b", 1, "a9bf67a3a4db2f2622162c197412690579366124d6788777dcc190493e8c70fe"),
 ]
 
 
@@ -146,6 +160,9 @@ def inputs(tmp_path_factory):
     for name, spec in GENERATED.items():
         paths[name] = work / f"{name}.cplx"
         assert main(["gen", *spec, "-o", str(paths[name])]) == 0
+    for name, build in BUILT.items():
+        paths[name] = work / f"{name}.cplx"
+        dump_path(build(), paths[name])
     return paths
 
 

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from combcurv import build_complex
-from combcurv.complexes import full_cycles
+from combcurv import build_complex, manifold
+from combcurv.complexes import SimplicialComplex, full_cycles
 from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
@@ -24,8 +24,13 @@ from combcurv.manifold import (
     vertex_link_sphere,
 )
 
-from conftest import gen
-from oracles import naive_edge_link_cycles, naive_find_7cycle_filling, naive_rim_filled
+from conftest import bd4_pair_at_vertex, gen, suspended_torus
+from oracles import (
+    naive_edge_link_cycles,
+    naive_find_7cycle_filling,
+    naive_rim_filled,
+    naive_vertex_links_spheres,
+)
 
 
 def flip_edge(Y, u, v):
@@ -83,39 +88,85 @@ class TestValidate:
         assert doc["edge_degrees"]["0-1"] == 3
 
     def test_edge_link_stage_matches_link_complexes(self, bd4):
-        # two boundaries of the 4-simplex sharing only the edge 0-1: every
-        # triangle still lies on two tetrahedra, but that edge's link is two
-        # triangles
-        second = {v: v if v < 2 else v + 3 for v in range(5)}
-        glued = build_complex(list(bd4.simplices(3))
-                              + [[second[v] for v in t] for t in bd4.simplices(3)])
-        inputs = [bd4, gen("cell600"), glued, build_complex([[0, 1, 2, 3]]),
-                  build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])]
-        rng = random.Random(2003)
-        for i in range(30):
-            if i % 2:
-                ids = rng.sample(range(12), rng.randint(5, 9))
-                tets = [rng.sample(ids, 4) for _ in range(rng.randint(2, 12))]
-            else:
-                # two randomly placed copies of bd4, sometimes less a tetrahedron
-                tets = []
-                for _ in range(2):
-                    place = rng.sample(range(12), 5)
-                    tets += [[place[v] for v in t] for t in bd4.simplices(3)]
-                if rng.random() < 0.3:
-                    tets.pop(rng.randrange(len(tets)))
-            inputs.append(build_complex(tets))
         statuses, later = set(), 0
-        for X in inputs:
+        for X in link_stage_inputs(bd4):
             got = validate_closed_3manifold(X).edge_link_cycles.to_json()
             assert got == naive_edge_link_cycles(X).to_json(), sorted(X.simplices(3))
             statuses.add(got["status"])
             later += bool(got["witness"]) and tuple(got["witness"]["edge"]) != min(X.simplices(1))
-        glued_report = validate_closed_3manifold(glued)
+        glued_report = validate_closed_3manifold(bd4_pair_at_edge(bd4))
         assert glued_report.is_pseudomanifold.passed
         assert glued_report.edge_link_cycles.witness["edge"] == [0, 1]
         # both outcomes, and first failures past the smallest edge
         assert statuses == {"pass", "fail"} and later >= 5, (statuses, later)
+
+    def test_vertex_link_stage_matches_link_complexes(self, bd4):
+        inputs = link_stage_inputs(bd4) + [suspended_torus(), bd4_pair_at_vertex()]
+        fast, fallback = set(), 0
+        for X in inputs:
+            report = validate_closed_3manifold(X)
+            got = report.vertex_links_spheres.to_json()
+            assert got == naive_vertex_links_spheres(X).to_json(), sorted(X.simplices(3))
+            if report.edge_link_cycles.passed:
+                fast.add(got["detail"].partition(": ")[2])
+            else:
+                fallback += 1
+        # the two reasons the coface path can give, and links built after
+        # a failed edge stage
+        assert {"not connected", "Euler characteristic 0 != 2"} <= fast, fast
+        assert fallback >= 5, fallback
+
+    def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
+        calls = {"link": 0, "vertex_link_sphere": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SimplicialComplex, "link",
+                            counted("link", SimplicialComplex.link))
+        monkeypatch.setattr(manifold, "vertex_link_sphere",
+                            counted("vertex_link_sphere", manifold.vertex_link_sphere))
+        for X in (gen("cell600"), bd4):
+            assert validate_closed_3manifold(X).is_closed_manifold
+        assert calls == {"link": 0, "vertex_link_sphere": 0}
+        # the counters see the links built when an edge link is no cycle
+        validate_closed_3manifold(bd4_pair_at_edge(bd4))
+        assert calls["link"] == calls["vertex_link_sphere"] == 1, calls
+
+
+def bd4_pair_at_edge(bd4):
+    """Two boundaries of the 4-simplex sharing only the edge 0-1: every
+    triangle still lies on two tetrahedra, but that edge's link is two
+    triangles."""
+    second = {v: v if v < 2 else v + 3 for v in range(5)}
+    return build_complex(list(bd4.simplices(3))
+                         + [[second[v] for v in t] for t in bd4.simplices(3)])
+
+
+def link_stage_inputs(bd4):
+    """Small 3-complexes for the link stages of ``validate_closed_3manifold``:
+    closed manifolds, complexes that fail at the edge or pseudomanifold
+    stage, and random tetrahedron soups."""
+    inputs = [bd4, gen("cell600"), bd4_pair_at_edge(bd4), build_complex([[0, 1, 2, 3]]),
+              build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])]
+    rng = random.Random(2003)
+    for i in range(30):
+        if i % 2:
+            ids = rng.sample(range(12), rng.randint(5, 9))
+            tets = [rng.sample(ids, 4) for _ in range(rng.randint(2, 12))]
+        else:
+            # two randomly placed copies of bd4, sometimes less a tetrahedron
+            tets = []
+            for _ in range(2):
+                place = rng.sample(range(12), 5)
+                tets += [[place[v] for v in t] for t in bd4.simplices(3)]
+            if rng.random() < 0.3:
+                tets.pop(rng.randrange(len(tets)))
+        inputs.append(build_complex(tets))
+    return inputs
 
 
 class TestVertexLinks:
