@@ -15,13 +15,38 @@ def gen(name, *params):
     return generate(GeneratorSpec(name, tuple(params)))
 
 
+def suspension(Y):
+    """The suspension of a 2-complex, poles ``Y.vertex_count`` and the id
+    after it: each triangle of Y coned from both poles."""
+    poles = (Y.vertex_count, Y.vertex_count + 1)
+    return build_complex([t + (p,) for t in Y.simplices(2) for p in poles])
+
+
 def suspended_torus():
     """The suspension of ``tri_torus(4, 4)``, poles 16 and 17: every
     triangle lies on two tetrahedra and every edge link is a cycle, but the
     links of the poles are tori (Euler characteristic 0)."""
-    torus = gen("tri_torus", 4, 4)
-    poles = (torus.vertex_count, torus.vertex_count + 1)
-    return build_complex([t + (p,) for t in torus.simplices(2) for p in poles])
+    return suspension(gen("tri_torus", 4, 4))
+
+
+def pinched_pair(tris, poles):
+    """Two copies of a sphere glued at two non-adjacent vertices ``poles``:
+    every edge on two triangles, connected, Euler characteristic 2, yet
+    not a sphere."""
+    top = max(v for t in tris for v in t)
+    copy = {v: v if v in poles else v + top + 1 for t in tris for v in t}
+    return build_complex(list(tris) + [[copy[v] for v in t] for t in tris])
+
+
+def pinched_octahedra():
+    return pinched_pair(sorted(gen("octahedron").simplices(2)), (0, 5))
+
+
+def suspended_pinched_octahedra():
+    """The suspension of ``pinched_octahedra()``, poles 11 and 12: every
+    triangle lies on two tetrahedra, but the link of vertex 0 is the
+    suspension of two disjoint 4-cycles, whose poles are pinch points."""
+    return suspension(pinched_octahedra())
 
 
 def bd4_pair_at_vertex():
@@ -29,6 +54,22 @@ def bd4_pair_at_vertex():
     link is a triangle, but the link of vertex 0 is two disjoint spheres."""
     tets = sorted(gen("boundary_4_simplex").simplices(3))
     return build_complex(tets + [[v and v + 4 for v in t] for t in tets])
+
+
+def bd4_pair_at_edge():
+    """Two boundaries of the 4-simplex sharing only the edge 0-1: every
+    triangle still lies on two tetrahedra, but that edge's link is two
+    triangles, and the link of vertex 0 is two spheres sharing a vertex
+    (Euler characteristic 3)."""
+    tets = gen("boundary_4_simplex").simplices(3)
+    second = {v: v if v < 2 else v + 3 for v in range(5)}
+    return build_complex(list(tets) + [[second[v] for v in t] for t in tets])
+
+
+def glued_tetrahedra():
+    """Two tetrahedra sharing the triangle 1-2-3: the link of vertex 0 is
+    one triangle, whose edges lie on one triangle each."""
+    return build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])
 
 
 @pytest.fixture(scope="session")

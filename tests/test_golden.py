@@ -14,18 +14,32 @@ the identical construction, before ``gen cell600`` existed), and the
 radius-5 ``cover`` cases before geodesic intervals were walked down from
 the base row alone, and the ``validate`` and ``theorem-b`` cases of the two
 built inputs before the vertex-link stage read its links off the coface
-index; regenerate them only for a change that is meant to
-alter the output.
+index, and the ``validate`` cases of the three inputs that fail the
+edge-link stage before the vertex-link stage stopped building link
+complexes after that failure; regenerate them only for a change that is
+meant to alter the output.
 """
 
+import argparse
 import hashlib
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from combcurv.cli import main
 from combcurv.formats import dump_path
 
-from conftest import FIXTURE_DIR, bd4_pair_at_vertex, suspended_torus
+from conftest import (
+    FIXTURE_DIR,
+    bd4_pair_at_edge,
+    bd4_pair_at_vertex,
+    glued_tetrahedra,
+    suspended_pinched_octahedra,
+    suspended_torus,
+)
 
 GENERATED = {
     "icosahedron": ["icosahedron"],
@@ -39,10 +53,14 @@ GENERATED = {
     "cell600": ["cell600"],
 }
 
-# built, then written as files: each fails the vertex-link stage only
+# built, then written as files: the first two fail the vertex-link stage
+# only, the other three the edge-link stage as well
 BUILT = {
     "susp_torus44": suspended_torus,
     "bd4_pair": bd4_pair_at_vertex,
+    "susp_pinched_octahedra": suspended_pinched_octahedra,
+    "bd4_pair_edge": bd4_pair_at_edge,
+    "glued_tetrahedra": glued_tetrahedra,
 }
 
 COMMANDS = {
@@ -149,13 +167,18 @@ GOLDEN = [
     ("susp_torus44", "theorem-b", 1, "a0c64ba5e9c054b042480c008cf7206208543e1f48e0d0c34b3637f65c7c54d7"),
     ("bd4_pair", "validate", 1, "836085fcdd6e970891dcc2a12ea259a96f6fb5a905e527611c129c43eaeb7aa1"),
     ("bd4_pair", "theorem-b", 1, "a9bf67a3a4db2f2622162c197412690579366124d6788777dcc190493e8c70fe"),
+    # past a failed edge-link stage: a pinched link, a link of Euler
+    # characteristic 3, and a link edge on one triangle
+    ("susp_pinched_octahedra", "validate", 1, "adc95b181a6b6c0bf2fe07b308b1721f7c0d3121f019961c290593f318dcdfe6"),
+    ("bd4_pair_edge", "validate", 1, "68cbcd243aa66b2f706ad9f9bf1dd21c1e42f9657de11800f0c664076cdb6aba"),
+    ("glued_tetrahedra", "validate", 1, "5a206c11ac9beea23689bceef66ffbf1d57c165c696f09d3515e188bdcbbca4c"),
 ]
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    # file stems become complex names, so they are fixed here
-    work = tmp_path_factory.mktemp("golden")
+def write_inputs(work: Path) -> dict:
+    """Write the generated and built inputs under ``work``; return the path
+    of every input by name.  File stems become complex names, so they are
+    fixed here."""
     paths = {name: FIXTURE_DIR / f"{name}.cplx" for name in ("disk37_r3", "surf37_psl2_7")}
     for name, spec in GENERATED.items():
         paths[name] = work / f"{name}.cplx"
@@ -166,10 +189,35 @@ def inputs(tmp_path_factory):
     return paths
 
 
+def run(paths, name, command):
+    """Exit code and stdout digest of ``combcurv --json`` on one input."""
+    argv = COMMANDS[command] + ([str(FAR[name])] if command == "metric" else [])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--json", *argv, str(paths[name])])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("name,command,code,digest", GOLDEN,
                          ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN])
-def test_json_output_is_byte_identical(inputs, capsys, name, command, code, digest):
-    argv = COMMANDS[command] + ([str(FAR[name])] if command == "metric" else [])
-    assert main(["--json", *argv, str(inputs[name])]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_json_output_is_byte_identical(inputs, name, command, code, digest):
+    assert run(inputs, name, command) == (code, digest)
+
+
+if __name__ == "__main__":
+    # print GOLDEN rows for the given inputs and commands, e.g.
+    #   PYTHONPATH=src python tests/test_golden.py --names bd4_pair --commands validate
+    parser = argparse.ArgumentParser(description="record golden digests")
+    parser.add_argument("--names", nargs="+", required=True)
+    parser.add_argument("--commands", nargs="+", required=True, choices=sorted(COMMANDS))
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_inputs(Path(work))
+        for name in args.names:
+            for command in args.commands:
+                print(f"    {(name, command, *run(paths, name, command))!r},")

@@ -24,7 +24,14 @@ from combcurv.manifold import (
     vertex_link_sphere,
 )
 
-from conftest import bd4_pair_at_vertex, gen, suspended_torus
+from conftest import (
+    bd4_pair_at_edge,
+    bd4_pair_at_vertex,
+    gen,
+    pinched_octahedra,
+    pinched_pair,
+    suspended_torus,
+)
 from oracles import (
     naive_edge_link_cycles,
     naive_find_7cycle_filling,
@@ -42,19 +49,6 @@ def flip_edge(Y, u, v):
     keep.append((apexes[0], apexes[1], u))
     keep.append((apexes[0], apexes[1], v))
     return build_complex(keep)
-
-
-def pinched_pair(tris, poles):
-    """Two copies of a sphere glued at two non-adjacent vertices ``poles``:
-    every edge on two triangles, connected, Euler characteristic 2, yet
-    not a sphere."""
-    top = max(v for t in tris for v in t)
-    copy = {v: v if v in poles else v + top + 1 for t in tris for v in t}
-    return build_complex(list(tris) + [[copy[v] for v in t] for t in tris])
-
-
-def pinched_octahedra():
-    return pinched_pair(sorted(gen("octahedron").simplices(2)), (0, 5))
 
 
 # the triangular bipyramid: apexes 0 and 4 of degree 3 around the equator 1 2 3
@@ -94,7 +88,7 @@ class TestValidate:
             assert got == naive_edge_link_cycles(X).to_json(), sorted(X.simplices(3))
             statuses.add(got["status"])
             later += bool(got["witness"]) and tuple(got["witness"]["edge"]) != min(X.simplices(1))
-        glued_report = validate_closed_3manifold(bd4_pair_at_edge(bd4))
+        glued_report = validate_closed_3manifold(bd4_pair_at_edge())
         assert glued_report.is_pseudomanifold.passed
         assert glued_report.edge_link_cycles.witness["edge"] == [0, 1]
         # both outcomes, and first failures past the smallest edge
@@ -133,24 +127,15 @@ class TestValidate:
             assert validate_closed_3manifold(X).is_closed_manifold
         assert calls == {"link": 0, "vertex_link_sphere": 0}
         # the counters see the links built when an edge link is no cycle
-        validate_closed_3manifold(bd4_pair_at_edge(bd4))
+        validate_closed_3manifold(bd4_pair_at_edge())
         assert calls["link"] == calls["vertex_link_sphere"] == 1, calls
-
-
-def bd4_pair_at_edge(bd4):
-    """Two boundaries of the 4-simplex sharing only the edge 0-1: every
-    triangle still lies on two tetrahedra, but that edge's link is two
-    triangles."""
-    second = {v: v if v < 2 else v + 3 for v in range(5)}
-    return build_complex(list(bd4.simplices(3))
-                         + [[second[v] for v in t] for t in bd4.simplices(3)])
 
 
 def link_stage_inputs(bd4):
     """Small 3-complexes for the link stages of ``validate_closed_3manifold``:
     closed manifolds, complexes that fail at the edge or pseudomanifold
     stage, and random tetrahedron soups."""
-    inputs = [bd4, gen("cell600"), bd4_pair_at_edge(bd4), build_complex([[0, 1, 2, 3]]),
+    inputs = [bd4, gen("cell600"), bd4_pair_at_edge(), build_complex([[0, 1, 2, 3]]),
               build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])]
     rng = random.Random(2003)
     for i in range(30):
