@@ -24,7 +24,7 @@ from .curvature import is_locally_k_large, is_m_located
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
-from .metric import check_sd_prime, delta_four_point, interval, interval_thinness
+from .metric import DELTA_VERTEX_CAP, _thinness, check_sd_prime, delta_four_point, interval
 from .verdicts import Verdict, failed
 
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", type=int)
     sp.add_argument("--other", type=int)
     sp.add_argument("--delta", action="store_true", help="four-point constant")
-    sp.add_argument("--delta-cap", type=int, default=200)
+    sp.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP)
 
     sp = sub.add_parser("cover", help="build a universal-cover ball")
     sp.add_argument("path")
@@ -157,9 +157,9 @@ def cmd_metric(args):
         out["delta"] = delta_four_point(X, cap=args.delta_cap)
     if args.base is not None:
         itv = interval(X, args.base, args.other)
-        thin, pair = interval_thinness(X, args.base, args.other)
         out["distance"] = itv.n
         out["layers"] = [sorted(layer) for layer in itv.layers]
+        thin, pair = _thinness(X, out["layers"])
         out["thinness"] = thin
         out["thinness_pair"] = list(pair) if pair else None
     if not out:

@@ -19,7 +19,6 @@ from typing import Optional
 from .complexes import SimplicialComplex, full_cycles, is_flag
 from .curvature import dwheels, is_locally_k_large, is_m_located, wheels
 from .errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
-from .metric import distances_from
 from .verdicts import Verdict, failed, passed, timed
 
 ALLOWED_DWHEEL_TYPES = {(5, 5), (6, 5), (6, 6), (7, 5)}
@@ -91,14 +90,6 @@ def five_six_star_verdict(X: SimplicialComplex, degrees: Optional[dict] = None) 
     return passed("five_six_star", edges=len(degrees))
 
 
-def _connected(Y: SimplicialComplex) -> bool:
-    verts = Y.vertices
-    if not verts:
-        return False
-    d = distances_from(Y, verts[0])
-    return all(d[v] != float("inf") for v in verts)
-
-
 def _closed_surface_failure(Y: SimplicialComplex):
     """Reason the complex is not a closed triangulated 2-sphere, or None."""
     if Y.dimension() != 2:
@@ -109,27 +100,43 @@ def _closed_surface_failure(Y: SimplicialComplex):
     for e, c in sorted(_incidences(Y, 1, 2).items()):
         if c != 2:
             return f"edge {e} lies in {c} triangles"
-    if not _connected(Y):
+    if not _is_connected({v: Y.neighbors(v) for v in Y.vertices}):
         return "not connected"
     if Y.euler_characteristic() != 2:
         return f"Euler characteristic {Y.euler_characteristic()} != 2"
     # two spheres pinched at vertices pass every count above; a surface has
-    # each vertex's triangles close into one cycle, read off its cofaces.
-    # As every edge lies on two triangles, the rim of v is a union of cycles
-    # of length >= 3 through all its neighbours: one cycle below degree 6.
+    # each vertex's triangles close into one cycle.  As every edge lies on
+    # two triangles, the rim of v is a union of cycles of length >= 3
+    # through all its neighbours: one cycle below degree 6.
     for v in Y.vertices:
-        if Y.degree(v) < 6:
-            continue
-        rim = {}
-        for t in Y._cofaces[v]:
-            if len(t) == 3:
-                i = t.index(v)
-                a, b = t[i - 1], t[i - 2]
-                rim.setdefault(a, []).append(b)
-                rim.setdefault(b, []).append(a)
-        if not _is_one_cycle(rim):
+        if Y.degree(v) >= 6 and not _is_one_cycle(_link_graph(Y, v)):
             return f"triangles at vertex {v} do not close into one cycle"
     return None
+
+
+def _link_graph(X: SimplicialComplex, v: int) -> dict:
+    """The 1-skeleton of the link of ``v`` as vertex -> list of neighbours,
+    read off the cofaces of v: each triangle t at v gives the edge t - v."""
+    nbrs = {u: [] for u in X.neighbors(v)}
+    for t in X._cofaces[v]:
+        if len(t) == 3:
+            i = t.index(v)
+            a, b = t[i - 1], t[i - 2]
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    return nbrs
+
+
+def _is_connected(nbrs) -> bool:
+    """Whether a non-empty graph, given as vertex -> neighbours, is connected."""
+    start = next(iter(nbrs))
+    seen, todo = {start}, [start]
+    while todo:
+        for u in nbrs[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == len(nbrs)
 
 
 def _is_one_cycle(nbrs: dict) -> bool:
@@ -166,35 +173,30 @@ def _edge_link_graphs(X: SimplicialComplex) -> dict:
     return links
 
 
-def _check_surface_link(X: SimplicialComplex, v: int) -> None:
-    """Raise :class:`LinkNotSphere` unless the link of ``v``, known to be a
-    closed surface, is a 2-sphere: its edges {t - v : t a triangle at v}
-    must join all of N(v), and its Euler characteristic must be 2.  Both
-    are read off the cofaces of v."""
-    cofaces = X._cofaces[v]
-    nbrs = {u: [] for u in X.neighbors(v)}
-    triangles = 0
-    for t in cofaces:
-        if len(t) == 3:
-            i = t.index(v)
-            a, b = t[i - 1], t[i - 2]
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-            triangles += 1
-    start = next(iter(nbrs))
-    seen, todo = {start}, [start]
-    while todo:
-        for u in nbrs[todo.pop()]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    if len(seen) != len(nbrs):
-        raise LinkNotSphere(f"link of vertex {v}: not connected")
-    # the cofaces of v are its edges, triangles and tetrahedra
-    tetrahedra = len(cofaces) - len(nbrs) - triangles
-    chi = len(nbrs) - triangles + tetrahedra
+def _vertex_link_failure(X: SimplicialComplex, v: int, links: dict):
+    """:func:`_closed_surface_failure` of the link of ``v`` in the pure
+    3-complex ``X``, read off the cofaces of v and the edge links ``links``,
+    with link vertices named by rank in sorted N(v).  Purity makes the link
+    pure of dimension 2; the link edge ab lies on as many link triangles as
+    vab on tetrahedra, and the rim of u in the link is the link of vu."""
+    nbrs = _link_graph(X, v)
+    rims = {u: links[(v, u) if v < u else (u, v)] for u in nbrs}
+    off = [(a, b) for a in nbrs for b in nbrs[a] if a < b and len(rims[a][b]) != 2]
+    if off:
+        a, b = min(off)
+        ids = sorted(nbrs)
+        return f"edge {(ids.index(a), ids.index(b))} lies in {len(rims[a][b])} triangles"
+    if not _is_connected(nbrs):
+        return "not connected"
+    # the cofaces of v are its edges, triangles and tetrahedra, and each
+    # triangle gives two neighbour entries: chi = cofaces - 2 triangles
+    chi = len(X._cofaces[v]) - sum(map(len, nbrs.values()))
     if chi != 2:
-        raise LinkNotSphere(f"link of vertex {v}: Euler characteristic {chi} != 2")
+        return f"Euler characteristic {chi} != 2"
+    pinch = [u for u in nbrs if len(nbrs[u]) >= 6 and not _is_one_cycle(rims[u])]
+    if pinch:
+        return f"triangles at vertex {sorted(nbrs).index(min(pinch))} do not close into one cycle"
+    return None
 
 
 def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
@@ -202,12 +204,11 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     census.  Raises :class:`NotPure` when a maximal simplex has dimension
     below 3.
 
-    The edge links are read off the face sets in one pass.  Once every
-    edge link is a cycle, each vertex link is a closed surface: the link
-    of u in Lk(v) is Lk(vu).  Of the closed-surface checks only
-    connectivity and the Euler characteristic can then fail, and both are
-    read off the cofaces of v.  When some edge link is not a cycle, each
-    vertex link is built and checked by :func:`vertex_link_sphere`.
+    Every stage reads the edge links of :func:`_edge_link_graphs`, one pass
+    over the faces: the triangle abc lies on as many tetrahedra as c has
+    neighbours in the link of ab, and the edge e on as many as its link has
+    edges.  Each vertex link is decided by :func:`_vertex_link_failure`, on
+    every input, with no link complex built.
     """
     maximal = X.maximal_simplices()
     if not maximal or any(len(s) != 4 for s in maximal):
@@ -215,35 +216,32 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
         raise NotPure(f"maximal simplex {bad} has dimension below 3"
                       if bad else "complex has no tetrahedra")
 
-    tets_per_tri = _incidences(X, 2, 3)
-    pseudo = passed("pseudomanifold", triangles=len(tets_per_tri))
-    for tri, c in sorted(tets_per_tri.items()):
-        if c != 2:
-            pseudo = failed("pseudomanifold",
-                            {"kind": "triangle_tetra_count", "triangle": list(tri), "count": c},
-                            detail=f"triangle {tri} lies in {c} tetrahedra")
-            break
+    links = _edge_link_graphs(X)
+    off = [(t, c) for t in X.simplices(2) if (c := len(links[t[:2]][t[2]])) != 2]
+    pseudo = passed("pseudomanifold", triangles=len(X.simplices(2)))
+    if off:
+        tri, c = min(off)
+        pseudo = failed("pseudomanifold",
+                        {"kind": "triangle_tetra_count", "triangle": list(tri), "count": c},
+                        detail=f"triangle {tri} lies in {c} tetrahedra")
 
-    edge_links = _edge_link_graphs(X)
-    link_cycles = passed("edge_link_cycles", edges=len(edge_links))
-    for e in sorted(edge_links):
-        if not _is_one_cycle(edge_links[e]):
+    link_cycles = passed("edge_link_cycles", edges=len(links))
+    for e in sorted(links):
+        if not _is_one_cycle(links[e]):
             link_cycles = failed("edge_link_cycles",
                                  {"kind": "edge_link", "edge": list(e)},
                                  detail=f"link of edge {e} is not a single cycle")
             break
 
     sphere_links = passed("vertex_links_spheres", vertices=len(X.simplices(0)))
-    check_link = _check_surface_link if link_cycles.passed else vertex_link_sphere
     for v in X.vertices:
-        try:
-            check_link(X, v)
-        except LinkNotSphere as exc:
-            sphere_links = failed("vertex_links_spheres",
-                                  {"kind": "vertex_link", "vertex": v}, detail=str(exc))
+        reason = _vertex_link_failure(X, v, links)
+        if reason is not None:
+            sphere_links = failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
+                                  detail=f"link of vertex {v}: {reason}")
             break
 
-    degrees = edge_degrees(X)
+    degrees = {e: sum(map(len, nbrs.values())) // 2 for e, nbrs in links.items()}
     return ManifoldReport(
         is_pseudomanifold=pseudo,
         edge_link_cycles=link_cycles,

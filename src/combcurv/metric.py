@@ -100,25 +100,25 @@ def interval_thinness(X: SimplicialComplex, o: int, *targets):
 
     Returns ``(thinness, witness_pair)``: the witness is the first pair that
     reaches the maximum, in target, layer and sorted-pair order (None when
-    no layer has two vertices).  Each distance row is computed once and
-    kept only for this call.
+    no layer has two vertices).
     """
+    do = distances_from(X, o)
+    return _thinness(X, (layer for o2 in targets for layer in _layers(do, X, o, o2)))
+
+
+def _thinness(X: SimplicialComplex, layers):
+    """Maximum distance between two vertices of one of the sorted
+    ``layers``, and the first pair that reaches it.  Each distance row is
+    computed once and kept only for this call."""
     rows = {}
-
-    def row(v):
-        if v not in rows:
-            rows[v] = distances_from(X, v)
-        return rows[v]
-
-    best = 0
-    witness = None
-    for o2 in targets:
-        for layer in _layers(row(o), X, o, o2):
-            for u, v in combinations(layer, 2):
-                d = row(u)[v]
-                if d > best:
-                    best = d
-                    witness = (u, v)
+    best, witness = 0, None
+    for layer in layers:
+        for u, v in combinations(layer, 2):
+            if u not in rows:
+                rows[u] = distances_from(X, u)
+            d = rows[u][v]
+            if d > best:
+                best, witness = d, (u, v)
     return best, witness
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's optimized code paths: links, spans
 and maximal simplices come from full scans of every stored face, local
-largeness tests the link of every simplex, edge links are complexes
-tested for one cycle by a BFS, vertex links are complexes put through
-every closed-surface check, cycles are found by plain DFS
+largeness tests the link of every simplex, the tetrahedra on each triangle
+and edge are counted by a scan of every tetrahedron, edge links are
+complexes tested for one cycle by a BFS, vertex links are complexes put
+through every closed-surface check, cycles are found by plain DFS
 over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
@@ -66,6 +67,29 @@ def naive_link(X, simplex):
     for tau in members:
         faces[len(tau) - 1].append(tuple(back[v] for v in tau))
     return SimplicialComplex(len(vertex_map), faces), vertex_map
+
+
+def _tetrahedra_on(X, face):
+    return sum(1 for t in X.simplices(3) if set(face) <= set(t))
+
+
+def naive_pseudomanifold(X):
+    """The pseudomanifold stage of ``validate_closed_3manifold``: the first
+    triangle, in sorted order, that does not lie on exactly two tetrahedra,
+    each count a scan of every tetrahedron."""
+    for tri in sorted(X.simplices(2)):
+        c = _tetrahedra_on(X, tri)
+        if c != 2:
+            return failed("pseudomanifold",
+                          {"kind": "triangle_tetra_count", "triangle": list(tri), "count": c},
+                          detail=f"triangle {tri} lies in {c} tetrahedra")
+    return passed("pseudomanifold", triangles=len(X.simplices(2)))
+
+
+def naive_edge_degrees(X):
+    """The number of tetrahedra on each edge, each a scan of every
+    tetrahedron."""
+    return {e: _tetrahedra_on(X, e) for e in X.simplices(1)}
 
 
 def naive_edge_link_cycles(X):

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shape, file handling."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 
 import combcurv
 from combcurv import manifold
-from combcurv.cli import HANDLERS, main
+from combcurv.cli import HANDLERS, build_parser, main
 from combcurv.errors import PreconditionNotMet
 from combcurv.formats import load_path
+from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
 from combcurv.verdicts import passed
 
 
@@ -136,6 +138,12 @@ def test_metric_interval(files, capsys):
     out = capsys.readouterr().out
     assert "distance: 2" in out
     assert "thinness: 2" in out  # the two middle corners are opposite
+
+
+def test_delta_cap_defaults_to_the_library_cap():
+    args = build_parser().parse_args(["metric", "--delta", "x.cplx"])
+    cap = inspect.signature(delta_four_point).parameters["cap"].default
+    assert args.delta_cap == cap == DELTA_VERTEX_CAP
 
 
 def test_metric_requires_a_request(files, capsys):

@@ -2,6 +2,7 @@
 cycle-filling checks, and the full pipeline."""
 
 import random
+import re
 
 import pytest
 
@@ -30,11 +31,15 @@ from conftest import (
     gen,
     pinched_octahedra,
     pinched_pair,
+    suspended_pinched_octahedra,
     suspended_torus,
+    suspension,
 )
 from oracles import (
+    naive_edge_degrees,
     naive_edge_link_cycles,
     naive_find_7cycle_filling,
+    naive_pseudomanifold,
     naive_rim_filled,
     naive_vertex_links_spheres,
 )
@@ -95,23 +100,27 @@ class TestValidate:
         assert statuses == {"pass", "fail"} and later >= 5, (statuses, later)
 
     def test_vertex_link_stage_matches_link_complexes(self, bd4):
-        inputs = link_stage_inputs(bd4) + [suspended_torus(), bd4_pair_at_vertex()]
-        fast, fallback = set(), 0
-        for X in inputs:
+        reasons, after_edge_failure = set(), 0
+        for X in vertex_stage_inputs(bd4):
             report = validate_closed_3manifold(X)
+            tets = sorted(X.simplices(3))
+            assert report.is_pseudomanifold.to_json() == naive_pseudomanifold(X).to_json(), tets
+            assert report.edge_degrees == naive_edge_degrees(X), tets
             got = report.vertex_links_spheres.to_json()
-            assert got == naive_vertex_links_spheres(X).to_json(), sorted(X.simplices(3))
-            if report.edge_link_cycles.passed:
-                fast.add(got["detail"].partition(": ")[2])
-            else:
-                fallback += 1
-        # the two reasons the coface path can give, and links built after
-        # a failed edge stage
-        assert {"not connected", "Euler characteristic 0 != 2"} <= fast, fast
-        assert fallback >= 5, fallback
+            assert got == naive_vertex_links_spheres(X).to_json(), tets
+            if got["status"] == "fail":
+                reasons.add(re.sub(r"-?\d+", "#", got["detail"].partition(": ")[2]))
+                after_edge_failure += not report.edge_link_cycles.passed
+        # every closed-surface reason a vertex link of a pure 3-complex can
+        # give, and failures after a failed edge stage
+        assert reasons == {"edge (#, #) lies in # triangles", "not connected",
+                           "Euler characteristic # != #",
+                           "triangles at vertex # do not close into one cycle"}, reasons
+        assert after_edge_failure >= 5, after_edge_failure
 
     def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
-        calls = {"link": 0, "vertex_link_sphere": 0}
+        inputs = vertex_stage_inputs(bd4)
+        calls = {"link": 0, "vertex_link_sphere": 0, "_incidences": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -121,14 +130,17 @@ class TestValidate:
 
         monkeypatch.setattr(SimplicialComplex, "link",
                             counted("link", SimplicialComplex.link))
-        monkeypatch.setattr(manifold, "vertex_link_sphere",
-                            counted("vertex_link_sphere", manifold.vertex_link_sphere))
+        for name in ("vertex_link_sphere", "_incidences"):
+            monkeypatch.setattr(manifold, name, counted(name, getattr(manifold, name)))
         for X in (gen("cell600"), bd4):
             assert validate_closed_3manifold(X).is_closed_manifold
-        assert calls == {"link": 0, "vertex_link_sphere": 0}
-        # the counters see the links built when an edge link is no cycle
-        validate_closed_3manifold(bd4_pair_at_edge())
-        assert calls["link"] == calls["vertex_link_sphere"] == 1, calls
+        # nor when an edge link is no cycle, or a triangle not on two tetrahedra
+        for X in inputs:
+            validate_closed_3manifold(X)
+        assert calls == {"link": 0, "vertex_link_sphere": 0, "_incidences": 0}
+        # the counters see a link built and its edges counted
+        manifold.vertex_link_sphere(bd4, 0)
+        assert calls == {"link": 1, "vertex_link_sphere": 1, "_incidences": 1}, calls
 
 
 def link_stage_inputs(bd4):
@@ -152,6 +164,16 @@ def link_stage_inputs(bd4):
                 tets.pop(rng.randrange(len(tets)))
         inputs.append(build_complex(tets))
     return inputs
+
+
+def vertex_stage_inputs(bd4):
+    """The inputs of :func:`link_stage_inputs`, a suspended torus and two
+    boundaries of the 4-simplex sharing a vertex, which fail only at a
+    vertex link, and suspended pinched octahedra and bipyramids, whose
+    pinched vertex links have rims of 8 and 6 vertices."""
+    return link_stage_inputs(bd4) + [suspended_torus(), bd4_pair_at_vertex(),
+                                     suspended_pinched_octahedra(),
+                                     suspension(pinched_pair(BIPYRAMID, (0, 4)))]
 
 
 class TestVertexLinks:

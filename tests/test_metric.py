@@ -1,5 +1,6 @@
 """Balls, spheres, intervals, thinness, descent conditions, four-point delta."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcurv import build_complex, build_cover, metric
+from combcurv.cli import main
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
+from combcurv.formats import dump_path
 from combcurv.metric import (
     INF,
     ball,
@@ -236,6 +239,18 @@ class TestThinnessOracle:
         interval_thinness(torus66, 0, *targets)
         assert bases[0] == 0 and len(set(bases)) == len(bases)
         assert set(bases[1:]) <= shared
+
+    def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
+                                                          monkeypatch, capsys):
+        path = tmp_path / "torus66.cplx"
+        dump_path(torus66, path)
+        bases = count_bfs(monkeypatch)
+        assert main(["--json", "metric", "--base", "0", "--other", "16", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert bases.count(0) == 1 and len(set(bases)) == len(bases), bases
+        thin, pair = interval_thinness(torus66, 0, 16)
+        assert (doc["thinness"], doc["thinness_pair"]) == (thin, list(pair))
+        assert doc["layers"] == [sorted(layer) for layer in interval(torus66, 0, 16).layers]
 
 
 class TestSDPrime:
