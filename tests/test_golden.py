@@ -16,7 +16,8 @@ the base row alone, and the ``validate`` and ``theorem-b`` cases of the two
 built inputs before the vertex-link stage read its links off the coface
 index, and the ``validate`` cases of the three inputs that fail the
 edge-link stage before the vertex-link stage stopped building link
-complexes after that failure; regenerate them only for a change that is
+complexes after that failure, and the ``links`` cases of the five built
+inputs before the two closed-surface tests became one; regenerate them only for a change that is
 meant to alter the output.
 """
 
@@ -172,6 +173,15 @@ GOLDEN = [
     ("susp_pinched_octahedra", "validate", 1, "adc95b181a6b6c0bf2fe07b308b1721f7c0d3121f019961c290593f318dcdfe6"),
     ("bd4_pair_edge", "validate", 1, "68cbcd243aa66b2f706ad9f9bf1dd21c1e42f9657de11800f0c664076cdb6aba"),
     ("glued_tetrahedra", "validate", 1, "5a206c11ac9beea23689bceef66ffbf1d57c165c696f09d3515e188bdcbbca4c"),
+    # every reason of the surface test on a link complex, with link-relabelled
+    # names: Euler characteristic 0 (a torus), not connected, the pinch,
+    # Euler characteristic 3, a link edge on one triangle; and the 5/6*
+    # degree reason on the links that are spheres
+    ("susp_torus44", "links", 1, "01b87cb5f1772f03e09331d9940337647b58d6c6d08ea072af80d021ae427739"),
+    ("bd4_pair", "links", 1, "804a1486edb21efea6cebfccfc40cfb85eedd79d3e6085fcf7dc49354cd289b9"),
+    ("susp_pinched_octahedra", "links", 1, "f9c5ae4016a4395764ab9f295e9146aaab094cbab6a1878a3d51bd213056aaa8"),
+    ("bd4_pair_edge", "links", 1, "fd39a3968cab002941b6562e666fd717742a335a3367f6a38fccef64397cf762"),
+    ("glued_tetrahedra", "links", 1, "d7b85e264cf785cc2c57f682d48e08756c7e7a52cc156efbd5783117882726c6"),
 ]
 
 
