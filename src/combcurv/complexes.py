@@ -77,8 +77,8 @@ class SimplicialComplex:
     Construction also builds the coface index, in O(F) for F faces: for
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
     contain it.  It holds the same tuple objects as the face sets, so it
-    adds one reference per vertex of each simplex.  ``link`` and ``span``
-    read it instead of scanning every face.
+    adds one reference per vertex of each simplex.  ``link``,
+    ``link_graph`` and ``span`` read it instead of scanning every face.
     """
 
     __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
@@ -230,6 +230,22 @@ class SimplicialComplex:
         for tau in members:
             faces[len(tau) - 1].append(tuple(back[v] for v in tau))
         return SimplicialComplex(len(vertex_map), faces), vertex_map
+
+    def link_graph(self, v: int) -> dict:
+        """The 1-skeleton of the link of vertex ``v`` in this complex's ids,
+        as neighbour of v -> set of link neighbours.  Each triangle t at v
+        gives the link edge t - v; in v's coface tuple the triangles follow
+        its ``degree(v)`` edges."""
+        nbrs = {u: set() for u in self._adj[v]}
+        for t in self._cofaces[v][len(nbrs):]:
+            if len(t) != 3:
+                break
+            a, b, c = t
+            if v != c:
+                a, b = (b, c) if v == a else (a, c)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        return nbrs
 
 
 def _close_downward(simplex: tuple, faces: dict):

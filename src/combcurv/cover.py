@@ -347,6 +347,8 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     if radius > stage_limit:
         raise TooLarge(f"radius {radius} above stage limit {stage_limit}")
     state = init_cover(X, base)
+    if state.ball.vertex_count > vertex_limit:
+        raise TooLarge(f"cover ball would exceed {vertex_limit} vertices")
     stats = [(1, state.ball.vertex_count, len(state.ball.simplices(1)), 0)]
     shortcut = passed("equiv_shortcut", pairs=0, degenerate=0)
     while state.stage < radius:

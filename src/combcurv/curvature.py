@@ -210,25 +210,25 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
     """Yield ``(k, the k-wheels in (center, rim) order)`` for k = 4 .. k_max,
     with no wheels below ``k_min``; a rim may have a chord in X if X is not flag.
 
-    Each vertex link is built once.  Between two lengths only its adjacency,
-    vertex map and open chordless paths are kept, so length k + 1 grows the
-    paths of length k instead of searching the link again; the link's
-    increasing vertex map keeps the rims canonical.
+    The rims grow on each vertex's :meth:`~SimplicialComplex.link_graph`,
+    in ambient ids, and no link complex is built.  Between two lengths only
+    the graph and its open chordless paths are kept, so length k + 1 grows
+    the paths of length k instead of searching the link again.
     """
     links = []
     for v in X.vertices:
-        link, vmap = X.link((v,))
-        # the paths start as the link's edges (s, v1) with v1 > s
-        links.append((v, link._adj, vmap, link.simplices(1)))
+        adj = X.link_graph(v)
+        # the paths start as the link edges (s, v1) with v1 > s
+        links.append((v, adj, [(a, b) for a in adj for b in adj[a] if a < b]))
     for k in range(4, k_max + 1):
         found, live = [], []
-        for v, adj, vmap, paths in links:
+        for v, adj, paths in links:
             cycles, leaves = [], [] if k < k_max else None
             # below k_min the paths grow, but close into no cycle
             grow_chordless(adj, paths, max(k, k_min), k, cycles, leaves)
-            found.extend(Wheel(v, tuple(vmap[u] for u in cyc)) for cyc in sorted(cycles))
+            found.extend(Wheel(v, cyc) for cyc in sorted(cycles))
             if leaves:
-                live.append((v, adj, vmap, leaves))
+                live.append((v, adj, leaves))
         links = live
         yield k, found
 

@@ -57,18 +57,13 @@ class ManifoldReport:
         }
 
 
-def _incidences(X: SimplicialComplex, d: int, e: int) -> dict:
-    """Number of e-simplices on each d-simplex."""
-    out = dict.fromkeys(X.simplices(d), 0)
-    for s in X.simplices(e):
-        for face in combinations(s, d + 1):
-            out[face] += 1
-    return out
-
-
 def edge_degrees(X: SimplicialComplex) -> dict:
     """Number of tetrahedra around each edge."""
-    return _incidences(X, 1, 3)
+    out = dict.fromkeys(X.simplices(1), 0)
+    for t in X.simplices(3):
+        for e in combinations(t, 2):
+            out[e] += 1
+    return out
 
 
 @timed
@@ -97,34 +92,34 @@ def _closed_surface_failure(Y: SimplicialComplex):
     for s in Y.maximal_simplices():
         if len(s) != 3:
             return f"maximal simplex {s} is not a triangle"
-    for e, c in sorted(_incidences(Y, 1, 2).items()):
-        if c != 2:
-            return f"edge {e} lies in {c} triangles"
-    if not _is_connected({v: Y.neighbors(v) for v in Y.vertices}):
+    return _surface_failure({v: Y.link_graph(v) for v in Y.vertices}, lambda v: v)
+
+
+def _surface_failure(rims: dict, name):
+    """Reason a pure 2-complex is not a closed triangulated 2-sphere, or None.
+
+    ``rims[u]`` is the link graph of its vertex u, as neighbour -> link
+    neighbours, so the edge ab lies on ``len(rims[a][b])`` triangles.
+    Vertices are named by ``name`` in the reasons.
+    """
+    off = [(a, b) for a in rims for b in rims[a] if a < b and len(rims[a][b]) != 2]
+    if off:
+        a, b = min(off)
+        return f"edge {(name(a), name(b))} lies in {len(rims[a][b])} triangles"
+    if not _is_connected(rims):
         return "not connected"
-    if Y.euler_characteristic() != 2:
-        return f"Euler characteristic {Y.euler_characteristic()} != 2"
+    # every edge lies on two triangles, so 3F = 2E and chi = V - E / 3
+    chi = len(rims) - sum(map(len, rims.values())) // 6
+    if chi != 2:
+        return f"Euler characteristic {chi} != 2"
     # two spheres pinched at vertices pass every count above; a surface has
     # each vertex's triangles close into one cycle.  As every edge lies on
-    # two triangles, the rim of v is a union of cycles of length >= 3
+    # two triangles, the rim of u is a union of cycles of length >= 3
     # through all its neighbours: one cycle below degree 6.
-    for v in Y.vertices:
-        if Y.degree(v) >= 6 and not _is_one_cycle(_link_graph(Y, v)):
-            return f"triangles at vertex {v} do not close into one cycle"
+    pinch = [u for u in rims if len(rims[u]) >= 6 and not _is_one_cycle(rims[u])]
+    if pinch:
+        return f"triangles at vertex {name(min(pinch))} do not close into one cycle"
     return None
-
-
-def _link_graph(X: SimplicialComplex, v: int) -> dict:
-    """The 1-skeleton of the link of ``v`` as vertex -> list of neighbours,
-    read off the cofaces of v: each triangle t at v gives the edge t - v."""
-    nbrs = {u: [] for u in X.neighbors(v)}
-    for t in X._cofaces[v]:
-        if len(t) == 3:
-            i = t.index(v)
-            a, b = t[i - 1], t[i - 2]
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    return nbrs
 
 
 def _is_connected(nbrs) -> bool:
@@ -140,13 +135,13 @@ def _is_connected(nbrs) -> bool:
 
 
 def _is_one_cycle(nbrs: dict) -> bool:
-    """Whether a simple graph, given as vertex -> list of neighbours, is one
-    cycle: at least 3 vertices, each of degree 2, and a walk from one of
-    them returns to it after visiting them all."""
+    """Whether a simple graph, given as vertex -> neighbours, is one cycle:
+    at least 3 vertices, each of degree 2, and a walk from one of them
+    returns to it after visiting them all."""
     if len(nbrs) < 3 or any(len(ns) != 2 for ns in nbrs.values()):
         return False
     start = next(iter(nbrs))
-    prev, cur, steps = start, nbrs[start][0], 1
+    prev, cur, steps = start, next(iter(nbrs[start])), 1
     while cur != start:
         x, y = nbrs[cur]
         prev, cur, steps = cur, y if x == prev else x, steps + 1
@@ -175,28 +170,11 @@ def _edge_link_graphs(X: SimplicialComplex) -> dict:
 
 def _vertex_link_failure(X: SimplicialComplex, v: int, links: dict):
     """:func:`_closed_surface_failure` of the link of ``v`` in the pure
-    3-complex ``X``, read off the cofaces of v and the edge links ``links``,
-    with link vertices named by rank in sorted N(v).  Purity makes the link
-    pure of dimension 2; the link edge ab lies on as many link triangles as
-    vab on tetrahedra, and the rim of u in the link is the link of vu."""
-    nbrs = _link_graph(X, v)
-    rims = {u: links[(v, u) if v < u else (u, v)] for u in nbrs}
-    off = [(a, b) for a in nbrs for b in nbrs[a] if a < b and len(rims[a][b]) != 2]
-    if off:
-        a, b = min(off)
-        ids = sorted(nbrs)
-        return f"edge {(ids.index(a), ids.index(b))} lies in {len(rims[a][b])} triangles"
-    if not _is_connected(nbrs):
-        return "not connected"
-    # the cofaces of v are its edges, triangles and tetrahedra, and each
-    # triangle gives two neighbour entries: chi = cofaces - 2 triangles
-    chi = len(X._cofaces[v]) - sum(map(len, nbrs.values()))
-    if chi != 2:
-        return f"Euler characteristic {chi} != 2"
-    pinch = [u for u in nbrs if len(nbrs[u]) >= 6 and not _is_one_cycle(rims[u])]
-    if pinch:
-        return f"triangles at vertex {sorted(nbrs).index(min(pinch))} do not close into one cycle"
-    return None
+    3-complex ``X``, read off the edge links ``links``, with link vertices
+    named by rank in sorted N(v).  Purity makes the link pure of dimension
+    2, and the rim of u in the link is the link of vu."""
+    rims = {u: links[(v, u) if v < u else (u, v)] for u in X.neighbors(v)}
+    return _surface_failure(rims, sorted(rims).index)
 
 
 def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
@@ -207,17 +185,20 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     Every stage reads the edge links of :func:`_edge_link_graphs`, one pass
     over the faces: the triangle abc lies on as many tetrahedra as c has
     neighbours in the link of ab, and the edge e on as many as its link has
-    edges.  Each vertex link is decided by :func:`_vertex_link_failure`, on
-    every input, with no link complex built.
+    edges.  Purity is read off the same pass: the maximal simplices below
+    dimension 3 are the vertices with no neighbour, the edges with an empty
+    link and the triangles on no tetrahedron, and :class:`NotPure` names the
+    first of them.  Each vertex link is decided by
+    :func:`_vertex_link_failure`, on every input, with no link complex built.
     """
-    maximal = X.maximal_simplices()
-    if not maximal or any(len(s) != 4 for s in maximal):
-        bad = next((s for s in maximal if len(s) != 4), None)
-        raise NotPure(f"maximal simplex {bad} has dimension below 3"
-                      if bad else "complex has no tetrahedra")
-
     links = _edge_link_graphs(X)
     off = [(t, c) for t in X.simplices(2) if (c := len(links[t[:2]][t[2]])) != 2]
+    bad = [s for s in X.simplices(0) if not X.neighbors(s[0])]
+    bad += [e for e, nbrs in links.items() if not nbrs] + [t for t, c in off if c == 0]
+    if bad or not X.simplices(3):
+        raise NotPure(f"maximal simplex {min(bad)} has dimension below 3"
+                      if bad else "complex has no tetrahedra")
+
     pseudo = passed("pseudomanifold", triangles=len(X.simplices(2)))
     if off:
         tri, c = min(off)

@@ -5,8 +5,8 @@ and maximal simplices come from full scans of every stored face, local
 largeness tests the link of every simplex, the tetrahedra on each triangle
 and edge are counted by a scan of every tetrahedron, edge links are
 complexes tested for one cycle by a BFS, vertex links are complexes put
-through every closed-surface check, cycles are found by plain DFS
-over simple paths, wheel pairs are matched by trying every rotation,
+through every closed-surface check, each a plain scan, cycles are found by
+plain DFS over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
 every edge, distances come from Floyd-Warshall, interval thinness runs one
@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle, is_flag
 from combcurv.curvature import DWheel, is_k_large
 from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
-from combcurv.manifold import FillingPair, _closed_surface_failure
+from combcurv.manifold import FillingPair
 from combcurv.metric import distances_from, interval
 from combcurv.verdicts import failed, passed
 
@@ -108,13 +108,56 @@ def naive_edge_link_cycles(X):
     return passed("edge_link_cycles", edges=len(X.simplices(1)))
 
 
+def naive_closed_surface_failure(Y):
+    """The closed-surface test of the sphere condition as first written, on
+    plain scans: the reason ``Y`` is not a closed triangulated 2-sphere, or
+    None.  The triangles on each edge are counted by a scan of every
+    triangle, connectivity is a BFS over a scan of every edge, the Euler
+    characteristic comes from the face counts, and the rim of every vertex
+    is walked edge by edge from its triangles."""
+    if Y.dimension() != 2:
+        return f"dimension {Y.dimension()} != 2"
+    for s in naive_maximal_simplices(Y):
+        if len(s) != 3:
+            return f"maximal simplex {s} is not a triangle"
+    tris = Y.simplices(2)
+    for e in sorted(Y.simplices(1)):
+        c = sum(1 for t in tris if set(e) <= set(t))
+        if c != 2:
+            return f"edge {e} lies in {c} triangles"
+    seen, todo = {Y.vertices[0]}, [Y.vertices[0]]
+    while todo:
+        u = todo.pop()
+        for e in Y.simplices(1):
+            if u in e and e[0] + e[1] - u not in seen:
+                seen.add(e[0] + e[1] - u)
+                todo.append(e[0] + e[1] - u)
+    if len(seen) != len(Y.vertices):
+        return "not connected"
+    if Y.euler_characteristic() != 2:
+        return f"Euler characteristic {Y.euler_characteristic()} != 2"
+    for v in Y.vertices:
+        # every rim vertex has two rim edges, so the walk from one of them
+        # closes up; the rim is one cycle when the walk used every edge
+        rim = [tuple(u for u in t if u != v) for t in tris if v in t]
+        start = cur = rim[0][0]
+        used = set()
+        while not used or cur != start:
+            e = next(e for e in rim if cur in e and e not in used)
+            used.add(e)
+            cur = e[0] + e[1] - cur
+        if len(used) != len(rim):
+            return f"triangles at vertex {v} do not close into one cycle"
+    return None
+
+
 def naive_vertex_links_spheres(X):
     """The vertex-link stage of ``validate_closed_3manifold`` as first
     written: one link complex per vertex, in vertex order, put through
     every closed-surface check of the sphere condition."""
     for v in X.vertices:
         link, _ = naive_link(X, (v,))
-        reason = _closed_surface_failure(link)
+        reason = naive_closed_surface_failure(link)
         if reason is not None:
             return failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
                           detail=f"link of vertex {v}: {reason}")

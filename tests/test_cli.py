@@ -117,6 +117,15 @@ def test_zero_and_negative_parameters_exit_2(files, capsys, argv, name):
     assert captured.err.startswith("error: ")
 
 
+def test_cover_vertex_limit_below_the_stage_1_ball_exits_2(files, capsys):
+    argv = ["cover", "--base", "0", "--radius", "1", "--vertex-limit", "-5"]
+    assert main([*argv, files["icosahedron"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: cover ball would exceed -5 vertices"], captured.err
+
+
 def test_unexpected_exception_exits_3(files, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

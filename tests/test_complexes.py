@@ -351,6 +351,16 @@ class TestCofaceIndex:
                 assert mine == ref, (X.name, sorted(keep))
                 assert mine.name == ref.name
 
+    def test_link_graph_of_every_vertex(self, complexes):
+        for X in complexes:
+            for v in X.vertices:
+                link, vmap = naive_link(X, (v,))
+                ref = {u: set() for u in vmap}
+                for a, b in link.simplices(1):
+                    ref[vmap[a]].add(vmap[b])
+                    ref[vmap[b]].add(vmap[a])
+                assert X.link_graph(v) == ref, (X.name, v)
+
     def test_maximal_simplices(self, complexes):
         for X in complexes:
             assert X.maximal_simplices() == naive_maximal_simplices(X), X.name

@@ -74,6 +74,13 @@ class TestExpand:
         with pytest.raises(TooLarge):
             expand_ball(state, vertex_limit=30)
 
+    def test_vertex_limit_holds_for_the_stage_1_ball(self, torus66):
+        # the 1-ball of a degree-6 vertex has 7 vertices
+        with pytest.raises(TooLarge, match="cover ball would exceed 6 vertices"):
+            build_cover(torus66, 0, 1, vertex_limit=6)
+        report = build_cover(torus66, 0, 1, vertex_limit=7)
+        assert report.passed and report.state.ball.vertex_count == 7
+
 
 class TestInvariants:
     def test_invariants_green_on_corpus(self, c4, c5, tetra, disk37, surf37):

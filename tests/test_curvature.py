@@ -455,18 +455,21 @@ class TestMLocation:
     def test_600_cell_chord_checks_only_the_5_rims(self, monkeypatch):
         # the stream fails inside the (5,5) buckets, so only the 1 440 link
         # 5-cycles are built, not all 6 240 rims up to 8; X is flag, so a
-        # link-chordless rim is chordless in X and none is chord-checked
-        calls = 0
-        real = curvature.chords
+        # link-chordless rim is chordless in X and none is chord-checked.
+        # The rims grow on link graphs, so no link complex is built either.
+        calls = {"chords": 0, "link": 0}
 
-        def counting(X, cycle):
-            nonlocal calls
-            calls += 1
-            return real(X, cycle)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(curvature, "chords", counting)
+        monkeypatch.setattr(curvature, "chords", counted("chords", curvature.chords))
+        monkeypatch.setattr(SimplicialComplex, "link",
+                            counted("link", SimplicialComplex.link))
         assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
-        assert calls == 0
+        assert calls == {"chords": 0, "link": 0}, calls
 
     def test_vacuity_on_locally_7_large(self, disk37, surf37):
         for X in (disk37, surf37):

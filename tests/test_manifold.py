@@ -36,9 +36,11 @@ from conftest import (
     suspension,
 )
 from oracles import (
+    naive_closed_surface_failure,
     naive_edge_degrees,
     naive_edge_link_cycles,
     naive_find_7cycle_filling,
+    naive_maximal_simplices,
     naive_pseudomanifold,
     naive_rim_filled,
     naive_vertex_links_spheres,
@@ -80,6 +82,32 @@ class TestValidate:
         with pytest.raises(NotPure):
             validate_closed_3manifold(build_complex([[0, 1, 2, 3], [3, 4]]))
 
+    def test_not_pure_names_the_first_maximal_non_tetrahedron(self, monkeypatch):
+        # purity is read off the edge-link pass
+        def unused(X):
+            raise AssertionError("maximal_simplices called")
+
+        monkeypatch.setattr(SimplicialComplex, "maximal_simplices", unused)
+        with pytest.raises(NotPure, match="^complex has no tetrahedra$"):
+            validate_closed_3manifold(build_complex([]))
+        rng = random.Random(14)
+        offenders = set()
+        for _ in range(300):
+            # simplex soups on ids with gaps, mostly tetrahedra
+            ids = rng.sample(range(14), rng.randint(4, 9))
+            X = build_complex(rng.sample(ids, rng.choice((1, 2, 3, 4, 4, 4, 4)))
+                              for _ in range(rng.randint(1, 8)))
+            low = [s for s in naive_maximal_simplices(X) if len(s) != 4]
+            if not low:
+                validate_closed_3manifold(X)
+                continue
+            with pytest.raises(NotPure) as exc:
+                validate_closed_3manifold(X)
+            assert str(exc.value) == f"maximal simplex {low[0]} has dimension below 3"
+            offenders.add(len(low[0]))
+        # a vertex, an edge and a triangle each come first
+        assert offenders == {1, 2, 3}, offenders
+
     def test_report_json(self, bd4):
         doc = validate_closed_3manifold(bd4).to_json()
         assert doc["status"] == "fail"
@@ -120,7 +148,7 @@ class TestValidate:
 
     def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
         inputs = vertex_stage_inputs(bd4)
-        calls = {"link": 0, "vertex_link_sphere": 0, "_incidences": 0}
+        calls = {"link": 0, "vertex_link_sphere": 0, "edge_degrees": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -130,17 +158,18 @@ class TestValidate:
 
         monkeypatch.setattr(SimplicialComplex, "link",
                             counted("link", SimplicialComplex.link))
-        for name in ("vertex_link_sphere", "_incidences"):
+        for name in ("vertex_link_sphere", "edge_degrees"):
             monkeypatch.setattr(manifold, name, counted(name, getattr(manifold, name)))
         for X in (gen("cell600"), bd4):
             assert validate_closed_3manifold(X).is_closed_manifold
         # nor when an edge link is no cycle, or a triangle not on two tetrahedra
         for X in inputs:
             validate_closed_3manifold(X)
-        assert calls == {"link": 0, "vertex_link_sphere": 0, "_incidences": 0}
-        # the counters see a link built and its edges counted
+        assert calls == {"link": 0, "vertex_link_sphere": 0, "edge_degrees": 0}
+        # the counters see a link built and the tetrahedra on each edge counted
         manifold.vertex_link_sphere(bd4, 0)
-        assert calls == {"link": 1, "vertex_link_sphere": 1, "_incidences": 1}, calls
+        manifold.edge_degrees(bd4)
+        assert calls == {"link": 1, "vertex_link_sphere": 1, "edge_degrees": 1}, calls
 
 
 def link_stage_inputs(bd4):
@@ -174,6 +203,37 @@ def vertex_stage_inputs(bd4):
     return link_stage_inputs(bd4) + [suspended_torus(), bd4_pair_at_vertex(),
                                      suspended_pinched_octahedra(),
                                      suspension(pinched_pair(BIPYRAMID, (0, 4)))]
+
+
+def surface_test_inputs(bd4):
+    """2-sphere candidates for the closed-surface test: spheres, a torus,
+    pinched spheres, every vertex link of :func:`vertex_stage_inputs`, and
+    seeded soups of triangles with some edges, vertices and tetrahedra."""
+    inputs = [gen("geodesic_sphere", 2), gen("tri_torus", 4, 4), pinched_octahedra(),
+              pinched_pair(BIPYRAMID, (0, 4)), bd4, build_complex([])]
+    inputs += [X.link((v,))[0] for X in vertex_stage_inputs(bd4) for v in X.vertices]
+    rng = random.Random(1402)
+    for _ in range(200):
+        ids = rng.sample(range(12), rng.randint(4, 9))
+        simplices = [rng.sample(ids, 3) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.3:
+            simplices.append(rng.sample(ids, rng.choice((1, 2, 4))))
+        inputs.append(build_complex(simplices))
+    return inputs
+
+
+class TestClosedSurfaceTest:
+    def test_matches_the_referee(self, bd4):
+        reasons = set()
+        for Y in surface_test_inputs(bd4):
+            got = manifold._closed_surface_failure(Y)
+            assert got == naive_closed_surface_failure(Y), sorted(Y.maximal_simplices())
+            if got is not None:
+                reasons.add(re.sub(r"\([^)]*\)|-?\d+", "#", got))
+        assert reasons == {"dimension # != #", "maximal simplex # is not a triangle",
+                           "edge # lies in # triangles", "not connected",
+                           "Euler characteristic # != #",
+                           "triangles at vertex # do not close into one cycle"}, reasons
 
 
 class TestVertexLinks:
