@@ -66,6 +66,13 @@ def bd4_pair_at_edge():
     return build_complex(list(tets) + [[second[v] for v in t] for t in tets])
 
 
+def tetrahedron_less_face():
+    """The boundary of a tetrahedron less the triangle 1-2-3: the link of
+    vertex 0 is the hollow triangle on 1, 2 and 3, and those three vertices
+    are pairwise adjacent in X but span no triangle."""
+    return build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+
+
 def glued_tetrahedra():
     """Two tetrahedra sharing the triangle 1-2-3: the link of vertex 0 is
     one triangle, whose edges lie on one triangle each."""

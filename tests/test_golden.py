@@ -17,8 +17,10 @@ built inputs before the vertex-link stage read its links off the coface
 index, and the ``validate`` cases of the three inputs that fail the
 edge-link stage before the vertex-link stage stopped building link
 complexes after that failure, and the ``links`` cases of the five built
-inputs before the two closed-surface tests became one; regenerate them only for a change that is
-meant to alter the output.
+inputs before the two closed-surface tests became one, and the ``check``
+cases of ``rf13_7`` and of the built inputs before local largeness read
+its links as graphs; regenerate them only for a change that is meant to
+alter the output.
 """
 
 import argparse
@@ -40,6 +42,7 @@ from conftest import (
     glued_tetrahedra,
     suspended_pinched_octahedra,
     suspended_torus,
+    tetrahedron_less_face,
 )
 
 GENERATED = {
@@ -55,13 +58,14 @@ GENERATED = {
 }
 
 # built, then written as files: the first two fail the vertex-link stage
-# only, the other three the edge-link stage as well
+# only, the next three the edge-link stage as well; the last is a disk
 BUILT = {
     "susp_torus44": suspended_torus,
     "bd4_pair": bd4_pair_at_vertex,
     "susp_pinched_octahedra": suspended_pinched_octahedra,
     "bd4_pair_edge": bd4_pair_at_edge,
     "glued_tetrahedra": glued_tetrahedra,
+    "tetra_less_face": tetrahedron_less_face,
 }
 
 COMMANDS = {
@@ -182,6 +186,15 @@ GOLDEN = [
     ("susp_pinched_octahedra", "links", 1, "f9c5ae4016a4395764ab9f295e9146aaab094cbab6a1878a3d51bd213056aaa8"),
     ("bd4_pair_edge", "links", 1, "fd39a3968cab002941b6562e666fd717742a335a3367f6a38fccef64397cf762"),
     ("glued_tetrahedra", "links", 1, "d7b85e264cf785cc2c57f682d48e08756c7e7a52cc156efbd5783117882726c6"),
+    # local largeness: a full 4-cycle in a vertex link (rf13_7 at vertex 3,
+    # susp_torus44 at vertex 0), a 4-clique in the link of vertex 0 of the
+    # bd4 pairs, and the hollow-triangle link of tetra_less_face, whose
+    # detail names link vertices by rank, with an empty triangle of X behind
+    ("rf13_7", "check", 1, "c5fb6584d1112fd869e60740ec1b1a93528fe933fae0c080938001f89af23e30"),
+    ("susp_torus44", "check", 1, "8a123fbffbc3146ad2aaa912b1313ef14e7305257e7549d5da52b6f50163171c"),
+    ("bd4_pair", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
+    ("bd4_pair_edge", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
+    ("tetra_less_face", "check", 1, "23bfdbea4409fc3d87ed3dca7a1627517bf660437f69bcfdad85a7d92894a4b2"),
 ]
 
 
