@@ -6,6 +6,10 @@ triangles, tetrahedra) together with the adjacency relation of the
 curvature checkers live here: spans (induced subcomplexes), links, chord
 tests for cycles, flagness, and chordless-cycle enumeration.
 
+Flagness is one clique search, :func:`empty_clique`, over an adjacency
+table: the 1-skeleton of the complex, or of a vertex link read by
+``link_graph``, whose simplices the search asks the complex for.
+
 The coface index makes the local queries cost the size of a vertex star,
 not the size of the complex: ``link`` reads the star of one vertex of the
 simplex, and ``span`` the stars of the kept vertices.  A per-vertex or
@@ -343,30 +347,40 @@ def is_full(X: SimplicialComplex, cycle: Sequence[int]) -> Verdict:
     return passed("is_full", detail=f"cycle of length {len(vs)} has no chords")
 
 
+def empty_clique(adj, edges, spans, top: int):
+    """The first clique of 3 or more vertices that ``spans`` rejects, or None.
+
+    ``adj`` is an adjacency table and ``edges`` its edges (a, b), a < b, in
+    sorted order.  Cliques grow one size at a time, each by the common
+    neighbours above its last vertex, so they come by size and then in
+    sorted order.  A clique of more than ``top + 1`` vertices never spans,
+    so the search ends at ``top + 2`` vertices.
+    """
+    # each clique with the common neighbours of all but its last vertex
+    level = [(e, adj[e[0]]) for e in edges]
+    for size in range(3, top + 3):
+        grown = []
+        for c, common in level:
+            last = c[-1]
+            common = common & adj[last]
+            for x in sorted(common):
+                if x > last:
+                    s = c + (x,)
+                    if size > top + 1 or not spans(s):
+                        return s
+                    grown.append((s, common))
+        level = grown
+    return None
+
+
 def flag_witness(X: SimplicialComplex):
     """Smallest pairwise-adjacent vertex set spanning no stored simplex.
 
     Returns None when the complex is flag.  Search is output-sensitive:
-    empty triangles first, then empty 3-simplices over stored triangles,
-    then 5-cliques (which can never span, the dimension being capped at 3).
+    empty triangles first, then empty 3-simplices, then 5-cliques (which
+    can never span, the dimension being capped at 3).
     """
-    for (u, v) in sorted(X.simplices(1)):
-        for w in sorted(X.neighbors(u) & X.neighbors(v)):
-            if w > v and not X.has_simplex((u, v, w)):
-                return (u, v, w)
-    for tri in sorted(X.simplices(2)):
-        common = X.neighbors(tri[0]) & X.neighbors(tri[1]) & X.neighbors(tri[2])
-        for x in sorted(common):
-            if x > tri[2] and not X.has_simplex(tri + (x,)):
-                return tuple(sorted(tri + (x,)))
-    for tet in sorted(X.simplices(3)):
-        common = X.neighbors(tet[0])
-        for v in tet[1:]:
-            common = common & X.neighbors(v)
-        for x in sorted(common):
-            if x > tet[3]:
-                return tuple(sorted(tet + (x,)))
-    return None
+    return empty_clique(X._adj, sorted(X._faces[1]), X.has_simplex, MAX_DIM)
 
 
 def is_flag(X: SimplicialComplex) -> Verdict:

@@ -11,8 +11,10 @@ are verified once per stage:
         stage ball is then an induced ball of the current complex;
     (Q) the ball satisfies the descent property one radius below its own;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
-        and onto full 1-balls at interior vertices.  Ball and base are flag,
-        so an injective map that matches edges both ways matches simplices.
+        and onto full 1-balls at interior vertices.  The base is flag and
+        every ball is the clique complex of its graph, capped at 4 vertices,
+        so an injective map that matches edges both ways matches simplices;
+        no stage tests flagness again.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .complexes import SimplicialComplex, flag_completion, is_flag
-from .curvature import check_covering_map, is_locally_k_large, is_m_located
+from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
 from .metric import SDReport, check_sd_prime, distances_from, interval_thinness
 from .verdicts import Verdict, failed, passed
@@ -128,10 +130,10 @@ def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] 
         f = sd.first_failure()
         problems.append(("Q", f.witness, f.detail))
 
-    # (R): sheet map is a local isomorphism, full at interior vertices.
+    # (R): sheet map is a local isomorphism, full at interior vertices.  The
+    # target is flag and the ball a clique complex, so edges decide it.
     try:
-        check_covering_map(state.sheet_map, ball, state.target,
-                           full_at=state.interior_ids())
+        _check_covering_map(state.sheet_map, ball, state.target, state.interior_ids(), (1,))
         covering = passed("covering_condition")
     except NotACovering as exc:
         covering = failed("covering_condition",

@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations.
 
 These deliberately avoid the library's optimized code paths: links, spans
-and maximal simplices come from full scans of every stored face, local
-largeness tests the link of every simplex, the tetrahedra on each triangle
+and maximal simplices come from full scans of every stored face, flagness
+tests every pairwise-adjacent vertex set by size and lexicographic order,
+local largeness tests the link of every simplex with that flagness test and
+the path-enumerating cycle search, the tetrahedra on each triangle
 and edge are counted by a scan of every tetrahedron, edge links are
 complexes tested for one cycle by a BFS, vertex links are complexes put
 through every closed-surface check, each a plain scan, cycles are found by
@@ -18,8 +20,8 @@ output against these on small inputs.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle, is_flag
-from combcurv.curvature import DWheel, is_k_large
+from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
+from combcurv.curvature import DWheel
 from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
 from combcurv.manifold import FillingPair
 from combcurv.metric import distances_from, interval
@@ -164,15 +166,58 @@ def naive_vertex_links_spheres(X):
     return passed("vertex_links_spheres", vertices=len(X.simplices(0)))
 
 
+def naive_flag_witness(X):
+    """The first vertex set of 3 to 5 vertices, by size and then in
+    lexicographic order, that is pairwise adjacent and not a stored simplex,
+    or None.  Sets grow one sorted vertex at a time, each tested against
+    every vertex already in it; a set that is not pairwise adjacent is not
+    grown, as no superset of it is."""
+    verts = X.vertices
+
+    def cliques(prefix, size):
+        if len(prefix) == size:
+            yield prefix
+            return
+        for x in verts:
+            if (not prefix or x > prefix[-1]) and all(X.adjacent(a, x) for a in prefix):
+                yield from cliques(prefix + (x,), size)
+
+    for size in range(3, MAX_DIM + 3):
+        for c in cliques((), size):
+            if not X.has_simplex(c):
+                return c
+    return None
+
+
+def naive_is_k_large(X, k):
+    """k-largeness on the plain scans: the empty clique of
+    ``naive_flag_witness``, then the shortest chordless cycle below k from
+    ``naive_full_cycles``, in the verdict form of ``is_k_large``."""
+    if k < 4:
+        raise ValueError("largeness starts at k = 4")
+    w = naive_flag_witness(X)
+    if w is not None:
+        return failed("is_k_large", {"kind": "empty_clique", "vertices": list(w)},
+                      detail=f"not flag: clique {w} spans no simplex", k=k)
+    if k > 4:
+        cycles = naive_full_cycles(X, 4, k - 1)
+        if cycles:
+            return failed("is_k_large", Cycle(cycles[0], is_full=True),
+                          detail=f"full {len(cycles[0])}-cycle present", k=k,
+                          cycles=len(cycles))
+    return passed("is_k_large", k=k)
+
+
 def naive_is_locally_k_large(X, k):
     """Local k-largeness as first written: the link of every simplex, not
     only of every vertex, built by a full face scan and tested for
-    k-largeness.  Its verdict must match the library's byte for byte."""
+    k-largeness on the plain scans.  Its verdict must match the library's
+    byte for byte."""
     links = 0
     for sigma in X.all_simplices():
         link, vmap = naive_link(X, sigma)
         links += 1
-        inner = is_k_large(link, k)
+        inner = naive_is_k_large(link, k)
         if not inner.passed:
             witness = inner.witness
             if isinstance(witness, Cycle):
@@ -319,9 +364,10 @@ def naive_is_m_located(X, m, sorted_dwheels=None):
     some m2 >= m; only its dwheels of boundary at most m are used."""
     if m < 6:
         raise ValueError("location starts at m = 6")
-    fv = is_flag(X)
-    if not fv.passed:
-        return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
+    w = naive_flag_witness(X)
+    if w is not None:
+        return failed("is_m_located", {"kind": "empty_clique", "vertices": list(w)},
+                      detail=f"not flag: clique {w} spans no simplex", m=m)
     if sorted_dwheels is None:
         sorted_dwheels = naive_sorted_dwheels(X, m)
     count = 0

@@ -1,6 +1,8 @@
 """Core complex construction, spans, links, fullness, flagness, cycles."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -364,3 +366,16 @@ class TestCofaceIndex:
     def test_maximal_simplices(self, complexes):
         for X in complexes:
             assert X.maximal_simplices() == naive_maximal_simplices(X), X.name
+
+
+def test_only_complexes_reads_the_private_tables():
+    # the adjacency table, coface index and face sets are read through the
+    # public queries (``neighbors``, ``link_graph``, ``simplices``, ...)
+    # everywhere else, so their layout can change inside complexes.py alone
+    src = Path(__file__).resolve().parent.parent / "src" / "combcurv"
+    modules = sorted(p for p in src.glob("*.py") if p.name != "complexes.py")
+    assert len(modules) > 5
+    private = re.compile(r"\._(adj|cofaces|faces)\b")
+    hits = [f"{p.name}:{i}" for p in modules
+            for i, line in enumerate(p.read_text().splitlines(), 1) if private.search(line)]
+    assert hits == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcurv import build_complex, build_cover, curvature
-from combcurv.complexes import Cycle, SimplicialComplex, chords, full_cycles
+from combcurv.complexes import Cycle, SimplicialComplex, chords, flag_witness, full_cycles
 from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
@@ -25,6 +25,7 @@ from conftest import gen
 from oracles import (
     naive_check_covering_map,
     naive_dwheels,
+    naive_flag_witness,
     naive_four_wheel_free,
     naive_is_locally_k_large,
     naive_is_m_located,
@@ -115,17 +116,23 @@ class TestLocallyLarge:
         assert is_locally_k_large(X, 5).passed == (wheel is None)
 
     def test_builds_vertex_links_only(self, gs2, monkeypatch):
-        built = []
-        link = SimplicialComplex.link
+        # each vertex link is read once, as a graph; no link complex is built
+        built, graphs = [], []
+        link_graph = SimplicialComplex.link_graph
 
         def counting_link(X, sigma):
             built.append(tuple(sigma))
-            return link(X, sigma)
+
+        def counting_link_graph(X, v):
+            graphs.append(v)
+            return link_graph(X, v)
 
         monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+        monkeypatch.setattr(SimplicialComplex, "link_graph", counting_link_graph)
         verdict = is_locally_k_large(gs2, 5)
         assert verdict.passed
-        assert built == [(v,) for v in gs2.vertices]
+        assert built == []
+        assert graphs == list(gs2.vertices)
         # the stat still counts every simplex whose link is certified
         assert verdict.stats["links_checked"] == sum(gs2.counts())
 
@@ -155,19 +162,31 @@ class TestLocallyLargeOracle:
     """Vertex links suffice: the all-simplices scan of the referee gives
     the same verdict, witness and ``links_checked`` for every k."""
 
-    def test_same_verdict_as_all_links(self, octa, icosa, bd4, gs2, disk37, surf37):
+    @staticmethod
+    def corpus(*fixtures):
         rng = random.Random(2013)
-        inputs = [octa, icosa, bd4, gs2, disk37, surf37]
+        inputs = list(fixtures)
         inputs += [gen("random_flag", rng.randint(6, 16), rng.choice((0.2, 0.3, 0.4, 0.5)),
                        seed) for seed in range(80)]
-        inputs += list(simplex_soups(rng, 80))
+        return inputs + list(simplex_soups(rng, 80))
+
+    def test_same_verdict_as_all_links(self, octa, icosa, bd4, gs2, disk37, surf37):
         kinds = set()
-        for X in inputs:
+        for X in self.corpus(octa, icosa, bd4, gs2, disk37, surf37):
             for k in range(4, 9):
                 got = is_locally_k_large(X, k).to_json()
                 assert got == naive_is_locally_k_large(X, k).to_json(), (X, k)
                 kinds.add(got["witness"]["kind"] if got["witness"] else "pass")
         assert kinds == {"pass", "cycle_in_link", "clique_in_link"}
+
+    def test_flag_witness_as_every_clique_scan(self, octa, icosa, bd4, gs2, disk37, surf37):
+        sizes = set()
+        for X in self.corpus(octa, icosa, bd4, gs2, disk37, surf37):
+            w = flag_witness(X)
+            assert w == naive_flag_witness(X), X
+            sizes.add(0 if w is None else len(w))
+        # flag inputs, and empty triangles, tetrahedra and 5-cliques
+        assert sizes == {0, 3, 4, 5}
 
 
 class TestWheels:
