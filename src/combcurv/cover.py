@@ -14,7 +14,9 @@ are verified once per stage:
         and onto full 1-balls at interior vertices.  The base is flag and
         every ball is the clique complex of its graph, capped at 4 vertices,
         so an injective map that matches edges both ways matches simplices;
-        no stage tests flagness again.
+        no stage tests flagness again.  Edges are compared as neighbour
+        sets inside the 1-ball, and only a 1-ball that fails is scanned for
+        its first offending span edge.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.

@@ -398,6 +398,12 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     Edges alone decide it, with the same first offender, whenever the
     simplices of both complexes are their cliques of at most 4 vertices,
     even if a 5-clique makes one of them fail ``is_flag``.
+
+    With ``dims == (1,)`` a 1-ball is first decided from neighbour sets: f
+    is injective on it, so edges match both ways exactly when every u in it
+    has the images of its neighbours in the ball as the base neighbours of
+    f(u) in the image.  Only a 1-ball that fails this runs the ordered span
+    scan, which names the first offender.
     """
     full_at = set(full_at) if full_at is not None else set()
     for v in cover.vertices:
@@ -411,14 +417,17 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
                 raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
             inverse[fu] = u
         image_set = frozenset(inverse.keys())  # not frozenset(inverse): layout sets span order
-        # forward: simplices inside the 1-ball must map to simplices
-        for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
-            if not base.has_simplex(f[u] for u in s):
-                raise NotACovering(v, f"simplex {s} maps to a non-simplex")
-        # backward: simplices of the image span must pull back
-        for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
-            if not cover.has_simplex(inverse[x] for x in s):
-                raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
+        # a 1-ball whose edges match both ways needs no span scan
+        if dims != (1,) or not all({f[x] for x in cover.neighbors(u) & bv}
+                                   == base.neighbors(f[u]) & image_set for u in bv):
+            # forward: simplices inside the 1-ball must map to simplices
+            for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
+                if not base.has_simplex(f[u] for u in s):
+                    raise NotACovering(v, f"simplex {s} maps to a non-simplex")
+            # backward: simplices of the image span must pull back
+            for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
+                if not cover.has_simplex(inverse[x] for x in s):
+                    raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
         if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 

@@ -108,15 +108,30 @@ def interval_thinness(X: SimplicialComplex, o: int, *targets):
 
 def _thinness(X: SimplicialComplex, layers):
     """Maximum distance between two vertices of one of the sorted
-    ``layers``, and the first pair that reaches it.  Each distance row is
-    computed once and kept only for this call."""
-    rows = {}
+    ``layers``, and the first pair that reaches it.
+
+    No full distance row is computed: each layer vertex u keeps one BFS for
+    this call, grown a level at a time only until the queried vertex is
+    reached, and resumed from there by u's later pairs.  Its levels are
+    exact, so every distance is."""
+    searches = {}  # u -> (distances found so far, last level, its depth)
     best, witness = 0, None
     for layer in layers:
         for u, v in combinations(layer, 2):
-            if u not in rows:
-                rows[u] = distances_from(X, u)
-            d = rows[u][v]
+            if u not in searches:
+                searches[u] = ({u: 0}, [u], 0)
+            seen, level, depth = searches[u]
+            while v not in seen and level:
+                depth += 1
+                nxt = []
+                for x in level:
+                    for y in X.neighbors(x):
+                        if y not in seen:
+                            seen[y] = depth
+                            nxt.append(y)
+                level = nxt
+                searches[u] = seen, level, depth
+            d = seen.get(v, INF)
             if d > best:
                 best, witness = d, (u, v)
     return best, witness

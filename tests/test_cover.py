@@ -7,6 +7,8 @@ from combcurv.cover import CoverState, _verify_invariants
 from combcurv.errors import NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
+from conftest import gen
+
 
 class TestInit:
     def test_c4_initial_ball_is_a_path(self, c4):
@@ -197,3 +199,40 @@ class TestBuildCover:
         assert doc["stage"] == 2 and doc["base"] == 0
         assert len(doc["sheet_map"]) == state.ball.vertex_count
         assert doc["maximal_simplices"]
+
+
+class TestClosedFormGrowth:
+    """Ball sizes known from outside the builder: the universal covers of
+    the triangulated torus and of the PSL(2,7) surface are the {3,6} and
+    {3,7} tilings."""
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 12), (7, 7)])
+    def test_torus_balls_are_hexagonal(self, shape):
+        report = build_cover(gen("tri_torus", *shape), 0, 5)
+        assert report.passed
+        assert [s[1] for s in report.stage_stats] == [3 * r * r + 3 * r + 1 for r in range(1, 6)]
+
+    def test_degree7_surface_balls_from_every_base(self, surf37):
+        for base in surf37.vertices:
+            report = build_cover(surf37, base, 5)
+            assert report.passed, base
+            assert [s[1] for s in report.stage_stats][2:] == [85, 232, 617], base
+
+    def test_degree7_surface_spheres_grow_as_the_tiling(self, surf37):
+        sizes = [1] + [s[1] for s in build_cover(surf37, 0, 6).stage_stats]
+        assert sizes[3:] == [85, 232, 617, 1625]
+        spheres = [b - a for a, b in zip(sizes, sizes[1:])]
+        assert spheres[0] == 7
+        assert all(c == 3 * b - a for a, b, c in zip(spheres, spheres[1:], spheres[2:]))
+
+
+def test_600_cell_does_not_close_up():
+    # S^3 is simply connected, yet the radius-4 ball misses the 30 edges of
+    # the icosahedron around the antipode: their common neighbours lie in
+    # the fourth sphere and at the antipode, so no gluing rule creates them
+    report = build_cover(gen("cell600"), 0, 4)
+    assert report.to_json()["status"] == "fail"
+    assert report.state.ball.counts()[:2] == (119, 678)
+    assert [str(w) for w in report.state.warnings] == [
+        "expected failure, hypotheses unmet: (R) image simplex (108, 109) "
+        "has no preimage in the 1-ball"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcurv import build_complex, build_cover, curvature
-from combcurv.complexes import Cycle, SimplicialComplex, chords, flag_witness, full_cycles
+from combcurv.complexes import Cycle, SimplicialComplex, chords, flag_witness, full_cycles, is_flag
 from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
@@ -599,18 +599,27 @@ class TestCoveringMapOracle:
         for kind in ("maps to a non-simplex", "has no preimage"):
             assert any(kind in r and r.count(",") >= 2 for r in reasons), kind
 
-    def test_flag_cover_ball_compares_only_edges(self, surf37, monkeypatch):
+    def test_flag_cover_ball_compares_only_edges(self, icosa, octa, torus66, disk37, surf37,
+                                                  monkeypatch):
+        # a flag 1-ball whose edges match both ways is decided from
+        # neighbour sets; only a failing one reads span faces, and only edges
         state = build_cover(surf37, 0, 4).state
+        for f, cover, base, full_at in self.cases(icosa, octa, torus66, disk37, surf37):
+            got = covering_outcome(check_covering_map, f, cover, base, full_at)
+            if got and "simplex" in got[1] and is_flag(cover).passed and is_flag(base).passed:
+                break
         sizes = []
         real = SimplicialComplex._span_faces
 
         def recording(self, vertex_set, dims=range(4)):
             faces = real(self, vertex_set, dims)
-            sizes.extend(len(s) for fs in faces.values() for s in fs)
+            sizes.append({len(s) for fs in faces.values() for s in fs})
             return faces
 
         monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
         check_covering_map(state.sheet_map, state.ball, surf37, full_at=state.interior_ids())
-        # the ball has triangles, but no simplex of more than two vertices
-        # is compared
-        assert state.ball.simplices(2) and set(sizes) == {2}
+        assert state.ball.simplices(2) and sizes == []
+        assert covering_outcome(check_covering_map, f, cover, base, full_at) == got
+        # the failing ball has triangles, but no simplex of more than two
+        # vertices is compared
+        assert cover.simplices(2) and sizes and set().union(*sizes) == {2}

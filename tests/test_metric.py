@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover, metric
+from combcurv import build_complex, build_cover, cover, metric
 from combcurv.cli import main
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.formats import dump_path
@@ -222,6 +222,14 @@ class TestThinnessOracle:
         # witness order is exercised
         assert thick > 10 and tied > 10, (thick, tied)
 
+    def test_deep_layers(self):
+        # the searches of the wide middle layers resume across many pairs
+        X = gen("tri_torus", 12, 12)
+        assert interval_thinness(X, 0, *X.vertices[1:]) == (8, (4, 48))
+        assert self.per_target(X, 0, X.vertices[1:]) == (8, 1)
+        targets = random.Random(0).sample(X.vertices[1:], 48)
+        assert self.per_target(X, 0, targets)[0] == 8
+
     def test_no_targets_and_disconnected(self):
         X = build_complex([[0, 1], [2, 3]])
         assert interval_thinness(X, 0) == (0, None)
@@ -229,16 +237,21 @@ class TestThinnessOracle:
             interval_thinness(X, 0, 1, 3)
 
     def test_rows_only_for_the_base_and_shared_layers(self, torus66, monkeypatch):
+        # shared layers run no full row: their pair distances come from
+        # searches stopped at the queried vertex
         bases = count_bfs(monkeypatch)
         assert interval_thinness(path_complex(6), 0, 6, 3) == (0, None)
         assert bases == [0]
-        targets = torus66.vertices[1:]
-        shared = {u for t in targets for layer in interval(torus66, 0, t).layers
-                  if len(layer) > 1 for u in layer}
         bases.clear()
-        interval_thinness(torus66, 0, *targets)
-        assert bases[0] == 0 and len(set(bases)) == len(bases)
-        assert set(bases[1:]) <= shared
+        assert interval_thinness(torus66, 0, *torus66.vertices[1:]) == (4, (2, 12))
+        assert bases == [0]
+
+    def test_cover_build_rows(self, surf37, monkeypatch):
+        # one row per stage for (P) and one for (Q), and the thinness base
+        bases = count_bfs(monkeypatch)
+        monkeypatch.setattr(cover, "distances_from", metric.distances_from)
+        build_cover(surf37, 0, 6)
+        assert bases == [0] * 13
 
     def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
                                                           monkeypatch, capsys):
