@@ -6,9 +6,14 @@ triangles, tetrahedra) together with the adjacency relation of the
 curvature checkers live here: spans (induced subcomplexes), links, chord
 tests for cycles, flagness, and chordless-cycle enumeration.
 
-Flagness is one clique search, :func:`empty_clique`, over an adjacency
-table: the 1-skeleton of the complex, or of a vertex link read by
-``link_graph``, whose simplices the search asks the complex for.
+The two link searches, :func:`empty_clique` (flagness) and
+:func:`grow_chordless` (chordless cycles), run on graphs given as one int
+bitmask of neighbours per vertex.  That graph is the 1-skeleton of the
+complex in its own ids, or a vertex link read by ``link_masks`` on the
+ranks of the sorted neighbours of the vertex.  The rank map is
+increasing, so the searches' canonical cycles and sorted cliques map back
+to ambient ids unchanged.  ``link_graph`` reads the same link as sets, for
+the closed-surface test.
 
 The coface index makes the local queries cost the size of a vertex star,
 not the size of the complex: ``link`` reads the star of one vertex of the
@@ -19,6 +24,7 @@ vertex stars.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -82,7 +88,8 @@ class SimplicialComplex:
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
     contain it.  It holds the same tuple objects as the face sets, so it
     adds one reference per vertex of each simplex.  ``link``,
-    ``link_graph`` and ``span`` read it instead of scanning every face.
+    ``link_graph``, ``link_masks`` and ``span`` read it instead of scanning
+    every face.
     """
 
     __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
@@ -237,19 +244,34 @@ class SimplicialComplex:
 
     def link_graph(self, v: int) -> dict:
         """The 1-skeleton of the link of vertex ``v`` in this complex's ids,
-        as neighbour of v -> set of link neighbours.  Each triangle t at v
-        gives the link edge t - v; in v's coface tuple the triangles follow
-        its ``degree(v)`` edges."""
+        as neighbour of v -> set of link neighbours."""
         nbrs = {u: set() for u in self._adj[v]}
-        for t in self._cofaces[v][len(nbrs):]:
-            if len(t) != 3:
-                break
-            a, b, c = t
-            if v != c:
-                a, b = (b, c) if v == a else (a, c)
+        for a, b in self._link_edges(v):
             nbrs[a].add(b)
             nbrs[b].add(a)
         return nbrs
+
+    def link_masks(self, v: int):
+        """The 1-skeleton of the link of vertex ``v`` as ``(ids, masks)``:
+        ``ids`` is the sorted neighbours of v, and bit j of ``masks[i]`` is
+        set when ``ids[i]`` and ``ids[j]`` are adjacent in the link."""
+        ids = sorted(self._adj[v])
+        rank = {u: i for i, u in enumerate(ids)}
+        masks = [0] * len(ids)
+        for a, b in self._link_edges(v):
+            i, j = rank[a], rank[b]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return ids, masks
+
+    def _link_edges(self, v: int) -> list:
+        """The link edges (a, b), a < b, of vertex ``v``: t - v for each
+        triangle t at v.  In v's coface tuple the triangles follow its
+        ``degree(v)`` edges and precede its tetrahedra."""
+        cofaces = self._cofaces[v]
+        first = len(self._adj[v])
+        triangles = cofaces[first:bisect_left(cofaces, 4, first, key=len)]
+        return [(b, c) if a == v else (a, c) if b == v else (a, b) for a, b, c in triangles]
 
 
 def _close_downward(simplex: tuple, faces: dict):
@@ -347,28 +369,49 @@ def is_full(X: SimplicialComplex, cycle: Sequence[int]) -> Verdict:
     return passed("is_full", detail=f"cycle of length {len(vs)} has no chords")
 
 
-def empty_clique(adj, edges, spans, top: int):
+def mask_edges(masks) -> list:
+    """The edges (a, b), a < b, of a graph on ranks ``0..len(masks) - 1``,
+    in sorted order; bit b of ``masks[a]`` is set when a and b are adjacent."""
+    edges = []
+    for a, m in enumerate(masks):
+        m >>= a  # bit a, now bit 0, is clear: no loops
+        while m:
+            low = m & -m
+            m ^= low
+            edges.append((a, a + low.bit_length() - 1))
+    return edges
+
+
+def _edge_masks(X: SimplicialComplex) -> list:
+    """The adjacency of X as one bitmask per vertex id."""
+    return [sum(1 << u for u in nbrs) for nbrs in X._adj]
+
+
+def empty_clique(masks, edges, spans, top: int):
     """The first clique of 3 or more vertices that ``spans`` rejects, or None.
 
-    ``adj`` is an adjacency table and ``edges`` its edges (a, b), a < b, in
+    ``masks`` is the adjacency as bitmasks (bit b of ``masks[a]`` is set
+    when a and b are adjacent) and ``edges`` its edges (a, b), a < b, in
     sorted order.  Cliques grow one size at a time, each by the common
-    neighbours above its last vertex, so they come by size and then in
-    sorted order.  A clique of more than ``top + 1`` vertices never spans,
-    so the search ends at ``top + 2`` vertices.
+    neighbours above its last vertex in increasing order, so they come by
+    size and then in sorted order.  A clique of more than ``top + 1``
+    vertices never spans, so the search ends at ``top + 2`` vertices.
     """
     # each clique with the common neighbours of all but its last vertex
-    level = [(e, adj[e[0]]) for e in edges]
+    level = [(e, masks[e[0]]) for e in edges]
     for size in range(3, top + 3):
         grown = []
         for c, common in level:
             last = c[-1]
-            common = common & adj[last]
-            for x in sorted(common):
-                if x > last:
-                    s = c + (x,)
-                    if size > top + 1 or not spans(s):
-                        return s
-                    grown.append((s, common))
+            common &= masks[last]
+            above = common >> last  # bit 0 is last, not a common neighbour
+            while above:
+                low = above & -above
+                above ^= low
+                s = c + (last + low.bit_length() - 1,)
+                if size > top + 1 or not spans(s):
+                    return s
+                grown.append((s, common))
         level = grown
     return None
 
@@ -380,7 +423,7 @@ def flag_witness(X: SimplicialComplex):
     empty triangles first, then empty 3-simplices, then 5-cliques (which
     can never span, the dimension being capped at 3).
     """
-    return empty_clique(X._adj, sorted(X._faces[1]), X.has_simplex, MAX_DIM)
+    return empty_clique(_edge_masks(X), sorted(X._faces[1]), X.has_simplex, MAX_DIM)
 
 
 def is_flag(X: SimplicialComplex) -> Verdict:
@@ -415,14 +458,15 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
 
     cycles = []
     # the stored edges are the starts (s, v1) with v1 > s
-    grow_chordless(X._adj, X._faces[1], min_len, max_len, cycles, None)
+    grow_chordless(_edge_masks(X), X._faces[1], min_len, max_len, cycles, None)
     return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
-def grow_chordless(adj, starts, min_len: int, max_len: int, cycles: list, leaves) -> None:
+def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leaves) -> None:
     """Grow chordless paths (s, v1, ..., vt) with every vi > s, by DFS.
 
-    ``adj`` is an adjacency table.  ``starts`` are chordless paths of fewer
+    ``masks`` is the adjacency as bitmasks: bit u of ``masks[v]`` is set
+    when u and v are adjacent.  ``starts`` are chordless paths of fewer
     than ``max_len`` vertices whose later vertices all exceed s and, past
     v1, are not adjacent to s: an edge (s, v1) with v1 > s is one, and so
     is each leaf below.  A path is closed into a cycle when its tip is
@@ -434,30 +478,40 @@ def grow_chordless(adj, starts, min_len: int, max_len: int, cycles: list, leaves
     """
     for start in starts:
         s = start[0]
-        s_adj = adj[s]
-        # ``blocked`` is the path and the neighbours of its inner vertices
-        # (all but s and the tip): a next vertex outside it repeats no
-        # vertex and closes no chord except possibly one to s.
-        blocked = frozenset(start)
-        if len(start) > 2:  # an edge has no inner vertex
-            blocked = blocked.union(*[adj[v] for v in start[1:-1]])
+        s_adj = masks[s]
+        # ``blocked`` is every vertex up to s, the path, and the neighbours
+        # of its inner vertices (all but s and the tip): a next vertex
+        # outside it is above s, repeats no vertex and closes no chord
+        # except possibly one to s.  Past v1, each path vertex is a
+        # neighbour of the inner vertex before it.
+        blocked = (2 << s) - 1 | 1 << start[1]
+        for u in start[1:-1]:
+            blocked |= masks[u]
         stack = [(start, blocked)]
         while stack:
             path, blocked = stack.pop()
             tip = path[-1]
-            grow = len(path) + 1 < max_len
-            closes = len(path) + 1 >= min_len
-            if grow:
+            free = masks[tip] & ~blocked
+            size = len(path) + 1
+            if size >= min_len:
+                # the closers above v1 = path[1]; v1 is blocked, so bit 0 is clear
+                v1 = path[1]
+                close = (free & s_adj) >> v1
+                while close:
+                    low = close & -close
+                    close ^= low
+                    cycles.append(path + (v1 + low.bit_length() - 1,))
+            # extending past a closer would leave its chord to s in place
+            grow = free & ~s_adj
+            if size < max_len:
                 # the children's inner vertices gain the tip
-                child_blocked = blocked | adj[tip]
-            for u in adj[tip] - blocked:
-                if u <= s:
-                    continue
-                if u in s_adj:
-                    if closes and path[1] < u:
-                        cycles.append(path + (u,))
-                    # extending past u would leave the chord u~s in place
-                elif grow:
-                    stack.append((path + (u,), child_blocked))
-                elif leaves is not None:
-                    leaves.append(path + (u,))
+                child_blocked = blocked | masks[tip]
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    stack.append((path + (low.bit_length() - 1,), child_blocked))
+            elif leaves is not None:
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    leaves.append(path + (low.bit_length() - 1,))

@@ -35,7 +35,7 @@ from typing import Optional
 from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, check_sd_prime, distances_from, interval_thinness
+from .metric import SDReport, _sd_prime, distances_from, interval_thinness
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -126,8 +126,9 @@ def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] 
             problems.append(("P", {"kind": "stage_span_mismatch", "stage": j},
                              f"induced ball at radius {j} differs from the stage-{j} ball"))
 
-    # (Q): descent property one radius below the current stage.
-    sd = check_sd_prime(ball, state.base, state.stage - 1)
+    # (Q): descent property one radius below the current stage, on the
+    # base row of (P).
+    sd = _sd_prime(ball, state.base, state.stage - 1, dist)
     if not sd.passed:
         f = sd.first_failure()
         problems.append(("Q", f.witness, f.detail))

@@ -21,6 +21,7 @@ from .complexes import (
     full_cycles,
     grow_chordless,
     is_flag,
+    mask_edges,
 )
 from .errors import NotACovering
 from .verdicts import Verdict, failed, passed, timed
@@ -166,31 +167,36 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     k-large, every link is.
 
     No link complex is built: the 1-skeleton of Lk(v) is
-    :meth:`~SimplicialComplex.link_graph`, in ambient ids, and its
-    triangles are the tetrahedra at v.  One search finds the first empty
-    clique of the link, then the shortest full cycle below k.  The witness
-    names the simplex (a vertex) together with that configuration; only the
-    detail names a link clique by its ranks in the sorted neighbours of v.
+    :meth:`~SimplicialComplex.link_masks`, on the ranks of the sorted
+    neighbours of v, and its triangles are the tetrahedra at v.  One search
+    finds the first empty clique of the link, then the shortest full cycle
+    below k, both in rank space; the rank map is increasing, so both are
+    the same in ambient ids.  The witness names the simplex (a vertex)
+    together with that configuration; only the detail names a link clique
+    by its ranks.
     ``links_checked`` counts the simplices whose link the verdict covers:
     the vertices up to the failing one, or every simplex of X on a pass.
     """
     if k < 4:
         raise ValueError("largeness starts at k = 4")
     for links, v in enumerate(X.vertices, 1):
-        adj = X.link_graph(v)
-        edges = sorted((a, b) for a in adj for b in adj[a] if a < b)
-        clique = empty_clique(adj, edges, lambda s: X.has_simplex((v,) + s), 2)
+        ids, masks = X.link_masks(v)
+        edges = mask_edges(masks)
+        clique = empty_clique(masks, edges,
+                              lambda s: X.has_simplex((v,) + tuple(ids[i] for i in s)), 2)
         if clique is not None:
-            witness = {"kind": "clique_in_link", "simplex": [v], "vertices": list(clique)}
-            reason = f"not flag: clique {tuple(map(sorted(adj).index, clique))} spans no simplex"
+            witness = {"kind": "clique_in_link", "simplex": [v],
+                       "vertices": [ids[i] for i in clique]}
+            reason = f"not flag: clique {clique} spans no simplex"
         else:
             cycles = []
             if k > 4:
-                grow_chordless(adj, edges, 4, k - 1, cycles, None)
+                grow_chordless(masks, edges, 4, k - 1, cycles, None)
             if not cycles:
                 continue
             cycle = min(cycles, key=lambda c: (len(c), c))
-            witness = {"kind": "cycle_in_link", "simplex": [v], "cycle": list(cycle)}
+            witness = {"kind": "cycle_in_link", "simplex": [v],
+                       "cycle": [ids[i] for i in cycle]}
             reason = f"full {len(cycle)}-cycle present"
         return failed("is_locally_k_large", witness,
                       detail=f"link of {(v,)} is not {k}-large: {reason}",
@@ -218,25 +224,27 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
     """Yield ``(k, the k-wheels in (center, rim) order)`` for k = 4 .. k_max,
     with no wheels below ``k_min``; a rim may have a chord in X if X is not flag.
 
-    The rims grow on each vertex's :meth:`~SimplicialComplex.link_graph`,
-    in ambient ids, and no link complex is built.  Between two lengths only
-    the graph and its open chordless paths are kept, so length k + 1 grows
-    the paths of length k instead of searching the link again.
+    The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
+    in rank space, and map back to ambient ids through the increasing rank
+    map, which keeps them canonical and in order; no link complex is built.
+    Between two lengths only the graph and its open chordless paths are
+    kept, so length k + 1 grows the paths of length k instead of searching
+    the link again.
     """
     links = []
     for v in X.vertices:
-        adj = X.link_graph(v)
+        ids, masks = X.link_masks(v)
         # the paths start as the link edges (s, v1) with v1 > s
-        links.append((v, adj, [(a, b) for a in adj for b in adj[a] if a < b]))
+        links.append((v, ids, masks, mask_edges(masks)))
     for k in range(4, k_max + 1):
         found, live = [], []
-        for v, adj, paths in links:
+        for v, ids, masks, paths in links:
             cycles, leaves = [], [] if k < k_max else None
             # below k_min the paths grow, but close into no cycle
-            grow_chordless(adj, paths, max(k, k_min), k, cycles, leaves)
-            found.extend(Wheel(v, cyc) for cyc in sorted(cycles))
+            grow_chordless(masks, paths, max(k, k_min), k, cycles, leaves)
+            found.extend(Wheel(v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
             if leaves:
-                live.append((v, adj, leaves))
+                live.append((v, ids, masks, leaves))
         links = live
         yield k, found
 

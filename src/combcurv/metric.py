@@ -223,7 +223,12 @@ def _vertex_condition(X, dist, i) -> Verdict:
 def check_sd_prime(X: SimplicialComplex, o: int, n: int) -> SDReport:
     """Descent property around ``o`` up to radius ``n``: conditions (T) and
     (V) at every i = 1..n."""
-    dist = distances_from(X, o)
+    return _sd_prime(X, o, n, distances_from(X, o))
+
+
+def _sd_prime(X: SimplicialComplex, o: int, n: int, dist) -> SDReport:
+    """:func:`check_sd_prime` on ``dist``, the BFS row of ``o`` that the
+    caller has already computed."""
     results = {}
     for i in range(1, n + 1):
         results[i] = (_triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
@@ -244,12 +249,12 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
                           ("is_locally_k_large(X, 5)", is_locally_k_large(X, 5))):
         if not verdict.passed:
             raise PreconditionNotMet(name, verdict.detail)
-    sd = check_sd_prime(X, o, n)
+    dist = distances_from(X, o)
+    sd = _sd_prime(X, o, n, dist)
     if not sd.passed:
         raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})",
                                  sd.first_failure().detail)
 
-    dist = distances_from(X, o)
     instances = 0
     for i in range(1, n + 1):
         for v in range(X.vertex_count):

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,13 @@ from combcurv.complexes import (
     build_complex,
     canonical_cycle,
     chords,
+    empty_clique,
+    flag_witness,
     full_cycles,
     grow_chordless,
     is_flag,
     is_full,
+    mask_edges,
 )
 from combcurv.errors import (
     BoundExceeded,
@@ -25,8 +29,22 @@ from combcurv.errors import (
 )
 from combcurv.generators import flag_completion
 
-from conftest import gen, load_degree7_fixture
-from oracles import naive_full_cycles, naive_link, naive_maximal_simplices, naive_span
+from conftest import (
+    bd4_pair_at_edge,
+    bd4_pair_at_vertex,
+    gen,
+    glued_tetrahedra,
+    load_degree7_fixture,
+    pinched_octahedra,
+    tetrahedron_less_face,
+)
+from oracles import (
+    naive_flag_witness,
+    naive_full_cycles,
+    naive_link,
+    naive_maximal_simplices,
+    naive_span,
+)
 
 
 class TestBuildComplex:
@@ -171,6 +189,19 @@ def _two_dim_soup(rng):
                           for _ in range(rng.randint(6, 14))), name="soup")
 
 
+def adjacency_masks(X):
+    """The adjacency of X as one bitmask per vertex id, read off ``neighbors``."""
+    return [sum(1 << u for u in X.neighbors(v)) for v in range(X.vertex_count)]
+
+
+def _named_complexes():
+    """The small complexes of the shared fixtures and of ``conftest``."""
+    return [gen("octahedron"), gen("icosahedron"), gen("boundary_4_simplex"),
+            tetrahedron_less_face(), glued_tetrahedra(), pinched_octahedra(),
+            bd4_pair_at_vertex(), bd4_pair_at_edge(),
+            build_complex(combinations(range(4), 3), name="hollow_tetrahedron")]
+
+
 class TestFullCycles:
     def test_c4_single_cycle(self, c4):
         out = full_cycles(c4, 4, 4)
@@ -225,20 +256,25 @@ class TestFullCycles:
         assert lengths == set(range(4, CYCLE_CAP + 1))
 
     def test_growth_one_length_at_a_time(self):
-        # the leaves of each length are the only starts of the next; every
-        # length then holds exactly the referee's cycles of that length
+        # one search holds exactly the referee's cycles; so does each length
+        # when the leaves of a length are the only starts of the next
         rng = random.Random(1999)
         inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(25)]
         inputs += [_two_dim_soup(rng) for _ in range(25)]
         inputs += [gen("c_n", n) for n in range(4, 9)]
+        inputs += _named_complexes()
         lengths = set()
         for X in inputs:
             ref = naive_full_cycles(X, 4, CYCLE_CAP)
+            masks = adjacency_masks(X)
+            once = []
+            grow_chordless(masks, X.simplices(1), 4, CYCLE_CAP, once, None)
+            assert sorted(once, key=lambda c: (len(c), c)) == ref, X.name
             paths = X.simplices(1)
             for k in range(4, CYCLE_CAP + 1):
                 cycles, leaves = [], []
-                grow_chordless(X._adj, paths, k, k, cycles, leaves)
+                grow_chordless(masks, paths, k, k, cycles, leaves)
                 assert sorted(cycles) == [c for c in ref if len(c) == k], (X.name, k)
                 assert all(len(p) == k for p in leaves)
                 paths = leaves
@@ -250,6 +286,49 @@ class TestFullCycles:
             assert cyc.is_full
             assert not chords(gs2, cyc.vertices)
             assert cyc.vertices == canonical_cycle(cyc.vertices)
+
+
+class TestBitmaskKernels:
+    """``empty_clique`` against the plain clique scan of the referee, on
+    bitmasks read off ``neighbors`` and on vertex link masks."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(2017)
+        inputs = [gen("random_flag", rng.randint(6, 12), rng.choice((0.25, 0.35, 0.45)), seed)
+                  for seed in range(30)]
+        return inputs + _named_complexes()
+
+    def test_empty_clique_as_the_clique_scan(self):
+        sizes = set()
+        for X in self.inputs():
+            ref = naive_flag_witness(X)
+            masks = adjacency_masks(X)
+            assert empty_clique(masks, sorted(X.simplices(1)), X.has_simplex, 3) == ref, X.name
+            assert flag_witness(X) == ref, X.name
+            sizes.add(0 if ref is None else len(ref))
+        assert sizes == {0, 3, 4, 5}
+
+    def test_empty_clique_of_every_vertex_link(self):
+        # on rank-space link masks, asking X for the simplices at v; the
+        # rank map is increasing, so the first empty clique maps to the
+        # referee's on the built link, whose ids are the same ranks
+        found = 0
+        for X in self.inputs():
+            for v in X.vertices:
+                ids, masks = X.link_masks(v)
+                got = empty_clique(masks, mask_edges(masks),
+                                   lambda s: X.has_simplex((v,) + tuple(ids[i] for i in s)), 2)
+                link, vmap = naive_link(X, (v,))
+                assert vmap == ids
+                assert got == naive_flag_witness(link), (X.name, v)
+                found += got is not None
+        assert found > 0
+
+    def test_mask_edges(self, octa):
+        masks = adjacency_masks(octa)
+        assert mask_edges(masks) == sorted(octa.simplices(1))
+        assert mask_edges([]) == [] and mask_edges([0, 0]) == []
 
 
 class TestCanonicalCycle:
@@ -362,6 +441,14 @@ class TestCofaceIndex:
                     ref[vmap[a]].add(vmap[b])
                     ref[vmap[b]].add(vmap[a])
                 assert X.link_graph(v) == ref, (X.name, v)
+
+    def test_link_masks_of_every_vertex(self, complexes):
+        for X in complexes:
+            for v in X.vertices:
+                graph = X.link_graph(v)
+                ids, masks = X.link_masks(v)
+                assert ids == sorted(graph), (X.name, v)
+                assert masks == [sum(1 << ids.index(b) for b in graph[a]) for a in ids], (X.name, v)
 
     def test_maximal_simplices(self, complexes):
         for X in complexes:

@@ -116,23 +116,28 @@ class TestLocallyLarge:
         assert is_locally_k_large(X, 5).passed == (wheel is None)
 
     def test_builds_vertex_links_only(self, gs2, monkeypatch):
-        # each vertex link is read once, as a graph; no link complex is built
-        built, graphs = [], []
-        link_graph = SimplicialComplex.link_graph
+        # each vertex link is read once, as bitmasks; no link complex is
+        # built and no set-valued link graph is read
+        built, graphs, masks = [], [], []
+        link_masks = SimplicialComplex.link_masks
 
         def counting_link(X, sigma):
             built.append(tuple(sigma))
 
         def counting_link_graph(X, v):
             graphs.append(v)
-            return link_graph(X, v)
+
+        def counting_link_masks(X, v):
+            masks.append(v)
+            return link_masks(X, v)
 
         monkeypatch.setattr(SimplicialComplex, "link", counting_link)
         monkeypatch.setattr(SimplicialComplex, "link_graph", counting_link_graph)
+        monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
         verdict = is_locally_k_large(gs2, 5)
         assert verdict.passed
-        assert built == []
-        assert graphs == list(gs2.vertices)
+        assert built == [] and graphs == []
+        assert masks == list(gs2.vertices)
         # the stat still counts every simplex whose link is certified
         assert verdict.stats["links_checked"] == sum(gs2.counts())
 

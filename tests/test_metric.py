@@ -247,11 +247,11 @@ class TestThinnessOracle:
         assert bases == [0]
 
     def test_cover_build_rows(self, surf37, monkeypatch):
-        # one row per stage for (P) and one for (Q), and the thinness base
+        # one base row per stage, shared by (P) and (Q), and the thinness base
         bases = count_bfs(monkeypatch)
         monkeypatch.setattr(cover, "distances_from", metric.distances_from)
         build_cover(surf37, 0, 6)
-        assert bases == [0] * 13
+        assert bases == [0] * 7
 
     def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
                                                           monkeypatch, capsys):
@@ -326,6 +326,13 @@ class TestProjectionLemma:
             report = build_cover(X, 0, 3)
             verdict = check_projection_lemma(report.state.ball, 0, 2)
             assert verdict.passed
+
+    def test_one_base_row(self, surf37, monkeypatch):
+        # the descent precondition and the instance scan share one BFS row
+        ball = build_cover(surf37, 0, 3).state.ball
+        bases = count_bfs(monkeypatch)
+        assert check_projection_lemma(ball, 0, 2).passed
+        assert bases == [0]
 
 
 class TestDelta:
