@@ -73,6 +73,14 @@ def tetrahedron_less_face():
     return build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
 
 
+def mixed_star():
+    """A tetrahedron 0-1-2-3 with an edge 3-4, a triangle 0-1-5 and an
+    isolated vertex 6: the link of 0 has the maximal edge (0, 3) in link
+    ranks, the link of 3 the maximal vertex (3,), the link of 2 is one
+    triangle, and the links of 4, 5 and 6 have dimension 0, 1 and -1."""
+    return build_complex([[0, 1, 2, 3], [3, 4], [0, 1, 5], [6]])
+
+
 def glued_tetrahedra():
     """Two tetrahedra sharing the triangle 1-2-3: the link of vertex 0 is
     one triangle, whose edges lie on one triangle each."""

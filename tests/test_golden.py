@@ -40,6 +40,7 @@ from conftest import (
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
     glued_tetrahedra,
+    mixed_star,
     suspended_pinched_octahedra,
     suspended_torus,
     tetrahedron_less_face,
@@ -58,7 +59,8 @@ GENERATED = {
 }
 
 # built, then written as files: the first two fail the vertex-link stage
-# only, the next three the edge-link stage as well; the last is a disk
+# only, the next three the edge-link stage as well; then a disk, and a
+# complex of mixed dimension
 BUILT = {
     "susp_torus44": suspended_torus,
     "bd4_pair": bd4_pair_at_vertex,
@@ -66,6 +68,7 @@ BUILT = {
     "bd4_pair_edge": bd4_pair_at_edge,
     "glued_tetrahedra": glued_tetrahedra,
     "tetra_less_face": tetrahedron_less_face,
+    "mixed_star": mixed_star,
 }
 
 COMMANDS = {
@@ -195,6 +198,12 @@ GOLDEN = [
     ("bd4_pair", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
     ("bd4_pair_edge", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
     ("tetra_less_face", "check", 1, "23bfdbea4409fc3d87ed3dca7a1627517bf660437f69bcfdad85a7d92894a4b2"),
+    # the 5/6* degree reason on a 3-complex whose vertex links are all
+    # spheres (adjacent degree-5 link vertices), and the pre-checks of the
+    # surface test on links that are not pure 2-complexes: a maximal edge,
+    # a maximal vertex, an edge on one triangle, dimensions 0, 1 and -1
+    ("cell600", "links", 1, "04a15fcdebf3e83ff09fb1077e83c7b791e759c2bd35da8933e61c3505893118"),
+    ("mixed_star", "links", 1, "fffd404d44f29b49dc8ecbb8ff5a70e0fa08029bf15323278a3a9f1fa31020b2"),
 ]
 
 
