@@ -39,7 +39,6 @@ from .manifold import (
     soccer_dual,
     validate_closed_3manifold,
     verify_theorem_b,
-    vertex_link_sphere,
 )
 from .metric import (
     LayeredInterval,
@@ -101,6 +100,5 @@ __all__ = [
     "validate_closed_3manifold",
     "verify_equiv_shortcut",
     "verify_theorem_b",
-    "vertex_link_sphere",
     "wheels",
 ]

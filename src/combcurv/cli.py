@@ -202,20 +202,20 @@ def cmd_cover(args):
     return code
 
 
-def _link_check(X, v) -> Verdict:
+def _link_check(X, v, links) -> Verdict:
     """Sphere checks on the link of ``v``, reported as ``link_<v>``."""
     try:
-        r = manifold_mod.is_5_6_star_sphere(X.link((v,))[0])
+        r = manifold_mod._link_verdict(X, v, links)
     except NotASphere as exc:
-        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v},
-                   detail=f"link of vertex {v}: {exc}")
+        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
     return Verdict(check=f"link_{v}", passed=r.passed, detail=r.detail,
                    witness=r.witness, stats=r.stats)
 
 
 def cmd_links(args):
     X = _load(args.path)
-    return _emit(args, "links", [_link_check(X, v) for v in X.vertices])
+    links = manifold_mod._edge_link_graphs(X)
+    return _emit(args, "links", [_link_check(X, v, links) for v in X.vertices])
 
 
 def cmd_lemmas(args):
@@ -224,13 +224,14 @@ def cmd_lemmas(args):
     try:
         if X.dimension() == 3:
             verdicts.append(manifold_mod.check_wheel_in_link(X))
+            links = manifold_mod._edge_link_graphs(X)
             for v in X.vertices:
-                # vertex_link_sphere has already checked that the link is a sphere
-                sphere, _ = manifold_mod.vertex_link_sphere(X, v)
-                verdicts += manifold_mod._sphere_lemmas(
-                    sphere, manifold_mod._five_six_star_degrees(sphere))
+                # the lemmas run on a link complex, built once the link passed
+                manifold_mod._require_5_6_star(manifold_mod._link_verdict(X, v, links))
+                verdicts += manifold_mod._sphere_lemmas(X.link((v,))[0])
         else:
-            verdicts += manifold_mod._sphere_lemmas(X, manifold_mod.is_5_6_star_sphere(X))
+            manifold_mod._require_5_6_star(manifold_mod.is_5_6_star_sphere(X))
+            verdicts += manifold_mod._sphere_lemmas(X)
     except CombCurvError as exc:
         verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
     return _emit(args, "lemmas", verdicts)

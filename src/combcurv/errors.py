@@ -73,10 +73,6 @@ class NotPure(CombCurvError):
     dimension below 3."""
 
 
-class LinkNotSphere(CombCurvError):
-    """A vertex link expected to be a triangulated 2-sphere is not one."""
-
-
 class NotASphere(CombCurvError):
     """A complex expected to be a closed triangulated 2-sphere is not one."""
 

@@ -3,10 +3,14 @@
 A closed triangulation qualifies when every edge has degree 5 or 6 (degree
 counted in tetrahedra) and no triangle carries two degree-5 edges; vertex
 links are then triangulated 2-spheres whose degrees repeat the edge degrees.
-This module validates the manifold structure, extracts links, checks the
-sphere-level degree conditions, builds the pentagon/hexagon dual cellulation,
-and checks on every chordless cycle the cycle-filling facts the main pipeline
-relies on.
+This module validates the manifold structure, checks the sphere-level degree
+conditions, builds the pentagon/hexagon dual cellulation, and checks on every
+chordless cycle the cycle-filling facts the main pipeline relies on.
+
+The closed-surface and 5/6* degree tests read a surface as the rims (link
+graphs) of its vertices: a built 2-complex by ``link_graph``, and the link of
+a vertex v of a 3-complex off one pass over the faces, the rim of u in Lk(v)
+being Lk(vu).  So vertex links are decided with no link complex built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, full_cycles, is_flag
 from .curvature import dwheels, is_locally_k_large, is_m_located, wheels
-from .errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
+from .errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed, timed
 
 ALLOWED_DWHEEL_TYPES = {(5, 5), (6, 5), (6, 6), (7, 5)}
@@ -85,24 +89,23 @@ def five_six_star_verdict(X: SimplicialComplex, degrees: Optional[dict] = None) 
     return passed("five_six_star", edges=len(degrees))
 
 
-def _closed_surface_failure(Y: SimplicialComplex):
-    """Reason the complex is not a closed triangulated 2-sphere, or None."""
-    if Y.dimension() != 2:
-        return f"dimension {Y.dimension()} != 2"
-    for s in Y.maximal_simplices():
-        if len(s) != 3:
-            return f"maximal simplex {s} is not a triangle"
-    return _surface_failure({v: Y.link_graph(v) for v in Y.vertices}, lambda v: v)
-
-
 def _surface_failure(rims: dict, name):
-    """Reason a pure 2-complex is not a closed triangulated 2-sphere, or None.
+    """Reason a complex of dimension at most 2 is not a closed triangulated
+    2-sphere, or None.
 
     ``rims[u]`` is the link graph of its vertex u, as neighbour -> link
     neighbours, so the edge ab lies on ``len(rims[a][b])`` triangles.
-    Vertices are named by ``name`` in the reasons.
+    Vertices are named by ``name``, an increasing map, in the reasons.
     """
+    if not any(t for rim in rims.values() for t in rim.values()):
+        dim = 1 if any(rims.values()) else 0 if rims else -1
+        return f"dimension {dim} != 2"
     off = [(a, b) for a in rims for b in rims[a] if a < b and len(rims[a][b]) != 2]
+    # maximal simplices other than triangles: vertices on no edge, edges on none
+    low = [(u,) for u, rim in rims.items() if not rim]
+    low += [(a, b) for a, b in off if not rims[a][b]]
+    if low:
+        return f"maximal simplex {tuple(map(name, min(low)))} is not a triangle"
     if off:
         a, b = min(off)
         return f"edge {(name(a), name(b))} lies in {len(rims[a][b])} triangles"
@@ -168,13 +171,12 @@ def _edge_link_graphs(X: SimplicialComplex) -> dict:
     return links
 
 
-def _vertex_link_failure(X: SimplicialComplex, v: int, links: dict):
-    """:func:`_closed_surface_failure` of the link of ``v`` in the pure
-    3-complex ``X``, read off the edge links ``links``, with link vertices
-    named by rank in sorted N(v).  Purity makes the link pure of dimension
-    2, and the rim of u in the link is the link of vu."""
+def _vertex_link(X: SimplicialComplex, v: int, links: dict):
+    """The rims of the link of ``v`` in ``X``, read off the edge links
+    ``links``, and the naming of its vertices by rank in sorted N(v).  The
+    rim of u in the link is the link of vu."""
     rims = {u: links[(v, u) if v < u else (u, v)] for u in X.neighbors(v)}
-    return _surface_failure(rims, sorted(rims).index)
+    return rims, sorted(rims).index
 
 
 def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
@@ -188,8 +190,8 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     edges.  Purity is read off the same pass: the maximal simplices below
     dimension 3 are the vertices with no neighbour, the edges with an empty
     link and the triangles on no tetrahedron, and :class:`NotPure` names the
-    first of them.  Each vertex link is decided by
-    :func:`_vertex_link_failure`, on every input, with no link complex built.
+    first of them.  Each vertex link is decided by :func:`_surface_failure`
+    on its rims, on every input, with no link complex built.
     """
     links = _edge_link_graphs(X)
     off = [(t, c) for t in X.simplices(2) if (c := len(links[t[:2]][t[2]])) != 2]
@@ -216,7 +218,7 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
 
     sphere_links = passed("vertex_links_spheres", vertices=len(X.simplices(0)))
     for v in X.vertices:
-        reason = _vertex_link_failure(X, v, links)
+        reason = _surface_failure(*_vertex_link(X, v, links))
         if reason is not None:
             sphere_links = failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
                                   detail=f"link of vertex {v}: {reason}")
@@ -232,20 +234,6 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     )
 
 
-def vertex_link_sphere(X: SimplicialComplex, v: int):
-    """The link of a vertex as a 2-sphere triangulation.
-
-    Returns ``(sphere, vertex_map)``; link-vertex degrees equal the ambient
-    edge degrees.  Raises :class:`LinkNotSphere` when the link fails the
-    closed-surface checks.
-    """
-    link, vmap = X.link((v,))
-    reason = _closed_surface_failure(link)
-    if reason is not None:
-        raise LinkNotSphere(f"link of vertex {v}: {reason}")
-    return link, vmap
-
-
 @timed
 def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     """Degrees all 5 or 6 and no two degree-5 vertices adjacent.
@@ -253,28 +241,41 @@ def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     Raises :class:`NotASphere` when the input is not a closed triangulated
     2-sphere.
     """
-    reason = _closed_surface_failure(Y)
+    if Y.dimension() == 3:
+        raise NotASphere("dimension 3 != 2")
+    return _star_sphere({v: Y.link_graph(v) for v in Y.vertices}, lambda v: v)
+
+
+@timed
+def _link_verdict(X: SimplicialComplex, v: int, links: dict) -> Verdict:
+    """:func:`is_5_6_star_sphere` of the link of ``v``, read off the edge
+    links ``links`` of :func:`_edge_link_graphs`, with link vertices named
+    by rank in sorted N(v).  The :class:`NotASphere` reason names ``v``."""
+    return _star_sphere(*_vertex_link(X, v, links), f"link of vertex {v}: ")
+
+
+def _star_sphere(rims: dict, name, where: str = "") -> Verdict:
+    """The 5/6* sphere verdict of the surface with rims ``rims``, named as
+    in :func:`_surface_failure`: the degree of u is the size of its rim, and
+    u, w are adjacent when w is in the rim of u.  Raises :class:`NotASphere`
+    with ``where`` before the reason when the surface is no 2-sphere."""
+    reason = _surface_failure(rims, name)
     if reason is not None:
-        raise NotASphere(reason)
-    return _five_six_star_degrees(Y)
-
-
-def _five_six_star_degrees(Y: SimplicialComplex) -> Verdict:
-    """The degree conditions of :func:`is_5_6_star_sphere`, on a complex
-    already known to be a closed triangulated 2-sphere."""
-    for v in Y.vertices:
-        if Y.degree(v) not in (5, 6):
+        raise NotASphere(where + reason)
+    order = sorted(rims)
+    for u in order:
+        if len(rims[u]) not in (5, 6):
             return failed("is_5_6_star_sphere",
-                          {"kind": "vertex_degree", "vertex": v, "degree": Y.degree(v)},
-                          detail=f"vertex {v} has degree {Y.degree(v)}")
-    for (u, v) in sorted(Y.simplices(1)):
-        if Y.degree(u) == 5 and Y.degree(v) == 5:
-            return failed("is_5_6_star_sphere",
-                          {"kind": "adjacent_low_degree", "edge": [u, v]},
-                          detail=f"adjacent degree-5 vertices {u} and {v}")
-    return passed("is_5_6_star_sphere",
-                  degree5=sum(1 for v in Y.vertices if Y.degree(v) == 5),
-                  degree6=sum(1 for v in Y.vertices if Y.degree(v) == 6))
+                          {"kind": "vertex_degree", "vertex": name(u), "degree": len(rims[u])},
+                          detail=f"vertex {name(u)} has degree {len(rims[u])}")
+    fives = [u for u in order if len(rims[u]) == 5]
+    for u in fives:
+        low = [w for w in rims[u] if w > u and len(rims[w]) == 5]
+        if low:
+            a, b = name(u), name(min(low))
+            return failed("is_5_6_star_sphere", {"kind": "adjacent_low_degree", "edge": [a, b]},
+                          detail=f"adjacent degree-5 vertices {a} and {b}")
+    return passed("is_5_6_star_sphere", degree5=len(fives), degree6=len(order) - len(fives))
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,10 @@ def _require_5_6_star(v56: Verdict) -> None:
         raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
 
 
-def _sphere_lemmas(Y: SimplicialComplex, v56: Verdict) -> list:
+def _sphere_lemmas(Y: SimplicialComplex) -> list:
     """The verdicts of :func:`check_sphere_cycle_lemma` and
-    :func:`check_7cycle_fillings` on ``Y``, whose 5/6* verdict ``v56`` the
-    caller has computed once for both."""
-    _require_5_6_star(v56)
+    :func:`check_7cycle_fillings` on ``Y``, whose 5/6* verdict the caller
+    has required once for both."""
     return [_sphere_cycle_lemma(Y), _seven_cycle_fillings(Y)]
 
 

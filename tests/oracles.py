@@ -7,7 +7,8 @@ local largeness tests the link of every simplex with that flagness test and
 the path-enumerating cycle search, the tetrahedra on each triangle
 and edge are counted by a scan of every tetrahedron, edge links are
 complexes tested for one cycle by a BFS, vertex links are complexes put
-through every closed-surface check, each a plain scan, cycles are found by
+through every closed-surface check, each a plain scan, sphere degrees
+come from a scan of every edge, cycles are found by
 plain DFS over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
@@ -151,6 +152,25 @@ def naive_closed_surface_failure(Y):
         if len(used) != len(rim):
             return f"triangles at vertex {v} do not close into one cycle"
     return None
+
+
+def naive_five_six_star_degrees(Y):
+    """The degree half of ``is_5_6_star_sphere`` on a closed surface, as
+    first written: degrees counted by a scan of every edge, the first vertex
+    of degree other than 5 or 6, then the first edge of two degree-5
+    vertices in sorted edge order."""
+    deg = {v: sum(1 for e in Y.simplices(1) if v in e) for v in Y.vertices}
+    for v in Y.vertices:
+        if deg[v] not in (5, 6):
+            return failed("is_5_6_star_sphere",
+                          {"kind": "vertex_degree", "vertex": v, "degree": deg[v]},
+                          detail=f"vertex {v} has degree {deg[v]}")
+    for (u, v) in sorted(Y.simplices(1)):
+        if deg[u] == deg[v] == 5:
+            return failed("is_5_6_star_sphere", {"kind": "adjacent_low_degree", "edge": [u, v]},
+                          detail=f"adjacent degree-5 vertices {u} and {v}")
+    return passed("is_5_6_star_sphere", degree5=list(deg.values()).count(5),
+                  degree6=list(deg.values()).count(6))
 
 
 def naive_vertex_links_spheres(X):

@@ -12,6 +12,7 @@ import pytest
 import combcurv
 from combcurv import manifold
 from combcurv.cli import HANDLERS, build_parser, main
+from combcurv.complexes import SimplicialComplex
 from combcurv.errors import PreconditionNotMet
 from combcurv.formats import load_path
 from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
@@ -206,11 +207,16 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     assert "precondition" in capsys.readouterr().out
 
 
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that appends the arguments of
+    each call to the returned list."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
-    surface_checks = []
-    check = manifold._closed_surface_failure
-    monkeypatch.setattr(manifold, "_closed_surface_failure",
-                        lambda Y: surface_checks.append(Y) or check(Y))
+    surface_checks = counted(monkeypatch, manifold, "_surface_failure")
     # a sphere: one closed-surface check, the verdicts of the public checks
     assert main(["--json", "lemmas", files["s2"]]) == 0
     got = json.loads(capsys.readouterr().out)["verdicts"]
@@ -218,8 +224,8 @@ def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
     Y = load_path(files["s2"]).complex
     assert got == [manifold.check_sphere_cycle_lemma(Y).to_json(),
                    manifold.check_7cycle_fillings(Y).to_json()]
-    # a 3-manifold past its wheel check: the closed-surface check of the
-    # first vertex link is the one vertex_link_sphere makes
+    # a 3-manifold past its wheel check: one closed-surface check of the
+    # first vertex link, whose degree check then fails
     surface_checks.clear()
     monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
     assert main(["--json", "lemmas", files["boundary_4_simplex"]]) == 1
@@ -227,9 +233,57 @@ def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
     assert len(surface_checks) == 1
     bd4 = load_path(files["boundary_4_simplex"]).complex
     with pytest.raises(PreconditionNotMet) as exc:
-        manifold.check_sphere_cycle_lemma(manifold.vertex_link_sphere(bd4, 0)[0])
+        manifold.check_sphere_cycle_lemma(bd4.link((0,))[0])
     assert got[1]["detail"] == str(exc.value) == \
         "precondition not met: is_5_6_star_sphere (vertex 0 has degree 3)"
+
+
+@pytest.fixture(scope="module")
+def cell600(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cell600") / "cell600.cplx")
+    assert main(["gen", "cell600", "-o", path]) == 0
+    return path
+
+
+def test_links_reads_one_edge_link_pass(cell600, capsys, monkeypatch):
+    links = counted(monkeypatch, SimplicialComplex, "link")
+    passes = counted(monkeypatch, manifold, "_edge_link_graphs")
+    assert main(["--json", "links", cell600]) == 1
+    assert (len(links), len(passes)) == (0, 1)
+    capsys.readouterr()
+    # every link is a sphere, so every verdict is timed on request
+    assert main(["--json", "--timings", "links", cell600]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(verdicts) == 120
+    assert all(v["detail"].startswith("adjacent degree-5") for v in verdicts)
+    assert all("elapsed_ms" in v["stats"] for v in verdicts)
+
+
+def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys,
+                                                                 monkeypatch):
+    from test_golden import write_inputs
+
+    solid = {name: p for name, p in write_inputs(tmp_path).items()
+             if load_path(p).complex.dimension() == 3}
+    assert sorted(solid) == ["bd4", "bd4_pair", "bd4_pair_edge", "cell600", "glued_tetrahedra",
+                             "mixed_star", "rf15_11", "rf15_12", "susp_pinched_octahedra",
+                             "susp_torus44"]
+    links = counted(monkeypatch, SimplicialComplex, "link")
+    for path in solid.values():
+        assert main(["--json", "lemmas", str(path)]) == 1
+    capsys.readouterr()
+    # past the wheel check, the first vertex link of each fails the sphere
+    # or degree check of the edge-link reader
+    monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
+    for path in solid.values():
+        assert main(["--json", "lemmas", str(path)]) == 1
+        last = json.loads(capsys.readouterr().out)["verdicts"][-1]
+        assert last["witness"] == {"kind": "precondition"}, last
+    assert links == []
+    # a link that passes is built once, for the sphere lemmas
+    monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
+    assert main(["--json", "lemmas", str(solid["bd4"])]) == 0
+    assert [args[1] for args in links] == [(v,) for v in range(5)]
 
 
 # malformed JSON types, and generator parameters that are not integers or

@@ -9,26 +9,25 @@ import pytest
 from combcurv import build_complex, manifold
 from combcurv.complexes import SimplicialComplex, full_cycles
 from combcurv.curvature import dwheels, is_locally_k_large, wheels
-from combcurv.errors import LinkNotSphere, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
+from combcurv.errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
     ALLOWED_DWHEEL_TYPES,
     check_7cycle_fillings,
     check_sphere_cycle_lemma,
     check_wheel_in_link,
-    edge_degrees,
     find_7cycle_filling,
     five_six_star_verdict,
     is_5_6_star_sphere,
     soccer_dual,
     validate_closed_3manifold,
     verify_theorem_b,
-    vertex_link_sphere,
 )
 
 from conftest import (
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
     gen,
+    mixed_star,
     pinched_octahedra,
     pinched_pair,
     suspended_pinched_octahedra,
@@ -40,6 +39,8 @@ from oracles import (
     naive_edge_degrees,
     naive_edge_link_cycles,
     naive_find_7cycle_filling,
+    naive_five_six_star_degrees,
+    naive_link,
     naive_maximal_simplices,
     naive_pseudomanifold,
     naive_rim_filled,
@@ -148,7 +149,7 @@ class TestValidate:
 
     def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
         inputs = vertex_stage_inputs(bd4)
-        calls = {"link": 0, "vertex_link_sphere": 0, "edge_degrees": 0}
+        calls = {"link": 0, "edge_degrees": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -158,18 +159,18 @@ class TestValidate:
 
         monkeypatch.setattr(SimplicialComplex, "link",
                             counted("link", SimplicialComplex.link))
-        for name in ("vertex_link_sphere", "edge_degrees"):
-            monkeypatch.setattr(manifold, name, counted(name, getattr(manifold, name)))
+        monkeypatch.setattr(manifold, "edge_degrees",
+                            counted("edge_degrees", manifold.edge_degrees))
         for X in (gen("cell600"), bd4):
             assert validate_closed_3manifold(X).is_closed_manifold
         # nor when an edge link is no cycle, or a triangle not on two tetrahedra
         for X in inputs:
             validate_closed_3manifold(X)
-        assert calls == {"link": 0, "vertex_link_sphere": 0, "edge_degrees": 0}
+        assert calls == {"link": 0, "edge_degrees": 0}
         # the counters see a link built and the tetrahedra on each edge counted
-        manifold.vertex_link_sphere(bd4, 0)
+        bd4.link((0,))
         manifold.edge_degrees(bd4)
-        assert calls == {"link": 1, "vertex_link_sphere": 1, "edge_degrees": 1}, calls
+        assert calls == {"link": 1, "edge_degrees": 1}, calls
 
 
 def link_stage_inputs(bd4):
@@ -222,11 +223,36 @@ def surface_test_inputs(bd4):
     return inputs
 
 
+def sphere_reason(Y):
+    """The :class:`NotASphere` reason of ``is_5_6_star_sphere(Y)``, or None."""
+    try:
+        is_5_6_star_sphere(Y)
+    except NotASphere as exc:
+        return str(exc)
+    return None
+
+
+def link_verdict(X, v, links=None):
+    """The 5/6* sphere verdict of the link of ``v`` read off the edge links
+    of ``X`` (timings stripped), or the :class:`NotASphere` message."""
+    try:
+        return manifold._link_verdict(X, v, links or manifold._edge_link_graphs(X)).to_json()
+    except NotASphere as exc:
+        return str(exc)
+
+
+def cone(Y):
+    """The cone over ``Y`` from the apex ``Y.vertex_count``, whose link is
+    ``Y`` with its vertices renamed by rank."""
+    apex = Y.vertex_count
+    return build_complex([s + (apex,) for s in Y.maximal_simplices()] or [[apex]])
+
+
 class TestClosedSurfaceTest:
     def test_matches_the_referee(self, bd4):
         reasons = set()
         for Y in surface_test_inputs(bd4):
-            got = manifold._closed_surface_failure(Y)
+            got = sphere_reason(Y)
             assert got == naive_closed_surface_failure(Y), sorted(Y.maximal_simplices())
             if got is not None:
                 reasons.add(re.sub(r"\([^)]*\)|-?\d+", "#", got))
@@ -237,34 +263,72 @@ class TestClosedSurfaceTest:
 
 
 class TestVertexLinks:
+    """The vertex-link reader of ``links`` and ``lemmas``: the rims of Lk(v)
+    are the edge links Lk(vu), read off one pass over the faces."""
+
     def test_bd4_links_are_tetrahedron_boundaries(self, bd4):
+        links = manifold._edge_link_graphs(bd4)
         for v in bd4.vertices:
-            sphere, vmap = vertex_link_sphere(bd4, v)
-            assert sphere.counts() == (4, 6, 4, 0)
-            assert sphere.euler_characteristic() == 2
-            assert all(sphere.degree(u) == 3 for u in range(4))
+            rims, name = manifold._vertex_link(bd4, v, links)
+            assert manifold._surface_failure(rims, name) is None
+            # 4 vertices of degree 3, 6 edges, and 4 triangles, each read
+            # from both ends of its 3 edges
+            assert len(rims) == 4 and all(len(rims[u]) == 3 for u in rims)
+            assert sum(len(t) for rim in rims.values() for t in rim.values()) == 4 * 6
+            assert link_verdict(bd4, v, links)["witness"] == \
+                {"kind": "vertex_degree", "vertex": 0, "degree": 3}
 
     def test_degree_transport(self, bd4):
         # link-vertex degree equals ambient edge degree, independently counted
-        degrees = edge_degrees(bd4)
-        for v in bd4.vertices:
-            sphere, vmap = vertex_link_sphere(bd4, v)
-            for i, u in enumerate(vmap):
-                edge = tuple(sorted((v, u)))
-                assert sphere.degree(i) == degrees[edge]
+        for X in (bd4, gen("cell600")):
+            degrees, links = naive_edge_degrees(X), manifold._edge_link_graphs(X)
+            for v in X.vertices:
+                rims, _ = manifold._vertex_link(X, v, links)
+                assert {tuple(sorted((v, u))): len(rim) for u, rim in rims.items()} == \
+                    {e: d for e, d in degrees.items() if v in e}
 
     def test_non_manifold_link_raises(self):
         X = build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])
-        with pytest.raises(LinkNotSphere):
-            vertex_link_sphere(X, 0)
+        assert link_verdict(X, 0) == "link of vertex 0: edge (0, 1) lies in 1 triangles"
 
     def test_cone_over_pinched_spheres_raises(self):
         Y = pinched_octahedra()
         apex = Y.vertex_count
-        X = build_complex([t + (apex,) for t in Y.simplices(2)])
-        with pytest.raises(LinkNotSphere, match=f"link of vertex {apex}: triangles at "
-                                                "vertex 0 do not close into one cycle"):
-            vertex_link_sphere(X, apex)
+        assert link_verdict(cone(Y), apex) == \
+            f"link of vertex {apex}: triangles at vertex 0 do not close into one cycle"
+
+    def test_matches_the_referee(self, bd4):
+        inputs = vertex_stage_inputs(bd4)
+        inputs += [cone(Y) for Y in surface_test_inputs(bd4) if Y.dimension() <= 2]
+        inputs += [mixed_star(), gen("cell600"), gen("icosahedron"), gen("tri_torus", 6, 6)]
+        seen, count = set(), 0
+        for X in inputs:
+            links = manifold._edge_link_graphs(X)
+            for v in X.vertices:
+                L = naive_link(X, (v,))[0]
+                reason = naive_closed_surface_failure(L)
+                if reason is None:
+                    expected = naive_five_six_star_degrees(L).to_json()
+                    assert is_5_6_star_sphere(L).to_json() == expected
+                else:
+                    expected = f"link of vertex {v}: {reason}"
+                got = link_verdict(X, v, links)
+                assert got == expected, (sorted(naive_maximal_simplices(X)), v)
+                count += 1
+                if isinstance(got, str):
+                    got = got.partition(": ")[2]
+                    seen.add(got if got.startswith("dimension")
+                             else re.sub(r"\([^)]*\)|-?\d+", "#", got))
+                else:
+                    seen.add(got["witness"]["kind"] if got["witness"] else "pass")
+        # every reason, the dimensions of links that are not 2-complexes
+        # apart, both degree witnesses and a 5/6* sphere
+        assert seen == {"dimension -1 != 2", "dimension 0 != 2", "dimension 1 != 2",
+                        "maximal simplex # is not a triangle", "edge # lies in # triangles",
+                        "not connected", "Euler characteristic # != #",
+                        "triangles at vertex # do not close into one cycle",
+                        "vertex_degree", "adjacent_low_degree", "pass"}, seen
+        assert count > 5000, count
 
 
 class TestSphereCondition:
