@@ -249,18 +249,23 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
         yield k, found
 
 
-def _dwheel_stream(X: SimplicialComplex, max_boundary: int, by_length):
-    """Dwheels with boundary length at most ``max_boundary`` in the order of
-    :func:`dwheels`, one (boundary, type) bucket at a time, joined from the
-    wheels that ``by_length`` yields, as :func:`_wheels_by_length` does.
+def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
+    """The dwheels with boundary length at most ``max_boundary``, in the
+    order of :func:`dwheels`, as groups ``((v0, v0'), w, junction, pairs)``
+    of the dwheels that share apexes and shared vertex; ``pairs`` lists
+    their free arcs ``(rim1, rim2)`` in order.  The wheels come from
+    ``by_length`` as :func:`_wheels_by_length` yields them.
 
-    A bucket has one junction kind: identified when k + l - 4 is the
-    boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
-    l-wheels, so a caller that stops early never builds the later buckets.
+    One (boundary, type) bucket comes at a time.  A bucket has one junction
+    kind: identified when k + l - 4 is the boundary, edge when k + l - 3 is.
+    It joins only the k-wheels with the l-wheels, so a caller that stops
+    early never builds the later buckets.  A bucket sorts the keys of its
+    groups and each group its arcs, then takes its pairs rim1-major, so
+    the dwheels come sorted with no sort of their own.
     """
-    # rim length k -> (center, shared, other_apex) -> free arcs
+    # rim length k -> (center, other_apex, shared) -> free arcs
     # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
-    # (v1, ..., v_{k-2}, shared, other_apex); the second rim has length >= 4
+    # (v1, ..., v_{k-2}, shared, other_apex)
     arcs = {}
 
     def arcs_of(k):
@@ -272,7 +277,7 @@ def _dwheel_stream(X: SimplicialComplex, max_boundary: int, by_length):
                 for orient in (whl.rim, whl.rim[::-1]):
                     twice = orient + orient
                     for i in range(n):
-                        by_edge.setdefault((whl.center, orient[i], twice[i + 1]), []).append(
+                        by_edge.setdefault((whl.center, twice[i + 1], orient[i]), []).append(
                             twice[i + 2:i + n])
         return arcs[k]
 
@@ -289,20 +294,17 @@ def _dwheel_stream(X: SimplicialComplex, max_boundary: int, by_length):
             first = arcs_of(k)
             identified = k + l - 4 == blen
             junction = "identified" if identified else "edge"
-            keys = []
-            for (v0, w, v0p), arcs1 in first.items():
-                # equal rim lengths: the pair is taken from its smaller apex
-                if k == l and v0 > v0p:
-                    continue
-                # the second wheels sit at v0' with w then v0 consecutive on the rim
-                for arc2 in second.get((v0p, w, v0), ()):
-                    v1p = arc2[0]
-                    for arc1 in arcs1:
-                        v1 = arc1[0]
-                        if v1 == v1p if identified else X.adjacent(v1, v1p):
-                            keys.append(((v0, v0p), w, arc1, arc2, junction))
-            for key in sorted(keys):
-                yield DWheel(*key)
+            # the second wheels sit at v0' with w then v0 consecutive on the
+            # rim; equal rim lengths: the pair is taken from its smaller apex
+            keys = sorted(key for key in first if (key[1], key[0], key[2]) in second
+                          and (k != l or key[0] < key[1]))
+            for v0, v0p, w in keys:
+                arcs2 = sorted(second[v0p, v0, w])
+                pairs = [(arc1, arc2) for arc1 in sorted(first[v0, v0p, w]) for arc2 in arcs2
+                         if (arc1[0] == arc2[0] if identified
+                             else X.adjacent(arc1[0], arc2[0]))]
+                if pairs:
+                    yield (v0, v0p), w, junction, pairs
 
 
 def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
@@ -315,7 +317,9 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
     by_length = ((k, [w for w in ws if not chords(X, w.rim)])
                  for k, ws in _wheels_by_length(X, 4, max_boundary))
-    return list(_dwheel_stream(X, max_boundary, by_length))
+    return [DWheel(apexes, w, arc1, arc2, junction)
+            for apexes, w, junction, pairs in _dwheel_groups(X, max_boundary, by_length)
+            for arc1, arc2 in pairs]
 
 
 def _center_candidates(X: SimplicialComplex, vs) -> list:
@@ -356,26 +360,46 @@ def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates."""
+    candidates.
+
+    Location is decided per group of dwheels with the same apexes v0, v0'
+    and shared vertex w.  These span a triangle, so every center of a
+    dwheel of the group lies in ``core``, their common neighbors and
+    themselves.  Each free arc cuts ``core`` down to its own centers once
+    for the whole group, and a dwheel lies in a 1-ball exactly when the
+    centers of its two arcs meet: the intersection :func:`in_one_ball`
+    takes, regrouped."""
     if m < 6:
         raise ValueError("location starts at m = 6")
     fv = is_flag(X)
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
     count = 0
+    balls = {}  # vertex -> its closed neighborhood, built when an arc first reaches it
     # X is flag, so a rim chordless in a vertex link is chordless in X
-    for dw in _dwheel_stream(X, m, _wheels_by_length(X, 4, m)):
-        count += 1
-        verts = dw.vertex_set
-        center = in_one_ball(X, verts)
-        if center is None:
-            return failed(
-                "is_m_located",
-                {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
-                 "candidates_tried": _center_candidates(X, verts)},
-                detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
-                       "fits in no 1-ball",
-                m=m, dwheels=count)
+    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, _wheels_by_length(X, 4, m)):
+        core = X.neighbors(v0) & X.neighbors(w) & X.neighbors(v0p) | {v0, w, v0p}
+        centers = {}  # free arc -> its centers in core
+        for arc1, arc2 in pairs:
+            count += 1
+            for arc in (arc1, arc2):
+                if arc not in centers:
+                    found = core
+                    for a in arc:
+                        ball = balls.get(a)
+                        if ball is None:
+                            ball = balls[a] = X.neighbors(a) | {a}
+                        found = found & ball
+                    centers[arc] = found
+            if centers[arc1].isdisjoint(centers[arc2]):
+                dw = DWheel((v0, v0p), w, arc1, arc2, junction)
+                return failed(
+                    "is_m_located",
+                    {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
+                     "candidates_tried": _center_candidates(X, dw.vertex_set)},
+                    detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
+                           "fits in no 1-ball",
+                    m=m, dwheels=count)
     return passed("is_m_located", m=m, dwheels=count)
 
 

@@ -373,8 +373,11 @@ def _require_5_6_star(v56: Verdict) -> None:
 def _sphere_lemmas(Y: SimplicialComplex) -> list:
     """The verdicts of :func:`check_sphere_cycle_lemma` and
     :func:`check_7cycle_fillings` on ``Y``, whose 5/6* verdict the caller
-    has required once for both."""
-    return [_sphere_cycle_lemma(Y), _seven_cycle_fillings(Y)]
+    has required once for both.  One search finds the chordless cycles of
+    both; it sorts them by length, so lengths 4-6 and 7 are two slices."""
+    cycles = full_cycles(Y, 4, 7)
+    short = [c for c in cycles if len(c) < 7]
+    return [_sphere_cycle_lemma(Y, short), _seven_cycle_fillings(Y, cycles[len(short):])]
 
 
 def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
@@ -385,18 +388,19 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     chordless cycle of the centre's link, and conversely, so the filled
     cycles are exactly the rims that ``wheels`` finds."""
     _require_5_6_star(is_5_6_star_sphere(Y))
-    return _sphere_cycle_lemma(Y)
+    return _sphere_cycle_lemma(Y, full_cycles(Y, 4, 6))
 
 
 @timed
-def _sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
-    quads = full_cycles(Y, 4, 4)
-    if quads:
-        return failed("sphere_cycle_lemma", quads[0],
+def _sphere_cycle_lemma(Y: SimplicialComplex, cycles: list) -> Verdict:
+    """:func:`check_sphere_cycle_lemma` on ``cycles``, the chordless 4- to
+    6-cycles of ``Y`` in ``full_cycles`` order."""
+    if cycles and len(cycles[0]) == 4:
+        return failed("sphere_cycle_lemma", cycles[0],
                       detail="chordless 4-cycle present")
     rims = {w.rim for w in wheels(Y, 5, 6)}
     filled = 0
-    for cyc in full_cycles(Y, 5, 6):
+    for cyc in cycles:
         if cyc.vertices not in rims:
             return failed("sphere_cycle_lemma", cyc,
                           detail=f"chordless {len(cyc)}-cycle is the rim of no wheel",
@@ -408,12 +412,13 @@ def _sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
 def check_7cycle_fillings(Y: SimplicialComplex) -> Verdict:
     """Run the filling-pair search over every chordless 7-cycle."""
     _require_5_6_star(is_5_6_star_sphere(Y))
-    return _seven_cycle_fillings(Y)
+    return _seven_cycle_fillings(Y, full_cycles(Y, 7, 7))
 
 
 @timed
-def _seven_cycle_fillings(Y: SimplicialComplex) -> Verdict:
-    sevens = full_cycles(Y, 7, 7)
+def _seven_cycle_fillings(Y: SimplicialComplex, sevens: list) -> Verdict:
+    """:func:`check_7cycle_fillings` on ``sevens``, the chordless 7-cycles
+    of ``Y``."""
     for cyc in sevens:
         try:
             find_7cycle_filling(Y, cyc.vertices)

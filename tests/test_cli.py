@@ -238,6 +238,19 @@ def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
         "precondition not met: is_5_6_star_sphere (vertex 0 has degree 3)"
 
 
+def test_lemmas_runs_one_cycle_search_per_sphere(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "gs4.cplx")
+    assert main(["gen", "geodesic_sphere", "4", "-o", path]) == 0
+    searches = counted(monkeypatch, manifold, "full_cycles")
+    assert main(["--json", "lemmas", path]) == 0
+    got = json.loads(capsys.readouterr().out)["verdicts"]
+    # the 4- to 6-cycles and the 7-cycles are two slices of one search
+    assert [args[1:] for args in searches] == [(4, 7)]
+    Y = load_path(path).complex
+    assert got == [manifold.check_sphere_cycle_lemma(Y).to_json(),
+                   manifold.check_7cycle_fillings(Y).to_json()]
+
+
 @pytest.fixture(scope="module")
 def cell600(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("cell600") / "cell600.cplx")

@@ -348,21 +348,30 @@ class TestDWheelStream:
               (7, 5, "identified"), (6, 6, "identified"))
     RANDOM_FLAG = ((12, 0.35, 7), (12, 0.35, 5), (13, 0.4, 7), (11, 0.4, 3),
                    (12, 0.45, 9))
+    # random_flag draws, with the largest m checked, that reach the cases of
+    # the grouped location: an unlocated dwheel right after a located one of
+    # its group (same apexes and shared vertex), one later in its bucket, an
+    # edge-junction failure, and a pass with dwheels
+    LOCATION_DRAWS = (((18, 0.35, 33), 6), ((18, 0.35, 21), 6), ((11, 0.35, 28), 7),
+                      ((12, 0.45, 25), 6))
 
     def test_stops_at_first_unlocated_dwheel_on_600_cell(self, monkeypatch):
-        built = 0
-        real = curvature.DWheel
+        calls = {"DWheel": 0, "in_one_ball": 0}
 
-        def counting(*args):
-            nonlocal built
-            built += 1
-            return real(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(curvature, "DWheel", counting)
+        for name in calls:
+            monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
         assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
         # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
-        # edge dwheels of boundary 7, comes right after 7 200 identified ones
-        assert built <= 14400
+        # edge dwheels of boundary 7, comes right after 7 200 identified
+        # ones.  Location is decided per group on the free arcs, so only
+        # the witness is built as a DWheel, and no dwheel runs in_one_ball.
+        assert calls == {"DWheel": 1, "in_one_ball": 0}, calls
 
     def cases(self, icosa, disk37, surf37):
         yield icosa, 8
@@ -375,6 +384,8 @@ class TestDWheelStream:
             yield cone(dwheel_complex(k, l, "identified")[0]), 8
         for p in self.RANDOM_FLAG:
             yield gen("random_flag", *p), 8
+        for p, top in self.LOCATION_DRAWS:
+            yield gen("random_flag", *p), top
         # every wheel of a degree-7 surface is a 7-wheel, so its dwheels have
         # boundary >= 10; m = 6 keeps the path-enumerating referee quick
         yield disk37, 6
@@ -391,13 +402,31 @@ class TestDWheelStream:
                 assert got == naive_is_m_located(X, m, ref).to_json(), (X.name, m)
                 if got["status"] == "pass":
                     outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
-                else:
-                    outcomes.add(got["witness"]["kind"])
+                    continue
+                outcomes.add(got["witness"]["kind"])
+                if got["witness"]["kind"] == "unlocated_dwheel":
+                    outcomes.update(self.failure_kinds(ref, got["stats"]["dwheels"] - 1))
             junctions.update(d.junction for d in streamed)
             buckets.update((d.boundary_length, d.type) for d in streamed)
-        assert {"pass", "vacuous", "unlocated_dwheel"} <= outcomes
+        assert {"pass", "vacuous", "unlocated_dwheel", "edge junction", "mid-bucket",
+                "after a located dwheel of its group"} <= outcomes
         assert junctions == {"identified", "edge"}
         assert len(buckets) >= 3
+
+
+    @staticmethod
+    def failure_kinds(ref, i):
+        """Where the unlocated dwheel ``ref[i]`` sits in the stream: the
+        dwheel before it in its bucket, if any, was located."""
+        dw, kinds = ref[i], set()
+        if dw.junction == "edge":
+            kinds.add("edge junction")
+        prev = ref[i - 1] if i else None
+        if prev and (prev.boundary_length, prev.type) == (dw.boundary_length, dw.type):
+            kinds.add("mid-bucket")
+            if (prev.apexes, prev.shared) == (dw.apexes, dw.shared):
+                kinds.add("after a located dwheel of its group")
+        return kinds
 
 
 class TestInOneBall:
