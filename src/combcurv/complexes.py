@@ -448,6 +448,11 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
     Each cycle is reported once, in canonical form.  ``max_len`` above the
     safety cap raises :class:`BoundExceeded`; pass a larger ``cap`` to allow
     longer searches.
+
+    The search runs with the window cut of :func:`grow_chordless`: a path
+    from s grows only to vertices close enough to s to still close a
+    cycle of at most ``max_len`` vertices, so it never leaves the ball of
+    radius ``max_len // 2`` around s.
     """
     if min_len < 4:
         raise ValueError("cycles start at length 4")
@@ -458,11 +463,12 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
 
     cycles = []
     # the stored edges are the starts (s, v1) with v1 > s
-    grow_chordless(_edge_masks(X), X._faces[1], min_len, max_len, cycles, None)
+    grow_chordless(_edge_masks(X), X._faces[1], min_len, max_len, cycles, None, _window=True)
     return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
-def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leaves) -> None:
+def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leaves,
+                   _window: bool = False) -> None:
     """Grow chordless paths (s, v1, ..., vt) with every vi > s, by DFS.
 
     ``masks`` is the adjacency as bitmasks: bit u of ``masks[v]`` is set
@@ -475,7 +481,21 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
     ``[min_len, max_len]`` are appended to ``cycles`` as tuples.  When
     ``leaves`` is a list, the open paths that reach ``max_len`` vertices are
     appended to it: they are the starts that grow the next length.
+
+    Window lemma: a path of p vertices closes into a cycle of at most
+    ``max_len`` = L vertices only through a path of at most L - p + 1
+    edges from its tip back to s, on vertices above s.  So its tip lies
+    within L - p + 1 of s in the graph on the vertices from s up.  The tip
+    of a path is at most p - 1 from s along the path, so the bound can
+    only cut from p = L // 2 + 2 on.  With ``_window`` (and ``leaves``
+    None: the cut drops paths a later length would grow), each child of
+    that size or more keeps only the tips in ``reach[L - p + 1]``, the
+    vertices above s within that distance of it.  The table is built once
+    per s, the first time a path from s gets that far, and the cycles
+    found are the same.
     """
+    cut_from = max_len // 2 + 2 if _window else max_len
+    reaches = {}  # s -> _reach(masks, s, max_len - cut_from + 1)
     for start in starts:
         s = start[0]
         s_adj = masks[s]
@@ -504,6 +524,11 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
             # extending past a closer would leave its chord to s in place
             grow = free & ~s_adj
             if size < max_len:
+                if size >= cut_from:
+                    reach = reaches.get(s)
+                    if reach is None:
+                        reach = reaches[s] = _reach(masks, s, max_len - cut_from + 1)
+                    grow &= reach[max_len - size + 1]
                 # the children's inner vertices gain the tip
                 child_blocked = blocked | masks[tip]
                 while grow:
@@ -515,3 +540,20 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
                     low = grow & -grow
                     grow ^= low
                     leaves.append(path + (low.bit_length() - 1,))
+
+
+def _reach(masks, s: int, depth: int) -> list:
+    """``reach[r]`` for r = 0 .. ``depth``: the vertices above s within
+    distance r of s in the graph on the vertices from s up, as bitmasks."""
+    above = -2 << s  # the bits above s
+    reach = [0]
+    frontier = 1 << s
+    while len(reach) <= depth:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= masks[low.bit_length() - 1]
+        frontier = nxt & above & ~reach[-1]
+        reach.append(reach[-1] | frontier)
+    return reach

@@ -216,13 +216,15 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
         raise ValueError("cycles start at length 4")
     if k_min > k_max:
         raise ValueError("empty length range")
-    out = [w for _, ws in _wheels_by_length(X, k_min, k_max) for w in ws if not chords(X, w.rim)]
+    out = [Wheel(v, rim) for _, ws in _wheels_by_length(X, k_min, k_max)
+           for v, rim in ws if not chords(X, rim)]
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
 def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
-    """Yield ``(k, the k-wheels in (center, rim) order)`` for k = 4 .. k_max,
-    with no wheels below ``k_min``; a rim may have a chord in X if X is not flag.
+    """Yield ``(k, the k-wheels as sorted (center, rim) pairs)`` for
+    k = 4 .. k_max, with no wheels below ``k_min``; a rim may have a chord
+    in X if X is not flag.
 
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
@@ -242,7 +244,7 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
             cycles, leaves = [], [] if k < k_max else None
             # below k_min the paths grow, but close into no cycle
             grow_chordless(masks, paths, max(k, k_min), k, cycles, leaves)
-            found.extend(Wheel(v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
+            found.extend((v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
             if leaves:
                 live.append((v, ids, masks, leaves))
         links = live
@@ -259,26 +261,32 @@ def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
     One (boundary, type) bucket comes at a time.  A bucket has one junction
     kind: identified when k + l - 4 is the boundary, edge when k + l - 3 is.
     It joins only the k-wheels with the l-wheels, so a caller that stops
-    early never builds the later buckets.  A bucket sorts the keys of its
-    groups and each group its arcs, then takes its pairs rim1-major, so
-    the dwheels come sorted with no sort of their own.
+    early never builds the later buckets.  A type's matched group keys are
+    sorted once, for its identified and its edge bucket, and each group's
+    arc lists in place; the pairs are taken rim1-major, so the dwheels come
+    sorted with no sort of their own.
     """
     # rim length k -> (center, other_apex, shared) -> free arcs
     # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
     # (v1, ..., v_{k-2}, shared, other_apex)
     arcs = {}
+    matched = {}  # (k, l) -> the sorted group keys of both its buckets
 
     def arcs_of(k):
         # the lengths come in increasing order
         while k not in arcs:
             n, whls = next(by_length)
             by_edge = arcs[n] = {}
-            for whl in whls:
-                for orient in (whl.rim, whl.rim[::-1]):
+            for center, rim in whls:
+                for orient in (rim, rim[::-1]):
                     twice = orient + orient
                     for i in range(n):
-                        by_edge.setdefault((whl.center, twice[i + 1], orient[i]), []).append(
-                            twice[i + 2:i + n])
+                        key, arc = (center, twice[i + 1], orient[i]), twice[i + 2:i + n]
+                        found = by_edge.get(key)
+                        if found is None:
+                            by_edge[key] = [arc]
+                        else:
+                            found.append(arc)
         return arcs[k]
 
     for blen in range(4, max_boundary + 1):
@@ -296,11 +304,16 @@ def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
             junction = "identified" if identified else "edge"
             # the second wheels sit at v0' with w then v0 consecutive on the
             # rim; equal rim lengths: the pair is taken from its smaller apex
-            keys = sorted(key for key in first if (key[1], key[0], key[2]) in second
-                          and (k != l or key[0] < key[1]))
+            keys = matched.get((k, l))
+            if keys is None:
+                keys = matched[k, l] = sorted(
+                    key for key in first if (key[1], key[0], key[2]) in second
+                    and (k != l or key[0] < key[1]))
             for v0, v0p, w in keys:
-                arcs2 = sorted(second[v0p, v0, w])
-                pairs = [(arc1, arc2) for arc1 in sorted(first[v0, v0p, w]) for arc2 in arcs2
+                arcs1, arcs2 = first[v0, v0p, w], second[v0p, v0, w]
+                arcs1.sort()
+                arcs2.sort()
+                pairs = [(arc1, arc2) for arc1 in arcs1 for arc2 in arcs2
                          if (arc1[0] == arc2[0] if identified
                              else X.adjacent(arc1[0], arc2[0]))]
                 if pairs:
@@ -315,7 +328,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     is the one at the smaller apex.  The list is sorted by boundary length,
     then type, then (apexes, shared, rim1, rim2, junction).  The ambient
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
-    by_length = ((k, [w for w in ws if not chords(X, w.rim)])
+    by_length = ((k, [(v, rim) for v, rim in ws if not chords(X, rim)])
                  for k, ws in _wheels_by_length(X, 4, max_boundary))
     return [DWheel(apexes, w, arc1, arc2, junction)
             for apexes, w, junction, pairs in _dwheel_groups(X, max_boundary, by_length)
@@ -368,30 +381,35 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     themselves.  Each free arc cuts ``core`` down to its own centers once
     for the whole group, and a dwheel lies in a 1-ball exactly when the
     centers of its two arcs meet: the intersection :func:`in_one_ball`
-    takes, regrouped."""
+    takes, regrouped.  The sets are int bitmasks over vertex ids: ``core``
+    is the AND of the closed neighborhoods of v0, w and v0', which is the
+    set above as they are pairwise adjacent."""
     if m < 6:
         raise ValueError("location starts at m = 6")
     fv = is_flag(X)
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
     count = 0
-    balls = {}  # vertex -> its closed neighborhood, built when an arc first reaches it
+    balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
+
+    def meet(found, vertices):
+        for a in vertices:
+            ball = balls.get(a)
+            if ball is None:
+                ball = balls[a] = sum(1 << u for u in X.neighbors(a)) | 1 << a
+            found &= ball
+        return found
+
     # X is flag, so a rim chordless in a vertex link is chordless in X
     for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, _wheels_by_length(X, 4, m)):
-        core = X.neighbors(v0) & X.neighbors(w) & X.neighbors(v0p) | {v0, w, v0p}
+        core = meet(-1, (v0, w, v0p))
         centers = {}  # free arc -> its centers in core
         for arc1, arc2 in pairs:
             count += 1
             for arc in (arc1, arc2):
                 if arc not in centers:
-                    found = core
-                    for a in arc:
-                        ball = balls.get(a)
-                        if ball is None:
-                            ball = balls[a] = X.neighbors(a) | {a}
-                        found = found & ball
-                    centers[arc] = found
-            if centers[arc1].isdisjoint(centers[arc2]):
+                    centers[arc] = meet(core, arc)
+            if not centers[arc1] & centers[arc2]:
                 dw = DWheel((v0, v0p), w, arc1, arc2, junction)
                 return failed(
                     "is_m_located",

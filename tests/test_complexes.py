@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combcurv import complexes
 from combcurv.complexes import (
     build_complex,
     canonical_cycle,
@@ -21,6 +22,7 @@ from combcurv.complexes import (
     is_full,
     mask_edges,
 )
+from combcurv.curvature import is_locally_k_large, is_m_located, wheels
 from combcurv.errors import (
     BoundExceeded,
     DimensionTooHigh,
@@ -286,6 +288,60 @@ class TestFullCycles:
             assert cyc.is_full
             assert not chords(gs2, cyc.vertices)
             assert cyc.vertices == canonical_cycle(cyc.vertices)
+
+
+class TestWindowCut:
+    """The distance cut of ``full_cycles`` against the referee, on inputs
+    where it drops paths: every reach table the search builds is watched,
+    and a family counts as cut once a table removes a candidate tip."""
+
+    @staticmethod
+    def families():
+        rng = random.Random(2026)
+        # (family, [(input, largest max_len)]); the sparse draws have
+        # average degree about 3, so their paths wander far from s
+        yield "geodesic_sphere", [(gen("geodesic_sphere", 2), 8), (gen("geodesic_sphere", 3), 7)]
+        yield "tri_torus", [(gen("tri_torus", n, n), 7 if n < 8 else 6) for n in range(6, 11)]
+        yield "c_n", [(gen("c_n", n), 8) for n in range(4, 17)]
+        yield "random_flag", [(gen("random_flag", n, 3 / n, rng.randrange(10**6)), 8)
+                              for n in (20, 24, 28, 32, 36, 40)]
+
+    def test_same_cycles_as_the_referee_where_the_cut_prunes(self, monkeypatch):
+        cut = {"tips": 0}
+
+        class Watched(int):
+            # a reach mask that counts the candidate tips it removes
+            def __rand__(self, other):
+                kept = int(other) & int(self)
+                cut["tips"] += bin(other ^ kept).count("1")
+                return kept
+
+            __and__ = __rand__
+
+        reach = complexes._reach
+        monkeypatch.setattr(complexes, "_reach",
+                            lambda *args: [Watched(r) for r in reach(*args)])
+        for family, inputs in self.families():
+            cut["tips"] = 0
+            for X, top in inputs:
+                ref = naive_full_cycles(X, 4, top)
+                for hi in range(5, top + 1):
+                    for lo in (4, hi):
+                        mine = [c.vertices for c in full_cycles(X, lo, hi)]
+                        assert mine == [c for c in ref if lo <= len(c) <= hi], (X.name, lo, hi)
+            assert cut["tips"] > 0, family
+
+    def test_link_searches_build_no_reach_table(self, monkeypatch, icosa):
+        # the cut is for the ambient search only; the link searches grow
+        # leaves for the next length, which the cut would drop
+        def refuse(*args):
+            raise AssertionError("reach table built")
+
+        monkeypatch.setattr(complexes, "_reach", refuse)
+        for X in (gen("tri_torus", 6, 6), icosa):
+            is_locally_k_large(X, 7)
+            is_m_located(X, 8)
+            wheels(X, 4, 8)
 
 
 class TestBitmaskKernels:

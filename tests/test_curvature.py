@@ -376,6 +376,10 @@ class TestDWheelStream:
     def cases(self, icosa, disk37, surf37):
         yield icosa, 8
         yield gen("tri_torus", 4, 4), 8
+        # vacuous at m = 7, then an unlocated (6,6)-dwheel at m = 8
+        yield gen("tri_torus", 6, 6), 8
+        # an unlocated (6,5)-dwheel of boundary 7, among 540 dwheels up to 8
+        yield gen("geodesic_sphere", 3), 8
         for k, l, junction in self.SHAPES:
             yield dwheel_complex(k, l, junction)[0], 8
         # an edge junction leaves an empty triangle, so only identified
