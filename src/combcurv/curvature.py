@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -176,32 +177,83 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     by its ranks.
     ``links_checked`` counts the simplices whose link the verdict covers:
     the vertices up to the failing one, or every simplex of X on a pass.
+
+    A link graph of maximum degree 2 needs no search (:func:`_link_rings`).
+    Its components are paths and cycles, so with no triangle component it
+    has no clique of 3 or more vertices, and its full cycles are its cycle
+    components.  A triangle component goes to the search, which names it
+    when it is hollow.
     """
     if k < 4:
         raise ValueError("largeness starts at k = 4")
     for links, v in enumerate(X.vertices, 1):
         ids, masks = X.link_masks(v)
-        edges = mask_edges(masks)
-        clique = empty_clique(masks, edges,
-                              lambda s: X.has_simplex((v,) + tuple(ids[i] for i in s)), 2)
-        if clique is not None:
-            witness = {"kind": "clique_in_link", "simplex": [v],
-                       "vertices": [ids[i] for i in clique]}
-            reason = f"not flag: clique {clique} spans no simplex"
-        else:
+        rings = _link_rings(masks)
+        if rings is None:
+            edges = mask_edges(masks)
+            clique = empty_clique(masks, edges,
+                                  lambda s: X.has_simplex((v,) + tuple(ids[i] for i in s)), 2)
+            if clique is not None:
+                witness = {"kind": "clique_in_link", "simplex": [v],
+                           "vertices": [ids[i] for i in clique]}
+                reason = f"not flag: clique {clique} spans no simplex"
+                break
             cycles = []
             if k > 4:
                 grow_chordless(masks, edges, 4, k - 1, cycles, None)
-            if not cycles:
-                continue
+        else:
+            cycles = [c for c in rings if len(c) < k]
+        if cycles:
             cycle = min(cycles, key=lambda c: (len(c), c))
             witness = {"kind": "cycle_in_link", "simplex": [v],
                        "cycle": [ids[i] for i in cycle]}
             reason = f"full {len(cycle)}-cycle present"
-        return failed("is_locally_k_large", witness,
-                      detail=f"link of {(v,)} is not {k}-large: {reason}",
-                      k=k, links_checked=links)
-    return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
+            break
+    else:
+        return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
+    return failed("is_locally_k_large", witness,
+                  detail=f"link of {(v,)} is not {k}-large: {reason}",
+                  k=k, links_checked=links)
+
+
+def _link_rings(masks):
+    """The cycle components of a link graph of maximum degree 2, each in the
+    form :func:`grow_chordless` emits a cycle, in sorted order; None when
+    a vertex has degree 3 or more or a component is a triangle.
+
+    Lemma: the components of a graph whose vertices have degree at most 2
+    are paths and cycles.  So its chordless cycles of length 4 or more are
+    exactly its cycle components of that length, and its only cliques of 3
+    or more vertices are its triangle components.  Each component is walked
+    once, from its least vertex s and first to the smaller neighbour of s,
+    so a cycle reads (s, v1, ..., vt) with v1 < vt, and the cycles come
+    ordered by s.
+    """
+    rings, seen = [], 0
+    for s, m in enumerate(masks):
+        if seen >> s & 1:
+            continue
+        other = m & (m - 1)  # m less its lowest bit: the larger neighbour of s
+        if other & (other - 1):
+            return None
+        ring, prev, nxt = [s], s, m ^ other
+        while nxt:
+            cur = nxt.bit_length() - 1
+            if cur == s:
+                if len(ring) == 3:
+                    return None
+                rings.append(tuple(ring))
+                break
+            ring.append(cur)
+            seen |= 1 << cur
+            nxt = masks[cur] ^ 1 << prev
+            if nxt & (nxt - 1):
+                return None
+            prev = cur
+            if not nxt:
+                # a path end: the path goes on from s to its other side
+                prev, nxt, other = s, other, 0
+    return rings
 
 
 # -- wheels and dwheels --------------------------------------------------------
@@ -232,12 +284,25 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
     Between two lengths only the graph and its open chordless paths are
     kept, so length k + 1 grows the paths of length k instead of searching
     the link again.
+
+    A link graph of maximum degree 2 is not searched: its components are
+    paths and cycles, so its rims of length k >= 4 are exactly its cycle
+    components of length k, read in one walk by :func:`_link_rings`.  They
+    are merged into each length's wheels by center.  A link with a
+    vertex of degree 3 or more, or with a triangle component, is searched.
     """
     links = []
+    rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
     for v in X.vertices:
         ids, masks = X.link_masks(v)
-        # the paths start as the link edges (s, v1) with v1 > s
-        links.append((v, ids, masks, mask_edges(masks)))
+        rings = _link_rings(masks)
+        if rings is None:
+            # the paths start as the link edges (s, v1) with v1 > s
+            links.append((v, ids, masks, mask_edges(masks)))
+            continue
+        for ring in rings:
+            if k_min <= len(ring) <= k_max:
+                rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
     for k in range(4, k_max + 1):
         found, live = [], []
         for v, ids, masks, paths in links:
@@ -248,6 +313,14 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
             if leaves:
                 live.append((v, ids, masks, leaves))
         links = live
+        rings = rings_of[k]
+        if rings:
+            if found:
+                # both runs are in (center, rim) order, and no center is in both
+                found += rings
+                found.sort(key=itemgetter(0))
+            else:
+                found = rings
         yield k, found
 
 

@@ -42,6 +42,24 @@ def pinched_octahedra():
     return pinched_pair(sorted(gen("octahedron").simplices(2)), (0, 5))
 
 
+def cone_over_cycles(*cycles):
+    """The cone from vertex 0 over disjoint cycles, each given as its
+    vertices in order: the link of 0 is their union, a 3-cycle hollow."""
+    return build_complex([(0, c[i - 1], c[i]) for c in cycles for i in range(len(c))])
+
+
+def two_cycles_cone():
+    """The link of vertex 0 is a 4-cycle and a 5-cycle whose vertices
+    interleave in id order, neither starting at its least vertex."""
+    return cone_over_cycles((5, 2, 8, 3), (9, 1, 4, 7, 6))
+
+
+def hollow_triangle_cone():
+    """The link of vertex 0 is the hollow triangle 2-5-7 and the 4-cycle
+    6-1-3-4: the three are pairwise adjacent in X but span no triangle."""
+    return cone_over_cycles((5, 2, 7), (6, 1, 3, 4))
+
+
 def suspended_pinched_octahedra():
     """The suspension of ``pinched_octahedra()``, poles 11 and 12: every
     triangle lies on two tetrahedra, but the link of vertex 0 is the

@@ -21,7 +21,7 @@ from combcurv.curvature import (
 )
 from combcurv.errors import NotACovering
 
-from conftest import gen
+from conftest import gen, hollow_triangle_cone, pinched_octahedra, two_cycles_cone
 from oracles import (
     naive_check_covering_map,
     naive_dwheels,
@@ -52,6 +52,41 @@ def dwheel_complex(k, l, junction):
     if junction == "edge":
         faces.append((arc1[0], arc2[0]))
     return build_complex(faces), arc1, arc2
+
+
+def link_shape(X, v):
+    """The link graph of v as the sorted lengths of its components, 0 for
+    a path, when no link vertex has degree 3 or more; else None."""
+    nbrs = X.link_graph(v)
+    if any(len(ns) > 2 for ns in nbrs.values()):
+        return None
+    lengths, seen = [], set()
+    for u in nbrs:
+        if u in seen:
+            continue
+        comp, todo = {u}, [u]
+        while todo:
+            for w in nbrs[todo.pop()] - comp:
+                comp.add(w)
+                todo.append(w)
+        seen |= comp
+        closed = sum(len(nbrs[w]) for w in comp) == 2 * len(comp)
+        lengths.append(len(comp) if closed else 0)
+    return tuple(sorted(lengths))
+
+
+# links of maximum degree 2 that are not one cycle: two 4-cycles
+# (pinched_octahedra), a 4-cycle and a 5-cycle (two_cycles_cone), and a
+# hollow triangle beside a 4-cycle (hollow_triangle_cone)
+SEVERAL_CYCLES = {(4, 4), (4, 5), (3, 4)}
+
+
+def several_cycle_inputs():
+    return [pinched_octahedra(), two_cycles_cone(), hollow_triangle_cone()]
+
+
+def link_shapes(inputs):
+    return {link_shape(X, v) for X in inputs for v in X.vertices}
 
 
 def cone(X):
@@ -141,6 +176,47 @@ class TestLocallyLarge:
         # the stat still counts every simplex whose link is certified
         assert verdict.stats["links_checked"] == sum(gs2.counts())
 
+    def test_max_degree_2_links_are_not_searched(self, gs2, icosa, torus66, monkeypatch):
+        # a link graph of maximum degree 2 is read as its cycle components:
+        # no chordless-path search and no clique search; a link with a
+        # vertex of degree 3 or more, or a triangle component, is searched
+        calls = {"grow_chordless": 0, "empty_clique": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
+        masks = []
+        link_masks = SimplicialComplex.link_masks
+
+        def counting_link_masks(X, v):
+            masks.append(v)
+            return link_masks(X, v)
+
+        monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
+        checks = ((gs2, lambda: is_locally_k_large(gs2, 5).passed),
+                  (torus66, lambda: is_locally_k_large(torus66, 6).passed),
+                  (gs2, lambda: is_m_located(gs2, 8).stats["dwheels"] > 0),
+                  (icosa, lambda: is_m_located(icosa, 8).witness["kind"] == "unlocated_dwheel"),
+                  (torus66, lambda: is_m_located(torus66, 8).witness["kind"] == "unlocated_dwheel"))
+        for X, check in checks:
+            masks.clear()
+            assert check()
+            # each link is still read once
+            assert masks == list(X.vertices)
+        assert calls == {"grow_chordless": 0, "empty_clique": 0}, calls
+
+        assert is_m_located(gen("cell600"), 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
+        assert calls["grow_chordless"] > 0 and calls["empty_clique"] == 0, calls
+        verdict = is_locally_k_large(hollow_triangle_cone(), 5)
+        assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
+                                   "vertices": [2, 5, 7]}
+        assert calls["empty_clique"] == 1, calls
+
 
 def simplex_soups(rng, count):
     """Downward closures of random simplices on vertex ids with gaps: mostly
@@ -173,11 +249,13 @@ class TestLocallyLargeOracle:
         inputs = list(fixtures)
         inputs += [gen("random_flag", rng.randint(6, 16), rng.choice((0.2, 0.3, 0.4, 0.5)),
                        seed) for seed in range(80)]
-        return inputs + list(simplex_soups(rng, 80))
+        return inputs + list(simplex_soups(rng, 80)) + several_cycle_inputs()
 
     def test_same_verdict_as_all_links(self, octa, icosa, bd4, gs2, disk37, surf37):
         kinds = set()
-        for X in self.corpus(octa, icosa, bd4, gs2, disk37, surf37):
+        corpus = self.corpus(octa, icosa, bd4, gs2, disk37, surf37)
+        assert SEVERAL_CYCLES <= link_shapes(corpus)
+        for X in corpus:
             for k in range(4, 9):
                 got = is_locally_k_large(X, k).to_json()
                 assert got == naive_is_locally_k_large(X, k).to_json(), (X, k)
@@ -244,11 +322,17 @@ class TestWheels:
         inputs = [gen("random_flag", rng.randint(8, 13), rng.choice((0.3, 0.4, 0.5)), seed)
                   for seed in range(40)]
         inputs += list(simplex_soups(rng, 120))
+        inputs += several_cycle_inputs()
+        assert SEVERAL_CYCLES <= link_shapes(inputs)
         found = dropped = 0
         for X in inputs:
             mine = [(w.center, w.rim) for w in wheels(X, 4, 5)]
             ref = sorted(naive_wheels(X, 4, 5), key=lambda cr: (cr[0], len(cr[1]), cr[1]))
             assert mine == ref, X
+            # each length's wheels, searched and read in one walk, come in
+            # (center, rim) order
+            for k, ws in curvature._wheels_by_length(X, 4, 5):
+                assert ws == sorted(ws), (X, k)
             found += len(mine)
             for v in X.vertices:
                 link, vmap = X.link((v,))
@@ -394,9 +478,12 @@ class TestDWheelStream:
         # boundary >= 10; m = 6 keeps the path-enumerating referee quick
         yield disk37, 6
         yield surf37, 6
+        for X in several_cycle_inputs():
+            yield X, 8
 
     def test_same_dwheels_and_verdict_as_global_sort(self, icosa, disk37, surf37):
         outcomes, junctions, buckets = set(), set(), set()
+        assert SEVERAL_CYCLES <= link_shapes(X for X, _ in self.cases(icosa, disk37, surf37))
         for X, top in self.cases(icosa, disk37, surf37):
             ref = naive_sorted_dwheels(X, top)
             streamed = dwheels(X, top)
