@@ -1,14 +1,20 @@
 """Inductive construction of universal-cover balls.
 
-Starting from the 1-ball of a base vertex, each expansion stage collects the
-uncovered link directions on the current boundary sphere, glues equivalence
-classes of them (transitive closure of "same target, adjacent bases") as new
-vertices, wires the prescribed edges, and flag-completes.  Three invariants
-are verified once per stage:
+Every stage ball is built one way, as the flag completion of its graph
+(the clique complex, capped at 4 vertices).  The base is flag, so the
+stage-1 ball is the cone from the base over the graph of its link.  Each
+expansion stage collects the uncovered link directions on the current
+boundary sphere, glues equivalence classes of them (transitive closure of
+"same target, adjacent bases": one walk per target over the components of
+its bases in the ball) as new vertices, wires the prescribed edges, and
+flag-completes.  Three invariants are verified once per stage:
 
     (P) the birth layers are the metric layers, and the previous stage ball
         is the induced ball one radius down; by induction every earlier
-        stage ball is then an induced ball of the current complex;
+        stage ball is then an induced ball of the current complex.  An
+        induced subcomplex of a clique complex is the clique complex of the
+        induced subgraph, so vertices and edges decide it and no span
+        complex is built;
     (Q) the ball satisfies the descent property one radius below its own;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
         and onto full 1-balls at interior vertices.  The base is flag and
@@ -17,6 +23,11 @@ are verified once per stage:
         no stage tests flagness again.  Edges are compared as neighbour
         sets inside the 1-ball, and only a 1-ball that fails is scanned for
         its first offending span edge.
+
+No stage looks for 5-cliques, which the cap would hide.  Every ball edge
+maps to a base edge, so a 5-clique of the ball either maps injectively
+onto a 5-clique of the flag base, which has none, or maps two adjacent
+vertices to one, and (R) rejects the 1-ball of either.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.
@@ -30,9 +41,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, flag_completion, is_flag
+from .complexes import SimplicialComplex, flag_completion, is_flag, mask_edges
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
 from .metric import SDReport, _sd_prime, distances_from, interval_thinness
@@ -62,9 +74,11 @@ class CoverState:
 
     Cover vertex ids are stable across stages; the base vertex is id 0 and
     ``birth[v]`` (the stage at which v appeared) equals its distance from
-    the base.  ``sd`` and ``covering`` are this stage's (Q) report and (R)
-    verdict.  (P) holds by induction against the previous stage, so no
-    earlier ball is kept.
+    the base.  ``ball`` is the clique complex of its graph, so its
+    vertices and edges determine it, and every induced ball of it too.
+    ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict.
+    (P) holds by induction against the previous stage, so no earlier ball
+    is kept.
     """
 
     stage: int
@@ -121,8 +135,8 @@ def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] 
                          f"vertex {v} born at stage {birth[v]} but at distance {dist[v]}"))
     elif previous is not None:
         j = state.stage - 1
-        span = ball.span(state.interior_ids())
-        if any(span.simplices(d) != previous.simplices(d) for d in range(4)):
+        span = ball._span_faces(state.interior_ids(), (0, 1))
+        if any(span[d] != previous.simplices(d) for d in span):
             problems.append(("P", {"kind": "stage_span_mismatch", "stage": j},
                              f"induced ball at radius {j} differs from the stage-{j} ball"))
 
@@ -165,12 +179,12 @@ def init_cover(X: SimplicialComplex, base: int) -> CoverState:
         raise NotFlag(f"cover construction needs a flag complex: {fv.detail}")
     hyp = is_m_located(X, 8).passed and is_locally_k_large(X, 5).passed
 
-    sheet = (base,) + tuple(sorted(X.neighbors(base)))
-    back = {x: i for i, x in enumerate(sheet)}
-    src = X.span(set(sheet))
-    faces = {d: [tuple(sorted(back[v] for v in s)) for s in src.simplices(d)]
-             for d in range(4)}
-    ball = SimplicialComplex(len(sheet), faces, name="cover_ball_stage_1")
+    # X is flag, so the 1-ball is the cone from the base over its link graph
+    ids, masks = X.link_masks(base)
+    sheet = (base,) + tuple(ids)
+    edges = [(0, a + 1) for a in range(len(ids))]
+    edges += [(a + 1, b + 1) for a, b in mask_edges(masks)]
+    ball = flag_completion(len(sheet), edges, name="cover_ball_stage_1")
     state = CoverState(
         stage=1, ball=ball, base=0, sheet_map=sheet, target=X,
         birth=(0,) + (1,) * (len(sheet) - 1), hypotheses_ok=hyp)
@@ -190,72 +204,43 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
     i = state.stage
     f = state.sheet_map
 
-    zpairs = []
+    bases_of = defaultdict(list)
     for w in state.sphere_ids(i):
         covered = {f[u] for u in ball.neighbors(w)}
-        for z in sorted(X.neighbors(f[w]) - covered):
-            zpairs.append((w, z))
+        for z in X.neighbors(f[w]) - covered:
+            bases_of[z].append(w)
 
-    # transitive closure of: same target, bases adjacent in the ball
-    parent = {p: p for p in zpairs}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-
-    by_z = defaultdict(list)
-    for (w, z) in zpairs:
-        by_z[z].append(w)
-    for z, bases in by_z.items():
-        base_set = set(bases)
+    # the classes of z are the components of its bases in the ball
+    classes = []
+    for z, bases in bases_of.items():
+        left = set(bases)
         for w in bases:
-            for u in ball.neighbors(w):
-                if u in base_set:
-                    union((w, z), (u, z))
-
-    groups = defaultdict(list)
-    for p in zpairs:
-        groups[find(p)].append(p)
-    classes = tuple(ZClass(z=root[1], members=tuple(sorted(members)))
-                    for root, members in sorted(groups.items()))
+            if w in left:
+                left.discard(w)
+                component, todo = [w], [w]
+                while todo:
+                    near = ball.neighbors(todo.pop()) & left
+                    left -= near
+                    component += near
+                    todo += near
+                classes.append(ZClass(z=z, members=tuple((b, z) for b in sorted(component))))
+    classes = tuple(sorted(classes, key=lambda cls: cls.members[0]))
 
     n_old = ball.vertex_count
     if n_old + len(classes) > vertex_limit:
         raise TooLarge(f"cover ball would exceed {vertex_limit} vertices")
-    class_id = {cls: n_old + idx for idx, cls in enumerate(classes)}
-
     edges = set(ball.simplices(1))
     at_base = defaultdict(list)
-    for cls in classes:
-        cid = class_id[cls]
+    for cid, cls in enumerate(classes, n_old):
         for (w, _z) in cls.members:
-            edges.add(tuple(sorted((w, cid))))
-            at_base[w].append(cls)
-    for w, here in at_base.items():
-        for a in range(len(here)):
-            for b in range(a + 1, len(here)):
-                c1, c2 = here[a], here[b]
-                if X.adjacent(c1.z, c2.z):
-                    edges.add(tuple(sorted((class_id[c1], class_id[c2]))))
+            edges.add((w, cid))
+            at_base[w].append((cid, cls.z))
+    for here in at_base.values():
+        for (c1, z1), (c2, z2) in combinations(here, 2):
+            if X.adjacent(z1, z2):
+                edges.add((c1, c2))
 
-    n_new = n_old + len(classes)
-    new_ball = flag_completion(n_new, edges, name=f"cover_ball_stage_{i + 1}")
-    if state.hypotheses_ok:
-        # a 5-clique is capped at its tetrahedra; under the hypotheses it is
-        # an invariant failure, reported at its first tetrahedron
-        for tet in sorted(new_ball.simplices(3)):
-            bigger = frozenset.intersection(*map(new_ball.neighbors, tet))
-            if any(y > tet[3] for y in bigger):
-                raise InvariantViolation(
-                    "R", {"kind": "five_clique", "vertices": [*tet, max(bigger)]},
-                    "flag completion exceeds dimension 3")
+    new_ball = flag_completion(n_old + len(classes), edges, name=f"cover_ball_stage_{i + 1}")
 
     new_state = CoverState(
         stage=i + 1,

@@ -14,8 +14,9 @@ dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
 every edge, distances come from Floyd-Warshall, interval thinness runs one
 BFS per layer pair, and the four-point constant is computed from basepoint
-Gromov products or from every vertex quadruple.  Tests compare library
-output against these on small inputs.
+Gromov products or from every vertex quadruple, and the classes of a cover
+stage come from merging uncovered directions pairwise until none merge.
+Tests compare library output against these on small inputs.
 """
 
 from fractions import Fraction
@@ -549,3 +550,30 @@ def naive_check_covering_map(f, cover, base, full_at=None):
                     raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
         if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
+
+
+def naive_cover_classes(state):
+    """The classes of uncovered directions that ``state`` grows by, as
+    ``(z, members)`` sorted by least member.
+
+    Every pair (w, z), w on the boundary sphere and z a neighbour of f(w)
+    that no neighbour of w maps to, starts as its own class.  Two classes
+    merge while a member of one and a member of the other share z and have
+    adjacent bases.
+    """
+    ball, f = state.ball, state.sheet_map
+    classes = []
+    for w in range(ball.vertex_count):
+        if state.birth[w] == state.stage:
+            covered = {f[u] for u in ball.neighbors(w)}
+            classes += [{(w, z)} for z in state.target.neighbors(f[w]) if z not in covered]
+    i = 0
+    while i < len(classes):
+        for j in range(i + 1, len(classes)):
+            if any(z == y and ball.adjacent(w, u)
+                   for (w, z) in classes[i] for (u, y) in classes[j]):
+                classes[i] |= classes.pop(j)
+                break
+        else:
+            i += 1
+    return sorted(((min(c)[1], tuple(sorted(c))) for c in classes), key=lambda c: c[1][0])

@@ -3,11 +3,13 @@
 import pytest
 
 from combcurv import build_cover, expand_ball, init_cover, verify_equiv_shortcut
-from combcurv.cover import CoverState, _verify_invariants
-from combcurv.errors import NotFlag, TooLarge
+from combcurv.complexes import flag_completion
+from combcurv.cover import CoverState, _apply_invariants, _verify_invariants
+from combcurv.errors import InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
 from conftest import gen
+from oracles import naive_cover_classes
 
 
 class TestInit:
@@ -122,6 +124,57 @@ class TestInvariants:
             hypotheses_ok=True)
         _sd, _covering, problems = _verify_invariants(bad)
         assert any(which == "P" for which, _w, _d in problems)
+
+    def test_five_clique_ball_raises_under_the_hypotheses(self, tetra):
+        # K5 over the tetrahedron: no stage scans for 5-cliques, because
+        # the two vertices over 0 collide in every 1-ball, which (R) rejects
+        ball = flag_completion(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        state = CoverState(
+            stage=1, ball=ball, base=0, sheet_map=(0, 1, 2, 3, 0), target=tetra,
+            birth=(0, 1, 1, 1, 1), hypotheses_ok=True)
+        with pytest.raises(InvariantViolation) as info:
+            _apply_invariants(state)
+        assert info.value.which == "R"
+
+    def _stage_3(self, surf37):
+        previous = expand_ball(init_cover(surf37, 0))
+        return previous.ball, expand_ball(previous)
+
+    def test_previous_ball_missing_an_edge_is_a_span_mismatch(self, surf37):
+        previous, state = self._stage_3(surf37)
+        edges = sorted(previous.simplices(1))[1:]
+        lacking = flag_completion(previous.vertex_count, edges)
+        _sd, _covering, problems = _verify_invariants(state, lacking)
+        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 2})]
+
+    def test_previous_ball_with_an_extra_vertex_is_a_span_mismatch(self, surf37):
+        previous, state = self._stage_3(surf37)
+        padded = flag_completion(previous.vertex_count + 1, previous.simplices(1))
+        assert padded.counts()[0] == previous.counts()[0] + 1
+        _sd, _covering, problems = _verify_invariants(state, padded)
+        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 2})]
+
+
+class TestClassesOracle:
+    """Each stage's classes, members and order, against the closure that
+    merges uncovered directions pairwise."""
+
+    # random_flag draws whose cover reports carry warnings
+    WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
+
+    def test_classes_match_the_naive_closure(self, c4, c5, tetra, icosa, torus66, disk37, surf37):
+        inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37]
+        inputs += [gen("random_flag", *p) for p in self.WARNED]
+        merged = warned = 0
+        for X in inputs:
+            state = init_cover(X, 0)
+            while state.stage < 4:
+                expected = naive_cover_classes(state)
+                state = expand_ball(state)
+                assert [(cls.z, cls.members) for cls in state.last_classes] == expected
+                merged += sum(len(cls.members) > 1 for cls in state.last_classes)
+            warned += bool(state.warnings)
+        assert merged > 0 and warned == len(self.WARNED)
 
 
 class TestShortcut:

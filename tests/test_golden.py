@@ -1,4 +1,5 @@
-"""Golden CLI output: SHA-256 of ``combcurv --json`` standard output.
+"""Golden CLI output: SHA-256 of ``combcurv --json`` standard output, and
+of the ball file that ``cover --out`` writes.
 
 The digests pin verdicts, witnesses, stats and report shapes byte for byte
 (timings are off by default), so an internal rewrite that changes any of
@@ -19,15 +20,18 @@ edge-link stage before the vertex-link stage stopped building link
 complexes after that failure, and the ``links`` cases of the five built
 inputs before the two closed-surface tests became one, and the ``check``
 cases of ``rf13_7`` and of the built inputs before local largeness read
-its links as graphs; regenerate them only for a change that is meant to
-alter the output.
+its links as graphs, and the ``cover --out`` files before every stage ball
+was built as the flag completion of its graph (``--json`` holds only counts
+and fibres, so a relabelling of class ids passes it; the ball file pins the
+ids, the simplices and the sheet map); regenerate them only for a change
+that is meant to alter the output.
 """
 
 import argparse
 import hashlib
 import io
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -206,6 +210,16 @@ GOLDEN = [
     ("mixed_star", "links", 1, "fffd404d44f29b49dc8ecbb8ff5a70e0fa08029bf15323278a3a9f1fa31020b2"),
 ]
 
+# (input, radius, exit code, sha256 of the ``cover --base 0 --out`` file);
+# rf13_7 carries (Q) and (R) warnings
+OUT_GOLDEN = [
+    ("surf37_psl2_7", 3, 0, "8eeaedba87eb0f79b2ab9ad71f3ef166a974fec2c20759ad8a10950deedfe848"),
+    ("surf37_psl2_7", 5, 0, "82207edc33d32d050b0e4b2def08f0cbe37511ebf71fa3cedc14e772b89a6d3d"),
+    ("torus66", 5, 0, "cbae6bdaf75b184a68f0ce445bcbf9f2436548a02c2fdf63eaf6c9efef109c4f"),
+    ("disk37_r3", 3, 0, "7139310b57acb5d01737751bbb0fa25f5930353b880b7b8d79e412faa216d2b1"),
+    ("rf13_7", 3, 1, "7a05940bfd67da1912215d413717b9f23554930d53dd46fb3cf6cc48981ea11c"),
+]
+
 
 def write_inputs(work: Path) -> dict:
     """Write the generated and built inputs under ``work``; return the path
@@ -230,6 +244,14 @@ def run(paths, name, command):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def run_out(paths, name, radius, out: Path):
+    """Exit code and digest of the ball file ``cover --out`` writes."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["cover", "--base", "0", "--radius", str(radius),
+                     "--out", str(out), str(paths[name])])
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("golden"))
@@ -239,6 +261,12 @@ def inputs(tmp_path_factory):
                          ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN])
 def test_json_output_is_byte_identical(inputs, name, command, code, digest):
     assert run(inputs, name, command) == (code, digest)
+
+
+@pytest.mark.parametrize("name,radius,code,digest", OUT_GOLDEN,
+                         ids=[f"{n}-r{r}" for n, r, _, _ in OUT_GOLDEN])
+def test_cover_ball_file_is_byte_identical(inputs, tmp_path, name, radius, code, digest):
+    assert run_out(inputs, name, radius, tmp_path / "ball.json") == (code, digest)
 
 
 if __name__ == "__main__":
