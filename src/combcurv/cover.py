@@ -1,13 +1,14 @@
 """Inductive construction of universal-cover balls.
 
-Every stage ball is built one way, as the flag completion of its graph
-(the clique complex, capped at 4 vertices).  The base is flag, so the
-stage-1 ball is the cone from the base over the graph of its link.  Each
-expansion stage collects the uncovered link directions on the current
-boundary sphere, glues equivalence classes of them (transitive closure of
-"same target, adjacent bases": one walk per target over the components of
-its bases in the ball) as new vertices, wires the prescribed edges, and
-flag-completes.  Three invariants are verified once per stage:
+Every stage grows from the one before by one expansion.  Stage 0 is the
+base vertex alone.  An expansion collects the uncovered link directions on
+the current boundary sphere, glues equivalence classes of them (transitive
+closure of "same target, adjacent bases": one walk per target over the
+components of its bases in the ball) as new vertices, wires the prescribed
+edges, and builds the ball as the flag completion of its graph (the clique
+complex, capped at 4 vertices).  From stage 0 every neighbour z of the base
+is its own class and classes sort by z, so the stage-1 ball is the closed
+star of the base.  Three invariants are verified once per stage:
 
     (P) the birth layers are the metric layers, and the previous stage ball
         is the induced ball one radius down; by induction every earlier
@@ -15,7 +16,11 @@ flag-completes.  Three invariants are verified once per stage:
         induced subcomplex of a clique complex is the clique complex of the
         induced subgraph, so vertices and edges decide it and no span
         complex is built;
-    (Q) the ball satisfies the descent property one radius below its own;
+    (Q) the ball satisfies the descent property one radius below its own.
+        (T) and (V) at radius i read only the ball of radius i + 1, and (P)
+        makes the previous ball the induced ball one radius down, so its
+        results at the lower radii carry over and only the newest radius is
+        scanned;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
         and onto full 1-balls at interior vertices.  The base is flag and
         every ball is the clique complex of its graph, capped at 4 vertices,
@@ -30,7 +35,10 @@ onto a 5-clique of the flag base, which has none, or maps two adjacent
 vertices to one, and (R) rejects the 1-ball of either.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
-reports; the final ball is not checked a second time.
+reports; the final ball is not checked a second time.  Location and
+largeness of the interior are read on the previous stage ball, which (P)
+has shown to be the induced ball on the interior (at radius 1, the lone
+base vertex), so no span is built for them either.
 
 Constructions whose input fails the entry hypotheses (8-location, local
 5-largeness) still run, but invariant failures are then recorded as
@@ -44,7 +52,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, flag_completion, is_flag, mask_edges
+from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
 from .metric import SDReport, _sd_prime, distances_from, interval_thinness
@@ -76,7 +84,8 @@ class CoverState:
     ``birth[v]`` (the stage at which v appeared) equals its distance from
     the base.  ``ball`` is the clique complex of its graph, so its
     vertices and edges determine it, and every induced ball of it too.
-    ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict.
+    ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict;
+    a new stage carries the previous report until its own is verified.
     (P) holds by induction against the previous stage, so no earlier ball
     is kept.
     """
@@ -141,8 +150,10 @@ def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] 
                              f"induced ball at radius {j} differs from the stage-{j} ball"))
 
     # (Q): descent property one radius below the current stage, on the
-    # base row of (P).
-    sd = _sd_prime(ball, state.base, state.stage - 1, dist)
+    # base row of (P).  Once (P) holds against the previous ball, the lower
+    # radii it carries hold here too, and only the newest one is scanned.
+    carried = state.sd.results if state.sd and previous and not problems else None
+    sd = _sd_prime(ball, state.base, state.stage - 1, dist, carried)
     if not sd.passed:
         f = sd.first_failure()
         problems.append(("Q", f.witness, f.detail))
@@ -169,26 +180,24 @@ def _apply_invariants(state: CoverState, previous: Optional[SimplicialComplex] =
     return replace(state, warnings=state.warnings + diags, sd=sd, covering=covering)
 
 
-def init_cover(X: SimplicialComplex, base: int) -> CoverState:
-    """Stage-1 state: the 1-ball of the base vertex, sheet map the identity
-    up to relabeling.  The input must be flag."""
+def _base_state(X: SimplicialComplex, base: int) -> CoverState:
+    """Stage-0 state: the base vertex alone.  The input must be flag."""
     if not X.has_vertex(base):
         raise ValueError(f"vertex {base} not in complex")
     fv = is_flag(X)
     if not fv.passed:
         raise NotFlag(f"cover construction needs a flag complex: {fv.detail}")
     hyp = is_m_located(X, 8).passed and is_locally_k_large(X, 5).passed
+    return CoverState(stage=0, ball=flag_completion(1, (), name="cover_ball_stage_0"), base=0,
+                      sheet_map=(base,), target=X, birth=(0,), hypotheses_ok=hyp)
 
-    # X is flag, so the 1-ball is the cone from the base over its link graph
-    ids, masks = X.link_masks(base)
-    sheet = (base,) + tuple(ids)
-    edges = [(0, a + 1) for a in range(len(ids))]
-    edges += [(a + 1, b + 1) for a, b in mask_edges(masks)]
-    ball = flag_completion(len(sheet), edges, name="cover_ball_stage_1")
-    state = CoverState(
-        stage=1, ball=ball, base=0, sheet_map=sheet, target=X,
-        birth=(0,) + (1,) * (len(sheet) - 1), hypotheses_ok=hyp)
-    return _apply_invariants(state)
+
+def init_cover(X: SimplicialComplex, base: int) -> CoverState:
+    """Stage-1 state: the first expansion of stage 0.  Each neighbour z of
+    the base is its own class, and classes sort by z, so the ball is the
+    closed star of the base with sheet map ``(base,) + sorted N(base)``.
+    The input must be flag."""
+    return expand_ball(_base_state(X, base))
 
 
 def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> CoverState:
@@ -252,6 +261,7 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
         hypotheses_ok=state.hypotheses_ok,
         last_classes=classes,
         warnings=state.warnings,
+        sd=state.sd,
     )
     return _apply_invariants(new_state, previous=ball)
 
@@ -330,32 +340,31 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
 
     The descent property and the covering condition are the ones the last
     stage verified.  On top of them the final ball gets the shortcut
-    property, location and largeness of the interior span, and interval
-    thinness from the base to every interior vertex."""
+    property, location and largeness of the interior (the previous stage
+    ball), and interval thinness from the base to every interior vertex."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if radius > stage_limit:
         raise TooLarge(f"radius {radius} above stage limit {stage_limit}")
-    state = init_cover(X, base)
-    if state.ball.vertex_count > vertex_limit:
-        raise TooLarge(f"cover ball would exceed {vertex_limit} vertices")
+    previous = _base_state(X, base)
+    state = expand_ball(previous, vertex_limit=vertex_limit)
+    # stage 1 counts no glued classes: its classes are the base's neighbours
     stats = [(1, state.ball.vertex_count, len(state.ball.simplices(1)), 0)]
     shortcut = passed("equiv_shortcut", pairs=0, degenerate=0)
     while state.stage < radius:
-        state = expand_ball(state, vertex_limit=vertex_limit)
+        previous, state = state, expand_ball(state, vertex_limit=vertex_limit)
         sc = verify_equiv_shortcut(state)
         if shortcut.passed:
             shortcut = sc
         stats.append((state.stage, state.ball.vertex_count,
                       len(state.ball.simplices(1)), len(state.last_classes)))
 
-    ball = state.ball
-    interior = ball.span(state.interior_ids())
-    interior_located = is_m_located(interior, 8)
-    interior_large = is_locally_k_large(interior, 5)
+    # (P) proved the previous ball equal to the span of the interior
+    interior_located = is_m_located(previous.ball, 8)
+    interior_large = is_locally_k_large(previous.ball, 5)
 
     thin, _pair = interval_thinness(
-        ball, state.base, *(v for v in state.interior_ids() if v != state.base))
+        state.ball, state.base, *(v for v in state.interior_ids() if v != state.base))
 
     return CoverReport(
         state=state,

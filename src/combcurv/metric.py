@@ -226,12 +226,18 @@ def check_sd_prime(X: SimplicialComplex, o: int, n: int) -> SDReport:
     return _sd_prime(X, o, n, distances_from(X, o))
 
 
-def _sd_prime(X: SimplicialComplex, o: int, n: int, dist) -> SDReport:
+def _sd_prime(X: SimplicialComplex, o: int, n: int, dist, carried=None) -> SDReport:
     """:func:`check_sd_prime` on ``dist``, the BFS row of ``o`` that the
-    caller has already computed."""
+    caller has already computed.
+
+    ``carried``, if given, holds the results at radii 1..n-1 of a complex
+    that X contains as its induced ball of radius n.  (T) and (V) at radius
+    i read only the ball of radius i + 1, so those results hold for X as
+    they stand, and only radius n is scanned."""
     results = {}
     for i in range(1, n + 1):
-        results[i] = (_triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
+        results[i] = carried[i] if carried and i < n else (
+            _triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
     return SDReport(base=o, max_radius=n, results=results)
 
 

@@ -1,15 +1,33 @@
 """Inductive cover-ball construction: stages, invariants, fixed points."""
 
+from dataclasses import replace
+
 import pytest
 
-from combcurv import build_cover, expand_ball, init_cover, verify_equiv_shortcut
-from combcurv.complexes import flag_completion
+from combcurv import build_cover, expand_ball, init_cover, metric, verify_equiv_shortcut
+from combcurv.complexes import SimplicialComplex, flag_completion
 from combcurv.cover import CoverState, _apply_invariants, _verify_invariants
+from combcurv.curvature import is_locally_k_large, is_m_located
 from combcurv.errors import InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
 from conftest import gen
-from oracles import naive_cover_classes
+from oracles import naive_cover_classes, naive_span
+
+# random_flag draws whose cover reports carry warnings
+WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
+
+
+def counting(monkeypatch, owner, name) -> list:
+    """Record the arguments of every later call of ``owner.name``."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 class TestInit:
@@ -36,6 +54,31 @@ class TestInit:
     def test_unknown_base_rejected(self, c4):
         with pytest.raises(ValueError):
             init_cover(c4, 7)
+
+    def test_stage_1_is_the_closed_star(self, icosa, octa, torus66, disk37, surf37):
+        # referee: the span of N[b] by a scan of every face, relabelled
+        # b -> 0 and the sorted neighbours of b -> 1..d
+        inputs = [icosa, octa, torus66, disk37, surf37]
+        inputs += [gen("random_flag", *p) for p in WARNED[:2]]
+        balls = 0
+        for X in inputs:
+            for b in X.vertices:
+                state = init_cover(X, b)
+                nbrs = sorted(X.neighbors(b))
+                rank = {v: a for a, v in enumerate([b] + nbrs)}
+                star = naive_span(X, rank)
+                for d in range(4):
+                    assert state.ball.simplices(d) == {
+                        tuple(sorted(rank[v] for v in s)) for s in star.simplices(d)}
+                assert state.ball.vertex_count == len(rank)
+                assert state.sheet_map == (b,) + tuple(nbrs)
+                assert state.birth == (0,) + (1,) * len(nbrs)
+                assert state.warnings == ()
+                # stage 1 is the expansion of the lone base: one class per neighbour
+                assert [(cls.z, cls.members) for cls in state.last_classes] == [
+                    (z, ((0, z),)) for z in nbrs]
+                balls += 1
+        assert balls == 191
 
 
 class TestExpand:
@@ -159,12 +202,9 @@ class TestClassesOracle:
     """Each stage's classes, members and order, against the closure that
     merges uncovered directions pairwise."""
 
-    # random_flag draws whose cover reports carry warnings
-    WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
-
     def test_classes_match_the_naive_closure(self, c4, c5, tetra, icosa, torus66, disk37, surf37):
         inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37]
-        inputs += [gen("random_flag", *p) for p in self.WARNED]
+        inputs += [gen("random_flag", *p) for p in WARNED]
         merged = warned = 0
         for X in inputs:
             state = init_cover(X, 0)
@@ -174,7 +214,69 @@ class TestClassesOracle:
                 assert [(cls.z, cls.members) for cls in state.last_classes] == expected
                 merged += sum(len(cls.members) > 1 for cls in state.last_classes)
             warned += bool(state.warnings)
-        assert merged > 0 and warned == len(self.WARNED)
+        assert merged > 0 and warned == len(WARNED)
+
+
+class TestDescentOncePerRadius:
+    """Each stage scans (Q) at its newest radius only and carries the lower
+    radii from the stage before; the report must equal a full scan."""
+
+    def test_carried_reports_match_a_full_scan(self, c4, c5, tetra, icosa, torus66, disk37, surf37):
+        inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37]
+        inputs += [gen("random_flag", *p) for p in WARNED]
+        failing = 0
+        for X in inputs:
+            state = init_cover(X, 0)
+            while True:
+                full = check_sd_prime(state.ball, 0, state.stage - 1)
+                assert state.sd.to_json() == full.to_json()
+                failing += not full.passed
+                if state.stage == 4:
+                    break
+                state = expand_ball(state)
+        # random_flag(15, .35, 11) fails (Q) from stage 3 on, so a failing
+        # radius is carried
+        assert failing > 0
+
+    def test_only_a_ball_that_passes_p_is_carried(self, surf37, monkeypatch):
+        previous = expand_ball(init_cover(surf37, 0))
+        state = expand_ball(previous)
+        lacking = flag_completion(previous.ball.vertex_count,
+                                  sorted(previous.ball.simplices(1))[1:])
+        full = check_sd_prime(state.ball, 0, 2).to_json()
+        scans = counting(monkeypatch, metric, "_triangle_condition")
+        sd, _covering, problems = _verify_invariants(state, previous.ball)
+        assert problems == [] and sd.to_json() == full and len(scans) == 1
+        for args in ((state, lacking), (replace(state, sd=None), previous.ball), (state,)):
+            del scans[:]
+            sd, _covering, problems = _verify_invariants(*args)
+            assert sd.to_json() == full and len(scans) == 2
+
+    def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
+        scans = counting(monkeypatch, metric, "_triangle_condition")
+        spans = counting(monkeypatch, SimplicialComplex, "span")
+        assert build_cover(surf37, 0, 5).passed
+        assert [args[2] for args in scans] == [1, 2, 3, 4]
+        assert spans == []
+
+
+class TestInteriorBall:
+    """The report's interior verdicts are read on the previous stage ball;
+    they must equal the verdicts on the induced ball of the interior."""
+
+    def test_interior_verdicts_match_the_span(self, disk37, surf37):
+        runs = [(X, r) for X in (surf37, gen("tri_torus", 8, 8)) for r in range(1, 6)]
+        runs += [(disk37, r) for r in range(1, 4)]
+        runs += [(gen("random_flag", *p), r) for p in WARNED for r in range(1, 5)]
+        unlocated = 0
+        for X, r in runs:
+            report = build_cover(X, 0, r)
+            interior = report.state.ball.span(report.state.interior_ids())
+            assert report.interior_located.to_json() == is_m_located(interior, 8).to_json()
+            assert report.interior_large.to_json() == is_locally_k_large(interior, 5).to_json()
+            unlocated += not report.interior_located.passed
+        # the torus is not 8-located: from r = 3 on its interior has a witness
+        assert unlocated >= 3
 
 
 class TestShortcut:
