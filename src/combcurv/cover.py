@@ -8,18 +8,25 @@ components of its bases in the ball) as new vertices, wires the prescribed
 edges, and builds the ball as the flag completion of its graph (the clique
 complex, capped at 4 vertices).  From stage 0 every neighbour z of the base
 is its own class and classes sort by z, so the stage-1 ball is the closed
-star of the base.  Three invariants are verified once per stage:
+star of the base.
 
-    (P) the birth layers are the metric layers, and the previous stage ball
-        is the induced ball one radius down; by induction every earlier
-        stage ball is then an induced ball of the current complex.  An
-        induced subcomplex of a clique complex is the clique complex of the
-        induced subgraph, so vertices and edges decide it and no span
-        complex is built;
+(P) is a lemma of the expansion, not a check: the birth layers are the
+metric layers, and the previous stage ball is the induced ball one radius
+down.  An expansion of the ball B_i keeps every old edge, and joins each
+new vertex only to its member bases in the sphere S_i and to other new
+vertices.  So no distance from the base changes, each new vertex lies at
+distance i + 1, and the induced subgraph on the old vertices is the old
+graph.  A clique complex restricted to a vertex set is the clique complex of
+the induced subgraph, so B_i is the induced ball of radius i.  By induction
+from stage 0, (P) holds for every state that ``init_cover`` or
+``expand_ball`` returns, and every earlier stage ball is an induced ball of
+the current one.  Two invariants are verified once per stage:
+
     (Q) the ball satisfies the descent property one radius below its own.
-        (T) and (V) at radius i read only the ball of radius i + 1, and (P)
-        makes the previous ball the induced ball one radius down, so its
-        results at the lower radii carry over and only the newest radius is
+        The birth layers are its base row, so no stage runs a BFS.  (T) and
+        (V) at radius i read only the ball of radius i + 1, and by (P) the
+        previous ball is the induced ball one radius down, so its results
+        at the lower radii carry over and only the newest radius is
         scanned;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
         and onto full 1-balls at interior vertices.  The base is flag and
@@ -36,9 +43,9 @@ vertices to one, and (R) rejects the 1-ball of either.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.  Location and
-largeness of the interior are read on the previous stage ball, which (P)
-has shown to be the induced ball on the interior (at radius 1, the lone
-base vertex), so no span is built for them either.
+largeness of the interior are read on the previous stage ball, which by (P)
+is the induced ball on the interior (at radius 1, the lone base vertex), so
+no span is built for them either.
 
 Constructions whose input fails the entry hypotheses (8-location, local
 5-largeness) still run, but invariant failures are then recorded as
@@ -55,7 +62,7 @@ from typing import Optional
 from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, _sd_prime, distances_from, interval_thinness
+from .metric import SDReport, _sd_prime, interval_thinness
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -86,8 +93,8 @@ class CoverState:
     vertices and edges determine it, and every induced ball of it too.
     ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict;
     a new stage carries the previous report until its own is verified.
-    (P) holds by induction against the previous stage, so no earlier ball
-    is kept.
+    (P) is a lemma of the expansion (see the module docstring), so no
+    earlier ball is kept; a violation names 'Q' or 'R'.
     """
 
     stage: int
@@ -124,36 +131,19 @@ class CoverState:
         }
 
 
-def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] = None):
-    """Check (P), (Q), (R) on a state.
+def _verify_invariants(state: CoverState):
+    """Check (Q) and (R) on a state.
 
-    ``previous`` is the ball of the stage before, if there is one.  Returns
-    the (Q) report, the (R) verdict and the list of violations.
+    Returns the (Q) report, the (R) verdict and the list of violations.
     """
     problems = []
-    ball, birth = state.ball, state.birth
-
-    # (P): birth layers are the metric layers, and the previous ball is the
-    # induced ball one radius down.  The stages before it were checked
-    # against their own predecessors, and spans of spans are spans.
-    dist = distances_from(ball, state.base)
-    v = next((v for v in range(ball.vertex_count) if dist[v] != birth[v]), None)
-    if v is not None:
-        problems.append(("P", {"kind": "layer_mismatch", "vertex": v,
-                               "distance": dist[v], "birth": birth[v]},
-                         f"vertex {v} born at stage {birth[v]} but at distance {dist[v]}"))
-    elif previous is not None:
-        j = state.stage - 1
-        span = ball._span_faces(state.interior_ids(), (0, 1))
-        if any(span[d] != previous.simplices(d) for d in span):
-            problems.append(("P", {"kind": "stage_span_mismatch", "stage": j},
-                             f"induced ball at radius {j} differs from the stage-{j} ball"))
+    ball = state.ball
 
     # (Q): descent property one radius below the current stage, on the
-    # base row of (P).  Once (P) holds against the previous ball, the lower
-    # radii it carries hold here too, and only the newest one is scanned.
-    carried = state.sd.results if state.sd and previous and not problems else None
-    sd = _sd_prime(ball, state.base, state.stage - 1, dist, carried)
+    # birth layers, which (P) makes the base row.  A carried report holds
+    # the lower radii, and only the newest one is scanned.
+    carried = state.sd.results if state.sd else None
+    sd = _sd_prime(ball, state.base, state.stage - 1, state.birth, carried)
     if not sd.passed:
         f = sd.first_failure()
         problems.append(("Q", f.witness, f.detail))
@@ -171,8 +161,8 @@ def _verify_invariants(state: CoverState, previous: Optional[SimplicialComplex] 
     return sd, covering, problems
 
 
-def _apply_invariants(state: CoverState, previous: Optional[SimplicialComplex] = None) -> CoverState:
-    sd, covering, problems = _verify_invariants(state, previous)
+def _apply_invariants(state: CoverState) -> CoverState:
+    sd, covering, problems = _verify_invariants(state)
     if problems and state.hypotheses_ok:
         which, witness, detail = problems[0]
         raise InvariantViolation(which, witness, detail)
@@ -207,6 +197,10 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
     boundary sphere; edges follow the gluing rules (base to class, and class
     to class through a common base with adjacent targets); higher simplices
     come from flag completion.
+
+    ``state`` must satisfy (P), as every state that ``init_cover`` or
+    ``expand_ball`` returns does; the returned state then satisfies it too
+    (the lemma in the module docstring).
     """
     X = state.target
     ball = state.ball
@@ -263,7 +257,7 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
         warnings=state.warnings,
         sd=state.sd,
     )
-    return _apply_invariants(new_state, previous=ball)
+    return _apply_invariants(new_state)
 
 
 def verify_equiv_shortcut(state: CoverState) -> Verdict:
@@ -359,7 +353,7 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
         stats.append((state.stage, state.ball.vertex_count,
                       len(state.ball.simplices(1)), len(state.last_classes)))
 
-    # (P) proved the previous ball equal to the span of the interior
+    # by (P) the previous ball is the span of the interior
     interior_located = is_m_located(previous.ball, 8)
     interior_large = is_locally_k_large(previous.ball, 5)
 

@@ -509,7 +509,13 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     If both complexes are flag, only span edges are compared: f is injective
     on the 1-ball, so once edges match both ways so do cliques, the simplices.
     Otherwise dimensions 1-3 are, and in span order either way: same offender.
+
+    ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
+    end raises :class:`ValueError`.
     """
+    short = next((v for v in cover.vertices if v >= len(f)), None)
+    if short is not None:
+        raise ValueError(f"cover vertex {short} has no image: the vertex map has {len(f)} entries")
     flag = is_flag(cover).passed and is_flag(base).passed
     _check_covering_map(f, cover, base, full_at, (1,) if flag else (1, 2, 3))
 

@@ -48,7 +48,8 @@ class NotFlag(CombCurvError):
 class InvariantViolation(CombCurvError):
     """A cover-construction invariant failed on a well-behaved input.
 
-    ``which`` names the invariant ('P', 'Q' or 'R'); ``witness`` holds the
+    ``which`` names the invariant, 'Q' or 'R' ((P) is a lemma of the
+    expansion and is not checked); ``witness`` holds the
     offending configuration.
     """
 

@@ -228,7 +228,7 @@ def check_sd_prime(X: SimplicialComplex, o: int, n: int) -> SDReport:
 
 def _sd_prime(X: SimplicialComplex, o: int, n: int, dist, carried=None) -> SDReport:
     """:func:`check_sd_prime` on ``dist``, the BFS row of ``o`` that the
-    caller has already computed.
+    caller already has (the cover builder's birth layers are that row).
 
     ``carried``, if given, holds the results at radii 1..n-1 of a complex
     that X contains as its induced ball of radius n.  (T) and (V) at radius

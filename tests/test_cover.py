@@ -6,7 +6,7 @@ import pytest
 
 from combcurv import build_cover, expand_ball, init_cover, metric, verify_equiv_shortcut
 from combcurv.complexes import SimplicialComplex, flag_completion
-from combcurv.cover import CoverState, _apply_invariants, _verify_invariants
+from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
 from combcurv.curvature import is_locally_k_large, is_m_located
 from combcurv.errors import InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
@@ -134,8 +134,8 @@ class TestInvariants:
         for X, radius in ((c4, 5), (c5, 4), (tetra, 3), (disk37, 3), (surf37, 4)):
             state = init_cover(X, 0)
             while state.stage < radius:
-                previous, state = state.ball, expand_ball(state)
-            sd, covering, problems = _verify_invariants(state, previous)
+                state = expand_ball(state)
+            sd, covering, problems = _verify_invariants(state)
             assert problems == []
             assert sd.passed and covering.passed
             assert check_sd_prime(state.ball, 0, state.stage - 1).passed
@@ -150,24 +150,6 @@ class TestInvariants:
         _sd, _covering, problems = _verify_invariants(bad)
         assert any(which == "R" for which, _w, _d in problems)
 
-    def test_previous_ball_checked(self, c4):
-        first = init_cover(c4, 0)
-        state = expand_ball(first)
-        assert _verify_invariants(state, first.ball)[2] == []
-        # any other ball than the previous stage's is a (P) violation
-        _sd, _covering, problems = _verify_invariants(state, state.ball)
-        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 1})]
-
-    def test_tampered_birth_detected(self, c4):
-        state = expand_ball(init_cover(c4, 0))
-        bad = CoverState(
-            stage=state.stage, ball=state.ball, base=0,
-            sheet_map=state.sheet_map, target=state.target,
-            birth=state.birth[:-1] + (1,),
-            hypotheses_ok=True)
-        _sd, _covering, problems = _verify_invariants(bad)
-        assert any(which == "P" for which, _w, _d in problems)
-
     def test_five_clique_ball_raises_under_the_hypotheses(self, tetra):
         # K5 over the tetrahedron: no stage scans for 5-cliques, because
         # the two vertices over 0 collide in every 1-ball, which (R) rejects
@@ -179,23 +161,32 @@ class TestInvariants:
             _apply_invariants(state)
         assert info.value.which == "R"
 
-    def _stage_3(self, surf37):
-        previous = expand_ball(init_cover(surf37, 0))
-        return previous.ball, expand_ball(previous)
 
-    def test_previous_ball_missing_an_edge_is_a_span_mismatch(self, surf37):
-        previous, state = self._stage_3(surf37)
-        edges = sorted(previous.simplices(1))[1:]
-        lacking = flag_completion(previous.vertex_count, edges)
-        _sd, _covering, problems = _verify_invariants(state, lacking)
-        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 2})]
+class TestExpansionLemma:
+    """(P) is a lemma of the expansion, not a check: at every stage the
+    birth layers are the BFS layers, the previous ball is the induced ball
+    one radius down, and every ball edge maps to a base edge (which the
+    5-clique argument rests on)."""
 
-    def test_previous_ball_with_an_extra_vertex_is_a_span_mismatch(self, surf37):
-        previous, state = self._stage_3(surf37)
-        padded = flag_completion(previous.vertex_count + 1, previous.simplices(1))
-        assert padded.counts()[0] == previous.counts()[0] + 1
-        _sd, _covering, problems = _verify_invariants(state, padded)
-        assert [p[:2] for p in problems] == [("P", {"kind": "stage_span_mismatch", "stage": 2})]
+    def test_birth_layers_and_previous_ball_are_induced(self, c4, c5, tetra, icosa, torus66,
+                                                        disk37, surf37):
+        inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37, gen("cell600")]
+        inputs += [gen("random_flag", *p) for p in WARNED]
+        merged = warned = 0
+        for X in inputs:
+            state = _base_state(X, 0)
+            while state.stage < 4:
+                previous, state = state, expand_ball(state)
+                ball, f = state.ball, state.sheet_map
+                assert metric.distances_from(ball, 0) == state.birth
+                span = naive_span(ball, state.interior_ids())
+                for d in range(4):
+                    assert span.simplices(d) == previous.ball.simplices(d), (X.name, d)
+                assert all(X.adjacent(f[u], f[v]) for (u, v) in ball.simplices(1))
+                merged += sum(len(cls.members) > 1 for cls in state.last_classes)
+            warned += bool(state.warnings)
+        # the three warned draws and the 600-cell carry warnings
+        assert merged > 0 and warned == len(WARNED) + 1
 
 
 class TestClassesOracle:
@@ -239,25 +230,23 @@ class TestDescentOncePerRadius:
         assert failing > 0
 
     def test_only_a_ball_that_passes_p_is_carried(self, surf37, monkeypatch):
-        previous = expand_ball(init_cover(surf37, 0))
-        state = expand_ball(previous)
-        lacking = flag_completion(previous.ball.vertex_count,
-                                  sorted(previous.ball.simplices(1))[1:])
+        # every state the builder returns passes (P), so its report is
+        # carried; a state without a report gets the full scan
+        state = expand_ball(expand_ball(init_cover(surf37, 0)))
         full = check_sd_prime(state.ball, 0, 2).to_json()
         scans = counting(monkeypatch, metric, "_triangle_condition")
-        sd, _covering, problems = _verify_invariants(state, previous.ball)
-        assert problems == [] and sd.to_json() == full and len(scans) == 1
-        for args in ((state, lacking), (replace(state, sd=None), previous.ball), (state,)):
+        for checked, radii in ((state, 1), (replace(state, sd=None), 2)):
             del scans[:]
-            sd, _covering, problems = _verify_invariants(*args)
-            assert sd.to_json() == full and len(scans) == 2
+            sd, _covering, problems = _verify_invariants(checked)
+            assert problems == [] and sd.to_json() == full and len(scans) == radii
 
     def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
         scans = counting(monkeypatch, metric, "_triangle_condition")
         spans = counting(monkeypatch, SimplicialComplex, "span")
+        span_faces = counting(monkeypatch, SimplicialComplex, "_span_faces")
         assert build_cover(surf37, 0, 5).passed
         assert [args[2] for args in scans] == [1, 2, 3, 4]
-        assert spans == []
+        assert spans == [] and span_faces == []
 
 
 class TestInteriorBall:

@@ -644,6 +644,13 @@ class TestCoveringPreservation:
             check_covering_preservation((0, 1, 2), sub, triangle, 8, 5)
         assert err.value.vertex == 0
 
+    def test_short_vertex_map_is_a_value_error(self, triangle):
+        # the map names no image for vertex 2: an input error, not a verdict
+        for call in (lambda: check_covering_map((0, 1), triangle, triangle),
+                     lambda: check_covering_preservation((0, 1), triangle, triangle, 8, 5)):
+            with pytest.raises(ValueError, match="cover vertex 2 has no image"):
+                call()
+
     def test_full_subcomplex_inclusion_is_a_weak_covering(self, octa):
         # the equator is a full subcomplex, so its inclusion does satisfy
         # the span condition; both implications are vacuous here

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover, cover, metric
+from combcurv import build_complex, build_cover, metric
 from combcurv.cli import main
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.formats import dump_path
@@ -247,11 +247,11 @@ class TestThinnessOracle:
         assert bases == [0]
 
     def test_cover_build_rows(self, surf37, monkeypatch):
-        # one base row per stage, shared by (P) and (Q), and the thinness base
+        # the stages read (Q) off the birth layers, so the thinness base is
+        # the one row
         bases = count_bfs(monkeypatch)
-        monkeypatch.setattr(cover, "distances_from", metric.distances_from)
         build_cover(surf37, 0, 6)
-        assert bases == [0] * 7
+        assert bases == [0]
 
     def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
                                                           monkeypatch, capsys):
