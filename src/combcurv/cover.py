@@ -32,9 +32,13 @@ the current one.  Two invariants are verified once per stage:
         and onto full 1-balls at interior vertices.  The base is flag and
         every ball is the clique complex of its graph, capped at 4 vertices,
         so an injective map that matches edges both ways matches simplices;
-        no stage tests flagness again.  Edges are compared as neighbour
-        sets inside the 1-ball, and only a 1-ball that fails is scanned for
-        its first offending span edge.
+        no stage tests flagness again.  Edges are compared by counting:
+        where every edge of a 1-ball maps to a base edge (one pass over
+        the image sets checks it) and the map is injective on the 1-ball,
+        the edges match both ways exactly when the triangles at v and the
+        base triangles at f(v) inside the image are as many, and the image
+        is full exactly when v and f(v) have the same degree.  Only a
+        1-ball that fails is scanned for its first offending span edge.
 
 No stage looks for 5-cliques, which the cap would hide.  Every ball edge
 maps to a base edge, so a 5-clique of the ball either maps injectively

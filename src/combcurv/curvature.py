@@ -8,6 +8,7 @@ small-boundary dwheel to fit inside a single 1-ball.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -508,7 +509,10 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
 
     If both complexes are flag, only span edges are compared: f is injective
     on the 1-ball, so once edges match both ways so do cliques, the simplices.
-    Otherwise dimensions 1-3 are, and in span order either way: same offender.
+    Then a 1-ball whose edges all map to base edges is decided by counting
+    its edges (see :func:`_balls_passed_by_count`), and only one that fails
+    is scanned.  Otherwise dimensions 1-3 are scanned, in span order either
+    way: same offender.
 
     ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
     end raises :class:`ValueError`.
@@ -528,14 +532,17 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     simplices of both complexes are their cliques of at most 4 vertices,
     even if a 5-clique makes one of them fail ``is_flag``.
 
-    With ``dims == (1,)`` a 1-ball is first decided from neighbour sets: f
-    is injective on it, so edges match both ways exactly when every u in it
-    has the images of its neighbours in the ball as the base neighbours of
-    f(u) in the image.  Only a 1-ball that fails this runs the ordered span
-    scan, which names the first offender.
+    With ``dims == (1,)`` the 1-balls that pass are found by counting
+    edges, with no span read (:func:`_balls_passed_by_count`).  Every other
+    1-ball runs the ordered scan: the images in 1-ball order, then the span
+    faces in span order, which names the first offender.
     """
     full_at = set(full_at) if full_at is not None else set()
-    for v in cover.vertices:
+    vertices = cover.vertices
+    counted = _balls_passed_by_count(f, cover, base, vertices, full_at) if dims == (1,) else ()
+    for v in vertices:
+        if v in counted:
+            continue
         bv = frozenset({v}) | cover.neighbors(v)
         inverse = {}
         for u in bv:
@@ -546,19 +553,68 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
                 raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
             inverse[fu] = u
         image_set = frozenset(inverse.keys())  # not frozenset(inverse): layout sets span order
-        # a 1-ball whose edges match both ways needs no span scan
-        if dims != (1,) or not all({f[x] for x in cover.neighbors(u) & bv}
-                                   == base.neighbors(f[u]) & image_set for u in bv):
-            # forward: simplices inside the 1-ball must map to simplices
-            for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
-                if not base.has_simplex(f[u] for u in s):
-                    raise NotACovering(v, f"simplex {s} maps to a non-simplex")
-            # backward: simplices of the image span must pull back
-            for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
-                if not cover.has_simplex(inverse[x] for x in s):
-                    raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
+        # forward: simplices inside the 1-ball must map to simplices
+        for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
+            if not base.has_simplex(f[u] for u in s):
+                raise NotACovering(v, f"simplex {s} maps to a non-simplex")
+        # backward: simplices of the image span must pull back
+        for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
+            if not cover.has_simplex(inverse[x] for x in s):
+                raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
         if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
+
+
+def _balls_passed_by_count(f, cover: SimplicialComplex, base: SimplicialComplex,
+                           vertices, full_at) -> set:
+    """The cover vertices v whose 1-ball N[v] the edge-count lemma passes,
+    when the triangles of both complexes are their 3-cliques.
+
+    Lemma.  Let every edge of N[v] map to a base edge, and f be injective
+    on N[v].  Then f maps the edges of N[v] one-to-one into the base edges
+    of the span of f(N[v]), so they match both ways exactly when the two
+    sets have the same size.  The edges at v and at f(v) match one for one,
+    so it is enough to count the edges among N(v), the triangles at v, and
+    the base edges among f(N(v)), the triangles at f(v) whose opposite edge
+    lies in f(N(v)).  Since f(N(v)) lies in N(f(v)), the image is the full
+    1-ball of f(v) exactly when deg v = deg f(v), and then every triangle at
+    f(v) counts.
+
+    Each 1-ball costs one image set, a subset test for the edges at v and
+    the two counts.  A 1-ball is left to the caller's scan when it holds a
+    vertex whose image is not a base vertex or an edge whose image is not a
+    base edge (the subset test at either end of the edge finds it, and
+    every 1-ball holding it is dropped from the result), when f is not
+    injective on it, when the counts differ, or when it must be full and
+    is not.
+    """
+    invalid = {u for u in vertices if not base.has_vertex(f[u])}
+    suspect = invalid.union(*map(cover.neighbors, invalid))
+    triangles = Counter(chain.from_iterable(cover.simplices(2)))
+    links = {}  # base vertex -> its link edges
+    decided = set()
+    for v in vertices:
+        if v in invalid:
+            continue
+        fv = f[v]
+        nbrs, around = cover.neighbors(v), base.neighbors(fv)
+        image = {f[u] for u in nbrs}
+        if not image <= around:
+            for u in nbrs:
+                if f[u] not in around:
+                    suspect |= cover.neighbors(u) & nbrs
+                    suspect.update((u, v))
+            continue
+        if len(image) != len(nbrs):
+            continue
+        edges = links.get(fv)
+        if edges is None:
+            edges = links[fv] = base._link_edges(fv)
+        full = len(nbrs) == len(around)
+        if triangles[v] == (len(edges) if full else sum(map(image.issuperset, edges))) \
+                and (full or v not in full_at):
+            decided.add(v)
+    return decided - suspect
 
 
 @timed

@@ -180,19 +180,23 @@ class SDReport:
 
 def _triangle_condition(X, dist, i) -> Verdict:
     """(T): every edge with both endpoints at distance i+1 has a link vertex
-    at distance <= i."""
+    at distance <= i.
+
+    Only the edges of sphere i+1 are read, in sorted order: its vertices in
+    order, each with its larger neighbours in the sphere, sorted."""
     checked = 0
-    for (u, v) in sorted(X.simplices(1)):
-        if dist[u] != i + 1 or dist[v] != i + 1:
+    for u in range(X.vertex_count):
+        if dist[u] != i + 1:
             continue
-        checked += 1
-        if not any(
-            dist[t] <= i and X.has_simplex((u, v, t))
-            for t in X.neighbors(u) & X.neighbors(v)
-        ):
-            return failed("sd_T", {"kind": "edge", "edge": [u, v], "radius": i},
-                          detail=f"edge ({u},{v}) in sphere {i + 1} sees nothing in ball {i}",
-                          edges_checked=checked)
+        for v in sorted(w for w in X.neighbors(u) if w > u and dist[w] == i + 1):
+            checked += 1
+            if not any(
+                dist[t] <= i and X.has_simplex((u, v, t))
+                for t in X.neighbors(u) & X.neighbors(v)
+            ):
+                return failed("sd_T", {"kind": "edge", "edge": [u, v], "radius": i},
+                              detail=f"edge ({u},{v}) in sphere {i + 1} sees nothing in ball {i}",
+                              edges_checked=checked)
     return passed("sd_T", edges_checked=checked)
 
 

@@ -13,7 +13,8 @@ plain DFS over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 wheel centres and 7-cycle filling pairs by scanning candidate vertices and
 every edge, distances come from Floyd-Warshall, interval thinness runs one
-BFS per layer pair, and the four-point constant is computed from basepoint
+BFS per layer pair, the descent conditions scan every edge and vertex,
+and the four-point constant is computed from basepoint
 Gromov products or from every vertex quadruple, and the classes of a cover
 stage come from merging uncovered directions pairwise until none merge.
 Tests compare library output against these on small inputs.
@@ -26,7 +27,7 @@ from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycl
 from combcurv.curvature import DWheel
 from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
 from combcurv.manifold import FillingPair
-from combcurv.metric import distances_from, interval
+from combcurv.metric import SDReport, distances_from, interval
 from combcurv.verdicts import failed, passed
 
 
@@ -516,6 +517,49 @@ def naive_interval_thinness(X, o, o2):
             if d > best:
                 best, witness = d, (u, v)
     return best, witness
+
+
+def naive_check_sd_prime(X, o, n):
+    """The descent property as first written: at every radius i = 1..n,
+    (T) scans every edge of X in sorted order and keeps those in sphere
+    i + 1, and (V) every vertex in sphere i + 1.  The report must equal
+    ``check_sd_prime``'s, witnesses and counts included."""
+    dist = distances_from(X, o)
+    results = {}
+    for i in range(1, n + 1):
+        results[i] = (_naive_triangle_condition(X, dist, i), _naive_vertex_condition(X, dist, i))
+    return SDReport(base=o, max_radius=n, results=results)
+
+
+def _naive_triangle_condition(X, dist, i):
+    checked = 0
+    for (u, v) in sorted(X.simplices(1)):
+        if dist[u] != i + 1 or dist[v] != i + 1:
+            continue
+        checked += 1
+        if not any(dist[t] <= i and X.has_simplex((u, v, t)) for t in X.vertices):
+            return failed("sd_T", {"kind": "edge", "edge": [u, v], "radius": i},
+                          detail=f"edge ({u},{v}) in sphere {i + 1} sees nothing in ball {i}",
+                          edges_checked=checked)
+    return passed("sd_T", edges_checked=checked)
+
+
+def _naive_vertex_condition(X, dist, i):
+    pairs = 0
+    for v in X.vertices:
+        if dist[v] != i + 1:
+            continue
+        down = sorted(u for u in X.neighbors(v) if dist[u] <= i)
+        for u, w in combinations(down, 2):
+            pairs += 1
+            if X.adjacent(u, w):
+                continue
+            if not any(t not in (u, w) and X.adjacent(t, u) and X.adjacent(t, w) for t in down):
+                return failed("sd_V", {"kind": "vertex", "vertex": v, "pair": [u, w], "radius": i},
+                              detail=f"no common neighbor below radius {i + 1} for ({u},{w}) "
+                                     f"in link of {v}",
+                              pairs_checked=pairs)
+    return passed("sd_V", pairs_checked=pairs)
 
 
 def naive_check_covering_map(f, cover, base, full_at=None):

@@ -733,9 +733,10 @@ class TestCoveringMapOracle:
 
     def test_flag_cover_ball_compares_only_edges(self, icosa, octa, torus66, disk37, surf37,
                                                   monkeypatch):
-        # a flag 1-ball whose edges match both ways is decided from
-        # neighbour sets; only a failing one reads span faces, and only edges
-        state = build_cover(surf37, 0, 4).state
+        # a flag 1-ball whose edges match both ways is decided by counting
+        # edges: one neighbour set per 1-ball on each side, no per-neighbour
+        # comparison; only a failing one reads span faces, and only edges
+        state = build_cover(surf37, 0, 5).state
         for f, cover, base, full_at in self.cases(icosa, octa, torus66, disk37, surf37):
             got = covering_outcome(check_covering_map, f, cover, base, full_at)
             if got and "simplex" in got[1] and is_flag(cover).passed and is_flag(base).passed:
@@ -749,9 +750,56 @@ class TestCoveringMapOracle:
             return faces
 
         monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
+        reads = {id(state.ball): 0, id(surf37): 0}
+        neighbors = SimplicialComplex.neighbors
+
+        def counted(self, v):
+            reads[id(self)] += 1
+            return neighbors(self, v)
+
+        monkeypatch.setattr(SimplicialComplex, "neighbors", counted)
         check_covering_map(state.sheet_map, state.ball, surf37, full_at=state.interior_ids())
+        monkeypatch.setattr(SimplicialComplex, "neighbors", neighbors)
+        n = len(state.ball.vertices)
+        assert n == 617 and reads == {id(state.ball): n, id(surf37): n}, reads
         assert state.ball.simplices(2) and sizes == []
         assert covering_outcome(check_covering_map, f, cover, base, full_at) == got
         # the failing ball has triangles, but no simplex of more than two
         # vertices is compared
         assert cover.simplices(2) and sizes and set().union(*sizes) == {2}
+
+    def test_count_path_referees(self):
+        """1-balls the edge count does not pass: each is named as the
+        span-building referee names it."""
+        # f = id is injective on N[0] = {0, 1, 2, 3}, and N(0) holds one edge
+        # on each side, but the cover edge (1, 2) is no base edge and the
+        # base edge (2, 3) has no preimage: equal counts, so only the
+        # edge-image precheck sends this 1-ball to the scan
+        wrong_edge = (build_complex([[0, 1, 2], [0, 3]]), build_complex([[0, 2, 3], [0, 1]]), None)
+        # every edge maps to an edge and every 1-ball to its image span, but
+        # the 1-ball of 0 misses 3 and 4 of the base 1-ball of 0
+        not_full = (build_complex([[0, 1, 2]]), build_complex([[0, 1, 2], [0, 2, 3], [0, 3, 4]]),
+                    [0])
+        for (cover, base, full_at), expected in (
+                (wrong_edge, (0, "simplex (1, 2) maps to a non-simplex")),
+                (not_full, (0, "1-ball does not cover the full 1-ball of the image"))):
+            assert is_flag(cover).passed and is_flag(base).passed
+            f = tuple(range(cover.vertex_count))
+            assert covering_outcome(check_covering_map, f, cover, base, full_at) == expected
+            assert covering_outcome(naive_check_covering_map, f, cover, base, full_at) == expected
+        # builder balls: every edge maps to an edge, and the 1-balls that
+        # fail are not injective or miss an image edge; the first three
+        # draws are the ones whose cover reports carry warnings
+        reasons = []
+        for p in self.RANDOM_FLAG[:3]:
+            X = gen("random_flag", *p)
+            for r in range(1, 5):
+                report = build_cover(X, 0, r)
+                state = report.state
+                args = state.sheet_map, state.ball, X, state.interior_ids()
+                got = covering_outcome(check_covering_map, *args)
+                assert got == covering_outcome(naive_check_covering_map, *args)
+                assert report.covering.detail == (got[1] if got else "")
+                reasons.append(got[1] if got else "pass")
+        for kind in ("pass", "collides", "has no preimage"):
+            assert any(kind in r for r in reasons), kind

@@ -29,6 +29,7 @@ from combcurv.metric import (
 from conftest import gen
 from oracles import (
     floyd_warshall,
+    naive_check_sd_prime,
     naive_delta,
     naive_delta_quadruples,
     naive_interval_thinness,
@@ -296,6 +297,28 @@ class TestSDPrime:
         doc = check_sd_prime(octa, 0, 2).to_json()
         assert doc["status"] == "pass"
         assert set(doc["radii"]) == {"1", "2"}
+
+    def test_against_naive_oracle(self, disk37, surf37, torus66):
+        # whole reports, witnesses and counts, against the full sorted-edge
+        # scan; the builder's carried reports too
+        runs = [(X, r) for X in (disk37, surf37, torus66) for r in range(1, 5)]
+        runs += [(gen("random_flag", *p), r) for p in ((13, 0.35, 7), (15, 0.35, 11),
+                                                      (15, 0.35, 12)) for r in range(1, 5)]
+        for X, r in runs:
+            report = build_cover(X, 0, r)
+            ball = report.state.ball
+            assert check_sd_prime(ball, 0, r).to_json() == naive_check_sd_prime(ball, 0, r).to_json()
+            assert report.sd.to_json() == naive_check_sd_prime(ball, 0, r - 1).to_json()
+        failing = {"sd_T": 0, "sd_V": 0}
+        rng = random.Random(11)
+        for seed in range(80):
+            X = gen("random_flag", rng.randint(8, 24), rng.choice([0.2, 0.3, 0.4]), seed)
+            for o in X.vertices[:3]:
+                got = check_sd_prime(X, o, 3)
+                assert got.to_json() == naive_check_sd_prime(X, o, 3).to_json()
+                if not got.passed:
+                    failing[got.first_failure().check] += 1
+        assert failing["sd_T"] > 5 and failing["sd_V"] > 5, failing
 
 
 class TestProjectionLemma:
