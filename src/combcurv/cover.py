@@ -32,13 +32,15 @@ the current one.  Two invariants are verified once per stage:
         and onto full 1-balls at interior vertices.  The base is flag and
         every ball is the clique complex of its graph, capped at 4 vertices,
         so an injective map that matches edges both ways matches simplices;
-        no stage tests flagness again.  Edges are compared by counting:
-        where every edge of a 1-ball maps to a base edge (one pass over
-        the image sets checks it) and the map is injective on the 1-ball,
-        the edges match both ways exactly when the triangles at v and the
-        base triangles at f(v) inside the image are as many, and the image
-        is full exactly when v and f(v) have the same degree.  Only a
-        1-ball that fails is scanned for its first offending span edge.
+        no stage tests flagness again.  Edges are compared by counting.
+        Every ball edge maps to a base edge (the expansion joins a new
+        vertex only to bases and classes with adjacent targets), which one
+        pass over the edges confirms per stage.  So where the map is
+        injective on a 1-ball, the edges match both ways exactly when the
+        triangles at v and the base triangles at f(v) inside the image are
+        as many, and the image is full exactly when v and f(v) have the
+        same degree.  Only a 1-ball that fails is scanned for its first
+        offending span edge.
 
 No stage looks for 5-cliques, which the cap would hide.  Every ball edge
 maps to a base edge, so a 5-clique of the ball either maps injectively
@@ -334,28 +336,29 @@ class CoverReport:
 def build_cover(X: SimplicialComplex, base: int, radius: int,
                 stage_limit: int = DEFAULT_STAGE_LIMIT,
                 vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> CoverReport:
-    """Run the construction out to the requested radius.
+    """Run the construction out to the requested radius, every stage by
+    one expansion from stage 0.
 
     The descent property and the covering condition are the ones the last
-    stage verified.  On top of them the final ball gets the shortcut
-    property, location and largeness of the interior (the previous stage
-    ball), and interval thinness from the base to every interior vertex."""
+    stage verified.  The shortcut property is verified stage by stage up to
+    the first stage that fails it, whose verdict is reported.  On top of
+    them the final ball gets location and largeness of the interior (the
+    previous stage ball), and interval thinness from the base to every
+    interior vertex."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if radius > stage_limit:
         raise TooLarge(f"radius {radius} above stage limit {stage_limit}")
-    previous = _base_state(X, base)
-    state = expand_ball(previous, vertex_limit=vertex_limit)
-    # stage 1 counts no glued classes: its classes are the base's neighbours
-    stats = [(1, state.ball.vertex_count, len(state.ball.simplices(1)), 0)]
+    state = _base_state(X, base)
+    stats = []
     shortcut = passed("equiv_shortcut", pairs=0, degenerate=0)
     while state.stage < radius:
         previous, state = state, expand_ball(state, vertex_limit=vertex_limit)
-        sc = verify_equiv_shortcut(state)
-        if shortcut.passed:
-            shortcut = sc
-        stats.append((state.stage, state.ball.vertex_count,
-                      len(state.ball.simplices(1)), len(state.last_classes)))
+        if shortcut.passed:  # only the first failing stage is reported
+            shortcut = verify_equiv_shortcut(state)
+        # stage 1 counts no glued classes: its classes are the base's neighbours
+        glued = len(state.last_classes) if state.stage > 1 else 0
+        stats.append((state.stage, state.ball.vertex_count, len(state.ball.simplices(1)), glued))
 
     # by (P) the previous ball is the span of the interior
     interior_located = is_m_located(previous.ball, 8)

@@ -509,10 +509,11 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
 
     If both complexes are flag, only span edges are compared: f is injective
     on the 1-ball, so once edges match both ways so do cliques, the simplices.
-    Then a 1-ball whose edges all map to base edges is decided by counting
-    its edges (see :func:`_balls_passed_by_count`), and only one that fails
-    is scanned.  Otherwise dimensions 1-3 are scanned, in span order either
-    way: same offender.
+    Then, if every cover edge maps to a base edge (tested once per call),
+    each 1-ball is decided by counting its edges (see
+    :func:`_balls_passed_by_count`), and only one that fails is scanned; if
+    not, every 1-ball is scanned.  Otherwise dimensions 1-3 are scanned, in
+    span order either way: same offender.
 
     ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
     end raises :class:`ValueError`.
@@ -532,15 +533,15 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     simplices of both complexes are their cliques of at most 4 vertices,
     even if a 5-clique makes one of them fail ``is_flag``.
 
-    With ``dims == (1,)`` the 1-balls that pass are found by counting
-    edges, with no span read (:func:`_balls_passed_by_count`).  Every other
-    1-ball runs the ordered scan: the images in 1-ball order, then the span
-    faces in span order, which names the first offender.
+    With ``dims == (1,)``, and if every cover edge maps to a base edge, the
+    1-balls that pass are found by counting edges, with no span read
+    (:func:`_balls_passed_by_count`).  Every other 1-ball runs the ordered
+    scan: the images in 1-ball order, then the span faces in span order,
+    which names the first offender.
     """
     full_at = set(full_at) if full_at is not None else set()
-    vertices = cover.vertices
-    counted = _balls_passed_by_count(f, cover, base, vertices, full_at) if dims == (1,) else ()
-    for v in vertices:
+    counted = _balls_passed_by_count(f, cover, base, full_at) if dims == (1,) else ()
+    for v in cover.vertices:
         if v in counted:
             continue
         bv = frozenset({v}) | cover.neighbors(v)
@@ -565,8 +566,7 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 
 
-def _balls_passed_by_count(f, cover: SimplicialComplex, base: SimplicialComplex,
-                           vertices, full_at) -> set:
+def _balls_passed_by_count(f, cover: SimplicialComplex, base: SimplicialComplex, full_at) -> set:
     """The cover vertices v whose 1-ball N[v] the edge-count lemma passes,
     when the triangles of both complexes are their 3-cliques.
 
@@ -580,41 +580,35 @@ def _balls_passed_by_count(f, cover: SimplicialComplex, base: SimplicialComplex,
     1-ball of f(v) exactly when deg v = deg f(v), and then every triangle at
     f(v) counts.
 
-    Each 1-ball costs one image set, a subset test for the edges at v and
-    the two counts.  A 1-ball is left to the caller's scan when it holds a
-    vertex whose image is not a base vertex or an edge whose image is not a
-    base edge (the subset test at either end of the edge finds it, and
-    every 1-ball holding it is dropped from the result), when f is not
-    injective on it, when the counts differ, or when it must be full and
-    is not.
+    The precondition is read once per call: every cover vertex maps to a
+    base vertex and every cover edge to a base edge.  The expansion lemma
+    of the cover builder makes it hold on every stage ball.  If it fails,
+    no 1-ball is counted and the caller scans them all.  Otherwise each
+    1-ball costs one image set and the two counts, and is left to the
+    caller's scan when f is not injective on it, when the counts differ, or
+    when it must be full and is not.
     """
-    invalid = {u for u in vertices if not base.has_vertex(f[u])}
-    suspect = invalid.union(*map(cover.neighbors, invalid))
+    images = {f[v] for (v,) in cover.simplices(0)}
+    if not (all(map(base.has_vertex, images))
+            and all(base.adjacent(f[u], f[v]) for u, v in cover.simplices(1))):
+        return set()
     triangles = Counter(chain.from_iterable(cover.simplices(2)))
     links = {}  # base vertex -> its link edges
     decided = set()
-    for v in vertices:
-        if v in invalid:
-            continue
+    for (v,) in cover.simplices(0):
         fv = f[v]
-        nbrs, around = cover.neighbors(v), base.neighbors(fv)
+        nbrs = cover.neighbors(v)
         image = {f[u] for u in nbrs}
-        if not image <= around:
-            for u in nbrs:
-                if f[u] not in around:
-                    suspect |= cover.neighbors(u) & nbrs
-                    suspect.update((u, v))
-            continue
         if len(image) != len(nbrs):
             continue
         edges = links.get(fv)
         if edges is None:
             edges = links[fv] = base._link_edges(fv)
-        full = len(nbrs) == len(around)
+        full = len(nbrs) == base.degree(fv)
         if triangles[v] == (len(edges) if full else sum(map(image.issuperset, edges))) \
                 and (full or v not in full_at):
             decided.add(v)
-    return decided - suspect
+    return decided
 
 
 @timed

@@ -1,10 +1,12 @@
 """Inductive cover-ball construction: stages, invariants, fixed points."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
-from combcurv import build_cover, expand_ball, init_cover, metric, verify_equiv_shortcut
+from combcurv import build_cover, cover, expand_ball, init_cover, metric, verify_equiv_shortcut
 from combcurv.complexes import SimplicialComplex, flag_completion
 from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
 from combcurv.curvature import is_locally_k_large, is_m_located
@@ -284,6 +286,17 @@ class TestShortcut:
         state = expand_ball(expand_ball(init_cover(surf37, 0)))
         verdict = verify_equiv_shortcut(state)
         assert verdict.passed
+
+    def test_build_stops_at_the_first_missing_shortcut(self, monkeypatch):
+        # random_flag(13, .35, 4) first misses a shortcut at stage 2 of 4;
+        # only that verdict is reported, so no later stage is verified
+        calls = counting(monkeypatch, cover, "verify_equiv_shortcut")
+        report = build_cover(gen("random_flag", 13, 0.35, 4), 0, 4)
+        assert [state.stage for (state,) in calls] == [1, 2]
+        assert report.shortcut.witness["pair"] == [4, 5]
+        doc = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == \
+            "7a16dff6ef787efe667d13686ee6d7d2d224ccb1be99f380c75c40e4250632e4"
 
 
 class TestBuildCover:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover, curvature
+from combcurv import build_complex, build_cover, curvature, expand_ball
 from combcurv.complexes import Cycle, SimplicialComplex, chords, flag_witness, full_cycles, is_flag
+from combcurv.cover import _base_state
 from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
@@ -734,8 +735,9 @@ class TestCoveringMapOracle:
     def test_flag_cover_ball_compares_only_edges(self, icosa, octa, torus66, disk37, surf37,
                                                   monkeypatch):
         # a flag 1-ball whose edges match both ways is decided by counting
-        # edges: one neighbour set per 1-ball on each side, no per-neighbour
-        # comparison; only a failing one reads span faces, and only edges
+        # edges: one neighbour set per 1-ball on the cover and none on the
+        # base, whose degrees tell fullness; only a failing one reads span
+        # faces, and only edges
         state = build_cover(surf37, 0, 5).state
         for f, cover, base, full_at in self.cases(icosa, octa, torus66, disk37, surf37):
             got = covering_outcome(check_covering_map, f, cover, base, full_at)
@@ -761,12 +763,34 @@ class TestCoveringMapOracle:
         check_covering_map(state.sheet_map, state.ball, surf37, full_at=state.interior_ids())
         monkeypatch.setattr(SimplicialComplex, "neighbors", neighbors)
         n = len(state.ball.vertices)
-        assert n == 617 and reads == {id(state.ball): n, id(surf37): n}, reads
+        assert n == 617 and reads == {id(state.ball): n, id(surf37): 0}, reads
         assert state.ball.simplices(2) and sizes == []
         assert covering_outcome(check_covering_map, f, cover, base, full_at) == got
         # the failing ball has triangles, but no simplex of more than two
         # vertices is compared
         assert cover.simplices(2) and sizes and set().union(*sizes) == {2}
+
+    def test_one_edge_off_the_base_counts_no_ball(self, surf37):
+        """The edge-image precondition is read once per call: a map that
+        sends one edge to a non-edge counts no 1-ball, and the scan names
+        the referee's offender.  Every builder stage ball meets it."""
+        # surf37 less one edge and its two triangles is still flag: its
+        # cliques are those of surf37 that miss the edge
+        a, b = min(surf37.simplices(1))
+        base = build_complex(t for t in surf37.simplices(2) if not (a in t and b in t))
+        assert is_flag(base).passed and len(surf37.simplices(1)) == len(base.simplices(1)) + 1
+        f = tuple(range(surf37.vertex_count))
+        assert curvature._balls_passed_by_count(f, surf37, base, set()) == set()
+        got = covering_outcome(check_covering_map, f, surf37, base, surf37.vertices)
+        assert got and got == covering_outcome(naive_check_covering_map, f, surf37, base,
+                                               surf37.vertices)
+        runs = [(surf37, 5)] + [(gen("random_flag", *p), 4) for p in self.RANDOM_FLAG[:3]]
+        for X, radius in runs:
+            state = _base_state(X, 0)
+            while state.stage < radius:
+                state = expand_ball(state)
+                full_at = set(state.interior_ids())
+                assert curvature._balls_passed_by_count(state.sheet_map, state.ball, X, full_at)
 
     def test_count_path_referees(self):
         """1-balls the edge count does not pass: each is named as the

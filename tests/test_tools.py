@@ -1,6 +1,7 @@
 """Scripts under tools/."""
 
 import importlib.util
+from itertools import islice
 from pathlib import Path
 
 from conftest import FIXTURE_DIR
@@ -8,13 +9,28 @@ from conftest import FIXTURE_DIR
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("make_fixtures", TOOLS / "make_fixtures.py")
-    make_fixtures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_fixtures)
+    make_fixtures = load_tool("make_fixtures")
     monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
     make_fixtures.main()
     names = ["disk37_r3.cplx", "surf37_psl2_7.cplx"]
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
+
+
+def test_cover_digest_meets_both_covering_failures():
+    # the corpus starts with the warned draws: 3 draws x 3 bases x 4 radii
+    cover_digest = load_tool("cover_digest")
+    runs = list(islice(cover_digest.corpus(), 36))
+    hexdigest, counts = cover_digest.digest(runs)
+    assert counts["runs"] == 36 and counts["warned"] > 0
+    assert counts["R: collides"] > 0 and counts["R: has no preimage"] > 0
+    assert cover_digest.digest(runs)[0] == hexdigest
