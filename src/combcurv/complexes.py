@@ -126,7 +126,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple:
-        return tuple(v for (v,) in sorted(self._faces[0]))
+        return tuple(sorted(v for (v,) in self._faces[0]))
 
     def simplices(self, dim: int) -> frozenset:
         if not 0 <= dim <= MAX_DIM:

@@ -55,7 +55,11 @@ no span is built for them either.
 
 Constructions whose input fails the entry hypotheses (8-location, local
 5-largeness) still run, but invariant failures are then recorded as
-expected-failure diagnostics instead of raising.
+expected-failure diagnostics instead of raising.  The hypotheses decide
+nothing else, so they are read only when an invariant fails on a state with
+no warnings yet: a failure on an input that meets them raises, so a state
+with warnings has found them unmet.  A build whose invariants hold reads
+them never, and one that warns reads them once.
 """
 
 from __future__ import annotations
@@ -63,12 +67,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, _sd_prime, interval_thinness
+from .metric import SDReport, _layers, _sd_prime, _thinness
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -93,23 +97,25 @@ class ZClass:
 class CoverState:
     """One stage of the cover construction.
 
-    Cover vertex ids are stable across stages; the base vertex is id 0 and
-    ``birth[v]`` (the stage at which v appeared) equals its distance from
-    the base.  ``ball`` is the clique complex of its graph, so its
-    vertices and edges determine it, and every induced ball of it too.
+    Cover vertex ids are stable across stages; the base vertex is id 0 at
+    every stage (``base`` is that constant, not a field) and ``birth[v]``
+    (the stage at which v appeared) equals its distance from the base.
+    ``ball`` is the clique complex of its graph, so its vertices and edges
+    determine it, and every induced ball of it too.
     ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict;
     a new stage carries the previous report until its own is verified.
     (P) is a lemma of the expansion (see the module docstring), so no
-    earlier ball is kept; a violation names 'Q' or 'R'.
+    earlier ball is kept; a violation names 'Q' or 'R'.  Whether the target
+    meets the entry hypotheses is not stored: it is read only when an
+    invariant fails (``_apply_invariants``).
     """
 
+    base: ClassVar[int] = 0
     stage: int
     ball: SimplicialComplex
-    base: int
     sheet_map: tuple
     target: SimplicialComplex
     birth: tuple
-    hypotheses_ok: bool
     last_classes: tuple = ()
     warnings: tuple = ()
     sd: Optional[SDReport] = None
@@ -167,9 +173,16 @@ def _verify_invariants(state: CoverState):
     return sd, covering, problems
 
 
+def _meets_hypotheses(X: SimplicialComplex) -> bool:
+    """The entry hypotheses on the base: 8-location and local 5-largeness."""
+    return is_m_located(X, 8).passed and is_locally_k_large(X, 5).passed
+
+
 def _apply_invariants(state: CoverState) -> CoverState:
     sd, covering, problems = _verify_invariants(state)
-    if problems and state.hypotheses_ok:
+    # a failing invariant raises on a base that meets the hypotheses, so a
+    # state that already carries warnings has found them unmet
+    if problems and not state.warnings and _meets_hypotheses(state.target):
         which, witness, detail = problems[0]
         raise InvariantViolation(which, witness, detail)
     diags = tuple(HypothesisViolation(w, wit, det) for (w, wit, det) in problems)
@@ -183,9 +196,8 @@ def _base_state(X: SimplicialComplex, base: int) -> CoverState:
     fv = is_flag(X)
     if not fv.passed:
         raise NotFlag(f"cover construction needs a flag complex: {fv.detail}")
-    hyp = is_m_located(X, 8).passed and is_locally_k_large(X, 5).passed
-    return CoverState(stage=0, ball=flag_completion(1, (), name="cover_ball_stage_0"), base=0,
-                      sheet_map=(base,), target=X, birth=(0,), hypotheses_ok=hyp)
+    return CoverState(stage=0, ball=flag_completion(1, (), name="cover_ball_stage_0"),
+                      sheet_map=(base,), target=X, birth=(0,))
 
 
 def init_cover(X: SimplicialComplex, base: int) -> CoverState:
@@ -254,11 +266,9 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
     new_state = CoverState(
         stage=i + 1,
         ball=new_ball,
-        base=0,
         sheet_map=f + tuple(cls.z for cls in classes),
         target=X,
         birth=state.birth + (i + 1,) * len(classes),
-        hypotheses_ok=state.hypotheses_ok,
         last_classes=classes,
         warnings=state.warnings,
         sd=state.sd,
@@ -364,8 +374,9 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     interior_located = is_m_located(previous.ball, 8)
     interior_large = is_locally_k_large(previous.ball, 5)
 
-    thin, _pair = interval_thinness(
-        state.ball, state.base, *(v for v in state.interior_ids() if v != state.base))
+    # by (P) the birth stages are the base row, so no BFS runs; [1:] drops the base
+    thin, _pair = _thinness(state.ball, (layer for v in state.interior_ids()[1:]
+                                         for layer in _layers(state.birth, state.ball, 0, v)))
 
     return CoverReport(
         state=state,

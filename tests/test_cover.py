@@ -10,7 +10,7 @@ from combcurv import build_cover, cover, expand_ball, init_cover, metric, verify
 from combcurv.complexes import SimplicialComplex, flag_completion
 from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
 from combcurv.curvature import is_locally_k_large, is_m_located
-from combcurv.errors import InvariantViolation, NotFlag, TooLarge
+from combcurv.errors import HypothesisViolation, InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
 from conftest import gen
@@ -32,13 +32,20 @@ def counting(monkeypatch, owner, name) -> list:
     return calls
 
 
+def k5_over_tetra(tetra) -> CoverState:
+    """K5 over the tetrahedron, vertices 0 and 4 both over 0: it fails (R)."""
+    ball = flag_completion(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    return CoverState(stage=1, ball=ball, sheet_map=(0, 1, 2, 3, 0), target=tetra,
+                      birth=(0, 1, 1, 1, 1))
+
+
 class TestInit:
     def test_c4_initial_ball_is_a_path(self, c4):
         state = init_cover(c4, 0)
         assert state.stage == 1
         assert state.ball.counts() == (3, 2, 0, 0)
         assert state.sheet_map == (0, 1, 3)
-        assert state.hypotheses_ok
+        assert cover._meets_hypotheses(c4)
 
     def test_tetrahedron_initial_ball_is_everything(self, tetra):
         state = init_cover(tetra, 0)
@@ -47,7 +54,7 @@ class TestInit:
     def test_icosahedron_initial_ball_is_cone_over_pentagon(self, icosa):
         state = init_cover(icosa, 0)
         assert state.ball.counts() == (6, 10, 5, 0)
-        assert not state.hypotheses_ok  # not 8-located
+        assert not cover._meets_hypotheses(icosa)  # not 8-located
 
     def test_non_flag_rejected(self, bd4):
         with pytest.raises(NotFlag):
@@ -145,23 +152,61 @@ class TestInvariants:
     def test_tampered_sheet_map_detected(self, surf37):
         state = expand_ball(init_cover(surf37, 0))
         bad = CoverState(
-            stage=state.stage, ball=state.ball, base=0,
+            stage=state.stage, ball=state.ball,
             sheet_map=state.sheet_map[:-1] + (state.sheet_map[0],),
-            target=state.target, birth=state.birth,
-            hypotheses_ok=True)
+            target=state.target, birth=state.birth)
         _sd, _covering, problems = _verify_invariants(bad)
         assert any(which == "R" for which, _w, _d in problems)
 
     def test_five_clique_ball_raises_under_the_hypotheses(self, tetra):
         # K5 over the tetrahedron: no stage scans for 5-cliques, because
         # the two vertices over 0 collide in every 1-ball, which (R) rejects
-        ball = flag_completion(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-        state = CoverState(
-            stage=1, ball=ball, base=0, sheet_map=(0, 1, 2, 3, 0), target=tetra,
-            birth=(0, 1, 1, 1, 1), hypotheses_ok=True)
         with pytest.raises(InvariantViolation) as info:
-            _apply_invariants(state)
+            _apply_invariants(k5_over_tetra(tetra))
         assert info.value.which == "R"
+
+
+class TestLazyHypotheses:
+    """The entry hypotheses decide one thing: whether a failing invariant
+    raises or warns.  So they are read only when an invariant fails on a
+    state with no warnings yet; a state with warnings has found them unmet,
+    since a failure on a base that meets them raises."""
+
+    def test_passing_builds_read_no_hypotheses(self, surf37, monkeypatch):
+        located = counting(monkeypatch, cover, "is_m_located")
+        large = counting(monkeypatch, cover, "is_locally_k_large")
+        for X in (surf37, gen("tri_torus", 8, 8)):
+            del located[:], large[:]
+            assert build_cover(X, 0, 5).passed
+            # the interior checks still run, on the previous stage ball
+            assert located and large
+            assert not [args for args in located + large if args[0] is X]
+
+    def test_a_warned_build_reads_them_once(self, monkeypatch):
+        X = gen("random_flag", 13, 0.35, 4)
+        reads = counting(monkeypatch, cover, "_meets_hypotheses")
+        located = counting(monkeypatch, cover, "is_m_located")
+        report = build_cover(X, 0, 4)
+        # the same (Q) failure recurs at stages 2, 3 and 4
+        assert [w.which for w in report.state.warnings] == ["Q"] * 3
+        assert len(reads) == 1
+        assert sum(args[0] is X for args in located) == 1
+
+    def test_a_failing_state_raises_only_under_the_hypotheses(self, tetra, icosa, monkeypatch):
+        reads = counting(monkeypatch, cover, "_meets_hypotheses")
+        state = k5_over_tetra(tetra)
+        with pytest.raises(InvariantViolation):
+            _apply_invariants(state)
+        assert len(reads) == 1
+        prior = HypothesisViolation("Q", None, "an earlier stage")
+        out = _apply_invariants(replace(state, warnings=(prior,)))
+        assert out.warnings[0] is prior and [w.which for w in out.warnings[1:]] == ["R"]
+        assert len(reads) == 1
+        # over the icosahedron, which is not 8-located, the failure warns
+        state = init_cover(icosa, 0)
+        out = _apply_invariants(replace(state, sheet_map=state.sheet_map[:-1] + (0,)))
+        assert [w.which for w in out.warnings] == ["R"]
+        assert len(reads) == 2
 
 
 class TestExpansionLemma:
@@ -356,6 +401,9 @@ class TestBuildCover:
         assert doc["stage"] == 2 and doc["base"] == 0
         assert len(doc["sheet_map"]) == state.ball.vertex_count
         assert doc["maximal_simplices"]
+        # the base is cover vertex 0 at every stage, not a settable field
+        with pytest.raises(TypeError):
+            replace(state, base=1)
 
 
 class TestClosedFormGrowth:

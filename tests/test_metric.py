@@ -248,11 +248,11 @@ class TestThinnessOracle:
         assert bases == [0]
 
     def test_cover_build_rows(self, surf37, monkeypatch):
-        # the stages read (Q) off the birth layers, so the thinness base is
-        # the one row
+        # the stages read (Q) and the thinness intervals off the birth
+        # layers, which (P) makes the base row
         bases = count_bfs(monkeypatch)
         build_cover(surf37, 0, 6)
-        assert bases == [0]
+        assert bases == []
 
     def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
                                                           monkeypatch, capsys):
