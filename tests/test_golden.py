@@ -23,8 +23,9 @@ cases of ``rf13_7`` and of the built inputs before local largeness read
 its links as graphs, and the ``cover --out`` files before every stage ball
 was built as the flag completion of its graph (``--json`` holds only counts
 and fibres, so a relabelling of class ids passes it; the ball file pins the
-ids, the simplices and the sheet map); regenerate them only for a change
-that is meant to alter the output.
+ids, the simplices and the sheet map), and the ``check --sphere-56`` cases
+before the 5/6* sphere test read the rims of a 2-complex off its edge
+links; regenerate them only for a change that is meant to alter the output.
 """
 
 import argparse
@@ -86,6 +87,7 @@ COMMANDS = {
     "sd": ["sd", "--base", "0", "--n", "2"],
     "lemmas": ["lemmas"],
     "delta": ["metric", "--delta"],
+    "sphere56": ["check", "--sphere-56"],
 }
 
 # the lowest vertex at the largest distance from vertex 0
@@ -207,7 +209,27 @@ GOLDEN = [
     # surface test on links that are not pure 2-complexes: a maximal edge,
     # a maximal vertex, an edge on one triangle, dimensions 0, 1 and -1
     ("cell600", "links", 1, "04a15fcdebf3e83ff09fb1077e83c7b791e759c2bd35da8933e61c3505893118"),
-    ("mixed_star", "links", 1, "fffd404d44f29b49dc8ecbb8ff5a70e0fa08029bf15323278a3a9f1fa31020b2"),
+    ("mixed_star", "links", 1, "fffd404d44f29b49dc8ecbb8ff5a70e0fa08029bf15323278a3a9f1fa31020b2"),    # the 5/6* sphere test on every input: a pass (gs3), adjacent degree-5
+    # vertices (icosahedron), an edge on one triangle (disk37_r3,
+    # tetra_less_face), a maximal edge (rf13_7), the Euler characteristic
+    # (torus66, surf37_psl2_7) and the dimension of the ten 3-complexes
+    ("disk37_r3", "sphere56", 1, "c7df00275e0e20cbdcbc96d905e8f7b657e6b8bbd91c9de52c7c9582cff83195"),
+    ("surf37_psl2_7", "sphere56", 1, "7347a7b8ee0a6f1db6159118aae3d5c3454d29a5df881c4c86f213a9f59fb89f"),
+    ("icosahedron", "sphere56", 1, "c4e72d589dbd2ea85bd7600d800b25234912d81b42533a74eef675b1260f7b67"),
+    ("gs3", "sphere56", 0, "420bad8eafdf419aedf1e1d4298772176baef3cd5945d51da1a05e54ea5c3d13"),
+    ("torus66", "sphere56", 1, "b45268ab4472042caaf3e414f944c57ad2237951ac9c77f202556027e375c2b4"),
+    ("bd4", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("rf13_7", "sphere56", 1, "82058ec6aa88e2cf08c750702ad073b4f2259bb151433b3b2b1c1139fd58bde5"),
+    ("rf15_11", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("rf15_12", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("cell600", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("susp_torus44", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("bd4_pair", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("susp_pinched_octahedra", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("bd4_pair_edge", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("glued_tetrahedra", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
+    ("tetra_less_face", "sphere56", 1, "418c987b8338fcbefaff4a0487a9fb1ebd157aa5abb596486e4ad9da36dfda4e"),
+    ("mixed_star", "sphere56", 1, "9f8f57a49615ae830889f82bbb988e8f0a683f376ef46c58d5957fafe691c516"),
 ]
 
 # (input, radius, exit code, sha256 of the ``cover --base 0 --out`` file);

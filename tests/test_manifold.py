@@ -1,8 +1,10 @@
 """3-manifold validation, vertex links, sphere conditions, dual cellulation,
 cycle-filling checks, and the full pipeline."""
 
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
     ALLOWED_DWHEEL_TYPES,
+    ManifoldReport,
     check_7cycle_fillings,
     check_sphere_cycle_lemma,
     check_wheel_in_link,
@@ -22,6 +25,7 @@ from combcurv.manifold import (
     validate_closed_3manifold,
     verify_theorem_b,
 )
+from combcurv.verdicts import failed, passed
 
 from conftest import (
     bd4_pair_at_edge,
@@ -550,3 +554,128 @@ class TestTheoremB:
                 seen |= types
         # the pinned draws make every allowed type occur
         assert seen == ALLOWED_DWHEEL_TYPES
+
+
+def theorem_b_stages():
+    """``THEOREM_B_STAGES`` of ``perfbench/spans.py``: the stage names, in
+    order, by which the traced benchmark counts ``stage_reached``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.THEOREM_B_STAGES
+
+
+def report(*verdicts):
+    """A manifold report with ``verdicts`` for its pseudomanifold, edge-link
+    and vertex-link stages, and a passing 5/6* stage."""
+    return ManifoldReport(*verdicts, edge_degrees={}, five_six_star=passed("five_six_star"))
+
+
+ALL_PASS = report(passed("pseudomanifold"), passed("edge_link_cycles"),
+                  passed("vertex_links_spheres"))
+
+UNLOCATED_ICOSA = {
+    "kind": "unlocated_dwheel",
+    "dwheel": {"kind": "dwheel", "apexes": [0, 1], "shared": 5, "rims": [[7, 10, 11], [7, 8, 9]],
+               "junction": "identified", "type": [5, 5], "boundary_length": 6},
+    "candidates_tried": [0, 1, 5, 7, 8, 9, 10, 11]}
+UNLOCATED_CELL600 = {
+    "kind": "unlocated_dwheel",
+    "dwheel": {"kind": "dwheel", "apexes": [0, 1], "shared": 2, "rims": [[5, 9, 7], [6, 16, 14]],
+               "junction": "edge", "type": [5, 5], "boundary_length": 7},
+    "candidates_tried": [0, 1, 2, 5, 6, 7, 9, 14, 16]}
+
+
+def theorem_b_fail(stage, detail, witness):
+    return {"check": "theorem_b", "status": "fail", "detail": f"stage {stage}: {detail}",
+            "witness": witness, "stats": {"stage": stage}}
+
+
+class TestTheoremBStages:
+    """The stages past ``five_six_star``, which no input reaches yet, run
+    with a closed 5/6* manifold report patched in for every input."""
+
+    @pytest.fixture
+    def all_pass(self, monkeypatch):
+        monkeypatch.setattr(manifold, "validate_closed_3manifold", lambda X: ALL_PASS)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The later stages' checks, by name, in the order they are called."""
+        names = []
+        for name in ("is_flag", "is_locally_k_large", "is_m_located", "dwheels"):
+            def spy(*args, _name=name, _fn=getattr(manifold, name)):
+                names.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(manifold, name, spy)
+        return names
+
+    def test_each_later_stage_fails_with_its_witness(self, all_pass, calls, bd4, octa, icosa):
+        cases = [
+            (bd4, theorem_b_fail("is_flag", "clique (0, 1, 2, 3, 4) spans no simplex",
+                                 {"kind": "empty_clique", "vertices": [0, 1, 2, 3, 4]}),
+             ["is_flag"]),
+            (octa, theorem_b_fail("locally_5_large",
+                                  "link of (0,) is not 5-large: full 4-cycle present",
+                                  {"kind": "cycle_in_link", "simplex": [0],
+                                   "cycle": [1, 2, 3, 4]}),
+             ["is_flag", "is_locally_k_large"]),
+            (icosa, theorem_b_fail("8_located",
+                                   "(5,5)-dwheel of boundary length 6 fits in no 1-ball",
+                                   UNLOCATED_ICOSA),
+             ["is_flag", "is_locally_k_large", "is_m_located"]),
+            (gen("cell600"), theorem_b_fail("8_located",
+                                            "(5,5)-dwheel of boundary length 7 fits in no 1-ball",
+                                            UNLOCATED_CELL600),
+             ["is_flag", "is_locally_k_large", "is_m_located"]),
+        ]
+        for X, expected, called in cases:
+            calls.clear()
+            assert verify_theorem_b(X).to_json() == expected, X.name
+            # a stage runs only once every stage before it has passed
+            assert calls == called, X.name
+
+    def test_every_stage_passes(self, all_pass, calls, surf37):
+        assert verify_theorem_b(surf37).to_json() == {
+            "check": "theorem_b", "status": "pass", "detail": "all stages passed",
+            "witness": None, "stats": {"dwheel_types": [], "dwheels": 0}}
+        assert calls == ["is_flag", "is_locally_k_large", "is_m_located", "dwheels"]
+
+    def test_dwheel_census(self, all_pass, icosa, monkeypatch):
+        # with 8-location patched to pass, the census reads the icosahedron's
+        # dwheels: all of an allowed type, or the first one otherwise
+        monkeypatch.setattr(manifold, "is_m_located",
+                            lambda X, m: passed("m_located", dwheels=1))
+        assert verify_theorem_b(icosa).to_json() == {
+            "check": "theorem_b", "status": "pass", "detail": "all stages passed",
+            "witness": None, "stats": {"dwheel_types": [(5, 5)], "dwheels": 1}}
+        monkeypatch.setattr(manifold, "ALLOWED_DWHEEL_TYPES", set())
+        assert verify_theorem_b(icosa).to_json() == {
+            "check": "theorem_b", "status": "fail",
+            "detail": "dwheel of unexpected type (5, 5)",
+            "witness": UNLOCATED_ICOSA["dwheel"], "stats": {"stage": "dwheel_types"}}
+
+    def test_first_failing_report_verdict(self, calls, monkeypatch):
+        X = build_complex([[0, 1, 2, 3]])
+        bad = [failed(check, {"kind": check}, detail=f"{check} fails")
+               for check in ("pseudomanifold", "edge_link_cycles", "vertex_links_spheres")]
+        ok = [passed(v.check) for v in bad]
+        for first in range(3):
+            verdicts = ok[:first] + bad[first:]
+            monkeypatch.setattr(manifold, "validate_closed_3manifold",
+                                lambda X, r=report(*verdicts): r)
+            check = bad[first].check
+            assert verify_theorem_b(X).to_json() == \
+                theorem_b_fail("validate", f"{check} fails", {"kind": check})
+        assert calls == []
+
+    def test_stage_names_in_order(self, calls, bd4, octa, icosa, monkeypatch):
+        stages = [verify_theorem_b(X).stats["stage"]
+                  for X in (build_complex([[0, 1, 2, 3], [1, 2, 3, 4]]), bd4)]
+        monkeypatch.setattr(manifold, "validate_closed_3manifold", lambda X: ALL_PASS)
+        stages += [verify_theorem_b(X).stats["stage"] for X in (bd4, octa, icosa)]
+        monkeypatch.setattr(manifold, "is_m_located", lambda X, m: passed("m_located"))
+        monkeypatch.setattr(manifold, "ALLOWED_DWHEEL_TYPES", set())
+        stages.append(verify_theorem_b(icosa).stats["stage"])
+        assert tuple(stages) == theorem_b_stages()
