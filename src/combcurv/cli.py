@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import cover as cover_mod
 from . import manifold as manifold_mod
@@ -218,6 +219,17 @@ def cmd_links(args):
     return _emit(args, "links", [_link_check(X, v, links) for v in X.vertices])
 
 
+def _in_link(v, vertex_map, r: Verdict) -> Verdict:
+    """A sphere-lemma verdict ``r`` on the link of ``v``, with its witness
+    cycle renamed from link ids to ids of the complex by ``vertex_map`` and
+    ``v`` named in its detail.  The map is increasing, so a canonical cycle
+    stays canonical."""
+    witness = r.witness and replace(r.witness,
+                                    vertices=tuple(vertex_map[i] for i in r.witness.vertices))
+    detail = f"link of vertex {v}: {r.detail}" if r.detail else f"link of vertex {v}"
+    return replace(r, detail=detail, witness=witness)
+
+
 def cmd_lemmas(args):
     X = _load(args.path)
     verdicts = []
@@ -228,7 +240,8 @@ def cmd_lemmas(args):
             for v in X.vertices:
                 # the lemmas run on a link complex, built once the link passed
                 manifold_mod._require_5_6_star(manifold_mod._link_verdict(X, v, links))
-                verdicts += manifold_mod._sphere_lemmas(X.link((v,))[0])
+                L, vertex_map = X.link((v,))
+                verdicts += [_in_link(v, vertex_map, r) for r in manifold_mod._sphere_lemmas(L)]
         else:
             manifold_mod._require_5_6_star(manifold_mod.is_5_6_star_sphere(X))
             verdicts += manifold_mod._sphere_lemmas(X)

@@ -12,8 +12,8 @@ bitmask of neighbours per vertex.  That graph is the 1-skeleton of the
 complex in its own ids, or a vertex link read by ``link_masks`` on the
 ranks of the sorted neighbours of the vertex.  The rank map is
 increasing, so the searches' canonical cycles and sorted cliques map back
-to ambient ids unchanged.  ``link_graph`` reads the same link as sets, for
-the closed-surface test.
+to ambient ids unchanged.  The closed-surface test reads its links off the
+edge links instead, in ``manifold``.
 
 The coface index makes the local queries cost the size of a vertex star,
 not the size of the complex: ``link`` reads the star of one vertex of the
@@ -55,10 +55,6 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    def edges(self):
-        k = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % k]) for i in range(k)]
-
     def to_json(self):
         return {"kind": "cycle", "vertices": list(self.vertices), "full": self.is_full}
 
@@ -88,8 +84,7 @@ class SimplicialComplex:
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
     contain it.  It holds the same tuple objects as the face sets, so it
     adds one reference per vertex of each simplex.  ``link``,
-    ``link_graph``, ``link_masks`` and ``span`` read it instead of scanning
-    every face.
+    ``link_masks`` and ``span`` read it instead of scanning every face.
     """
 
     __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
@@ -241,15 +236,6 @@ class SimplicialComplex:
         for tau in members:
             faces[len(tau) - 1].append(tuple(back[v] for v in tau))
         return SimplicialComplex(len(vertex_map), faces), vertex_map
-
-    def link_graph(self, v: int) -> dict:
-        """The 1-skeleton of the link of vertex ``v`` in this complex's ids,
-        as neighbour of v -> set of link neighbours."""
-        nbrs = {u: set() for u in self._adj[v]}
-        for a, b in self._link_edges(v):
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return nbrs
 
     def link_masks(self, v: int):
         """The 1-skeleton of the link of vertex ``v`` as ``(ids, masks)``:

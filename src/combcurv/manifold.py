@@ -8,9 +8,10 @@ conditions, builds the pentagon/hexagon dual cellulation, and checks on every
 chordless cycle the cycle-filling facts the main pipeline relies on.
 
 The closed-surface and 5/6* degree tests read a surface as the rims (link
-graphs) of its vertices: a built 2-complex by ``link_graph``, and the link of
-a vertex v of a 3-complex off one pass over the faces, the rim of u in Lk(v)
-being Lk(vu).  So vertex links are decided with no link complex built.
+graphs) of its vertices, off one pass over the faces that gives the link of
+every edge: the rim of u in a 2-complex is made of the links of its edges
+ua, and the rim of u in the link of a vertex v of a 3-complex is Lk(vu).  So
+vertex links are decided with no link complex built.
 """
 
 from __future__ import annotations
@@ -239,11 +240,13 @@ def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     """Degrees all 5 or 6 and no two degree-5 vertices adjacent.
 
     Raises :class:`NotASphere` when the input is not a closed triangulated
-    2-sphere.
+    2-sphere.  The rim of u is read as the link of u in :func:`_vertex_link`,
+    one dimension down: its rims are the links of the edges ua.
     """
     if Y.dimension() == 3:
         raise NotASphere("dimension 3 != 2")
-    return _star_sphere({v: Y.link_graph(v) for v in Y.vertices}, lambda v: v)
+    links = _edge_link_graphs(Y)
+    return _star_sphere({u: _vertex_link(Y, u, links)[0] for u in Y.vertices}, lambda u: u)
 
 
 @timed
@@ -453,6 +456,21 @@ def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
     return passed("wheel_in_link", wheels=count)
 
 
+def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport):
+    """The stages of :func:`verify_theorem_b` before the dwheel census, as
+    (stage, verdict) pairs in order: the three manifold verdicts of
+    ``report`` as stage ``validate``, then its 5/6* verdict, flagness,
+    local 5-largeness and 8-location.  Each verdict is computed only when
+    the caller asks for it, once every stage before it has passed."""
+    for verdict in (report.is_pseudomanifold, report.edge_link_cycles,
+                    report.vertex_links_spheres):
+        yield "validate", verdict
+    yield "five_six_star", report.five_six_star
+    yield "is_flag", is_flag(X)
+    yield "locally_5_large", is_locally_k_large(X, 5)
+    yield "8_located", is_m_located(X, 8)
+
+
 @timed
 def verify_theorem_b(X: SimplicialComplex) -> Verdict:
     """Full pipeline: manifold validation, edge-degree condition, flagness,
@@ -470,33 +488,17 @@ def verify_theorem_b(X: SimplicialComplex) -> Verdict:
     except NotPure as exc:
         return failed("theorem_b", {"kind": "not_pure", "reason": str(exc)},
                       detail="stage validate: not a pure 3-complex", stage="validate")
-    if not report.is_closed_manifold:
-        stage_fail = next(v for v in (report.is_pseudomanifold, report.edge_link_cycles,
-                                      report.vertex_links_spheres) if not v.passed)
-        return failed("theorem_b", stage_fail.witness,
-                      detail=f"stage validate: {stage_fail.detail}", stage="validate")
-    if not report.five_six_star.passed:
-        return failed("theorem_b", report.five_six_star.witness,
-                      detail=f"stage five_six_star: {report.five_six_star.detail}",
-                      stage="five_six_star")
-    fv = is_flag(X)
-    if not fv.passed:
-        return failed("theorem_b", fv.witness, detail=f"stage is_flag: {fv.detail}",
-                      stage="is_flag")
-    kv = is_locally_k_large(X, 5)
-    if not kv.passed:
-        return failed("theorem_b", kv.witness,
-                      detail=f"stage locally_5_large: {kv.detail}", stage="locally_5_large")
-    mv = is_m_located(X, 8)
-    if not mv.passed:
-        return failed("theorem_b", mv.witness,
-                      detail=f"stage 8_located: {mv.detail}", stage="8_located")
+    for stage, verdict in _theorem_b_stages(X, report):
+        if not verdict.passed:
+            return failed("theorem_b", verdict.witness, detail=f"stage {stage}: {verdict.detail}",
+                          stage=stage)
     types = set()
     for dw in dwheels(X, 8):
         types.add(dw.type)
         if dw.type not in ALLOWED_DWHEEL_TYPES:
             return failed("theorem_b", dw,
                           detail=f"dwheel of unexpected type {dw.type}", stage="dwheel_types")
+    # the last stage, 8-location, counts the dwheels
     return passed("theorem_b",
                   detail="all stages passed",
-                  dwheel_types=sorted(types), dwheels=mv.stats.get("dwheels", 0))
+                  dwheel_types=sorted(types), dwheels=verdict.stats.get("dwheels", 0))

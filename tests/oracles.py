@@ -74,6 +74,17 @@ def naive_link(X, simplex):
     return SimplicialComplex(len(vertex_map), faces), vertex_map
 
 
+def naive_link_graph(X, v):
+    """The 1-skeleton of the link of vertex ``v`` in the ids of ``X``, as
+    neighbour of v -> set of link neighbours, read off ``naive_link``."""
+    link, vmap = naive_link(X, (v,))
+    graph = {u: set() for u in vmap}
+    for a, b in link.simplices(1):
+        graph[vmap[a]].add(vmap[b])
+        graph[vmap[b]].add(vmap[a])
+    return graph
+
+
 def _tetrahedra_on(X, face):
     return sum(1 for t in X.simplices(3) if set(face) <= set(t))
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON shape, file handling."""
 
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 import combcurv
 from combcurv import manifold
 from combcurv.cli import HANDLERS, build_parser, main
-from combcurv.complexes import SimplicialComplex
+from combcurv.complexes import SimplicialComplex, is_full
 from combcurv.errors import PreconditionNotMet
-from combcurv.formats import load_path
+from combcurv.formats import dump_path, load_path
 from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
 from combcurv.verdicts import passed
 
@@ -298,6 +299,34 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
     assert main(["--json", "lemmas", str(solid["bd4"])]) == 0
     assert [args[1] for args in links] == [(v,) for v in range(5)]
 
+
+
+def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatch):
+    # the boundary of the 4-dimensional cross-polytope, antipodes 2i and
+    # 2i + 1: every vertex link is an octahedron on the other six vertices
+    X = combcurv.build_complex(itertools.product((0, 1), (2, 3), (4, 5), (6, 7)))
+    path = tmp_path / "cross4.cplx"
+    dump_path(X, path)
+    monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
+    monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
+    assert main(["--json", "lemmas", str(path)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(verdicts) == 17
+    # the first chordless 4-cycle of each link, in the ids of X, where the
+    # link's own ids gave [0, 2, 1, 3] for every vertex
+    cycles = [[2, 4, 3, 5]] * 2 + [[0, 4, 1, 5]] * 2 + [[0, 2, 1, 3]] * 4
+    expected = [{"check": "wheel_in_link", "status": "pass", "detail": "", "witness": None,
+                 "stats": {}}]
+    for v, cycle in zip(X.vertices, cycles):
+        expected += [{"check": "sphere_cycle_lemma", "status": "fail",
+                      "detail": f"link of vertex {v}: chordless 4-cycle present",
+                      "witness": {"kind": "cycle", "vertices": cycle, "full": True},
+                      "stats": {}},
+                     {"check": "seven_cycle_fillings", "status": "pass",
+                      "detail": f"link of vertex {v}", "witness": None,
+                      "stats": {"cycles": 0}}]
+        assert set(cycle) <= X.neighbors(v) and is_full(X, cycle).passed
+    assert verdicts == expected
 
 # malformed JSON types, and generator parameters that are not integers or
 # are negative: one error line, nothing on stdout

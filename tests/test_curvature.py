@@ -30,6 +30,7 @@ from oracles import (
     naive_four_wheel_free,
     naive_is_locally_k_large,
     naive_is_m_located,
+    naive_link_graph,
     naive_sorted_dwheels,
     naive_wheels,
 )
@@ -58,7 +59,7 @@ def dwheel_complex(k, l, junction):
 def link_shape(X, v):
     """The link graph of v as the sorted lengths of its components, 0 for
     a path, when no link vertex has degree 3 or more; else None."""
-    nbrs = X.link_graph(v)
+    nbrs = naive_link_graph(X, v)
     if any(len(ns) > 2 for ns in nbrs.values()):
         return None
     lengths, seen = [], set()
@@ -152,27 +153,22 @@ class TestLocallyLarge:
         assert is_locally_k_large(X, 5).passed == (wheel is None)
 
     def test_builds_vertex_links_only(self, gs2, monkeypatch):
-        # each vertex link is read once, as bitmasks; no link complex is
-        # built and no set-valued link graph is read
-        built, graphs, masks = [], [], []
+        # each vertex link is read once, as bitmasks; no link complex is built
+        built, masks = [], []
         link_masks = SimplicialComplex.link_masks
 
         def counting_link(X, sigma):
             built.append(tuple(sigma))
-
-        def counting_link_graph(X, v):
-            graphs.append(v)
 
         def counting_link_masks(X, v):
             masks.append(v)
             return link_masks(X, v)
 
         monkeypatch.setattr(SimplicialComplex, "link", counting_link)
-        monkeypatch.setattr(SimplicialComplex, "link_graph", counting_link_graph)
         monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
         verdict = is_locally_k_large(gs2, 5)
         assert verdict.passed
-        assert built == [] and graphs == []
+        assert built == []
         assert masks == list(gs2.vertices)
         # the stat still counts every simplex whose link is certified
         assert verdict.stats["links_checked"] == sum(gs2.counts())
