@@ -447,7 +447,21 @@ def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates.
+    candidates.  This gate tests flagness; :func:`_locate` decides location."""
+    if m < 6:
+        raise ValueError("location starts at m = 6")
+    fv = is_flag(X)
+    if not fv.passed:
+        return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
+    return _locate(X, m)[0]
+
+
+def _locate(X: SimplicialComplex, m: int):
+    """The verdict of :func:`is_m_located` on ``X``, which the caller has
+    found flag, and the set of (k, l) types of the dwheel groups located
+    before it returned: on a pass, the types of all dwheels of boundary at
+    most ``m``.  A group's dwheels share one type,
+    ``(len(arc1) + 2, len(arc2) + 2)`` for any of its arc pairs.
 
     Location is decided per group of dwheels with the same apexes v0, v0'
     and shared vertex w.  These span a triangle, so every center of a
@@ -458,12 +472,8 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     takes, regrouped.  The sets are int bitmasks over vertex ids: ``core``
     is the AND of the closed neighborhoods of v0, w and v0', which is the
     set above as they are pairwise adjacent."""
-    if m < 6:
-        raise ValueError("location starts at m = 6")
-    fv = is_flag(X)
-    if not fv.passed:
-        return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
     count = 0
+    types = set()
     balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
 
     def meet(found, vertices):
@@ -491,8 +501,9 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
                      "candidates_tried": _center_candidates(X, dw.vertex_set)},
                     detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
                            "fits in no 1-ball",
-                    m=m, dwheels=count)
-    return passed("is_m_located", m=m, dwheels=count)
+                    m=m, dwheels=count), types
+        types.add((len(arc1) + 2, len(arc2) + 2))
+    return passed("is_m_located", m=m, dwheels=count), types
 
 
 # -- covering preservation -----------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Optional
 
 from .complexes import SimplicialComplex, full_cycles, is_flag
-from .curvature import dwheels, is_locally_k_large, is_m_located, wheels
+from .curvature import _locate, is_locally_k_large, wheels
 from .errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed, timed
 
@@ -456,49 +456,51 @@ def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
     return passed("wheel_in_link", wheels=count)
 
 
-def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport):
-    """The stages of :func:`verify_theorem_b` before the dwheel census, as
-    (stage, verdict) pairs in order: the three manifold verdicts of
-    ``report`` as stage ``validate``, then its 5/6* verdict, flagness,
-    local 5-largeness and 8-location.  Each verdict is computed only when
-    the caller asks for it, once every stage before it has passed."""
+def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
+    """The stages of :func:`verify_theorem_b`, as (stage, verdict) pairs in
+    order: the three manifold verdicts of ``report`` as stage ``validate``,
+    then its 5/6* verdict, flagness, local 5-largeness and 8-location.
+    Each verdict is computed only when the caller asks for it, once every
+    stage before it has passed.  8-location runs the kernel
+    :func:`~combcurv.curvature._locate`, as flagness has passed, and adds
+    the dwheel types it reads to ``types``."""
     for verdict in (report.is_pseudomanifold, report.edge_link_cycles,
                     report.vertex_links_spheres):
         yield "validate", verdict
     yield "five_six_star", report.five_six_star
     yield "is_flag", is_flag(X)
     yield "locally_5_large", is_locally_k_large(X, 5)
-    yield "8_located", is_m_located(X, 8)
+    located, found = _locate(X, 8)
+    types |= found
+    yield "8_located", located
 
 
 @timed
 def verify_theorem_b(X: SimplicialComplex) -> Verdict:
     """Full pipeline: manifold validation, edge-degree condition, flagness,
-    local 5-largeness, 8-location, and the dwheel-type census.
+    local 5-largeness and 8-location; a pass reports the types and the
+    number of the dwheels of boundary at most 8.
 
     The pipeline reports the first failing stage; on inputs passing the
     degree condition and flagness, the later stages are expected to pass
-    and any counterexample is surfaced with its witness.  The dwheel-type
-    stage cannot fail once ``locally_5_large`` has passed: every wheel rim
-    then has length at least 5, so a dwheel of boundary at most 8 has
-    l >= 5 and k + l <= 12, which leaves exactly ``ALLOWED_DWHEEL_TYPES``.
+    and any counterexample is surfaced with its witness.  The dwheel types
+    are read off the 8-location join, and no stage checks them, as none can
+    be disallowed once ``locally_5_large`` has passed: every wheel rim then
+    has length at least 5, so a dwheel of boundary at most 8 has l >= 5 and
+    k + l <= 12, which leaves exactly ``ALLOWED_DWHEEL_TYPES``.  The test
+    ``test_dwheel_types_stage_cannot_fail_after_local_5_largeness`` referees
+    this lemma.
     """
     try:
         report = validate_closed_3manifold(X)
     except NotPure as exc:
         return failed("theorem_b", {"kind": "not_pure", "reason": str(exc)},
                       detail="stage validate: not a pure 3-complex", stage="validate")
-    for stage, verdict in _theorem_b_stages(X, report):
+    types = set()
+    for stage, verdict in _theorem_b_stages(X, report, types):
         if not verdict.passed:
             return failed("theorem_b", verdict.witness, detail=f"stage {stage}: {verdict.detail}",
                           stage=stage)
-    types = set()
-    for dw in dwheels(X, 8):
-        types.add(dw.type)
-        if dw.type not in ALLOWED_DWHEEL_TYPES:
-            return failed("theorem_b", dw,
-                          detail=f"dwheel of unexpected type {dw.type}", stage="dwheel_types")
     # the last stage, 8-location, counts the dwheels
-    return passed("theorem_b",
-                  detail="all stages passed",
-                  dwheel_types=sorted(types), dwheels=verdict.stats.get("dwheels", 0))
+    return passed("theorem_b", detail="all stages passed",
+                  dwheel_types=sorted(types), dwheels=verdict.stats["dwheels"])

@@ -22,6 +22,34 @@ def suspension(Y):
     return build_complex([t + (p,) for t in Y.simplices(2) for p in poles])
 
 
+def cone(Y):
+    """The cone over ``Y`` from the apex ``Y.vertex_count``, whose link is
+    ``Y`` with its vertices renamed by rank; over a dwheel, its 1-ball holds
+    every dwheel."""
+    apex = Y.vertex_count
+    return build_complex([s + (apex,) for s in Y.maximal_simplices()] or [[apex]])
+
+
+def dwheel_complex(k, l, junction):
+    """Stand-alone complex consisting of one (k, l)-dwheel: two cone fans
+    glued along the (apex, apex', shared) pattern."""
+    v0, v0p, w = 0, 1, 2
+    arc1 = tuple(range(3, 3 + k - 2))
+    if junction == "identified":
+        arc2 = (arc1[0],) + tuple(range(3 + k - 2, 3 + k - 2 + l - 3))
+    else:
+        arc2 = tuple(range(3 + k - 2, 3 + k - 2 + l - 2))
+    rim1 = arc1 + (w, v0p)
+    rim2 = arc2 + (w, v0)
+    faces = []
+    for center, rim in ((v0, rim1), (v0p, rim2)):
+        for i in range(len(rim)):
+            faces.append((center, rim[i], rim[(i + 1) % len(rim)]))
+    if junction == "edge":
+        faces.append((arc1[0], arc2[0]))
+    return build_complex(faces), arc1, arc2
+
+
 def suspended_torus():
     """The suspension of ``tri_torus(4, 4)``, poles 16 and 17: every
     triangle lies on two tetrahedra and every edge link is a cycle, but the

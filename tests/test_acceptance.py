@@ -33,9 +33,8 @@ from combcurv.generators import random_flag
 from combcurv.manifold import check_7cycle_fillings, check_sphere_cycle_lemma
 from combcurv.metric import interval_thinness
 
-from conftest import FIXTURE_DIR, gen
+from conftest import FIXTURE_DIR, dwheel_complex, gen
 from oracles import naive_delta, naive_four_wheel_free
-from test_curvature import dwheel_complex
 
 RESULTS = []
 

@@ -22,7 +22,14 @@ from combcurv.curvature import (
 )
 from combcurv.errors import NotACovering
 
-from conftest import gen, hollow_triangle_cone, pinched_octahedra, two_cycles_cone
+from conftest import (
+    cone,
+    dwheel_complex,
+    gen,
+    hollow_triangle_cone,
+    pinched_octahedra,
+    two_cycles_cone,
+)
 from oracles import (
     naive_check_covering_map,
     naive_dwheels,
@@ -34,26 +41,6 @@ from oracles import (
     naive_sorted_dwheels,
     naive_wheels,
 )
-
-
-def dwheel_complex(k, l, junction):
-    """Stand-alone complex consisting of one (k, l)-dwheel: two cone fans
-    glued along the (apex, apex', shared) pattern."""
-    v0, v0p, w = 0, 1, 2
-    arc1 = tuple(range(3, 3 + k - 2))
-    if junction == "identified":
-        arc2 = (arc1[0],) + tuple(range(3 + k - 2, 3 + k - 2 + l - 3))
-    else:
-        arc2 = tuple(range(3 + k - 2, 3 + k - 2 + l - 2))
-    rim1 = arc1 + (w, v0p)
-    rim2 = arc2 + (w, v0)
-    faces = []
-    for center, rim in ((v0, rim1), (v0p, rim2)):
-        for i in range(len(rim)):
-            faces.append((center, rim[i], rim[(i + 1) % len(rim)]))
-    if junction == "edge":
-        faces.append((arc1[0], arc2[0]))
-    return build_complex(faces), arc1, arc2
 
 
 def link_shape(X, v):
@@ -89,13 +76,6 @@ def several_cycle_inputs():
 
 def link_shapes(inputs):
     return {link_shape(X, v) for X in inputs for v in X.vertices}
-
-
-def cone(X):
-    """Cone over a complex of dimension at most 2 from a new apex, whose
-    1-ball then holds every dwheel."""
-    apex = X.vertex_count
-    return build_complex([s + (apex,) for s in X.maximal_simplices()])
 
 
 class TestLargeness:
@@ -479,7 +459,7 @@ class TestDWheelStream:
             yield X, 8
 
     def test_same_dwheels_and_verdict_as_global_sort(self, icosa, disk37, surf37):
-        outcomes, junctions, buckets = set(), set(), set()
+        outcomes, junctions, buckets, typed = set(), set(), set(), set()
         assert SEVERAL_CYCLES <= link_shapes(X for X, _ in self.cases(icosa, disk37, surf37))
         for X, top in self.cases(icosa, disk37, surf37):
             ref = naive_sorted_dwheels(X, top)
@@ -490,6 +470,13 @@ class TestDWheelStream:
                 assert got == naive_is_m_located(X, m, ref).to_json(), (X.name, m)
                 if got["status"] == "pass":
                     outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
+                    # the kernel's types are those of the referee's dwheels
+                    verdict, types = curvature._locate(X, m)
+                    mine = [d for d in ref if d.boundary_length <= m]
+                    assert verdict.to_json() == got, (X.name, m)
+                    assert types == {d.type for d in mine}, (X.name, m)
+                    assert verdict.stats["dwheels"] == len(mine), (X.name, m)
+                    typed.add((X.name, m, len(mine), frozenset(types)))
                     continue
                 outcomes.add(got["witness"]["kind"])
                 if got["witness"]["kind"] == "unlocated_dwheel":
@@ -500,6 +487,7 @@ class TestDWheelStream:
                 "after a located dwheel of its group"} <= outcomes
         assert junctions == {"identified", "edge"}
         assert len(buckets) >= 3
+        assert ("random_flag_12_0.45_25", 6, 4, frozenset({(4, 4), (5, 4)})) in typed
 
 
     @staticmethod

@@ -4,11 +4,12 @@ cycle-filling checks, and the full pipeline."""
 import importlib.util
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from combcurv import build_complex, manifold
+from combcurv import build_complex, curvature, manifold
 from combcurv.complexes import SimplicialComplex, full_cycles
 from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
@@ -30,6 +31,8 @@ from combcurv.verdicts import failed, passed
 from conftest import (
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
+    cone,
+    dwheel_complex,
     gen,
     mixed_star,
     pinched_octahedra,
@@ -243,13 +246,6 @@ def link_verdict(X, v, links=None):
         return manifold._link_verdict(X, v, links or manifold._edge_link_graphs(X)).to_json()
     except NotASphere as exc:
         return str(exc)
-
-
-def cone(Y):
-    """The cone over ``Y`` from the apex ``Y.vertex_count``, whose link is
-    ``Y`` with its vertices renamed by rank."""
-    apex = Y.vertex_count
-    return build_complex([s + (apex,) for s in Y.maximal_simplices()] or [[apex]])
 
 
 class TestClosedSurfaceTest:
@@ -587,6 +583,10 @@ UNLOCATED_CELL600 = {
     "candidates_tried": [0, 1, 2, 5, 6, 7, 9, 14, 16]}
 
 
+# the identified (k, l)-dwheels whose cones pass every theorem-B stage
+LOCATED_CONE_TYPES = ((5, 5), (6, 5), (6, 6), (7, 5))
+
+
 def theorem_b_fail(stage, detail, witness):
     return {"check": "theorem_b", "status": "fail", "detail": f"stage {stage}: {detail}",
             "witness": witness, "stats": {"stage": stage}}
@@ -604,7 +604,7 @@ class TestTheoremBStages:
     def calls(self, monkeypatch):
         """The later stages' checks, by name, in the order they are called."""
         names = []
-        for name in ("is_flag", "is_locally_k_large", "is_m_located", "dwheels"):
+        for name in ("is_flag", "is_locally_k_large", "_locate"):
             def spy(*args, _name=name, _fn=getattr(manifold, name)):
                 names.append(_name)
                 return _fn(*args)
@@ -624,11 +624,11 @@ class TestTheoremBStages:
             (icosa, theorem_b_fail("8_located",
                                    "(5,5)-dwheel of boundary length 6 fits in no 1-ball",
                                    UNLOCATED_ICOSA),
-             ["is_flag", "is_locally_k_large", "is_m_located"]),
+             ["is_flag", "is_locally_k_large", "_locate"]),
             (gen("cell600"), theorem_b_fail("8_located",
                                             "(5,5)-dwheel of boundary length 7 fits in no 1-ball",
                                             UNLOCATED_CELL600),
-             ["is_flag", "is_locally_k_large", "is_m_located"]),
+             ["is_flag", "is_locally_k_large", "_locate"]),
         ]
         for X, expected, called in cases:
             calls.clear()
@@ -640,21 +640,44 @@ class TestTheoremBStages:
         assert verify_theorem_b(surf37).to_json() == {
             "check": "theorem_b", "status": "pass", "detail": "all stages passed",
             "witness": None, "stats": {"dwheel_types": [], "dwheels": 0}}
-        assert calls == ["is_flag", "is_locally_k_large", "is_m_located", "dwheels"]
+        assert calls == ["is_flag", "is_locally_k_large", "_locate"]
 
-    def test_dwheel_census(self, all_pass, icosa, monkeypatch):
-        # with 8-location patched to pass, the census reads the icosahedron's
-        # dwheels: all of an allowed type, or the first one otherwise
-        monkeypatch.setattr(manifold, "is_m_located",
-                            lambda X, m: passed("m_located", dwheels=1))
-        assert verify_theorem_b(icosa).to_json() == {
-            "check": "theorem_b", "status": "pass", "detail": "all stages passed",
-            "witness": None, "stats": {"dwheel_types": [(5, 5)], "dwheels": 1}}
-        monkeypatch.setattr(manifold, "ALLOWED_DWHEEL_TYPES", set())
-        assert verify_theorem_b(icosa).to_json() == {
-            "check": "theorem_b", "status": "fail",
-            "detail": "dwheel of unexpected type (5, 5)",
-            "witness": UNLOCATED_ICOSA["dwheel"], "stats": {"stage": "dwheel_types"}}
+    def test_dwheel_census(self, all_pass):
+        # the cones over the identified dwheels of the allowed types are
+        # flag, locally 5-large and 8-located: the real 8-location passes
+        # on each, and the census reads its one type off the join
+        seen = set()
+        for k, l in LOCATED_CONE_TYPES:
+            doc = verify_theorem_b(cone(dwheel_complex(k, l, "identified")[0])).to_json()
+            assert doc == {
+                "check": "theorem_b", "status": "pass", "detail": "all stages passed",
+                "witness": None, "stats": {"dwheel_types": [(k, l)], "dwheels": 2}}, (k, l)
+            seen.update(doc["stats"]["dwheel_types"])
+        assert seen == ALLOWED_DWHEEL_TYPES
+
+    def test_one_join_and_one_flag_test_per_call(self, all_pass, icosa, monkeypatch):
+        # the is_flag stage has passed when 8-location runs, so 8-location
+        # tests flagness no more, and the types come off its one join
+        counts = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def spy(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, spy)
+
+        count(curvature, "_dwheel_groups")
+        for module in (curvature, manifold):
+            count(module, "is_flag")
+        inputs = {t: cone(dwheel_complex(*t, "identified")[0]) for t in LOCATED_CONE_TYPES}
+        inputs["icosahedron"] = icosa
+        for name, X in inputs.items():
+            counts.clear()
+            stage = verify_theorem_b(X).stats.get("stage")
+            assert stage == ("8_located" if X is icosa else None), name
+            assert counts == {"_dwheel_groups": 1, "is_flag": 1}, name
 
     def test_first_failing_report_verdict(self, calls, monkeypatch):
         X = build_complex([[0, 1, 2, 3]])
@@ -675,7 +698,7 @@ class TestTheoremBStages:
                   for X in (build_complex([[0, 1, 2, 3], [1, 2, 3, 4]]), bd4)]
         monkeypatch.setattr(manifold, "validate_closed_3manifold", lambda X: ALL_PASS)
         stages += [verify_theorem_b(X).stats["stage"] for X in (bd4, octa, icosa)]
-        monkeypatch.setattr(manifold, "is_m_located", lambda X, m: passed("m_located"))
-        monkeypatch.setattr(manifold, "ALLOWED_DWHEEL_TYPES", set())
-        stages.append(verify_theorem_b(icosa).stats["stage"])
-        assert tuple(stages) == theorem_b_stages()
+        # the benchmark's stage names still end in the census stage, which
+        # theorem B no longer has; its hook counts a pass past every stage
+        assert theorem_b_stages()[-1] == "dwheel_types"
+        assert tuple(stages) == theorem_b_stages()[:-1]
