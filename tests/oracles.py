@@ -11,11 +11,11 @@ through every closed-surface check, each a plain scan, sphere degrees
 come from a scan of every edge, cycles are found by
 plain DFS over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
-wheel centres and 7-cycle filling pairs by scanning candidate vertices and
-every edge, distances come from Floyd-Warshall, interval thinness runs one
-BFS per layer pair, the descent conditions scan every edge and vertex,
-and the four-point constant is computed from basepoint
-Gromov products or from every vertex quadruple, and the classes of a cover
+wheel centres, the vertex whose link holds a wheel and 7-cycle filling
+pairs by scanning candidate vertices and every edge, distances come from
+Floyd-Warshall, interval thinness runs one BFS per layer pair, the
+descent conditions scan every edge and vertex, and the four-point
+constant is computed from basepoint Gromov products or from every vertex quadruple, and the classes of a cover
 stage come from merging uncovered directions pairwise until none merge.
 Tests compare library output against these on small inputs.
 """
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
-from combcurv.curvature import DWheel
+from combcurv.curvature import DWheel, Wheel
 from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
 from combcurv.manifold import FillingPair
 from combcurv.metric import SDReport, distances_from, interval
@@ -320,6 +320,34 @@ def naive_rim_filled(X, cycle):
         if all(X.has_simplex((cand, vs[j], vs[(j + 1) % k])) for j in range(k)):
             return True
     return False
+
+
+def naive_wheel_in_link(X):
+    """``check_wheel_in_link`` past its 5/6* precondition, as first written.
+
+    The 5- and 6-wheels are found per centre v, as the chordless cycles of
+    the span of N(v) with every cone triangle, in (centre, length, rim)
+    order.  For each wheel the common neighbours of all its vertices are
+    tried in sorted order, and the first whose link holds every wheel
+    triangle ends the scan."""
+    count = 0
+    for v in X.vertices:
+        rims = [rim for rim in naive_full_cycles(naive_span(X, X.neighbors(v)), 5, 6)
+                if all(X.has_simplex((v, rim[i], rim[(i + 1) % len(rim)]))
+                       for i in range(len(rim)))]
+        for rim in sorted(rims, key=lambda r: (len(r), r)):
+            count += 1
+            whl = Wheel(v, rim)
+            k = len(rim)
+            hit = None
+            for cand in sorted(frozenset.intersection(*map(X.neighbors, whl.vertex_set))):
+                if all(X.has_simplex((cand, v, rim[j], rim[(j + 1) % k])) for j in range(k)):
+                    hit = cand
+                    break
+            if hit is None:
+                return failed("wheel_in_link", whl,
+                              detail=f"{k}-wheel at {v} lies in no vertex link", wheels=count)
+    return passed("wheel_in_link", wheels=count)
 
 
 def naive_find_7cycle_filling(X, cycle):

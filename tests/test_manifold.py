@@ -52,6 +52,7 @@ from oracles import (
     naive_pseudomanifold,
     naive_rim_filled,
     naive_vertex_links_spheres,
+    naive_wheel_in_link,
 )
 
 
@@ -493,6 +494,24 @@ class TestWheelInLink:
         verdict = check_wheel_in_link(X)
         assert verdict.passed
         assert verdict.stats["wheels"] == 0
+
+    def test_against_naive_scan(self, monkeypatch, icosa, gs2, gs3, bd4):
+        # past the precondition, which none of these meets, so both the
+        # wheel that lies in no link and the one that does are reached
+        monkeypatch.setattr(manifold, "five_six_star_verdict",
+                            lambda X, degrees=None: passed("five_six_star"))
+        expected = {"cell600": ("fail", 13), "icosahedron": ("fail", 1),
+                    "geodesic_sphere": ("fail", 1), "cone": ("pass", 84),
+                    "boundary_4_simplex": ("pass", 0)}
+        for name, X in (("cell600", gen("cell600")), ("icosahedron", icosa),
+                        ("geodesic_sphere", gs3), ("cone", cone(gs2)),
+                        ("boundary_4_simplex", bd4)):
+            got = check_wheel_in_link(X).to_json()
+            assert got == naive_wheel_in_link(X).to_json(), name
+            assert (got["status"], got["stats"]["wheels"]) == expected[name], name
+            if name == "cell600":
+                assert got["witness"] == {"kind": "wheel", "center": 0,
+                                          "rim": [1, 2, 7, 9, 11, 6]}
 
 
 class TestFiveSixStar:
