@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -269,28 +268,31 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
         raise ValueError("cycles start at length 4")
     if k_min > k_max:
         raise ValueError("empty length range")
-    out = [Wheel(v, rim) for _, ws in _wheels_by_length(X, k_min, k_max)
+    out = [Wheel(v, rim) for k, ws in _wheels_by_length(X, k_max) if k >= k_min
            for v, rim in ws if not chords(X, rim)]
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
-def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
-    """Yield ``(k, the k-wheels as sorted (center, rim) pairs)`` for
-    k = 4 .. k_max, with no wheels below ``k_min``; a rim may have a chord
-    in X if X is not flag.
+def _wheels_by_length(X: SimplicialComplex, k_max: int):
+    """Yield ``(k, the k-wheels as (center, rim) pairs)`` for
+    k = 4 .. k_max; a rim may have a chord in X if X is not flag.
 
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
-    map, which keeps them canonical and in order; no link complex is built.
-    Between two lengths only the graph and its open chordless paths are
-    kept, so length k + 1 grows the paths of length k instead of searching
-    the link again.
+    map, which keeps them canonical; no link complex is built.  Between two
+    lengths only the graph and its open chordless paths are kept, so length
+    k + 1 grows the paths of length k instead of searching the link again.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
-    components of length k, read in one walk by :func:`_link_rings`.  They
-    are merged into each length's wheels by center.  A link with a
-    vertex of degree 3 or more, or with a triangle component, is searched.
+    components of length k, read in one walk by :func:`_link_rings`.  A
+    link with a vertex of degree 3 or more, or with a triangle component,
+    is searched.
+
+    Each length lists the searched wheels, then the wheels read in one
+    walk; each part is in (center, rim) order, and no center is in both.
+    So the wheels at one center come in rim order, but the list as a whole
+    is not sorted by center: the callers sort by center themselves.
     """
     links = []
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
@@ -302,27 +304,18 @@ def _wheels_by_length(X: SimplicialComplex, k_min: int, k_max: int):
             links.append((v, ids, masks, mask_edges(masks)))
             continue
         for ring in rings:
-            if k_min <= len(ring) <= k_max:
+            if len(ring) <= k_max:
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
     for k in range(4, k_max + 1):
         found, live = [], []
         for v, ids, masks, paths in links:
             cycles, leaves = [], [] if k < k_max else None
-            # below k_min the paths grow, but close into no cycle
-            grow_chordless(masks, paths, max(k, k_min), k, cycles, leaves)
+            grow_chordless(masks, paths, k, k, cycles, leaves)
             found.extend((v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
             if leaves:
                 live.append((v, ids, masks, leaves))
         links = live
-        rings = rings_of[k]
-        if rings:
-            if found:
-                # both runs are in (center, rim) order, and no center is in both
-                found += rings
-                found.sort(key=itemgetter(0))
-            else:
-                found = rings
-        yield k, found
+        yield k, found + rings_of[k]
 
 
 def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
@@ -403,7 +396,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     then type, then (apexes, shared, rim1, rim2, junction).  The ambient
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
     by_length = ((k, [(v, rim) for v, rim in ws if not chords(X, rim)])
-                 for k, ws in _wheels_by_length(X, 4, max_boundary))
+                 for k, ws in _wheels_by_length(X, max_boundary))
     return [DWheel(apexes, w, arc1, arc2, junction)
             for apexes, w, junction, pairs in _dwheel_groups(X, max_boundary, by_length)
             for arc1, arc2 in pairs]
@@ -485,7 +478,7 @@ def _locate(X: SimplicialComplex, m: int):
         return found
 
     # X is flag, so a rim chordless in a vertex link is chordless in X
-    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, _wheels_by_length(X, 4, m)):
+    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, _wheels_by_length(X, m)):
         core = meet(-1, (v0, w, v0p))
         centers = {}  # free arc -> its centers in core
         for arc1, arc2 in pairs:

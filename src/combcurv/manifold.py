@@ -385,11 +385,8 @@ def _sphere_lemmas(Y: SimplicialComplex) -> list:
 
 def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     """No chordless 4-cycles, and every chordless 5- or 6-cycle is the rim
-    of a wheel.
-
-    A chordless cycle with a centre outside it and every cone triangle is a
-    chordless cycle of the centre's link, and conversely, so the filled
-    cycles are exactly the rims that ``wheels`` finds."""
+    of a wheel: a cycle is filled when it is the link of a vertex outside
+    it, which :func:`_sphere_cycle_lemma` reads off the degrees."""
     _require_5_6_star(is_5_6_star_sphere(Y))
     return _sphere_cycle_lemma(Y, full_cycles(Y, 4, 6))
 
@@ -397,14 +394,24 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
 @timed
 def _sphere_cycle_lemma(Y: SimplicialComplex, cycles: list) -> Verdict:
     """:func:`check_sphere_cycle_lemma` on ``cycles``, the chordless 4- to
-    6-cycles of ``Y`` in ``full_cycles`` order."""
+    6-cycles of ``Y`` in ``full_cycles`` order, where the caller has found
+    ``Y`` a closed surface.
+
+    Lemma: on a closed surface, a chordless cycle C is the rim of a wheel
+    exactly when some common neighbour x of all its vertices has degree
+    |C|.  The link of x is one cycle through N(x).  If deg x = |C| and x is
+    adjacent to all of C, then N(x) = V(C), whose induced graph is C as C
+    is chordless; so the Hamiltonian cycle Lk(x) of it is C, and x is the
+    centre of a wheel with rim C.  Conversely, a rim at x is a chordless
+    cycle of the cycle Lk(x), so it is all of Lk(x), and deg x = |C|.
+    Flagness is not needed, and no vertex link is read."""
     if cycles and len(cycles[0]) == 4:
         return failed("sphere_cycle_lemma", cycles[0],
                       detail="chordless 4-cycle present")
-    rims = {w.rim for w in wheels(Y, 5, 6)}
     filled = 0
     for cyc in cycles:
-        if cyc.vertices not in rims:
+        if not any(Y.degree(x) == len(cyc)
+                   for x in frozenset.intersection(*map(Y.neighbors, cyc.vertices))):
             return failed("sphere_cycle_lemma", cyc,
                           detail=f"chordless {len(cyc)}-cycle is the rim of no wheel",
                           filled=filled)
@@ -443,13 +450,9 @@ def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
         count += 1
         rim = whl.rim
         k = len(rim)
-        hit = None
-        for cand in sorted(frozenset.intersection(*map(X.neighbors, whl.vertex_set))):
-            if all(X.has_simplex((cand, whl.center, rim[j], rim[(j + 1) % k]))
-                   for j in range(k)):
-                hit = cand
-                break
-        if hit is None:
+        if not any(all(X.has_simplex((x, whl.center, rim[j], rim[(j + 1) % k]))
+                       for j in range(k))
+                   for x in frozenset.intersection(*map(X.neighbors, whl.vertex_set))):
             return failed("wheel_in_link", whl,
                           detail=f"{k}-wheel at {whl.center} lies in no vertex link",
                           wheels=count)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from combcurv import build_complex, curvature, manifold
-from combcurv.complexes import SimplicialComplex, full_cycles
+from combcurv.complexes import SimplicialComplex, canonical_cycle, full_cycles
 from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from combcurv.manifold import (
@@ -410,6 +410,56 @@ class TestCycleLemma:
         flipped = flip_edge(gs2, *sorted(next(iter(gs2.simplices(1)))))
         with pytest.raises(PreconditionNotMet):
             check_sphere_cycle_lemma(flipped)
+
+    def test_degree_lemma_against_naive_rims(self, gs2, gs3):
+        # every chordless 5- and 6-cycle of each closed sphere, one at a time
+        cell = gen("cell600")
+        spheres = [gen("geodesic_sphere", 1), gs2, gs3, gen("geodesic_sphere", 4),
+                   build_complex(TWO_DISKS)] + [cell.link((v,))[0] for v in cell.vertices]
+        outcomes = Counter()
+        for Y in spheres:
+            is_5_6_star_sphere(Y)  # raises unless Y is a closed 2-sphere
+            for cyc in full_cycles(Y, 5, 6):
+                expected = naive_rim_filled(Y, cyc.vertices)
+                assert manifold._sphere_cycle_lemma(Y, [cyc]).passed == expected, cyc
+                outcomes[expected] += 1
+        assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+    def test_degree_lemma_needs_the_degree(self):
+        # the common neighbour of an unfilled cycle has the wrong degree
+        Y = build_complex(TWO_DISKS)
+        cycles = {c.vertices: c for c in full_cycles(Y, 5, 6)}
+        for rim, common, filled in (((0, 1, 2, 3, 4), 5, False), ((1, 5, 4, 8, 7), 0, False),
+                                    ((0, 4, 3, 2, 7), 8, True), ((1, 5, 3, 8, 7), 2, True)):
+            cyc = cycles[canonical_cycle(rim)]
+            assert frozenset.intersection(*map(Y.neighbors, rim)) == {common}
+            assert Y.degree(common) == (5 if filled else 6)
+            verdict = manifold._sphere_cycle_lemma(Y, [cyc])
+            assert verdict.passed == filled == naive_rim_filled(Y, rim), rim
+
+    def test_no_vertex_link_read(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SimplicialComplex, "link_masks",
+                            counted("link_masks", SimplicialComplex.link_masks))
+        for module in (curvature, manifold):
+            monkeypatch.setattr(module, "wheels", counted("wheels", module.wheels))
+        verdicts = manifold._sphere_lemmas(gen("geodesic_sphere", 4))
+        assert [v.passed for v in verdicts] == [True, True]
+        assert calls == Counter(), calls
+
+
+# a 2-sphere of two disks glued along the 5-cycle 0 1 2 3 4: vertex 5 is
+# adjacent to the whole cycle but has degree 6, vertex 0 to the whole cycle
+# 1 5 4 8 7, also of degree 6
+TWO_DISKS = [(5, 0, 1), (5, 1, 2), (5, 2, 3), (5, 3, 4), (5, 4, 6), (5, 6, 0), (6, 4, 0),
+             (7, 0, 1), (7, 1, 2), (7, 2, 8), (8, 2, 3), (8, 3, 4), (8, 4, 0), (8, 0, 7)]
 
 
 class TestSevenCycleFilling:

@@ -34,3 +34,14 @@ def test_cover_digest_meets_both_covering_failures():
     assert counts["runs"] == 36 and counts["warned"] > 0
     assert counts["R: collides"] > 0 and counts["R: has no preimage"] > 0
     assert cover_digest.digest(runs)[0] == hexdigest
+
+
+def test_local_digest_repeats():
+    # the named generators up to gs2: passes, failures and refusals
+    local_digest = load_tool("local_digest")
+    items = list(islice(local_digest.complexes(), 9))
+    hexdigest, counts = local_digest.digest(items)
+    assert counts["complexes"] == 9 and counts["calls"] == 9 * 12
+    assert counts["passed"] and counts["failed"] and counts["refused"]
+    assert counts["wheels"] and counts["dwheels"]
+    assert local_digest.digest(items)[0] == hexdigest

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Differential digest of the local checkers over a fixed corpus.
+
+Runs the wheel layer and the checks built on it on every complex of the
+corpus and prints one SHA-256 over their outputs in ``--json`` form, then
+the number of complexes, of calls, of passing and failing verdicts, of
+refused calls and of the wheels and dwheels listed.  A change that must
+leave these outputs byte-identical prints the same digest before and after.
+
+The calls, per complex: ``wheels`` for lengths 4-8 and 5-6, ``dwheels`` of
+boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
+``is_locally_k_large`` for k = 5, 6, 7, and the sphere checks
+``is_5_6_star_sphere``, ``check_sphere_cycle_lemma`` and
+``check_7cycle_fillings``.  A call that raises on a failed precondition
+hashes its error type and message.
+
+Corpus: the named generators, the degree-7 surface and disk fixtures, the
+cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
+(7, 5), which are 8-located with two dwheels each, the vertex links of the
+600-cell and 1000 seeded ``random_flag`` draws.
+
+Run from the repository root:  python3 tools/local_digest.py
+"""
+
+import hashlib
+import json
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
+from combcurv.curvature import dwheels, is_locally_k_large, is_m_located, wheels  # noqa: E402
+from combcurv.errors import CombCurvError  # noqa: E402
+from combcurv.formats import load_path  # noqa: E402
+from combcurv.manifold import (  # noqa: E402
+    check_7cycle_fillings,
+    check_sphere_cycle_lemma,
+    is_5_6_star_sphere,
+)
+
+NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
+         ("octahedron", ()), ("icosahedron", ()), ("boundary_4_simplex", ()),
+         ("geodesic_sphere", (1,)), ("geodesic_sphere", (2,)), ("geodesic_sphere", (3,)),
+         ("geodesic_sphere", (4,)), ("tri_torus", (4, 4)), ("tri_torus", (6, 6)),
+         ("tri_torus", (8, 8)), ("cell600", ()))
+CONE_TYPES = ((5, 5), (6, 5), (6, 6), (7, 5))
+DRAWS = 1000
+SPHERE_CHECKS = (is_5_6_star_sphere, check_sphere_cycle_lemma, check_7cycle_fillings)
+
+
+def located_cone(k: int, l: int):
+    """The cone over one identified (k, l)-dwheel: apexes 0 and 1, shared
+    vertex 2, free arcs (3, ..., k) and (3, k + 1, ..., k + l - 3); the
+    cone apex is the last vertex, and its 1-ball holds every dwheel."""
+    arc1 = tuple(range(3, k + 1))
+    arc2 = (3,) + tuple(range(k + 1, k + l - 2))
+    rims = ((0, arc1 + (2, 1)), (1, arc2 + (2, 0)))
+    apex = k + l - 2
+    return build_complex([(c, rim[i - 1], rim[i], apex) for c, rim in rims
+                          for i in range(len(rim))])
+
+
+def complexes():
+    """(label, complex) of the corpus, in a fixed order."""
+    for name, params in NAMED:
+        yield f"{name}{list(params)}", generate(GeneratorSpec(name, params))
+    for name in ("surf37_psl2_7", "disk37_r3"):
+        yield name, load_path(ROOT / "fixtures" / f"{name}.cplx").complex
+    for k, l in CONE_TYPES:
+        yield f"cone({k},{l})", located_cone(k, l)
+    cell = generate(GeneratorSpec("cell600", ()))
+    for v in cell.vertices:
+        yield f"cell600 link {v}", cell.link((v,))[0]
+    rng = random.Random(2013)
+    for _ in range(DRAWS):
+        params = (rng.randint(8, 20), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10_000))
+        yield f"random_flag{list(params)}", generate(GeneratorSpec("random_flag", params))
+
+
+def calls(X):
+    """(label, thunk) of every call made on ``X``, in a fixed order."""
+    yield "wheels 4-8", lambda: wheels(X, 4, 8)
+    yield "wheels 5-6", lambda: wheels(X, 5, 6)
+    yield "dwheels 8", lambda: dwheels(X, 8)
+    for m in (6, 7, 8):
+        yield f"is_m_located {m}", lambda m=m: is_m_located(X, m)
+    for k in (5, 6, 7):
+        yield f"is_locally_k_large {k}", lambda k=k: is_locally_k_large(X, k)
+    for check in SPHERE_CHECKS:
+        yield check.__name__, lambda check=check: check(X)
+
+
+def record(X, counts: Counter) -> list:
+    """The outputs of every call on ``X`` as JSON-ready data; ``counts``
+    gathers the calls, verdicts, refusals, wheels and dwheels."""
+    out = []
+    for label, call in calls(X):
+        counts["calls"] += 1
+        try:
+            result = call()
+        except CombCurvError as exc:
+            counts["refused"] += 1
+            out.append([label, "error", type(exc).__name__, str(exc)])
+            continue
+        if isinstance(result, list):
+            counts["dwheels" if label.startswith("dwheels") else "wheels"] += len(result)
+            out.append([label, [item.to_json() for item in result]])
+        else:
+            counts["passed" if result.passed else "failed"] += 1
+            out.append([label, result.to_json()])
+    return out
+
+
+def digest(items):
+    """SHA-256 over the records of the (label, complex) ``items``, and the
+    counts of complexes, calls, verdicts, refusals, wheels and dwheels."""
+    h = hashlib.sha256()
+    counts = Counter()
+    for label, X in items:
+        counts["complexes"] += 1
+        rec = {"complex": label, "calls": record(X, counts)}
+        h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode())
+    return h.hexdigest(), counts
+
+
+def main() -> int:
+    hexdigest, counts = digest(complexes())
+    print(hexdigest)
+    for key in ("complexes", "calls", "passed", "failed", "refused", "wheels", "dwheels"):
+        print(f"{key} {counts[key]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
