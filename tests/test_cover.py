@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -294,6 +295,40 @@ class TestDescentOncePerRadius:
         assert build_cover(surf37, 0, 5).passed
         assert [args[2] for args in scans] == [1, 2, 3, 4]
         assert spans == [] and span_faces == []
+
+
+class TestDescentLemmas:
+    """At stage s the newest radius of (Q) is s - 1, and the expansion
+    decides both of its conditions: every edge of the newest sphere joins
+    two classes with a common base, so (T) holds, and the neighbours below
+    a new class are its bases, so (V) is the shortcut test."""
+
+    def test_triangle_and_vertex_conditions_follow_the_expansion(self, surf37):
+        inputs = [gen("random_flag", *p) for p in WARNED + ((13, 0.35, 4),)]
+        inputs += [surf37, gen("tri_torus", 8, 8)]
+        stages = failing = 0
+        for X in inputs:
+            for b in (0, 1, 2):
+                state = init_cover(X, b)
+                while state.stage < 4:
+                    state = expand_ball(state)
+                    ball, birth, i = state.ball, state.birth, state.stage - 1
+                    # the expansion's class-class edges: a common base and
+                    # adjacent targets
+                    glued = sum(set(c1.bases) & set(c2.bases) != set() and X.adjacent(c1.z, c2.z)
+                                for c1, c2 in combinations(state.last_classes, 2))
+                    t = metric._triangle_condition(ball, birth, i)
+                    assert t.passed and t.stats == {"edges_checked": glued}
+                    v = metric._vertex_condition(ball, birth, i)
+                    shortcut = verify_equiv_shortcut(state)
+                    assert v.passed == shortcut.passed
+                    assert v.stats["pairs_checked"] == shortcut.stats["pairs"]
+                    if not v.passed:
+                        assert v.witness["pair"] == shortcut.witness["pair"]
+                        assert state.sheet_map[v.witness["vertex"]] == shortcut.witness["z"]
+                        failing += 1
+                    stages += 1
+        assert stages == 54 and failing == 7
 
 
 class TestInteriorBall:
