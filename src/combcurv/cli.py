@@ -140,7 +140,7 @@ def cmd_sd(args):
     report = check_sd_prime(X, args.base, args.n)
     code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps({"command": "sd", "report": report.to_json(args.timings)}, indent=2))
+        print(json.dumps({"command": "sd", "report": report.to_json()}, indent=2))
     else:
         print(f"[{'pass' if report.passed else 'fail'}] sd_prime base={args.base} n={args.n}")
         if not report.passed:

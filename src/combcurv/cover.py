@@ -26,8 +26,23 @@ the current one.  Two invariants are verified once per stage:
         The birth layers are its base row, so no stage runs a BFS.  (T) and
         (V) at radius i read only the ball of radius i + 1, and by (P) the
         previous ball is the induced ball one radius down, so its results
-        at the lower radii carry over and only the newest radius is
-        scanned;
+        at the lower radii carry over.  At the newest radius i the
+        expansion decides (T) and reduces (V) to the shortcut test:
+        - (T) holds by construction.  The vertices at distance i + 1 are
+          the new classes, so an edge inside that sphere joins two
+          classes, and the expansion adds it only when they share a base
+          w at radius i.  The ball is a clique complex, so it holds the
+          triangle (w, c1, c2).  (T) is built as a pass that counts the
+          edges of the sphere, as a scan would;
+        - (V) is the shortcut test.  A new class is adjacent only to its
+          member bases and to other new classes, so its neighbours below
+          radius i + 1 are its bases, sorted, and the new classes are in
+          class order: (V) walks the pairs that ``verify_equiv_shortcut``
+          walks.  An adjacent pair passes both; a non-adjacent pair
+          passes each exactly when another base of the class is adjacent
+          to both.  So both fail at the same pair, after as many pairs.
+          (V) is scanned, and ``build_cover`` runs the shortcut test only
+          at the stage its report names;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
         and onto full 1-balls at interior vertices.  The base is flag and
         every ball is the clique complex of its graph, capped at 4 vertices,
@@ -41,6 +56,9 @@ the current one.  Two invariants are verified once per stage:
         as many, and the image is full exactly when v and f(v) have the
         same degree.  Only a 1-ball that fails is scanned for its first
         offending span edge.
+
+So the per-stage checks read no face above the edges, except the triangle
+counts of (R).
 
 No stage looks for 5-cliques, which the cap would hide.  Every ball edge
 maps to a base edge, so a 5-clique of the ball either maps injectively
@@ -72,7 +90,7 @@ from typing import ClassVar, Optional
 from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import _check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, _layers, _sd_prime, _thinness
+from .metric import SDReport, _layers, _sd_prime, _thinness, _vertex_condition
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -103,7 +121,9 @@ class CoverState:
     ``ball`` is the clique complex of its graph, so its vertices and edges
     determine it, and every induced ball of it too.
     ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict;
-    a new stage carries the previous report until its own is verified.
+    a new stage carries the previous report until its own is verified,
+    which adds the newest radius to the carried ones (a state with no
+    report scans the lower radii).
     (P) is a lemma of the expansion (see the module docstring), so no
     earlier ball is kept; a violation names 'Q' or 'R'.  Whether the target
     meets the entry hypotheses is not stored: it is read only when an
@@ -153,9 +173,14 @@ def _verify_invariants(state: CoverState):
 
     # (Q): descent property one radius below the current stage, on the
     # birth layers, which (P) makes the base row.  A carried report holds
-    # the lower radii, and only the newest one is scanned.
-    carried = state.sd.results if state.sd else None
-    sd = _sd_prime(ball, state.base, state.stage - 1, state.birth, carried)
+    # the lower radii.  At the newest radius the expansion makes (T) hold
+    # on every edge of the newest sphere, and only (V) is scanned.
+    birth, i = state.birth, state.stage - 1
+    results = dict((state.sd or _sd_prime(ball, state.base, i - 1, birth)).results)
+    if i > 0:
+        sphere_edges = sum(birth[u] == birth[v] == i + 1 for (u, v) in ball.simplices(1))
+        results[i] = passed("sd_T", edges_checked=sphere_edges), _vertex_condition(ball, birth, i)
+    sd = SDReport(base=state.base, max_radius=i, results=results)
     if not sd.passed:
         f = sd.first_failure()
         problems.append(("Q", f.witness, f.detail))
@@ -332,7 +357,7 @@ class CoverReport:
             "check": "build_cover",
             "status": "pass" if self.passed else "fail",
             "stage_stats": [list(s) for s in self.stage_stats],
-            "sd": self.sd.to_json(with_timings),
+            "sd": self.sd.to_json(),
             "covering": self.covering.to_json(with_timings),
             "shortcut": self.shortcut.to_json(with_timings),
             "interior_located": self.interior_located.to_json(with_timings),
@@ -350,8 +375,12 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     one expansion from stage 0.
 
     The descent property and the covering condition are the ones the last
-    stage verified.  The shortcut property is verified stage by stage up to
-    the first stage that fails it, whose verdict is reported.  On top of
+    stage verified.  The shortcut verdict reported is that of the first
+    stage that fails it, or else of the last stage.  At every stage the
+    shortcut test and (V) at the newest radius fail together (see the
+    module docstring), and (T) never fails, so the first stage that misses
+    a shortcut is the first whose (Q) report fails: the shortcut test runs
+    at that stage or at the last, once per build.  On top of
     them the final ball gets location and largeness of the interior (the
     previous stage ball), and interval thinness from the base to every
     interior vertex."""
@@ -364,7 +393,9 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     shortcut = passed("equiv_shortcut", pairs=0, degenerate=0)
     while state.stage < radius:
         previous, state = state, expand_ball(state, vertex_limit=vertex_limit)
-        if shortcut.passed:  # only the first failing stage is reported
+        # the first stage that misses a shortcut is the first whose (Q)
+        # fails; only it, or else the last stage, is reported
+        if shortcut.passed and (not state.sd.passed or state.stage == radius):
             shortcut = verify_equiv_shortcut(state)
         # stage 1 counts no glued classes: its classes are the base's neighbours
         glued = len(state.last_classes) if state.stage > 1 else 0

@@ -405,11 +405,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
 def _center_candidates(X: SimplicialComplex, vs) -> list:
     """The only possible 1-ball centers of a vertex set, sorted: its own
     vertices and their common neighbors (the failure witness lists them)."""
-    common = None
-    for v in vs:
-        nb = X.neighbors(v)
-        common = set(nb) if common is None else common & nb
-    return sorted(common.union(vs))
+    return sorted(frozenset.intersection(*map(X.neighbors, vs)).union(vs))
 
 
 def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:
@@ -418,22 +414,10 @@ def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int
 
     The centers of a set are exactly the common members of the closed
     neighborhoods ``N(a) | {a}`` of its vertices."""
-    centers = None
-    for a in vertex_set:
-        if centers is None:
-            centers = set(X.neighbors(a))
-            centers.add(a)
-        else:
-            # meet N(a) | {a} without building it: a stays if it was in
-            was_center = a in centers
-            centers &= X.neighbors(a)
-            if was_center:
-                centers.add(a)
-        if not centers:
-            return None
-    if centers is None:
+    balls = [X.neighbors(a) | {a} for a in vertex_set]
+    if not balls:
         raise ValueError("empty vertex set")
-    return min(centers)
+    return min(frozenset.intersection(*balls), default=None)
 
 
 @timed

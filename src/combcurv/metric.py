@@ -145,7 +145,8 @@ class SDReport:
     """Per-radius outcome of the descent conditions around a base vertex.
 
     ``results[i]`` holds the verdicts of the triangle condition (T) and the
-    vertex condition (V) at radius i, for i = 1..max_radius.
+    vertex condition (V) at radius i, for i = 1..max_radius.  Neither
+    condition is timed, so the JSON form has no timings to include.
     """
 
     base: int
@@ -165,14 +166,14 @@ class SDReport:
                 return v
         return None
 
-    def to_json(self, with_timings: bool = False):
+    def to_json(self):
         return {
             "check": "sd_prime",
             "base": self.base,
             "max_radius": self.max_radius,
             "status": "pass" if self.passed else "fail",
             "radii": {
-                str(i): {"T": t.to_json(with_timings), "V": v.to_json(with_timings)}
+                str(i): {"T": t.to_json(), "V": v.to_json()}
                 for i, (t, v) in self.results.items()
             },
         }
@@ -230,18 +231,13 @@ def check_sd_prime(X: SimplicialComplex, o: int, n: int) -> SDReport:
     return _sd_prime(X, o, n, distances_from(X, o))
 
 
-def _sd_prime(X: SimplicialComplex, o: int, n: int, dist, carried=None) -> SDReport:
+def _sd_prime(X: SimplicialComplex, o: int, n: int, dist) -> SDReport:
     """:func:`check_sd_prime` on ``dist``, the BFS row of ``o`` that the
     caller already has (the cover builder's birth layers are that row).
-
-    ``carried``, if given, holds the results at radii 1..n-1 of a complex
-    that X contains as its induced ball of radius n.  (T) and (V) at radius
-    i read only the ball of radius i + 1, so those results hold for X as
-    they stand, and only radius n is scanned."""
-    results = {}
-    for i in range(1, n + 1):
-        results[i] = carried[i] if carried and i < n else (
-            _triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
+    The builder reads (T) and (V) at its newest radius off the expansion,
+    so it calls this only for the lower radii of a state with no report."""
+    results = {i: (_triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
+               for i in range(1, n + 1)}
     return SDReport(base=o, max_radius=n, results=results)
 
 

@@ -202,6 +202,16 @@ def test_timings_flag_keeps_elapsed(files, capsys):
     assert "elapsed_ms" in doc["verdicts"][0]["stats"]
 
 
+def test_timings_flag_leaves_sd_unchanged(files, capsys):
+    # no (T) or (V) verdict is timed, so there is nothing to add
+    for name, n in (("c4", "1"), ("icosahedron", "2")):
+        outs = []
+        for flags in (["--json"], ["--json", "--timings"]):
+            main(flags + ["sd", "--base", "0", "--n", n, files[name]])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], name
+
+
 def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     code = main(["lemmas", files["boundary_4_simplex"]])
     assert code == 1

@@ -257,8 +257,9 @@ class TestClassesOracle:
 
 
 class TestDescentOncePerRadius:
-    """Each stage scans (Q) at its newest radius only and carries the lower
-    radii from the stage before; the report must equal a full scan."""
+    """Each stage carries the lower radii of (Q) from the stage before and
+    scans only (V) at its newest radius, where the expansion makes (T)
+    hold; the report must equal a full scan."""
 
     def test_carried_reports_match_a_full_scan(self, c4, c5, tetra, icosa, torus66, disk37, surf37):
         inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37]
@@ -279,21 +280,24 @@ class TestDescentOncePerRadius:
 
     def test_only_a_ball_that_passes_p_is_carried(self, surf37, monkeypatch):
         # every state the builder returns passes (P), so its report is
-        # carried; a state without a report gets the full scan
+        # carried; a state without a report gets the lower radii by a full
+        # scan, and the newest radius reads (T) off the expansion in both
         state = expand_ball(expand_ball(init_cover(surf37, 0)))
         full = check_sd_prime(state.ball, 0, 2).to_json()
         scans = counting(monkeypatch, metric, "_triangle_condition")
-        for checked, radii in ((state, 1), (replace(state, sd=None), 2)):
+        for checked, radii in ((state, 0), (replace(state, sd=None), 1)):
             del scans[:]
             sd, _covering, problems = _verify_invariants(checked)
             assert problems == [] and sd.to_json() == full and len(scans) == radii
 
     def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
-        scans = counting(monkeypatch, metric, "_triangle_condition")
+        triangle_scans = counting(monkeypatch, metric, "_triangle_condition")
+        vertex_scans = counting(monkeypatch, cover, "_vertex_condition")
         spans = counting(monkeypatch, SimplicialComplex, "span")
         span_faces = counting(monkeypatch, SimplicialComplex, "_span_faces")
         assert build_cover(surf37, 0, 5).passed
-        assert [args[2] for args in scans] == [1, 2, 3, 4]
+        assert triangle_scans == []
+        assert [args[2] for args in vertex_scans] == [1, 2, 3, 4]
         assert spans == [] and span_faces == []
 
 
@@ -315,7 +319,7 @@ class TestDescentLemmas:
                     ball, birth, i = state.ball, state.birth, state.stage - 1
                     # the expansion's class-class edges: a common base and
                     # adjacent targets
-                    glued = sum(set(c1.bases) & set(c2.bases) != set() and X.adjacent(c1.z, c2.z)
+                    glued = sum(not set(c1.bases).isdisjoint(c2.bases) and X.adjacent(c1.z, c2.z)
                                 for c1, c2 in combinations(state.last_classes, 2))
                     t = metric._triangle_condition(ball, birth, i)
                     assert t.passed and t.stats == {"edges_checked": glued}
@@ -367,16 +371,21 @@ class TestShortcut:
         verdict = verify_equiv_shortcut(state)
         assert verdict.passed
 
-    def test_build_stops_at_the_first_missing_shortcut(self, monkeypatch):
-        # random_flag(13, .35, 4) first misses a shortcut at stage 2 of 4;
-        # only that verdict is reported, so no later stage is verified
+    def test_build_stops_at_the_first_missing_shortcut(self, surf37, monkeypatch):
+        # random_flag(13, .35, 4) first misses a shortcut at stage 2 of 4,
+        # the first stage whose (Q) fails; only that verdict is reported, so
+        # no other stage is verified
         calls = counting(monkeypatch, cover, "verify_equiv_shortcut")
         report = build_cover(gen("random_flag", 13, 0.35, 4), 0, 4)
-        assert [state.stage for (state,) in calls] == [1, 2]
+        assert [state.stage for (state,) in calls] == [2]
         assert report.shortcut.witness["pair"] == [4, 5]
         doc = json.dumps(report.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(doc).hexdigest() == \
             "7a16dff6ef787efe667d13686ee6d7d2d224ccb1be99f380c75c40e4250632e4"
+        # a passing build verifies its last stage alone
+        del calls[:]
+        assert build_cover(surf37, 0, 4).shortcut.passed
+        assert [state.stage for (state,) in calls] == [4]
 
 
 class TestBuildCover:

@@ -45,3 +45,28 @@ def test_local_digest_repeats():
     assert counts["passed"] and counts["failed"] and counts["refused"]
     assert counts["wheels"] and counts["dwheels"]
     assert local_digest.digest(items)[0] == hexdigest
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    code_lines = load_tool("code_lines")
+    sample = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string
+that is code"""
+
+    def f(self):
+        """Function docstring."""
+        "a later string is code"
+        return os.sep
+'''
+    # import, class, the two lines of x, def, the later string, return
+    assert code_lines.code_lines(sample) == 7
