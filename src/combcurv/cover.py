@@ -54,8 +54,9 @@ the current one.  Two invariants are verified once per stage:
         injective on a 1-ball, the edges match both ways exactly when the
         triangles at v and the base triangles at f(v) inside the image are
         as many, and the image is full exactly when v and f(v) have the
-        same degree.  Only a 1-ball that fails is scanned for its first
-        offending span edge.
+        same degree.  One pass over the ball's vertices, in sorted order,
+        counts each 1-ball and scans only one that the count does not pass,
+        for its first offending span edge.
 
 So the per-stage checks read no face above the edges, except the triangle
 counts of (R).

@@ -493,13 +493,13 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
 
     ``full_at`` optionally lists vertices where the restriction must in
     addition be surjective onto the whole 1-ball of the image.  Raises
-    :class:`NotACovering` at the first violating 1-ball.
+    :class:`NotACovering` at the first violating 1-ball, in vertex order.
 
     If both complexes are flag, only span edges are compared: f is injective
     on the 1-ball, so once edges match both ways so do cliques, the simplices.
     Then, if every cover edge maps to a base edge (tested once per call),
-    each 1-ball is decided by counting its edges (see
-    :func:`_balls_passed_by_count`), and only one that fails is scanned; if
+    each 1-ball is decided by counting its edges, and only one that the
+    count does not pass is scanned (see :func:`_check_covering_map`); if
     not, every 1-ball is scanned.  Otherwise dimensions 1-3 are scanned, in
     span order either way: same offender.
 
@@ -521,18 +521,46 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     simplices of both complexes are their cliques of at most 4 vertices,
     even if a 5-clique makes one of them fail ``is_flag``.
 
-    With ``dims == (1,)``, and if every cover edge maps to a base edge, the
-    1-balls that pass are found by counting edges, with no span read
-    (:func:`_balls_passed_by_count`).  Every other 1-ball runs the ordered
-    scan: the images in 1-ball order, then the span faces in span order,
-    which names the first offender.
+    One pass over the cover vertices, in sorted order, decides every 1-ball
+    N[v].  A 1-ball that the edge count below passes reads no span.  Every
+    other one runs the ordered scan: the images in 1-ball order, then the
+    span faces in span order, which names the first offender.  Counting
+    never raises, so the first 1-ball that raises is the scan's.
+
+    Lemma (the edge count, for ``dims == (1,)``).  Let every edge of N[v]
+    map to a base edge, and f be injective on N[v].  Then f maps the edges
+    of N[v] one-to-one into the base edges of the span of f(N[v]), so they
+    match both ways exactly when the two sets have the same size.  The
+    edges at v and at f(v) match one for one, so it is enough to count the
+    edges among N(v), the triangles at v, and the base edges among f(N(v)),
+    the triangles at f(v) whose opposite edge lies in f(N(v)).  Since
+    f(N(v)) lies in N(f(v)), the image is the full 1-ball of f(v) exactly
+    when deg v = deg f(v), and then every triangle at f(v) counts.
+
+    The precondition is read once per call: every cover vertex maps to a
+    base vertex and every cover edge to a base edge.  The expansion lemma
+    of the cover builder makes it hold on every stage ball.  If it fails,
+    no 1-ball is counted and all are scanned.  Otherwise a 1-ball costs one
+    image set and the two counts, and is scanned when f is not injective
+    on it, when the counts differ, or when it must be full and is not.
     """
     full_at = set(full_at) if full_at is not None else set()
-    counted = _balls_passed_by_count(f, cover, base, full_at) if dims == (1,) else ()
+    count = dims == (1,) and all(map(base.has_vertex, {f[v] for (v,) in cover.simplices(0)})) \
+        and all(base.adjacent(f[u], f[v]) for u, v in cover.simplices(1))
+    triangles = Counter(chain.from_iterable(cover.simplices(2))) if count else None
+    links = {}  # base vertex -> its link edges
     for v in cover.vertices:
-        if v in counted:
-            continue
-        bv = frozenset({v}) | cover.neighbors(v)
+        nbrs = cover.neighbors(v)
+        if count:
+            fv, image = f[v], {f[u] for u in nbrs}
+            if len(image) == len(nbrs):
+                if fv not in links:
+                    links[fv] = base._link_edges(fv)
+                full = len(nbrs) == base.degree(fv)
+                if (full or v not in full_at) and triangles[v] == (
+                        len(links[fv]) if full else sum(map(image.issuperset, links[fv]))):
+                    continue
+        bv = frozenset({v}) | nbrs
         inverse = {}
         for u in bv:
             fu = f[u]
@@ -552,51 +580,6 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
                 raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
         if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
-
-
-def _balls_passed_by_count(f, cover: SimplicialComplex, base: SimplicialComplex, full_at) -> set:
-    """The cover vertices v whose 1-ball N[v] the edge-count lemma passes,
-    when the triangles of both complexes are their 3-cliques.
-
-    Lemma.  Let every edge of N[v] map to a base edge, and f be injective
-    on N[v].  Then f maps the edges of N[v] one-to-one into the base edges
-    of the span of f(N[v]), so they match both ways exactly when the two
-    sets have the same size.  The edges at v and at f(v) match one for one,
-    so it is enough to count the edges among N(v), the triangles at v, and
-    the base edges among f(N(v)), the triangles at f(v) whose opposite edge
-    lies in f(N(v)).  Since f(N(v)) lies in N(f(v)), the image is the full
-    1-ball of f(v) exactly when deg v = deg f(v), and then every triangle at
-    f(v) counts.
-
-    The precondition is read once per call: every cover vertex maps to a
-    base vertex and every cover edge to a base edge.  The expansion lemma
-    of the cover builder makes it hold on every stage ball.  If it fails,
-    no 1-ball is counted and the caller scans them all.  Otherwise each
-    1-ball costs one image set and the two counts, and is left to the
-    caller's scan when f is not injective on it, when the counts differ, or
-    when it must be full and is not.
-    """
-    images = {f[v] for (v,) in cover.simplices(0)}
-    if not (all(map(base.has_vertex, images))
-            and all(base.adjacent(f[u], f[v]) for u, v in cover.simplices(1))):
-        return set()
-    triangles = Counter(chain.from_iterable(cover.simplices(2)))
-    links = {}  # base vertex -> its link edges
-    decided = set()
-    for (v,) in cover.simplices(0):
-        fv = f[v]
-        nbrs = cover.neighbors(v)
-        image = {f[u] for u in nbrs}
-        if len(image) != len(nbrs):
-            continue
-        edges = links.get(fv)
-        if edges is None:
-            edges = links[fv] = base._link_edges(fv)
-        full = len(nbrs) == base.degree(fv)
-        if triangles[v] == (len(edges) if full else sum(map(image.issuperset, edges))) \
-                and (full or v not in full_at):
-            decided.add(v)
-    return decided
 
 
 @timed

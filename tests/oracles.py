@@ -14,7 +14,8 @@ dwheels are sorted all at once and located by trying every centre,
 wheel centres, the vertex whose link holds a wheel and 7-cycle filling
 pairs by scanning candidate vertices and every edge, distances come from
 Floyd-Warshall, interval thinness runs one BFS per layer pair, the
-descent conditions scan every edge and vertex, and the four-point
+descent conditions scan every edge and vertex, the projection lemma's
+configurations are tried in sorted order, and the four-point
 constant is computed from basepoint Gromov products or from every vertex quadruple, and the classes of a cover
 stage come from merging uncovered directions pairwise until none merge.
 Tests compare library output against these on small inputs.
@@ -25,7 +26,13 @@ from itertools import combinations, permutations
 
 from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
 from combcurv.curvature import DWheel, Wheel
-from combcurv.errors import DisconnectedError, NoFillingPair, NotACovering, SimplexNotPresent
+from combcurv.errors import (
+    DisconnectedError,
+    NoFillingPair,
+    NotACovering,
+    PreconditionNotMet,
+    SimplexNotPresent,
+)
 from combcurv.manifold import FillingPair
 from combcurv.metric import SDReport, distances_from, interval
 from combcurv.verdicts import failed, passed
@@ -599,6 +606,47 @@ def _naive_vertex_condition(X, dist, i):
                                      f"in link of {v}",
                               pairs_checked=pairs)
     return passed("sd_V", pairs_checked=pairs)
+
+
+def naive_projection_lemma(X, o, n):
+    """The projection lemma's instance scan as first written, on distances
+    from Floyd-Warshall, with every choice made in sorted order: v in
+    sphere i + 1, the non-adjacent pair y < z below it, their common
+    neighbour x below it, then y' and z' two steps down closing triangles
+    with x.  8-location and local 5-largeness are taken as given; the
+    descent property is tested by :func:`naive_check_sd_prime`.
+
+    The library takes y' and z' in set order, so a failing witness, and
+    the instance count at a failure, may differ from this one's."""
+    sd = naive_check_sd_prime(X, o, n)
+    if not sd.passed:
+        raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})", sd.first_failure().detail)
+    dist = floyd_warshall(X)[o]
+    instances = 0
+    for i in range(1, n + 1):
+        for v in X.vertices:
+            if dist[v] != i + 1:
+                continue
+            down = [u for u in X.vertices if X.adjacent(u, v) and dist[u] <= i]
+            for y, z in combinations(down, 2):
+                if X.adjacent(y, z):
+                    continue
+                for x in (x for x in down if X.adjacent(x, y) and X.adjacent(x, z)):
+                    below = [t for t in X.vertices if X.adjacent(t, x) and dist[t] <= i - 1]
+                    for yp in (t for t in below if X.adjacent(t, y)):
+                        for zp in (t for t in below if X.adjacent(t, z)):
+                            instances += 1
+                            if not (yp != zp and not X.adjacent(yp, z)
+                                    and not X.adjacent(y, zp) and X.adjacent(yp, zp)):
+                                return failed(
+                                    "projection_lemma",
+                                    {"kind": "projection_instance", "radius": i,
+                                     "v": v, "y": y, "z": z, "x": x,
+                                     "y_prime": yp, "z_prime": zp},
+                                    detail="projected pair violates the expected relations",
+                                    instances=instances)
+    return passed("projection_lemma", detail=f"{instances} instances verified",
+                  instances=instances)
 
 
 def naive_check_covering_map(f, cover, base, full_at=None):

@@ -30,7 +30,7 @@ from combcurv.curvature import DWheel, dwheels
 from combcurv.errors import NotPure
 from combcurv.formats import load_path
 from combcurv.generators import random_flag
-from combcurv.manifold import check_7cycle_fillings, check_sphere_cycle_lemma
+from combcurv.manifold import check_7cycle_fillings, check_sphere_cycle_lemma, check_wheel_in_link
 from combcurv.metric import interval_thinness
 
 from conftest import FIXTURE_DIR, dwheel_complex, gen
@@ -257,19 +257,24 @@ def _passes_gate(X):
 
 def test_12_theorem_b_metamorphic_contract():
     with criterion(12, "degree gate implies location (corpus + fuzz)", 300.0) as exercised:
-        total = 0
-        gated = 0
+        total = gated = wheeled = 0
         for X in _fuzz_corpus():
             total += 1
             if _passes_gate(X):
                 gated += 1
                 assert is_locally_k_large(X, 5).passed, X.name
                 assert is_m_located(X, 8).passed, X.name
+                # the wheel-in-link lemma, counted where its wheel loop runs
+                wheel_in_link = check_wheel_in_link(X)
+                assert wheel_in_link.passed, X.name
+                wheeled += wheel_in_link.stats["wheels"] > 0
         assert total >= 1000
-        print(f"  ({total} inputs, {gated} reached the curvature stages)")
+        print(f"  ({total} inputs, {gated} reached the curvature stages, "
+              f"{wheeled} the wheel-in-link loop)")
         # external degree-constrained manifolds, when supplied, must pass
         for path in sorted(Path(FIXTURE_DIR).glob("*56star*.cplx")):
-            assert verify_theorem_b(load_path(path).complex).passed, path.name
+            X = load_path(path).complex
+            assert verify_theorem_b(X).passed and check_wheel_in_link(X).passed, path.name
             gated += 1
         exercised["count"] = gated
 

@@ -21,6 +21,7 @@ from combcurv.curvature import (
     wheels,
 )
 from combcurv.errors import NotACovering
+from combcurv.verdicts import failed
 
 from conftest import (
     cone,
@@ -35,6 +36,7 @@ from oracles import (
     naive_dwheels,
     naive_flag_witness,
     naive_four_wheel_free,
+    naive_is_k_large,
     naive_is_locally_k_large,
     naive_is_m_located,
     naive_link_graph,
@@ -101,6 +103,20 @@ class TestLargeness:
             statuses = [is_k_large(X, k).passed for k in range(4, 9)]
             # once it fails it stays failed
             assert statuses == sorted(statuses, reverse=True)
+
+    def test_against_naive_oracle(self, octa, icosa, bd4, gs2, torus66):
+        kinds = set()
+        rng = random.Random(2013)
+        inputs = [octa, icosa, bd4, gs2, torus66, gen("triangle"), gen("tetrahedron")]
+        inputs += [gen("c_n", n) for n in (4, 5, 6, 7)]
+        inputs += [gen("random_flag", rng.randint(6, 12), rng.choice((0.3, 0.4, 0.5, 0.6)), seed)
+                   for seed in range(100)]
+        for X in inputs:
+            for k in range(4, 8):
+                got = is_k_large(X, k).to_json()
+                assert got == naive_is_k_large(X, k).to_json(), (X, k)
+                kinds.add(got["witness"]["kind"] if got["witness"] else "pass")
+        assert kinds == {"pass", "cycle", "empty_clique"}
 
 
 class TestLocallyLarge:
@@ -640,6 +656,25 @@ class TestCoveringPreservation:
             with pytest.raises(ValueError, match="cover vertex 2 has no image"):
                 call()
 
+    def test_a_cover_that_loses_a_property_fails(self, surf37, monkeypatch):
+        # the surf37 cover ball and its base are 8-located and locally
+        # 5-large; each property in turn is patched to fail on the ball only
+        state = build_cover(surf37, 0, 3).state
+        args = state.sheet_map, state.ball, surf37, 8, 5
+        assert check_covering_preservation(*args).passed
+        for name, what in (("is_m_located", "8-located"),
+                           ("is_locally_k_large", "locally 5-large")):
+            real, witness = getattr(curvature, name), {"kind": "patched", "check": name}
+            detail = f"base is {what} but the cover is not"
+
+            def on_ball_only(X, arg, _real=real, _name=name, _witness=witness):
+                return failed(_name, _witness) if X is state.ball else _real(X, arg)
+
+            monkeypatch.setattr(curvature, name, on_ball_only)
+            verdict = check_covering_preservation(*args)
+            assert not verdict.passed and verdict.detail == detail and verdict.witness == witness
+            monkeypatch.setattr(curvature, name, real)
+
     def test_full_subcomplex_inclusion_is_a_weak_covering(self, octa):
         # the equator is a full subcomplex, so its inclusion does satisfy
         # the span condition; both implications are vacuous here
@@ -677,6 +712,11 @@ class TestCoveringMapOracle:
                 swapped = list(identity)
                 swapped[a], swapped[b] = b, a
                 yield tuple(swapped), X, X, None
+        # the icosahedron into a relabelled copy without the id 3, with
+        # vertex 0 sent to that missing id
+        relabel = [v + (v >= 3) for v in range(icosa.vertex_count)]
+        yield (3, *relabel[1:]), icosa, build_complex([relabel[u] for u in t]
+                                                      for t in icosa.simplices(2)), None
         for p in self.RANDOM_FLAG:
             X = gen("random_flag", *p)
             for r in (2, 3, 4):
@@ -712,8 +752,8 @@ class TestCoveringMapOracle:
             assert got == covering_outcome(naive_check_covering_map, f, cover, base, full_at)
             reasons.append(got[1] if got else "pass")
         # every outcome is exercised, including the order-sensitive failures
-        for kind in ("pass", "collides", "maps to a non-simplex", "has no preimage",
-                     "does not cover the full 1-ball"):
+        for kind in ("pass", "is not a vertex of the base", "collides", "maps to a non-simplex",
+                     "has no preimage", "does not cover the full 1-ball"):
             assert any(kind in r for r in reasons), kind
         # and on non-flag pairs a triangle or tetrahedron is the first
         # offender both ways: "simplex (a, b, c) ..." has two commas
@@ -758,27 +798,51 @@ class TestCoveringMapOracle:
         # vertices is compared
         assert cover.simplices(2) and sizes and set().union(*sizes) == {2}
 
-    def test_one_edge_off_the_base_counts_no_ball(self, surf37):
+    def test_one_edge_off_the_base_counts_no_ball(self, surf37, monkeypatch):
         """The edge-image precondition is read once per call: a map that
-        sends one edge to a non-edge counts no 1-ball, and the scan names
-        the referee's offender.  Every builder stage ball meets it."""
-        # surf37 less one edge and its two triangles is still flag: its
-        # cliques are those of surf37 that miss the edge
-        a, b = min(surf37.simplices(1))
-        base = build_complex(t for t in surf37.simplices(2) if not (a in t and b in t))
-        assert is_flag(base).passed and len(surf37.simplices(1)) == len(base.simplices(1)) + 1
+        sends one edge to a non-edge counts no 1-ball, so the scan reads the
+        1-ball of every vertex up to the referee's offender.  Every builder
+        stage ball meets it, and there the count is exact: only the 1-ball
+        that raises can be scanned."""
+        real = SimplicialComplex._span_faces
+        reads = []  # (complex, vertex set) of each span read
+
+        def recording(self, vertex_set, dims=range(4)):
+            reads.append((self, frozenset(vertex_set)))
+            return real(self, vertex_set, dims)
+
+        monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
         f = tuple(range(surf37.vertex_count))
-        assert curvature._balls_passed_by_count(f, surf37, base, set()) == set()
-        got = covering_outcome(check_covering_map, f, surf37, base, surf37.vertices)
-        assert got and got == covering_outcome(naive_check_covering_map, f, surf37, base,
-                                               surf37.vertices)
+        for a, b in (min(surf37.simplices(1)), max(surf37.simplices(1))):
+            # surf37 less one edge and its two triangles is still flag: its
+            # cliques are those of surf37 that miss the edge
+            base = build_complex(t for t in surf37.simplices(2) if not (a in t and b in t))
+            assert is_flag(base).passed and len(surf37.simplices(1)) == len(base.simplices(1)) + 1
+            del reads[:]
+            got = covering_outcome(check_covering_map, f, surf37, base, surf37.vertices)
+            balls = [vs for X, vs in reads if X is surf37]
+            assert got and got == covering_outcome(naive_check_covering_map, f, surf37, base,
+                                                   surf37.vertices)
+            assert balls == [frozenset({v}) | surf37.neighbors(v)
+                             for v in surf37.vertices if v <= got[0]]
+        assert len(balls) > 1  # the second edge's offender is not the least vertex
         runs = [(surf37, 5)] + [(gen("random_flag", *p), 4) for p in self.RANDOM_FLAG[:3]]
+        outcomes = set()
         for X, radius in runs:
             state = _base_state(X, 0)
             while state.stage < radius:
                 state = expand_ball(state)
-                full_at = set(state.interior_ids())
-                assert curvature._balls_passed_by_count(state.sheet_map, state.ball, X, full_at)
+                ball = state.ball
+                del reads[:]
+                got = covering_outcome(
+                    lambda *args, full_at: curvature._check_covering_map(*args, full_at, (1,)),
+                    state.sheet_map, ball, X, state.interior_ids())
+                scanned = sum(Y is ball for Y, _ in reads)
+                assert scanned < len(ball.vertices)
+                # a collision raises before its 1-ball's span is read
+                assert scanned == (0 if got is None or "collides" in got[1] else 1), got
+                outcomes.add((got is not None, scanned))
+        assert outcomes == {(False, 0), (True, 0), (True, 1)}
 
     def test_count_path_referees(self):
         """1-balls the edge count does not pass: each is named as the

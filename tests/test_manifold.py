@@ -373,6 +373,9 @@ class TestSoccerDual:
         assert dual.hexagon_count == 30
         assert len(dual.dual_vertices) == 80
         assert len(dual.dual_edges) == 120
+        assert dual.to_json() == {
+            "kind": "soccer_dual", "cells": [[v, gs2.degree(v)] for v in gs2.vertices],
+            "pentagons": 12, "hexagons": 30, "dual_vertices": 80, "dual_edges": 120}
 
     def test_gs3_counts(self, gs3):
         dual = soccer_dual(gs3)
@@ -473,11 +476,22 @@ class TestSevenCycleFilling:
                 rot = pair.cycle
                 assert all(Y.adjacent(pair.y, rot[i]) for i in range(4))
                 assert all(Y.adjacent(pair.z, rot[i]) for i in (3, 4, 5, 6, 0))
+                assert pair.to_json() == {"kind": "filling_pair", "y": pair.y, "z": pair.z,
+                                          "cycle": list(rot)}
 
     def test_aggregate_checker(self, gs2):
         verdict = check_7cycle_fillings(gs2)
         assert verdict.passed
         assert verdict.stats["cycles"] == 60
+
+    def test_aggregate_checker_names_the_first_unfilled_cycle(self, gs2, monkeypatch):
+        def no_pair(Y, cycle):
+            raise NoFillingPair(f"no filling pair for 7-cycle {cycle}")
+
+        monkeypatch.setattr(manifold, "find_7cycle_filling", no_pair)
+        verdict = check_7cycle_fillings(gs2)
+        assert not verdict.passed and verdict.detail == "7-cycle admits no filling pair"
+        assert verdict.witness == full_cycles(gs2, 7, 7)[0] and verdict.stats["cycles"] == 60
 
     def test_no_filling_raises(self):
         # a bare 7-cycle complex is not a sphere; drive the searcher directly

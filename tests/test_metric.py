@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from combcurv.metric import (
     interval_thinness,
     sphere,
 )
+from combcurv.verdicts import passed
 
 from conftest import gen
 from oracles import (
@@ -34,6 +35,7 @@ from oracles import (
     naive_delta_quadruples,
     naive_interval_thinness,
     naive_interval_vertices,
+    naive_projection_lemma,
 )
 
 
@@ -356,6 +358,42 @@ class TestProjectionLemma:
         bases = count_bfs(monkeypatch)
         assert check_projection_lemma(ball, 0, 2).passed
         assert bases == [0]
+
+    def test_instance_scan_against_referee(self, icosa, octa, monkeypatch):
+        """The instance scan against the sorted-order referee.  The
+        hypotheses are patched to pass, so the scan runs on the icosahedron,
+        which is not 8-located, and on the octahedron, which is not locally
+        5-large.  Every configuration of the icosahedron passes; the first
+        of the octahedron fails."""
+        for name in ("is_m_located", "is_locally_k_large"):
+            monkeypatch.setattr(metric, name, lambda X, _arg, _name=name: passed(_name))
+        outcomes = {}
+        for X in (icosa, octa):
+            for o, n in product((0, 1, 2), (1, 2, 3)):
+                got = check_projection_lemma(X, o, n)
+                ref = naive_projection_lemma(X, o, n)
+                assert (got.passed, got.stats["instances"]) == (ref.passed, ref.stats["instances"])
+                if not got.passed:
+                    # y' and z' follow set order, so the witness is re-checked,
+                    # not compared
+                    assert is_violating_configuration(X, o, got.witness)
+                    assert is_violating_configuration(X, o, ref.witness)
+                outcomes.setdefault(X.name, set()).add((got.passed, got.stats["instances"]))
+        assert outcomes == {icosa.name: {(True, 0), (True, 5)}, octa.name: {(False, 1)}}
+
+
+def is_violating_configuration(X, o, witness):
+    """Whether ``witness`` names a configuration of the projection lemma
+    around ``o`` whose projected pair breaks an expected relation."""
+    dist, adj = distances_from(X, o), X.adjacent
+    i, v, y, z, x, yp, zp = (witness[key] for key in
+                             ("radius", "v", "y", "z", "x", "y_prime", "z_prime"))
+    configuration = (dist[v] == i + 1 and all(dist[u] <= i and adj(u, v) for u in (x, y, z))
+                     and not adj(y, z) and adj(x, y) and adj(x, z)
+                     and all(dist[t] <= i - 1 and adj(t, x) and adj(t, s)
+                             for t, s in ((yp, y), (zp, z))))
+    return configuration and not (yp != zp and not adj(yp, z) and not adj(y, zp)
+                                  and adj(yp, zp))
 
 
 class TestDelta:
