@@ -19,6 +19,9 @@ from combcurv.formats import dump_path, load_path
 from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
 from combcurv.verdicts import passed
 
+from conftest import gen, suspension
+from oracles import naive_link
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -311,14 +314,52 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
 
 
 
+def naive_link_lemmas(X) -> list:
+    """The ``lemmas --json`` verdicts of a 3-complex whose wheel check and
+    link checks pass: the wheel verdict, then the sphere lemmas of the link
+    complex of each vertex v built by ``oracles.naive_link``, with witness
+    cycles renamed to the ids of X and v named in the detail."""
+    out = [passed("wheel_in_link").to_json()]
+    for v in X.vertices:
+        link, vertex_map = naive_link(X, (v,))
+        for r in manifold._sphere_lemmas(link):
+            doc = r.to_json()
+            doc["detail"] = f"link of vertex {v}" + (f": {r.detail}" if r.detail else "")
+            if doc["witness"]:
+                doc["witness"]["vertices"] = [vertex_map[i] for i in doc["witness"]["vertices"]]
+            out.append(doc)
+    return out
+
+
 def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatch):
     # the boundary of the 4-dimensional cross-polytope, antipodes 2i and
     # 2i + 1: every vertex link is an octahedron on the other six vertices
     X = combcurv.build_complex(itertools.product((0, 1), (2, 3), (4, 5), (6, 7)))
-    path = tmp_path / "cross4.cplx"
-    dump_path(X, path)
     monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
     monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
+    # the referee on every link.  Each link of cross4 fails on a 4-cycle and
+    # each icosahedron of the 600-cell on a 6-cycle; the tetrahedra of bd4
+    # pass with no cycle, and the two gs2 links of its suspension pass with
+    # 42 rims filled and 60 filling pairs
+    outcomes = {}
+    for name, Y in (("cross4", X), ("cell600", gen("cell600")),
+                    ("bd4", gen("boundary_4_simplex")),
+                    ("susp_gs2", suspension(gen("geodesic_sphere", 2)))):
+        path = tmp_path / f"{name}.cplx"
+        dump_path(Y, path)
+        code = main(["--json", "lemmas", str(path)])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts == naive_link_lemmas(Y), name
+        assert code == (0 if all(v["status"] == "pass" for v in verdicts) else 1)
+        pairs = zip(verdicts[1::2], verdicts[2::2])
+        outcomes[name] = [(a["status"], a["stats"].get("filled"), b["stats"].get("cycles"))
+                          for a, b in pairs]
+    assert set(outcomes["cross4"]) == {("fail", None, 0)}
+    assert set(outcomes["cell600"]) == {("fail", 12, 0)}
+    assert set(outcomes["bd4"]) == {("pass", 0, 0)}
+    assert outcomes["susp_gs2"][-2:] == [("pass", 42, 60)] * 2
+    # the cross-polytope's verdicts, spelt out
+    path = tmp_path / "cross4.cplx"
     assert main(["--json", "lemmas", str(path)]) == 1
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert len(verdicts) == 17
