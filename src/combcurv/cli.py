@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import cover as cover_mod
 from . import manifold as manifold_mod
@@ -26,7 +25,7 @@ from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
 from .metric import DELTA_VERTEX_CAP, _thinness, check_sd_prime, delta_four_point, interval
-from .verdicts import Verdict, failed
+from .verdicts import failed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,51 +202,12 @@ def cmd_cover(args):
     return code
 
 
-def _link_check(X, v, links) -> Verdict:
-    """Sphere checks on the link of ``v``, reported as ``link_<v>``."""
-    try:
-        r = manifold_mod._link_verdict(X, v, links)
-    except NotASphere as exc:
-        r = failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
-    return Verdict(check=f"link_{v}", passed=r.passed, detail=r.detail,
-                   witness=r.witness, stats=r.stats)
-
-
 def cmd_links(args):
-    X = _load(args.path)
-    links = manifold_mod._edge_link_graphs(X)
-    return _emit(args, "links", [_link_check(X, v, links) for v in X.vertices])
-
-
-def _in_link(v, vertex_map, r: Verdict) -> Verdict:
-    """A sphere-lemma verdict ``r`` on the link of ``v``, with its witness
-    cycle renamed from link ids to ids of the complex by ``vertex_map`` and
-    ``v`` named in its detail.  The map is increasing, so a canonical cycle
-    stays canonical."""
-    witness = r.witness and replace(r.witness,
-                                    vertices=tuple(vertex_map[i] for i in r.witness.vertices))
-    detail = f"link of vertex {v}: {r.detail}" if r.detail else f"link of vertex {v}"
-    return replace(r, detail=detail, witness=witness)
+    return _emit(args, "links", manifold_mod.link_verdicts(_load(args.path)))
 
 
 def cmd_lemmas(args):
-    X = _load(args.path)
-    verdicts = []
-    try:
-        if X.dimension() == 3:
-            verdicts.append(manifold_mod.check_wheel_in_link(X))
-            links = manifold_mod._edge_link_graphs(X)
-            for v in X.vertices:
-                # the lemmas run on a link complex, built once the link passed
-                manifold_mod._require_5_6_star(manifold_mod._link_verdict(X, v, links))
-                L, vertex_map = X.link((v,))
-                verdicts += [_in_link(v, vertex_map, r) for r in manifold_mod._sphere_lemmas(L)]
-        else:
-            manifold_mod._require_5_6_star(manifold_mod.is_5_6_star_sphere(X))
-            verdicts += manifold_mod._sphere_lemmas(X)
-    except CombCurvError as exc:
-        verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
-    return _emit(args, "lemmas", verdicts)
+    return _emit(args, "lemmas", manifold_mod.lemma_verdicts(_load(args.path)))
 
 
 def cmd_theorem_b(args):

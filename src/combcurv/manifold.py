@@ -17,13 +17,13 @@ vertex links are decided with no link complex built.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, full_cycles, is_flag
+from .complexes import SimplicialComplex, build_complex, full_cycles, is_flag
 from .curvature import _locate, is_locally_k_large, wheels
-from .errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
+from .errors import CombCurvError, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed, timed
 
 ALLOWED_DWHEEL_TYPES = {(5, 5), (6, 5), (6, 6), (7, 5)}
@@ -62,19 +62,11 @@ class ManifoldReport:
         }
 
 
-def edge_degrees(X: SimplicialComplex) -> dict:
-    """Number of tetrahedra around each edge."""
-    out = dict.fromkeys(X.simplices(1), 0)
-    for t in X.simplices(3):
-        for e in combinations(t, 2):
-            out[e] += 1
-    return out
-
-
 @timed
 def five_six_star_verdict(X: SimplicialComplex, degrees: Optional[dict] = None) -> Verdict:
-    """Every edge degree in {5, 6} and at most one degree-5 edge per triangle."""
-    degrees = degrees if degrees is not None else edge_degrees(X)
+    """Every edge degree in {5, 6} and at most one degree-5 edge per triangle.
+    The degrees are read off :func:`_edge_link_graphs` unless given."""
+    degrees = degrees if degrees is not None else _edge_degrees(_edge_link_graphs(X))
     for e, d in sorted(degrees.items()):
         if d not in (5, 6):
             return failed("five_six_star", {"kind": "edge_degree", "edge": list(e), "degree": d},
@@ -172,6 +164,12 @@ def _edge_link_graphs(X: SimplicialComplex) -> dict:
     return links
 
 
+def _edge_degrees(links: dict) -> dict:
+    """The number of tetrahedra around each edge, read off its link
+    ``links[e]``, which holds one edge per tetrahedron."""
+    return {e: sum(map(len, nbrs.values())) // 2 for e, nbrs in links.items()}
+
+
 def _vertex_link(X: SimplicialComplex, v: int, links: dict):
     """The rims of the link of ``v`` in ``X``, read off the edge links
     ``links``, and the naming of its vertices by rank in sorted N(v).  The
@@ -225,7 +223,7 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
                                   detail=f"link of vertex {v}: {reason}")
             break
 
-    degrees = {e: sum(map(len, nbrs.values())) // 2 for e, nbrs in links.items()}
+    degrees = _edge_degrees(links)
     return ManifoldReport(
         is_pseudomanifold=pseudo,
         edge_link_cycles=link_cycles,
@@ -279,6 +277,22 @@ def _star_sphere(rims: dict, name, where: str = "") -> Verdict:
             return failed("is_5_6_star_sphere", {"kind": "adjacent_low_degree", "edge": [a, b]},
                           detail=f"adjacent degree-5 vertices {a} and {b}")
     return passed("is_5_6_star_sphere", degree5=len(fives), degree6=len(order) - len(fives))
+
+
+def link_verdicts(X: SimplicialComplex) -> list:
+    """The 5/6* sphere verdict of the link of every vertex v of ``X``, in
+    vertex order, reported as ``link_<v>``; a link that is no 2-sphere
+    fails as ``link_sphere`` with the reason.  All links are read off one
+    :func:`_edge_link_graphs` pass."""
+    links = _edge_link_graphs(X)
+    verdicts = []
+    for v in X.vertices:
+        try:
+            r = _link_verdict(X, v, links)
+        except NotASphere as exc:
+            r = failed("link_sphere", {"kind": "vertex_link", "vertex": v}, detail=str(exc))
+        verdicts.append(replace(r, check=f"link_{v}"))
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -383,6 +397,44 @@ def _sphere_lemmas(Y: SimplicialComplex) -> list:
     return [_sphere_cycle_lemma(Y, short), _seven_cycle_fillings(Y, cycles[len(short):])]
 
 
+def lemma_verdicts(X: SimplicialComplex) -> list:
+    """The sphere lemmas of :func:`_sphere_lemmas` on ``X``, a 5/6* sphere,
+    or, on a 3-complex, :func:`check_wheel_in_link` and then the sphere
+    lemmas on the link of each vertex, once that link passed its 5/6*
+    sphere check.  The first unmet precondition ends the list with a
+    failed ``lemmas`` verdict.
+
+    A link is given to the lemmas as its 1-skeleton in the ids of ``X``,
+    built from the rims of :func:`_vertex_link`, with no link complex built
+    or renamed.  Lemma: the result is the one on the link complex of
+    ``SimplicialComplex.link``, except that the detail names v.  The sphere
+    lemmas read only edges, degrees and neighbour sets (``full_cycles``,
+    ``Y.degree``, ``Y.neighbors`` and :func:`find_7cycle_filling`), which
+    the 1-skeleton shares with the link complex; and the link's renaming
+    of N(v) by rank is increasing, so it keeps each canonical cycle
+    canonical and the ``(len, c)`` order of the cycles.  So the verdicts
+    find the same cycles in the same order, with the same stats and the
+    same witnesses."""
+    verdicts = []
+    try:
+        if X.dimension() == 3:
+            verdicts.append(check_wheel_in_link(X))
+            links = _edge_link_graphs(X)
+            for v in X.vertices:
+                _require_5_6_star(_link_verdict(X, v, links))
+                rims = _vertex_link(X, v, links)[0]
+                Y = build_complex([(u, w) for u in rims for w in rims[u] if u < w])
+                where = f"link of vertex {v}"
+                verdicts += [replace(r, detail=f"{where}: {r.detail}" if r.detail else where)
+                             for r in _sphere_lemmas(Y)]
+        else:
+            _require_5_6_star(is_5_6_star_sphere(X))
+            verdicts += _sphere_lemmas(X)
+    except CombCurvError as exc:
+        verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
+    return verdicts
+
+
 def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     """No chordless 4-cycles, and every chordless 5- or 6-cycle is the rim
     of a wheel: a cycle is filled when it is the link of a vertex outside
@@ -441,8 +493,7 @@ def _seven_cycle_fillings(Y: SimplicialComplex, sevens: list) -> Verdict:
 @timed
 def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
     """Every 5- and 6-wheel lies inside the link of some vertex outside it."""
-    degrees = edge_degrees(X)
-    v56 = five_six_star_verdict(X, degrees)
+    v56 = five_six_star_verdict(X)
     if not v56.passed:
         raise PreconditionNotMet("five_six_star", v56.detail)
     count = 0

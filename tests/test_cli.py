@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shape, file handling."""
 
+import ast
 import inspect
 import itertools
 import json
@@ -307,10 +308,15 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
         last = json.loads(capsys.readouterr().out)["verdicts"][-1]
         assert last["witness"] == {"kind": "precondition"}, last
     assert links == []
-    # a link that passes is built once, for the sphere lemmas
+    # a link that passes gets one run of the sphere lemmas, on its
+    # 1-skeleton in the ids of the complex: no link complex is built
     monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
+    lemma_runs = counted(monkeypatch, manifold, "_sphere_lemmas")
     assert main(["--json", "lemmas", str(solid["bd4"])]) == 0
-    assert [args[1] for args in links] == [(v,) for v in range(5)]
+    assert links == []
+    bd4 = load_path(solid["bd4"]).complex
+    assert [(Y.vertices, Y.dimension()) for (Y,) in lemma_runs] == \
+        [(tuple(sorted(bd4.neighbors(v))), 1) for v in bd4.vertices]
 
 
 
@@ -329,6 +335,18 @@ def naive_link_lemmas(X) -> list:
                 doc["witness"]["vertices"] = [vertex_map[i] for i in doc["witness"]["vertices"]]
             out.append(doc)
     return out
+
+
+def test_cli_reads_no_private_name_of_manifold():
+    # the link and lemma decisions stay behind the manifold module: the CLI
+    # reads only its public names
+    tree = ast.parse(Path(inspect.getsourcefile(main)).read_text())
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "manifold_mod"]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "manifold" for alias in node.names]
+    assert {"link_verdicts", "lemma_verdicts"} <= set(read)
+    assert [name for name in read + imported if name.startswith("_")] == []
 
 
 def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatch):

@@ -76,6 +76,9 @@ class TestBuildComplex:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DuplicateVertexInSimplex):
             build_complex([[0, 1, 1]])
+        # nor is a negative id a vertex
+        with pytest.raises(ValueError, match="negative vertex id"):
+            build_complex([[-1, 0]])
 
     def test_downward_closure_invariant(self, gs2):
         for d in (1, 2, 3):

@@ -1,6 +1,7 @@
 """Largeness, wheels, dwheels, dwheel location, covering preservation."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -287,6 +288,8 @@ class TestWheels:
         for X in (build_complex([]), triangle, gs2):
             with pytest.raises(ValueError, match="cycles start at length 4"):
                 wheels(X, 3, 8)
+            with pytest.raises(ValueError, match="largeness starts at k = 4"):
+                is_k_large(X, 3)
             with pytest.raises(ValueError, match="empty length range"):
                 wheels(X, 6, 5)
 
@@ -406,6 +409,38 @@ class TestDWheels:
 
     def test_deterministic_order(self, icosa):
         assert dwheels(icosa, 8) == dwheels(icosa, 8)
+
+    def test_validate_failures(self, icosa):
+        def without(X, tri):
+            return build_complex([s for s in X.maximal_simplices() if s != tri]
+                                 + list(combinations(tri, 2)))
+
+        # a found wheel fails with a rim chord added, or a cone triangle gone
+        w = wheels(icosa, 5, 5)[0]
+        tri = tuple(sorted((w.center,) + w.rim[:2]))
+        chorded = build_complex(icosa.maximal_simplices() + [(w.rim[0], w.rim[2])])
+        assert w.validate(icosa)
+        assert not w.validate(chorded) and not w.validate(without(icosa, tri))
+        # a dwheel fails once a cone triangle of its first wheel is gone
+        d = dwheels(icosa, 8)[0]
+        center, rim = d.wheels[0].center, d.wheels[0].rim
+        assert d.validate(icosa)
+        assert not d.validate(without(icosa, tuple(sorted((center,) + rim[:2]))))
+        # the junction: an edge one read as identified, an identified one as
+        # an edge, and an edge one with its edge gone
+        X, arc1, arc2 = dwheel_complex(6, 5, "edge")
+        (d,) = [d for d in dwheels(X, 8) if d.type == (6, 5) and d.junction == "edge"]
+        a, b = d.rim1[0], d.rim2[0]
+        assert d.validate(X) and X.adjacent(a, b)
+        assert not replace(d, junction="identified").validate(X)
+        assert not d.validate(build_complex([s for s in X.maximal_simplices() if s != (a, b)]))
+        ident = dwheels(icosa, 8)[0]
+        assert ident.junction == "identified" and not replace(ident, junction="edge").validate(icosa)
+        # every dwheel of a cone over a dwheel still validates
+        for k, l in ((5, 5), (7, 5)):
+            C = cone(dwheel_complex(k, l, "identified")[0])
+            found = dwheels(C, 8)
+            assert found and all(d.validate(C) for d in found), (k, l)
 
 
 # is_m_located(cell600(), 8) as the global-sort join gave it, timings excluded

@@ -157,7 +157,7 @@ class TestValidate:
 
     def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
         inputs = vertex_stage_inputs(bd4)
-        calls = {"link": 0, "edge_degrees": 0}
+        calls = {"link": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -167,18 +167,15 @@ class TestValidate:
 
         monkeypatch.setattr(SimplicialComplex, "link",
                             counted("link", SimplicialComplex.link))
-        monkeypatch.setattr(manifold, "edge_degrees",
-                            counted("edge_degrees", manifold.edge_degrees))
         for X in (gen("cell600"), bd4):
             assert validate_closed_3manifold(X).is_closed_manifold
         # nor when an edge link is no cycle, or a triangle not on two tetrahedra
         for X in inputs:
             validate_closed_3manifold(X)
-        assert calls == {"link": 0, "edge_degrees": 0}
-        # the counters see a link built and the tetrahedra on each edge counted
+        assert calls == {"link": 0}
+        # the counter sees a link built
         bd4.link((0,))
-        manifold.edge_degrees(bd4)
-        assert calls == {"link": 1, "edge_degrees": 1}, calls
+        assert calls == {"link": 1}, calls
 
 
 def link_stage_inputs(bd4):

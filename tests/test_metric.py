@@ -67,8 +67,9 @@ class TestBallsSpheres:
         assert sphere(octa, 0, 2) == {5}
 
     def test_negative_radius(self, octa):
-        with pytest.raises(ValueError):
-            ball(octa, 0, -1)
+        for walk in (ball, sphere):
+            with pytest.raises(ValueError, match="radius must be non-negative"):
+                walk(octa, 0, -1)
 
     def test_bfs_against_floyd_warshall(self, c4, c5, octa, icosa, torus66, gs2):
         for X in (c4, c5, octa, icosa, torus66, gs2):
@@ -343,6 +344,17 @@ class TestProjectionLemma:
         ])
         with pytest.raises(PreconditionNotMet):
             check_projection_lemma(X, 9, 1)
+
+    def test_descent_precondition(self, torus66, monkeypatch):
+        # the torus is locally 6-large but not 8-located; past a patched
+        # 8-location, the descent property fails at sphere 3, here and in
+        # the referee
+        monkeypatch.setattr(metric, "is_m_located", lambda X, m: passed("is_m_located"))
+        for check in (check_projection_lemma, naive_projection_lemma):
+            with pytest.raises(PreconditionNotMet) as err:
+                check(torus66, 0, 2)
+            assert (err.value.name, err.value.detail) == \
+                ("check_sd_prime(X, 0, 2)", "edge (9,10) in sphere 3 sees nothing in ball 2")
 
     def test_degree7_cover_balls(self, disk37, surf37):
         from combcurv import build_cover
