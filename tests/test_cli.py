@@ -319,7 +319,6 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
         [(tuple(sorted(bd4.neighbors(v))), 1) for v in bd4.vertices]
 
 
-
 def naive_link_lemmas(X) -> list:
     """The ``lemmas --json`` verdicts of a 3-complex whose wheel check and
     link checks pass: the wheel verdict, then the sphere lemmas of the link
@@ -359,14 +358,14 @@ def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatc
     # each icosahedron of the 600-cell on a 6-cycle; the tetrahedra of bd4
     # pass with no cycle, and the two gs2 links of its suspension pass with
     # 42 rims filled and 60 filling pairs
-    outcomes = {}
+    runs, outcomes = {}, {}
     for name, Y in (("cross4", X), ("cell600", gen("cell600")),
                     ("bd4", gen("boundary_4_simplex")),
                     ("susp_gs2", suspension(gen("geodesic_sphere", 2)))):
         path = tmp_path / f"{name}.cplx"
         dump_path(Y, path)
         code = main(["--json", "lemmas", str(path)])
-        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        runs[name] = verdicts = json.loads(capsys.readouterr().out)["verdicts"]
         assert verdicts == naive_link_lemmas(Y), name
         assert code == (0 if all(v["status"] == "pass" for v in verdicts) else 1)
         pairs = zip(verdicts[1::2], verdicts[2::2])
@@ -377,9 +376,7 @@ def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatc
     assert set(outcomes["bd4"]) == {("pass", 0, 0)}
     assert outcomes["susp_gs2"][-2:] == [("pass", 42, 60)] * 2
     # the cross-polytope's verdicts, spelt out
-    path = tmp_path / "cross4.cplx"
-    assert main(["--json", "lemmas", str(path)]) == 1
-    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    verdicts = runs["cross4"]
     assert len(verdicts) == 17
     # the first chordless 4-cycle of each link, in the ids of X, where the
     # link's own ids gave [0, 2, 1, 3] for every vertex
