@@ -13,20 +13,18 @@ from .complexes import (
     build_complex,
     full_cycles,
     is_flag,
-    is_full,
 )
 from .curvature import (
     DWheel,
     Wheel,
     check_covering_preservation,
     dwheels,
-    in_one_ball,
     is_k_large,
     is_locally_k_large,
     is_m_located,
     wheels,
 )
-from .cover import CoverReport, CoverState, build_cover, expand_ball, init_cover, verify_equiv_shortcut
+from .cover import CoverReport, CoverState, build_cover, expand_ball, verify_equiv_shortcut
 from .generators import GeneratorSpec, generate
 from .manifold import (
     FillingPair,
@@ -85,13 +83,10 @@ __all__ = [
     "find_7cycle_filling",
     "full_cycles",
     "generate",
-    "in_one_ball",
-    "init_cover",
     "interval",
     "interval_thinness",
     "is_5_6_star_sphere",
     "is_flag",
-    "is_full",
     "is_k_large",
     "is_locally_k_large",
     "is_m_located",

@@ -24,7 +24,7 @@ from .curvature import is_locally_k_large, is_m_located
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
-from .metric import DELTA_VERTEX_CAP, _thinness, check_sd_prime, delta_four_point, interval
+from .metric import DELTA_VERTEX_CAP, check_sd_prime, delta_four_point, interval, interval_thinness
 from .verdicts import failed
 
 
@@ -159,7 +159,7 @@ def cmd_metric(args):
         itv = interval(X, args.base, args.other)
         out["distance"] = itv.n
         out["layers"] = [sorted(layer) for layer in itv.layers]
-        thin, pair = _thinness(X, out["layers"])
+        thin, pair = interval_thinness(X, out["layers"])
         out["thinness"] = thin
         out["thinness_pair"] = list(pair) if pair else None
     if not out:

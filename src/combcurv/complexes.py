@@ -3,8 +3,8 @@
 The complex stores its simplices explicitly per dimension (vertices, edges,
 triangles, tetrahedra) together with the adjacency relation of the
 1-skeleton and a per-vertex coface index.  All queries used by the
-curvature checkers live here: spans (induced subcomplexes), links, chord
-tests for cycles, flagness, and chordless-cycle enumeration.
+curvature checkers live here: spans (induced subcomplexes), vertex link
+graphs, chord tests for cycles, flagness, and chordless-cycle enumeration.
 
 The two link searches, :func:`empty_clique` (flagness) and
 :func:`grow_chordless` (chordless cycles), run on graphs given as one int
@@ -16,8 +16,8 @@ to ambient ids unchanged.  The closed-surface test reads its links off the
 edge links instead, in ``manifold``.
 
 The coface index makes the local queries cost the size of a vertex star,
-not the size of the complex: ``link`` reads the star of one vertex of the
-simplex, and ``span`` the stars of the kept vertices.  A per-vertex or
+not the size of the complex: ``link_masks`` reads the star of one vertex,
+and ``span`` the stars of the kept vertices.  A per-vertex or
 per-simplex loop over a complex therefore costs about the sum of its
 vertex stars.
 """
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    BoundExceeded,
-    DimensionTooHigh,
-    DuplicateVertexInSimplex,
-    SimplexNotPresent,
-)
+from .errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
 from .verdicts import Verdict, failed, passed
 
 MAX_DIM = 3
@@ -83,8 +78,8 @@ class SimplicialComplex:
     Construction also builds the coface index, in O(F) for F faces: for
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
     contain it.  It holds the same tuple objects as the face sets, so it
-    adds one reference per vertex of each simplex.  ``link``,
-    ``link_masks`` and ``span`` read it instead of scanning every face.
+    adds one reference per vertex of each simplex.  ``link_masks`` and
+    ``span`` read it instead of scanning every face.
     """
 
     __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
@@ -215,28 +210,6 @@ class SimplicialComplex:
                     fs.append(t)
         return {d: frozenset(fs) for d, fs in faces.items()}
 
-    def link(self, simplex: Iterable[int]):
-        """Link of a stored simplex, relabeled to contiguous ids.
-
-        Returns ``(link_complex, vertex_map)`` where ``vertex_map[i]`` is the
-        id in this complex of link vertex ``i``.  Built from the cofaces of
-        the simplex's vertex with the fewest cofaces.
-        """
-        sigma = tuple(sorted(simplex))
-        if not self.has_simplex(sigma):
-            raise SimplexNotPresent(f"simplex {sigma} not in complex")
-        # every proper coface of sigma is a coface of each of its vertices
-        sset = set(sigma)
-        cofaces = min((self._cofaces[v] for v in sigma), key=len)
-        members = [tuple(u for u in t if u not in sset)
-                   for t in cofaces if len(t) > len(sigma) and sset.issubset(t)]
-        vertex_map = sorted({v for tau in members for v in tau})
-        back = {v: i for i, v in enumerate(vertex_map)}
-        faces = {d: [] for d in range(MAX_DIM + 1)}
-        for tau in members:
-            faces[len(tau) - 1].append(tuple(back[v] for v in tau))
-        return SimplicialComplex(len(vertex_map), faces), vertex_map
-
     def link_masks(self, v: int):
         """The 1-skeleton of the link of vertex ``v`` as ``(ids, masks)``:
         ``ids`` is the sorted neighbours of v, and bit j of ``masks[i]`` is
@@ -313,7 +286,7 @@ def flag_completion(n: int, edges, name: Optional[str] = None) -> SimplicialComp
     return SimplicialComplex(n, faces, name=name)
 
 
-# -- fullness and flagness -------------------------------------------------
+# -- chords and flagness ----------------------------------------------------
 
 
 def chords(X: SimplicialComplex, cycle: Sequence[int]) -> list:
@@ -328,31 +301,6 @@ def chords(X: SimplicialComplex, cycle: Sequence[int]) -> list:
             if X.adjacent(vs[i], vs[j]):
                 found.append(tuple(sorted((vs[i], vs[j]))))
     return sorted(set(found))
-
-
-def is_cycle(X: SimplicialComplex, vertices: Sequence[int]) -> bool:
-    vs = tuple(vertices)
-    k = len(vs)
-    if k < 3 or len(set(vs)) != k:
-        return False
-    return all(X.adjacent(vs[i], vs[(i + 1) % k]) for i in range(k))
-
-
-def is_full(X: SimplicialComplex, cycle: Sequence[int]) -> Verdict:
-    """Chordlessness of a cyclic vertex sequence.
-
-    The input is read in cyclic order; consecutive vertices must be adjacent.
-    A failing verdict carries a chord as witness.
-    """
-    vs = tuple(cycle)
-    if not is_cycle(X, vs):
-        return failed("is_full", {"kind": "not_a_cycle", "vertices": list(vs)},
-                      detail="input is not a cycle of the complex")
-    ch = chords(X, vs)
-    if ch:
-        return failed("is_full", {"kind": "chord", "edge": list(ch[0]), "cycle": list(vs)},
-                      detail=f"chord {ch[0]} inside cycle", chords=len(ch))
-    return passed("is_full", detail=f"cycle of length {len(vs)} has no chords")
 
 
 def mask_edges(masks) -> list:

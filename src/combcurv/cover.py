@@ -18,9 +18,9 @@ vertices.  So no distance from the base changes, each new vertex lies at
 distance i + 1, and the induced subgraph on the old vertices is the old
 graph.  A clique complex restricted to a vertex set is the clique complex of
 the induced subgraph, so B_i is the induced ball of radius i.  By induction
-from stage 0, (P) holds for every state that ``init_cover`` or
-``expand_ball`` returns, and every earlier stage ball is an induced ball of
-the current one.  Two invariants are verified once per stage:
+from stage 0, (P) holds for every state that ``expand_ball`` returns, and
+every earlier stage ball is an induced ball of the current one.  Two
+invariants are verified once per stage:
 
     (Q) the ball satisfies the descent property one radius below its own.
         The birth layers are its base row, so no stage runs a BFS.  (T) and
@@ -89,9 +89,9 @@ from itertools import combinations
 from typing import ClassVar, Optional
 
 from .complexes import SimplicialComplex, flag_completion, is_flag
-from .curvature import _check_covering_map, is_locally_k_large, is_m_located
+from .curvature import check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, _layers, _sd_prime, _thinness, _vertex_condition
+from .metric import SDReport, check_sd_prime, geodesic_layers, interval_thinness, vertex_condition
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -177,10 +177,10 @@ def _verify_invariants(state: CoverState):
     # the lower radii.  At the newest radius the expansion makes (T) hold
     # on every edge of the newest sphere, and only (V) is scanned.
     birth, i = state.birth, state.stage - 1
-    results = dict((state.sd or _sd_prime(ball, state.base, i - 1, birth)).results)
+    results = dict((state.sd or check_sd_prime(ball, state.base, i - 1, birth)).results)
     if i > 0:
         sphere_edges = sum(birth[u] == birth[v] == i + 1 for (u, v) in ball.simplices(1))
-        results[i] = passed("sd_T", edges_checked=sphere_edges), _vertex_condition(ball, birth, i)
+        results[i] = passed("sd_T", edges_checked=sphere_edges), vertex_condition(ball, birth, i)
     sd = SDReport(base=state.base, max_radius=i, results=results)
     if not sd.passed:
         f = sd.first_failure()
@@ -189,7 +189,8 @@ def _verify_invariants(state: CoverState):
     # (R): sheet map is a local isomorphism, full at interior vertices.  The
     # target is flag and the ball a clique complex, so edges decide it.
     try:
-        _check_covering_map(state.sheet_map, ball, state.target, state.interior_ids(), (1,))
+        check_covering_map(state.sheet_map, ball, state.target, state.interior_ids(),
+                           edges_decide=True)
         covering = passed("covering_condition")
     except NotACovering as exc:
         covering = failed("covering_condition",
@@ -226,14 +227,6 @@ def _base_state(X: SimplicialComplex, base: int) -> CoverState:
                       sheet_map=(base,), target=X, birth=(0,))
 
 
-def init_cover(X: SimplicialComplex, base: int) -> CoverState:
-    """Stage-1 state: the first expansion of stage 0.  Each neighbour z of
-    the base is its own class, and classes sort by z, so the ball is the
-    closed star of the base with sheet map ``(base,) + sorted N(base)``.
-    The input must be flag."""
-    return expand_ball(_base_state(X, base))
-
-
 def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> CoverState:
     """Grow the ball by one radius.
 
@@ -242,8 +235,8 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
     to class through a common base with adjacent targets); higher simplices
     come from flag completion.
 
-    ``state`` must satisfy (P), as every state that ``init_cover`` or
-    ``expand_ball`` returns does; the returned state then satisfies it too
+    ``state`` must satisfy (P), as stage 0 and every state that
+    ``expand_ball`` returns do; the returned state then satisfies it too
     (the lemma in the module docstring).
     """
     X = state.target
@@ -407,8 +400,9 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
     interior_large = is_locally_k_large(previous.ball, 5)
 
     # by (P) the birth stages are the base row, so no BFS runs; [1:] drops the base
-    thin, _pair = _thinness(state.ball, (layer for v in state.interior_ids()[1:]
-                                         for layer in _layers(state.birth, state.ball, 0, v)))
+    thin, _pair = interval_thinness(state.ball, (
+        layer for v in state.interior_ids()[1:]
+        for layer in geodesic_layers(state.ball, 0, v, state.birth)))
 
     return CoverReport(
         state=state,

@@ -408,32 +408,21 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
     return sorted(frozenset.intersection(*map(X.neighbors, vs)).union(vs))
 
 
-def in_one_ball(X: SimplicialComplex, vertex_set: Iterable[int]) -> Optional[int]:
-    """The smallest vertex whose closed neighborhood contains the whole set,
-    or None.
-
-    The centers of a set are exactly the common members of the closed
-    neighborhoods ``N(a) | {a}`` of its vertices."""
-    balls = [X.neighbors(a) | {a} for a in vertex_set]
-    if not balls:
-        raise ValueError("empty vertex set")
-    return min(frozenset.intersection(*balls), default=None)
-
-
 @timed
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates.  This gate tests flagness; :func:`_locate` decides location."""
+    candidates.  This gate tests flagness; :func:`locate_on_flag` decides
+    location."""
     if m < 6:
         raise ValueError("location starts at m = 6")
     fv = is_flag(X)
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
-    return _locate(X, m)[0]
+    return locate_on_flag(X, m)[0]
 
 
-def _locate(X: SimplicialComplex, m: int):
+def locate_on_flag(X: SimplicialComplex, m: int):
     """The verdict of :func:`is_m_located` on ``X``, which the caller has
     found flag, and the set of (k, l) types of the dwheel groups located
     before it returned: on a pass, the types of all dwheels of boundary at
@@ -445,10 +434,10 @@ def _locate(X: SimplicialComplex, m: int):
     dwheel of the group lies in ``core``, their common neighbors and
     themselves.  Each free arc cuts ``core`` down to its own centers once
     for the whole group, and a dwheel lies in a 1-ball exactly when the
-    centers of its two arcs meet: the intersection :func:`in_one_ball`
-    takes, regrouped.  The sets are int bitmasks over vertex ids: ``core``
-    is the AND of the closed neighborhoods of v0, w and v0', which is the
-    set above as they are pairwise adjacent."""
+    centers of its two arcs meet: the common members of the closed
+    neighborhoods of its vertices, regrouped.  The sets are int bitmasks
+    over vertex ids: ``core`` is the AND of the closed neighborhoods of v0,
+    w and v0', which is the set above as they are pairwise adjacent."""
     count = 0
     types = set()
     balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
@@ -487,7 +476,8 @@ def _locate(X: SimplicialComplex, m: int):
 
 
 def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
-                       full_at: Optional[Iterable[int]] = None):
+                       full_at: Optional[Iterable[int]] = None,
+                       edges_decide: Optional[bool] = None):
     """Verify that the vertex map ``f`` restricts on every 1-ball to an
     isomorphism onto the span of its image.
 
@@ -495,31 +485,18 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     addition be surjective onto the whole 1-ball of the image.  Raises
     :class:`NotACovering` at the first violating 1-ball, in vertex order.
 
-    If both complexes are flag, only span edges are compared: f is injective
-    on the 1-ball, so once edges match both ways so do cliques, the simplices.
-    Then, if every cover edge maps to a base edge (tested once per call),
-    each 1-ball is decided by counting its edges, and only one that the
-    count does not pass is scanned (see :func:`_check_covering_map`); if
-    not, every 1-ball is scanned.  Otherwise dimensions 1-3 are scanned, in
-    span order either way: same offender.
+    ``edges_decide`` says whether the span edges alone decide it; when it
+    is None, that is tested as flagness of both complexes.  If both are
+    flag, f is injective on the 1-ball, so once edges match both ways so
+    do cliques, the simplices.  The same holds, with the same first
+    offender, whenever the simplices of both complexes are their cliques of
+    at most 4 vertices, even if a 5-clique makes one of them fail
+    ``is_flag``: the cover builder's stage balls and flag base are such a
+    pair.  Otherwise the faces of dimensions 1-3 are compared, in span
+    order either way: same offender.
 
     ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
     end raises :class:`ValueError`.
-    """
-    short = next((v for v in cover.vertices if v >= len(f)), None)
-    if short is not None:
-        raise ValueError(f"cover vertex {short} has no image: the vertex map has {len(f)} entries")
-    flag = is_flag(cover).passed and is_flag(base).passed
-    _check_covering_map(f, cover, base, full_at, (1,) if flag else (1, 2, 3))
-
-
-def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
-                        full_at: Optional[Iterable[int]], dims):
-    """:func:`check_covering_map`, comparing the span faces of ``dims`` only.
-
-    Edges alone decide it, with the same first offender, whenever the
-    simplices of both complexes are their cliques of at most 4 vertices,
-    even if a 5-clique makes one of them fail ``is_flag``.
 
     One pass over the cover vertices, in sorted order, decides every 1-ball
     N[v].  A 1-ball that the edge count below passes reads no span.  Every
@@ -527,9 +504,9 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     span faces in span order, which names the first offender.  Counting
     never raises, so the first 1-ball that raises is the scan's.
 
-    Lemma (the edge count, for ``dims == (1,)``).  Let every edge of N[v]
-    map to a base edge, and f be injective on N[v].  Then f maps the edges
-    of N[v] one-to-one into the base edges of the span of f(N[v]), so they
+    Lemma (the edge count, when edges decide).  Let every edge of N[v] map
+    to a base edge, and f be injective on N[v].  Then f maps the edges of
+    N[v] one-to-one into the base edges of the span of f(N[v]), so they
     match both ways exactly when the two sets have the same size.  The
     edges at v and at f(v) match one for one, so it is enough to count the
     edges among N(v), the triangles at v, and the base edges among f(N(v)),
@@ -544,8 +521,14 @@ def _check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     image set and the two counts, and is scanned when f is not injective
     on it, when the counts differ, or when it must be full and is not.
     """
+    short = next((v for v in cover.vertices if v >= len(f)), None)
+    if short is not None:
+        raise ValueError(f"cover vertex {short} has no image: the vertex map has {len(f)} entries")
+    if edges_decide is None:
+        edges_decide = is_flag(cover).passed and is_flag(base).passed
+    dims = (1,) if edges_decide else (1, 2, 3)
     full_at = set(full_at) if full_at is not None else set()
-    count = dims == (1,) and all(map(base.has_vertex, {f[v] for (v,) in cover.simplices(0)})) \
+    count = edges_decide and all(map(base.has_vertex, {f[v] for (v,) in cover.simplices(0)})) \
         and all(base.adjacent(f[u], f[v]) for u, v in cover.simplices(1))
     triangles = Counter(chain.from_iterable(cover.simplices(2))) if count else None
     links = {}  # base vertex -> its link edges
@@ -589,12 +572,23 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
     complex is itself m-located (locally k-large).
 
     ``f`` maps cover vertex ids to base vertex ids.  The covering condition
-    is verified first and raises :class:`NotACovering` on failure.
+    is verified first and raises :class:`NotACovering` on failure.  Each
+    complex is tested for flagness once: the covering check and the
+    location verdicts of :func:`is_m_located` share the test.
     """
-    check_covering_map(f, cover, base)
-    base_m = is_m_located(base, m)
+    cover_flag, base_flag = is_flag(cover), is_flag(base)
+    check_covering_map(f, cover, base, edges_decide=cover_flag.passed and base_flag.passed)
+    if m < 6:
+        raise ValueError("location starts at m = 6")
+
+    def located(X, fv):
+        if not fv.passed:
+            return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
+        return locate_on_flag(X, m)[0]
+
+    base_m = located(base, base_flag)
     base_k = is_locally_k_large(base, k)
-    cover_m = is_m_located(cover, m)
+    cover_m = located(cover, cover_flag)
     cover_k = is_locally_k_large(cover, k)
     if base_m.passed and not cover_m.passed:
         return failed("covering_preservation", cover_m.witness,

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Optional
 
 from .complexes import SimplicialComplex, build_complex, full_cycles, is_flag
-from .curvature import _locate, is_locally_k_large, wheels
+from .curvature import is_locally_k_large, locate_on_flag, wheels
 from .errors import CombCurvError, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed, timed
 
@@ -406,9 +406,9 @@ def lemma_verdicts(X: SimplicialComplex) -> list:
 
     A link is given to the lemmas as its 1-skeleton in the ids of ``X``,
     built from the rims of :func:`_vertex_link`, with no link complex built
-    or renamed.  Lemma: the result is the one on the link complex of
-    ``SimplicialComplex.link``, except that the detail names v.  The sphere
-    lemmas read only edges, degrees and neighbour sets (``full_cycles``,
+    or renamed.  Lemma: the result is the one on the link complex of v,
+    relabelled by rank in sorted N(v), except that the detail names v.  The
+    sphere lemmas read only edges, degrees and neighbour sets (``full_cycles``,
     ``Y.degree``, ``Y.neighbors`` and :func:`find_7cycle_filling`), which
     the 1-skeleton shares with the link complex; and the link's renaming
     of N(v) by rank is increasing, so it keeps each canonical cycle
@@ -516,7 +516,7 @@ def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
     then its 5/6* verdict, flagness, local 5-largeness and 8-location.
     Each verdict is computed only when the caller asks for it, once every
     stage before it has passed.  8-location runs the kernel
-    :func:`~combcurv.curvature._locate`, as flagness has passed, and adds
+    :func:`~combcurv.curvature.locate_on_flag`, as flagness has passed, and adds
     the dwheel types it reads to ``types``."""
     for verdict in (report.is_pseudomanifold, report.edge_link_cycles,
                     report.vertex_links_spheres):
@@ -524,7 +524,7 @@ def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
     yield "five_six_star", report.five_six_star
     yield "is_flag", is_flag(X)
     yield "locally_5_large", is_locally_k_large(X, 5)
-    located, found = _locate(X, 8)
+    located, found = locate_on_flag(X, 8)
     types |= found
     yield "8_located", located
 

@@ -75,40 +75,30 @@ class LayeredInterval:
     layers: tuple
 
 
-def _layers(do, X, o, o2) -> list:
-    """Geodesic layers between ``o`` and ``o2`` in vertex order: layer k - 1
-    is the neighbours of layer k at distance k - 1 on o's row ``do``."""
+def geodesic_layers(X: SimplicialComplex, o: int, o2: int, dist) -> list:
+    """Geodesic layers between ``o`` and ``o2`` in vertex order, on
+    ``dist``, the BFS row of ``o`` that the caller holds: layer k - 1 is
+    the neighbours of layer k at distance k - 1 from o."""
     if not X.has_vertex(o2):
         raise ValueError(f"vertex {o2} not in complex")
-    n = do[o2]
+    n = dist[o2]
     if n == INF:
         raise DisconnectedError(f"vertices {o} and {o2} are not connected")
     layers = [[o2]]
     for k in range(n - 1, -1, -1):
-        layers.append(sorted({u for v in layers[-1] for u in X.neighbors(v) if do[u] == k}))
+        layers.append(sorted({u for v in layers[-1] for u in X.neighbors(v) if dist[u] == k}))
     return layers[::-1]
 
 
 def interval(X: SimplicialComplex, o: int, o2: int) -> LayeredInterval:
-    layers = _layers(distances_from(X, o), X, o, o2)
+    layers = geodesic_layers(X, o, o2, distances_from(X, o))
     return LayeredInterval((o, o2), len(layers) - 1, tuple(map(frozenset, layers)))
 
 
-def interval_thinness(X: SimplicialComplex, o: int, *targets):
-    """Maximum pairwise distance inside any layer of the intervals from ``o``
-    to each target, measured in X.
-
-    Returns ``(thinness, witness_pair)``: the witness is the first pair that
-    reaches the maximum, in target, layer and sorted-pair order (None when
-    no layer has two vertices).
-    """
-    do = distances_from(X, o)
-    return _thinness(X, (layer for o2 in targets for layer in _layers(do, X, o, o2)))
-
-
-def _thinness(X: SimplicialComplex, layers):
+def interval_thinness(X: SimplicialComplex, layers):
     """Maximum distance between two vertices of one of the sorted
-    ``layers``, and the first pair that reaches it.
+    ``layers``, measured in X, and the first pair that reaches it, in
+    layer and sorted-pair order (None when no layer has two vertices).
 
     No full distance row is computed: each layer vertex u keeps one BFS for
     this call, grown a level at a time only until the queried vertex is
@@ -201,7 +191,7 @@ def _triangle_condition(X, dist, i) -> Verdict:
     return passed("sd_T", edges_checked=checked)
 
 
-def _vertex_condition(X, dist, i) -> Verdict:
+def vertex_condition(X: SimplicialComplex, dist, i: int) -> Verdict:
     """(V): for v at distance i+1 and neighbors u,w of v at distance <= i,
     some neighbor t of v at distance <= i is adjacent to both.
 
@@ -225,18 +215,17 @@ def _vertex_condition(X, dist, i) -> Verdict:
     return passed("sd_V", pairs_checked=pairs)
 
 
-def check_sd_prime(X: SimplicialComplex, o: int, n: int) -> SDReport:
+def check_sd_prime(X: SimplicialComplex, o: int, n: int, dist=None) -> SDReport:
     """Descent property around ``o`` up to radius ``n``: conditions (T) and
-    (V) at every i = 1..n."""
-    return _sd_prime(X, o, n, distances_from(X, o))
+    (V) at every i = 1..n.
 
-
-def _sd_prime(X: SimplicialComplex, o: int, n: int, dist) -> SDReport:
-    """:func:`check_sd_prime` on ``dist``, the BFS row of ``o`` that the
-    caller already has (the cover builder's birth layers are that row).
-    The builder reads (T) and (V) at its newest radius off the expansion,
-    so it calls this only for the lower radii of a state with no report."""
-    results = {i: (_triangle_condition(X, dist, i), _vertex_condition(X, dist, i))
+    ``dist`` is the BFS row of ``o`` when the caller holds it (the cover
+    builder's birth layers are that row); else one BFS computes it.  The
+    builder reads (T) and (V) at its newest radius off the expansion, so
+    it calls this only for the lower radii of a state with no report."""
+    if dist is None:
+        dist = distances_from(X, o)
+    results = {i: (_triangle_condition(X, dist, i), vertex_condition(X, dist, i))
                for i in range(1, n + 1)}
     return SDReport(base=o, max_radius=n, results=results)
 
@@ -256,7 +245,7 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
         if not verdict.passed:
             raise PreconditionNotMet(name, verdict.detail)
     dist = distances_from(X, o)
-    sd = _sd_prime(X, o, n, dist)
+    sd = check_sd_prime(X, o, n, dist)
     if not sd.passed:
         raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})",
                                  sd.first_failure().detail)

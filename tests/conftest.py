@@ -5,10 +5,31 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from combcurv import GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large
+from combcurv import GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large, metric
+from combcurv.complexes import SimplicialComplex
 from combcurv.formats import load_path
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def complexes_built(monkeypatch):
+    """Record every complex built from now on, in the returned list."""
+    built, init = [], SimplicialComplex.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording)
+    return built
+
+
+def thinness_from(X, o, *targets):
+    """``interval_thinness`` over the intervals from ``o`` to each target,
+    in target order, on one BFS row of ``o``."""
+    dist = metric.distances_from(X, o)
+    return metric.interval_thinness(
+        X, [layer for o2 in targets for layer in metric.geodesic_layers(X, o, o2, dist)])
 
 
 def gen(name, *params):

@@ -19,12 +19,17 @@ configurations are tried in sorted order, and the four-point
 constant is computed from basepoint Gromov products or from every vertex quadruple, and the classes of a cover
 stage come from merging uncovered directions pairwise until none merge.
 Tests compare library output against these on small inputs.
+
+Three helpers that no library module calls live here too: the chordless
+test of one cycle (``is_full``), the smallest 1-ball centre of a vertex set
+(``in_one_ball``) and the stage-1 cover state (``init_cover``).
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle
+from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycle, chords
+from combcurv.cover import _base_state, expand_ball
 from combcurv.curvature import DWheel, Wheel
 from combcurv.errors import (
     DisconnectedError,
@@ -272,6 +277,25 @@ def naive_is_locally_k_large(X, k):
     return passed("is_locally_k_large", k=k, links_checked=links)
 
 
+def is_full(X, cycle):
+    """Chordlessness of a cyclic vertex sequence.
+
+    The input is read in cyclic order; consecutive vertices must be adjacent.
+    A failing verdict carries a chord as witness.
+    """
+    vs = tuple(cycle)
+    k = len(vs)
+    if k < 3 or len(set(vs)) != k or not all(X.adjacent(vs[i], vs[(i + 1) % k])
+                                             for i in range(k)):
+        return failed("is_full", {"kind": "not_a_cycle", "vertices": list(vs)},
+                      detail="input is not a cycle of the complex")
+    ch = chords(X, vs)
+    if ch:
+        return failed("is_full", {"kind": "chord", "edge": list(ch[0]), "cycle": list(vs)},
+                      detail=f"chord {ch[0]} inside cycle", chords=len(ch))
+    return passed("is_full", detail=f"cycle of length {len(vs)} has no chords")
+
+
 def naive_full_cycles(X, min_len, max_len):
     """Chordless cycles by DFS over all simple paths of the 1-skeleton."""
     found = set()
@@ -453,6 +477,18 @@ def naive_is_m_located(X, m, sorted_dwheels=None):
                        "fits in no 1-ball",
                 m=m, dwheels=count)
     return passed("is_m_located", m=m, dwheels=count)
+
+
+def in_one_ball(X, vertex_set):
+    """The smallest vertex whose closed neighborhood contains the whole set,
+    or None.
+
+    The centers of a set are exactly the common members of the closed
+    neighborhoods ``N(a) | {a}`` of its vertices."""
+    balls = [X.neighbors(a) | {a} for a in vertex_set]
+    if not balls:
+        raise ValueError("empty vertex set")
+    return min(frozenset.intersection(*balls), default=None)
 
 
 def naive_four_wheel_free(X):
@@ -681,6 +717,14 @@ def naive_check_covering_map(f, cover, base, full_at=None):
                     raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
         if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
+
+
+def init_cover(X, base):
+    """Stage-1 state: the first expansion of stage 0.  Each neighbour z of
+    the base is its own class, and classes sort by z, so the ball is the
+    closed star of the base with sheet map ``(base,) + sorted N(base)``.
+    The input must be flag."""
+    return expand_ball(_base_state(X, base))
 
 
 def naive_cover_classes(state):

@@ -18,7 +18,6 @@ from combcurv import (
     check_projection_lemma,
     check_sd_prime,
     delta_four_point,
-    in_one_ball,
     is_5_6_star_sphere,
     is_flag,
     is_locally_k_large,
@@ -31,10 +30,9 @@ from combcurv.errors import NotPure
 from combcurv.formats import load_path
 from combcurv.generators import random_flag
 from combcurv.manifold import check_7cycle_fillings, check_sphere_cycle_lemma, check_wheel_in_link
-from combcurv.metric import interval_thinness
 
-from conftest import FIXTURE_DIR, dwheel_complex, gen
-from oracles import naive_delta, naive_four_wheel_free
+from conftest import FIXTURE_DIR, dwheel_complex, gen, thinness_from
+from oracles import in_one_ball, naive_delta, naive_four_wheel_free
 
 RESULTS = []
 
@@ -172,7 +170,7 @@ def test_08_sd_and_thinness_on_covers(hypothesis_covers):
             interior = report.state.interior_ids()
             # one call per first endpoint: the maximum over its later partners
             for i, u in enumerate(interior[:-1]):
-                thin, pair = interval_thinness(ball, u, *interior[i + 1:])
+                thin, pair = thinness_from(ball, u, *interior[i + 1:])
                 assert thin <= 2, (name, u, pair, thin)
 
 

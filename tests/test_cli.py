@@ -14,14 +14,13 @@ import pytest
 import combcurv
 from combcurv import manifold
 from combcurv.cli import HANDLERS, build_parser, main
-from combcurv.complexes import SimplicialComplex, is_full
 from combcurv.errors import PreconditionNotMet
 from combcurv.formats import dump_path, load_path
 from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
 from combcurv.verdicts import passed
 
-from conftest import gen, suspension
-from oracles import naive_link
+from conftest import complexes_built, gen, suspension
+from oracles import is_full, naive_link
 
 
 @pytest.fixture()
@@ -248,7 +247,7 @@ def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
     assert len(surface_checks) == 1
     bd4 = load_path(files["boundary_4_simplex"]).complex
     with pytest.raises(PreconditionNotMet) as exc:
-        manifold.check_sphere_cycle_lemma(bd4.link((0,))[0])
+        manifold.check_sphere_cycle_lemma(naive_link(bd4, (0,))[0])
     assert got[1]["detail"] == str(exc.value) == \
         "precondition not met: is_5_6_star_sphere (vertex 0 has degree 3)"
 
@@ -274,10 +273,11 @@ def cell600(tmp_path_factory):
 
 
 def test_links_reads_one_edge_link_pass(cell600, capsys, monkeypatch):
-    links = counted(monkeypatch, SimplicialComplex, "link")
+    built = complexes_built(monkeypatch)
     passes = counted(monkeypatch, manifold, "_edge_link_graphs")
     assert main(["--json", "links", cell600]) == 1
-    assert (len(links), len(passes)) == (0, 1)
+    # no complex is built but the input
+    assert ([Y.counts() for Y in built], len(passes)) == ([(120, 720, 1200, 600)], 1)
     capsys.readouterr()
     # every link is a sphere, so every verdict is timed on request
     assert main(["--json", "--timings", "links", cell600]) == 1
@@ -296,7 +296,7 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
     assert sorted(solid) == ["bd4", "bd4_pair", "bd4_pair_edge", "cell600", "glued_tetrahedra",
                              "mixed_star", "rf15_11", "rf15_12", "susp_pinched_octahedra",
                              "susp_torus44"]
-    links = counted(monkeypatch, SimplicialComplex, "link")
+    built = complexes_built(monkeypatch)
     for path in solid.values():
         assert main(["--json", "lemmas", str(path)]) == 1
     capsys.readouterr()
@@ -307,13 +307,15 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
         assert main(["--json", "lemmas", str(path)]) == 1
         last = json.loads(capsys.readouterr().out)["verdicts"][-1]
         assert last["witness"] == {"kind": "precondition"}, last
-    assert links == []
+    # no complex is built but the inputs
+    assert [Y.dimension() for Y in built] == [3] * (2 * len(solid))
     # a link that passes gets one run of the sphere lemmas, on its
     # 1-skeleton in the ids of the complex: no link complex is built
     monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
     lemma_runs = counted(monkeypatch, manifold, "_sphere_lemmas")
+    del built[:]
     assert main(["--json", "lemmas", str(solid["bd4"])]) == 0
-    assert links == []
+    assert [Y.dimension() for Y in built] == [3] + [1] * 5
     bd4 = load_path(solid["bd4"]).complex
     assert [(Y.vertices, Y.dimension()) for (Y,) in lemma_runs] == \
         [(tuple(sorted(bd4.neighbors(v))), 1) for v in bd4.vertices]
@@ -336,16 +338,82 @@ def naive_link_lemmas(X) -> list:
     return out
 
 
-def test_cli_reads_no_private_name_of_manifold():
-    # the link and lemma decisions stay behind the manifold module: the CLI
-    # reads only its public names
-    tree = ast.parse(Path(inspect.getsourcefile(main)).read_text())
-    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "manifold_mod"]
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and node.module == "manifold" for alias in node.names]
-    assert {"link_verdicts", "lemma_verdicts"} <= set(read)
-    assert [name for name in read + imported if name.startswith("_")] == []
+# the private names that one module may read of another, with the reason
+PRIVATE_READS_ALLOWED = {
+    "_span_faces": "check_covering_map compares the faces of a 1-ball span "
+                   "without building the span complex",
+    "_link_edges": "check_covering_map counts the link edges of a base vertex "
+                   "without the rank map of link_masks",
+}
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(sources):
+    """(module, name) for each private name a module reads of another one:
+    imported from it, read through a module alias, or read as an attribute
+    that only other modules define.  ``sources`` maps module names to code."""
+    trees = {mod: ast.parse(code) for mod, code in sources.items()}
+    defined = {}
+    for mod, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)  # __slots__ and object.__setattr__ names
+        defined[mod] = {name for name in names if is_private(name)}
+    found = []
+    for mod, tree in trees.items():
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("combcurv")):
+                if node.module is None or node.module == "combcurv":
+                    aliases.update(a.asname or a.name for a in node.names)
+                found += [(mod, a.name) for a in node.names if is_private(a.name)]
+        elsewhere = set().union(*(names for other, names in defined.items() if other != mod))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and is_private(node.attr) and (
+                    isinstance(node.value, ast.Name) and node.value.id in aliases
+                    or node.attr in elsewhere - defined[mod]):
+                found.append((mod, node.attr))
+    return found
+
+
+def package_sources():
+    return {path.stem: path.read_text() for path in
+            sorted(Path(inspect.getsourcefile(combcurv)).parent.glob("*.py"))}
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # one seam per module: a module reads only the public names of another,
+    # except the SimplicialComplex internals in the allowlist
+    sources = package_sources()
+    assert {"cli", "complexes", "cover", "curvature", "manifold", "metric"} <= set(sources)
+    found = private_reads(sources)
+    assert {name for _mod, name in found} == set(PRIVATE_READS_ALLOWED), found
+    assert {mod for mod, _name in found} == {"curvature"}
+    # the link and lemma decisions stay behind the manifold module
+    tree = ast.parse(sources["cli"])
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "manifold_mod"}
+    assert {"link_verdicts", "lemma_verdicts"} <= read
+    # the guard sees each kind of read
+    for mod, line, name in (("cli", "from .metric import _thinness", "_thinness"),
+                            ("cli", "cover_mod._verify_invariants(None)", "_verify_invariants"),
+                            ("cover", "print(X._adj)", "_adj"),
+                            ("manifold", "from combcurv.curvature import _wheels_by_length",
+                             "_wheels_by_length")):
+        mutated = dict(sources, **{mod: sources[mod] + "\n" + line + "\n"})
+        assert (mod, name) in private_reads(mutated), line
 
 
 def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatch):

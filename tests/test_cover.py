@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from combcurv import build_cover, cover, expand_ball, init_cover, metric, verify_equiv_shortcut
+from combcurv import build_cover, cover, expand_ball, metric, verify_equiv_shortcut
 from combcurv.complexes import SimplicialComplex, flag_completion
 from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
 from combcurv.curvature import is_locally_k_large, is_m_located
@@ -15,7 +15,7 @@ from combcurv.errors import HypothesisViolation, InvariantViolation, NotFlag, To
 from combcurv.metric import check_sd_prime
 
 from conftest import gen
-from oracles import naive_cover_classes, naive_span
+from oracles import init_cover, naive_cover_classes, naive_span
 
 # random_flag draws whose cover reports carry warnings
 WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
@@ -292,13 +292,15 @@ class TestDescentOncePerRadius:
 
     def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
         triangle_scans = counting(monkeypatch, metric, "_triangle_condition")
-        vertex_scans = counting(monkeypatch, cover, "_vertex_condition")
+        vertex_scans = counting(monkeypatch, cover, "vertex_condition")
         spans = counting(monkeypatch, SimplicialComplex, "span")
         span_faces = counting(monkeypatch, SimplicialComplex, "_span_faces")
+        # by (P) the birth layers are the base row, so no BFS runs
+        rows = counting(monkeypatch, metric, "distances_from")
         assert build_cover(surf37, 0, 5).passed
         assert triangle_scans == []
         assert [args[2] for args in vertex_scans] == [1, 2, 3, 4]
-        assert spans == [] and span_faces == []
+        assert spans == [] and span_faces == [] and rows == []
 
 
 class TestDescentLemmas:
@@ -323,7 +325,7 @@ class TestDescentLemmas:
                                 for c1, c2 in combinations(state.last_classes, 2))
                     t = metric._triangle_condition(ball, birth, i)
                     assert t.passed and t.stats == {"edges_checked": glued}
-                    v = metric._vertex_condition(ball, birth, i)
+                    v = metric.vertex_condition(ball, birth, i)
                     shortcut = verify_equiv_shortcut(state)
                     assert v.passed == shortcut.passed
                     assert v.stats["pairs_checked"] == shortcut.stats["pairs"]

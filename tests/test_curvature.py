@@ -15,7 +15,6 @@ from combcurv.curvature import (
     check_covering_map,
     check_covering_preservation,
     dwheels,
-    in_one_ball,
     is_k_large,
     is_locally_k_large,
     is_m_located,
@@ -25,6 +24,7 @@ from combcurv.errors import NotACovering
 from combcurv.verdicts import failed
 
 from conftest import (
+    complexes_built,
     cone,
     dwheel_complex,
     gen,
@@ -33,6 +33,7 @@ from conftest import (
     two_cycles_cone,
 )
 from oracles import (
+    in_one_ball,
     naive_check_covering_map,
     naive_dwheels,
     naive_flag_witness,
@@ -40,6 +41,7 @@ from oracles import (
     naive_is_k_large,
     naive_is_locally_k_large,
     naive_is_m_located,
+    naive_link,
     naive_link_graph,
     naive_sorted_dwheels,
     naive_wheels,
@@ -151,17 +153,14 @@ class TestLocallyLarge:
 
     def test_builds_vertex_links_only(self, gs2, monkeypatch):
         # each vertex link is read once, as bitmasks; no link complex is built
-        built, masks = [], []
+        masks = []
         link_masks = SimplicialComplex.link_masks
-
-        def counting_link(X, sigma):
-            built.append(tuple(sigma))
 
         def counting_link_masks(X, v):
             masks.append(v)
             return link_masks(X, v)
 
-        monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+        built = complexes_built(monkeypatch)
         monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
         verdict = is_locally_k_large(gs2, 5)
         assert verdict.passed
@@ -296,7 +295,7 @@ class TestWheels:
     def test_chord_checks_only_the_rims_in_range(self, monkeypatch):
         # shorter link cycles are grown through but never chord-checked
         X = gen("random_flag", 30, 0.3, 1)
-        links = [X.link((v,))[0] for v in X.vertices]
+        links = [naive_link(X, (v,))[0] for v in X.vertices]
         shorter = sum(len(full_cycles(link, 4, 4)) for link in links)
         in_range = sum(len(full_cycles(link, 5, 6)) for link in links)
         calls = 0
@@ -331,7 +330,7 @@ class TestWheels:
             # filter; their order across centers is the callers' concern
             by_length = {4: [], 5: []}
             for v in X.vertices:
-                link, vmap = X.link((v,))
+                link, vmap = naive_link(X, (v,))
                 for c in full_cycles(link, 4, 5):
                     rim = tuple(vmap[u] for u in c.vertices)
                     by_length[len(rim)].append((v, rim))
@@ -390,7 +389,7 @@ class TestDWheels:
         for X in non_flag:
             found += len(dwheels(X, 8))
             for v in X.vertices:
-                link, vmap = X.link((v,))
+                link, vmap = naive_link(X, (v,))
                 chorded += sum(bool(chords(X, [vmap[u] for u in c.vertices]))
                                for c in full_cycles(link, 4, 8))
         # the random inputs exercise both junction kinds
@@ -472,7 +471,7 @@ class TestDWheelStream:
                       ((12, 0.45, 25), 6))
 
     def test_stops_at_first_unlocated_dwheel_on_600_cell(self, monkeypatch):
-        calls = {"DWheel": 0, "in_one_ball": 0}
+        calls = {"DWheel": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -486,8 +485,24 @@ class TestDWheelStream:
         # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
         # edge dwheels of boundary 7, comes right after 7 200 identified
         # ones.  Location is decided per group on the free arcs, so only
-        # the witness is built as a DWheel, and no dwheel runs in_one_ball.
-        assert calls == {"DWheel": 1, "in_one_ball": 0}, calls
+        # the witness is built as a DWheel.
+        assert calls == {"DWheel": 1}, calls
+
+    def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37, monkeypatch):
+        # every rim of surf37 has length 7, so each bucket up to boundary 8
+        # finds no wheels of its shorter rim length l <= 6 and never draws
+        # the lengths 7 and 8 of its longer rim
+        drawn, real = [], curvature._wheels_by_length
+
+        def recording(X, k_max):
+            for k, found in real(X, k_max):
+                drawn.append(k)
+                yield k, found
+
+        monkeypatch.setattr(curvature, "_wheels_by_length", recording)
+        verdict = is_m_located(surf37, 8)
+        assert verdict.passed and verdict.stats["dwheels"] == 0
+        assert drawn == [4, 5, 6]
 
     def cases(self, icosa, disk37, surf37):
         yield icosa, 8
@@ -526,7 +541,7 @@ class TestDWheelStream:
                 if got["status"] == "pass":
                     outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
                     # the kernel's types are those of the referee's dwheels
-                    verdict, types = curvature._locate(X, m)
+                    verdict, types = curvature.locate_on_flag(X, m)
                     mine = [d for d in ref if d.boundary_length <= m]
                     assert verdict.to_json() == got, (X.name, m)
                     assert types == {d.type for d in mine}, (X.name, m)
@@ -641,7 +656,7 @@ class TestMLocation:
         # 5-cycles are built, not all 6 240 rims up to 8; X is flag, so a
         # link-chordless rim is chordless in X and none is chord-checked.
         # The rims grow on link graphs, so no link complex is built either.
-        calls = {"chords": 0, "link": 0}
+        calls = {"chords": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -649,11 +664,11 @@ class TestMLocation:
                 return fn(*args, **kwargs)
             return wrapper
 
+        X = gen("cell600")
         monkeypatch.setattr(curvature, "chords", counted("chords", curvature.chords))
-        monkeypatch.setattr(SimplicialComplex, "link",
-                            counted("link", SimplicialComplex.link))
-        assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
-        assert calls == {"chords": 0, "link": 0}, calls
+        built = complexes_built(monkeypatch)
+        assert is_m_located(X, 8).to_json() == CELL600_M8
+        assert calls == {"chords": 0} and built == [], calls
 
     def test_vacuity_on_locally_7_large(self, disk37, surf37):
         for X in (disk37, surf37):
@@ -697,18 +712,29 @@ class TestCoveringPreservation:
         state = build_cover(surf37, 0, 3).state
         args = state.sheet_map, state.ball, surf37, 8, 5
         assert check_covering_preservation(*args).passed
-        for name, what in (("is_m_located", "8-located"),
+        for name, what in (("locate_on_flag", "8-located"),
                            ("is_locally_k_large", "locally 5-large")):
             real, witness = getattr(curvature, name), {"kind": "patched", "check": name}
             detail = f"base is {what} but the cover is not"
 
             def on_ball_only(X, arg, _real=real, _name=name, _witness=witness):
-                return failed(_name, _witness) if X is state.ball else _real(X, arg)
+                if X is not state.ball:
+                    return _real(X, arg)
+                # the location kernel also returns the dwheel types
+                return (failed(_name, _witness), set()) if _name == "locate_on_flag" \
+                    else failed(_name, _witness)
 
             monkeypatch.setattr(curvature, name, on_ball_only)
             verdict = check_covering_preservation(*args)
             assert not verdict.passed and verdict.detail == detail and verdict.witness == witness
             monkeypatch.setattr(curvature, name, real)
+
+    def test_one_flag_test_per_complex(self, icosa, monkeypatch):
+        # the covering check and both location verdicts share the flag tests
+        calls, real = [], curvature.is_flag
+        monkeypatch.setattr(curvature, "is_flag", lambda X: calls.append(X) or real(X))
+        assert check_covering_preservation(tuple(range(12)), icosa, icosa, 8, 5).passed
+        assert len(calls) == 2
 
     def test_full_subcomplex_inclusion_is_a_weak_covering(self, octa):
         # the equator is a full subcomplex, so its inclusion does satisfy
@@ -870,7 +896,7 @@ class TestCoveringMapOracle:
                 ball = state.ball
                 del reads[:]
                 got = covering_outcome(
-                    lambda *args, full_at: curvature._check_covering_map(*args, full_at, (1,)),
+                    lambda *args, full_at: check_covering_map(*args, full_at, edges_decide=True),
                     state.sheet_map, ball, X, state.interior_ids())
                 scanned = sum(Y is ball for Y, _ in reads)
                 assert scanned < len(ball.vertices)

@@ -31,6 +31,7 @@ from combcurv.verdicts import failed, passed
 from conftest import (
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
+    complexes_built,
     cone,
     dwheel_complex,
     gen,
@@ -157,25 +158,17 @@ class TestValidate:
 
     def test_no_link_complex_once_the_edge_links_are_cycles(self, bd4, monkeypatch):
         inputs = vertex_stage_inputs(bd4)
-        calls = {"link": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(SimplicialComplex, "link",
-                            counted("link", SimplicialComplex.link))
-        for X in (gen("cell600"), bd4):
+        cell = gen("cell600")
+        built = complexes_built(monkeypatch)
+        for X in (cell, bd4):
             assert validate_closed_3manifold(X).is_closed_manifold
         # nor when an edge link is no cycle, or a triangle not on two tetrahedra
         for X in inputs:
             validate_closed_3manifold(X)
-        assert calls == {"link": 0}
-        # the counter sees a link built
-        bd4.link((0,))
-        assert calls == {"link": 1}, calls
+        assert built == []
+        # the recorder sees a link built
+        naive_link(bd4, (0,))
+        assert len(built) == 1
 
 
 def link_stage_inputs(bd4):
@@ -217,7 +210,7 @@ def surface_test_inputs(bd4):
     seeded soups of triangles with some edges, vertices and tetrahedra."""
     inputs = [gen("geodesic_sphere", 2), gen("tri_torus", 4, 4), pinched_octahedra(),
               pinched_pair(BIPYRAMID, (0, 4)), bd4, build_complex([])]
-    inputs += [X.link((v,))[0] for X in vertex_stage_inputs(bd4) for v in X.vertices]
+    inputs += [naive_link(X, (v,))[0] for X in vertex_stage_inputs(bd4) for v in X.vertices]
     rng = random.Random(1402)
     for _ in range(200):
         ids = rng.sample(range(12), rng.randint(4, 9))
@@ -415,7 +408,7 @@ class TestCycleLemma:
         # every chordless 5- and 6-cycle of each closed sphere, one at a time
         cell = gen("cell600")
         spheres = [gen("geodesic_sphere", 1), gs2, gs3, gen("geodesic_sphere", 4),
-                   build_complex(TWO_DISKS)] + [cell.link((v,))[0] for v in cell.vertices]
+                   build_complex(TWO_DISKS)] + [naive_link(cell, (v,))[0] for v in cell.vertices]
         outcomes = Counter()
         for Y in spheres:
             is_5_6_star_sphere(Y)  # raises unless Y is a closed 2-sphere
@@ -680,7 +673,7 @@ class TestTheoremBStages:
     def calls(self, monkeypatch):
         """The later stages' checks, by name, in the order they are called."""
         names = []
-        for name in ("is_flag", "is_locally_k_large", "_locate"):
+        for name in ("is_flag", "is_locally_k_large", "locate_on_flag"):
             def spy(*args, _name=name, _fn=getattr(manifold, name)):
                 names.append(_name)
                 return _fn(*args)
@@ -700,11 +693,11 @@ class TestTheoremBStages:
             (icosa, theorem_b_fail("8_located",
                                    "(5,5)-dwheel of boundary length 6 fits in no 1-ball",
                                    UNLOCATED_ICOSA),
-             ["is_flag", "is_locally_k_large", "_locate"]),
+             ["is_flag", "is_locally_k_large", "locate_on_flag"]),
             (gen("cell600"), theorem_b_fail("8_located",
                                             "(5,5)-dwheel of boundary length 7 fits in no 1-ball",
                                             UNLOCATED_CELL600),
-             ["is_flag", "is_locally_k_large", "_locate"]),
+             ["is_flag", "is_locally_k_large", "locate_on_flag"]),
         ]
         for X, expected, called in cases:
             calls.clear()
@@ -716,7 +709,7 @@ class TestTheoremBStages:
         assert verify_theorem_b(surf37).to_json() == {
             "check": "theorem_b", "status": "pass", "detail": "all stages passed",
             "witness": None, "stats": {"dwheel_types": [], "dwheels": 0}}
-        assert calls == ["is_flag", "is_locally_k_large", "_locate"]
+        assert calls == ["is_flag", "is_locally_k_large", "locate_on_flag"]
 
     def test_dwheel_census(self, all_pass):
         # the cones over the identified dwheels of the allowed types are

@@ -22,12 +22,11 @@ from combcurv.metric import (
     distance,
     distances_from,
     interval,
-    interval_thinness,
     sphere,
 )
 from combcurv.verdicts import passed
 
-from conftest import gen
+from conftest import gen, thinness_from
 from oracles import (
     floyd_warshall,
     naive_check_sd_prime,
@@ -131,7 +130,7 @@ class TestInterval:
             with pytest.raises(ValueError, match=f"vertex {o2} not in complex"):
                 interval(X, 0, o2)
             with pytest.raises(ValueError, match=f"vertex {o2} not in complex"):
-                interval_thinness(X, 0, 1, o2)
+                thinness_from(X, 0, 1, o2)
 
     def test_one_bfs_from_the_first_endpoint(self, octa, torus66, monkeypatch):
         bases = count_bfs(monkeypatch)
@@ -145,17 +144,17 @@ class TestInterval:
 class TestThinness:
     def test_path_is_zero_thin(self):
         X = path_complex(5)
-        assert interval_thinness(X, 0, 5)[0] == 0
+        assert thinness_from(X, 0, 5)[0] == 0
 
     def test_octahedron_antipodal_is_2_thin(self, octa):
-        thin, pair = interval_thinness(octa, 0, 5)
+        thin, pair = thinness_from(octa, 0, 5)
         assert thin == 2
         u, v = pair
         assert distance(octa, u, v) == 2
 
     def test_icosahedron_at_most_2(self, icosa):
         for o2 in icosa.vertices[1:]:
-            assert interval_thinness(icosa, 0, o2)[0] <= 2
+            assert thinness_from(icosa, 0, o2)[0] <= 2
 
     def test_interval_endpoints(self, octa, icosa):
         for X in (octa, icosa):
@@ -176,7 +175,7 @@ class TestThinness:
             d = distances_from(X, base)
             for v in X.vertices:
                 if 0 < d[v] <= n:
-                    assert interval_thinness(X, base, v)[0] <= 2, (X.name, v)
+                    assert thinness_from(X, base, v)[0] <= 2, (X.name, v)
 
 
 class TestThinnessOracle:
@@ -193,7 +192,7 @@ class TestThinnessOracle:
                 best, ties = got, 0
             elif got[0] == best[0] and got[1] is not None:
                 ties += 1
-        assert interval_thinness(X, o, *targets) == best
+        assert thinness_from(X, o, *targets) == best
         return best[0], ties
 
     @pytest.mark.parametrize("name,radius,thin", [
@@ -229,25 +228,25 @@ class TestThinnessOracle:
     def test_deep_layers(self):
         # the searches of the wide middle layers resume across many pairs
         X = gen("tri_torus", 12, 12)
-        assert interval_thinness(X, 0, *X.vertices[1:]) == (8, (4, 48))
+        assert thinness_from(X, 0, *X.vertices[1:]) == (8, (4, 48))
         assert self.per_target(X, 0, X.vertices[1:]) == (8, 1)
         targets = random.Random(0).sample(X.vertices[1:], 48)
         assert self.per_target(X, 0, targets)[0] == 8
 
     def test_no_targets_and_disconnected(self):
         X = build_complex([[0, 1], [2, 3]])
-        assert interval_thinness(X, 0) == (0, None)
+        assert thinness_from(X, 0) == (0, None)
         with pytest.raises(DisconnectedError):
-            interval_thinness(X, 0, 1, 3)
+            thinness_from(X, 0, 1, 3)
 
     def test_rows_only_for_the_base_and_shared_layers(self, torus66, monkeypatch):
         # shared layers run no full row: their pair distances come from
         # searches stopped at the queried vertex
         bases = count_bfs(monkeypatch)
-        assert interval_thinness(path_complex(6), 0, 6, 3) == (0, None)
+        assert thinness_from(path_complex(6), 0, 6, 3) == (0, None)
         assert bases == [0]
         bases.clear()
-        assert interval_thinness(torus66, 0, *torus66.vertices[1:]) == (4, (2, 12))
+        assert thinness_from(torus66, 0, *torus66.vertices[1:]) == (4, (2, 12))
         assert bases == [0]
 
     def test_cover_build_rows(self, surf37, monkeypatch):
@@ -265,7 +264,7 @@ class TestThinnessOracle:
         assert main(["--json", "metric", "--base", "0", "--other", "16", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert bases.count(0) == 1 and len(set(bases)) == len(bases), bases
-        thin, pair = interval_thinness(torus66, 0, 16)
+        thin, pair = thinness_from(torus66, 0, 16)
         assert (doc["thinness"], doc["thinness_pair"]) == (thin, list(pair))
         assert doc["layers"] == [sorted(layer) for layer in interval(torus66, 0, 16).layers]
 

@@ -17,7 +17,8 @@ hashes its error type and message.
 Corpus: the named generators, the degree-7 surface and disk fixtures, the
 cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
 (7, 5), which are 8-located with two dwheels each, the vertex links of the
-600-cell and 1000 seeded ``random_flag`` draws.
+600-cell (built by the test referee ``oracles.naive_link``) and 1000 seeded
+``random_flag`` draws.
 
 Run from the repository root:  python3 tools/local_digest.py
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
 from combcurv.curvature import dwheels, is_locally_k_large, is_m_located, wheels  # noqa: E402
@@ -41,6 +43,7 @@ from combcurv.manifold import (  # noqa: E402
     check_sphere_cycle_lemma,
     is_5_6_star_sphere,
 )
+from oracles import naive_link  # noqa: E402
 
 NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
          ("octahedron", ()), ("icosahedron", ()), ("boundary_4_simplex", ()),
@@ -74,7 +77,7 @@ def complexes():
         yield f"cone({k},{l})", located_cone(k, l)
     cell = generate(GeneratorSpec("cell600", ()))
     for v in cell.vertices:
-        yield f"cell600 link {v}", cell.link((v,))[0]
+        yield f"cell600 link {v}", naive_link(cell, (v,))[0]
     rng = random.Random(2013)
     for _ in range(DRAWS):
         params = (rng.randint(8, 20), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10_000))
