@@ -8,7 +8,10 @@ construction), ``links``, ``lemmas``, ``theorem-b`` and ``gen``.
 Exit codes: 0 all checks passed, 1 some check failed (witness in the
 report), 2 usage or input error, 3 internal error (one stderr line, no
 traceback).  ``--json`` emits the machine-readable report on standard
-output; progress goes to standard error.
+output; progress goes to standard error.  With ``--json --timings`` the
+report gains a ``timings`` object: the wall time in ms of ``load`` (reading
+the input) and then of each library call the command makes, by function
+name, in call order.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import cover as cover_mod
 from . import manifold as manifold_mod
@@ -32,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combcurv",
                                 description="curvature checkers for simplicial complexes")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--timings", action="store_true", help="include elapsed times in JSON")
+    p.add_argument("--timings", action="store_true", help="add the wall time of each call to JSON")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="closed-3-manifold and edge-degree checks")
@@ -81,18 +85,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path) -> SimplicialComplex:
+def _call(args, fn, *fargs, **kwargs):
+    """``fn(*fargs, **kwargs)``, its wall time in ms kept in ``args.spent``
+    under the name of ``fn``."""
+    start = time.perf_counter()
+    try:
+        return fn(*fargs, **kwargs)
+    finally:
+        args.spent[fn.__name__] = round((time.perf_counter() - start) * 1000, 3)
+
+
+def load(path) -> SimplicialComplex:
     return load_path(path).complex
+
+
+def _load(args) -> SimplicialComplex:
+    return _call(args, load, args.path)
+
+
+def _print_json(args, doc):
+    if args.timings:
+        doc["timings"] = args.spent
+    print(json.dumps(doc, indent=2))
 
 
 def _emit(args, command, verdicts, extra=None):
     code = 0 if all(v.passed for v in verdicts) else 1
     if args.json:
-        doc = {"command": command,
-               "verdicts": [v.to_json(args.timings) for v in verdicts]}
+        doc = {"command": command, "verdicts": [v.to_json() for v in verdicts]}
         if extra:
             doc.update(extra)
-        print(json.dumps(doc, indent=2))
+        _print_json(args, doc)
     else:
         for v in verdicts:
             line = f"[{v.status}] {v.check}"
@@ -103,29 +126,29 @@ def _emit(args, command, verdicts, extra=None):
 
 
 def cmd_validate(args):
-    X = _load(args.path)
+    X = _load(args)
     try:
-        report = manifold_mod.validate_closed_3manifold(X)
+        report = _call(args, manifold_mod.validate_closed_3manifold, X)
     except NotPure as exc:
         return _emit(args, "validate", [failed("validate", {"kind": "not_pure"}, detail=str(exc))])
     verdicts = [report.is_pseudomanifold, report.edge_link_cycles,
                 report.vertex_links_spheres, report.five_six_star]
     return _emit(args, "validate", verdicts,
-                 extra={"report": report.to_json(args.timings)})
+                 extra={"report": report.to_json()})
 
 
 def cmd_check(args):
-    X = _load(args.path)
+    X = _load(args)
     verdicts = []
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
-        verdicts.append(is_flag(X))
+        verdicts.append(_call(args, is_flag, X))
     if args.k is not None:
-        verdicts.append(is_locally_k_large(X, args.k))
+        verdicts.append(_call(args, is_locally_k_large, X, args.k))
     if args.m is not None:
-        verdicts.append(is_m_located(X, args.m))
+        verdicts.append(_call(args, is_m_located, X, args.m))
     if args.sphere_56:
         try:
-            verdicts.append(manifold_mod.is_5_6_star_sphere(X))
+            verdicts.append(_call(args, manifold_mod.is_5_6_star_sphere, X))
         except NotASphere as exc:
             verdicts.append(failed("is_5_6_star_sphere", {"kind": "not_a_sphere"},
                                    detail=str(exc)))
@@ -135,11 +158,11 @@ def cmd_check(args):
 def cmd_sd(args):
     if args.n < 1:
         raise ValueError("--n must be at least 1")
-    X = _load(args.path)
-    report = check_sd_prime(X, args.base, args.n)
+    X = _load(args)
+    report = _call(args, check_sd_prime, X, args.base, args.n)
     code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps({"command": "sd", "report": report.to_json()}, indent=2))
+        _print_json(args, {"command": "sd", "report": report.to_json()})
     else:
         print(f"[{'pass' if report.passed else 'fail'}] sd_prime base={args.base} n={args.n}")
         if not report.passed:
@@ -151,15 +174,15 @@ def cmd_metric(args):
     if (args.base is None) != (args.other is None):
         missing = "--other" if args.other is None else "--base"
         raise ValueError(f"metric: {missing} is missing (--base and --other go together)")
-    X = _load(args.path)
+    X = _load(args)
     out = {}
     if args.delta:
-        out["delta"] = delta_four_point(X, cap=args.delta_cap)
+        out["delta"] = _call(args, delta_four_point, X, cap=args.delta_cap)
     if args.base is not None:
-        itv = interval(X, args.base, args.other)
+        itv = _call(args, interval, X, args.base, args.other)
         out["distance"] = itv.n
         out["layers"] = [sorted(layer) for layer in itv.layers]
-        thin, pair = interval_thinness(X, out["layers"])
+        thin, pair = _call(args, interval_thinness, X, out["layers"])
         out["thinness"] = thin
         out["thinness_pair"] = list(pair) if pair else None
     if not out:
@@ -170,7 +193,7 @@ def cmd_metric(args):
         doc = dict(out)
         if "delta" in doc:
             doc["delta"] = str(doc["delta"])
-        print(json.dumps({"command": "metric", **doc}, indent=2))
+        _print_json(args, {"command": "metric", **doc})
     else:
         for k, v in out.items():
             print(f"{k}: {v}")
@@ -178,11 +201,10 @@ def cmd_metric(args):
 
 
 def cmd_cover(args):
-    X = _load(args.path)
+    X = _load(args)
     print(f"building cover ball of radius {args.radius} ...", file=sys.stderr)
-    report = cover_mod.build_cover(X, args.base, args.radius,
-                                   stage_limit=args.stage_limit,
-                                   vertex_limit=args.vertex_limit)
+    report = _call(args, cover_mod.build_cover, X, args.base, args.radius,
+                   stage_limit=args.stage_limit, vertex_limit=args.vertex_limit)
     for (stage, nv, ne, fresh) in report.stage_stats:
         print(f"  stage {stage}: {nv} vertices, {ne} edges (+{fresh} classes)",
               file=sys.stderr)
@@ -191,8 +213,7 @@ def cmd_cover(args):
             json.dump(report.state.to_json(), fh, indent=2)
     code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps({"command": "cover", "report": report.to_json(args.timings)},
-                         indent=2))
+        _print_json(args, {"command": "cover", "report": report.to_json()})
     else:
         print(f"[{'pass' if report.passed else 'fail'}] cover "
               f"radius={args.radius} vertices={report.state.ball.vertex_count} "
@@ -203,16 +224,15 @@ def cmd_cover(args):
 
 
 def cmd_links(args):
-    return _emit(args, "links", manifold_mod.link_verdicts(_load(args.path)))
+    return _emit(args, "links", _call(args, manifold_mod.link_verdicts, _load(args)))
 
 
 def cmd_lemmas(args):
-    return _emit(args, "lemmas", manifold_mod.lemma_verdicts(_load(args.path)))
+    return _emit(args, "lemmas", _call(args, manifold_mod.lemma_verdicts, _load(args)))
 
 
 def cmd_theorem_b(args):
-    X = _load(args.path)
-    return _emit(args, "theorem-b", [manifold_mod.verify_theorem_b(X)])
+    return _emit(args, "theorem-b", [_call(args, manifold_mod.verify_theorem_b, _load(args))])
 
 
 def cmd_gen(args):
@@ -241,6 +261,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.spent = {}
     try:
         return HANDLERS[args.command](args)
     except (CombCurvError, OSError, ValueError) as exc:

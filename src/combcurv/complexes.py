@@ -108,10 +108,6 @@ class SimplicialComplex:
     def __setattr__(self, *args):
         raise AttributeError("SimplicialComplex is immutable")
 
-    def __reduce__(self):
-        return (SimplicialComplex,
-                (self.vertex_count, {d: self._faces[d] for d in range(MAX_DIM + 1)}, self.name))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -175,9 +171,6 @@ class SimplicialComplex:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
         return self.vertex_count == other.vertex_count and self._faces == other._faces
-
-    def __hash__(self):
-        return hash((self.vertex_count, tuple(self._faces[d] for d in range(MAX_DIM + 1))))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

@@ -26,8 +26,10 @@ invariants are verified once per stage:
         The birth layers are its base row, so no stage runs a BFS.  (T) and
         (V) at radius i read only the ball of radius i + 1, and by (P) the
         previous ball is the induced ball one radius down, so its results
-        at the lower radii carry over.  At the newest radius i the
-        expansion decides (T) and reduces (V) to the shortcut test:
+        at the lower radii carry over.  Stage 0 carries the empty report,
+        so each radius is read once, at the stage that adds it.  At the
+        newest radius i the expansion decides (T) and reduces (V) to the
+        shortcut test:
         - (T) holds by construction.  The vertices at distance i + 1 are
           the new classes, so an edge inside that sphere joins two
           classes, and the expansion adds it only when they share a base
@@ -91,7 +93,7 @@ from typing import ClassVar, Optional
 from .complexes import SimplicialComplex, flag_completion, is_flag
 from .curvature import check_covering_map, is_locally_k_large, is_m_located
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
-from .metric import SDReport, check_sd_prime, geodesic_layers, interval_thinness, vertex_condition
+from .metric import SDReport, geodesic_layers, interval_thinness, vertex_condition
 from .verdicts import Verdict, failed, passed
 
 DEFAULT_STAGE_LIMIT = 10
@@ -123,8 +125,8 @@ class CoverState:
     determine it, and every induced ball of it too.
     ``sd`` and ``covering`` are this stage's (Q) report and (R) verdict;
     a new stage carries the previous report until its own is verified,
-    which adds the newest radius to the carried ones (a state with no
-    report scans the lower radii).
+    which adds the newest radius to the carried ones.  Stage 0 holds the
+    empty report (``max_radius`` -1) and no verdict.
     (P) is a lemma of the expansion (see the module docstring), so no
     earlier ball is kept; a violation names 'Q' or 'R'.  Whether the target
     meets the entry hypotheses is not stored: it is read only when an
@@ -137,9 +139,9 @@ class CoverState:
     sheet_map: tuple
     target: SimplicialComplex
     birth: tuple
+    sd: SDReport
     last_classes: tuple = ()
     warnings: tuple = ()
-    sd: Optional[SDReport] = None
     covering: Optional[Verdict] = None
 
     def sphere_ids(self, radius: int) -> list:
@@ -177,7 +179,7 @@ def _verify_invariants(state: CoverState):
     # the lower radii.  At the newest radius the expansion makes (T) hold
     # on every edge of the newest sphere, and only (V) is scanned.
     birth, i = state.birth, state.stage - 1
-    results = dict((state.sd or check_sd_prime(ball, state.base, i - 1, birth)).results)
+    results = dict(state.sd.results)
     if i > 0:
         sphere_edges = sum(birth[u] == birth[v] == i + 1 for (u, v) in ball.simplices(1))
         results[i] = passed("sd_T", edges_checked=sphere_edges), vertex_condition(ball, birth, i)
@@ -224,7 +226,8 @@ def _base_state(X: SimplicialComplex, base: int) -> CoverState:
     if not fv.passed:
         raise NotFlag(f"cover construction needs a flag complex: {fv.detail}")
     return CoverState(stage=0, ball=flag_completion(1, (), name="cover_ball_stage_0"),
-                      sheet_map=(base,), target=X, birth=(0,))
+                      sheet_map=(base,), target=X, birth=(0,),
+                      sd=SDReport(base=0, max_radius=-1))
 
 
 def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> CoverState:
@@ -346,16 +349,16 @@ class CoverReport:
         return (self.sd.passed and self.covering.passed and self.shortcut.passed
                 and not self.state.warnings)
 
-    def to_json(self, with_timings: bool = False):
+    def to_json(self):
         return {
             "check": "build_cover",
             "status": "pass" if self.passed else "fail",
             "stage_stats": [list(s) for s in self.stage_stats],
             "sd": self.sd.to_json(),
-            "covering": self.covering.to_json(with_timings),
-            "shortcut": self.shortcut.to_json(with_timings),
-            "interior_located": self.interior_located.to_json(with_timings),
-            "interior_large": self.interior_large.to_json(with_timings),
+            "covering": self.covering.to_json(),
+            "shortcut": self.shortcut.to_json(),
+            "interior_located": self.interior_located.to_json(),
+            "interior_large": self.interior_large.to_json(),
             "max_interior_thinness": self.max_interior_thinness,
             "fibers": {str(k): v for k, v in sorted(self.state.fibers().items())},
             "warnings": [str(w) for w in self.state.warnings],

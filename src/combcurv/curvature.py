@@ -25,7 +25,7 @@ from .complexes import (
     mask_edges,
 )
 from .errors import NotACovering
-from .verdicts import Verdict, failed, passed, timed
+from .verdicts import Verdict, failed, passed
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class DWheel:
 # -- largeness ---------------------------------------------------------------
 
 
-@timed
 def is_k_large(X: SimplicialComplex, k: int) -> Verdict:
     """Flag and no chordless j-cycle for j < k.
 
@@ -157,7 +156,6 @@ def is_k_large(X: SimplicialComplex, k: int) -> Verdict:
     return passed("is_k_large", k=k)
 
 
-@timed
 def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     """Every link (of every simplex) is k-large, read off the vertex links.
 
@@ -408,7 +406,6 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
     return sorted(frozenset.intersection(*map(X.neighbors, vs)).union(vs))
 
 
-@timed
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
@@ -565,7 +562,6 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 
 
-@timed
 def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialComplex,
                                 m: int, k: int) -> Verdict:
     """Metamorphic contract: a covering of an m-located (locally k-large)

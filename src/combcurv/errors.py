@@ -13,10 +13,6 @@ class DuplicateVertexInSimplex(CombCurvError):
     """An input simplex repeats a vertex."""
 
 
-class SimplexNotPresent(CombCurvError):
-    """A queried simplex is not stored in the complex."""
-
-
 class BoundExceeded(CombCurvError):
     """A requested enumeration range exceeds the configured safety cap."""
 

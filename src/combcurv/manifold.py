@@ -24,7 +24,7 @@ from typing import Optional
 from .complexes import SimplicialComplex, build_complex, full_cycles, is_flag
 from .curvature import is_locally_k_large, locate_on_flag, wheels
 from .errors import CombCurvError, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
-from .verdicts import Verdict, failed, passed, timed
+from .verdicts import Verdict, failed, passed
 
 ALLOWED_DWHEEL_TYPES = {(5, 5), (6, 5), (6, 6), (7, 5)}
 
@@ -48,21 +48,20 @@ class ManifoldReport:
     def passed(self) -> bool:
         return self.is_closed_manifold and self.five_six_star.passed
 
-    def to_json(self, with_timings: bool = False):
+    def to_json(self):
         return {
             "check": "validate_closed_3manifold",
             "status": "pass" if self.passed else "fail",
             "stages": {
-                "pseudomanifold": self.is_pseudomanifold.to_json(with_timings),
-                "edge_link_cycles": self.edge_link_cycles.to_json(with_timings),
-                "vertex_links_spheres": self.vertex_links_spheres.to_json(with_timings),
-                "five_six_star": self.five_six_star.to_json(with_timings),
+                "pseudomanifold": self.is_pseudomanifold.to_json(),
+                "edge_link_cycles": self.edge_link_cycles.to_json(),
+                "vertex_links_spheres": self.vertex_links_spheres.to_json(),
+                "five_six_star": self.five_six_star.to_json(),
             },
             "edge_degrees": {f"{u}-{v}": d for (u, v), d in sorted(self.edge_degrees.items())},
         }
 
 
-@timed
 def five_six_star_verdict(X: SimplicialComplex, degrees: Optional[dict] = None) -> Verdict:
     """Every edge degree in {5, 6} and at most one degree-5 edge per triangle.
     The degrees are read off :func:`_edge_link_graphs` unless given."""
@@ -233,7 +232,6 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     )
 
 
-@timed
 def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     """Degrees all 5 or 6 and no two degree-5 vertices adjacent.
 
@@ -247,7 +245,6 @@ def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     return _star_sphere({u: _vertex_link(Y, u, links)[0] for u in Y.vertices}, lambda u: u)
 
 
-@timed
 def _link_verdict(X: SimplicialComplex, v: int, links: dict) -> Verdict:
     """:func:`is_5_6_star_sphere` of the link of ``v``, read off the edge
     links ``links`` of :func:`_edge_link_graphs`, with link vertices named
@@ -443,7 +440,6 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     return _sphere_cycle_lemma(Y, full_cycles(Y, 4, 6))
 
 
-@timed
 def _sphere_cycle_lemma(Y: SimplicialComplex, cycles: list) -> Verdict:
     """:func:`check_sphere_cycle_lemma` on ``cycles``, the chordless 4- to
     6-cycles of ``Y`` in ``full_cycles`` order, where the caller has found
@@ -477,7 +473,6 @@ def check_7cycle_fillings(Y: SimplicialComplex) -> Verdict:
     return _seven_cycle_fillings(Y, full_cycles(Y, 7, 7))
 
 
-@timed
 def _seven_cycle_fillings(Y: SimplicialComplex, sevens: list) -> Verdict:
     """:func:`check_7cycle_fillings` on ``sevens``, the chordless 7-cycles
     of ``Y``."""
@@ -490,7 +485,6 @@ def _seven_cycle_fillings(Y: SimplicialComplex, sevens: list) -> Verdict:
     return passed("seven_cycle_fillings", cycles=len(sevens))
 
 
-@timed
 def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
     """Every 5- and 6-wheel lies inside the link of some vertex outside it."""
     v56 = five_six_star_verdict(X)
@@ -529,7 +523,6 @@ def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
     yield "8_located", located
 
 
-@timed
 def verify_theorem_b(X: SimplicialComplex) -> Verdict:
     """Full pipeline: manifold validation, edge-degree condition, flagness,
     local 5-largeness and 8-location; a pass reports the types and the

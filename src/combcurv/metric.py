@@ -18,7 +18,7 @@ from itertools import combinations
 from .complexes import SimplicialComplex
 from .curvature import is_locally_k_large, is_m_located
 from .errors import DisconnectedError, PreconditionNotMet, TooLarge
-from .verdicts import Verdict, failed, passed, timed
+from .verdicts import Verdict, failed, passed
 
 INF = float("inf")
 
@@ -135,8 +135,7 @@ class SDReport:
     """Per-radius outcome of the descent conditions around a base vertex.
 
     ``results[i]`` holds the verdicts of the triangle condition (T) and the
-    vertex condition (V) at radius i, for i = 1..max_radius.  Neither
-    condition is timed, so the JSON form has no timings to include.
+    vertex condition (V) at radius i, for i = 1..max_radius.
     """
 
     base: int
@@ -219,10 +218,9 @@ def check_sd_prime(X: SimplicialComplex, o: int, n: int, dist=None) -> SDReport:
     """Descent property around ``o`` up to radius ``n``: conditions (T) and
     (V) at every i = 1..n.
 
-    ``dist`` is the BFS row of ``o`` when the caller holds it (the cover
-    builder's birth layers are that row); else one BFS computes it.  The
-    builder reads (T) and (V) at its newest radius off the expansion, so
-    it calls this only for the lower radii of a state with no report."""
+    ``dist`` is the BFS row of ``o`` when the caller holds it; else one BFS
+    computes it.  The cover builder does not call this: it reads (T) and
+    (V) at each radius off the expansion that adds it."""
     if dist is None:
         dist = distances_from(X, o)
     results = {i: (_triangle_condition(X, dist, i), vertex_condition(X, dist, i))
@@ -230,7 +228,6 @@ def check_sd_prime(X: SimplicialComplex, o: int, n: int, dist=None) -> SDReport:
     return SDReport(base=o, max_radius=n, results=results)
 
 
-@timed
 def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
     """Downward-projection cross-check.
 

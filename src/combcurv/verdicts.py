@@ -8,8 +8,6 @@ can be re-validated independently.
 
 from __future__ import annotations
 
-import functools
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,8 +19,6 @@ def witness_json(obj: Any) -> Any:
     to_json = getattr(obj, "to_json", None)
     if callable(to_json):
         return to_json()
-    if isinstance(obj, (frozenset, set)):
-        return [witness_json(x) for x in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [witness_json(x) for x in obj]
     if isinstance(obj, dict):
@@ -51,16 +47,13 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.passed
 
-    def to_json(self, with_timings: bool = False) -> dict:
-        stats = dict(self.stats)
-        if not with_timings:
-            stats.pop("elapsed_ms", None)
+    def to_json(self) -> dict:
         return {
             "check": self.check,
             "status": self.status,
             "detail": self.detail,
             "witness": witness_json(self.witness),
-            "stats": stats,
+            "stats": dict(self.stats),
         }
 
 
@@ -71,16 +64,3 @@ def passed(check: str, detail: str = "", **stats) -> Verdict:
 def failed(check: str, witness: Any, detail: str = "", **stats) -> Verdict:
     return Verdict(check=check, passed=False, detail=detail, witness=witness, stats=stats)
 
-
-def timed(fn):
-    """Record wall time in the returned verdict's stats."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        if isinstance(out, Verdict):
-            out.stats.setdefault("elapsed_ms", round((time.perf_counter() - start) * 1000, 3))
-        return out
-
-    return wrapper

@@ -22,7 +22,9 @@ Tests compare library output against these on small inputs.
 
 Three helpers that no library module calls live here too: the chordless
 test of one cycle (``is_full``), the smallest 1-ball centre of a vertex set
-(``in_one_ball``) and the stage-1 cover state (``init_cover``).
+(``in_one_ball``) and the stage-1 cover state (``init_cover``); and so
+does the error ``naive_link`` raises on a simplex not stored
+(``SimplexNotPresent``).
 """
 
 from fractions import Fraction
@@ -32,15 +34,19 @@ from combcurv.complexes import MAX_DIM, Cycle, SimplicialComplex, canonical_cycl
 from combcurv.cover import _base_state, expand_ball
 from combcurv.curvature import DWheel, Wheel
 from combcurv.errors import (
+    CombCurvError,
     DisconnectedError,
     NoFillingPair,
     NotACovering,
     PreconditionNotMet,
-    SimplexNotPresent,
 )
 from combcurv.manifold import FillingPair
 from combcurv.metric import SDReport, distances_from, interval
 from combcurv.verdicts import failed, passed
+
+
+class SimplexNotPresent(CombCurvError):
+    """A queried simplex is not stored in the complex."""
 
 
 def naive_maximal_simplices(X):

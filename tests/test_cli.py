@@ -199,20 +199,59 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_timings_flag_keeps_elapsed(files, capsys):
-    main(["--json", "--timings", "check", "--m", "8", files["icosahedron"]])
-    doc = json.loads(capsys.readouterr().out)
-    assert "elapsed_ms" in doc["verdicts"][0]["stats"]
+# one golden case of each JSON command, with the library calls it times
+TIMED = {
+    "validate": ("bd4", ["validate_closed_3manifold"]),
+    "check": ("surf37_psl2_7", ["is_flag", "is_locally_k_large", "is_m_located"]),
+    "sd": ("surf37_psl2_7", ["check_sd_prime"]),
+    "metric": ("surf37_psl2_7", ["interval", "interval_thinness"]),
+    "delta": ("gs3", ["delta_four_point"]),
+    "cover": ("surf37_psl2_7", ["build_cover"]),
+    "links": ("bd4", ["link_verdicts"]),
+    "lemmas": ("gs3", ["lemma_verdicts"]),
+    "theorem-b": ("bd4", ["verify_theorem_b"]),
+}
 
 
-def test_timings_flag_leaves_sd_unchanged(files, capsys):
-    # no (T) or (V) verdict is timed, so there is nothing to add
-    for name, n in (("c4", "1"), ("icosahedron", "2")):
-        outs = []
-        for flags in (["--json"], ["--json", "--timings"]):
-            main(flags + ["sd", "--base", "0", "--n", n, files[name]])
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1], name
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    from test_golden import write_inputs
+
+    return write_inputs(tmp_path_factory.mktemp("timed"))
+
+
+def timing_keys(doc) -> list:
+    """Every ``timings`` or ``elapsed_ms`` key at any depth of ``doc``."""
+    if isinstance(doc, dict):
+        return [k for k in doc if k in ("timings", "elapsed_ms")] + timing_keys(list(doc.values()))
+    if isinstance(doc, list):
+        return [k for item in doc for k in timing_keys(item)]
+    return []
+
+
+@pytest.mark.parametrize("command", sorted(TIMED))
+def test_timings_only_add_a_top_level_object(golden_inputs, command, capsys):
+    from test_golden import COMMANDS, FAR
+
+    name, calls = TIMED[command]
+    argv = COMMANDS[command] + ([str(FAR[name])] if command == "metric" else [])
+    argv += ["--flag"] if command == "check" else []
+    docs = []
+    for flags in (["--json"], ["--json", "--timings"]):
+        main(flags + argv + [str(golden_inputs[name])])
+        docs.append(json.loads(capsys.readouterr().out))
+    plain, timed = docs
+    assert timing_keys(plain) == []
+    spent = timed.pop("timings")
+    assert timed == plain
+    assert list(spent) == ["load"] + calls
+    assert all(isinstance(ms, float) and ms >= 0 for ms in spent.values())
+    # text output ignores the flag
+    outs = []
+    for flags in ([], ["--timings"]):
+        main(flags + argv + [str(golden_inputs[name])])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_lemmas_precondition_failure_is_a_fail(files, capsys):
@@ -278,13 +317,9 @@ def test_links_reads_one_edge_link_pass(cell600, capsys, monkeypatch):
     assert main(["--json", "links", cell600]) == 1
     # no complex is built but the input
     assert ([Y.counts() for Y in built], len(passes)) == ([(120, 720, 1200, 600)], 1)
-    capsys.readouterr()
-    # every link is a sphere, so every verdict is timed on request
-    assert main(["--json", "--timings", "links", cell600]) == 1
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert len(verdicts) == 120
     assert all(v["detail"].startswith("adjacent degree-5") for v in verdicts)
-    assert all("elapsed_ms" in v["stats"] for v in verdicts)
 
 
 def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys,

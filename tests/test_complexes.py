@@ -22,12 +22,7 @@ from combcurv.complexes import (
     mask_edges,
 )
 from combcurv.curvature import is_locally_k_large, is_m_located, wheels
-from combcurv.errors import (
-    BoundExceeded,
-    DimensionTooHigh,
-    DuplicateVertexInSimplex,
-    SimplexNotPresent,
-)
+from combcurv.errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
 from combcurv.generators import flag_completion
 
 from conftest import (
@@ -40,6 +35,7 @@ from conftest import (
     tetrahedron_less_face,
 )
 from oracles import (
+    SimplexNotPresent,
     is_full,
     naive_flag_witness,
     naive_full_cycles,
@@ -424,12 +420,11 @@ def test_flag_completion_round_trip(octa, icosa):
         assert rebuilt == X
 
 
-def test_complex_equality_and_pickle(octa):
-    import pickle
-
-    again = pickle.loads(pickle.dumps(octa))
+def test_complex_equality(octa):
+    again = build_complex(octa.maximal_simplices())
     assert again == octa
     assert again.neighbors(0) == octa.neighbors(0)
+    assert again != build_complex(octa.maximal_simplices()[1:])
 
 
 def _simplex_soup(seed):

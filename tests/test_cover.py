@@ -37,7 +37,7 @@ def k5_over_tetra(tetra) -> CoverState:
     """K5 over the tetrahedron, vertices 0 and 4 both over 0: it fails (R)."""
     ball = flag_completion(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
     return CoverState(stage=1, ball=ball, sheet_map=(0, 1, 2, 3, 0), target=tetra,
-                      birth=(0, 1, 1, 1, 1))
+                      birth=(0, 1, 1, 1, 1), sd=_base_state(tetra, 0).sd)
 
 
 class TestInit:
@@ -155,7 +155,7 @@ class TestInvariants:
         bad = CoverState(
             stage=state.stage, ball=state.ball,
             sheet_map=state.sheet_map[:-1] + (state.sheet_map[0],),
-            target=state.target, birth=state.birth)
+            target=state.target, birth=state.birth, sd=state.sd)
         _sd, _covering, problems = _verify_invariants(bad)
         assert any(which == "R" for which, _w, _d in problems)
 
@@ -280,15 +280,12 @@ class TestDescentOncePerRadius:
 
     def test_only_a_ball_that_passes_p_is_carried(self, surf37, monkeypatch):
         # every state the builder returns passes (P), so its report is
-        # carried; a state without a report gets the lower radii by a full
-        # scan, and the newest radius reads (T) off the expansion in both
+        # carried, and the newest radius reads (T) off the expansion
         state = expand_ball(expand_ball(init_cover(surf37, 0)))
         full = check_sd_prime(state.ball, 0, 2).to_json()
         scans = counting(monkeypatch, metric, "_triangle_condition")
-        for checked, radii in ((state, 0), (replace(state, sd=None), 1)):
-            del scans[:]
-            sd, _covering, problems = _verify_invariants(checked)
-            assert problems == [] and sd.to_json() == full and len(scans) == radii
+        sd, _covering, problems = _verify_invariants(state)
+        assert problems == [] and sd.to_json() == full and scans == []
 
     def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
         triangle_scans = counting(monkeypatch, metric, "_triangle_condition")
@@ -297,8 +294,12 @@ class TestDescentOncePerRadius:
         span_faces = counting(monkeypatch, SimplicialComplex, "_span_faces")
         # by (P) the birth layers are the base row, so no BFS runs
         rows = counting(monkeypatch, metric, "distances_from")
+        # stage 0 carries the empty report, so no lower radius is scanned;
+        # the builder's own binding of the name is counted too, if it has one
+        reports = counting(monkeypatch, metric, "check_sd_prime")
+        monkeypatch.setattr(cover, "check_sd_prime", metric.check_sd_prime, raising=False)
         assert build_cover(surf37, 0, 5).passed
-        assert triangle_scans == []
+        assert triangle_scans == [] and reports == []
         assert [args[2] for args in vertex_scans] == [1, 2, 3, 4]
         assert spans == [] and span_faces == [] and rows == []
 

@@ -1,31 +1,10 @@
 """Golden CLI output: SHA-256 of ``combcurv --json`` standard output, and
 of the ball file that ``cover --out`` writes.
 
-The digests pin verdicts, witnesses, stats and report shapes byte for byte
-(timings are off by default), so an internal rewrite that changes any of
-them fails here.  They were recorded before the coface index and the
-rim-edge dwheel join were introduced, and the three ``random_flag`` cover
-cases before the cover builder stopped re-running its checks, and the
-``metric`` and ``sd`` cases before complexes stopped caching distances,
-and the ``lemmas`` cases before the manifold searches were rebuilt on the
-wheel and neighbourhood primitives, and the ``delta`` cases and the 600-cell
-``check`` before the dwheel join became a bucketed stream and the four-point
-constant was pruned to far-apart pairs (the 600-cell file then written from
-the identical construction, before ``gen cell600`` existed), and the
-radius-5 ``cover`` cases before geodesic intervals were walked down from
-the base row alone, and the ``validate`` and ``theorem-b`` cases of the two
-built inputs before the vertex-link stage read its links off the coface
-index, and the ``validate`` cases of the three inputs that fail the
-edge-link stage before the vertex-link stage stopped building link
-complexes after that failure, and the ``links`` cases of the five built
-inputs before the two closed-surface tests became one, and the ``check``
-cases of ``rf13_7`` and of the built inputs before local largeness read
-its links as graphs, and the ``cover --out`` files before every stage ball
-was built as the flag completion of its graph (``--json`` holds only counts
-and fibres, so a relabelling of class ids passes it; the ball file pins the
-ids, the simplices and the sheet map), and the ``check --sphere-56`` cases
-before the 5/6* sphere test read the rims of a 2-complex off its edge
-links; regenerate them only for a change that is meant to alter the output.
+The digests pin verdicts, witnesses, stats and report shapes byte for byte,
+so an internal rewrite that changes any of them fails here.  Regenerate a
+digest only for a change that is meant to alter the output.  CHANGES.md
+records when each digest was recorded.
 """
 
 import argparse
