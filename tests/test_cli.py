@@ -199,7 +199,8 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-# one golden case of each JSON command, with the library calls it times
+# one golden case of each JSON command (keys of test_golden.COMMANDS; check
+# with --flag added), and the library calls that it times, in order
 TIMED = {
     "validate": ("bd4", ["validate_closed_3manifold"]),
     "check": ("surf37_psl2_7", ["is_flag", "is_locally_k_large", "is_m_located"]),

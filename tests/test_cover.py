@@ -266,7 +266,8 @@ class TestDescentOncePerRadius:
         inputs += [gen("random_flag", *p) for p in WARNED]
         failing = 0
         for X in inputs:
-            state = init_cover(X, 0)
+            # from stage 0, whose report is empty
+            state = _base_state(X, 0)
             while True:
                 full = check_sd_prime(state.ball, 0, state.stage - 1)
                 assert state.sd.to_json() == full.to_json()
