@@ -426,6 +426,58 @@ def locate_on_flag(X: SimplicialComplex, m: int):
     most ``m``.  A group's dwheels share one type,
     ``(len(arc1) + 2, len(arc2) + 2)`` for any of its arc pairs.
 
+    A complex whose every vertex link is a union of paths or one cycle
+    through all the vertex's neighbours is decided by the degree sums over
+    its edges (:func:`_locate_by_degrees`), with no wheel drawn, by the
+    lemma below.  Any other complex takes the join
+    (:func:`_locate_by_join`).
+
+    Lemma (degree sums).  Let X be flag with every vertex link a union of
+    paths or one cycle through all the vertex's neighbours.  Let s be the
+    least degree sum k + l over the edges v0 v0' joining two cycle-link
+    vertices.  Then every dwheel of X has an identified junction and lies
+    in no 1-ball, and its boundary is k + l - 4 for its apexes v0, v0' of
+    degrees k, l.  So for every m >= 6, X is m-located exactly when
+    s > m + 4.
+
+    - The wheels are the cycle-link vertices with their links as rims: a
+      rim is a chordless cycle of 4 or more vertices in a vertex link, and
+      a link of maximum degree 2 has no other than its cycle components
+      (:func:`_link_rings`), which are never triangles.  So the center of
+      a k-wheel has degree k >= 4.
+    - Let v0, v0' be adjacent cycle-link vertices.  X is flag, so the
+      common neighbours of v0 and v0' are the neighbours of v0' on the
+      cycle Lk(v0): exactly two, w and x, which are also the neighbours of
+      v0 on Lk(v0').  The dwheel with apexes v0, v0' and shared vertex w
+      reads its free arcs from the vertex after v0' on Lk(v0) and from the
+      vertex after v0 on Lk(v0'), away from w, and both are x.  So each
+      (v0, v0', w) carries exactly one dwheel, and it is identified.
+    - The centers of 1-balls that could hold it are among v0, v0', w and
+      x.  The l - 3 >= 1 vertices of Lk(v0') other than v0, w and x are not
+      neighbours of v0, as w and x are the only common neighbours, and
+      likewise for v0'.  And w, x are two apart on the chordless cycle
+      Lk(v0) of length k >= 4, so they are not adjacent.  No center is
+      left.
+
+    No dwheel has an edge junction, so the join's edge-junction buckets
+    are empty and one never leads, even where it sorts first (the (6, 5)
+    edge bucket before the (6, 6) identified one at boundary 8).  When
+    s > m + 4 the pass joins 0 dwheels.  Otherwise the first bucket the
+    join fills is boundary s - 4, type (k, l) with k + l = s, k >= l and
+    k least; its first group is the least (v0, v0', w) of that type, with
+    v0 < v0' when k = l and w the smaller common neighbour.  Its one dwheel
+    fails, so the verdict has ``dwheels = 1`` and no type is located.
+    """
+    by_degrees = _locate_by_degrees(X, m)
+    if by_degrees is not None:
+        return by_degrees, set()
+    return _locate_by_join(X, m)
+
+
+def _locate_by_join(X: SimplicialComplex, m: int):
+    """:func:`locate_on_flag` on any flag ``X``, by the wheel-to-dwheel
+    join (:func:`_dwheel_groups`).
+
     Location is decided per group of dwheels with the same apexes v0, v0'
     and shared vertex w.  These span a triangle, so every center of a
     dwheel of the group lies in ``core``, their common neighbors and
@@ -457,16 +509,62 @@ def locate_on_flag(X: SimplicialComplex, m: int):
                 if arc not in centers:
                     centers[arc] = meet(core, arc)
             if not centers[arc1] & centers[arc2]:
-                dw = DWheel((v0, v0p), w, arc1, arc2, junction)
-                return failed(
-                    "is_m_located",
-                    {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
-                     "candidates_tried": _center_candidates(X, dw.vertex_set)},
-                    detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
-                           "fits in no 1-ball",
-                    m=m, dwheels=count), types
+                return _unlocated(X, m, DWheel((v0, v0p), w, arc1, arc2, junction), count), types
         types.add((len(arc1) + 2, len(arc2) + 2))
     return passed("is_m_located", m=m, dwheels=count), types
+
+
+def _locate_by_degrees(X: SimplicialComplex, m: int):
+    """The verdict of :func:`locate_on_flag` on a flag ``X`` whose every
+    vertex link is a union of paths or one cycle through all the vertex's
+    neighbours, read off the degree sums over its edges; None on any other
+    ``X``, read at its first other link.  The lemma is in the docstring
+    of :func:`locate_on_flag`."""
+    rims = {}  # cycle-link vertex -> its link cycle, in walk order
+    for v in X.vertices:
+        ids, masks = X.link_masks(v)
+        rings = _link_rings(masks)
+        # a link of two cycles, or of a cycle and a path, has a ring short
+        # of its vertices
+        if rings is None or rings and len(rings[0]) < len(ids):
+            return None
+        if rings:
+            rims[v] = [ids[i] for i in rings[0]]
+    degree = {v: len(rim) for v, rim in rims.items()}
+    # the least (k + l, k, v0, v0') over the edges v0 v0' joining two
+    # cycle-link vertices, k = deg v0 >= l = deg v0' and v0 < v0' if k = l
+    least = min(((k + degree[u], k, v, u) for v, k in degree.items() for u in rims[v]
+                 if u in degree and (degree[u], v) < (k, u)), default=None)
+    if least is None or least[0] > m + 4:
+        return passed("is_m_located", m=m, dwheels=0)
+    _, k, v0, v0p = least
+    i = rims[v0].index(v0p)
+    w = min(rims[v0][i - 1], rims[v0][(i + 1) % k])
+    dw = DWheel((v0, v0p), w, _free_arc(rims[v0], v0p, w), _free_arc(rims[v0p], v0, w),
+                "identified")
+    return _unlocated(X, m, dw, 1)
+
+
+def _free_arc(rim, apex, w):
+    """The free arc of the wheel with cycle ``rim`` in a dwheel with other
+    apex ``apex`` and shared vertex ``w``, a neighbour of ``apex`` on the
+    rim: the rim from the vertex after ``apex``, away from ``w``, to the
+    vertex before ``w``."""
+    i = rim.index(apex)
+    after = rim[i + 1:] + rim[:i]  # round the rim from apex, apex left out
+    return tuple(after[:-1]) if after[-1] == w else tuple(after[:0:-1])
+
+
+def _unlocated(X: SimplicialComplex, m: int, dw: DWheel, count: int) -> Verdict:
+    """The failing verdict of :func:`is_m_located` at the unlocated dwheel
+    ``dw``, the ``count``-th dwheel joined."""
+    return failed(
+        "is_m_located",
+        {"kind": "unlocated_dwheel", "dwheel": dw.to_json(),
+         "candidates_tried": _center_candidates(X, dw.vertex_set)},
+        detail=f"({dw.k},{dw.l})-dwheel of boundary length {dw.boundary_length} "
+               "fits in no 1-ball",
+        m=m, dwheels=count)
 
 
 # -- covering preservation -----------------------------------------------------

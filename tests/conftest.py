@@ -1,4 +1,6 @@
+import random
 import sys
+from bisect import insort
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,44 @@ def thinness_from(X, o, *targets):
 
 def gen(name, *params):
     return generate(GeneratorSpec(name, tuple(params)))
+
+
+def flip_surface(X, flips, seed):
+    """``X``, a flag surface (with or without boundary) of minimum degree
+    4 or more, after ``flips`` seeded edge flips that keep it so.
+
+    A flip takes an edge ab on two triangles abc and abd to the edge cd.
+    It keeps X flag when c and d have no common neighbour but a and b (so
+    they are not adjacent either), and keeps the minimum degree when a and
+    b have degree 5 or more.  Edges are drawn until one flips; an input
+    with no flippable edge raises."""
+    rng = random.Random(seed)
+    adj = {v: set(X.neighbors(v)) for v in X.vertices}
+    triangles = {frozenset(t) for t in X.simplices(2)}
+    edges = sorted(X.simplices(1))
+    for _ in range(flips):
+        for _ in range(1000):
+            i = rng.randrange(len(edges))
+            a, b = edges[i]
+            cd = [y for y in adj[a] & adj[b] if frozenset((a, b, y)) in triangles]
+            if len(cd) != 2 or min(len(adj[a]), len(adj[b])) < 5:
+                continue
+            c, d = cd
+            if adj[c] & adj[d] != {a, b}:
+                continue
+            break
+        else:
+            raise ValueError(f"no flippable edge in {X.name}")
+        del edges[i]
+        insort(edges, (min(c, d), max(c, d)))
+        adj[a].discard(b)
+        adj[b].discard(a)
+        adj[c].add(d)
+        adj[d].add(c)
+        triangles -= {frozenset((a, b, c)), frozenset((a, b, d))}
+        triangles |= {frozenset((a, c, d)), frozenset((b, c, d))}
+    return build_complex(sorted(sorted(t) for t in triangles),
+                         name=f"{X.name}_flip_{flips}_{seed}")
 
 
 def suspension(Y):

@@ -1,8 +1,10 @@
 """Largeness, wheels, dwheels, dwheel location, covering preservation."""
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from conftest import (
     complexes_built,
     cone,
     dwheel_complex,
+    flip_surface,
     gen,
     hollow_triangle_cone,
     pinched_octahedra,
@@ -491,7 +494,8 @@ class TestDWheelStream:
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37, monkeypatch):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
         # finds no wheels of its shorter rim length l <= 6 and never draws
-        # the lengths 7 and 8 of its longer rim
+        # the lengths 7 and 8 of its longer rim; is_m_located decides a
+        # surface by degrees, so the join is called directly
         drawn, real = [], curvature._wheels_by_length
 
         def recording(X, k_max):
@@ -500,7 +504,8 @@ class TestDWheelStream:
                 yield k, found
 
         monkeypatch.setattr(curvature, "_wheels_by_length", recording)
-        verdict = is_m_located(surf37, 8)
+        verdict, types = curvature._locate_by_join(surf37, 8)
+        assert types == set()
         assert verdict.passed and verdict.stats["dwheels"] == 0
         assert drawn == [4, 5, 6]
 
@@ -573,6 +578,119 @@ class TestDWheelStream:
             if (prev.apexes, prev.shared) == (dw.apexes, dw.shared):
                 kinds.add("after a located dwheel of its group")
         return kinds
+
+
+def centre_degrees(X):
+    """The degree of each vertex whose link is one cycle of 4 or more
+    vertices through all its neighbours, when every other vertex link is a
+    union of paths; else None (the closed form of m-location does not
+    apply)."""
+    degrees = {}
+    for v in X.vertices:
+        shape = link_shape(X, v)
+        if shape is None or any(shape) and shape != (max(4, X.degree(v)),):
+            return None
+        if any(shape):
+            degrees[v] = X.degree(v)
+    return degrees
+
+
+class TestLocateByDegrees:
+    """On a flag complex whose vertex links are paths or whole cycles,
+    m-location is read off degree sums; the join referees it."""
+
+    SHAPES = ((5, 5, "identified"), (7, 5, "identified"))
+
+    @staticmethod
+    def named(disk37, surf37):
+        yield from (gen("geodesic_sphere", k) for k in range(1, 6))
+        yield gen("icosahedron")
+        yield gen("octahedron")
+        yield from (gen("tri_torus", n, n) for n in (4, 6, 8, 12))
+        yield disk37
+        yield surf37
+
+    @staticmethod
+    def flipped(gs3, disk37, surf37):
+        for X in (surf37, gs3, gen("tri_torus", 7, 8), disk37):
+            for seed in range(6):
+                for flips in (1, 3, 8):
+                    yield flip_surface(X, flips, seed)
+
+    def join_only(self):
+        # a pinched surface: two disks sharing vertex 0, whose link is a
+        # 4-cycle and a 5-cycle
+        yield two_cycles_cone()
+        # the edge 1-2 on three triangles: vertex 2 has degree 3 in Lk(1)
+        yield build_complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (1, 2, 5), (1, 2, 6)])
+        # a cycle link plus a dangling edge: Lk(0) is a 4-cycle and vertex 5
+        yield build_complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (0, 5)])
+        # a triangle component: the link of each vertex of a tetrahedron
+        yield gen("tetrahedron")
+        for k, l, junction in self.SHAPES:
+            yield cone(dwheel_complex(k, l, junction)[0])
+        yield gen("cell600")
+        yield gen("random_flag", 12, 0.35, 7)
+
+    def test_same_verdict_as_the_join(self, gs3, disk37, surf37):
+        outcomes, failing_m, bounded, witnesses = set(), set(), set(), {}
+        for X in chain(self.named(disk37, surf37), self.flipped(gs3, disk37, surf37)):
+            degrees = centre_degrees(X)
+            assert degrees is not None, X.name
+            least = min((degrees[u] + degrees[v] for u, v in X.simplices(1)
+                         if u in degrees and v in degrees), default=None)
+            boundary = len(degrees) < len(X.vertices)
+            for m in range(6, 11):
+                verdict, types = curvature.locate_on_flag(X, m)
+                assert curvature._locate_by_degrees(X, m) is not None, X.name
+                join, join_types = curvature._locate_by_join(X, m)
+                assert (verdict.to_json(), types) == (join.to_json(), join_types), (X.name, m)
+                if verdict.passed:
+                    assert least is None or least > m + 4, (X.name, m)
+                    assert verdict.stats["dwheels"] == 0
+                    if least == m + 5:
+                        outcomes.add("pass at m + 5")
+                else:
+                    assert least <= m + 4 and verdict.stats["dwheels"] == 1, (X.name, m)
+                    failing_m.add(m)
+                    witnesses[X.name, json.dumps(verdict.witness["dwheel"])] = X
+                if boundary:
+                    bounded.add(verdict.status)
+        # each witness is a dwheel to naive_dwheels, on the span of the two
+        # apexes' closed neighbourhoods, and lies in no 1-ball of X
+        for (_, doc), X in witnesses.items():
+            dw = json.loads(doc)
+            (v0, v0p), rim1, rim2 = dw["apexes"], *dw["rims"]
+            key = ((v0, v0p), dw["shared"], tuple(rim1), tuple(rim2), dw["junction"])
+            near = X.span(X.neighbors(v0) | X.neighbors(v0p) | {v0, v0p})
+            assert key in naive_dwheels(near, dw["boundary_length"]), (X.name, dw)
+            assert in_one_ball(X, set(rim1) | set(rim2) | {v0, v0p, dw["shared"]}) is None
+        assert outcomes == {"pass at m + 5"}
+        assert failing_m == set(range(6, 11))
+        assert bounded == {"pass", "fail"}
+
+    def test_other_complexes_take_the_join(self, gs3, disk37, surf37, monkeypatch):
+        calls = Counter()
+
+        def count(name):
+            fn = getattr(curvature, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(curvature, name, spy)
+
+        for name in ("_dwheel_groups", "_wheels_by_length"):
+            count(name)
+        for X in self.join_only():
+            assert is_flag(X).passed and centre_degrees(X) is None, X.name
+            calls.clear()
+            is_m_located(X, 8)
+            assert calls["_dwheel_groups"] == 1, X.name
+        for X in chain(self.named(disk37, surf37), self.flipped(gs3, disk37, surf37)):
+            calls.clear()
+            is_m_located(X, 8)
+            assert calls == Counter(), X.name
 
 
 class TestInOneBall:
