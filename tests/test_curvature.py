@@ -599,8 +599,6 @@ class TestLocateByDegrees:
     """On a flag complex whose vertex links are paths or whole cycles,
     m-location is read off degree sums; the join referees it."""
 
-    SHAPES = ((5, 5, "identified"), (7, 5, "identified"))
-
     @staticmethod
     def named(disk37, surf37):
         yield from (gen("geodesic_sphere", k) for k in range(1, 6))
@@ -617,7 +615,8 @@ class TestLocateByDegrees:
                 for flips in (1, 3, 8):
                     yield flip_surface(X, flips, seed)
 
-    def join_only(self):
+    @staticmethod
+    def join_only():
         # a pinched surface: two disks sharing vertex 0, whose link is a
         # 4-cycle and a 5-cycle
         yield two_cycles_cone()
@@ -627,8 +626,8 @@ class TestLocateByDegrees:
         yield build_complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (0, 5)])
         # a triangle component: the link of each vertex of a tetrahedron
         yield gen("tetrahedron")
-        for k, l, junction in self.SHAPES:
-            yield cone(dwheel_complex(k, l, junction)[0])
+        for k, l in ((5, 5), (7, 5)):
+            yield cone(dwheel_complex(k, l, "identified")[0])
         yield gen("cell600")
         yield gen("random_flag", 12, 0.35, 7)
 
