@@ -580,7 +580,7 @@ class TestDWheelStream:
         return kinds
 
 
-def centre_degrees(X):
+def cycle_link_degrees(X):
     """The degree of each vertex whose link is one cycle of 4 or more
     vertices through all its neighbours, when every other vertex link is a
     union of paths; else None (the closed form of m-location does not
@@ -634,7 +634,7 @@ class TestLocateByDegrees:
     def test_same_verdict_as_the_join(self, gs3, disk37, surf37):
         outcomes, failing_m, bounded, witnesses = set(), set(), set(), {}
         for X in chain(self.named(disk37, surf37), self.flipped(gs3, disk37, surf37)):
-            degrees = centre_degrees(X)
+            degrees = cycle_link_degrees(X)
             assert degrees is not None, X.name
             least = min((degrees[u] + degrees[v] for u, v in X.simplices(1)
                          if u in degrees and v in degrees), default=None)
@@ -682,7 +682,7 @@ class TestLocateByDegrees:
         for name in ("_dwheel_groups", "_wheels_by_length"):
             count(name)
         for X in self.join_only():
-            assert is_flag(X).passed and centre_degrees(X) is None, X.name
+            assert is_flag(X).passed and cycle_link_degrees(X) is None, X.name
             calls.clear()
             is_m_located(X, 8)
             assert calls["_dwheel_groups"] == 1, X.name
