@@ -6,11 +6,14 @@ triangles, tetrahedra) together with the adjacency relation of the
 curvature checkers live here: spans (induced subcomplexes), vertex link
 graphs, chord tests for cycles, flagness, and chordless-cycle enumeration.
 
-The two link searches, :func:`empty_clique` (flagness) and
-:func:`grow_chordless` (chordless cycles), run on graphs given as one int
-bitmask of neighbours per vertex.  That graph is the 1-skeleton of the
-complex in its own ids, or a vertex link read by ``link_masks`` on the
-ranks of the sorted neighbours of the vertex.  The rank map is
+The flagness of a complex is decided by counts of common neighbours
+(:func:`flag_witness`).  The two searches, :func:`empty_clique` (empty
+cliques) and :func:`grow_chordless` (chordless cycles), run on graphs
+given as one int bitmask of neighbours per vertex.  That graph is a
+vertex link read by ``link_masks`` on the ranks of the sorted neighbours
+of the vertex, or the 1-skeleton of the complex in its own ids.  On the
+1-skeleton, ``empty_clique`` does not decide a pass: it runs only to
+name the witness of a complex that is not flag.  The rank map is
 increasing, so the searches' canonical cycles and sorted cliques map back
 to ambient ids unchanged.  The closed-surface test reads its links off the
 edge links instead, in ``manifold``.
@@ -74,6 +77,13 @@ class SimplicialComplex:
     ``vertex_count`` is one more than the largest vertex id mentioned at
     build time; ids without a 0-simplex are simply absent from the complex.
     ``simplices(d)`` returns the stored d-simplices as sorted tuples.
+
+    The face sets must be downward closed: every face of a stored simplex
+    is stored.  ``build_complex``, ``flag_completion`` and ``span`` make
+    them so, and the flagness count of :func:`flag_witness` relies on it.
+    A triangle stored without one of its edges, for one, would offset an
+    empty 3-clique in that count, and a complex that is not flag would
+    pass.
 
     Construction also builds the coface index, in O(F) for F faces: for
     each vertex, the tuple of stored simplices of dimension 1 to 3 that
@@ -346,11 +356,37 @@ def empty_clique(masks, edges, spans, top: int):
 def flag_witness(X: SimplicialComplex):
     """Smallest pairwise-adjacent vertex set spanning no stored simplex.
 
-    Returns None when the complex is flag.  Search is output-sensitive:
+    Returns None when the complex is flag.  A pass is decided by counts
+    of common neighbours, with N(v) the neighbours of v.  The face sets
+    are downward closed, so every stored triangle is a 3-clique and every
+    stored tetrahedron a 4-clique.
+
+    - The sum over edges ab of |N(a) & N(b)| counts each 3-clique three
+      times, so every 3-clique is stored exactly when it is 3 |triangles|.
+    - The sum over 3-cliques abc of |N(a) & N(b) & N(c)| counts each
+      4-clique four times, so every 4-clique is stored exactly when it is
+      4 |tetrahedra|.  Each 3-clique a < b < c is read once, off its edge
+      ab as a common neighbour c > b, and its common neighbours are
+      those of ab in N(c).
+    - Then a 5-clique holds a stored tetrahedron with a common
+      neighbour, so there is none exactly when no tetrahedron has one.
+
+    Only when a count fails does the search run, to name the witness:
     empty triangles first, then empty 3-simplices, then 5-cliques (which
     can never span, the dimension being capped at 3).
     """
-    return empty_clique(_edge_masks(X), sorted(X._faces[1]), X.has_simplex, MAX_DIM)
+    adj, faces = X._adj, X._faces
+    triples = quads = 0  # 3 x the 3-cliques, 4 x the 4-cliques
+    for a, b in faces[1]:
+        common = adj[a] & adj[b]
+        triples += len(common)
+        for c in common:
+            if c > b:
+                quads += len(common & adj[c])
+    if (triples == 3 * len(faces[2]) and quads == 4 * len(faces[3])
+            and not any(adj[a] & adj[b] & adj[c] & adj[d] for a, b, c, d in faces[3])):
+        return None
+    return empty_clique(_edge_masks(X), sorted(faces[1]), X.has_simplex, MAX_DIM)
 
 
 def is_flag(X: SimplicialComplex) -> Verdict:

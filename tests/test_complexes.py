@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from combcurv import complexes
 from combcurv.complexes import (
+    MAX_DIM,
+    SimplicialComplex,
     build_complex,
     canonical_cycle,
     chords,
@@ -23,9 +25,11 @@ from combcurv.complexes import (
 )
 from combcurv.curvature import is_locally_k_large, is_m_located, wheels
 from combcurv.errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
+from combcurv.formats import dump_path, load_path
 from combcurv.generators import flag_completion
 
 from conftest import (
+    FIXTURE_DIR,
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
     gen,
@@ -44,6 +48,7 @@ from oracles import (
     naive_maximal_simplices,
     naive_span,
 )
+from test_curvature import without_some_triangles
 
 
 class TestBuildComplex:
@@ -381,6 +386,22 @@ class TestBitmaskKernels:
                 found += got is not None
         assert found > 0
 
+    def test_is_flag_searches_only_to_name_a_witness(self, monkeypatch, disk37, surf37):
+        # the common-neighbour counts decide a pass: a flag complex runs no
+        # clique search, and one that is not flag runs one, for its witness
+        searches = []
+        search = complexes.empty_clique
+        monkeypatch.setattr(complexes, "empty_clique",
+                            lambda *args: searches.append(args) or search(*args))
+        outcomes = set()
+        for X in self.inputs() + [disk37, surf37]:
+            searches.clear()
+            verdict = is_flag(X)
+            assert verdict.passed == (naive_flag_witness(X) is None), X.name
+            assert len(searches) == (0 if verdict.passed else 1), X.name
+            outcomes.add(verdict.passed)
+        assert outcomes == {True, False}
+
     def test_mask_edges(self, octa):
         masks = adjacency_masks(octa)
         assert mask_edges(masks) == sorted(octa.simplices(1))
@@ -490,6 +511,57 @@ class TestCofaceIndex:
     def test_maximal_simplices(self, complexes):
         for X in complexes:
             assert X.maximal_simplices() == naive_maximal_simplices(X), X.name
+
+
+def face_sets_closed(X):
+    """Every face of a stored simplex is stored."""
+    return all(X.has_simplex(f) for d in range(1, MAX_DIM + 1)
+               for s in X.simplices(d) for f in combinations(s, d))
+
+
+class TestClosedFaceSets:
+    """The flagness count of ``flag_witness`` needs downward-closed face
+    sets; every construction path gives them."""
+
+    def test_every_construction_path_is_closed(self, tmp_path):
+        rng = random.Random(2019)
+        built = {"build_complex": _named_complexes() + [_simplex_soup(seed) for seed in range(12)],
+                 "flag_completion": [flag_completion(n, [e for e in combinations(range(n), 2)
+                                                         if rng.random() < p])
+                                     for n, p in ((8, 0.5), (12, 0.4), (16, 0.3))]
+                 + [gen("random_flag", 14, 0.45, seed) for seed in range(6)] + [gen("cell600")],
+                 "load_path": [load_path(FIXTURE_DIR / f"{name}.cplx").complex
+                               for name in ("disk37_r3", "surf37_psl2_7")]}
+        path = tmp_path / "round.cplx"
+        for X in built["build_complex"][:5]:
+            dump_path(X, path)
+            built["load_path"].append(load_path(path).complex)
+        corpus = [X for group in built.values() for X in group]
+        built.update(span=[], naive_span=[], naive_link=[], without_some_triangles=[])
+        for X in corpus:
+            pool = list(X.vertices)
+            for keep in [set(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(3)]:
+                built["span"].append(X.span(keep))
+                built["naive_span"].append(naive_span(X, keep))
+            for v in pool[:4]:
+                built["naive_link"].append(naive_link(X, (v,))[0])
+            for e in sorted(X.simplices(1))[:3]:
+                built["naive_link"].append(naive_link(X, e)[0])
+            built["without_some_triangles"].append(without_some_triangles(X, rng, 1 / 4))
+        for path_name, group in built.items():
+            assert group, path_name
+            for X in group:
+                assert face_sets_closed(X), (path_name, X.name)
+
+    def test_an_open_face_set_passes_the_count(self):
+        # the triangle 3-4-5 stored without its edge 4-5 offsets the empty
+        # triangle 0-1-2: the counts hold on a complex that is not flag
+        faces = {0: [(v,) for v in range(6)], 1: [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)],
+                 2: [(3, 4, 5)]}
+        X = SimplicialComplex(6, faces)
+        assert not face_sets_closed(X)
+        assert naive_flag_witness(X) == (0, 1, 2)
+        assert flag_witness(X) is None
 
 
 def test_only_complexes_reads_the_private_tables():

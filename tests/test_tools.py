@@ -41,10 +41,19 @@ def test_local_digest_repeats():
     local_digest = load_tool("local_digest")
     items = list(islice(local_digest.complexes(), 9))
     hexdigest, counts = local_digest.digest(items)
-    assert counts["complexes"] == 9 and counts["calls"] == 9 * 12
+    assert counts["complexes"] == 9 and counts["calls"] == 9 * 13
     assert counts["passed"] and counts["failed"] and counts["refused"]
     assert counts["wheels"] and counts["dwheels"]
     assert local_digest.digest(items)[0] == hexdigest
+
+
+def test_local_digest_names_empty_triangles_and_tetrahedra():
+    # the draws less some triangles or tetrahedra reach both witness sizes
+    # below the 5-cliques, so each of the flagness counts can fail
+    local_digest = load_tool("local_digest")
+    items = list(islice(local_digest.non_flag_draws(), 30))
+    counts = local_digest.digest(items)[1]
+    assert counts["empty 3-cliques"] and counts["empty 4-cliques"]
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blanks():

@@ -4,11 +4,12 @@
 Runs the wheel layer and the checks built on it on every complex of the
 corpus and prints one SHA-256 over their outputs in ``--json`` form, then
 the number of complexes, of calls, of passing and failing verdicts, of
-refused calls and of the wheels and dwheels listed.  A change that must
-leave these outputs byte-identical prints the same digest before and after.
+refused calls, of the wheels and dwheels listed and of the empty cliques
+``is_flag`` names, by size.  A change that must leave these outputs
+byte-identical prints the same digest before and after.
 
-The calls, per complex: ``wheels`` for lengths 4-8 and 5-6, ``dwheels`` of
-boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
+The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
+``dwheels`` of boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
 ``is_locally_k_large`` for k = 5, 6, 7, and the sphere checks
 ``is_5_6_star_sphere``, ``check_sphere_cycle_lemma`` and
 ``check_7cycle_fillings``.  A call that raises on a failed precondition
@@ -17,10 +18,17 @@ hashes its error type and message.
 Corpus: the named generators, the degree-7 surface and disk fixtures, the
 cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
 (7, 5), which are 8-located with two dwheels each, the vertex links of the
-600-cell (built by the test referee ``oracles.naive_link``) and 1000 seeded
-``random_flag`` draws.
+600-cell (built by the test referee ``oracles.naive_link``), 1000 seeded
+``random_flag`` draws, and 200 more draws that are mostly not flag: each
+less about an eighth of its triangles (and the tetrahedra on them, as
+``test_curvature.without_some_triangles`` does) or of its tetrahedra.
+The first leave empty triangles and the second empty tetrahedra, and a
+draw whose graph has a 5-clique fails on it, so ``is_flag`` names
+witnesses of 3, 4 and 5 vertices.
 
 Run from the repository root:  python3 tools/local_digest.py
+On this corpus it prints 4a8dd47b79071e0d8658b7826907846cf9638fad3969b181166d3915cbb0144a
+(1341 complexes, 17433 calls).
 """
 
 import hashlib
@@ -28,6 +36,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
+from combcurv.complexes import SimplicialComplex, is_flag  # noqa: E402
 from combcurv.curvature import dwheels, is_locally_k_large, is_m_located, wheels  # noqa: E402
 from combcurv.errors import CombCurvError  # noqa: E402
 from combcurv.formats import load_path  # noqa: E402
@@ -52,6 +62,7 @@ NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
          ("tri_torus", (8, 8)), ("cell600", ()))
 CONE_TYPES = ((5, 5), (6, 5), (6, 6), (7, 5))
 DRAWS = 1000
+NON_FLAG_DRAWS = 200
 SPHERE_CHECKS = (is_5_6_star_sphere, check_sphere_cycle_lemma, check_7cycle_fillings)
 
 
@@ -82,10 +93,34 @@ def complexes():
     for _ in range(DRAWS):
         params = (rng.randint(8, 20), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10_000))
         yield f"random_flag{list(params)}", generate(GeneratorSpec("random_flag", params))
+    yield from non_flag_draws()
+
+
+def less_some(X, dim: int, rng, share=1 / 8):
+    """X less about ``share`` of its ``dim``-simplices (2 or 3) and the
+    tetrahedra on them; the faces below stay, so each dropped simplex is
+    an empty clique."""
+    dropped = {s for s in sorted(X.simplices(dim)) if rng.random() < share}
+    faces = {d: X.simplices(d) for d in range(4)}
+    faces[dim] = faces[dim] - dropped
+    if dim == 2:
+        faces[3] = [t for t in faces[3] if dropped.isdisjoint(combinations(t, 3))]
+    return SimplicialComplex(X.vertex_count, faces, name=X.name)
+
+
+def non_flag_draws():
+    """(label, complex) of the draws less some triangles or tetrahedra."""
+    rng = random.Random(2039)
+    for _ in range(NON_FLAG_DRAWS):
+        params = (rng.randint(8, 20), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10_000))
+        dim = rng.choice((2, 3))
+        X = less_some(generate(GeneratorSpec("random_flag", params)), dim, rng)
+        yield f"random_flag{list(params)} less some {dim}-simplices", X
 
 
 def calls(X):
     """(label, thunk) of every call made on ``X``, in a fixed order."""
+    yield "is_flag", lambda: is_flag(X)
     yield "wheels 4-8", lambda: wheels(X, 4, 8)
     yield "wheels 5-6", lambda: wheels(X, 5, 6)
     yield "dwheels 8", lambda: dwheels(X, 8)
@@ -114,6 +149,8 @@ def record(X, counts: Counter) -> list:
             out.append([label, [item.to_json() for item in result]])
         else:
             counts["passed" if result.passed else "failed"] += 1
+            if label == "is_flag" and not result.passed:
+                counts[f"empty {len(result.witness['vertices'])}-cliques"] += 1
             out.append([label, result.to_json()])
     return out
 
@@ -133,7 +170,8 @@ def digest(items):
 def main() -> int:
     hexdigest, counts = digest(complexes())
     print(hexdigest)
-    for key in ("complexes", "calls", "passed", "failed", "refused", "wheels", "dwheels"):
+    for key in ("complexes", "calls", "passed", "failed", "refused", "wheels", "dwheels",
+                "empty 3-cliques", "empty 4-cliques", "empty 5-cliques"):
         print(f"{key} {counts[key]}")
     return 0
 
