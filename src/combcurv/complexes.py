@@ -265,27 +265,41 @@ def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str
     return SimplicialComplex(top + 1, faces, name=name)
 
 
-def flag_completion(n: int, edges, name: Optional[str] = None) -> SimplicialComplex:
+def flag_completion(n: int, edges, name: Optional[str] = None,
+                    previous: Optional[SimplicialComplex] = None) -> SimplicialComplex:
     """Complex on vertices ``0..n-1`` whose simplices are the cliques of a
     graph, capped at 4 vertices (the dimension cap).
 
-    Triangles are read off the common neighbours of each edge and
-    tetrahedra off those of each triangle, so the face sets come out
-    downward closed with no separate closure pass.
+    Each clique is read once, from its largest vertex c: a triangle is c
+    with an edge among its lower neighbours, and a tetrahedron c with a
+    triangle among them, so the face sets come out downward closed with no
+    separate closure pass.
+
+    ``previous``, when given, must be the clique complex of the induced
+    graph on its ids ``0..previous.vertex_count - 1``.  Its triangles and
+    tetrahedra are carried, and only the cliques whose largest vertex is
+    not one of its ids are enumerated.  Lemma: a clique lies in the induced
+    graph on an id prefix exactly when its largest vertex does, so the
+    cliques of the graph with an old largest vertex are exactly those of
+    ``previous``.  The cover builder's stage balls are such a pair, by its
+    expansion lemma (P).
     """
-    adj = [set() for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    faces = {0: {(v,) for v in range(n)}, 1: {(min(e), max(e)) for e in edges},
-             2: set(), 3: set()}
-    for (u, v) in sorted(faces[1]):
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                faces[2].add((u, v, w))
-                for x in sorted(adj[u] & adj[v] & adj[w]):
-                    if x > w:
-                        faces[3].add((u, v, w, x))
+    pairs = {(u, v) if u < v else (v, u) for u, v in edges}
+    lower = [set() for _ in range(n)]  # the neighbours below each vertex
+    for u, v in pairs:
+        lower[v].add(u)
+    old = previous._faces if previous is not None else {2: frozenset(), 3: frozenset()}
+    triangles, tetrahedra = [], []
+    for c in range(0 if previous is None else previous.vertex_count, n):
+        below = lower[c]
+        for b in below:
+            common = lower[b] & below
+            for a in common:
+                triangles.append((a, b, c))
+                for x in lower[a] & common:
+                    tetrahedra.append((x, a, b, c))
+    faces = {0: {(v,) for v in range(n)}, 1: pairs,
+             2: old[2].union(triangles), 3: old[3].union(tetrahedra)}
     return SimplicialComplex(n, faces, name=name)
 
 

@@ -8,7 +8,11 @@ components of its bases in the ball) as new vertices, wires the prescribed
 edges, and builds the ball as the flag completion of its graph (the clique
 complex, capped at 4 vertices).  From stage 0 every neighbour z of the base
 is its own class and classes sort by z, so the stage-1 ball is the closed
-star of the base.
+star of the base.  The new ids all exceed the old ones, and by (P) below the
+old ball is the clique complex of the graph induced on the old ids, so a
+clique of the new ball is old exactly when its largest vertex is: the
+completion carries the old triangles and tetrahedra and enumerates only the
+cliques whose largest vertex is new.
 
 (P) is a lemma of the expansion, not a check: the birth layers are the
 metric layers, and the previous stage ball is the induced ball one radius
@@ -35,7 +39,8 @@ invariants are verified once per stage:
           classes, and the expansion adds it only when they share a base
           w at radius i.  The ball is a clique complex, so it holds the
           triangle (w, c1, c2).  (T) is built as a pass that counts the
-          edges of the sphere, as a scan would;
+          edges of the sphere, as a scan would, read off the neighbours
+          of its vertices: the ids from the first one born at i + 1;
         - (V) is the shortcut test.  A new class is adjacent only to its
           member bases and to other new classes, so its neighbours below
           radius i + 1 are its bases, sorted, and the new classes are in
@@ -72,7 +77,8 @@ The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.  Location and
 largeness of the interior are read on the previous stage ball, which by (P)
 is the induced ball on the interior (at radius 1, the lone base vertex), so
-no span is built for them either.
+no span is built for them either, and both come from one read of each of its
+vertex links (``located_and_large``).
 
 Constructions whose input fails the entry hypotheses (8-location, local
 5-largeness) still run, but invariant failures are then recorded as
@@ -85,13 +91,14 @@ them never, and one that warns reads them once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import ClassVar, Optional
 
 from .complexes import SimplicialComplex, flag_completion, is_flag
-from .curvature import check_covering_map, is_locally_k_large, is_m_located
+from .curvature import check_covering_map, located_and_large
 from .errors import HypothesisViolation, InvariantViolation, NotACovering, NotFlag, TooLarge
 from .metric import SDReport, geodesic_layers, interval_thinness, vertex_condition
 from .verdicts import Verdict, failed, passed
@@ -181,7 +188,9 @@ def _verify_invariants(state: CoverState):
     birth, i = state.birth, state.stage - 1
     results = dict(state.sd.results)
     if i > 0:
-        sphere_edges = sum(birth[u] == birth[v] == i + 1 for (u, v) in ball.simplices(1))
+        # by (P) the newest sphere is the ids from the first one born at i + 1
+        new = range(bisect_left(birth, i + 1), len(birth))
+        sphere_edges = sum(u in new for v in new for u in ball.neighbors(v)) // 2
         results[i] = passed("sd_T", edges_checked=sphere_edges), vertex_condition(ball, birth, i)
     sd = SDReport(base=state.base, max_radius=i, results=results)
     if not sd.passed:
@@ -204,7 +213,7 @@ def _verify_invariants(state: CoverState):
 
 def _meets_hypotheses(X: SimplicialComplex) -> bool:
     """The entry hypotheses on the base: 8-location and local 5-largeness."""
-    return is_m_located(X, 8).passed and is_locally_k_large(X, 5).passed
+    return all(located_and_large(X, 8, 5))
 
 
 def _apply_invariants(state: CoverState) -> CoverState:
@@ -283,7 +292,9 @@ def expand_ball(state: CoverState, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> 
             if X.adjacent(z1, z2):
                 edges.add((c1, c2))
 
-    new_ball = flag_completion(n_old + len(classes), edges, name=f"cover_ball_stage_{i + 1}")
+    # by (P) the old ball is the induced ball on the old ids, all below the new ones
+    new_ball = flag_completion(n_old + len(classes), edges, name=f"cover_ball_stage_{i + 1}",
+                               previous=ball)
 
     new_state = CoverState(
         stage=i + 1,
@@ -399,8 +410,7 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
         stats.append((state.stage, state.ball.vertex_count, len(state.ball.simplices(1)), glued))
 
     # by (P) the previous ball is the span of the interior
-    interior_located = is_m_located(previous.ball, 8)
-    interior_large = is_locally_k_large(previous.ball, 5)
+    interior_located, interior_large = located_and_large(previous.ball, 8, 5)
 
     # by (P) the birth stages are the base row, so no BFS runs; [1:] drops the base
     thin, _pair = interval_thinness(state.ball, (

@@ -182,11 +182,23 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     components.  A triangle component goes to the search, which names it
     when it is hollow.
     """
+    return _locally_large(X, k, _link_reads(X))
+
+
+def _link_reads(X: SimplicialComplex):
+    """Each vertex v of X in sorted order, as ``(v, ids, masks, rings)``:
+    its link graph by :meth:`~SimplicialComplex.link_masks` and the rings
+    :func:`_link_rings` reads off it."""
+    for v in X.vertices:
+        ids, masks = X.link_masks(v)
+        yield v, ids, masks, _link_rings(masks)
+
+
+def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
+    """:func:`is_locally_k_large` on the link reads of X (:func:`_link_reads`)."""
     if k < 4:
         raise ValueError("largeness starts at k = 4")
-    for links, v in enumerate(X.vertices, 1):
-        ids, masks = X.link_masks(v)
-        rings = _link_rings(masks)
+    for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
             edges = mask_edges(masks)
             clique = empty_clique(masks, edges,
@@ -294,9 +306,7 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int):
     """
     links = []
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
-    for v in X.vertices:
-        ids, masks = X.link_masks(v)
-        rings = _link_rings(masks)
+    for v, ids, masks, rings in _link_reads(X):
         if rings is None:
             # the paths start as the link edges (s, v1) with v1 > s
             links.append((v, ids, masks, mask_edges(masks)))
@@ -409,14 +419,30 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates.  This gate tests flagness; :func:`locate_on_flag` decides
-    location."""
+    candidates.  This gate tests flagness; location is decided as in
+    :func:`locate_on_flag`."""
+    return _located(X, m, None)
+
+
+def located_and_large(X: SimplicialComplex, m: int, k: int):
+    """The verdicts ``is_m_located(X, m)`` and ``is_locally_k_large(X, k)``,
+    with each vertex link read once: the largeness loop and the degree sums
+    of :func:`locate_on_flag` take the same reads.  Only a flag complex
+    that the degree sums do not decide reads its links again, in the join."""
+    reads = list(_link_reads(X))
+    return _located(X, m, reads), _locally_large(X, k, reads)
+
+
+def _located(X: SimplicialComplex, m: int, reads) -> Verdict:
+    """:func:`is_m_located` on the link reads of X, or on its own reads
+    when ``reads`` is None."""
     if m < 6:
         raise ValueError("location starts at m = 6")
     fv = is_flag(X)
     if not fv.passed:
         return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
-    return locate_on_flag(X, m)[0]
+    located = _locate_by_degrees(X, m, reads)
+    return located if located is not None else _locate_by_join(X, m)[0]
 
 
 def locate_on_flag(X: SimplicialComplex, m: int):
@@ -514,16 +540,15 @@ def _locate_by_join(X: SimplicialComplex, m: int):
     return passed("is_m_located", m=m, dwheels=count), types
 
 
-def _locate_by_degrees(X: SimplicialComplex, m: int):
+def _locate_by_degrees(X: SimplicialComplex, m: int, reads=None):
     """The verdict of :func:`locate_on_flag` on a flag ``X`` whose every
     vertex link is a union of paths or one cycle through all the vertex's
     neighbours, read off the degree sums over its edges; None on any other
     ``X``, read at its first other link.  The lemma is in the docstring
-    of :func:`locate_on_flag`."""
+    of :func:`locate_on_flag`.  The links are ``reads`` when given, else
+    read here (:func:`_link_reads`)."""
     rims = {}  # cycle-link vertex -> its link cycle, in walk order
-    for v in X.vertices:
-        ids, masks = X.link_masks(v)
-        rings = _link_rings(masks)
+    for v, ids, masks, rings in reads or _link_reads(X):
         # a link of two cycles, or of a cycle and a path, has a ring short
         # of its vertices
         if rings is None or rings and len(rings[0]) < len(ids):

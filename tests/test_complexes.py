@@ -441,6 +441,40 @@ def test_flag_completion_round_trip(octa, icosa):
         assert rebuilt == X
 
 
+class TestCliqueEnumerator:
+    """``flag_completion`` reads each clique from its largest vertex; with a
+    previous complex on an id prefix it enumerates only the cliques above
+    the prefix.  Both must list exactly the 3- and 4-cliques."""
+
+    @staticmethod
+    def brute_cliques(n, edges, size):
+        adjacent = {frozenset(e) for e in edges}
+        return {s for s in combinations(range(n), size)
+                if all(frozenset(e) in adjacent for e in combinations(s, 2))}
+
+    @given(n=st.integers(1, 11), flags=st.lists(st.booleans(), min_size=110, max_size=110),
+           cuts=st.lists(st.integers(0, 11), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_brute_force_cliques(self, n, flags, cuts):
+        # each pair's edge is drawn by one flag, and listed either way round
+        # by the next one
+        pairs = list(combinations(range(n), 2))
+        edges = [(u, v) if flags[2 * i + 1] else (v, u)
+                 for i, (u, v) in enumerate(pairs) if flags[2 * i]]
+        X = flag_completion(n, edges)
+        for d in (2, 3):
+            assert X.simplices(d) == self.brute_cliques(n, edges, d + 1), d
+        assert X.simplices(1) == {tuple(sorted(e)) for e in edges}
+        # each previous complex is the completion of the induced graph on an
+        # id prefix, grown from the one before
+        previous = None
+        for cut in sorted(min(c, n) for c in cuts) + [n]:
+            induced = [e for e in edges if max(e) < cut]
+            previous = flag_completion(cut, induced, previous=previous)
+            assert previous == flag_completion(cut, induced)
+        assert previous == X
+
+
 def test_complex_equality(octa):
     again = build_complex(octa.maximal_simplices())
     assert again == octa

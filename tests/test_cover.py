@@ -174,19 +174,20 @@ class TestLazyHypotheses:
     since a failure on a base that meets them raises."""
 
     def test_passing_builds_read_no_hypotheses(self, surf37, monkeypatch):
-        located = counting(monkeypatch, cover, "is_m_located")
-        large = counting(monkeypatch, cover, "is_locally_k_large")
+        # location and largeness, of the interior and of the target alike,
+        # are read through one call that returns both
+        reads = counting(monkeypatch, cover, "located_and_large")
         for X in (surf37, gen("tri_torus", 8, 8)):
-            del located[:], large[:]
+            del reads[:]
             assert build_cover(X, 0, 5).passed
-            # the interior checks still run, on the previous stage ball
-            assert located and large
-            assert not [args for args in located + large if args[0] is X]
+            # the interior checks still run, once, on the previous stage ball
+            assert [args[1:] for args in reads] == [(8, 5)]
+            assert not [args for args in reads if args[0] is X]
 
     def test_a_warned_build_reads_them_once(self, monkeypatch):
         X = gen("random_flag", 13, 0.35, 4)
         reads = counting(monkeypatch, cover, "_meets_hypotheses")
-        located = counting(monkeypatch, cover, "is_m_located")
+        located = counting(monkeypatch, cover, "located_and_large")
         report = build_cover(X, 0, 4)
         # the same (Q) failure recurs at stages 2, 3 and 4
         assert [w.which for w in report.state.warnings] == ["Q"] * 3
@@ -235,6 +236,26 @@ class TestExpansionLemma:
             warned += bool(state.warnings)
         # the three warned draws and the 600-cell carry warnings
         assert merged > 0 and warned == len(WARNED) + 1
+
+    def test_each_stage_ball_extends_the_last_by_new_cliques(self, c4, c5, tetra, icosa,
+                                                              torus66, disk37, surf37):
+        # the expansion enumerates only the cliques whose largest vertex is
+        # new: the ball must be the completion of its edges from scratch,
+        # and its simplices on the old ids the previous ball's
+        inputs = [c4, c5, tetra, icosa, torus66, disk37, surf37, gen("cell600")]
+        inputs += [gen("random_flag", *p) for p in WARNED]
+        grown = 0
+        for X in inputs:
+            state = _base_state(X, 0)
+            while state.stage < 4:
+                previous, state = state, expand_ball(state)
+                ball, n_old = state.ball, previous.ball.vertex_count
+                assert ball == flag_completion(ball.vertex_count, ball.simplices(1)), X.name
+                for d in range(4):
+                    old = {s for s in ball.simplices(d) if s[-1] < n_old}
+                    assert old == previous.ball.simplices(d), (X.name, state.stage, d)
+                grown += len(ball.simplices(2)) > len(previous.ball.simplices(2))
+        assert grown > 0
 
 
 class TestClassesOracle:
@@ -356,6 +377,18 @@ class TestInteriorBall:
             unlocated += not report.interior_located.passed
         # the torus is not 8-located: from r = 3 on its interior has a witness
         assert unlocated >= 3
+
+    def test_each_interior_link_is_read_once(self, surf37, monkeypatch):
+        # location and largeness of the interior take one read of each link
+        reads = counting(monkeypatch, SimplicialComplex, "link_masks")
+        for X, r, located in ((surf37, 5, True), (gen("tri_torus", 8, 8), 4, False)):
+            del reads[:]
+            report = build_cover(X, 0, r)
+            assert report.interior_located.passed == located and report.interior_large.passed
+            interior = report.state.interior_ids()
+            assert sorted(v for _ball, v in reads) == interior
+            balls = {id(ball): ball for ball, _v in reads}
+            assert [ball.vertex_count for ball in balls.values()] == [len(interior)]
 
 
 class TestShortcut:
