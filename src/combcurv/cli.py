@@ -130,7 +130,7 @@ def cmd_validate(args):
     try:
         report = _call(args, manifold_mod.validate_closed_3manifold, X)
     except NotPure as exc:
-        return _emit(args, "validate", [failed("validate", {"kind": "not_pure"}, detail=str(exc))])
+        return _emit(args, "validate", [failed("validate", exc.witness, detail=str(exc))])
     verdicts = [report.is_pseudomanifold, report.edge_link_cycles,
                 report.vertex_links_spheres, report.five_six_star]
     return _emit(args, "validate", verdicts,

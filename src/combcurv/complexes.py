@@ -5,6 +5,8 @@ triangles, tetrahedra) together with the adjacency relation of the
 1-skeleton and a per-vertex coface index.  All queries used by the
 curvature checkers live here: spans (induced subcomplexes), vertex link
 graphs, chord tests for cycles, flagness, and chordless-cycle enumeration.
+The face sets are frozensets, so they iterate in no fixed order; a caller
+that names a first offender reads them sorted.
 
 The flagness of a complex is decided by counts of common neighbours
 (:func:`flag_witness`).  The two searches, :func:`empty_clique` (empty
@@ -19,8 +21,9 @@ to ambient ids unchanged.  The closed-surface test reads its links off the
 edge links instead, in ``manifold``.
 
 The coface index makes the local queries cost the size of a vertex star,
-not the size of the complex: ``link_masks`` reads the star of one vertex,
-and ``span`` the stars of the kept vertices.  A per-vertex or
+not the size of the complex: ``link_edges`` (the edges of a vertex link)
+and ``link_masks`` (the same graph as bitmasks) read the star of one
+vertex, and ``span`` the stars of the kept vertices.  A per-vertex or
 per-simplex loop over a complex therefore costs about the sum of its
 vertex stars.
 """
@@ -191,27 +194,16 @@ class SimplicialComplex:
     def span(self, vertex_set: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex induced by a vertex set, on the same vertex ids.
 
-        Ids that are not vertices of this complex are ignored.
-        """
-        return SimplicialComplex(self.vertex_count, self._span_faces(vertex_set), name=self.name)
-
-    def _span_faces(self, vertex_set: Iterable[int], dims=range(MAX_DIM + 1)) -> dict:
-        """The ``dims`` face sets of ``span(vertex_set)``, without building the complex.
-
-        Each kept simplex is read once, from the cofaces of its smallest
-        vertex.  The frozensets are the ones ``span`` stores, so they
-        iterate in the same order.
+        Ids that are not vertices of this complex are ignored.  Each kept
+        simplex is read once, from the cofaces of its smallest vertex.
         """
         keep = set(vertex_set)
-        faces = {d: [] for d in dims}
-        for v in keep:
-            if (v,) not in self._faces[0]:
-                continue
+        faces = {d: [] for d in range(MAX_DIM + 1)}
+        for v in filter(self.has_vertex, keep):
             for t in ((v,),) + self._cofaces[v]:
-                fs = faces.get(len(t) - 1)
-                if fs is not None and t[0] == v and keep.issuperset(t):
-                    fs.append(t)
-        return {d: frozenset(fs) for d, fs in faces.items()}
+                if t[0] == v and keep.issuperset(t):
+                    faces[len(t) - 1].append(t)
+        return SimplicialComplex(self.vertex_count, faces, name=self.name)
 
     def link_masks(self, v: int):
         """The 1-skeleton of the link of vertex ``v`` as ``(ids, masks)``:
@@ -220,16 +212,17 @@ class SimplicialComplex:
         ids = sorted(self._adj[v])
         rank = {u: i for i, u in enumerate(ids)}
         masks = [0] * len(ids)
-        for a, b in self._link_edges(v):
+        for a, b in self.link_edges(v):
             i, j = rank[a], rank[b]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return ids, masks
 
-    def _link_edges(self, v: int) -> list:
-        """The link edges (a, b), a < b, of vertex ``v``: t - v for each
-        triangle t at v.  In v's coface tuple the triangles follow its
-        ``degree(v)`` edges and precede its tetrahedra."""
+    def link_edges(self, v: int) -> list:
+        """The edges (a, b), a < b, of the link of vertex ``v``: t - v for
+        each triangle t at v, in no fixed order.  In v's coface tuple the
+        triangles follow its ``degree(v)`` edges and precede its
+        tetrahedra."""
         cofaces = self._cofaces[v]
         first = len(self._adj[v])
         triangles = cofaces[first:bisect_left(cofaces, 4, first, key=len)]

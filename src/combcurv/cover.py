@@ -177,6 +177,9 @@ def _verify_invariants(state: CoverState):
     """Check (Q) and (R) on a state.
 
     Returns the (Q) report, the (R) verdict and the list of violations.
+    A (Q) violation is listed only at the newest radius, (T) before (V):
+    one at a lower radius was listed, as a warning, by the stage that added
+    it, since a state that meets the entry hypotheses raises instead.
     """
     problems = []
     ball = state.ball
@@ -192,10 +195,8 @@ def _verify_invariants(state: CoverState):
         new = range(bisect_left(birth, i + 1), len(birth))
         sphere_edges = sum(u in new for v in new for u in ball.neighbors(v)) // 2
         results[i] = passed("sd_T", edges_checked=sphere_edges), vertex_condition(ball, birth, i)
+        problems += [("Q", r.witness, r.detail) for r in results[i] if not r.passed][:1]
     sd = SDReport(base=state.base, max_radius=i, results=results)
-    if not sd.passed:
-        f = sd.first_failure()
-        problems.append(("Q", f.witness, f.detail))
 
     # (R): sheet map is a local isomorphism, full at interior vertices.  The
     # target is flag and the ball a clique complex, so edges decide it.

@@ -612,7 +612,7 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     offender, whenever the simplices of both complexes are their cliques of
     at most 4 vertices, even if a 5-clique makes one of them fail
     ``is_flag``: the cover builder's stage balls and flag base are such a
-    pair.  Otherwise the faces of dimensions 1-3 are compared, in span
+    pair.  Otherwise the faces of dimensions 1-3 are compared, in the same
     order either way: same offender.
 
     ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
@@ -620,9 +620,11 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
 
     One pass over the cover vertices, in sorted order, decides every 1-ball
     N[v].  A 1-ball that the edge count below passes reads no span.  Every
-    other one runs the ordered scan: the images in 1-ball order, then the
-    span faces in span order, which names the first offender.  Counting
-    never raises, so the first 1-ball that raises is the scan's.
+    other one runs the ordered scan: the images in sorted 1-ball order, then
+    the faces of each side's span by dimension, each dimension sorted.  So
+    the offender named is the least one, and depends on the complexes
+    alone, not on the layout of their sets.  Counting never raises, so the
+    first 1-ball that raises is the scan's.
 
     Lemma (the edge count, when edges decide).  Let every edge of N[v] map
     to a base edge, and f be injective on N[v].  Then f maps the edges of
@@ -658,30 +660,30 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
             fv, image = f[v], {f[u] for u in nbrs}
             if len(image) == len(nbrs):
                 if fv not in links:
-                    links[fv] = base._link_edges(fv)
+                    links[fv] = base.link_edges(fv)
                 full = len(nbrs) == base.degree(fv)
                 if (full or v not in full_at) and triangles[v] == (
                         len(links[fv]) if full else sum(map(image.issuperset, links[fv]))):
                     continue
-        bv = frozenset({v}) | nbrs
-        inverse = {}
-        for u in bv:
+        ball, inverse = sorted({v} | nbrs), {}
+        for u in ball:
             fu = f[u]
             if not base.has_vertex(fu):
                 raise NotACovering(v, f"image {fu} of {u} is not a vertex of the base")
             if fu in inverse:
                 raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
             inverse[fu] = u
-        image_set = frozenset(inverse.keys())  # not frozenset(inverse): layout sets span order
         # forward: simplices inside the 1-ball must map to simplices
-        for s in chain.from_iterable(cover._span_faces(bv, dims).values()):
+        span = cover.span(ball)
+        for s in chain.from_iterable(sorted(span.simplices(d)) for d in dims):
             if not base.has_simplex(f[u] for u in s):
                 raise NotACovering(v, f"simplex {s} maps to a non-simplex")
         # backward: simplices of the image span must pull back
-        for s in chain.from_iterable(base._span_faces(image_set, dims).values()):
+        span = base.span(inverse)
+        for s in chain.from_iterable(sorted(span.simplices(d)) for d in dims):
             if not cover.has_simplex(inverse[x] for x in s):
                 raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
-        if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
+        if v in full_at and inverse.keys() != {f[v]} | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 
 

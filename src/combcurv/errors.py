@@ -67,7 +67,14 @@ class HypothesisViolation(CombCurvError):
 
 class NotPure(CombCurvError):
     """A 3-manifold validation got a complex with maximal simplices of
-    dimension below 3."""
+    dimension below 3.  ``witness`` names the least of them, ``simplex``,
+    or None when the complex is empty.
+    """
+
+    def __init__(self, simplex):
+        super().__init__(f"maximal simplex {simplex} has dimension below 3"
+                         if simplex is not None else "complex has no tetrahedra")
+        self.witness = {"kind": "not_pure", "simplex": simplex and list(simplex)}
 
 
 class NotASphere(CombCurvError):
@@ -80,12 +87,14 @@ class NoFillingPair(CombCurvError):
 
 
 class PreconditionNotMet(CombCurvError):
-    """A checker's stated precondition failed; names the prerequisite."""
+    """A checker's stated precondition failed; names the prerequisite and
+    carries its failing verdict's ``witness``."""
 
-    def __init__(self, name, detail=""):
+    def __init__(self, name, detail="", witness=None):
         super().__init__(f"precondition not met: {name}" + (f" ({detail})" if detail else ""))
         self.name = name
         self.detail = detail
+        self.witness = witness
 
 
 class ParseError(CombCurvError):

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, build_complex, full_cycles, is_flag
 from .curvature import is_locally_k_large, locate_on_flag, wheels
-from .errors import CombCurvError, NoFillingPair, NotASphere, NotPure, PreconditionNotMet
+from .errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed
 
 ALLOWED_DWHEEL_TYPES = {(5, 5), (6, 5), (6, 6), (7, 5)}
@@ -196,8 +196,7 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     bad = [s for s in X.simplices(0) if not X.neighbors(s[0])]
     bad += [e for e, nbrs in links.items() if not nbrs] + [t for t, c in off if c == 0]
     if bad or not X.simplices(3):
-        raise NotPure(f"maximal simplex {min(bad)} has dimension below 3"
-                      if bad else "complex has no tetrahedra")
+        raise NotPure(min(bad, default=None))
 
     pseudo = passed("pseudomanifold", triangles=len(X.simplices(2)))
     if off:
@@ -324,7 +323,7 @@ class SoccerDual:
 
 def soccer_dual(Y: SimplicialComplex) -> SoccerDual:
     """Dual cellulation of a valid degree-5/6 sphere."""
-    _require_5_6_star(is_5_6_star_sphere(Y))
+    _require(is_5_6_star_sphere(Y))
     tris = sorted(Y.simplices(2))
     edge_tris = defaultdict(list)
     vertex_tris = {v: [] for v in Y.vertices}
@@ -379,9 +378,11 @@ def find_7cycle_filling(Y: SimplicialComplex, cycle) -> FillingPair:
     raise NoFillingPair(f"no filling pair for 7-cycle {c}")
 
 
-def _require_5_6_star(v56: Verdict) -> None:
-    if not v56.passed:
-        raise PreconditionNotMet("is_5_6_star_sphere", v56.detail)
+def _require(verdict: Verdict) -> None:
+    """Raise :class:`PreconditionNotMet` naming ``verdict``'s check, with its
+    detail and witness, when it failed."""
+    if not verdict.passed:
+        raise PreconditionNotMet(verdict.check, verdict.detail, verdict.witness)
 
 
 def _sphere_lemmas(Y: SimplicialComplex) -> list:
@@ -399,7 +400,9 @@ def lemma_verdicts(X: SimplicialComplex) -> list:
     or, on a 3-complex, :func:`check_wheel_in_link` and then the sphere
     lemmas on the link of each vertex, once that link passed its 5/6*
     sphere check.  The first unmet precondition ends the list with a
-    failed ``lemmas`` verdict.
+    failed ``lemmas`` verdict.  Its witness names the unmet check and
+    carries that check's witness; a vertex link that is no 2-sphere is
+    named by its vertex, as in :func:`link_verdicts`.
 
     A link is given to the lemmas as its 1-skeleton in the ids of ``X``,
     built from the rims of :func:`_vertex_link`, with no link complex built
@@ -412,23 +415,29 @@ def lemma_verdicts(X: SimplicialComplex) -> list:
     canonical and the ``(len, c)`` order of the cycles.  So the verdicts
     find the same cycles in the same order, with the same stats and the
     same witnesses."""
-    verdicts = []
+    verdicts, v = [], None  # v: the vertex whose link is read
     try:
         if X.dimension() == 3:
             verdicts.append(check_wheel_in_link(X))
             links = _edge_link_graphs(X)
             for v in X.vertices:
-                _require_5_6_star(_link_verdict(X, v, links))
+                _require(_link_verdict(X, v, links))
                 rims = _vertex_link(X, v, links)[0]
                 Y = build_complex([(u, w) for u in rims for w in rims[u] if u < w])
                 where = f"link of vertex {v}"
                 verdicts += [replace(r, detail=f"{where}: {r.detail}" if r.detail else where)
                              for r in _sphere_lemmas(Y)]
         else:
-            _require_5_6_star(is_5_6_star_sphere(X))
+            _require(is_5_6_star_sphere(X))
             verdicts += _sphere_lemmas(X)
-    except CombCurvError as exc:
-        verdicts.append(failed("lemmas", {"kind": "precondition"}, detail=str(exc)))
+    except (PreconditionNotMet, NotASphere) as exc:
+        if isinstance(exc, PreconditionNotMet):
+            unmet = {"check": exc.name, "witness": exc.witness}
+        elif v is not None:  # the link of v is no 2-sphere
+            unmet = {"check": "link_sphere", "witness": {"kind": "vertex_link", "vertex": v}}
+        else:  # X is no 2-sphere
+            unmet = {"check": "is_5_6_star_sphere", "witness": {"kind": "not_a_sphere"}}
+        verdicts.append(failed("lemmas", {"kind": "precondition", **unmet}, detail=str(exc)))
     return verdicts
 
 
@@ -436,7 +445,7 @@ def check_sphere_cycle_lemma(Y: SimplicialComplex) -> Verdict:
     """No chordless 4-cycles, and every chordless 5- or 6-cycle is the rim
     of a wheel: a cycle is filled when it is the link of a vertex outside
     it, which :func:`_sphere_cycle_lemma` reads off the degrees."""
-    _require_5_6_star(is_5_6_star_sphere(Y))
+    _require(is_5_6_star_sphere(Y))
     return _sphere_cycle_lemma(Y, full_cycles(Y, 4, 6))
 
 
@@ -469,7 +478,7 @@ def _sphere_cycle_lemma(Y: SimplicialComplex, cycles: list) -> Verdict:
 
 def check_7cycle_fillings(Y: SimplicialComplex) -> Verdict:
     """Run the filling-pair search over every chordless 7-cycle."""
-    _require_5_6_star(is_5_6_star_sphere(Y))
+    _require(is_5_6_star_sphere(Y))
     return _seven_cycle_fillings(Y, full_cycles(Y, 7, 7))
 
 
@@ -487,9 +496,7 @@ def _seven_cycle_fillings(Y: SimplicialComplex, sevens: list) -> Verdict:
 
 def check_wheel_in_link(X: SimplicialComplex) -> Verdict:
     """Every 5- and 6-wheel lies inside the link of some vertex outside it."""
-    v56 = five_six_star_verdict(X)
-    if not v56.passed:
-        raise PreconditionNotMet("five_six_star", v56.detail)
+    _require(five_six_star_verdict(X))
     count = 0
     for whl in wheels(X, 5, 6):
         count += 1
@@ -541,7 +548,7 @@ def verify_theorem_b(X: SimplicialComplex) -> Verdict:
     try:
         report = validate_closed_3manifold(X)
     except NotPure as exc:
-        return failed("theorem_b", {"kind": "not_pure", "reason": str(exc)},
+        return failed("theorem_b", exc.witness,
                       detail="stage validate: not a pure 3-complex", stage="validate")
     types = set()
     for stage, verdict in _theorem_b_stages(X, report, types):

@@ -240,12 +240,12 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
     for name, verdict in (("is_m_located(X, 8)", is_m_located(X, 8)),
                           ("is_locally_k_large(X, 5)", is_locally_k_large(X, 5))):
         if not verdict.passed:
-            raise PreconditionNotMet(name, verdict.detail)
+            raise PreconditionNotMet(name, verdict.detail, verdict.witness)
     dist = distances_from(X, o)
     sd = check_sd_prime(X, o, n, dist)
     if not sd.passed:
-        raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})",
-                                 sd.first_failure().detail)
+        first = sd.first_failure()
+        raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})", first.detail, first.witness)
 
     instances = 0
     for i in range(1, n + 1):
@@ -256,17 +256,15 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
             for y, z in combinations(down, 2):
                 if X.adjacent(y, z):
                     continue
-                xs = [x for x in down if X.adjacent(x, y) and X.adjacent(x, z)]
-                for x in xs:
+                for x in (x for x in down if X.adjacent(x, y) and X.adjacent(x, z)):
                     # X is flag (8-located), so xyt and xzt are triangles
-                    ys = [t for t in X.neighbors(x) & X.neighbors(y) if dist[t] <= i - 1]
-                    zs = [t for t in X.neighbors(x) & X.neighbors(z) if dist[t] <= i - 1]
+                    ys = sorted(t for t in X.neighbors(x) & X.neighbors(y) if dist[t] <= i - 1)
+                    zs = sorted(t for t in X.neighbors(x) & X.neighbors(z) if dist[t] <= i - 1)
                     for yp in ys:
                         for zp in zs:
                             instances += 1
-                            ok = (yp != zp and not X.adjacent(yp, z)
-                                  and not X.adjacent(y, zp) and X.adjacent(yp, zp))
-                            if not ok:
+                            if not (yp != zp and not X.adjacent(yp, z)
+                                    and not X.adjacent(y, zp) and X.adjacent(yp, zp)):
                                 return failed(
                                     "projection_lemma",
                                     {"kind": "projection_instance", "radius": i,

@@ -30,8 +30,14 @@ def witness_json(obj: Any) -> Any:
 class Verdict:
     """Outcome of one check.
 
-    ``witness`` is present whenever ``passed`` is False.  ``stats`` holds
-    counts gathered during the check (enumerated objects, instances tried).
+    ``witness`` is present whenever ``passed`` is False.  It names the
+    least offender in a fixed order, so it depends on the complex alone and
+    not on the layout of its sets.  ``stats`` holds counts gathered during
+    the check (enumerated objects, instances tried).
+
+    An aggregate report (``build_cover``, ``sd_prime``,
+    ``validate_closed_3manifold``) carries no witness of its own: its
+    witness lives in its parts, the failing verdicts it holds.
     """
 
     check: str

@@ -656,10 +656,9 @@ def naive_projection_lemma(X, o, n):
     sphere i + 1, the non-adjacent pair y < z below it, their common
     neighbour x below it, then y' and z' two steps down closing triangles
     with x.  8-location and local 5-largeness are taken as given; the
-    descent property is tested by :func:`naive_check_sd_prime`.
-
-    The library takes y' and z' in set order, so a failing witness, and
-    the instance count at a failure, may differ from this one's."""
+    descent property is tested by :func:`naive_check_sd_prime`.  The
+    library makes every choice in the same order, so a failing witness and
+    the instance count at a failure are the same as this one's."""
     sd = naive_check_sd_prime(X, o, n)
     if not sd.passed:
         raise PreconditionNotMet(f"check_sd_prime(X, {o}, {n})", sd.first_failure().detail)
@@ -695,13 +694,14 @@ def naive_check_covering_map(f, cover, base, full_at=None):
     """The covering condition as first written: six span complexes per
     cover vertex, built inside the per-dimension loops.
 
-    It reads the face sets of ``span`` complexes, so it meets offenders in
-    the same order as the library and must raise on the same vertex with
-    the same reason.
+    It walks the 1-ball in sorted order and reads each span's faces by
+    dimension, each dimension sorted, so it meets offenders in the same
+    order as the library and must raise on the same vertex with the same
+    reason.
     """
     full_at = set(full_at) if full_at is not None else set()
     for v in cover.vertices:
-        bv = frozenset({v}) | cover.neighbors(v)
+        bv = sorted({v} | cover.neighbors(v))
         images = {}
         for u in bv:
             fu = f[u]
@@ -710,18 +710,18 @@ def naive_check_covering_map(f, cover, base, full_at=None):
             if fu in images.values():
                 raise NotACovering(v, f"not injective on the 1-ball ({u} collides)")
             images[u] = fu
-        image_set = frozenset(images.values())
+        image_set = set(images.values())
         for d in range(1, 4):
-            for s in cover.span(bv).simplices(d):
+            for s in sorted(cover.span(bv).simplices(d)):
                 if not base.has_simplex(tuple(images[u] for u in s)):
                     raise NotACovering(v, f"simplex {s} maps to a non-simplex")
         inverse = {fu: u for u, fu in images.items()}
         for d in range(1, 4):
-            for s in base.span(image_set).simplices(d):
+            for s in sorted(base.span(image_set).simplices(d)):
                 pre = tuple(sorted(inverse[x] for x in s))
                 if not cover.has_simplex(pre):
                     raise NotACovering(v, f"image simplex {s} has no preimage in the 1-ball")
-        if v in full_at and image_set != frozenset({f[v]}) | base.neighbors(f[v]):
+        if v in full_at and image_set != {f[v]} | base.neighbors(f[v]):
             raise NotACovering(v, "1-ball does not cover the full 1-ball of the image")
 
 

@@ -339,12 +339,21 @@ def test_lemmas_builds_a_link_complex_only_past_the_link_checks(tmp_path, capsys
     # past the wheel check, the first vertex link of each fails the sphere
     # or degree check of the edge-link reader
     monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
+    witnesses = []
     for path in solid.values():
         assert main(["--json", "lemmas", str(path)]) == 1
-        last = json.loads(capsys.readouterr().out)["verdicts"][-1]
-        assert last["witness"] == {"kind": "precondition"}, last
+        witnesses.append(json.loads(capsys.readouterr().out)["verdicts"][-1]["witness"])
     # no complex is built but the inputs
     assert [Y.dimension() for Y in built] == [3] * (2 * len(solid))
+    # the witness names the unmet check of the first failing link, with
+    # that link verdict's own witness
+    checks = set()
+    for path, witness in zip(solid.values(), witnesses):
+        first = next(r for r in manifold.link_verdicts(load_path(path).complex) if not r.passed)
+        check = "link_sphere" if first.witness["kind"] == "vertex_link" else "is_5_6_star_sphere"
+        assert witness == {"kind": "precondition", "check": check, "witness": first.witness}
+        checks.add(check)
+    assert checks == {"link_sphere", "is_5_6_star_sphere"}
     # a link that passes gets one run of the sphere lemmas, on its
     # 1-skeleton in the ids of the complex: no link complex is built
     monkeypatch.setattr(manifold, "_link_verdict", lambda X, v, links: passed("v56"))
@@ -372,15 +381,6 @@ def naive_link_lemmas(X) -> list:
                 doc["witness"]["vertices"] = [vertex_map[i] for i in doc["witness"]["vertices"]]
             out.append(doc)
     return out
-
-
-# the private names that one module may read of another, with the reason
-PRIVATE_READS_ALLOWED = {
-    "_span_faces": "check_covering_map compares the faces of a 1-ball span "
-                   "without building the span complex",
-    "_link_edges": "check_covering_map counts the link edges of a base vertex "
-                   "without the rank map of link_masks",
-}
 
 
 def is_private(name):
@@ -430,13 +430,10 @@ def package_sources():
 
 
 def test_no_module_reads_a_private_name_of_another():
-    # one seam per module: a module reads only the public names of another,
-    # except the SimplicialComplex internals in the allowlist
+    # one seam per module: a module reads only the public names of another
     sources = package_sources()
     assert {"cli", "complexes", "cover", "curvature", "manifold", "metric"} <= set(sources)
-    found = private_reads(sources)
-    assert {name for _mod, name in found} == set(PRIVATE_READS_ALLOWED), found
-    assert {mod for mod, _name in found} == {"curvature"}
+    assert private_reads(sources) == []
     # the link and lemma decisions stay behind the manifold module
     tree = ast.parse(sources["cli"])
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)

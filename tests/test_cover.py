@@ -189,8 +189,10 @@ class TestLazyHypotheses:
         reads = counting(monkeypatch, cover, "_meets_hypotheses")
         located = counting(monkeypatch, cover, "located_and_large")
         report = build_cover(X, 0, 4)
-        # the same (Q) failure recurs at stages 2, 3 and 4
-        assert [w.which for w in report.state.warnings] == ["Q"] * 3
+        # (Q) fails at radius 1 (stage 2) and at radius 3 (stage 4); each
+        # is reported once, by the stage that adds its radius
+        assert [(w.which, w.witness["radius"]) for w in report.state.warnings] == \
+            [("Q", 1), ("Q", 3)]
         assert len(reads) == 1
         assert sum(args[0] is X for args in located) == 1
 
@@ -313,7 +315,7 @@ class TestDescentOncePerRadius:
         triangle_scans = counting(monkeypatch, metric, "_triangle_condition")
         vertex_scans = counting(monkeypatch, cover, "vertex_condition")
         spans = counting(monkeypatch, SimplicialComplex, "span")
-        span_faces = counting(monkeypatch, SimplicialComplex, "_span_faces")
+        faces_read = counting(monkeypatch, SimplicialComplex, "has_simplex")
         # by (P) the birth layers are the base row, so no BFS runs
         rows = counting(monkeypatch, metric, "distances_from")
         # stage 0 carries the empty report, so no lower radius is scanned;
@@ -323,7 +325,7 @@ class TestDescentOncePerRadius:
         assert build_cover(surf37, 0, 5).passed
         assert triangle_scans == [] and reports == []
         assert [args[2] for args in vertex_scans] == [1, 2, 3, 4]
-        assert spans == [] and span_faces == [] and rows == []
+        assert spans == [] and faces_read == [] and rows == []
 
 
 class TestDescentLemmas:
@@ -418,7 +420,7 @@ class TestShortcut:
         assert report.shortcut.witness["pair"] == [4, 5]
         doc = json.dumps(report.to_json(), sort_keys=True).encode()
         assert hashlib.sha256(doc).hexdigest() == \
-            "7a16dff6ef787efe667d13686ee6d7d2d224ccb1be99f380c75c40e4250632e4"
+            "ef7d8d438795a6e650374b0118f56bb065704578c36eb36d387b8ea9373ccc6d"
         # a passing build verifies its last stage alone
         del calls[:]
         assert build_cover(surf37, 0, 4).shortcut.passed
@@ -520,5 +522,5 @@ def test_600_cell_does_not_close_up():
     assert report.to_json()["status"] == "fail"
     assert report.state.ball.counts()[:2] == (119, 678)
     assert [str(w) for w in report.state.warnings] == [
-        "expected failure, hypotheses unmet: (R) image simplex (108, 109) "
+        "expected failure, hypotheses unmet: (R) image simplex (107, 108) "
         "has no preimage in the 1-ball"]

@@ -900,6 +900,10 @@ class TestCoveringMapOracle:
             for r in (2, 3, 4):
                 state = build_cover(X, 0, r).state
                 yield state.sheet_map, state.ball, X, state.interior_ids()
+        # the 600-cell's radius-4 ball, whose first failing 1-ball has three
+        # image edges with no preimage: the least is named
+        state = build_cover(gen("cell600"), 0, 4).state
+        yield state.sheet_map, state.ball, state.target, state.interior_ids()
         # non-flag pairs: a soup and a copy less some triangles, each the
         # cover of the other, so every dimension is compared
         for A in simplex_soups(rng, 60):
@@ -942,22 +946,27 @@ class TestCoveringMapOracle:
                                                   monkeypatch):
         # a flag 1-ball whose edges match both ways is decided by counting
         # edges: one neighbour set per 1-ball on the cover and none on the
-        # base, whose degrees tell fullness; only a failing one reads span
-        # faces, and only edges
+        # base, whose degrees tell fullness; only a failing one builds span
+        # complexes and compares their faces, and only edges
         state = build_cover(surf37, 0, 5).state
         for f, cover, base, full_at in self.cases(icosa, octa, torus66, disk37, surf37):
             got = covering_outcome(check_covering_map, f, cover, base, full_at)
             if got and "simplex" in got[1] and is_flag(cover).passed and is_flag(base).passed:
                 break
-        sizes = []
-        real = SimplicialComplex._span_faces
+        spans, sizes = [], []  # each span built, the size of each simplex looked up
+        span, has_simplex = SimplicialComplex.span, SimplicialComplex.has_simplex
 
-        def recording(self, vertex_set, dims=range(4)):
-            faces = real(self, vertex_set, dims)
-            sizes.append({len(s) for fs in faces.values() for s in fs})
-            return faces
+        def spanning(self, vertex_set):
+            spans.append(span(self, vertex_set))
+            return spans[-1]
 
-        monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
+        def looking_up(self, vertices):
+            vertices = tuple(vertices)
+            sizes.append(len(vertices))
+            return has_simplex(self, vertices)
+
+        monkeypatch.setattr(SimplicialComplex, "span", spanning)
+        monkeypatch.setattr(SimplicialComplex, "has_simplex", looking_up)
         reads = {id(state.ball): 0, id(surf37): 0}
         neighbors = SimplicialComplex.neighbors
 
@@ -970,11 +979,11 @@ class TestCoveringMapOracle:
         monkeypatch.setattr(SimplicialComplex, "neighbors", neighbors)
         n = len(state.ball.vertices)
         assert n == 617 and reads == {id(state.ball): n, id(surf37): 0}, reads
-        assert state.ball.simplices(2) and sizes == []
+        assert state.ball.simplices(2) and spans == [] and sizes == []
         assert covering_outcome(check_covering_map, f, cover, base, full_at) == got
         # the failing ball has triangles, but no simplex of more than two
         # vertices is compared
-        assert cover.simplices(2) and sizes and set().union(*sizes) == {2}
+        assert any(Y.simplices(2) for Y in spans) and set(sizes) == {2}
 
     def test_one_edge_off_the_base_counts_no_ball(self, surf37, monkeypatch):
         """The edge-image precondition is read once per call: a map that
@@ -982,14 +991,14 @@ class TestCoveringMapOracle:
         1-ball of every vertex up to the referee's offender.  Every builder
         stage ball meets it, and there the count is exact: only the 1-ball
         that raises can be scanned."""
-        real = SimplicialComplex._span_faces
-        reads = []  # (complex, vertex set) of each span read
+        real = SimplicialComplex.span
+        reads = []  # (complex, vertex set) of each span built
 
-        def recording(self, vertex_set, dims=range(4)):
+        def recording(self, vertex_set):
             reads.append((self, frozenset(vertex_set)))
-            return real(self, vertex_set, dims)
+            return real(self, vertex_set)
 
-        monkeypatch.setattr(SimplicialComplex, "_span_faces", recording)
+        monkeypatch.setattr(SimplicialComplex, "span", recording)
         f = tuple(range(surf37.vertex_count))
         for a, b in (min(surf37.simplices(1)), max(surf37.simplices(1))):
             # surf37 less one edge and its two triangles is still flag: its

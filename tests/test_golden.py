@@ -76,29 +76,29 @@ FAR = {"disk37_r3": 29, "surf37_psl2_7": 8, "icosahedron": 3, "gs3": 3, "torus66
 # (input, command, exit code, sha256 of stdout)
 GOLDEN = [
     ("disk37_r3", "check", 0, "79bf52ff5f7add824ebe9f85c227d8b177ee1e1ee825acfd629b51591f98f9c0"),
-    ("disk37_r3", "validate", 1, "61bad9e6220654a76222a4ad56be29176e1f58d897abf5293f6847404c6fbc3a"),
+    ("disk37_r3", "validate", 1, "12888f95d04038247e5cd8f508682bf554db34c13c582291f4fb46255bded370"),
     ("disk37_r3", "links", 1, "1915ed6570ef2b997324210498da4a1641fefb7c327acad73fae2f8529103412"),
-    ("disk37_r3", "theorem-b", 1, "c5079359c1ea8fdd131d64c02c70a8c4590fefb98bed7ab803ea6952c23d56c4"),
+    ("disk37_r3", "theorem-b", 1, "ca0158f2eca39719d9e0873cb104238a65a975e3830fb89e3d3c5868765b608a"),
     ("disk37_r3", "cover", 0, "2751cd31c70e0f8e976704b7339ea54161bb843954eb34132e3ed1f5bdc498e6"),
     ("surf37_psl2_7", "check", 0, "74ddf6bc26b14d8443f99d84d54118193acabd22297c7c935f2469b1c21c2b1a"),
-    ("surf37_psl2_7", "validate", 1, "61bad9e6220654a76222a4ad56be29176e1f58d897abf5293f6847404c6fbc3a"),
+    ("surf37_psl2_7", "validate", 1, "12888f95d04038247e5cd8f508682bf554db34c13c582291f4fb46255bded370"),
     ("surf37_psl2_7", "links", 1, "25c4293cb0fad1a98b59831e41d58e1f48b4c9dde0ed23b1d9998c3a646dd637"),
-    ("surf37_psl2_7", "theorem-b", 1, "c5079359c1ea8fdd131d64c02c70a8c4590fefb98bed7ab803ea6952c23d56c4"),
+    ("surf37_psl2_7", "theorem-b", 1, "ca0158f2eca39719d9e0873cb104238a65a975e3830fb89e3d3c5868765b608a"),
     ("surf37_psl2_7", "cover", 0, "d4a0755a116e6c95e4bcf2317cc3b7f2d9bde9dbc5be7c5aea734bb9ac9567d7"),
     ("icosahedron", "check", 1, "d479c46ab0f3cdbd34993a87ecbb3d8f96d79d046f4497044e75d422bab71960"),
-    ("icosahedron", "validate", 1, "845d2a971f04158283ce53734a49e51e22e2fa313437d5bb7a7d3d6cce9e03a9"),
+    ("icosahedron", "validate", 1, "fb8166f540653597a0488d3a28849aa092b8a868d8c86237d4003662d9486899"),
     ("icosahedron", "links", 1, "44563cf90422470de0688ced25b7e67e729e8d0da329630460c9b7ff9660039d"),
-    ("icosahedron", "theorem-b", 1, "bdd476260c5fe1bc9f40ccf1dce161f73a6bc2b870733815554c46d5aa150755"),
+    ("icosahedron", "theorem-b", 1, "34a034e164faa053601cc80fb0f775ec1686574a1f7593f1fea0af23c8c086b6"),
     ("icosahedron", "cover", 0, "456c71f74ee46e367c3a7b5c2d953de6dbdb1746ee1e0c4709f7ac1137ca9716"),
     ("gs3", "check", 1, "d004a04f05f90d5754d75be7a94eceb7ea4db230e155ebd034f9b2c812b557d3"),
-    ("gs3", "validate", 1, "2a8093dcc3c16e76c029404b71e01d55550b2ab1cbc074e3e39c531072ac3d32"),
+    ("gs3", "validate", 1, "7dc76968faaffa605ff64f9a0b9d376521c378df1d24447c89a80ffaefbe5624"),
     ("gs3", "links", 1, "73ee314818b64dc3b6f26e3c46812b518e4f07dbab9b25c9a271dc88465b598b"),
-    ("gs3", "theorem-b", 1, "d6b6e24af533a125f53a2d875e2cda0db7efb6bac243235d4c95c802ad4fe6d6"),
+    ("gs3", "theorem-b", 1, "40b7a5c5822246a168add5c5ddfab6159a8e40cf729c549de668bba89a4f28b3"),
     ("gs3", "cover", 0, "a7b710bbdc6c6886c4ac3ee013a02d4dfba460e071f77243c917d3205edc3705"),
     ("torus66", "check", 1, "6d094250a6757a92c937d0d54d289ff662897bc37ecd92206baa03cfc9c4c435"),
-    ("torus66", "validate", 1, "53732b38951d14871340a5262977147a4145991afff0c2df957b2711293908ad"),
+    ("torus66", "validate", 1, "e354de718cff49621ac2591b51dc84c8aa22692a37481f4d7418060e8fc94840"),
     ("torus66", "links", 1, "ff59cc41bf4f5fbfc61f429ea12797b1aeeb06d4a66fb59a4d9b23d99b635ad0"),
-    ("torus66", "theorem-b", 1, "3a950a70c80969b12eab71506d92159d9a267d4e1f4656ad85f45c535628acce"),
+    ("torus66", "theorem-b", 1, "cbb8e7c10d7f7fef57ca1853cfa76699a3e0282d2999cc7cdff5c9c7f9732a8b"),
     ("torus66", "cover", 0, "6a8203e7e84f769130f345432517f06146771d4c35886cc1b92a2d53c55cd467"),
     ("bd4", "check", 1, "d20ebd2a35e478a574b2db0d60327765c4b8bc338ec5fdde43118a0b2acd8e92"),
     ("bd4", "validate", 1, "a19eddb969fc27330a02d5823db047c4bef2050ee7fb5cd9e3e81cd606398c14"),
@@ -108,9 +108,9 @@ GOLDEN = [
     ("bd4", "cover", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # warnings path: the first offender of each failing (R) check depends on
     # the iteration order of the span's face sets
-    ("rf13_7", "cover", 1, "8471918e8c724bc8da6d65524a6a0f78f39e8991c31e6ade30b16031782b848c"),
+    ("rf13_7", "cover", 1, "93db9d19a93692b3dca90a56843e56ab63c13031569ef2780180dd4b2516b895"),
     ("rf15_11", "cover", 1, "599aa7a61526cd671e1ff19dd49558f9c29290c1d46776039645eb98f0bbbef0"),
-    ("rf15_12", "cover", 1, "bc592b4ae43784989a47133482cf310e21e7d35361595e409368bd438065e1ad"),
+    ("rf15_12", "cover", 1, "2bab20bbc9cb940c01b2eb3d583f219130b52b42a26f230238b7bf50c55c3357"),
     # interval layers and the first thinness witness, and the descent report
     ("disk37_r3", "metric", 0, "6ba8f164af170b7368a088f766c5d9308bd99c4b990a32e08d0e15f9aef4730d"),
     ("disk37_r3", "sd", 0, "576c84b901b532f541c1a64e48aa537dac77c985ae9a5425e9e36bc2f34aad86"),
@@ -131,15 +131,15 @@ GOLDEN = [
     ("rf15_12", "metric", 0, "19ec8e1488a67e951f413b224bb8bde9a908c802031f9becbda423ce512fc149"),
     ("rf15_12", "sd", 1, "699039cf88ae97b4d57b23ab8abdfa0f7c13147bd06105b1e371224aac376f74"),
     # the sphere-lemma suite: gs3 passes, the rest stop at a precondition
-    ("disk37_r3", "lemmas", 1, "b6a42d4cd90ba3d6d9f96fa478356f54e73886e87e088202396cc57136cc6de1"),
-    ("surf37_psl2_7", "lemmas", 1, "28261228f6b0612409cf63888f984fb177adf1a6c6abd02a568920489b960f8d"),
-    ("icosahedron", "lemmas", 1, "f82799e2f19a1366bc92dde3285531e4a1584d29db05603661b660e7387d57e5"),
+    ("disk37_r3", "lemmas", 1, "53b775933e5a6f18a71fa12b650e74a4f638e91147b15e417ea3b6425912d4d0"),
+    ("surf37_psl2_7", "lemmas", 1, "a29293beba00ab2b27c74a2b1df4353f6b99f793ad5d20f337ceeb72a178fd73"),
+    ("icosahedron", "lemmas", 1, "b8a600d03632cda5f62901676f0eda76318e677d8c44e44fb38d61173545b612"),
     ("gs3", "lemmas", 0, "a802bdad755e7ad371140f453e1b863644f0895cf5a92aab42bb5b4341e99522"),
-    ("torus66", "lemmas", 1, "0b08df867674147c5d69c5cd4f37eebb9b459c4569c44bef0fe1b20aec92a2f8"),
-    ("bd4", "lemmas", 1, "0d407c118680b66d824249dfd52ba157dfe5b2f15ff6d789a8f3d690784e907e"),
-    ("rf13_7", "lemmas", 1, "78bd9fdc348fa6f770f5fdfb0a2127d1c6a8f7ba42bf56ae35f0bb7c370c54a8"),
-    ("rf15_11", "lemmas", 1, "b7722928387cabf8ac345b782690372b8e668e6fee31a3598a99936bf562136a"),
-    ("rf15_12", "lemmas", 1, "a85a019d215e8568d5c78528f49b63c17b25db788395f1555b833df7acdf34c5"),
+    ("torus66", "lemmas", 1, "de67d9f3732bd93c1af3ebb6e8918f4342a5b7729bb14d30c4d1c626b0d04645"),
+    ("bd4", "lemmas", 1, "d25e8729e44e23ec6005951a1ac851f9ad693cd76f6a5db55b92cf24b93542cf"),
+    ("rf13_7", "lemmas", 1, "165f51cf5d27358fa6170d37efef76e162d0c8cb95858f51c6ac5d909149e455"),
+    ("rf15_11", "lemmas", 1, "e74078b099e2a79be8488d200d3bd3f3d06aec677389c8bf30bb7053c8a2be15"),
+    ("rf15_12", "lemmas", 1, "70d2c63f7ac619aeee65cd658b0adb19467cb4dde3e5ba5432731c5f7c9f4fd2"),
     # the four-point constant
     ("disk37_r3", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
     ("surf37_psl2_7", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),

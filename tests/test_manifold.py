@@ -98,8 +98,9 @@ class TestValidate:
             raise AssertionError("maximal_simplices called")
 
         monkeypatch.setattr(SimplicialComplex, "maximal_simplices", unused)
-        with pytest.raises(NotPure, match="^complex has no tetrahedra$"):
+        with pytest.raises(NotPure, match="^complex has no tetrahedra$") as exc:
             validate_closed_3manifold(build_complex([]))
+        assert exc.value.witness == {"kind": "not_pure", "simplex": None}
         rng = random.Random(14)
         offenders = set()
         for _ in range(300):
@@ -114,6 +115,7 @@ class TestValidate:
             with pytest.raises(NotPure) as exc:
                 validate_closed_3manifold(X)
             assert str(exc.value) == f"maximal simplex {low[0]} has dimension below 3"
+            assert exc.value.witness == {"kind": "not_pure", "simplex": list(low[0])}
             offenders.add(len(low[0]))
         # a vertex, an edge and a triangle each come first
         assert offenders == {1, 2, 3}, offenders

@@ -31,7 +31,7 @@ def test_cover_digest_meets_both_covering_failures():
     cover_digest = load_tool("cover_digest")
     runs = list(islice(cover_digest.corpus(), 36))
     hexdigest, counts = cover_digest.digest(runs)
-    assert hexdigest == "3294046dcb4b4ec2d22cb9cc3557284c9b4ec9e2d7c1d294154b9d2319c61388"
+    assert hexdigest == "6fe0c93cd56e2ccd55860025af77572782641269b8891f1ba0f9d0fa1f80b65b"
     assert counts["runs"] == 36 and counts["warned"] > 0
     assert counts["R: collides"] > 0 and counts["R: has no preimage"] > 0
     assert cover_digest.digest(runs)[0] == hexdigest

@@ -17,7 +17,7 @@ the warnings as ``str`` and ``repr``; a refused run hashes its error type
 and message.
 
 Run from the repository root:  python3 tools/cover_digest.py
-On this corpus it prints d82c07b6fcc2a7dd25df801e634683fdeff0e4bb16165c582cedeb230a08113c
+On this corpus it prints 49f0b7d80cf154a2ae98a6d1c5c513756ebce55d1749f23c9038fbd8d520aeb3
 """
 
 import hashlib
