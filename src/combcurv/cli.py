@@ -24,7 +24,7 @@ import time
 from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
-from .curvature import is_locally_k_large, is_m_located
+from .curvature import is_locally_k_large, is_m_located, located_and_large
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
@@ -142,9 +142,12 @@ def cmd_check(args):
     verdicts = []
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(_call(args, is_flag, X))
-    if args.k is not None:
+    if args.k is not None and args.m is not None:
+        # one call reads each link once for both; largeness is listed first
+        verdicts.extend(_call(args, located_and_large, X, args.m, args.k)[::-1])
+    elif args.k is not None:
         verdicts.append(_call(args, is_locally_k_large, X, args.k))
-    if args.m is not None:
+    elif args.m is not None:
         verdicts.append(_call(args, is_m_located, X, args.m))
     if args.sphere_56:
         try:

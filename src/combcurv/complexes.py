@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
@@ -229,20 +229,17 @@ class SimplicialComplex:
         return [(b, c) if a == v else (a, c) if b == v else (a, b) for a, b, c in triangles]
 
 
-def _close_downward(simplex: tuple, faces: dict):
-    k = len(simplex)
-    for size in range(1, k + 1):
-        faces[size - 1].update(combinations(simplex, size))
-
-
 def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str] = None) -> SimplicialComplex:
     """Build a complex from maximal simplices, computing the downward closure.
 
     Vertex ids must be non-negative; each input list may have 1..4 distinct
     vertices.  ``vertex_count`` becomes ``max id + 1``.
+
+    The face sets are closed one dimension at a time, from the top down:
+    the faces of each dimension are the given simplices of that dimension
+    and the facets of the faces one dimension up.
     """
     faces = {d: set() for d in range(MAX_DIM + 1)}
-    top = -1
     for raw in maximal_simplices:
         vs = tuple(sorted(raw))
         if len(vs) > MAX_DIM + 1:
@@ -253,8 +250,10 @@ def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str
             continue
         if vs[0] < 0:
             raise ValueError(f"negative vertex id in {vs}")
-        top = max(top, vs[-1])
-        _close_downward(vs, faces)
+        faces[len(vs) - 1].add(vs)
+    for d in range(MAX_DIM, 0, -1):
+        faces[d - 1].update(chain.from_iterable(combinations(t, d) for t in faces[d]))
+    (top,) = max(faces[0], default=(-1,))
     return SimplicialComplex(top + 1, faces, name=name)
 
 

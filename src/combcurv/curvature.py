@@ -8,9 +8,10 @@ small-boundary dwheel to fit inside a single 1-ball.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -226,6 +227,24 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
                   k=k, links_checked=links)
 
 
+def _large_by_wheels(X: SimplicialComplex, k: int, stream):
+    """:func:`is_locally_k_large` on a flag ``X``, read off the wheels of
+    lengths 4 .. k - 1 that ``stream`` yields as :func:`_wheels_by_length`
+    does, together with the stream again from length 4.  The witness is
+    the least (center, length, rim) among them, which is the one the link
+    loop of :func:`_locally_large` names, as the rank map is increasing."""
+    shorter = list(islice(stream, k - 4))
+    stream = chain(shorter, stream)
+    least = min(((v, len(rim), rim) for _, ws in shorter for v, rim in ws), default=None)
+    if least is None:
+        return passed("is_locally_k_large", k=k, links_checked=sum(X.counts())), stream
+    v, length, rim = least
+    witness = {"kind": "cycle_in_link", "simplex": [v], "cycle": list(rim)}
+    return failed("is_locally_k_large", witness,
+                  detail=f"link of {(v,)} is not {k}-large: full {length}-cycle present",
+                  k=k, links_checked=bisect_left(X.vertices, v) + 1), stream
+
+
 def _link_rings(masks):
     """The cycle components of a link graph of maximum degree 2, each in the
     form :func:`grow_chordless` emits a cycle, in sorted order; None when
@@ -283,9 +302,10 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
-def _wheels_by_length(X: SimplicialComplex, k_max: int):
+def _wheels_by_length(X: SimplicialComplex, k_max: int, reads=None):
     """Yield ``(k, the k-wheels as (center, rim) pairs)`` for
-    k = 4 .. k_max; a rim may have a chord in X if X is not flag.
+    k = 4 .. k_max; a rim may have a chord in X if X is not flag.  The
+    links are ``reads`` when given, else read here (:func:`_link_reads`).
 
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
@@ -306,7 +326,7 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int):
     """
     links = []
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
-    for v, ids, masks, rings in _link_reads(X):
+    for v, ids, masks, rings in _link_reads(X) if reads is None else reads:
         if rings is None:
             # the paths start as the link edges (s, v1) with v1 > s
             links.append((v, ids, masks, mask_edges(masks)))
@@ -421,28 +441,53 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     1-ball.  The witness is the offending dwheel plus the exhausted center
     candidates.  This gate tests flagness; location is decided as in
     :func:`locate_on_flag`."""
-    return _located(X, m, None)
+    if m < 6:
+        raise ValueError("location starts at m = 6")
+    fv = is_flag(X)
+    return locate_on_flag(X, m)[0] if fv.passed else _not_flag(fv, m)
+
+
+def _not_flag(fv: Verdict, m: int) -> Verdict:
+    """The failing verdict of :func:`is_m_located` on a complex whose
+    flagness verdict ``fv`` failed."""
+    return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
 
 
 def located_and_large(X: SimplicialComplex, m: int, k: int):
     """The verdicts ``is_m_located(X, m)`` and ``is_locally_k_large(X, k)``,
-    with each vertex link read once: the largeness loop and the degree sums
-    of :func:`locate_on_flag` take the same reads.  Only a flag complex
-    that the degree sums do not decide reads its links again, in the join."""
-    reads = list(_link_reads(X))
-    return _located(X, m, reads), _locally_large(X, k, reads)
+    with each vertex link read once and searched once.  A bad k is
+    reported before a bad m.
 
+    Lemma (largeness off the wheels).  Let X be flag; its dimension is at
+    most 3, as every complex's is.  Then no vertex link of X has an empty
+    clique: a clique c of Lk(v) makes c + {v} a clique of X, which spans a
+    simplex, and a 4-clique of a link would be a 5-clique of X, which a
+    flag complex of dimension at most 3 does not have.  So X is locally
+    k-large exactly when no vertex has a wheel whose rim has length
+    4 .. k - 1, and the witness of :func:`is_locally_k_large` is the least
+    center of such a wheel, then the least (length, rim) at it.
 
-def _located(X: SimplicialComplex, m: int, reads) -> Verdict:
-    """:func:`is_m_located` on the link reads of X, or on its own reads
-    when ``reads`` is None."""
+    The links are read once, into a list.  On a complex that is not flag,
+    or that the degree sums of :func:`locate_on_flag` decide, largeness
+    runs the link loop of :func:`is_locally_k_large` on those reads.  On
+    any other complex one wheel stream of the reads
+    (:func:`_wheels_by_length`), to length max(m, k - 1), feeds both:
+    largeness keeps its lengths below k, and the join of
+    :func:`locate_on_flag` reads them again and continues the stream.
+    """
+    if k < 4:
+        raise ValueError("largeness starts at k = 4")
     if m < 6:
         raise ValueError("location starts at m = 6")
+    reads = list(_link_reads(X))
     fv = is_flag(X)
     if not fv.passed:
-        return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
+        return _not_flag(fv, m), _locally_large(X, k, reads)
     located = _locate_by_degrees(X, m, reads)
-    return located if located is not None else _locate_by_join(X, m)[0]
+    if located is not None:
+        return located, _locally_large(X, k, reads)
+    large, stream = _large_by_wheels(X, k, _wheels_by_length(X, max(m, k - 1), reads))
+    return _locate_by_join(X, m, stream)[0], large
 
 
 def locate_on_flag(X: SimplicialComplex, m: int):
@@ -500,9 +545,10 @@ def locate_on_flag(X: SimplicialComplex, m: int):
     return _locate_by_join(X, m)
 
 
-def _locate_by_join(X: SimplicialComplex, m: int):
+def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
     """:func:`locate_on_flag` on any flag ``X``, by the wheel-to-dwheel
-    join (:func:`_dwheel_groups`).
+    join (:func:`_dwheel_groups`), on ``stream``, the wheels by length
+    from 4 as :func:`_wheels_by_length` yields them, when given.
 
     Location is decided per group of dwheels with the same apexes v0, v0'
     and shared vertex w.  These span a triangle, so every center of a
@@ -526,7 +572,8 @@ def _locate_by_join(X: SimplicialComplex, m: int):
         return found
 
     # X is flag, so a rim chordless in a vertex link is chordless in X
-    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, _wheels_by_length(X, m)):
+    by_length = _wheels_by_length(X, m) if stream is None else stream
+    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, by_length):
         core = meet(-1, (v0, w, v0p))
         centers = {}  # free arc -> its centers in core
         for arc1, arc2 in pairs:
@@ -703,9 +750,7 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
         raise ValueError("location starts at m = 6")
 
     def located(X, fv):
-        if not fv.passed:
-            return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
-        return locate_on_flag(X, m)[0]
+        return locate_on_flag(X, m)[0] if fv.passed else _not_flag(fv, m)
 
     base_m = located(base, base_flag)
     base_k = is_locally_k_large(base, k)

@@ -42,10 +42,10 @@ def parse_text(text: str, name: Optional[str] = None) -> ParsedComplex:
             continue
         parts = line.split()
         try:
-            verts = [int(p) for p in parts]
+            verts = list(map(int, parts))
         except ValueError as exc:
             raise ParseError(f"not an integer: {exc}", line=lineno) from None
-        if any(v < 0 for v in verts):
+        if min(verts) < 0:
             raise ParseError("negative vertex id", line=lineno)
         if len(verts) > MAX_DIM + 1:
             raise DimensionTooHigh(

@@ -203,7 +203,7 @@ def test_usage_error_exit_code():
 # with --flag added), and the library calls that it times, in order
 TIMED = {
     "validate": ("bd4", ["validate_closed_3manifold"]),
-    "check": ("surf37_psl2_7", ["is_flag", "is_locally_k_large", "is_m_located"]),
+    "check": ("surf37_psl2_7", ["is_flag", "located_and_large"]),
     "sd": ("surf37_psl2_7", ["check_sd_prime"]),
     "metric": ("surf37_psl2_7", ["interval", "interval_thinness"]),
     "delta": ("gs3", ["delta_four_point"]),

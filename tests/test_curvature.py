@@ -595,6 +595,95 @@ def cycle_link_degrees(X):
     return degrees
 
 
+class TestLocatedAndLarge:
+    """``located_and_large`` reads each link once and, on a flag complex that
+    the degree sums do not decide, takes largeness off the join's wheels:
+    the verdicts of the two checks called alone, with the work of one."""
+
+    @staticmethod
+    def corpus(tmp_path, icosa, disk37, surf37):
+        from test_golden import write_inputs
+        from combcurv.formats import load_path
+
+        # the 600-cell, the slowest golden input, runs in test_600_cell
+        inputs = [load_path(p).complex for name, p in sorted(write_inputs(tmp_path).items())
+                  if name != "cell600"]
+        inputs += [cone(dwheel_complex(k, l, "identified")[0])
+                   for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
+        inputs += [dwheel_complex(*shape)[0] for shape in TestDWheelStream.SHAPES]
+        inputs += [icosa, disk37, surf37] + several_cycle_inputs()
+        rng = random.Random(4242)
+        for seed in range(36):
+            X = gen("random_flag", rng.randint(9, 14), rng.choice((0.3, 0.4, 0.5)), seed)
+            inputs.append(without_some_triangles(X, rng) if seed % 3 == 0 else X)
+        return inputs
+
+    def test_same_verdicts_as_each_check_alone(self, tmp_path, icosa, disk37, surf37):
+        # k - 1 > m occurs (k = 8, 9 at m = 6), so the stream outgrows the join
+        seen = set()
+        for X in self.corpus(tmp_path, icosa, disk37, surf37):
+            large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
+            located = {m: is_m_located(X, m).to_json() for m in range(6, 10)}
+            for k in range(4, 10):
+                for m in range(6, 10):
+                    got = [v.to_json() for v in curvature.located_and_large(X, m, k)]
+                    assert got == [located[m], large[k]], (X.name, m, k)
+                    seen.add((got[0]["status"], got[1]["status"],
+                              (got[1]["witness"] or {}).get("kind")))
+        # passes and failures of both, and each largeness witness kind
+        assert {("pass", "pass", None), ("fail", "fail", "cycle_in_link"),
+                ("fail", "fail", "clique_in_link"), ("pass", "fail", "cycle_in_link"),
+                ("fail", "pass", None)} <= seen, seen
+
+    def test_600_cell(self):
+        # every k at m = 8, and k - 1 > m at m = 6, where 8-location passes
+        # over 7 200 dwheels and the join fails at the next one
+        X = gen("cell600")
+        large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
+        located = {m: is_m_located(X, m).to_json() for m in (6, 8)}
+        assert located[8] == CELL600_M8 and located[6]["stats"]["dwheels"] == 7200
+        for m, k in [(8, k) for k in range(4, 10)] + [(6, 5), (6, 9)]:
+            got = [v.to_json() for v in curvature.located_and_large(X, m, k)]
+            assert got == [located[m], large[k]], (m, k)
+
+    def test_one_link_read_and_one_search_per_vertex(self, tmp_path, monkeypatch, capsys):
+        from combcurv.cli import main
+        from combcurv.formats import dump_path
+
+        # the 600-cell's links are icosahedra: flag, not read off degree
+        # sums, and searched at rim lengths 4 and 5 once each; the checks
+        # called alone read 241 links, search 120 for cliques and grow 360
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, spy)
+
+        for name in ("empty_clique", "grow_chordless", "is_flag"):
+            count(curvature, name)
+        count(SimplicialComplex, "link_masks")
+        X = gen("cell600")
+        expected = Counter(link_masks=120, grow_chordless=240, is_flag=1)
+        curvature.located_and_large(X, 8, 5)
+        assert calls == expected, calls
+        path = tmp_path / "cell600.cplx"
+        dump_path(X, path)
+        calls.clear()
+        assert main(["check", "--k", "5", "--m", "8", str(path)]) == 1
+        assert calls == expected, calls
+        assert capsys.readouterr().out.splitlines()[0] == "[pass] is_locally_k_large"
+
+    def test_a_bad_k_is_reported_before_a_bad_m(self, icosa):
+        with pytest.raises(ValueError, match="largeness starts at k = 4"):
+            curvature.located_and_large(icosa, 5, 3)
+        with pytest.raises(ValueError, match="location starts at m = 6"):
+            curvature.located_and_large(icosa, 5, 4)
+
+
 class TestLocateByDegrees:
     """On a flag complex whose vertex links are paths or whole cycles,
     m-location is read off degree sums; the join referees it."""

@@ -1,13 +1,15 @@
 """Generator corpus invariants and file round trips."""
 
 import json
-from itertools import combinations
+import random
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import GeneratorSpec, generate, is_flag, is_locally_k_large, is_m_located
+from combcurv import (GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large,
+                      is_m_located)
 from combcurv.errors import DimensionTooHigh, ParseError
 from combcurv.formats import (
     load_path,
@@ -152,6 +154,42 @@ class TestFormats:
         with pytest.raises(ParseError) as err:
             parse_text("0 1\n0 1 x\n")
         assert err.value.line == 2
+
+    def test_errors_keep_their_order_on_a_line(self):
+        # per line: not an integer, then a negative id, then too many
+        # vertices, then a repeated vertex; each names its line
+        cases = [("0 -1 1 1 2 x", ParseError, "not an integer"),
+                 ("0 -1 1 1 2", ParseError, "negative vertex id"),
+                 ("0 1 1 2 3", DimensionTooHigh, "simplex with 5 vertices"),
+                 ("0 1 1", ParseError, "repeated vertex")]
+        for line, error, message in cases:
+            with pytest.raises(error, match=f"^line 3: {message}"):
+                parse_text(f"0 1\n# a comment\n{line}\n5 6 7\n")
+
+    def test_faces_are_the_downward_closure(self):
+        # sparse, unsorted ids, faces of other simplices given again, and
+        # an empty JSON simplex: the faces are every nonempty subset of a
+        # given simplex, on the ids given to build_complex and compacted by
+        # the parsers
+        def closure(simplices):
+            return [{f for s in simplices for f in combinations(sorted(s), d + 1)}
+                    for d in range(4)]
+
+        rng = random.Random(5)
+        for _ in range(40):
+            ids = rng.sample(range(3, 60), rng.randint(4, 12))
+            simplices = [rng.sample(ids, rng.randint(1, 4)) for _ in range(rng.randint(1, 15))]
+            labels = sorted(set(chain.from_iterable(simplices)))
+            faces = closure([[labels.index(v) for v in s] for s in simplices])
+            X = build_complex(simplices)
+            assert [set(X.simplices(d)) for d in range(4)] == closure(simplices)
+            text = parse_text("".join(" ".join(map(str, s)) + "\n" for s in simplices))
+            doc = parse_json(json.dumps({"maximal_simplices": simplices + [[]]}))
+            for parsed in (text, doc):
+                X = parsed.complex
+                assert [set(X.simplices(d)) for d in range(4)] == faces
+                assert parsed.vertex_labels == tuple(labels)
+                assert X.vertex_count == len(labels)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):
