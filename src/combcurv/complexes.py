@@ -448,8 +448,12 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
     adjacent to s, and only in the orientation with path[1] < tip, so each
     cycle appears once and already canonical; those of length in
     ``[min_len, max_len]`` are appended to ``cycles`` as tuples.  When
-    ``leaves`` is a list, the open paths that reach ``max_len`` vertices are
-    appended to it: they are the starts that grow the next length.
+    ``leaves`` is a list, the open paths of ``max_len - 1`` vertices that
+    still have a vertex to grow to are appended to it, ungrown: they are
+    the starts of length ``max_len + 1``, which adds the last two vertices
+    of its cycles to them, so no path is grown for a length that is never
+    asked for.  A leaf would close its cycles of ``max_len`` vertices
+    again, so that call takes ``min_len`` above ``max_len``.
 
     Window lemma: a path of p vertices closes into a cycle of at most
     ``max_len`` = L vertices only through a path of at most L - p + 1
@@ -504,11 +508,8 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
                     low = grow & -grow
                     grow ^= low
                     stack.append((path + (low.bit_length() - 1,), child_blocked))
-            elif leaves is not None:
-                while grow:
-                    low = grow & -grow
-                    grow ^= low
-                    leaves.append(path + (low.bit_length() - 1,))
+            elif grow and leaves is not None:
+                leaves.append(path)
 
 
 def _reach(masks, s: int, depth: int) -> list:

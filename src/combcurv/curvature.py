@@ -310,8 +310,10 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads=None):
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
     map, which keeps them canonical; no link complex is built.  Between two
-    lengths only the graph and its open chordless paths are kept, so length
-    k + 1 grows the paths of length k instead of searching the link again.
+    lengths only the graph and its open chordless paths are kept: length k
+    hands back its paths of k - 1 vertices that can still grow, and length
+    k + 1 grows them instead of searching the link again.  So the paths of
+    k vertices are built only when length k + 1 is drawn.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -475,10 +477,7 @@ def located_and_large(X: SimplicialComplex, m: int, k: int):
     largeness keeps its lengths below k, and the join of
     :func:`locate_on_flag` reads them again and continues the stream.
     """
-    if k < 4:
-        raise ValueError("largeness starts at k = 4")
-    if m < 6:
-        raise ValueError("location starts at m = 6")
+    _check_k_and_m(k, m)
     reads = list(_link_reads(X))
     fv = is_flag(X)
     if not fv.passed:
@@ -488,6 +487,14 @@ def located_and_large(X: SimplicialComplex, m: int, k: int):
         return located, _locally_large(X, k, reads)
     large, stream = _large_by_wheels(X, k, _wheels_by_length(X, max(m, k - 1), reads))
     return _locate_by_join(X, m, stream)[0], large
+
+
+def _check_k_and_m(k: int, m: int) -> None:
+    """Reject a bad k, then a bad m, as the checks called alone would."""
+    if k < 4:
+        raise ValueError("largeness starts at k = 4")
+    if m < 6:
+        raise ValueError("location starts at m = 6")
 
 
 def locate_on_flag(X: SimplicialComplex, m: int):
@@ -558,7 +565,30 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
     centers of its two arcs meet: the common members of the closed
     neighborhoods of its vertices, regrouped.  The sets are int bitmasks
     over vertex ids: ``core`` is the AND of the closed neighborhoods of v0,
-    w and v0', which is the set above as they are pairwise adjacent."""
+    w and v0', which is the set above as they are pairwise adjacent.
+
+    Two lemmas decide most dwheels with no test.  Let a = ``arc1[0]`` and
+    b = ``arc2[0]``, so the first wheel's rim C1 reads (a, ..., w, v0') and
+    the second's, C2, reads (b, ..., w, v0).  X is flag, so a rim
+    chordless in a vertex link is chordless in X.
+
+    Lemma 1 (edge junctions).  No edge-junction dwheel lies in a 1-ball.
+    Say N[x] holds one.  A vertex of a chordless rim of 4 or more vertices
+    is adjacent to only two others on it, so x is on neither rim, and every
+    vertex of the dwheel is on one: x is adjacent to v0, v0', a and b.
+    Next, a follows v0' on C1, so it is adjacent to v0 and v0', and
+    likewise b; and a and b are distinct and adjacent at an edge
+    junction.  So {v0, v0', a, b, x} is a 5-clique, which a flag complex
+    of dimension at most 3 does not have.  The join fails at the first
+    pair of the first edge-junction group, with no test.
+
+    Lemma 2 (mirrors).  An identified pair of the group ((v0, v0'), w),
+    with a = ``arc1[0]`` = ``arc2[0]``, reads its two wheels from the
+    other side as well: the pair ``((w,) + arc1[:0:-1], (w,) +
+    arc2[:0:-1])`` of the group ((v0, v0'), a) in the same bucket, on the
+    same vertex set.  When a < w that group comes first, and the join
+    returns at the first unlocated dwheel, so the mirror was tested and
+    located; only the pairs with a > w are tested."""
     count = 0
     types = set()
     balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
@@ -574,10 +604,14 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
     # X is flag, so a rim chordless in a vertex link is chordless in X
     by_length = _wheels_by_length(X, m) if stream is None else stream
     for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, by_length):
+        if junction == "edge":  # lemma 1
+            return _unlocated(X, m, DWheel((v0, v0p), w, *pairs[0], junction), count + 1), types
         core = meet(-1, (v0, w, v0p))
         centers = {}  # free arc -> its centers in core
         for arc1, arc2 in pairs:
             count += 1
+            if arc1[0] < w:  # lemma 2: the mirror was located
+                continue
             for arc in (arc1, arc2):
                 if arc not in centers:
                     centers[arc] = meet(core, arc)
@@ -740,14 +774,14 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
     complex is itself m-located (locally k-large).
 
     ``f`` maps cover vertex ids to base vertex ids.  The covering condition
-    is verified first and raises :class:`NotACovering` on failure.  Each
-    complex is tested for flagness once: the covering check and the
-    location verdicts of :func:`is_m_located` share the test.
+    is verified first and raises :class:`NotACovering` on failure; a bad k,
+    then a bad m, is reported before any work.  Each complex is tested for
+    flagness once: the covering check and the location verdicts of
+    :func:`is_m_located` share the test.
     """
+    _check_k_and_m(k, m)
     cover_flag, base_flag = is_flag(cover), is_flag(base)
     check_covering_map(f, cover, base, edges_decide=cover_flag.passed and base_flag.passed)
-    if m < 6:
-        raise ValueError("location starts at m = 6")
 
     def located(X, fv):
         return locate_on_flag(X, m)[0] if fv.passed else _not_flag(fv, m)

@@ -264,7 +264,8 @@ class TestFullCycles:
 
     def test_growth_one_length_at_a_time(self):
         # one search holds exactly the referee's cycles; so does each length
-        # when the leaves of a length are the only starts of the next
+        # when the leaves of a length are the only starts of the next; a
+        # leaf is handed back ungrown, one vertex short of the length
         rng = random.Random(1999)
         inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(25)]
@@ -283,7 +284,7 @@ class TestFullCycles:
                 cycles, leaves = [], []
                 grow_chordless(masks, paths, k, k, cycles, leaves)
                 assert sorted(cycles) == [c for c in ref if len(c) == k], (X.name, k)
-                assert all(len(p) == k for p in leaves)
+                assert all(len(p) == k - 1 for p in leaves)
                 paths = leaves
             lengths.update(map(len, ref))
         assert lengths == set(range(4, CYCLE_CAP + 1))

@@ -1,8 +1,11 @@
 """Largeness, wheels, dwheels, dwheel location, covering preservation."""
 
+import inspect
 import json
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import chain, combinations
 
@@ -458,6 +461,27 @@ CELL600_M8 = {
 }
 
 
+@contextmanager
+def line_spy(fn, marker, names):
+    """Record the values of the local variables ``names`` of ``fn`` each
+    time the first line of its source that holds ``marker`` runs."""
+    lines, first = inspect.getsourcelines(fn)
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            seen.append(tuple(frame.f_locals[name] for name in names))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous)
+
+
 class TestDWheelStream:
     """Dwheels come one (boundary, type) bucket at a time; the referee
     builds them all and sorts them once."""
@@ -484,12 +508,19 @@ class TestDWheelStream:
 
         for name in calls:
             monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
-        assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
+        with line_spy(curvature._locate_by_join, "centers[arc1] & centers[arc2]",
+                      ("junction", "w", "arc1")) as tested:
+            assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
         # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
         # edge dwheels of boundary 7, comes right after 7 200 identified
         # ones.  Location is decided per group on the free arcs, so only
         # the witness is built as a DWheel.
         assert calls == {"DWheel": 1}, calls
+        # the 7 200 identified dwheels are 3 600 mirrored pairs, and only the
+        # one with a = arc1[0] > w is tested; the edge-junction dwheel fails
+        # with no test
+        assert len(tested) == 3600
+        assert {(junction, arc1[0] > w) for junction, w, arc1 in tested} == {("identified", True)}
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37, monkeypatch):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -533,11 +564,17 @@ class TestDWheelStream:
         for X in several_cycle_inputs():
             yield X, 8
 
-    def test_same_dwheels_and_verdict_as_global_sort(self, icosa, disk37, surf37):
+    @pytest.fixture(scope="class")
+    def refereed(self, icosa, disk37, surf37):
+        """Each case with the referee's sorted dwheels, built once for the
+        tests of this class."""
+        return [(X, top, naive_sorted_dwheels(X, top))
+                for X, top in self.cases(icosa, disk37, surf37)]
+
+    def test_same_dwheels_and_verdict_as_global_sort(self, refereed):
         outcomes, junctions, buckets, typed = set(), set(), set(), set()
-        assert SEVERAL_CYCLES <= link_shapes(X for X, _ in self.cases(icosa, disk37, surf37))
-        for X, top in self.cases(icosa, disk37, surf37):
-            ref = naive_sorted_dwheels(X, top)
+        assert SEVERAL_CYCLES <= link_shapes(X for X, _, _ in refereed)
+        for X, top, ref in refereed:
             streamed = dwheels(X, top)
             assert streamed == ref, X.name
             for m in range(6, top + 1):
@@ -564,6 +601,35 @@ class TestDWheelStream:
         assert len(buckets) >= 3
         assert ("random_flag_12_0.45_25", 6, 4, frozenset({(4, 4), (5, 4)})) in typed
 
+    def test_the_join_lemmas_hold_on_the_referee(self, refereed):
+        # lemma 1: no edge-junction dwheel of a flag complex lies in a
+        # 1-ball.  Lemma 2: the mirror of an identified dwheel (the same
+        # two wheels, read from its first rim vertex a) is in the list, on
+        # the same vertex set, and before it exactly when a < w.  The
+        # random_flag draws add edge junctions and located dwheels.
+        draws = [gen("random_flag", 10, 0.5, seed) for seed in range(10)]
+        inputs = refereed + [(X, 8, naive_sorted_dwheels(X, 8)) for X in draws]
+        counts = Counter()
+        for X, _, ref in inputs:
+            if naive_flag_witness(X) is not None:
+                continue
+            position = {dw: i for i, dw in enumerate(ref)}
+            for i, dw in enumerate(ref):
+                center = in_one_ball(X, dw.vertex_set)
+                counts[dw.junction, center is not None] += 1
+                if dw.junction == "edge":
+                    assert center is None, (X.name, dw)
+                    continue
+                a, w = dw.rim1[0], dw.shared
+                mirror = curvature.DWheel(dw.apexes, a, (w,) + dw.rim1[:0:-1],
+                                          (w,) + dw.rim2[:0:-1], "identified")
+                assert mirror in position, (X.name, dw)
+                assert mirror.vertex_set == dw.vertex_set
+                assert in_one_ball(X, mirror.vertex_set) == center
+                assert (position[mirror] < i) == (a < w), (X.name, dw)
+        # edge junctions, and identified dwheels both located and not
+        assert counts == {("edge", False): 43, ("identified", False): 1120,
+                          ("identified", True): 22}, counts
 
     @staticmethod
     def failure_kinds(ref, i):
@@ -666,10 +732,21 @@ class TestLocatedAndLarge:
         for name in ("empty_clique", "grow_chordless", "is_flag"):
             count(curvature, name)
         count(SimplicialComplex, "link_masks")
+        # each rim length hands back, ungrown, its open paths that can still
+        # grow: lengths 4 and 5 give paths of 3 and 4 vertices, and the
+        # 10 456 paths of 5 vertices that only a rim length of 6 would grow
+        # are never built, as the join fails before drawing it
+        leaves, grow = Counter(), curvature.grow_chordless
+
+        def growing(masks, starts, min_len, max_len, cycles, handed_back):
+            grow(masks, starts, min_len, max_len, cycles, handed_back)
+            leaves.update((max_len, len(path)) for path in handed_back or ())
+        monkeypatch.setattr(curvature, "grow_chordless", growing)
         X = gen("cell600")
         expected = Counter(link_masks=120, grow_chordless=240, is_flag=1)
         curvature.located_and_large(X, 8, 5)
         assert calls == expected, calls
+        assert leaves == {(4, 3): 5040, (5, 4): 7336}, leaves
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
         calls.clear()
@@ -896,6 +973,20 @@ class TestCoveringPreservation:
     def test_collapsing_map_rejected(self, icosa):
         with pytest.raises(NotACovering):
             check_covering_preservation((0,) * 12, icosa, icosa, 8, 5)
+
+    def test_a_bad_k_then_a_bad_m_before_any_work(self, icosa, monkeypatch):
+        # the map collapses the icosahedron, yet the arguments are read
+        # first, k before m, as located_and_large reads them; no complex is
+        # tested for flagness
+        calls, real = [], curvature.is_flag
+        monkeypatch.setattr(curvature, "is_flag", lambda X: calls.append(X) or real(X))
+        collapse = (0,) * 12
+        for m, k, error in ((5, 5, "location starts at m = 6"),
+                            (8, 3, "largeness starts at k = 4"),
+                            (5, 3, "largeness starts at k = 4")):
+            with pytest.raises(ValueError, match=error):
+                check_covering_preservation(collapse, icosa, icosa, m, k)
+        assert calls == []
 
     def test_missing_image_edge_rejected(self, triangle):
         # a wedge of two edges maps onto the triangle, but the image span
