@@ -143,8 +143,10 @@ def cmd_check(args):
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(_call(args, is_flag, X))
     if args.k is not None and args.m is not None:
-        # one call reads each link once for both; largeness is listed first
-        verdicts.extend(_call(args, located_and_large, X, args.m, args.k)[::-1])
+        # one call reads each link once for both, on the one flag verdict
+        # (the printed one, with --flag); largeness is listed first
+        flag = verdicts[0] if verdicts else _call(args, is_flag, X)
+        verdicts.extend(_call(args, located_and_large, X, flag, args.m, args.k)[1::-1])
     elif args.k is not None:
         verdicts.append(_call(args, is_locally_k_large, X, args.k))
     elif args.m is not None:

@@ -297,15 +297,15 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
         raise ValueError("cycles start at length 4")
     if k_min > k_max:
         raise ValueError("empty length range")
-    out = [Wheel(v, rim) for k, ws in _wheels_by_length(X, k_max) if k >= k_min
+    out = [Wheel(v, rim) for k, ws in _wheels_by_length(X, k_max, _link_reads(X)) if k >= k_min
            for v, rim in ws if not chords(X, rim)]
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
-def _wheels_by_length(X: SimplicialComplex, k_max: int, reads=None):
+def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     """Yield ``(k, the k-wheels as (center, rim) pairs)`` for
     k = 4 .. k_max; a rim may have a chord in X if X is not flag.  The
-    links are ``reads`` when given, else read here (:func:`_link_reads`).
+    links are ``reads``, as :func:`_link_reads` yields them.
 
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
@@ -328,7 +328,7 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads=None):
     """
     links = []
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
-    for v, ids, masks, rings in _link_reads(X) if reads is None else reads:
+    for v, ids, masks, rings in reads:
         if rings is None:
             # the paths start as the link edges (s, v1) with v1 > s
             links.append((v, ids, masks, mask_edges(masks)))
@@ -426,7 +426,7 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     then type, then (apexes, shared, rim1, rim2, junction).  The ambient
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
     by_length = ((k, [(v, rim) for v, rim in ws if not chords(X, rim)])
-                 for k, ws in _wheels_by_length(X, max_boundary))
+                 for k, ws in _wheels_by_length(X, max_boundary, _link_reads(X)))
     return [DWheel(apexes, w, arc1, arc2, junction)
             for apexes, w, junction, pairs in _dwheel_groups(X, max_boundary, by_length)
             for arc1, arc2 in pairs]
@@ -441,12 +441,21 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates.  This gate tests flagness; location is decided as in
-    :func:`locate_on_flag`."""
+    candidates.
+
+    The links of a flag complex are read once, into a list: the degree
+    sums of :func:`_locate_by_degrees` decide it when they can, and the
+    join of :func:`_locate_by_join` takes the same reads otherwise."""
     if m < 6:
         raise ValueError("location starts at m = 6")
     fv = is_flag(X)
-    return locate_on_flag(X, m)[0] if fv.passed else _not_flag(fv, m)
+    if not fv.passed:
+        return _not_flag(fv, m)
+    reads = list(_link_reads(X))
+    located = _locate_by_degrees(X, m, reads)
+    if located is not None:
+        return located
+    return _locate_by_join(X, m, _wheels_by_length(X, m, reads))[0]
 
 
 def _not_flag(fv: Verdict, m: int) -> Verdict:
@@ -455,10 +464,16 @@ def _not_flag(fv: Verdict, m: int) -> Verdict:
     return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
 
 
-def located_and_large(X: SimplicialComplex, m: int, k: int):
-    """The verdicts ``is_m_located(X, m)`` and ``is_locally_k_large(X, k)``,
-    with each vertex link read once and searched once.  A bad k is
-    reported before a bad m.
+def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
+    """``(is_m_located(X, m), is_locally_k_large(X, k), types)``, with
+    each vertex link read once and searched once.  ``flag`` is the
+    caller's verdict ``is_flag(X)``; no flag test runs here.  ``types`` is
+    the set of (k, l) types of the dwheel groups the location join
+    located before it returned: on a pass, the types of all dwheels of
+    boundary at most ``m``; empty when X is not flag or the degree sums
+    decide it.  A group's dwheels share one type,
+    ``(len(arc1) + 2, len(arc2) + 2)`` for any of its arc pairs.  A bad
+    k is reported before a bad m, and both before any link is read.
 
     Lemma (largeness off the wheels).  Let X be flag; its dimension is at
     most 3, as every complex's is.  Then no vertex link of X has an empty
@@ -470,23 +485,22 @@ def located_and_large(X: SimplicialComplex, m: int, k: int):
     center of such a wheel, then the least (length, rim) at it.
 
     The links are read once, into a list.  On a complex that is not flag,
-    or that the degree sums of :func:`locate_on_flag` decide, largeness
-    runs the link loop of :func:`is_locally_k_large` on those reads.  On
-    any other complex one wheel stream of the reads
+    or that the degree sums of :func:`_locate_by_degrees` decide,
+    largeness runs the link loop of :func:`is_locally_k_large` on those
+    reads.  On any other complex one wheel stream of the reads
     (:func:`_wheels_by_length`), to length max(m, k - 1), feeds both:
     largeness keeps its lengths below k, and the join of
-    :func:`locate_on_flag` reads them again and continues the stream.
+    :func:`_locate_by_join` reads them again and continues the stream.
     """
     _check_k_and_m(k, m)
     reads = list(_link_reads(X))
-    fv = is_flag(X)
-    if not fv.passed:
-        return _not_flag(fv, m), _locally_large(X, k, reads)
-    located = _locate_by_degrees(X, m, reads)
+    # a complex that is not flag, or that the degree sums decide, draws no wheel
+    located = _locate_by_degrees(X, m, reads) if flag.passed else _not_flag(flag, m)
     if located is not None:
-        return located, _locally_large(X, k, reads)
+        return located, _locally_large(X, k, reads), set()
     large, stream = _large_by_wheels(X, k, _wheels_by_length(X, max(m, k - 1), reads))
-    return _locate_by_join(X, m, stream)[0], large
+    located, types = _locate_by_join(X, m, stream)
+    return located, large, types
 
 
 def _check_k_and_m(k: int, m: int) -> None:
@@ -497,65 +511,11 @@ def _check_k_and_m(k: int, m: int) -> None:
         raise ValueError("location starts at m = 6")
 
 
-def locate_on_flag(X: SimplicialComplex, m: int):
-    """The verdict of :func:`is_m_located` on ``X``, which the caller has
-    found flag, and the set of (k, l) types of the dwheel groups located
-    before it returned: on a pass, the types of all dwheels of boundary at
-    most ``m``.  A group's dwheels share one type,
-    ``(len(arc1) + 2, len(arc2) + 2)`` for any of its arc pairs.
-
-    A complex whose every vertex link is a union of paths or one cycle
-    through all the vertex's neighbours is decided by the degree sums over
-    its edges (:func:`_locate_by_degrees`), with no wheel drawn, by the
-    lemma below.  Any other complex takes the join
-    (:func:`_locate_by_join`).
-
-    Lemma (degree sums).  Let X be flag with every vertex link a union of
-    paths or one cycle through all the vertex's neighbours.  Let s be the
-    least degree sum k + l over the edges v0 v0' joining two cycle-link
-    vertices.  Then every dwheel of X has an identified junction and lies
-    in no 1-ball, and its boundary is k + l - 4 for its apexes v0, v0' of
-    degrees k, l.  So for every m >= 6, X is m-located exactly when
-    s > m + 4.
-
-    - The wheels are the cycle-link vertices with their links as rims: a
-      rim is a chordless cycle of 4 or more vertices in a vertex link, and
-      a link of maximum degree 2 has no other than its cycle components
-      (:func:`_link_rings`), which are never triangles.  So the center of
-      a k-wheel has degree k >= 4.
-    - Let v0, v0' be adjacent cycle-link vertices.  X is flag, so the
-      common neighbours of v0 and v0' are the neighbours of v0' on the
-      cycle Lk(v0): exactly two, w and x, which are also the neighbours of
-      v0 on Lk(v0').  The dwheel with apexes v0, v0' and shared vertex w
-      reads its free arcs from the vertex after v0' on Lk(v0) and from the
-      vertex after v0 on Lk(v0'), away from w, and both are x.  So each
-      (v0, v0', w) carries exactly one dwheel, and it is identified.
-    - The centers of 1-balls that could hold it are among v0, v0', w and
-      x.  The l - 3 >= 1 vertices of Lk(v0') other than v0, w and x are not
-      neighbours of v0, as w and x are the only common neighbours, and
-      likewise for v0'.  And w, x are two apart on the chordless cycle
-      Lk(v0) of length k >= 4, so they are not adjacent.  No center is
-      left.
-
-    No dwheel has an edge junction, so the join's edge-junction buckets
-    are empty and one never leads, even where it sorts first (the (6, 5)
-    edge bucket before the (6, 6) identified one at boundary 8).  When
-    s > m + 4 the pass joins 0 dwheels.  Otherwise the first bucket the
-    join fills is boundary s - 4, type (k, l) with k + l = s, k >= l and
-    k least; its first group is the least (v0, v0', w) of that type, with
-    v0 < v0' when k = l and w the smaller common neighbour.  Its one dwheel
-    fails, so the verdict has ``dwheels = 1`` and no type is located.
-    """
-    by_degrees = _locate_by_degrees(X, m)
-    if by_degrees is not None:
-        return by_degrees, set()
-    return _locate_by_join(X, m)
-
-
-def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
-    """:func:`locate_on_flag` on any flag ``X``, by the wheel-to-dwheel
-    join (:func:`_dwheel_groups`), on ``stream``, the wheels by length
-    from 4 as :func:`_wheels_by_length` yields them, when given.
+def _locate_by_join(X: SimplicialComplex, m: int, stream):
+    """The verdict of :func:`is_m_located` on a flag ``X`` and the types
+    of :func:`located_and_large`, by the wheel-to-dwheel join
+    (:func:`_dwheel_groups`) on ``stream``, the wheels by length from 4
+    as :func:`_wheels_by_length` yields them.
 
     Location is decided per group of dwheels with the same apexes v0, v0'
     and shared vertex w.  These span a triangle, so every center of a
@@ -565,7 +525,9 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
     centers of its two arcs meet: the common members of the closed
     neighborhoods of its vertices, regrouped.  The sets are int bitmasks
     over vertex ids: ``core`` is the AND of the closed neighborhoods of v0,
-    w and v0', which is the set above as they are pairwise adjacent.
+    w and v0', which is the set above as they are pairwise adjacent.  It
+    is built at the group's first tested pair, so a group whose pairs the
+    lemmas below all decide builds none.
 
     Two lemmas decide most dwheels with no test.  Let a = ``arc1[0]`` and
     b = ``arc2[0]``, so the first wheel's rim C1 reads (a, ..., w, v0') and
@@ -601,17 +563,16 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
             found &= ball
         return found
 
-    # X is flag, so a rim chordless in a vertex link is chordless in X
-    by_length = _wheels_by_length(X, m) if stream is None else stream
-    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, by_length):
+    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, stream):
         if junction == "edge":  # lemma 1
             return _unlocated(X, m, DWheel((v0, v0p), w, *pairs[0], junction), count + 1), types
-        core = meet(-1, (v0, w, v0p))
         centers = {}  # free arc -> its centers in core
         for arc1, arc2 in pairs:
             count += 1
             if arc1[0] < w:  # lemma 2: the mirror was located
                 continue
+            if not centers:  # the group's first tested pair
+                core = meet(-1, (v0, w, v0p))
             for arc in (arc1, arc2):
                 if arc not in centers:
                     centers[arc] = meet(core, arc)
@@ -621,15 +582,52 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream=None):
     return passed("is_m_located", m=m, dwheels=count), types
 
 
-def _locate_by_degrees(X: SimplicialComplex, m: int, reads=None):
-    """The verdict of :func:`locate_on_flag` on a flag ``X`` whose every
+def _locate_by_degrees(X: SimplicialComplex, m: int, reads):
+    """The verdict of :func:`is_m_located` on a flag ``X`` whose every
     vertex link is a union of paths or one cycle through all the vertex's
-    neighbours, read off the degree sums over its edges; None on any other
-    ``X``, read at its first other link.  The lemma is in the docstring
-    of :func:`locate_on_flag`.  The links are ``reads`` when given, else
-    read here (:func:`_link_reads`)."""
+    neighbours, read off the degree sums over its edges with no wheel
+    drawn; None on any other ``X``, read at its first other link.  The
+    links are ``reads``, as :func:`_link_reads` yields them.
+
+    Lemma (degree sums).  Let X be flag with every vertex link a union of
+    paths or one cycle through all the vertex's neighbours.  Let s be the
+    least degree sum k + l over the edges v0 v0' joining two cycle-link
+    vertices.  Then every dwheel of X has an identified junction and lies
+    in no 1-ball, and its boundary is k + l - 4 for its apexes v0, v0' of
+    degrees k, l.  So for every m >= 6, X is m-located exactly when
+    s > m + 4.
+
+    - The wheels are the cycle-link vertices with their links as rims: a
+      rim is a chordless cycle of 4 or more vertices in a vertex link, and
+      a link of maximum degree 2 has no other than its cycle components
+      (:func:`_link_rings`), which are never triangles.  So the center of
+      a k-wheel has degree k >= 4.
+    - Let v0, v0' be adjacent cycle-link vertices.  X is flag, so the
+      common neighbours of v0 and v0' are the neighbours of v0' on the
+      cycle Lk(v0): exactly two, w and x, which are also the neighbours of
+      v0 on Lk(v0').  The dwheel with apexes v0, v0' and shared vertex w
+      reads its free arcs from the vertex after v0' on Lk(v0) and from the
+      vertex after v0 on Lk(v0'), away from w, and both are x.  So each
+      (v0, v0', w) carries exactly one dwheel, and it is identified.
+    - The centers of 1-balls that could hold it are among v0, v0', w and
+      x.  The l - 3 >= 1 vertices of Lk(v0') other than v0, w and x are not
+      neighbours of v0, as w and x are the only common neighbours, and
+      likewise for v0'.  And w, x are two apart on the chordless cycle
+      Lk(v0) of length k >= 4, so they are not adjacent.  No center is
+      left.
+
+    No dwheel has an edge junction, so the join's edge-junction buckets
+    are empty and one never leads, even where it sorts first (the (6, 5)
+    edge bucket before the (6, 6) identified one at boundary 8).  When
+    s > m + 4 the pass joins 0 dwheels.  Otherwise the first bucket the
+    join fills is boundary s - 4, type (k, l) with k + l = s, k >= l and
+    k least; its first group is the least (v0, v0', w) of that type, with
+    v0 < v0' when k = l and w the smaller common neighbour.  Its one dwheel
+    fails, so the verdict has ``dwheels = 1``, and the join would locate
+    no type before it.
+    """
     rims = {}  # cycle-link vertex -> its link cycle, in walk order
-    for v, ids, masks, rings in reads or _link_reads(X):
+    for v, ids, masks, rings in reads:
         # a link of two cycles, or of a cycle and a path, has a ring short
         # of its vertices
         if rings is None or rings and len(rings[0]) < len(ids):
@@ -776,20 +774,14 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
     ``f`` maps cover vertex ids to base vertex ids.  The covering condition
     is verified first and raises :class:`NotACovering` on failure; a bad k,
     then a bad m, is reported before any work.  Each complex is tested for
-    flagness once: the covering check and the location verdicts of
-    :func:`is_m_located` share the test.
+    flagness once, and its links are read once: the covering check and
+    its :func:`located_and_large` call share the test.
     """
     _check_k_and_m(k, m)
     cover_flag, base_flag = is_flag(cover), is_flag(base)
     check_covering_map(f, cover, base, edges_decide=cover_flag.passed and base_flag.passed)
-
-    def located(X, fv):
-        return locate_on_flag(X, m)[0] if fv.passed else _not_flag(fv, m)
-
-    base_m = located(base, base_flag)
-    base_k = is_locally_k_large(base, k)
-    cover_m = located(cover, cover_flag)
-    cover_k = is_locally_k_large(cover, k)
+    base_m, base_k, _ = located_and_large(base, base_flag, m, k)
+    cover_m, cover_k, _ = located_and_large(cover, cover_flag, m, k)
     if base_m.passed and not cover_m.passed:
         return failed("covering_preservation", cover_m.witness,
                       detail=f"base is {m}-located but the cover is not", m=m, k=k)

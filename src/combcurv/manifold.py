@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Optional
 
 from .complexes import SimplicialComplex, build_complex, full_cycles, is_flag
-from .curvature import is_locally_k_large, locate_on_flag, wheels
+from .curvature import located_and_large, wheels
 from .errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
 from .verdicts import Verdict, failed, passed
 
@@ -515,18 +515,19 @@ def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
     """The stages of :func:`verify_theorem_b`, as (stage, verdict) pairs in
     order: the three manifold verdicts of ``report`` as stage ``validate``,
     then its 5/6* verdict, flagness, local 5-largeness and 8-location.
-    Each verdict is computed only when the caller asks for it, once every
-    stage before it has passed.  8-location runs the kernel
-    :func:`~combcurv.curvature.locate_on_flag`, as flagness has passed, and adds
-    the dwheel types it reads to ``types``."""
+    Each verdict up to flagness is computed only when the caller asks for
+    it, once every stage before it has passed.  The last two come from one
+    :func:`~combcurv.curvature.located_and_large` call on the flag verdict,
+    which reads each vertex link once for both; the dwheel types it reads
+    are added to ``types``."""
     for verdict in (report.is_pseudomanifold, report.edge_link_cycles,
                     report.vertex_links_spheres):
         yield "validate", verdict
     yield "five_six_star", report.five_six_star
-    yield "is_flag", is_flag(X)
-    yield "locally_5_large", is_locally_k_large(X, 5)
-    located, found = locate_on_flag(X, 8)
+    yield "is_flag", (flag := is_flag(X))
+    located, large, found = located_and_large(X, flag, 8, 5)
     types |= found
+    yield "locally_5_large", large
     yield "8_located", located
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import SimplicialComplex
-from .curvature import is_locally_k_large, is_m_located
+from .complexes import SimplicialComplex, is_flag
+from .curvature import located_and_large
 from .errors import DisconnectedError, PreconditionNotMet, TooLarge
 from .verdicts import Verdict, failed, passed
 
@@ -237,8 +237,8 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
     y',z' two steps down closing triangles with x), asserts that y' and z'
     are distinct, mutually adjacent, and not adjacent across to z resp. y.
     """
-    for name, verdict in (("is_m_located(X, 8)", is_m_located(X, 8)),
-                          ("is_locally_k_large(X, 5)", is_locally_k_large(X, 5))):
+    located, large, _ = located_and_large(X, is_flag(X), 8, 5)
+    for name, verdict in (("is_m_located(X, 8)", located), ("is_locally_k_large(X, 5)", large)):
         if not verdict.passed:
             raise PreconditionNotMet(name, verdict.detail, verdict.witness)
     dist = distances_from(X, o)

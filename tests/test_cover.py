@@ -175,13 +175,16 @@ class TestLazyHypotheses:
 
     def test_passing_builds_read_no_hypotheses(self, surf37, monkeypatch):
         # location and largeness, of the interior and of the target alike,
-        # are read through one call that returns both
+        # are read through one call that returns both, on the caller's
+        # flag verdict
         reads = counting(monkeypatch, cover, "located_and_large")
         for X in (surf37, gen("tri_torus", 8, 8)):
             del reads[:]
             assert build_cover(X, 0, 5).passed
-            # the interior checks still run, once, on the previous stage ball
-            assert [args[1:] for args in reads] == [(8, 5)]
+            # the interior checks still run, once, on the previous stage
+            # ball, which is flag
+            assert [args[2:] for args in reads] == [(8, 5)]
+            assert [(args[1].check, args[1].passed) for args in reads] == [("is_flag", True)]
             assert not [args for args in reads if args[0] is X]
 
     def test_a_warned_build_reads_them_once(self, monkeypatch):

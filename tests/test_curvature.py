@@ -341,7 +341,8 @@ class TestWheels:
                     rim = tuple(vmap[u] for u in c.vertices)
                     by_length[len(rim)].append((v, rim))
                     dropped += bool(chords(X, rim))
-            assert {k: sorted(ws) for k, ws in curvature._wheels_by_length(X, 5)} \
+            stream = curvature._wheels_by_length(X, 5, curvature._link_reads(X))
+            assert {k: sorted(ws) for k, ws in stream} \
                 == {k: sorted(ws) for k, ws in by_length.items()}, X
         assert found > 100 and dropped > 0, (found, dropped)
 
@@ -522,20 +523,34 @@ class TestDWheelStream:
         assert len(tested) == 3600
         assert {(junction, arc1[0] > w) for junction, w, arc1 in tested} == {("identified", True)}
 
-    def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37, monkeypatch):
+    def test_one_link_read_and_lazy_cores_on_600_cell(self, monkeypatch):
+        # the degree sums give up at the first link, an icosahedron, and the
+        # join takes the same reads.  1 440 of the 3 600 groups before the
+        # failing one have no pair with a > w, so lemma 2 decides all their
+        # pairs and their core is never built
+        reads, link_masks = [], SimplicialComplex.link_masks
+        monkeypatch.setattr(SimplicialComplex, "link_masks",
+                            lambda X, v: reads.append(v) or link_masks(X, v))
+        X = gen("cell600")
+        with line_spy(curvature._locate_by_join, "core = meet(", ("w",)) as built:
+            assert is_m_located(X, 8).to_json() == CELL600_M8
+        assert reads == list(X.vertices)
+        assert len(built) == 2160
+
+    def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
         # finds no wheels of its shorter rim length l <= 6 and never draws
         # the lengths 7 and 8 of its longer rim; is_m_located decides a
         # surface by degrees, so the join is called directly
-        drawn, real = [], curvature._wheels_by_length
+        drawn = []
 
-        def recording(X, k_max):
-            for k, found in real(X, k_max):
+        def recording(stream):
+            for k, found in stream:
                 drawn.append(k)
                 yield k, found
 
-        monkeypatch.setattr(curvature, "_wheels_by_length", recording)
-        verdict, types = curvature._locate_by_join(surf37, 8)
+        stream = curvature._wheels_by_length(surf37, 8, curvature._link_reads(surf37))
+        verdict, types = curvature._locate_by_join(surf37, 8, recording(stream))
         assert types == set()
         assert verdict.passed and verdict.stats["dwheels"] == 0
         assert drawn == [4, 5, 6]
@@ -583,7 +598,7 @@ class TestDWheelStream:
                 if got["status"] == "pass":
                     outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
                     # the kernel's types are those of the referee's dwheels
-                    verdict, types = curvature.locate_on_flag(X, m)
+                    verdict, _, types = curvature.located_and_large(X, is_flag(X), m, 4)
                     mine = [d for d in ref if d.boundary_length <= m]
                     assert verdict.to_json() == got, (X.name, m)
                     assert types == {d.type for d in mine}, (X.name, m)
@@ -690,9 +705,10 @@ class TestLocatedAndLarge:
         for X in self.corpus(tmp_path, icosa, disk37, surf37):
             large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
             located = {m: is_m_located(X, m).to_json() for m in range(6, 10)}
+            flag = is_flag(X)
             for k in range(4, 10):
                 for m in range(6, 10):
-                    got = [v.to_json() for v in curvature.located_and_large(X, m, k)]
+                    got = [v.to_json() for v in curvature.located_and_large(X, flag, m, k)[:2]]
                     assert got == [located[m], large[k]], (X.name, m, k)
                     seen.add((got[0]["status"], got[1]["status"],
                               (got[1]["witness"] or {}).get("kind")))
@@ -708,17 +724,19 @@ class TestLocatedAndLarge:
         large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
         located = {m: is_m_located(X, m).to_json() for m in (6, 8)}
         assert located[8] == CELL600_M8 and located[6]["stats"]["dwheels"] == 7200
+        flag = is_flag(X)
         for m, k in [(8, k) for k in range(4, 10)] + [(6, 5), (6, 9)]:
-            got = [v.to_json() for v in curvature.located_and_large(X, m, k)]
+            got = [v.to_json() for v in curvature.located_and_large(X, flag, m, k)[:2]]
             assert got == [located[m], large[k]], (m, k)
 
     def test_one_link_read_and_one_search_per_vertex(self, tmp_path, monkeypatch, capsys):
-        from combcurv.cli import main
+        from combcurv import cli
         from combcurv.formats import dump_path
 
         # the 600-cell's links are icosahedra: flag, not read off degree
         # sums, and searched at rim lengths 4 and 5 once each; the checks
-        # called alone read 241 links, search 120 for cliques and grow 360
+        # called alone read 241 links, search 120 for cliques and grow 360.
+        # The flag test is the caller's, and the CLI's is counted too.
         calls = Counter()
 
         def count(owner, name):
@@ -731,6 +749,7 @@ class TestLocatedAndLarge:
 
         for name in ("empty_clique", "grow_chordless", "is_flag"):
             count(curvature, name)
+        count(cli, "is_flag")
         count(SimplicialComplex, "link_masks")
         # each rim length hands back, ungrown, its open paths that can still
         # grow: lengths 4 and 5 give paths of 3 and 4 vertices, and the
@@ -744,21 +763,31 @@ class TestLocatedAndLarge:
         monkeypatch.setattr(curvature, "grow_chordless", growing)
         X = gen("cell600")
         expected = Counter(link_masks=120, grow_chordless=240, is_flag=1)
-        curvature.located_and_large(X, 8, 5)
+        curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
         assert calls == expected, calls
         assert leaves == {(4, 3): 5040, (5, 4): 7336}, leaves
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
         calls.clear()
-        assert main(["check", "--k", "5", "--m", "8", str(path)]) == 1
+        assert cli.main(["check", "--k", "5", "--m", "8", str(path)]) == 1
         assert calls == expected, calls
-        assert capsys.readouterr().out.splitlines()[0] == "[pass] is_locally_k_large"
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "[pass] is_locally_k_large"
+        # with --flag the printed flag verdict is the one the kernel gets
+        calls.clear()
+        assert cli.main(["check", "--flag", "--k", "5", "--m", "8", str(path)]) == 1
+        assert calls == expected, calls
+        assert capsys.readouterr().out == "[pass] is_flag\n" + out
 
-    def test_a_bad_k_is_reported_before_a_bad_m(self, icosa):
+    def test_a_bad_k_is_reported_before_a_bad_m(self, icosa, monkeypatch):
+        # and both before any link is read
+        flag, reads = is_flag(icosa), []
+        monkeypatch.setattr(SimplicialComplex, "link_masks", lambda X, v: reads.append(v))
         with pytest.raises(ValueError, match="largeness starts at k = 4"):
-            curvature.located_and_large(icosa, 5, 3)
+            curvature.located_and_large(icosa, flag, 5, 3)
         with pytest.raises(ValueError, match="location starts at m = 6"):
-            curvature.located_and_large(icosa, 5, 4)
+            curvature.located_and_large(icosa, flag, 5, 4)
+        assert reads == []
 
 
 class TestLocateByDegrees:
@@ -805,10 +834,12 @@ class TestLocateByDegrees:
             least = min((degrees[u] + degrees[v] for u, v in X.simplices(1)
                          if u in degrees and v in degrees), default=None)
             boundary = len(degrees) < len(X.vertices)
+            flag, reads = is_flag(X), list(curvature._link_reads(X))
             for m in range(6, 11):
-                verdict, types = curvature.locate_on_flag(X, m)
-                assert curvature._locate_by_degrees(X, m) is not None, X.name
-                join, join_types = curvature._locate_by_join(X, m)
+                verdict, _, types = curvature.located_and_large(X, flag, m, 4)
+                assert curvature._locate_by_degrees(X, m, reads) is not None, X.name
+                join, join_types = curvature._locate_by_join(
+                    X, m, curvature._wheels_by_length(X, m, reads))
                 assert (verdict.to_json(), types) == (join.to_json(), join_types), (X.name, m)
                 if verdict.passed:
                     assert least is None or least > m + 4, (X.name, m)
@@ -1009,22 +1040,39 @@ class TestCoveringPreservation:
         state = build_cover(surf37, 0, 3).state
         args = state.sheet_map, state.ball, surf37, 8, 5
         assert check_covering_preservation(*args).passed
-        for name, what in (("locate_on_flag", "8-located"),
-                           ("is_locally_k_large", "locally 5-large")):
-            real, witness = getattr(curvature, name), {"kind": "patched", "check": name}
+        real = curvature.located_and_large
+        # the kernel returns (location, largeness, types); each verdict in
+        # turn fails on the ball
+        for which, what in ((0, "8-located"), (1, "locally 5-large")):
+            witness = {"kind": "patched", "check": what}
             detail = f"base is {what} but the cover is not"
 
-            def on_ball_only(X, arg, _real=real, _name=name, _witness=witness):
-                if X is not state.ball:
-                    return _real(X, arg)
-                # the location kernel also returns the dwheel types
-                return (failed(_name, _witness), set()) if _name == "locate_on_flag" \
-                    else failed(_name, _witness)
+            def on_ball_only(X, flag, m, k, _which=which, _witness=witness):
+                got = list(real(X, flag, m, k))
+                if X is state.ball:
+                    got[_which] = failed(got[_which].check, _witness)
+                return tuple(got)
 
-            monkeypatch.setattr(curvature, name, on_ball_only)
+            monkeypatch.setattr(curvature, "located_and_large", on_ball_only)
             verdict = check_covering_preservation(*args)
             assert not verdict.passed and verdict.detail == detail and verdict.witness == witness
-            monkeypatch.setattr(curvature, name, real)
+
+    def test_one_kernel_call_per_complex(self, surf37, monkeypatch):
+        # location and largeness of each complex come from one
+        # located_and_large call, which reads each of its links once
+        state = build_cover(surf37, 0, 3).state
+        calls, reads, real = [], [], curvature.located_and_large
+        monkeypatch.setattr(curvature, "located_and_large",
+                            lambda X, *args: calls.append(X) or real(X, *args))
+        for name in ("is_m_located", "is_locally_k_large"):
+            monkeypatch.setattr(curvature, name, lambda *args, _name=name: pytest.fail(_name))
+        link_masks = SimplicialComplex.link_masks
+        monkeypatch.setattr(SimplicialComplex, "link_masks",
+                            lambda X, v: reads.append(X) or link_masks(X, v))
+        assert check_covering_preservation(state.sheet_map, state.ball, surf37, 8, 5).passed
+        assert calls == [surf37, state.ball]
+        assert Counter(map(id, reads)) == {id(surf37): surf37.vertex_count,
+                                           id(state.ball): state.ball.vertex_count}
 
     def test_one_flag_test_per_complex(self, icosa, monkeypatch):
         # the covering check and both location verdicts share the flag tests

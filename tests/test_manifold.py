@@ -675,7 +675,7 @@ class TestTheoremBStages:
     def calls(self, monkeypatch):
         """The later stages' checks, by name, in the order they are called."""
         names = []
-        for name in ("is_flag", "is_locally_k_large", "locate_on_flag"):
+        for name in ("is_flag", "located_and_large"):
             def spy(*args, _name=name, _fn=getattr(manifold, name)):
                 names.append(_name)
                 return _fn(*args)
@@ -691,27 +691,28 @@ class TestTheoremBStages:
                                   "link of (0,) is not 5-large: full 4-cycle present",
                                   {"kind": "cycle_in_link", "simplex": [0],
                                    "cycle": [1, 2, 3, 4]}),
-             ["is_flag", "is_locally_k_large"]),
+             ["is_flag", "located_and_large"]),
             (icosa, theorem_b_fail("8_located",
                                    "(5,5)-dwheel of boundary length 6 fits in no 1-ball",
                                    UNLOCATED_ICOSA),
-             ["is_flag", "is_locally_k_large", "locate_on_flag"]),
+             ["is_flag", "located_and_large"]),
             (gen("cell600"), theorem_b_fail("8_located",
                                             "(5,5)-dwheel of boundary length 7 fits in no 1-ball",
                                             UNLOCATED_CELL600),
-             ["is_flag", "is_locally_k_large", "locate_on_flag"]),
+             ["is_flag", "located_and_large"]),
         ]
         for X, expected, called in cases:
             calls.clear()
             assert verify_theorem_b(X).to_json() == expected, X.name
-            # a stage runs only once every stage before it has passed
+            # a stage runs only once every stage before it has passed; one
+            # call serves local 5-largeness and 8-location
             assert calls == called, X.name
 
     def test_every_stage_passes(self, all_pass, calls, surf37):
         assert verify_theorem_b(surf37).to_json() == {
             "check": "theorem_b", "status": "pass", "detail": "all stages passed",
             "witness": None, "stats": {"dwheel_types": [], "dwheels": 0}}
-        assert calls == ["is_flag", "is_locally_k_large", "locate_on_flag"]
+        assert calls == ["is_flag", "located_and_large"]
 
     def test_dwheel_census(self, all_pass):
         # the cones over the identified dwheels of the allowed types are
@@ -752,6 +753,29 @@ class TestTheoremBStages:
             assert stage == ("8_located" if X is icosa else None), name
             joins = 0 if X is icosa else 1
             assert counts == Counter(_dwheel_groups=joins, is_flag=1), name
+
+    def test_one_link_read_per_vertex_for_both_hypotheses(self, all_pass, monkeypatch):
+        # the 600-cell's links are icosahedra, read once and grown at rim
+        # lengths 4 and 5 once each for local 5-largeness and 8-location
+        # together; the flag verdict is the is_flag stage's
+        counts = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def spy(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, spy)
+
+        for name in ("empty_clique", "grow_chordless", "is_flag"):
+            count(curvature, name)
+        count(manifold, "is_flag")
+        count(SimplicialComplex, "link_masks")
+        verdict = verify_theorem_b(gen("cell600"))
+        assert verdict.to_json() == theorem_b_fail(
+            "8_located", "(5,5)-dwheel of boundary length 7 fits in no 1-ball", UNLOCATED_CELL600)
+        assert counts == Counter(link_masks=120, grow_chordless=240, is_flag=1), counts
 
     def test_first_failing_report_verdict(self, calls, monkeypatch):
         X = build_complex([[0, 1, 2, 3]])

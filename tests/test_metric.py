@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover, metric
+from combcurv import build_complex, build_cover, curvature, metric
 from combcurv.cli import main
+from combcurv.complexes import SimplicialComplex
 from combcurv.errors import DisconnectedError, PreconditionNotMet, TooLarge
 from combcurv.formats import dump_path
 from combcurv.metric import (
@@ -348,7 +349,9 @@ class TestProjectionLemma:
         # the torus is locally 6-large but not 8-located; past a patched
         # 8-location, the descent property fails at sphere 3, here and in
         # the referee
-        monkeypatch.setattr(metric, "is_m_located", lambda X, m: passed("is_m_located"))
+        real = metric.located_and_large
+        monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
+                            (passed("is_m_located"),) + real(X, flag, m, k)[1:])
         for check in (check_projection_lemma, naive_projection_lemma):
             with pytest.raises(PreconditionNotMet) as err:
                 check(torus66, 0, 2)
@@ -370,6 +373,31 @@ class TestProjectionLemma:
         assert check_projection_lemma(ball, 0, 2).passed
         assert bases == [0]
 
+    def test_one_kernel_call_names_location_then_largeness(self, surf37, octa, monkeypatch):
+        # both hypotheses come from one located_and_large call, which reads
+        # each link once; the location precondition is raised first
+        ball = build_cover(surf37, 0, 3).state.ball
+        # a 4-wheel: its one cycle link has no cycle-link neighbour, so it
+        # is 8-located, and it is not locally 5-large
+        wheel4 = build_complex([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+        cases = [(octa, "is_m_located(X, 8)", curvature.is_m_located(octa, 8).witness),
+                 (wheel4, "is_locally_k_large(X, 5)",
+                  curvature.is_locally_k_large(wheel4, 5).witness)]
+        calls, reads, real = [], [], metric.located_and_large
+        monkeypatch.setattr(metric, "located_and_large",
+                            lambda X, *args: calls.append(X) or real(X, *args))
+        for name in ("is_m_located", "is_locally_k_large"):
+            monkeypatch.setattr(curvature, name, lambda *args, _name=name: pytest.fail(_name))
+        link_masks = SimplicialComplex.link_masks
+        monkeypatch.setattr(SimplicialComplex, "link_masks",
+                            lambda X, v: reads.append(v) or link_masks(X, v))
+        assert check_projection_lemma(ball, 0, 2).passed
+        assert calls == [ball] and sorted(reads) == list(ball.vertices)
+        for X, name, witness in cases:
+            with pytest.raises(PreconditionNotMet) as err:
+                check_projection_lemma(X, 0, 1)
+            assert (err.value.name, err.value.witness) == (name, witness)
+
     def test_instance_scan_against_referee(self, icosa, octa, monkeypatch):
         """The instance scan against the sorted-order referee: the same
         instance count and the same first failing configuration.  The
@@ -377,8 +405,8 @@ class TestProjectionLemma:
         which is not 8-located, and on the octahedron, which is not locally
         5-large.  Every configuration of the icosahedron passes; the first
         of the octahedron fails."""
-        for name in ("is_m_located", "is_locally_k_large"):
-            monkeypatch.setattr(metric, name, lambda X, _arg, _name=name: passed(_name))
+        monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
+                            (passed("is_m_located"), passed("is_locally_k_large"), set()))
         outcomes = {}
         for X in (icosa, octa):
             for o, n in product((0, 1, 2), (1, 2, 3)):

@@ -110,8 +110,8 @@ def test_cover_witnesses_follow_the_relabelling(cover_cases):
 def test_projection_witnesses_follow_the_relabelling(monkeypatch):
     # the hypotheses and the descent precondition are patched to pass, so
     # the instance scan runs, and fails, on inputs that meet none of them
-    for name in ("is_m_located", "is_locally_k_large"):
-        monkeypatch.setattr(metric, name, lambda X, _arg, _name=name: passed(_name))
+    monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
+                        (passed("is_m_located"), passed("is_locally_k_large"), set()))
     monkeypatch.setattr(metric, "check_sd_prime",
                         lambda X, o, n, dist: SDReport(base=o, max_radius=n))
     inputs = [gen("octahedron"), gen("icosahedron"), gen("tri_torus", 6, 6)]
