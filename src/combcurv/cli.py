@@ -24,7 +24,7 @@ import time
 from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
-from .curvature import is_locally_k_large, is_m_located, located_and_large
+from .curvature import is_locally_k_large, is_m_located, located_and_large, m_located
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
@@ -149,6 +149,9 @@ def cmd_check(args):
         verdicts.extend(_call(args, located_and_large, X, flag, args.m, args.k)[1::-1])
     elif args.k is not None:
         verdicts.append(_call(args, is_locally_k_large, X, args.k))
+    elif verdicts and args.m is not None:
+        # on the printed flag verdict
+        verdicts.append(_call(args, m_located, X, verdicts[0], args.m))
     elif args.m is not None:
         verdicts.append(_call(args, is_m_located, X, args.m))
     if args.sphere_56:

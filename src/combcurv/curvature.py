@@ -348,43 +348,48 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
         yield k, found + rings_of[k]
 
 
-def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
-    """The dwheels with boundary length at most ``max_boundary``, in the
-    order of :func:`dwheels`, as groups ``((v0, v0'), w, junction, pairs)``
-    of the dwheels that share apexes and shared vertex; ``pairs`` lists
-    their free arcs ``(rim1, rim2)`` in order.  The wheels come from
-    ``by_length`` as :func:`_wheels_by_length` yields them.
+def _apex_pairs(max_boundary: int, by_length):
+    """The wheel pairs that can form dwheels with boundary length at most
+    ``max_boundary``, one (boundary, type) bucket at a time and, in each,
+    one apex pair at a time, in the order of :func:`dwheels`.  Each is
+    ``(k, l, identified, (v0, v0'), first, second)``: ``first`` is the side
+    of the k-wheels at v0 whose rim passes through v0', ``second`` that of
+    the l-wheels at v0' through v0.  The wheels come from ``by_length`` as
+    :func:`_wheels_by_length` yields them.
 
-    One (boundary, type) bucket comes at a time.  A bucket has one junction
-    kind: identified when k + l - 4 is the boundary, edge when k + l - 3 is.
-    It joins only the k-wheels with the l-wheels, so a caller that stops
-    early never builds the later buckets.  A type's matched group keys are
-    sorted once, for its identified and its edge bucket, and each group's
-    arc lists in place; the pairs are taken rim1-major, so the dwheels come
-    sorted with no sort of their own.
+    The corner of a wheel at a rim vertex x is x's two rim neighbours, as
+    ``(lo, hi, rim)`` with lo < hi.  A wheel gives one corner per rim
+    vertex, keyed (center, x); the side of a key is ``[corners, arcs]``,
+    whose ``arcs`` :func:`_side_arcs` reads off the corners when the side
+    is first listed.  No arc is sliced before then.
+
+    A bucket has one junction kind: identified when k + l - 4 is the
+    boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
+    l-wheels, so a caller that stops early never builds the later buckets.
+    A type's apex pairs, (v0, v0') with v0' on a k-wheel at v0 and v0 on an
+    l-wheel at v0', v0 < v0' when k = l, are sorted once for both its
+    buckets.
     """
-    # rim length k -> (center, other_apex, shared) -> free arcs
-    # (v1, ..., v_{k-2}) of the k-wheels at center whose rim reads
-    # (v1, ..., v_{k-2}, shared, other_apex)
-    arcs = {}
-    matched = {}  # (k, l) -> the sorted group keys of both its buckets
+    # rim length k -> (center, x) -> the corners at x of the k-wheels at center
+    corners = {}
+    matched = {}  # (k, l) -> the sorted apex pairs of both its buckets
 
-    def arcs_of(k):
+    def corners_of(k):
         # the lengths come in increasing order
-        while k not in arcs:
+        while k not in corners:
             n, whls = next(by_length)
-            by_edge = arcs[n] = {}
+            table = corners[n] = {}
             for center, rim in whls:
-                for orient in (rim, rim[::-1]):
-                    twice = orient + orient
-                    for i in range(n):
-                        key, arc = (center, twice[i + 1], orient[i]), twice[i + 2:i + n]
-                        found = by_edge.get(key)
-                        if found is None:
-                            by_edge[key] = [arc]
-                        else:
-                            found.append(arc)
-        return arcs[k]
+                prev, x = rim[-2], rim[-1]
+                for nxt in rim:
+                    corner = (prev, nxt, rim) if prev < nxt else (nxt, prev, rim)
+                    side = table.get((center, x))
+                    if side is None:
+                        table[center, x] = [[corner], None]
+                    else:
+                        side[0].append(corner)
+                    prev, x = x, nxt
+        return corners[k]
 
     for blen in range(4, max_boundary + 1):
         # the types k >= l >= 4 with k + l - 3 or k + l - 4 equal to blen
@@ -393,28 +398,89 @@ def _dwheel_groups(X: SimplicialComplex, max_boundary: int, by_length):
         for k, l in types:
             # the shorter rim first: a bucket with no l-wheels never
             # enumerates the k-wheels
-            second = arcs_of(l)
+            second = corners_of(l)
             if not second:
                 continue
-            first = arcs_of(k)
+            first = corners_of(k)
+            pairs = matched.get((k, l))
+            if pairs is None:
+                pairs = matched[k, l] = sorted(
+                    key for key in first if key[::-1] in second and (k != l or key[0] < key[1]))
             identified = k + l - 4 == blen
-            junction = "identified" if identified else "edge"
-            # the second wheels sit at v0' with w then v0 consecutive on the
-            # rim; equal rim lengths: the pair is taken from its smaller apex
-            keys = matched.get((k, l))
-            if keys is None:
-                keys = matched[k, l] = sorted(
-                    key for key in first if (key[1], key[0], key[2]) in second
-                    and (k != l or key[0] < key[1]))
-            for v0, v0p, w in keys:
-                arcs1, arcs2 = first[v0, v0p, w], second[v0p, v0, w]
-                arcs1.sort()
-                arcs2.sort()
-                pairs = [(arc1, arc2) for arc1 in arcs1 for arc2 in arcs2
-                         if (arc1[0] == arc2[0] if identified
-                             else X.adjacent(arc1[0], arc2[0]))]
-                if pairs:
-                    yield (v0, v0p), w, junction, pairs
+            for apexes in pairs:
+                v0, v0p = apexes
+                yield k, l, identified, apexes, first[apexes], second[v0p, v0]
+
+
+def _listed(X: SimplicialComplex, identified: bool, apexes: tuple, first, second) -> list:
+    """The dwheels of one apex pair of :func:`_apex_pairs`, of the junction
+    kind ``identified`` says, as ``(w, arc1, arc2)`` in sorted order.
+
+    A k-wheel at v0 and an l-wheel at v0' glue into a dwheel with shared
+    vertex w when w is in both corners; with a and b the other vertex of
+    each, its free arcs start at a and b, and its junction is identified
+    when a = b and an edge when a and b are adjacent (the corner lemma of
+    :func:`_locate_by_join`).  Each side's arcs come grouped by w in
+    increasing order, and sorted in each group (:func:`_side_arcs`), so
+    the pairs, taken first-side-major, need no sort.
+    """
+    v0, v0p = apexes
+    partners = _side_arcs(second, v0)
+    out = []
+    for w, arcs1 in _side_arcs(first, v0p).items():
+        arcs2 = partners.get(w)
+        if arcs2 is None:
+            continue
+        # no vertex is its own neighbour, so a != b at an edge
+        out += [(w, arc1, arc2) for arc1 in arcs1 for arc2 in arcs2
+                if (arc1[0] == arc2[0] if identified else arc2[0] in X.neighbors(arc1[0]))]
+    return out
+
+
+def _side_arcs(side, x) -> dict:
+    """The free arcs of the wheels of a side ``[corners, arcs]`` of
+    :func:`_apex_pairs`, whose rims pass through ``x``: w -> the sorted
+    arcs of the wheels whose corner at x holds w, each from the corner's
+    other vertex, away from x, to the vertex before w.  The keys come in
+    increasing order.  Built once per side, when first listed, and kept
+    in ``arcs``, as a side takes part in several buckets.  On one side, w
+    and the arc fix the rim, so no two arcs of a group are equal."""
+    by_shared = side[1]
+    if by_shared is None:
+        found = []
+        for _, _, rim in side[0]:
+            found += _free_arcs(rim, x)
+        found.sort()
+        by_shared = side[1] = {}
+        for w, arc in found:
+            arcs = by_shared.get(w)
+            if arcs is None:
+                by_shared[w] = [arc]
+            else:
+                arcs.append(arc)
+    return by_shared
+
+
+def _edge_junction(X: SimplicialComplex, first, second) -> bool:
+    """Whether the corners of an apex pair of :func:`_apex_pairs` hold an
+    edge-junction dwheel: a corner of each side sharing one vertex w, with
+    the other two vertices adjacent."""
+    for lo, hi, _ in first[0]:
+        for lo2, hi2, _ in second[0]:
+            # lo < hi and lo2 < hi2: one shared vertex, both, or none
+            if lo == lo2:
+                a, b = hi, hi2
+            elif lo == hi2:
+                a, b = hi, lo2
+            elif hi == lo2:
+                a, b = lo, hi2
+            elif hi == hi2:
+                a, b = lo, lo2
+            else:
+                continue
+            if a != b and X.adjacent(a, b):
+                return True
+    return False
 
 
 def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
@@ -427,9 +493,9 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
     by_length = ((k, [(v, rim) for v, rim in ws if not chords(X, rim)])
                  for k, ws in _wheels_by_length(X, max_boundary, _link_reads(X)))
-    return [DWheel(apexes, w, arc1, arc2, junction)
-            for apexes, w, junction, pairs in _dwheel_groups(X, max_boundary, by_length)
-            for arc1, arc2 in pairs]
+    return [DWheel(apexes, w, arc1, arc2, "identified" if identified else "edge")
+            for _, _, identified, apexes, first, second in _apex_pairs(max_boundary, by_length)
+            for w, arc1, arc2 in _listed(X, identified, apexes, first, second)]
 
 
 def _center_candidates(X: SimplicialComplex, vs) -> list:
@@ -441,16 +507,21 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates.
+    candidates."""
+    _check_m(m)
+    return m_located(X, is_flag(X), m)
+
+
+def m_located(X: SimplicialComplex, flag: Verdict, m: int) -> Verdict:
+    """:func:`is_m_located` on the caller's verdict ``flag``, ``is_flag(X)``;
+    no flag test runs here.  A bad m is reported before any link is read.
 
     The links of a flag complex are read once, into a list: the degree
     sums of :func:`_locate_by_degrees` decide it when they can, and the
     join of :func:`_locate_by_join` takes the same reads otherwise."""
-    if m < 6:
-        raise ValueError("location starts at m = 6")
-    fv = is_flag(X)
-    if not fv.passed:
-        return _not_flag(fv, m)
+    _check_m(m)
+    if not flag.passed:
+        return _not_flag(flag, m)
     reads = list(_link_reads(X))
     located = _locate_by_degrees(X, m, reads)
     if located is not None:
@@ -468,12 +539,12 @@ def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
     """``(is_m_located(X, m), is_locally_k_large(X, k), types)``, with
     each vertex link read once and searched once.  ``flag`` is the
     caller's verdict ``is_flag(X)``; no flag test runs here.  ``types`` is
-    the set of (k, l) types of the dwheel groups the location join
-    located before it returned: on a pass, the types of all dwheels of
-    boundary at most ``m``; empty when X is not flag or the degree sums
-    decide it.  A group's dwheels share one type,
-    ``(len(arc1) + 2, len(arc2) + 2)`` for any of its arc pairs.  A bad
-    k is reported before a bad m, and both before any link is read.
+    the set of (k, l) types of the dwheel groups (the dwheels with the
+    same apexes and shared vertex, which share one type) that the
+    location join located before it returned: on a pass, the types of all
+    dwheels of boundary at most ``m``; empty when X is not flag or the
+    degree sums decide it.  A bad k is reported before a bad m, and both
+    before any link is read.
 
     Lemma (largeness off the wheels).  Let X be flag; its dimension is at
     most 3, as every complex's is.  Then no vertex link of X has an empty
@@ -507,6 +578,11 @@ def _check_k_and_m(k: int, m: int) -> None:
     """Reject a bad k, then a bad m, as the checks called alone would."""
     if k < 4:
         raise ValueError("largeness starts at k = 4")
+    _check_m(m)
+
+
+def _check_m(m: int) -> None:
+    """Reject a bad m, before any work."""
     if m < 6:
         raise ValueError("location starts at m = 6")
 
@@ -514,25 +590,38 @@ def _check_k_and_m(k: int, m: int) -> None:
 def _locate_by_join(X: SimplicialComplex, m: int, stream):
     """The verdict of :func:`is_m_located` on a flag ``X`` and the types
     of :func:`located_and_large`, by the wheel-to-dwheel join
-    (:func:`_dwheel_groups`) on ``stream``, the wheels by length from 4
-    as :func:`_wheels_by_length` yields them.
+    (:func:`_apex_pairs`) on ``stream``, the wheels by length from 4 as
+    :func:`_wheels_by_length` yields them.
 
-    Location is decided per group of dwheels with the same apexes v0, v0'
-    and shared vertex w.  These span a triangle, so every center of a
-    dwheel of the group lies in ``core``, their common neighbors and
-    themselves.  Each free arc cuts ``core`` down to its own centers once
-    for the whole group, and a dwheel lies in a 1-ball exactly when the
-    centers of its two arcs meet: the common members of the closed
-    neighborhoods of its vertices, regrouped.  The sets are int bitmasks
-    over vertex ids: ``core`` is the AND of the closed neighborhoods of v0,
-    w and v0', which is the set above as they are pairwise adjacent.  It
-    is built at the group's first tested pair, so a group whose pairs the
-    lemmas below all decide builds none.
+    Location is decided per apex pair (v0, v0'), on the corners of its
+    wheels, and only an apex pair that holds a failure is listed
+    (:func:`_listed`) to name the witness and its place.  X is flag, so a
+    rim chordless in a vertex link is chordless in X.  Let a dwheel's
+    first wheel W1 at v0 have rim C1 = (a, ..., w, v0'), and its second
+    W2 at v0' have rim C2 = (b, ..., w, v0).
 
-    Two lemmas decide most dwheels with no test.  Let a = ``arc1[0]`` and
-    b = ``arc2[0]``, so the first wheel's rim C1 reads (a, ..., w, v0') and
-    the second's, C2, reads (b, ..., w, v0).  X is flag, so a rim
-    chordless in a vertex link is chordless in X.
+    Lemma (corners).  W1 and W2 form an identified dwheel exactly when
+    the corner of W1 at v0' (its two rim neighbours) and the corner of W2
+    at v0 are the same pair {w, a}.  They then form exactly two: shared w
+    with first vertex a, and shared a with first vertex w.  Indeed a and
+    w are the rim neighbours of v0' on C1, and a = b and w those of v0 on
+    C2; conversely, equal corners {w, a} read C1 from v0' away from w and
+    C2 from v0 away from w, and both start at a.  Swapping w and a gives
+    the other dwheel, and a rim vertex has one corner, so there are no
+    more.  The two are each other's mirror: the same two wheels read from
+    the other side, on the same vertex set, so they are located together.
+    A matched wheel pair is tested once and counted twice.
+
+    Lemma (caps).  Let cap(W) be the AND of the closed neighbourhoods of
+    a wheel's centre and rim vertices, as an int bitmask over vertex ids.
+    A vertex x centres a 1-ball holding a set exactly when x is in the
+    closed neighbourhood of each member, so the dwheel of W1 and W2,
+    whose vertex set is the union of theirs, lies in a 1-ball exactly
+    when cap(W1) & cap(W2) is not 0.  Regrouped, cap(W1) & cap(W2) is
+    core & N[arc1] & N[arc2], with core the AND over v0, w and v0' and
+    N[arc] the AND over an arc's vertices: the centres of the dwheel's
+    triangle (v0, w, v0') that also centre both arcs.  A wheel's cap is
+    built when the wheel is first tested, and kept.
 
     Lemma 1 (edge junctions).  No edge-junction dwheel lies in a 1-ball.
     Say N[x] holds one.  A vertex of a chordless rim of 4 or more vertices
@@ -542,18 +631,16 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
     likewise b; and a and b are distinct and adjacent at an edge
     junction.  So {v0, v0', a, b, x} is a 5-clique, which a flag complex
     of dimension at most 3 does not have.  The join fails at the first
-    pair of the first edge-junction group, with no test.
+    dwheel of the first apex pair with an edge junction, with no test.
 
-    Lemma 2 (mirrors).  An identified pair of the group ((v0, v0'), w),
-    with a = ``arc1[0]`` = ``arc2[0]``, reads its two wheels from the
-    other side as well: the pair ``((w,) + arc1[:0:-1], (w,) +
-    arc2[:0:-1])`` of the group ((v0, v0'), a) in the same bucket, on the
-    same vertex set.  When a < w that group comes first, and the join
-    returns at the first unlocated dwheel, so the mirror was tested and
-    located; only the pairs with a > w are tested."""
+    A type is added to ``types`` once a group of its dwheels (the same
+    apexes and shared vertex) is located: after each located apex pair,
+    and inside a listed one when the failure's shared vertex is not the
+    first one listed."""
     count = 0
     types = set()
     balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
+    caps = {}  # (center, rim) -> the cap of the wheel, built when first tested
 
     def meet(found, vertices):
         for a in vertices:
@@ -563,22 +650,35 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
             found &= ball
         return found
 
-    for (v0, v0p), w, junction, pairs in _dwheel_groups(X, m, stream):
-        if junction == "edge":  # lemma 1
-            return _unlocated(X, m, DWheel((v0, v0p), w, *pairs[0], junction), count + 1), types
-        centers = {}  # free arc -> its centers in core
-        for arc1, arc2 in pairs:
-            count += 1
-            if arc1[0] < w:  # lemma 2: the mirror was located
+    def cap(center, rim):
+        found = caps.get((center, rim))
+        if found is None:
+            found = caps[center, rim] = meet(-1, (center, *rim))
+        return found
+
+    for k, l, identified, apexes, first, second in _apex_pairs(m, stream):
+        v0, v0p = apexes
+        if identified:
+            matched = [(wheel1, wheel2) for lo, hi, wheel1 in first[0]
+                       for lo2, hi2, wheel2 in second[0] if lo == lo2 and hi == hi2]
+            for wheel1, wheel2 in matched:
+                if not cap(v0, wheel1) & cap(v0p, wheel2):
+                    break
+            else:
+                if matched:
+                    count += 2 * len(matched)
+                    types.add((k, l))
                 continue
-            if not centers:  # the group's first tested pair
-                core = meet(-1, (v0, w, v0p))
-            for arc in (arc1, arc2):
-                if arc not in centers:
-                    centers[arc] = meet(core, arc)
-            if not centers[arc1] & centers[arc2]:
-                return _unlocated(X, m, DWheel((v0, v0p), w, arc1, arc2, junction), count), types
-        types.add((len(arc1) + 2, len(arc2) + 2))
+        elif not _edge_junction(X, first, second):
+            continue
+        # an unlocated identified match, or an edge junction
+        listed = _listed(X, identified, apexes, first, second)
+        for i, (w, arc1, arc2) in enumerate(listed, 1):
+            if w != listed[0][0]:
+                types.add((k, l))
+            if not identified or not meet(-1, (v0, v0p, w) + arc1 + arc2):  # lemma 1
+                dw = DWheel(apexes, w, arc1, arc2, "identified" if identified else "edge")
+                return _unlocated(X, m, dw, count + i), types
     return passed("is_m_located", m=m, dwheels=count), types
 
 
@@ -641,22 +741,22 @@ def _locate_by_degrees(X: SimplicialComplex, m: int, reads):
                  if u in degree and (degree[u], v) < (k, u)), default=None)
     if least is None or least[0] > m + 4:
         return passed("is_m_located", m=m, dwheels=0)
-    _, k, v0, v0p = least
-    i = rims[v0].index(v0p)
-    w = min(rims[v0][i - 1], rims[v0][(i + 1) % k])
-    dw = DWheel((v0, v0p), w, _free_arc(rims[v0], v0p, w), _free_arc(rims[v0p], v0, w),
-                "identified")
-    return _unlocated(X, m, dw, 1)
+    _, _, v0, v0p = least
+    arcs1, arcs2 = dict(_free_arcs(rims[v0], v0p)), dict(_free_arcs(rims[v0p], v0))
+    w = min(arcs1)
+    return _unlocated(X, m, DWheel((v0, v0p), w, arcs1[w], arcs2[w], "identified"), 1)
 
 
-def _free_arc(rim, apex, w):
-    """The free arc of the wheel with cycle ``rim`` in a dwheel with other
-    apex ``apex`` and shared vertex ``w``, a neighbour of ``apex`` on the
-    rim: the rim from the vertex after ``apex``, away from ``w``, to the
-    vertex before ``w``."""
-    i = rim.index(apex)
-    after = rim[i + 1:] + rim[:i]  # round the rim from apex, apex left out
-    return tuple(after[:-1]) if after[-1] == w else tuple(after[:0:-1])
+def _free_arcs(rim, x):
+    """The free arcs of the wheel with cycle ``rim`` at its rim vertex
+    ``x``, as ``(w, arc)`` for each rim neighbour w of x, the vertex before
+    x first: the arc of a dwheel whose other apex is x and whose shared
+    vertex is w, the rim from x's other neighbour, away from x, to the
+    vertex before w."""
+    n, i = len(rim), rim.index(x)
+    twice = rim + rim
+    return ((twice[i + n - 1], tuple(twice[i + 1:i + n - 1])),
+            (twice[i + 1], tuple(twice[i + n - 1:i + 1:-1])))
 
 
 def _unlocated(X: SimplicialComplex, m: int, dw: DWheel, count: int) -> Verdict:

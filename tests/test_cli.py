@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import combcurv
-from combcurv import manifold
+from combcurv import cli, curvature, manifold
 from combcurv.cli import HANDLERS, build_parser, main
 from combcurv.errors import PreconditionNotMet
 from combcurv.formats import dump_path, load_path
@@ -267,6 +267,27 @@ def counted(monkeypatch, owner, name):
     calls, fn = [], getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
     return calls
+
+
+def test_check_flag_and_m_test_flagness_once(golden_inputs, capsys, monkeypatch):
+    # with --flag, 8-location runs on the printed flag verdict: one is_flag
+    # call on the 600-cell, and the output is the flag verdict's line
+    # followed by that of check --m alone
+    path = str(golden_inputs["cell600"])
+    for flags in ([], ["--json"]):
+        assert main(flags + ["check", "--m", "8", path]) == 1
+        alone = capsys.readouterr().out
+        calls = [counted(monkeypatch, owner, "is_flag") for owner in (cli, curvature)]
+        assert main(flags + ["check", "--flag", "--m", "8", path]) == 1
+        out = capsys.readouterr().out
+        assert [len(made) for made in calls] == [1, 0]
+        monkeypatch.undo()
+        if flags:
+            doc, doc_alone = json.loads(out), json.loads(alone)
+            assert [v["check"] for v in doc["verdicts"]] == ["is_flag", "is_m_located"]
+            assert doc["verdicts"][1:] == doc_alone["verdicts"]
+        else:
+            assert out == "[pass] is_flag\n" + alone
 
 
 def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):

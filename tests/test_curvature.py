@@ -464,9 +464,11 @@ CELL600_M8 = {
 
 @contextmanager
 def line_spy(fn, marker, names):
-    """Record the values of the local variables ``names`` of ``fn`` each
-    time the first line of its source that holds ``marker`` runs."""
-    lines, first = inspect.getsourcelines(fn)
+    """Record the values of the local variables ``names`` of ``fn`` (a
+    function, or the code object of a nested one) each time the first line
+    of its source that holds ``marker`` runs."""
+    code = getattr(fn, "__code__", fn)
+    lines, first = inspect.getsourcelines(code)
     target = first + next(i for i, line in enumerate(lines) if marker in line)
     seen = []
 
@@ -476,7 +478,7 @@ def line_spy(fn, marker, names):
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
         yield seen
     finally:
@@ -509,33 +511,35 @@ class TestDWheelStream:
 
         for name in calls:
             monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
-        with line_spy(curvature._locate_by_join, "centers[arc1] & centers[arc2]",
-                      ("junction", "w", "arc1")) as tested:
+        with line_spy(curvature._locate_by_join, "cap(v0, wheel1) & cap(v0p, wheel2)",
+                      ("identified", "v0", "v0p", "wheel1", "wheel2")) as tested:
             assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
         # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
         # edge dwheels of boundary 7, comes right after 7 200 identified
-        # ones.  Location is decided per group on the free arcs, so only
-        # the witness is built as a DWheel.
+        # ones.  Location is decided per apex pair on the wheels' corners,
+        # so only the witness is built as a DWheel.
         assert calls == {"DWheel": 1}, calls
-        # the 7 200 identified dwheels are 3 600 mirrored pairs, and only the
-        # one with a = arc1[0] > w is tested; the edge-junction dwheel fails
-        # with no test
-        assert len(tested) == 3600
-        assert {(junction, arc1[0] > w) for junction, w, arc1 in tested} == {("identified", True)}
+        # the 7 200 identified dwheels are 3 600 wheel pairs with equal
+        # corners, each a dwheel and its mirror, and each pair is tested
+        # once; the edge-junction dwheel fails with no test
+        assert len(tested) == len(set(tested)) == 3600
+        assert {identified for identified, *_ in tested} == {True}
 
     def test_one_link_read_and_lazy_cores_on_600_cell(self, monkeypatch):
         # the degree sums give up at the first link, an icosahedron, and the
-        # join takes the same reads.  1 440 of the 3 600 groups before the
-        # failing one have no pair with a > w, so lemma 2 decides all their
-        # pairs and their core is never built
+        # join takes the same reads.  The 3 600 tests read the caps of the
+        # 1 440 five-wheels, each built once, when its wheel is first tested
         reads, link_masks = [], SimplicialComplex.link_masks
         monkeypatch.setattr(SimplicialComplex, "link_masks",
                             lambda X, v: reads.append(v) or link_masks(X, v))
         X = gen("cell600")
-        with line_spy(curvature._locate_by_join, "core = meet(", ("w",)) as built:
+        cap = next(code for code in curvature._locate_by_join.__code__.co_consts
+                   if getattr(code, "co_name", None) == "cap")
+        with line_spy(cap, "caps[center, rim] = meet(", ("center", "rim")) as built:
             assert is_m_located(X, 8).to_json() == CELL600_M8
         assert reads == list(X.vertices)
-        assert len(built) == 2160
+        assert len(built) == len(set(built)) == 1440
+        assert {len(rim) for _, rim in built} == {5}
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -645,6 +649,72 @@ class TestDWheelStream:
         # edge junctions, and identified dwheels both located and not
         assert counts == {("edge", False): 43, ("identified", False): 1120,
                           ("identified", True): 22}, counts
+
+    @staticmethod
+    def located_then_unlocated():
+        """A flag complex whose first unlocated dwheel, at m = 7, follows
+        located dwheels of its apex pair and of an earlier one: the cone
+        over a (5, 5)-dwheel at apexes 0, 1, and at apexes 10, 11 the cone
+        over a (6, 5)-dwheel (shared vertex 22) glued along the edge 10 11
+        to a bare (6, 5)-dwheel (shared vertex 32)."""
+        def renamed(Y, shift):
+            return [tuple({0: 10, 1: 11}.get(v, v + shift) for v in s)
+                    for s in Y.maximal_simplices()]
+
+        return build_complex(cone(dwheel_complex(5, 5, "identified")[0]).maximal_simplices()
+                             + renamed(cone(dwheel_complex(6, 5, "identified")[0]), 20)
+                             + renamed(dwheel_complex(6, 5, "identified")[0], 30))
+
+    def test_corner_join_against_the_referee(self, refereed):
+        # the join, called directly so that surfaces take it too, against
+        # the referee's sorted dwheels tried one by one with in_one_ball:
+        # the verdict, the dwheel count, the witness and the types of the
+        # groups (same bucket, apexes and shared vertex) located before it
+        # returned.  The cones over one identified dwheel of each allowed
+        # type are located with dwheels present.
+        cones = [cone(dwheel_complex(k, l, "identified")[0])
+                 for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
+        pinned = self.located_then_unlocated()
+        inputs = refereed + [(X, 8, naive_sorted_dwheels(X, 8)) for X in cones + [pinned]]
+        outcomes, pinned_at = set(), {}
+
+        def group(d):
+            return d.boundary_length, d.type, d.apexes, d.shared
+
+        for X, top, ref in inputs:
+            if naive_flag_witness(X) is not None:
+                continue
+            for m in range(6, top + 1):
+                mine = [d for d in ref if d.boundary_length <= m]
+                failure = next((i for i, d in enumerate(mine)
+                                if in_one_ball(X, d.vertex_set) is None), None)
+                located = mine if failure is None else [
+                    d for d in mine[:failure] if group(d) != group(mine[failure])]
+                verdict, types = curvature._locate_by_join(
+                    X, m, curvature._wheels_by_length(X, m, curvature._link_reads(X)))
+                assert verdict.to_json() == naive_is_m_located(X, m, ref).to_json(), (X.name, m)
+                assert types == {d.type for d in located}, (X.name, m)
+                if failure is None:
+                    assert verdict.passed and verdict.stats["dwheels"] == len(mine), (X.name, m)
+                    outcomes.add("pass" if mine else "vacuous")
+                    continue
+                dw = mine[failure]
+                assert verdict.witness["dwheel"] == dw.to_json(), (X.name, m)
+                assert verdict.stats["dwheels"] == failure + 1, (X.name, m)
+                # located dwheels of its bucket's apex pair, and of other ones
+                same = {group(d)[:3] for d in mine[:failure]} & {group(dw)[:3]}
+                earlier = {d.apexes for d in mine[:failure]} - {dw.apexes}
+                outcomes.add((dw.junction, bool(same), bool(earlier)))
+                if X is pinned:
+                    pinned_at[m] = (failure + 1, dw.shared, types)
+        assert {"pass", "vacuous", ("edge", False, False), ("identified", False, False),
+                ("identified", False, True), ("identified", True, False),
+                ("identified", True, True)} <= outcomes, outcomes
+        # the pinned case: two located dwheels at apexes (0, 1), two located
+        # ones at (10, 11) with shared vertices 22 and 23, then the failure
+        # at (10, 11) with shared vertex 32; its bucket's type is located
+        # through the group of 22 only
+        assert pinned_at == {m: (5, 32, {(5, 5), (6, 5)}) for m in (7, 8)}
 
     @staticmethod
     def failure_kinds(ref, i):
@@ -876,13 +946,13 @@ class TestLocateByDegrees:
                 return fn(*args)
             monkeypatch.setattr(curvature, name, spy)
 
-        for name in ("_dwheel_groups", "_wheels_by_length"):
+        for name in ("_apex_pairs", "_wheels_by_length"):
             count(name)
         for X in self.join_only():
             assert is_flag(X).passed and cycle_link_degrees(X) is None, X.name
             calls.clear()
             is_m_located(X, 8)
-            assert calls["_dwheel_groups"] == 1, X.name
+            assert calls["_apex_pairs"] == 1, X.name
         for X in chain(self.named(disk37, surf37), self.flipped(gs3, disk37, surf37)):
             calls.clear()
             is_m_located(X, 8)

@@ -742,7 +742,7 @@ class TestTheoremBStages:
                 return fn(*args)
             monkeypatch.setattr(module, name, spy)
 
-        count(curvature, "_dwheel_groups")
+        count(curvature, "_apex_pairs")
         for module in (curvature, manifold):
             count(module, "is_flag")
         inputs = {t: cone(dwheel_complex(*t, "identified")[0]) for t in LOCATED_CONE_TYPES}
@@ -752,7 +752,7 @@ class TestTheoremBStages:
             stage = verify_theorem_b(X).stats.get("stage")
             assert stage == ("8_located" if X is icosa else None), name
             joins = 0 if X is icosa else 1
-            assert counts == Counter(_dwheel_groups=joins, is_flag=1), name
+            assert counts == Counter(_apex_pairs=joins, is_flag=1), name
 
     def test_one_link_read_per_vertex_for_both_hypotheses(self, all_pass, monkeypatch):
         # the 600-cell's links are icosahedra, read once and grown at rim

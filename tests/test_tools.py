@@ -42,7 +42,7 @@ def test_local_digest_repeats():
     local_digest = load_tool("local_digest")
     items = list(islice(local_digest.complexes(), 9))
     hexdigest, counts = local_digest.digest(items)
-    assert counts["complexes"] == 9 and counts["calls"] == 9 * 13
+    assert counts["complexes"] == 9 and counts["calls"] == 9 * 16
     assert counts["passed"] and counts["failed"] and counts["refused"]
     assert counts["wheels"] and counts["dwheels"]
     assert local_digest.digest(items)[0] == hexdigest

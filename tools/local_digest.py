@@ -10,10 +10,12 @@ byte-identical prints the same digest before and after.
 
 The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
 ``dwheels`` of boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
-``is_locally_k_large`` for k = 5, 6, 7, and the sphere checks
+``is_locally_k_large`` for k = 5, 6, 7, the sphere checks
 ``is_5_6_star_sphere``, ``check_sphere_cycle_lemma`` and
-``check_7cycle_fillings``.  A call that raises on a failed precondition
-hashes its error type and message.
+``check_7cycle_fillings``, and ``located_and_large(X, is_flag(X), m, 5)``
+for m = 6, 7, 8, with its two verdicts and its dwheel types sorted.  A
+call that raises on a failed precondition hashes its error type and
+message.
 
 Corpus: the named generators, the degree-7 surface and disk fixtures, the
 cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
@@ -27,8 +29,8 @@ draw whose graph has a 5-clique fails on it, so ``is_flag`` names
 witnesses of 3, 4 and 5 vertices.
 
 Run from the repository root:  python3 tools/local_digest.py
-On this corpus it prints 4a8dd47b79071e0d8658b7826907846cf9638fad3969b181166d3915cbb0144a
-(1341 complexes, 17433 calls).
+On this corpus it prints 7f08c99a2ea7292a5fb0214de79c2368ee7539a34dbdff660cb66509d0685ab5
+(1341 complexes, 21456 calls).
 """
 
 import hashlib
@@ -45,7 +47,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
 from combcurv.complexes import SimplicialComplex, is_flag  # noqa: E402
-from combcurv.curvature import dwheels, is_locally_k_large, is_m_located, wheels  # noqa: E402
+from combcurv.curvature import (  # noqa: E402
+    dwheels,
+    is_locally_k_large,
+    is_m_located,
+    located_and_large,
+    wheels,
+)
 from combcurv.errors import CombCurvError  # noqa: E402
 from combcurv.formats import load_path  # noqa: E402
 from combcurv.manifold import (  # noqa: E402
@@ -130,6 +138,15 @@ def calls(X):
         yield f"is_locally_k_large {k}", lambda k=k: is_locally_k_large(X, k)
     for check in SPHERE_CHECKS:
         yield check.__name__, lambda check=check: check(X)
+    for m in (6, 7, 8):
+        yield f"located_and_large {m} 5", lambda m=m: both_hypotheses(X, m)
+
+
+def both_hypotheses(X, m: int) -> dict:
+    """``located_and_large(X, is_flag(X), m, 5)`` as JSON-ready data, its
+    dwheel types sorted."""
+    located, large, types = located_and_large(X, is_flag(X), m, 5)
+    return {"located": located.to_json(), "large": large.to_json(), "types": sorted(types)}
 
 
 def record(X, counts: Counter) -> list:
@@ -144,7 +161,9 @@ def record(X, counts: Counter) -> list:
             counts["refused"] += 1
             out.append([label, "error", type(exc).__name__, str(exc)])
             continue
-        if isinstance(result, list):
+        if isinstance(result, dict):
+            out.append([label, result])
+        elif isinstance(result, list):
             counts["dwheels" if label.startswith("dwheels") else "wheels"] += len(result)
             out.append([label, [item.to_json() for item in result]])
         else:
