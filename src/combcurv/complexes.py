@@ -431,8 +431,7 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
         raise BoundExceeded(f"max_len {max_len} above safety cap {cap}")
 
     cycles = []
-    # the stored edges are the starts (s, v1) with v1 > s
-    grow_chordless(_edge_masks(X), X._faces[1], min_len, max_len, cycles, None, _window=True)
+    grow_chordless(_edge_masks(X), None, min_len, max_len, cycles, None, _window=True)
     return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
@@ -441,19 +440,28 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
     """Grow chordless paths (s, v1, ..., vt) with every vi > s, by DFS.
 
     ``masks`` is the adjacency as bitmasks: bit u of ``masks[v]`` is set
-    when u and v are adjacent.  ``starts`` are chordless paths of fewer
-    than ``max_len`` vertices whose later vertices all exceed s and, past
-    v1, are not adjacent to s: an edge (s, v1) with v1 > s is one, and so
-    is each leaf below.  A path is closed into a cycle when its tip is
-    adjacent to s, and only in the orientation with path[1] < tip, so each
-    cycle appears once and already canonical; those of length in
-    ``[min_len, max_len]`` are appended to ``cycles`` as tuples.  When
-    ``leaves`` is a list, the open paths of ``max_len - 1`` vertices that
-    still have a vertex to grow to are appended to it, ungrown: they are
-    the starts of length ``max_len + 1``, which adds the last two vertices
-    of its cycles to them, so no path is grown for a length that is never
-    asked for.  A leaf would close its cycles of ``max_len`` vertices
-    again, so that call takes ``min_len`` above ``max_len``.
+    when u and v are adjacent.  ``starts`` is None, to start from every
+    edge (s, v1) with v1 > s, or the frontier an earlier call handed back
+    in ``leaves``.  A frontier is three parallel lists ``(paths, blocked,
+    grow)``: chordless paths whose later vertices all exceed s and, past
+    v1, are not adjacent to s; for each, ``blocked`` is every vertex up to
+    s, the path, and the neighbours of its vertices past s, and ``grow``
+    the vertices it grows to.  A start is grown, never closed: a path is
+    closed into a cycle when its tip is adjacent to s, and only in the
+    orientation with path[1] < tip, so each cycle appears once and already
+    canonical; those of length in ``[min_len, max_len]`` are appended to
+    ``cycles`` as tuples.  A start has fewer than ``max_len`` - 1 vertices.
+
+    When ``leaves`` is a frontier (three lists, as above), each open path
+    of ``max_len - 1`` vertices that still has a vertex to grow to is
+    appended to it, ungrown.  Hand-off lemma: a child of a path is the
+    path and one vertex of its ``grow``; the child's own ``blocked`` is
+    ``blocked`` and the neighbours of its tip, and its own ``grow`` is the
+    part of ``masks[tip] & ~blocked`` not adjacent to s.  So the leaves are
+    the starts of length ``max_len + 1``, which pushes their children at
+    once, adds the last two vertices of its cycles to them, and derives no
+    leaf's masks again; no path is grown for a length that is never asked
+    for.
 
     Window lemma: a path of p vertices closes into a cycle of at most
     ``max_len`` = L vertices only through a path of at most L - p + 1
@@ -469,47 +477,57 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
     """
     cut_from = max_len // 2 + 2 if _window else max_len
     reaches = {}  # s -> _reach(masks, s, max_len - cut_from + 1)
-    for start in starts:
-        s = start[0]
+    stack = []
+    for path, blocked, grow in _edge_starts(masks) if starts is None else zip(*starts):
+        s, v1 = path[0], path[1]
         s_adj = masks[s]
-        # ``blocked`` is every vertex up to s, the path, and the neighbours
-        # of its inner vertices (all but s and the tip): a next vertex
-        # outside it is above s, repeats no vertex and closes no chord
-        # except possibly one to s.  Past v1, each path vertex is a
-        # neighbour of the inner vertex before it.
-        blocked = (2 << s) - 1 | 1 << start[1]
-        for u in start[1:-1]:
-            blocked |= masks[u]
-        stack = [(start, blocked)]
-        while stack:
-            path, blocked = stack.pop()
-            tip = path[-1]
-            free = masks[tip] & ~blocked
-            size = len(path) + 1
-            if size >= min_len:
-                # the closers above v1 = path[1]; v1 is blocked, so bit 0 is clear
-                v1 = path[1]
-                close = (free & s_adj) >> v1
-                while close:
-                    low = close & -close
-                    close ^= low
-                    cycles.append(path + (v1 + low.bit_length() - 1,))
-            # extending past a closer would leave its chord to s in place
-            grow = free & ~s_adj
-            if size < max_len:
-                if size >= cut_from:
-                    reach = reaches.get(s)
-                    if reach is None:
-                        reach = reaches[s] = _reach(masks, s, max_len - cut_from + 1)
-                    grow &= reach[max_len - size + 1]
-                # the children's inner vertices gain the tip
-                child_blocked = blocked | masks[tip]
-                while grow:
-                    low = grow & -grow
-                    grow ^= low
-                    stack.append((path + (low.bit_length() - 1,), child_blocked))
-            elif grow and leaves is not None:
-                leaves.append(path)
+        while True:
+            # the children of ``path`` close cycles of ``size`` vertices
+            size = len(path) + 2
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                tip = low.bit_length() - 1
+                child = path + (tip,)
+                # ``blocked`` holds every vertex up to s, the child, and the
+                # neighbours of its inner vertices: a next vertex outside it
+                # is above s, repeats no vertex and closes no chord except
+                # possibly one to s
+                free = masks[tip] & ~blocked
+                if size >= min_len:
+                    # the closers above v1; v1 is blocked, so bit 0 is clear
+                    close = (free & s_adj) >> v1
+                    while close:
+                        last = close & -close
+                        close ^= last
+                        cycles.append(child + (v1 + last.bit_length() - 1,))
+                # extending past a closer would leave its chord to s in place
+                more = free & ~s_adj
+                if not more:
+                    continue
+                if size < max_len:
+                    if size >= cut_from:
+                        reach = reaches.get(s)
+                        if reach is None:
+                            reach = reaches[s] = _reach(masks, s, max_len - cut_from + 1)
+                        more &= reach[max_len - size + 1]
+                    # the grandchildren's inner vertices gain the tip
+                    stack.append((child, blocked | masks[tip], more))
+                elif leaves is not None:
+                    leaves[0].append(child)
+                    leaves[1].append(blocked | masks[tip])
+                    leaves[2].append(more)
+            if not stack:
+                break
+            path, blocked, grow = stack.pop()
+
+
+def _edge_starts(masks):
+    """The edges (s, v1), v1 > s, of the graph ``masks`` in the start form
+    of :func:`grow_chordless`, one at a time."""
+    for edge in mask_edges(masks):
+        s, v1 = edge
+        yield edge, (2 << s) - 1 | 1 << v1 | masks[v1], masks[v1] & ~masks[s] & -2 << s
 
 
 def _reach(masks, s: int, depth: int) -> list:

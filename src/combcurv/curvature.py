@@ -211,7 +211,7 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
                 break
             cycles = []
             if k > 4:
-                grow_chordless(masks, edges, 4, k - 1, cycles, None)
+                grow_chordless(masks, None, 4, k - 1, cycles, None)
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:
@@ -310,10 +310,14 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
     in rank space, and map back to ambient ids through the increasing rank
     map, which keeps them canonical; no link complex is built.  Between two
-    lengths only the graph and its open chordless paths are kept: length k
-    hands back its paths of k - 1 vertices that can still grow, and length
-    k + 1 grows them instead of searching the link again.  So the paths of
-    k vertices are built only when length k + 1 is drawn.
+    lengths only the graph and its frontier are kept: length k hands back
+    its open chordless paths of k - 1 vertices that can still grow, each
+    with the blocked and growth masks its children read, and length k + 1
+    grows their children at once instead of searching the link again
+    (the hand-off lemma of :func:`grow_chordless`: a child's masks are its
+    parent's and its tip's neighbours, so no mask is derived twice).  The
+    stream is lazy: the paths of k vertices are built only when length
+    k + 1 is drawn, and no length is searched before a caller draws it.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -330,19 +334,19 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
     for v, ids, masks, rings in reads:
         if rings is None:
-            # the paths start as the link edges (s, v1) with v1 > s
-            links.append((v, ids, masks, mask_edges(masks)))
+            # the paths start as the link edges
+            links.append((v, ids, masks, None))
             continue
         for ring in rings:
             if len(ring) <= k_max:
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
     for k in range(4, k_max + 1):
         found, live = [], []
-        for v, ids, masks, paths in links:
-            cycles, leaves = [], [] if k < k_max else None
-            grow_chordless(masks, paths, k, k, cycles, leaves)
+        for v, ids, masks, starts in links:
+            cycles, leaves = [], ([], [], []) if k < k_max else None
+            grow_chordless(masks, starts, k, k, cycles, leaves)
             found.extend((v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
-            if leaves:
+            if leaves and leaves[0]:
                 live.append((v, ids, masks, leaves))
         links = live
         yield k, found + rings_of[k]
@@ -358,10 +362,13 @@ def _apex_pairs(max_boundary: int, by_length):
     :func:`_wheels_by_length` yields them.
 
     The corner of a wheel at a rim vertex x is x's two rim neighbours, as
-    ``(lo, hi, rim)`` with lo < hi.  A wheel gives one corner per rim
-    vertex, keyed (center, x); the side of a key is ``[corners, arcs]``,
-    whose ``arcs`` :func:`_side_arcs` reads off the corners when the side
-    is first listed.  No arc is sliced before then.
+    ``(lo, hi, wheel)`` with lo < hi, where ``wheel`` is the wheel's one
+    record ``[rim, cap]``: all its corners point to it, and the cap, None
+    until :func:`_locate_by_join` first tests the wheel, is kept there.  A
+    wheel gives one corner per rim vertex, keyed (center, x); the side of
+    a key is ``[corners, arcs]``, whose ``arcs`` :func:`_side_arcs` reads
+    off the corners when the side is first listed.  No arc is sliced
+    before then.
 
     A bucket has one junction kind: identified when k + l - 4 is the
     boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
@@ -380,9 +387,10 @@ def _apex_pairs(max_boundary: int, by_length):
             n, whls = next(by_length)
             table = corners[n] = {}
             for center, rim in whls:
+                wheel = [rim, None]  # the wheel's record: its rim and, once tested, its cap
                 prev, x = rim[-2], rim[-1]
                 for nxt in rim:
-                    corner = (prev, nxt, rim) if prev < nxt else (nxt, prev, rim)
+                    corner = (prev, nxt, wheel) if prev < nxt else (nxt, prev, wheel)
                     side = table.get((center, x))
                     if side is None:
                         table[center, x] = [[corner], None]
@@ -448,7 +456,7 @@ def _side_arcs(side, x) -> dict:
     by_shared = side[1]
     if by_shared is None:
         found = []
-        for _, _, rim in side[0]:
+        for _, _, (rim, _) in side[0]:
             found += _free_arcs(rim, x)
         found.sort()
         by_shared = side[1] = {}
@@ -621,7 +629,10 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
     core & N[arc1] & N[arc2], with core the AND over v0, w and v0' and
     N[arc] the AND over an arc's vertices: the centres of the dwheel's
     triangle (v0, w, v0') that also centre both arcs.  A wheel's cap is
-    built when the wheel is first tested, and kept.
+    built when the wheel is first tested, and kept on the wheel's record
+    (:func:`_apex_pairs`), which all its corners point to: a wheel meets
+    other wheels at several apex pairs and buckets, and its cap is built
+    once for all of them.
 
     Lemma 1 (edge junctions).  No edge-junction dwheel lies in a 1-ball.
     Say N[x] holds one.  A vertex of a chordless rim of 4 or more vertices
@@ -640,7 +651,6 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
     count = 0
     types = set()
     balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
-    caps = {}  # (center, rim) -> the cap of the wheel, built when first tested
 
     def meet(found, vertices):
         for a in vertices:
@@ -650,10 +660,10 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
             found &= ball
         return found
 
-    def cap(center, rim):
-        found = caps.get((center, rim))
+    def cap(center, wheel):
+        found = wheel[1]
         if found is None:
-            found = caps[center, rim] = meet(-1, (center, *rim))
+            found = wheel[1] = meet(-1, (center, *wheel[0]))
         return found
 
     for k, l, identified, apexes, first, second in _apex_pairs(m, stream):
@@ -725,26 +735,36 @@ def _locate_by_degrees(X: SimplicialComplex, m: int, reads):
     v0 < v0' when k = l and w the smaller common neighbour.  Its one dwheel
     fails, so the verdict has ``dwheels = 1``, and the join would locate
     no type before it.
+
+    A cycle-link vertex's degree is its number of link vertices, and its
+    edges to other vertices are those neighbours, so neither needs its rim.
+    No edge sum is below twice the least degree, so when that exceeds
+    m + 4 the verdict passes with no edge scanned, and only a failure
+    builds rims, those of v0 and v0'.
     """
-    rims = {}  # cycle-link vertex -> its link cycle, in walk order
+    links = {}  # cycle-link vertex -> (its neighbours, its link cycle on their ranks)
     for v, ids, masks, rings in reads:
         # a link of two cycles, or of a cycle and a path, has a ring short
         # of its vertices
         if rings is None or rings and len(rings[0]) < len(ids):
             return None
         if rings:
-            rims[v] = [ids[i] for i in rings[0]]
-    degree = {v: len(rim) for v, rim in rims.items()}
-    # the least (k + l, k, v0, v0') over the edges v0 v0' joining two
-    # cycle-link vertices, k = deg v0 >= l = deg v0' and v0 < v0' if k = l
-    least = min(((k + degree[u], k, v, u) for v, k in degree.items() for u in rims[v]
-                 if u in degree and (degree[u], v) < (k, u)), default=None)
-    if least is None or least[0] > m + 4:
-        return passed("is_m_located", m=m, dwheels=0)
-    _, _, v0, v0p = least
-    arcs1, arcs2 = dict(_free_arcs(rims[v0], v0p)), dict(_free_arcs(rims[v0p], v0))
-    w = min(arcs1)
-    return _unlocated(X, m, DWheel((v0, v0p), w, arcs1[w], arcs2[w], "identified"), 1)
+            links[v] = ids, rings[0]
+    # the link cycle of a cycle-link vertex runs through all its neighbours
+    degree = {v: len(ids) for v, (ids, _) in links.items()}
+    # no edge sum is below twice the least degree
+    if degree and 2 * min(degree.values()) <= m + 4:
+        # the least (k + l, k, v0, v0') over the edges v0 v0' joining two
+        # cycle-link vertices, k = deg v0 >= l = deg v0' and v0 < v0' if k = l
+        least = min(((k + degree[u], k, v, u) for v, k in degree.items() for u in links[v][0]
+                     if u in degree and (degree[u], v) < (k, u)), default=None)
+        if least is not None and least[0] <= m + 4:
+            _, _, v0, v0p = least
+            rim1, rim2 = ([ids[i] for i in ring] for ids, ring in (links[v0], links[v0p]))
+            arcs1, arcs2 = dict(_free_arcs(rim1, v0p)), dict(_free_arcs(rim2, v0))
+            w = min(arcs1)
+            return _unlocated(X, m, DWheel((v0, v0p), w, arcs1[w], arcs2[w], "identified"), 1)
+    return passed("is_m_located", m=m, dwheels=0)
 
 
 def _free_arcs(rim, x):

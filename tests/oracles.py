@@ -11,6 +11,7 @@ through every closed-surface check, each a plain scan, sphere degrees
 come from a scan of every edge, cycles are found by
 plain DFS over simple paths, wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
+the wheels at one vertex by testing every set of its neighbours,
 wheel centres, the vertex whose link holds a wheel and 7-cycle filling
 pairs by scanning candidate vertices and every edge, distances come from
 Floyd-Warshall, interval thinness runs one BFS per layer pair, the
@@ -340,6 +341,30 @@ def naive_wheels(X, k_min, k_max):
                 continue
             if all(X.has_simplex((center, rim[i], rim[(i + 1) % k])) for i in range(k)):
                 out.add((center, rim))
+    return sorted(out)
+
+
+def naive_wheels_at(X, center, k_min, k_max):
+    """(center, canonical rim) pairs at one vertex, found by testing every
+    set of k_min .. k_max of its neighbours: a rim is a set whose span in
+    X is one cycle, walked from its least vertex, with every cone triangle
+    present."""
+    out = []
+    nbrs = sorted(X.neighbors(center))
+    for k in range(k_min, k_max + 1):
+        for vs in combinations(nbrs, k):
+            inside = {v: X.neighbors(v) & set(vs) for v in vs}
+            if any(len(adj) != 2 for adj in inside.values()):
+                continue
+            # every vertex has two neighbours in the span: it is one cycle
+            # when the walk from vs[0] meets all k before it closes
+            cycle = [vs[0], min(inside[vs[0]])]
+            while cycle[-1] != vs[0]:
+                cycle += inside[cycle[-1]] - {cycle[-2]}
+            cycle.pop()
+            if len(cycle) == k and all(X.has_simplex((center, cycle[i - 1], cycle[i]))
+                                       for i in range(k)):
+                out.append((center, canonical_cycle(cycle)))
     return sorted(out)
 
 

@@ -264,8 +264,10 @@ class TestFullCycles:
 
     def test_growth_one_length_at_a_time(self):
         # one search holds exactly the referee's cycles; so does each length
-        # when the leaves of a length are the only starts of the next; a
-        # leaf is handed back ungrown, one vertex short of the length
+        # when the frontier of a length is the only start of the next.  A
+        # frontier path is handed back ungrown, one vertex short of the
+        # length, with the masks its children read, as derived from the
+        # path alone; the edge starts have the same form
         rng = random.Random(1999)
         inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(25)]
@@ -273,19 +275,39 @@ class TestFullCycles:
         inputs += [gen("c_n", n) for n in range(4, 9)]
         inputs += _named_complexes()
         lengths = set()
+
+        def derived(masks, path):
+            # every vertex up to s, the path, the neighbours of its inner
+            # vertices; then what its children read: the tip's neighbours
+            # blocked, and the tip's free neighbours not adjacent to s
+            s, tip = path[0], path[-1]
+            inner = (2 << s) - 1
+            for u in path:
+                inner |= 1 << u
+            for u in path[1:-1]:
+                inner |= masks[u]
+            return inner | masks[tip], masks[tip] & ~inner & ~masks[s]
+
         for X in inputs:
             ref = naive_full_cycles(X, 4, CYCLE_CAP)
             masks = adjacency_masks(X)
             once = []
-            grow_chordless(masks, X.simplices(1), 4, CYCLE_CAP, once, None)
+            grow_chordless(masks, None, 4, CYCLE_CAP, once, None)
             assert sorted(once, key=lambda c: (len(c), c)) == ref, X.name
-            paths = X.simplices(1)
+            edges = list(complexes._edge_starts(masks))
+            assert [path for path, _, _ in edges] == sorted(X.simplices(1))
+            assert all((blocked, grow) == derived(masks, path) for path, blocked, grow in edges)
+            starts = None
             for k in range(4, CYCLE_CAP + 1):
-                cycles, leaves = [], []
-                grow_chordless(masks, paths, k, k, cycles, leaves)
+                cycles, leaves = [], ([], [], [])
+                grow_chordless(masks, starts, k, k, cycles, leaves)
                 assert sorted(cycles) == [c for c in ref if len(c) == k], (X.name, k)
-                assert all(len(p) == k - 1 for p in leaves)
-                paths = leaves
+                paths, blocks, grows = leaves
+                assert len(paths) == len(blocks) == len(grows)
+                for path, blocked, grow in zip(paths, blocks, grows):
+                    assert len(path) == k - 1 and grow != 0, (X.name, path)
+                    assert (blocked, grow) == derived(masks, path), (X.name, path)
+                starts = leaves
             lengths.update(map(len, ref))
         assert lengths == set(range(4, CYCLE_CAP + 1))
 

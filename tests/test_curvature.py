@@ -51,6 +51,7 @@ from oracles import (
     naive_link_graph,
     naive_sorted_dwheels,
     naive_wheels,
+    naive_wheels_at,
 )
 
 
@@ -346,6 +347,30 @@ class TestWheels:
                 == {k: sorted(ws) for k, ws in by_length.items()}, X
         assert found > 100 and dropped > 0, (found, dropped)
 
+    def test_stream_rims_are_the_naive_wheels(self):
+        # each length hands its open paths to the next as a frontier; none
+        # is lost or grown twice: at every length 4 .. 8 the stream holds
+        # exactly the naive wheels of that length.  The inputs are flag, so
+        # no rim of the stream has a chord in X.  The 600-cell's links are
+        # all searched, and its wheels come from the per-centre referee,
+        # which the other inputs check against naive_wheels
+        cell600 = gen("cell600")
+        inputs = [cell600] + [gen("random_flag", 12, 0.35, seed) for seed in range(30)]
+        inputs += [cone(dwheel_complex(k, l, "identified")[0])
+                   for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
+        inputs.append(two_cycles_cone())
+        lengths = Counter()
+        for X in inputs:
+            assert is_flag(X).passed, X.name
+            ref = [w for v in X.vertices for w in naive_wheels_at(X, v, 4, 8)]
+            if X is not cell600:
+                assert ref == naive_wheels(X, 4, 8), X.name
+            stream = curvature._wheels_by_length(X, 8, curvature._link_reads(X))
+            got = [(k, sorted(ws)) for k, ws in stream]
+            assert got == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, 9)], X.name
+            lengths.update(len(rim) for _, rim in ref)
+        assert set(lengths) == set(range(4, 9)), lengths
+
 
 class TestDWheels:
     def test_7_5_identified_has_boundary_8(self):
@@ -512,8 +537,11 @@ class TestDWheelStream:
         for name in calls:
             monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
         with line_spy(curvature._locate_by_join, "cap(v0, wheel1) & cap(v0p, wheel2)",
-                      ("identified", "v0", "v0p", "wheel1", "wheel2")) as tested:
+                      ("identified", "v0", "v0p", "wheel1", "wheel2")) as seen:
             assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
+        # a wheel is its record [rim, cap]; a test names its two wheels by rim
+        tested = [(identified, v0, v0p, wheel1[0], wheel2[0])
+                  for identified, v0, v0p, wheel1, wheel2 in seen]
         # the whole join holds 244 800 dwheels; the failing bucket, (5,5)
         # edge dwheels of boundary 7, comes right after 7 200 identified
         # ones.  Location is decided per apex pair on the wheels' corners,
@@ -528,18 +556,40 @@ class TestDWheelStream:
     def test_one_link_read_and_lazy_cores_on_600_cell(self, monkeypatch):
         # the degree sums give up at the first link, an icosahedron, and the
         # join takes the same reads.  The 3 600 tests read the caps of the
-        # 1 440 five-wheels, each built once, when its wheel is first tested
+        # 1 440 five-wheels, each built once, when its wheel is first tested,
+        # and kept on the wheel's record, which all its corners point to
         reads, link_masks = [], SimplicialComplex.link_masks
         monkeypatch.setattr(SimplicialComplex, "link_masks",
                             lambda X, v: reads.append(v) or link_masks(X, v))
         X = gen("cell600")
         cap = next(code for code in curvature._locate_by_join.__code__.co_consts
                    if getattr(code, "co_name", None) == "cap")
-        with line_spy(cap, "caps[center, rim] = meet(", ("center", "rim")) as built:
+        with line_spy(cap, "wheel[1] = meet(", ("center", "wheel")) as seen:
             assert is_m_located(X, 8).to_json() == CELL600_M8
+        built = [(center, wheel[0]) for center, wheel in seen]
         assert reads == list(X.vertices)
         assert len(built) == len(set(built)) == 1440
         assert {len(rim) for _, rim in built} == {5}
+
+    def test_a_join_failing_at_boundary_4_searches_length_4_only(self, monkeypatch):
+        # no rim length is searched before the join asks for it.  These
+        # draws fail 8-location at a (4,4)-dwheel of boundary 4, so the join
+        # never asks for length 5, though the length-4 search hands back
+        # open paths that length 5 would grow
+        searched = []
+        grow = curvature.grow_chordless
+
+        def spy(masks, starts, min_len, max_len, cycles, leaves):
+            grow(masks, starts, min_len, max_len, cycles, leaves)
+            searched.append((min_len, max_len, len(leaves[0]) if leaves else 0))
+        monkeypatch.setattr(curvature, "grow_chordless", spy)
+        for seed in (5, 19, 34, 45):
+            X = gen("random_flag", 12, 0.35, seed)
+            searched.clear()
+            verdict = curvature.m_located(X, is_flag(X), 8)
+            assert verdict.witness["dwheel"]["boundary_length"] == 4, seed
+            assert {(lo, hi) for lo, hi, _ in searched} == {(4, 4)}, (seed, searched)
+            assert sum(handed for _, _, handed in searched) > 0, seed
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -822,14 +872,18 @@ class TestLocatedAndLarge:
         count(cli, "is_flag")
         count(SimplicialComplex, "link_masks")
         # each rim length hands back, ungrown, its open paths that can still
-        # grow: lengths 4 and 5 give paths of 3 and 4 vertices, and the
+        # grow, as a frontier of three parallel lists (the paths, the masks
+        # their children read): lengths 4 and 5 give paths of 3 and 4
+        # vertices, and the
         # 10 456 paths of 5 vertices that only a rim length of 6 would grow
         # are never built, as the join fails before drawing it
         leaves, grow = Counter(), curvature.grow_chordless
 
         def growing(masks, starts, min_len, max_len, cycles, handed_back):
             grow(masks, starts, min_len, max_len, cycles, handed_back)
-            leaves.update((max_len, len(path)) for path in handed_back or ())
+            paths, blocks, grows = handed_back or ((), (), ())
+            assert len(paths) == len(blocks) == len(grows)
+            leaves.update((max_len, len(path)) for path in paths)
         monkeypatch.setattr(curvature, "grow_chordless", growing)
         X = gen("cell600")
         expected = Counter(link_masks=120, grow_chordless=240, is_flag=1)
@@ -934,6 +988,17 @@ class TestLocateByDegrees:
         assert outcomes == {"pass at m + 5"}
         assert failing_m == set(range(6, 11))
         assert bounded == {"pass", "fail"}
+
+    def test_a_large_least_degree_passes_with_no_edge_scan(self):
+        # every vertex of a triangulated torus has degree 6, so no edge sum
+        # is below 12: at m = 6 and 7 (12 > m + 4) the verdict passes with
+        # no scan of the edges; at m = 8 the scan runs and finds the failure
+        X = gen("tri_torus", 6, 6)
+        reads = list(curvature._link_reads(X))
+        for m, scanned, status in ((6, False, "pass"), (7, False, "pass"), (8, True, "fail")):
+            with line_spy(curvature._locate_by_degrees, "least = min(", ()) as seen:
+                verdict = curvature._locate_by_degrees(X, m, reads)
+            assert (bool(seen), verdict.status) == (scanned, status), m
 
     def test_other_complexes_take_the_join(self, gs3, disk37, surf37, monkeypatch):
         calls = Counter()
