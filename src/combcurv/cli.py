@@ -24,7 +24,7 @@ import time
 from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
-from .curvature import is_locally_k_large, is_m_located, located_and_large, m_located
+from .curvature import is_locally_k_large, located_and_large, m_located
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
@@ -142,18 +142,16 @@ def cmd_check(args):
     verdicts = []
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(_call(args, is_flag, X))
-    if args.k is not None and args.m is not None:
-        # one call reads each link once for both, on the one flag verdict
-        # (the printed one, with --flag); largeness is listed first
+    if args.m is not None:
+        # location runs on one flag verdict (the printed one, with --flag);
+        # with --k one call reads each link once for both, largeness first
         flag = verdicts[0] if verdicts else _call(args, is_flag, X)
-        verdicts.extend(_call(args, located_and_large, X, flag, args.m, args.k)[1::-1])
+        if args.k is not None:
+            verdicts.extend(_call(args, located_and_large, X, flag, args.m, args.k)[1::-1])
+        else:
+            verdicts.append(_call(args, m_located, X, flag, args.m))
     elif args.k is not None:
         verdicts.append(_call(args, is_locally_k_large, X, args.k))
-    elif verdicts and args.m is not None:
-        # on the printed flag verdict
-        verdicts.append(_call(args, m_located, X, verdicts[0], args.m))
-    elif args.m is not None:
-        verdicts.append(_call(args, is_m_located, X, args.m))
     if args.sphere_56:
         try:
             verdicts.append(_call(args, manifold_mod.is_5_6_star_sphere, X))

@@ -431,6 +431,11 @@ def _listed(X: SimplicialComplex, identified: bool, apexes: tuple, first, second
     :func:`_locate_by_join`).  Each side's arcs come grouped by w in
     increasing order, and sorted in each group (:func:`_side_arcs`), so
     the pairs, taken first-side-major, need no sort.
+
+    It is also the join's edge test: an apex pair of an edge bucket holds
+    an edge junction exactly when its listing is not empty, so
+    :func:`_locate_by_join` lists every such pair and fails at the first
+    dwheel listed (its Lemma 1).
     """
     v0, v0p = apexes
     partners = _side_arcs(second, v0)
@@ -451,8 +456,10 @@ def _side_arcs(side, x) -> dict:
     arcs of the wheels whose corner at x holds w, each from the corner's
     other vertex, away from x, to the vertex before w.  The keys come in
     increasing order.  Built once per side, when first listed, and kept
-    in ``arcs``, as a side takes part in several buckets.  On one side, w
-    and the arc fix the rim, so no two arcs of a group are equal."""
+    in ``arcs``, as a side takes part in several buckets; the memo serves
+    both the join's edge buckets, which list every apex pair, and
+    :func:`dwheels`.  On one side, w and the arc fix the rim, so no two
+    arcs of a group are equal."""
     by_shared = side[1]
     if by_shared is None:
         found = []
@@ -467,28 +474,6 @@ def _side_arcs(side, x) -> dict:
             else:
                 arcs.append(arc)
     return by_shared
-
-
-def _edge_junction(X: SimplicialComplex, first, second) -> bool:
-    """Whether the corners of an apex pair of :func:`_apex_pairs` hold an
-    edge-junction dwheel: a corner of each side sharing one vertex w, with
-    the other two vertices adjacent."""
-    for lo, hi, _ in first[0]:
-        for lo2, hi2, _ in second[0]:
-            # lo < hi and lo2 < hi2: one shared vertex, both, or none
-            if lo == lo2:
-                a, b = hi, hi2
-            elif lo == hi2:
-                a, b = hi, lo2
-            elif hi == lo2:
-                a, b = lo, hi2
-            elif hi == hi2:
-                a, b = lo, lo2
-            else:
-                continue
-            if a != b and X.adjacent(a, b):
-                return True
-    return False
 
 
 def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
@@ -601,12 +586,13 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
     (:func:`_apex_pairs`) on ``stream``, the wheels by length from 4 as
     :func:`_wheels_by_length` yields them.
 
-    Location is decided per apex pair (v0, v0'), on the corners of its
-    wheels, and only an apex pair that holds a failure is listed
-    (:func:`_listed`) to name the witness and its place.  X is flag, so a
-    rim chordless in a vertex link is chordless in X.  Let a dwheel's
-    first wheel W1 at v0 have rim C1 = (a, ..., w, v0'), and its second
-    W2 at v0' have rim C2 = (b, ..., w, v0).
+    An identified bucket is decided per apex pair (v0, v0'), on the
+    corners of its wheels, and only an apex pair that holds a failure is
+    listed (:func:`_listed`) to name the witness and its place.  Each apex
+    pair of an edge bucket is listed, and its listing decides it (Lemma
+    1).  X is flag, so a rim chordless in a vertex link is chordless in
+    X.  Let a dwheel's first wheel W1 at v0 have rim C1 = (a, ..., w,
+    v0'), and its second W2 at v0' have rim C2 = (b, ..., w, v0).
 
     Lemma (corners).  W1 and W2 form an identified dwheel exactly when
     the corner of W1 at v0' (its two rim neighbours) and the corner of W2
@@ -641,8 +627,10 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
     Next, a follows v0' on C1, so it is adjacent to v0 and v0', and
     likewise b; and a and b are distinct and adjacent at an edge
     junction.  So {v0, v0', a, b, x} is a 5-clique, which a flag complex
-    of dimension at most 3 does not have.  The join fails at the first
-    dwheel of the first apex pair with an edge junction, with no test.
+    of dimension at most 3 does not have.  So an edge bucket needs no
+    test, only its listing: an apex pair that lists no dwheel holds no edge
+    junction, and the join moves on; one that lists any fails at its first,
+    which names the witness.
 
     A type is added to ``types`` once a group of its dwheels (the same
     apexes and shared vertex) is located: after each located apex pair,
@@ -679,9 +667,8 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
                     count += 2 * len(matched)
                     types.add((k, l))
                 continue
-        elif not _edge_junction(X, first, second):
-            continue
-        # an unlocated identified match, or an edge junction
+        # an unlocated identified match, or an edge bucket's apex pair, which
+        # holds an edge junction exactly when it lists a dwheel
         listed = _listed(X, identified, apexes, first, second)
         for i, (w, arc1, arc2) in enumerate(listed, 1):
             if w != listed[0][0]:

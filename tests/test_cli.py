@@ -255,6 +255,18 @@ def test_timings_only_add_a_top_level_object(golden_inputs, command, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flags", [[], ["--flag"]])
+def test_check_m_times_one_flag_test(golden_inputs, capsys, flags):
+    # check --m without --k runs m_located on one is_flag verdict, the same
+    # path as with --flag, where the flag verdict is also printed
+    path = str(golden_inputs["surf37_psl2_7"])
+    assert main(["--json", "--timings", "check", *flags, "--m", "8", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc.pop("timings")) == ["load", "is_flag", "m_located"]
+    assert main(["--json", "check", *flags, "--m", "8", path]) == 0
+    assert doc == json.loads(capsys.readouterr().out)
+
+
 def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     code = main(["lemmas", files["boundary_4_simplex"]])
     assert code == 1

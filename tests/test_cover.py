@@ -516,6 +516,21 @@ class TestClosedFormGrowth:
         assert spheres[0] == 7
         assert all(c == 3 * b - a for a, b, c in zip(spheres, spheres[1:], spheres[2:]))
 
+    def test_sphere_sizes_read_off_the_birth_layers(self, surf37):
+        # the spheres of the {3,7} tiling hold 7 F_2n vertices (F_2 = 1),
+        # those of the {3,6} plane 6n; the birth layer of a vertex is its
+        # sphere, so a gluing that splits or merges a class changes a count
+        fib = [0, 1]
+        while len(fib) < 15:
+            fib.append(fib[-1] + fib[-2])
+        for X, radius, spheres in (
+                (surf37, 7, [7 * fib[2 * n] for n in range(1, 8)]),
+                (gen("tri_torus", 12, 12), 8, [6 * n for n in range(1, 9)])):
+            report = build_cover(X, 0, radius)
+            assert report.passed and not report.state.warnings, X.name
+            birth = report.state.birth
+            assert [birth.count(n) for n in range(radius + 1)] == [1] + spheres, X.name
+
 
 def test_600_cell_does_not_close_up():
     # S^3 is simply connected, yet the radius-4 ball misses the 30 edges of

@@ -553,6 +553,35 @@ class TestDWheelStream:
         assert len(tested) == len(set(tested)) == 3600
         assert {identified for identified, *_ in tested} == {True}
 
+    def test_the_listing_decides_edge_buckets(self, monkeypatch):
+        # by Lemma 1 an edge bucket needs no location test: each of its apex
+        # pairs is listed, an empty listing holds no edge junction, and a
+        # listing with dwheels fails at its first
+        listed, listing = [], curvature._listed
+
+        def spy(X, identified, apexes, first, second):
+            found = listing(X, identified, apexes, first, second)
+            listed.append((identified, apexes, len(found)))
+            return found
+        monkeypatch.setattr(curvature, "_listed", spy)
+        # four edge-bucket apex pairs that list nothing, and a pass over the
+        # four identified dwheels
+        X = gen("random_flag", 12, 0.45, 25)
+        verdict = curvature.m_located(X, is_flag(X), 6)
+        assert verdict.passed and verdict.stats["dwheels"] == 4
+        assert [(identified, n) for identified, _, n in listed] == [(False, 0)] * 4, listed
+        # the first edge junction fails as the first dwheel joined
+        listed.clear()
+        X = gen("random_flag", 11, 0.35, 28)
+        verdict = curvature.m_located(X, is_flag(X), 7)
+        assert verdict.witness["dwheel"]["junction"] == "edge"
+        assert verdict.stats["dwheels"] == 1
+        assert listed == [(False, (1, 4), 2)], listed
+        # the 600-cell lists its failing (5,5) edge apex pair only
+        listed.clear()
+        assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
+        assert listed == [(False, (0, 1), 10)], listed
+
     def test_one_link_read_and_lazy_cores_on_600_cell(self, monkeypatch):
         # the degree sums give up at the first link, an icosahedron, and the
         # join takes the same reads.  The 3 600 tests read the caps of the
