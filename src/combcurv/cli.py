@@ -24,7 +24,7 @@ import time
 from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
-from .curvature import is_locally_k_large, located_and_large, m_located
+from .curvature import check_k_and_m, is_locally_k_large, located_and_large, m_located
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
@@ -139,6 +139,8 @@ def cmd_validate(args):
 
 def cmd_check(args):
     X = _load(args)
+    # a bad k or m is a usage error, reported before any flag test
+    check_k_and_m(args.k, args.m)
     verdicts = []
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(_call(args, is_flag, X))

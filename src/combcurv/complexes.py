@@ -9,16 +9,17 @@ The face sets are frozensets, so they iterate in no fixed order; a caller
 that names a first offender reads them sorted.
 
 The flagness of a complex is decided by counts of common neighbours
-(:func:`flag_witness`).  The two searches, :func:`empty_clique` (empty
-cliques) and :func:`grow_chordless` (chordless cycles), run on graphs
-given as one int bitmask of neighbours per vertex.  That graph is a
-vertex link read by ``link_masks`` on the ranks of the sorted neighbours
-of the vertex, or the 1-skeleton of the complex in its own ids.  On the
-1-skeleton, ``empty_clique`` does not decide a pass: it runs only to
-name the witness of a complex that is not flag.  The rank map is
-increasing, so the searches' canonical cycles and sorted cliques map back
-to ambient ids unchanged.  The closed-surface test reads its links off the
-edge links instead, in ``manifold``.
+(:func:`flag_witness`).  The searches, :func:`empty_clique` (empty
+cliques), :func:`grow_chordless` (chordless cycles) and
+:func:`short_chordless` (chordless cycles of 4 and 5 vertices, by pair
+closure), run on graphs given as one int bitmask of neighbours per
+vertex.  That graph is a vertex link read by ``link_masks`` on the ranks
+of the sorted neighbours of the vertex, or the 1-skeleton of the complex
+in its own ids.  On the 1-skeleton, ``empty_clique`` does not decide a
+pass: it runs only to name the witness of a complex that is not flag.
+The rank map is increasing, so the searches' canonical cycles and sorted
+cliques map back to ambient ids unchanged.  The closed-surface test reads
+its links off the edge links instead, in ``manifold``.
 
 The coface index makes the local queries cost the size of a vertex star,
 not the size of the complex: ``link_edges`` (the edges of a vertex link)
@@ -461,7 +462,9 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
     the starts of length ``max_len + 1``, which pushes their children at
     once, adds the last two vertices of its cycles to them, and derives no
     leaf's masks again; no path is grown for a length that is never asked
-    for.
+    for.  The wheel stream of ``curvature`` reads rims of 4 and 5 vertices
+    by :func:`short_chordless`, so its frontier starts at length 6: the
+    first length of 6 or more drawn grows from the edges.
 
     Window lemma: a path of p vertices closes into a cycle of at most
     ``max_len`` = L vertices only through a path of at most L - p + 1
@@ -520,6 +523,67 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
             if not stack:
                 break
             path, blocked, grow = stack.pop()
+
+
+def short_chordless(masks, k: int) -> list:
+    """The chordless k-cycles of the graph ``masks``, for k = 4 or 5, as
+    tuples in the canonical form of :func:`grow_chordless` (s least,
+    v1 < vt), ordered by (s, v1, vt) but not sorted.  ``masks`` is as
+    there.
+
+    Short-rim lemma.  With N(x) the neighbours of x, a chordless cycle
+    (s, v1, ..., vt) with s least has v1 < vt, two neighbours of s above s
+    that are not adjacent, and its other vertices lie in
+    F = {x > s : x not in N(s)}.  Conversely, such a pair closes into one:
+    - for k = 4, through each c in N(v1) & N(vt) & F;
+    - for k = 5, through each edge ab with a in N(v1) & F less N(vt) and
+      b in N(a) & N(vt) & F less N(v1).
+    The non-edges s-c and v1-vt are all the chords of a 4-cycle, and
+    s-a, s-b, v1-b, a-vt and v1-vt all those of a 5-cycle; none of its
+    vertices repeats, as F misses v1, vt and s, and b is a neighbour of a.
+    So the cycles come from mask ANDs on pairs alone: unlike the search,
+    no path is built for a vertex that closes no cycle, and none is kept
+    for a longer length.
+    """
+    if k not in (4, 5):
+        raise ValueError("short rims have 4 or 5 vertices")
+    cycles = []
+    for s, s_adj in enumerate(masks):
+        far = -2 << s & ~s_adj  # F: the vertices above s not adjacent to it
+        rest = s_adj & -2 << s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v1 = low.bit_length() - 1
+            m1 = masks[v1]
+            near1 = m1 & far
+            ends = rest & ~m1  # the vt > v1 not adjacent to v1
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                vt = low.bit_length() - 1
+                mt = masks[vt]
+                if k == 4:
+                    mid = near1 & mt
+                    while mid:
+                        low = mid & -mid
+                        mid ^= low
+                        cycles.append((s, v1, low.bit_length() - 1, vt))
+                    continue
+                firsts = near1 & ~mt
+                if not firsts:
+                    continue
+                seconds = mt & far & ~m1
+                while firsts:
+                    low = firsts & -firsts
+                    firsts ^= low
+                    a = low.bit_length() - 1
+                    mid = masks[a] & seconds
+                    while mid:
+                        low = mid & -mid
+                        mid ^= low
+                        cycles.append((s, v1, a, low.bit_length() - 1, vt))
+    return cycles
 
 
 def _edge_starts(masks):

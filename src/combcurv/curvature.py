@@ -24,6 +24,7 @@ from .complexes import (
     grow_chordless,
     is_flag,
     mask_edges,
+    short_chordless,
 )
 from .errors import NotACovering
 from .verdicts import Verdict, failed, passed
@@ -196,9 +197,13 @@ def _link_reads(X: SimplicialComplex):
 
 
 def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
-    """:func:`is_locally_k_large` on the link reads of X (:func:`_link_reads`)."""
-    if k < 4:
-        raise ValueError("largeness starts at k = 4")
+    """:func:`is_locally_k_large` on the link reads of X (:func:`_link_reads`).
+
+    A searched link is read one rim length at a time, shortest first, and
+    the first length with a full cycle names the witness: lengths 4 and 5
+    by pair closure (:func:`~combcurv.complexes.short_chordless`), and the
+    lengths 6 .. k - 1 by one path search from the link edges."""
+    check_k_and_m(k, None)
     for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
             edges = mask_edges(masks)
@@ -209,9 +214,14 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
                            "vertices": [ids[i] for i in clique]}
                 reason = f"not flag: clique {clique} spans no simplex"
                 break
+            # the shortest length first: the witness is the least (length, cycle)
             cycles = []
-            if k > 4:
-                grow_chordless(masks, None, 4, k - 1, cycles, None)
+            for length in range(4, min(k, 6)):
+                cycles = short_chordless(masks, length)
+                if cycles:
+                    break
+            if k > 6 and not cycles:
+                grow_chordless(masks, None, 6, k - 1, cycles, None)
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:
@@ -307,17 +317,23 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     k = 4 .. k_max; a rim may have a chord in X if X is not flag.  The
     links are ``reads``, as :func:`_link_reads` yields them.
 
-    The rims grow on each vertex's :meth:`~SimplicialComplex.link_masks`,
-    in rank space, and map back to ambient ids through the increasing rank
-    map, which keeps them canonical; no link complex is built.  Between two
-    lengths only the graph and its frontier are kept: length k hands back
-    its open chordless paths of k - 1 vertices that can still grow, each
-    with the blocked and growth masks its children read, and length k + 1
-    grows their children at once instead of searching the link again
-    (the hand-off lemma of :func:`grow_chordless`: a child's masks are its
-    parent's and its tip's neighbours, so no mask is derived twice).  The
-    stream is lazy: the paths of k vertices are built only when length
-    k + 1 is drawn, and no length is searched before a caller draws it.
+    The rims are read off each vertex's
+    :meth:`~SimplicialComplex.link_masks`, in rank space, and map back to
+    ambient ids through the increasing rank map, which keeps them
+    canonical; no link complex is built.  Rims of 4 and 5 vertices come by
+    pair closure (the short-rim lemma of
+    :func:`~combcurv.complexes.short_chordless`), which builds no path and
+    keeps only the graph.  The first length of 6 or more that is drawn
+    grows the chordless paths from the link edges, by
+    :func:`grow_chordless`, and from then on only the graph and its
+    frontier are kept: length k hands back its open chordless paths of
+    k - 1 vertices that can still grow, each with the blocked and growth
+    masks its children read, and length k + 1 grows their children at
+    once instead of searching the link again (the hand-off lemma of
+    :func:`grow_chordless`: a child's masks are its parent's and its tip's
+    neighbours, so no mask is derived twice).  The stream is lazy: no
+    length is computed before a caller draws it, and the paths of k
+    vertices are built only when length k + 1 is drawn.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -342,12 +358,17 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
     for k in range(4, k_max + 1):
         found, live = [], []
-        for v, ids, masks, starts in links:
-            cycles, leaves = [], ([], [], []) if k < k_max else None
-            grow_chordless(masks, starts, k, k, cycles, leaves)
+        for link in links:
+            v, ids, masks, starts = link
+            if k < 6:
+                cycles = short_chordless(masks, k)
+                live.append(link)
+            else:
+                cycles, leaves = [], ([], [], []) if k < k_max else None
+                grow_chordless(masks, starts, k, k, cycles, leaves)
+                if leaves and leaves[0]:
+                    live.append((v, ids, masks, leaves))
             found.extend((v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
-            if leaves and leaves[0]:
-                live.append((v, ids, masks, leaves))
         links = live
         yield k, found + rings_of[k]
 
@@ -501,7 +522,7 @@ def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
     candidates."""
-    _check_m(m)
+    check_k_and_m(None, m)
     return m_located(X, is_flag(X), m)
 
 
@@ -512,7 +533,7 @@ def m_located(X: SimplicialComplex, flag: Verdict, m: int) -> Verdict:
     The links of a flag complex are read once, into a list: the degree
     sums of :func:`_locate_by_degrees` decide it when they can, and the
     join of :func:`_locate_by_join` takes the same reads otherwise."""
-    _check_m(m)
+    check_k_and_m(None, m)
     if not flag.passed:
         return _not_flag(flag, m)
     reads = list(_link_reads(X))
@@ -556,7 +577,7 @@ def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
     largeness keeps its lengths below k, and the join of
     :func:`_locate_by_join` reads them again and continues the stream.
     """
-    _check_k_and_m(k, m)
+    check_k_and_m(k, m)
     reads = list(_link_reads(X))
     # a complex that is not flag, or that the degree sums decide, draws no wheel
     located = _locate_by_degrees(X, m, reads) if flag.passed else _not_flag(flag, m)
@@ -567,16 +588,12 @@ def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
     return located, large, types
 
 
-def _check_k_and_m(k: int, m: int) -> None:
-    """Reject a bad k, then a bad m, as the checks called alone would."""
-    if k < 4:
+def check_k_and_m(k: Optional[int], m: Optional[int]) -> None:
+    """Reject a bad k of local k-largeness, then a bad m of m-location,
+    before any work, as the checks called alone would; None skips one."""
+    if k is not None and k < 4:
         raise ValueError("largeness starts at k = 4")
-    _check_m(m)
-
-
-def _check_m(m: int) -> None:
-    """Reject a bad m, before any work."""
-    if m < 6:
+    if m is not None and m < 6:
         raise ValueError("location starts at m = 6")
 
 
@@ -884,7 +901,7 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
     flagness once, and its links are read once: the covering check and
     its :func:`located_and_large` call share the test.
     """
-    _check_k_and_m(k, m)
+    check_k_and_m(k, m)
     cover_flag, base_flag = is_flag(cover), is_flag(base)
     check_covering_map(f, cover, base, edges_decide=cover_flag.passed and base_flag.passed)
     base_m, base_k, _ = located_and_large(base, base_flag, m, k)

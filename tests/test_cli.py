@@ -302,6 +302,20 @@ def test_check_flag_and_m_test_flagness_once(golden_inputs, capsys, monkeypatch)
             assert out == "[pass] is_flag\n" + alone
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--m", "0"], "location starts at m = 6"),
+    (["check", "--k", "5", "--m", "0"], "location starts at m = 6"),
+    (["check", "--flag", "--k", "3", "--m", "0"], "largeness starts at k = 4"),
+    (["check", "--flag", "--k", "3"], "largeness starts at k = 4"),
+], ids=["m0", "k5-m0", "flag-k3-m0", "flag-k3"])
+def test_a_bad_k_or_m_is_rejected_before_any_flag_test(files, capsys, monkeypatch, argv, message):
+    # a usage error costs no pass over the complex, with or without --flag
+    calls = [counted(monkeypatch, owner, "is_flag") for owner in (cli, curvature)]
+    assert main([*argv, files["icosahedron"]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [len(made) for made in calls] == [0, 0]
+
+
 def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
     surface_checks = counted(monkeypatch, manifold, "_surface_failure")
     # a sphere: one closed-surface check, the verdicts of the public checks

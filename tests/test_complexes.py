@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from combcurv.complexes import (
     grow_chordless,
     is_flag,
     mask_edges,
+    short_chordless,
 )
 from combcurv.curvature import is_locally_k_large, is_m_located, wheels
 from combcurv.errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
@@ -32,11 +34,15 @@ from conftest import (
     FIXTURE_DIR,
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
+    cone,
+    dwheel_complex,
     gen,
     glued_tetrahedra,
+    hollow_triangle_cone,
     load_degree7_fixture,
     pinched_octahedra,
     tetrahedron_less_face,
+    two_cycles_cone,
 )
 from oracles import (
     SimplexNotPresent,
@@ -47,6 +53,7 @@ from oracles import (
     naive_link_graph,
     naive_maximal_simplices,
     naive_span,
+    naive_wheels_at,
 )
 from test_curvature import without_some_triangles
 
@@ -316,6 +323,54 @@ class TestFullCycles:
             assert cyc.is_full
             assert not chords(gs2, cyc.vertices)
             assert cyc.vertices == canonical_cycle(cyc.vertices)
+
+
+class TestShortChordless:
+    """The pair closure of rims of 4 and 5 vertices against the referees."""
+
+    def test_against_naive_full_cycles(self, octa, icosa):
+        # on the 1-skeleton, flag or not, with ids that skip some values
+        rng = random.Random(4805)
+        inputs = [gen("random_flag", rng.randint(6, 11), rng.choice((0.3, 0.45, 0.6)), seed)
+                  for seed in range(40)]
+        inputs += [_two_dim_soup(rng) for _ in range(40)]
+        inputs += [gen("c_n", n) for n in range(3, 7)] + _named_complexes()
+        inputs += [build_complex(([3 * v + 2 for v in s] for s in X.maximal_simplices()))
+                   for X in (octa, icosa, gen("c_n", 5))]
+        found = Counter()
+        for X in inputs:
+            masks = adjacency_masks(X)
+            ref = naive_full_cycles(X, 4, 5)
+            for k in (4, 5):
+                got = short_chordless(masks, k)
+                assert len(got) == len(set(got)), (X.name, k)
+                assert sorted(got) == [c for c in ref if len(c) == k], (X.name, k)
+                found[k] += len(got)
+        assert found[4] > 100 and found[5] > 100, found
+
+    def test_link_graphs_against_naive_wheels_at(self):
+        # on the link graphs, mapped back to ambient ids through the
+        # increasing rank map, the cycles are the wheels at the vertex
+        inputs = [gen("cell600")] + [gen("random_flag", 12, 0.35, seed) for seed in range(30)]
+        inputs += [cone(dwheel_complex(k, l, "identified")[0])
+                   for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
+        inputs += [two_cycles_cone(), hollow_triangle_cone()]
+        found = Counter()
+        for X in inputs:
+            for v in X.vertices:
+                ids, masks = X.link_masks(v)
+                for k in (4, 5):
+                    got = sorted((v, tuple(ids[i] for i in c)) for c in short_chordless(masks, k))
+                    assert got == naive_wheels_at(X, v, k, k), (X.name, v, k)
+                    found[k] += len(got)
+        # the 600-cell alone has 1 440 rims of 5 vertices
+        assert found[4] > 20 and found[5] > 1440, found
+
+    def test_only_lengths_4_and_5(self, icosa):
+        masks = adjacency_masks(icosa)
+        for k in (3, 6):
+            with pytest.raises(ValueError, match="4 or 5 vertices"):
+                short_chordless(masks, k)
 
 
 class TestWindowCut:

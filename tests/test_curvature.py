@@ -178,9 +178,10 @@ class TestLocallyLarge:
 
     def test_max_degree_2_links_are_not_searched(self, gs2, icosa, torus66, monkeypatch):
         # a link graph of maximum degree 2 is read as its cycle components:
-        # no chordless-path search and no clique search; a link with a
-        # vertex of degree 3 or more, or a triangle component, is searched
-        calls = {"grow_chordless": 0, "empty_clique": 0}
+        # neither rim kernel (pair closure for lengths 4 and 5, path search
+        # from 6) and no clique search; a link with a vertex of degree 3 or
+        # more, or a triangle component, is searched
+        calls = {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -208,10 +209,15 @@ class TestLocallyLarge:
             assert check()
             # each link is still read once
             assert masks == list(X.vertices)
-        assert calls == {"grow_chordless": 0, "empty_clique": 0}, calls
+        assert calls == {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}, calls
 
-        assert is_m_located(gen("cell600"), 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
-        assert calls["grow_chordless"] > 0 and calls["empty_clique"] == 0, calls
+        # the 600-cell's links are icosahedra, searched by pair closure at
+        # rim lengths 4 and 5, and by path search only when 6 is drawn
+        cell600 = gen("cell600")
+        assert is_m_located(cell600, 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
+        assert calls == {"short_chordless": 240, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert len(wheels(cell600, 6, 6)) == 120 * 40
+        assert calls == {"short_chordless": 480, "grow_chordless": 120, "empty_clique": 0}, calls
         verdict = is_locally_k_large(hollow_triangle_cone(), 5)
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
                                    "vertices": [2, 5, 7]}
@@ -603,22 +609,23 @@ class TestDWheelStream:
     def test_a_join_failing_at_boundary_4_searches_length_4_only(self, monkeypatch):
         # no rim length is searched before the join asks for it.  These
         # draws fail 8-location at a (4,4)-dwheel of boundary 4, so the join
-        # never asks for length 5, though the length-4 search hands back
-        # open paths that length 5 would grow
+        # never asks for length 5: each searched link (not read as rings)
+        # is closed at length 4 once, and no path is grown
         searched = []
-        grow = curvature.grow_chordless
+        short = curvature.short_chordless
 
-        def spy(masks, starts, min_len, max_len, cycles, leaves):
-            grow(masks, starts, min_len, max_len, cycles, leaves)
-            searched.append((min_len, max_len, len(leaves[0]) if leaves else 0))
-        monkeypatch.setattr(curvature, "grow_chordless", spy)
+        def spy(masks, k):
+            searched.append(k)
+            return short(masks, k)
+        monkeypatch.setattr(curvature, "short_chordless", spy)
+        monkeypatch.setattr(curvature, "grow_chordless", lambda *args: searched.append(args))
         for seed in (5, 19, 34, 45):
             X = gen("random_flag", 12, 0.35, seed)
             searched.clear()
             verdict = curvature.m_located(X, is_flag(X), 8)
             assert verdict.witness["dwheel"]["boundary_length"] == 4, seed
-            assert {(lo, hi) for lo, hi, _ in searched} == {(4, 4)}, (seed, searched)
-            assert sum(handed for _, _, handed in searched) > 0, seed
+            links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
+            assert links > 0 and searched == [4] * links, (seed, searched)
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -883,9 +890,9 @@ class TestLocatedAndLarge:
         from combcurv.formats import dump_path
 
         # the 600-cell's links are icosahedra: flag, not read off degree
-        # sums, and searched at rim lengths 4 and 5 once each; the checks
-        # called alone read 241 links, search 120 for cliques and grow 360.
-        # The flag test is the caller's, and the CLI's is counted too.
+        # sums, and closed at rim lengths 4 and 5 once each; the checks
+        # called alone read 241 links, search 120 for cliques and close
+        # 360.  The flag test is the caller's, and the CLI's is counted too.
         calls = Counter()
 
         def count(owner, name):
@@ -900,25 +907,22 @@ class TestLocatedAndLarge:
             count(curvature, name)
         count(cli, "is_flag")
         count(SimplicialComplex, "link_masks")
-        # each rim length hands back, ungrown, its open paths that can still
-        # grow, as a frontier of three parallel lists (the paths, the masks
-        # their children read): lengths 4 and 5 give paths of 3 and 4
-        # vertices, and the
-        # 10 456 paths of 5 vertices that only a rim length of 6 would grow
-        # are never built, as the join fails before drawing it
-        leaves, grow = Counter(), curvature.grow_chordless
+        # rim lengths 4 and 5 come by pair closure, which builds no path:
+        # the path search, whose frontier would hand 5 040 and 7 336 open
+        # paths to the next length, is never called, as the join fails
+        # before drawing length 6
+        lengths, short = Counter(), curvature.short_chordless
 
-        def growing(masks, starts, min_len, max_len, cycles, handed_back):
-            grow(masks, starts, min_len, max_len, cycles, handed_back)
-            paths, blocks, grows = handed_back or ((), (), ())
-            assert len(paths) == len(blocks) == len(grows)
-            leaves.update((max_len, len(path)) for path in paths)
-        monkeypatch.setattr(curvature, "grow_chordless", growing)
+        def closing(masks, k):
+            calls["short_chordless"] += 1
+            lengths[k] += 1
+            return short(masks, k)
+        monkeypatch.setattr(curvature, "short_chordless", closing)
         X = gen("cell600")
-        expected = Counter(link_masks=120, grow_chordless=240, is_flag=1)
+        expected = Counter(link_masks=120, short_chordless=240, is_flag=1)
         curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
         assert calls == expected, calls
-        assert leaves == {(4, 3): 5040, (5, 4): 7336}, leaves
+        assert lengths == {4: 120, 5: 120}, lengths
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
         calls.clear()
