@@ -9,16 +9,17 @@ The face sets are frozensets, so they iterate in no fixed order; a caller
 that names a first offender reads them sorted.
 
 The flagness of a complex is decided by counts of common neighbours
-(:func:`flag_witness`).  The searches, :func:`empty_clique` (empty
-cliques), :func:`grow_chordless` (chordless cycles) and
-:func:`short_chordless` (chordless cycles of 4 and 5 vertices, by pair
-closure), run on graphs given as one int bitmask of neighbours per
-vertex.  That graph is a vertex link read by ``link_masks`` on the ranks
-of the sorted neighbours of the vertex, or the 1-skeleton of the complex
-in its own ids.  On the 1-skeleton, ``empty_clique`` does not decide a
-pass: it runs only to name the witness of a complex that is not flag.
-The rank map is increasing, so the searches' canonical cycles and sorted
-cliques map back to ambient ids unchanged.  The closed-surface test reads
+(:func:`flag_witness`).  The kernels, :func:`empty_clique` (empty
+cliques), :func:`short_chordless` (chordless cycles of up to
+``DEFAULT_CYCLE_CAP`` vertices, by pair closure) and
+:func:`grow_chordless` (longer chordless cycles, by path search), run on
+graphs given as one int bitmask of neighbours per vertex.  That graph
+is a vertex link read by ``link_masks`` on the ranks of the sorted
+neighbours of the vertex, or the 1-skeleton of the complex in its own
+ids.  On the 1-skeleton, ``empty_clique`` does not decide a pass: it runs
+only to name the witness of a complex that is not flag.  The rank map is
+increasing, so the kernels' canonical cycles and sorted cliques map back
+to ambient ids unchanged.  The closed-surface test reads
 its links off the edge links instead, in ``manifold``.
 
 The coface index makes the local queries cost the size of a vertex star,
@@ -419,10 +420,10 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
     safety cap raises :class:`BoundExceeded`; pass a larger ``cap`` to allow
     longer searches.
 
-    The search runs with the window cut of :func:`grow_chordless`: a path
-    from s grows only to vertices close enough to s to still close a
-    cycle of at most ``max_len`` vertices, so it never leaves the ball of
-    radius ``max_len // 2`` around s.
+    Up to ``DEFAULT_CYCLE_CAP`` vertices the cycles come by pair closure
+    (:func:`short_chordless`); a longer ``max_len`` runs the path search of
+    :func:`grow_chordless`, whose window cut keeps a path from s inside the
+    ball of radius ``max_len // 2`` around s.
     """
     if min_len < 4:
         raise ValueError("cycles start at length 4")
@@ -431,59 +432,45 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
     if max_len > cap:
         raise BoundExceeded(f"max_len {max_len} above safety cap {cap}")
 
-    cycles = []
-    grow_chordless(_edge_masks(X), None, min_len, max_len, cycles, None, _window=True)
+    close = short_chordless if max_len <= DEFAULT_CYCLE_CAP else grow_chordless
+    cycles = close(_edge_masks(X), min_len, max_len)
     return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
-def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leaves,
-                   _window: bool = False) -> None:
-    """Grow chordless paths (s, v1, ..., vt) with every vi > s, by DFS.
+def grow_chordless(masks, min_len: int, max_len: int) -> list:
+    """The chordless cycles of the graph ``masks`` with length in
+    ``[min_len, max_len]``, by DFS over chordless paths (s, v1, ..., vt)
+    with every vi > s, as tuples in the canonical form of
+    :func:`short_chordless`, which serves every length up to
+    ``DEFAULT_CYCLE_CAP``; this search serves the longer ones.  ``masks``
+    is the adjacency as bitmasks: bit u of ``masks[v]`` is set when u and
+    v are adjacent.
 
-    ``masks`` is the adjacency as bitmasks: bit u of ``masks[v]`` is set
-    when u and v are adjacent.  ``starts`` is None, to start from every
-    edge (s, v1) with v1 > s, or the frontier an earlier call handed back
-    in ``leaves``.  A frontier is three parallel lists ``(paths, blocked,
-    grow)``: chordless paths whose later vertices all exceed s and, past
-    v1, are not adjacent to s; for each, ``blocked`` is every vertex up to
-    s, the path, and the neighbours of its vertices past s, and ``grow``
-    the vertices it grows to.  A start is grown, never closed: a path is
-    closed into a cycle when its tip is adjacent to s, and only in the
-    orientation with path[1] < tip, so each cycle appears once and already
-    canonical; those of length in ``[min_len, max_len]`` are appended to
-    ``cycles`` as tuples.  A start has fewer than ``max_len`` - 1 vertices.
-
-    When ``leaves`` is a frontier (three lists, as above), each open path
-    of ``max_len - 1`` vertices that still has a vertex to grow to is
-    appended to it, ungrown.  Hand-off lemma: a child of a path is the
-    path and one vertex of its ``grow``; the child's own ``blocked`` is
-    ``blocked`` and the neighbours of its tip, and its own ``grow`` is the
-    part of ``masks[tip] & ~blocked`` not adjacent to s.  So the leaves are
-    the starts of length ``max_len + 1``, which pushes their children at
-    once, adds the last two vertices of its cycles to them, and derives no
-    leaf's masks again; no path is grown for a length that is never asked
-    for.  The wheel stream of ``curvature`` reads rims of 4 and 5 vertices
-    by :func:`short_chordless`, so its frontier starts at length 6: the
-    first length of 6 or more drawn grows from the edges.
+    Each path starts as an edge (s, v1), v1 > s, and grows one vertex at a
+    time; a path is closed into a cycle when its tip is adjacent to s, and
+    only in the orientation with path[1] < tip, so each cycle appears once
+    and already canonical.
 
     Window lemma: a path of p vertices closes into a cycle of at most
     ``max_len`` = L vertices only through a path of at most L - p + 1
     edges from its tip back to s, on vertices above s.  So its tip lies
     within L - p + 1 of s in the graph on the vertices from s up.  The tip
     of a path is at most p - 1 from s along the path, so the bound can
-    only cut from p = L // 2 + 2 on.  With ``_window`` (and ``leaves``
-    None: the cut drops paths a later length would grow), each child of
-    that size or more keeps only the tips in ``reach[L - p + 1]``, the
-    vertices above s within that distance of it.  The table is built once
-    per s, the first time a path from s gets that far, and the cycles
-    found are the same.
+    only cut from p = L // 2 + 2 on.  Each child of that size or more
+    keeps only the tips in ``reach[L - p + 1]``, the vertices above s
+    within that distance of it.  The table is built once per s, the first
+    time a path from s gets that far, and the cycles found are the same.
     """
-    cut_from = max_len // 2 + 2 if _window else max_len
+    cycles = []
+    cut_from = max_len // 2 + 2
     reaches = {}  # s -> _reach(masks, s, max_len - cut_from + 1)
     stack = []
-    for path, blocked, grow in _edge_starts(masks) if starts is None else zip(*starts):
-        s, v1 = path[0], path[1]
+    for s, v1 in mask_edges(masks):
         s_adj = masks[s]
+        # blocked: every vertex up to s, v1 and its neighbours; the edge
+        # grows to the neighbours of v1 above s that are not adjacent to s
+        path, blocked = (s, v1), (2 << s) - 1 | 1 << v1 | masks[v1]
+        grow = masks[v1] & ~s_adj & -2 << s
         while True:
             # the children of ``path`` close cycles of ``size`` vertices
             size = len(path) + 2
@@ -506,9 +493,7 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
                         cycles.append(child + (v1 + last.bit_length() - 1,))
                 # extending past a closer would leave its chord to s in place
                 more = free & ~s_adj
-                if not more:
-                    continue
-                if size < max_len:
+                if more and size < max_len:
                     if size >= cut_from:
                         reach = reaches.get(s)
                         if reach is None:
@@ -516,42 +501,55 @@ def grow_chordless(masks, starts, min_len: int, max_len: int, cycles: list, leav
                         more &= reach[max_len - size + 1]
                     # the grandchildren's inner vertices gain the tip
                     stack.append((child, blocked | masks[tip], more))
-                elif leaves is not None:
-                    leaves[0].append(child)
-                    leaves[1].append(blocked | masks[tip])
-                    leaves[2].append(more)
             if not stack:
                 break
             path, blocked, grow = stack.pop()
+    return cycles
 
 
-def short_chordless(masks, k: int) -> list:
-    """The chordless k-cycles of the graph ``masks``, for k = 4 or 5, as
-    tuples in the canonical form of :func:`grow_chordless` (s least,
-    v1 < vt), ordered by (s, v1, vt) but not sorted.  ``masks`` is as
-    there.
+def short_chordless(masks, min_len: int, max_len: Optional[int] = None) -> list:
+    """The chordless cycles of the graph ``masks`` with length in
+    ``[min_len, max_len]`` (``max_len`` defaults to ``min_len``), for
+    lengths 4 to ``DEFAULT_CYCLE_CAP``, as tuples (s, v1, ..., vt) with s
+    least and v1 < vt, which is their canonical form.  They come ordered
+    by (s, v1, vt) but are not sorted.  ``masks`` is the adjacency as
+    bitmasks: bit u of ``masks[v]`` is set when u and v are adjacent.
 
-    Short-rim lemma.  With N(x) the neighbours of x, a chordless cycle
-    (s, v1, ..., vt) with s least has v1 < vt, two neighbours of s above s
-    that are not adjacent, and its other vertices lie in
-    F = {x > s : x not in N(s)}.  Conversely, such a pair closes into one:
-    - for k = 4, through each c in N(v1) & N(vt) & F;
-    - for k = 5, through each edge ab with a in N(v1) & F less N(vt) and
-      b in N(a) & N(vt) & F less N(v1).
-    The non-edges s-c and v1-vt are all the chords of a 4-cycle, and
-    s-a, s-b, v1-b, a-vt and v1-vt all those of a 5-cycle; none of its
-    vertices repeats, as F misses v1, vt and s, and b is a neighbour of a.
-    So the cycles come from mask ANDs on pairs alone: unlike the search,
-    no path is built for a vertex that closes no cycle, and none is kept
-    for a longer length.
+    Pair-closure lemma.  With N(x) the neighbours of x, a chordless
+    k-cycle (s, v1, a1, ..., a(k-3), vt) with s least has v1 < vt, two
+    neighbours of s above s that are not adjacent, and its inner vertices
+    a1 .. a(k-3) lie in F = {x > s : x not in N(s)}.  Conversely, such a
+    pair closes into one through each path a1 .. a(k-3) in F with:
+    - for k = 4, a1 in N(v1) & N(vt);
+    - for k >= 5, a1 in N(v1) less N(vt), a(k-3) in N(vt) less N(v1), and
+      every other ai in neither;
+    - each ai, i >= 2, in N(a(i-1)) and not in N(aj) for j < i - 1.
+    Those non-edges are all the chords.  No vertex repeats: F misses s, v1
+    and vt, and an earlier aj is adjacent to its predecessor on the path
+    (v1 for j = 1), which ai is not.  The cycle fixes s, its pair and its
+    path, so each cycle comes once.
+
+    So the kernel grows the inner path one vertex per level, each by one
+    mask AND of the tip's neighbours with the vertices of F adjacent to
+    neither end and to no earlier inner vertex but the tip, and closes it
+    by one more AND of the tip's neighbours with vt's side, N(vt) & F less
+    N(v1), less the same earlier neighbours.  A level closes cycles when
+    its length is asked for and grows the path only when a longer one is,
+    so no path is built past ``max_len``, and none outlives its pair.
     """
-    if k not in (4, 5):
-        raise ValueError("short rims have 4 or 5 vertices")
+    if max_len is None:
+        max_len = min_len
+    if not 4 <= min_len <= max_len <= DEFAULT_CYCLE_CAP:
+        raise ValueError(f"pair closure reads lengths 4 to {DEFAULT_CYCLE_CAP}")
     cycles = []
+    four = min_len == 4
+    past4 = max_len > 4
+    five = min_len <= 5
+    past5 = max_len > 5
     for s, s_adj in enumerate(masks):
         far = -2 << s & ~s_adj  # F: the vertices above s not adjacent to it
         rest = s_adj & -2 << s
-        while rest:
+        while rest & (rest - 1):  # some vt > v1 is left
             low = rest & -rest
             rest ^= low
             v1 = low.bit_length() - 1
@@ -563,35 +561,85 @@ def short_chordless(masks, k: int) -> list:
                 ends ^= low
                 vt = low.bit_length() - 1
                 mt = masks[vt]
-                if k == 4:
+                if four:
                     mid = near1 & mt
                     while mid:
                         low = mid & -mid
                         mid ^= low
                         cycles.append((s, v1, low.bit_length() - 1, vt))
-                    continue
+                    if not past4:
+                        continue
                 firsts = near1 & ~mt
                 if not firsts:
                     continue
-                seconds = mt & far & ~m1
+                lasts = mt & far & ~m1  # vt's side
+                if not past5:
+                    # the path ends at its first vertex
+                    while firsts:
+                        low = firsts & -firsts
+                        firsts ^= low
+                        a = low.bit_length() - 1
+                        mid = masks[a] & lasts
+                        while mid:
+                            low = mid & -mid
+                            mid ^= low
+                            cycles.append((s, v1, a, low.bit_length() - 1, vt))
+                    continue
+                if not lasts:
+                    continue
+                inner = far & ~m1 & ~mt  # F less both ends' neighbours
                 while firsts:
                     low = firsts & -firsts
                     firsts ^= low
                     a = low.bit_length() - 1
-                    mid = masks[a] & seconds
-                    while mid:
-                        low = mid & -mid
-                        mid ^= low
-                        cycles.append((s, v1, a, low.bit_length() - 1, vt))
+                    ma = masks[a]
+                    if five:
+                        mid = ma & lasts
+                        while mid:
+                            low = mid & -mid
+                            mid ^= low
+                            cycles.append((s, v1, a, low.bit_length() - 1, vt))
+                    seconds = ma & inner
+                    while seconds:
+                        low = seconds & -seconds
+                        seconds ^= low
+                        b = low.bit_length() - 1
+                        mb = masks[b]
+                        if min_len <= 6:
+                            mid = mb & lasts & ~ma
+                            while mid:
+                                low = mid & -mid
+                                mid ^= low
+                                cycles.append((s, v1, a, b, low.bit_length() - 1, vt))
+                        if max_len == 6:
+                            continue
+                        thirds = mb & inner & ~ma
+                        near = ma | mb  # the neighbours of the path's inner vertices
+                        while thirds:
+                            low = thirds & -thirds
+                            thirds ^= low
+                            c = low.bit_length() - 1
+                            mc = masks[c]
+                            if min_len <= 7:
+                                mid = mc & lasts & ~near
+                                while mid:
+                                    low = mid & -mid
+                                    mid ^= low
+                                    cycles.append((s, v1, a, b, c, low.bit_length() - 1, vt))
+                            if max_len == 7:
+                                continue
+                            fourths = mc & inner & ~near
+                            wider = near | mc
+                            while fourths:
+                                low = fourths & -fourths
+                                fourths ^= low
+                                d = low.bit_length() - 1
+                                mid = masks[d] & lasts & ~wider
+                                while mid:
+                                    low = mid & -mid
+                                    mid ^= low
+                                    cycles.append((s, v1, a, b, c, d, low.bit_length() - 1, vt))
     return cycles
-
-
-def _edge_starts(masks):
-    """The edges (s, v1), v1 > s, of the graph ``masks`` in the start form
-    of :func:`grow_chordless`, one at a time."""
-    for edge in mask_edges(masks):
-        s, v1 = edge
-        yield edge, (2 << s) - 1 | 1 << v1 | masks[v1], masks[v1] & ~masks[s] & -2 << s
 
 
 def _reach(masks, s: int, depth: int) -> list:

@@ -199,10 +199,11 @@ def _link_reads(X: SimplicialComplex):
 def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
     """:func:`is_locally_k_large` on the link reads of X (:func:`_link_reads`).
 
-    A searched link is read one rim length at a time, shortest first, and
-    the first length with a full cycle names the witness: lengths 4 and 5
-    by pair closure (:func:`~combcurv.complexes.short_chordless`), and the
-    lengths 6 .. k - 1 by one path search from the link edges."""
+    A searched link is read shortest rim first, and the first length with
+    a full cycle names the witness.  Pair closure
+    (:func:`~combcurv.complexes.short_chordless`) reads lengths 4 and 5
+    one at a time and then 6 .. min(k - 1, 8) in one call; a raised k
+    reads the lengths 9 .. k - 1 by one path search (:func:`grow_chordless`)."""
     check_k_and_m(k, None)
     for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
@@ -221,7 +222,9 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
                 if cycles:
                     break
             if k > 6 and not cycles:
-                grow_chordless(masks, None, 6, k - 1, cycles, None)
+                cycles = short_chordless(masks, 6, min(k - 1, DEFAULT_CYCLE_CAP))
+                if k > DEFAULT_CYCLE_CAP + 1 and not cycles:
+                    cycles = grow_chordless(masks, DEFAULT_CYCLE_CAP + 1, k - 1)
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:
@@ -257,7 +260,7 @@ def _large_by_wheels(X: SimplicialComplex, k: int, stream):
 
 def _link_rings(masks):
     """The cycle components of a link graph of maximum degree 2, each in the
-    form :func:`grow_chordless` emits a cycle, in sorted order; None when
+    form :func:`short_chordless` emits a cycle, in sorted order; None when
     a vertex has degree 3 or more or a component is a triangle.
 
     Lemma: the components of a graph whose vertices have degree at most 2
@@ -320,20 +323,15 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     The rims are read off each vertex's
     :meth:`~SimplicialComplex.link_masks`, in rank space, and map back to
     ambient ids through the increasing rank map, which keeps them
-    canonical; no link complex is built.  Rims of 4 and 5 vertices come by
-    pair closure (the short-rim lemma of
-    :func:`~combcurv.complexes.short_chordless`), which builds no path and
-    keeps only the graph.  The first length of 6 or more that is drawn
-    grows the chordless paths from the link edges, by
-    :func:`grow_chordless`, and from then on only the graph and its
-    frontier are kept: length k hands back its open chordless paths of
-    k - 1 vertices that can still grow, each with the blocked and growth
-    masks its children read, and length k + 1 grows their children at
-    once instead of searching the link again (the hand-off lemma of
-    :func:`grow_chordless`: a child's masks are its parent's and its tip's
-    neighbours, so no mask is derived twice).  The stream is lazy: no
-    length is computed before a caller draws it, and the paths of k
-    vertices are built only when length k + 1 is drawn.
+    canonical; no link complex is built.  Rims of up to 8 vertices come by
+    pair closure (the lemma of :func:`~combcurv.complexes.short_chordless`),
+    which keeps nothing but the graph between calls.  Lengths 4 and 5 are
+    closed one at a time, as most joins stop there; the first draw of 6
+    closes 6 .. min(k_max, 8) in one call per link, and the draws of 7
+    and 8 take its cycles.  A raised k_max reads the lengths from 9 by one
+    path search per link (:func:`grow_chordless`) at the draw of 9.  So
+    the stream is lazy: no kernel runs before a caller draws the first
+    length it serves.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -350,26 +348,25 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     rings_of = [[] for _ in range(k_max + 1)]  # k -> the k-wheels read in one walk
     for v, ids, masks, rings in reads:
         if rings is None:
-            # the paths start as the link edges
-            links.append((v, ids, masks, None))
+            links.append((v, ids, masks))
             continue
         for ring in rings:
             if len(ring) <= k_max:
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
+    closed = {}  # rim length -> its searched wheels, closed at the draw of 6 or 9
     for k in range(4, k_max + 1):
-        found, live = [], []
-        for link in links:
-            v, ids, masks, starts = link
-            if k < 6:
-                cycles = short_chordless(masks, k)
-                live.append(link)
-            else:
-                cycles, leaves = [], ([], [], []) if k < k_max else None
-                grow_chordless(masks, starts, k, k, cycles, leaves)
-                if leaves and leaves[0]:
-                    live.append((v, ids, masks, leaves))
-            found.extend((v, tuple([ids[i] for i in cyc])) for cyc in sorted(cycles))
-        links = live
+        if k < 6:
+            found = [(v, tuple([ids[i] for i in cyc]))
+                     for v, ids, masks in links for cyc in sorted(short_chordless(masks, k))]
+        else:
+            if k not in closed:
+                top = min(k_max, DEFAULT_CYCLE_CAP) if k == 6 else k_max
+                close = short_chordless if k == 6 else grow_chordless
+                closed.update((j, []) for j in range(k, top + 1))
+                for v, ids, masks in links:
+                    for cyc in sorted(close(masks, k, top)):
+                        closed[len(cyc)].append((v, tuple([ids[i] for i in cyc])))
+            found = closed.pop(k)
         yield k, found + rings_of[k]
 
 

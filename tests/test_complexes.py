@@ -3,14 +3,14 @@
 import random
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import complexes
+from combcurv import complexes, curvature
 from combcurv.complexes import (
     MAX_DIM,
     SimplicialComplex,
@@ -269,12 +269,10 @@ class TestFullCycles:
         # the inputs reach every length of the ranges, so each bound is tested
         assert lengths == set(range(4, CYCLE_CAP + 1))
 
-    def test_growth_one_length_at_a_time(self):
-        # one search holds exactly the referee's cycles; so does each length
-        # when the frontier of a length is the only start of the next.  A
-        # frontier path is handed back ungrown, one vertex short of the
-        # length, with the masks its children read, as derived from the
-        # path alone; the edge starts have the same form
+    def test_path_search_against_the_referee(self):
+        # one search holds exactly the referee's cycles at every length up
+        # to the cap; from length 9 on, where only the search serves, it
+        # does too, alone and through full_cycles with a raised cap
         rng = random.Random(1999)
         inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(25)]
@@ -282,41 +280,29 @@ class TestFullCycles:
         inputs += [gen("c_n", n) for n in range(4, 9)]
         inputs += _named_complexes()
         lengths = set()
-
-        def derived(masks, path):
-            # every vertex up to s, the path, the neighbours of its inner
-            # vertices; then what its children read: the tip's neighbours
-            # blocked, and the tip's free neighbours not adjacent to s
-            s, tip = path[0], path[-1]
-            inner = (2 << s) - 1
-            for u in path:
-                inner |= 1 << u
-            for u in path[1:-1]:
-                inner |= masks[u]
-            return inner | masks[tip], masks[tip] & ~inner & ~masks[s]
-
         for X in inputs:
             ref = naive_full_cycles(X, 4, CYCLE_CAP)
-            masks = adjacency_masks(X)
-            once = []
-            grow_chordless(masks, None, 4, CYCLE_CAP, once, None)
-            assert sorted(once, key=lambda c: (len(c), c)) == ref, X.name
-            edges = list(complexes._edge_starts(masks))
-            assert [path for path, _, _ in edges] == sorted(X.simplices(1))
-            assert all((blocked, grow) == derived(masks, path) for path, blocked, grow in edges)
-            starts = None
-            for k in range(4, CYCLE_CAP + 1):
-                cycles, leaves = [], ([], [], [])
-                grow_chordless(masks, starts, k, k, cycles, leaves)
-                assert sorted(cycles) == [c for c in ref if len(c) == k], (X.name, k)
-                paths, blocks, grows = leaves
-                assert len(paths) == len(blocks) == len(grows)
-                for path, blocked, grow in zip(paths, blocks, grows):
-                    assert len(path) == k - 1 and grow != 0, (X.name, path)
-                    assert (blocked, grow) == derived(masks, path), (X.name, path)
-                starts = leaves
+            got = grow_chordless(adjacency_masks(X), 4, CYCLE_CAP)
+            assert sorted(got, key=lambda c: (len(c), c)) == ref, X.name
             lengths.update(map(len, ref))
         assert lengths == set(range(4, CYCLE_CAP + 1))
+        # sparse draws (average degree about 3) and long cycles, gapped ids too
+        longer = [gen("random_flag", n, 3 / n, rng.randrange(10**6)) for n in (20, 24, 28, 36, 40)]
+        longer += [gen("c_n", n) for n in range(9, 13)]
+        longer += [build_complex(([3 * v + 2 for v in s] for s in X.maximal_simplices()),
+                                 name="gapped") for X in (gen("c_n", 9), gen("c_n", 10))]
+        lengths = set()
+        for X in longer:
+            ref = naive_full_cycles(X, 9, 10)
+            masks = adjacency_masks(X)
+            for lo, hi in ((9, 9), (9, 10), (10, 10)):
+                want = [c for c in ref if lo <= len(c) <= hi]
+                got = grow_chordless(masks, lo, hi)
+                assert sorted(got, key=lambda c: (len(c), c)) == want, (X.name, lo, hi)
+                mine = [c.vertices for c in full_cycles(X, lo, hi, cap=10)]
+                assert mine == want, (X.name, lo, hi)
+            lengths.update(map(len, ref))
+        assert lengths == {9, 10}, lengths
 
     def test_reported_cycles_are_chordless(self, gs2):
         for cyc in full_cycles(gs2, 4, 6):
@@ -325,8 +311,12 @@ class TestFullCycles:
             assert cyc.vertices == canonical_cycle(cyc.vertices)
 
 
+LENGTH_RANGES = [(lo, hi) for lo in range(4, CYCLE_CAP + 1) for hi in range(lo, CYCLE_CAP + 1)]
+
+
 class TestShortChordless:
-    """The pair closure of rims of 4 and 5 vertices against the referees."""
+    """The pair closure of chordless cycles of 4 to 8 vertices against the
+    referees, at every length and every length range."""
 
     def test_against_naive_full_cycles(self, octa, icosa):
         # on the 1-skeleton, flag or not, with ids that skip some values
@@ -334,19 +324,21 @@ class TestShortChordless:
         inputs = [gen("random_flag", rng.randint(6, 11), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(40)]
         inputs += [_two_dim_soup(rng) for _ in range(40)]
-        inputs += [gen("c_n", n) for n in range(3, 7)] + _named_complexes()
+        inputs += [gen("c_n", n) for n in range(3, 10)] + _named_complexes()
         inputs += [build_complex(([3 * v + 2 for v in s] for s in X.maximal_simplices()))
-                   for X in (octa, icosa, gen("c_n", 5))]
+                   for X in (octa, icosa, gen("c_n", 5), gen("c_n", 8))]
+        # sparse draws (average degree about 4) reach the longer lengths
+        inputs += [gen("random_flag", n, 4 / n, rng.randrange(10**6)) for n in range(14, 24)]
         found = Counter()
         for X in inputs:
             masks = adjacency_masks(X)
-            ref = naive_full_cycles(X, 4, 5)
-            for k in (4, 5):
-                got = short_chordless(masks, k)
-                assert len(got) == len(set(got)), (X.name, k)
-                assert sorted(got) == [c for c in ref if len(c) == k], (X.name, k)
-                found[k] += len(got)
-        assert found[4] > 100 and found[5] > 100, found
+            ref = naive_full_cycles(X, 4, CYCLE_CAP)
+            for lo, hi in LENGTH_RANGES:
+                got = short_chordless(masks, lo) if lo == hi else short_chordless(masks, lo, hi)
+                assert len(got) == len(set(got)), (X.name, lo, hi)
+                assert sorted(got) == sorted(c for c in ref if lo <= len(c) <= hi), (X.name, lo, hi)
+            found.update(map(len, ref))
+        assert all(found[k] > 50 for k in range(4, CYCLE_CAP + 1)), found
 
     def test_link_graphs_against_naive_wheels_at(self):
         # on the link graphs, mapped back to ambient ids through the
@@ -355,26 +347,36 @@ class TestShortChordless:
         inputs += [cone(dwheel_complex(k, l, "identified")[0])
                    for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
         inputs += [two_cycles_cone(), hollow_triangle_cone()]
+        # the apex link of a cone is its base, here the 2-skeleton of a
+        # sparse draw, which holds rims of up to 8 vertices
+        rng = random.Random(5)
+        for n in (14, 14, 15, 15, 16, 16):
+            Y = gen("random_flag", n, 4 / n, rng.randrange(10**6))
+            inputs.append(cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))))
         found = Counter()
         for X in inputs:
             for v in X.vertices:
                 ids, masks = X.link_masks(v)
-                for k in (4, 5):
-                    got = sorted((v, tuple(ids[i] for i in c)) for c in short_chordless(masks, k))
-                    assert got == naive_wheels_at(X, v, k, k), (X.name, v, k)
-                    found[k] += len(got)
+                ref = naive_wheels_at(X, v, 4, CYCLE_CAP)
+                for lo, hi in LENGTH_RANGES:
+                    got = short_chordless(masks, lo, hi)
+                    assert len(got) == len(set(got)), (X.name, v, lo, hi)
+                    got = sorted((v, tuple(ids[i] for i in c)) for c in got)
+                    assert got == [w for w in ref if lo <= len(w[1]) <= hi], (X.name, v, lo, hi)
+                found.update(len(rim) for _, rim in ref)
         # the 600-cell alone has 1 440 rims of 5 vertices
         assert found[4] > 20 and found[5] > 1440, found
+        assert all(found[k] > 10 for k in range(6, CYCLE_CAP + 1)), found
 
-    def test_only_lengths_4_and_5(self, icosa):
+    def test_lengths_outside_4_to_8_raise(self, icosa):
         masks = adjacency_masks(icosa)
-        for k in (3, 6):
-            with pytest.raises(ValueError, match="4 or 5 vertices"):
-                short_chordless(masks, k)
+        for args in ((3,), (9,), (3, 5), (6, 9), (6, 5)):
+            with pytest.raises(ValueError, match="lengths 4 to 8"):
+                short_chordless(masks, *args)
 
 
 class TestWindowCut:
-    """The distance cut of ``full_cycles`` against the referee, on inputs
+    """The distance cut of the path search against the referee, on inputs
     where it drops paths: every reach table the search builds is watched,
     and a family counts as cut once a table removes a candidate tip."""
 
@@ -385,11 +387,15 @@ class TestWindowCut:
         # average degree about 3, so their paths wander far from s
         yield "geodesic_sphere", [(gen("geodesic_sphere", 2), 8), (gen("geodesic_sphere", 3), 7)]
         yield "tri_torus", [(gen("tri_torus", n, n), 7 if n < 8 else 6) for n in range(6, 11)]
-        yield "c_n", [(gen("c_n", n), 8) for n in range(4, 17)]
-        yield "random_flag", [(gen("random_flag", n, 3 / n, rng.randrange(10**6)), 8)
+        yield "c_n", [(gen("c_n", n), 9) for n in range(4, 17)]
+        yield "random_flag", [(gen("random_flag", n, 3 / n, rng.randrange(10**6)), 9)
                               for n in (20, 24, 28, 32, 36, 40)]
 
     def test_same_cycles_as_the_referee_where_the_cut_prunes(self, monkeypatch):
+        # the search at every max_len of each input, and full_cycles where
+        # it still searches: from max_len 9, with a raised cap.  On the
+        # spheres and tori the referee's paths grow about fivefold per
+        # length, so those run the search up to their largest max_len only
         cut = {"tips": 0}
 
         class Watched(int):
@@ -406,25 +412,48 @@ class TestWindowCut:
                             lambda *args: [Watched(r) for r in reach(*args)])
         for family, inputs in self.families():
             cut["tips"] = 0
+            searched = 0
             for X, top in inputs:
                 ref = naive_full_cycles(X, 4, top)
+                masks = adjacency_masks(X)
                 for hi in range(5, top + 1):
                     for lo in (4, hi):
-                        mine = [c.vertices for c in full_cycles(X, lo, hi)]
-                        assert mine == [c for c in ref if lo <= len(c) <= hi], (X.name, lo, hi)
+                        want = [c for c in ref if lo <= len(c) <= hi]
+                        mine = grow_chordless(masks, lo, hi)
+                        assert sorted(mine, key=lambda c: (len(c), c)) == want, (X.name, lo, hi)
+                        if hi > CYCLE_CAP:
+                            mine = [c.vertices for c in full_cycles(X, lo, hi, cap=hi)]
+                            assert mine == want, (X.name, lo, hi)
+                            searched += 1
             assert cut["tips"] > 0, family
+            if family in ("c_n", "random_flag"):
+                assert searched == 2 * len(inputs), family
 
     def test_link_searches_build_no_reach_table(self, monkeypatch, icosa):
-        # the cut is for the ambient search only; the link searches grow
-        # leaves for the next length, which the cut would drop
+        # up to length 8 every caller closes pairs, in the links and on
+        # the 1-skeleton: no path search runs, so no reach table is built
         def refuse(*args):
-            raise AssertionError("reach table built")
+            raise AssertionError("path search run")
+
+        closures = []
+        short = curvature.short_chordless
+
+        def closing(*args):
+            closures.append(args[1:])
+            return short(*args)
 
         monkeypatch.setattr(complexes, "_reach", refuse)
-        for X in (gen("tri_torus", 6, 6), icosa):
-            is_locally_k_large(X, 7)
+        monkeypatch.setattr(complexes, "grow_chordless", refuse)
+        monkeypatch.setattr(curvature, "grow_chordless", refuse)
+        monkeypatch.setattr(curvature, "short_chordless", closing)
+        inputs = [gen("tri_torus", 6, 6), icosa, gen("cell600")]
+        inputs += [gen("random_flag", 12, 0.35, seed) for seed in range(5)]
+        for X in inputs:
+            is_locally_k_large(X, 9)
             is_m_located(X, 8)
             wheels(X, 4, 8)
+            full_cycles(X, 4, 8)
+        assert {(4,), (5,), (6, 8)} <= set(closures), closures
 
 
 class TestBitmaskKernels:

@@ -178,14 +178,17 @@ class TestLocallyLarge:
 
     def test_max_degree_2_links_are_not_searched(self, gs2, icosa, torus66, monkeypatch):
         # a link graph of maximum degree 2 is read as its cycle components:
-        # neither rim kernel (pair closure for lengths 4 and 5, path search
-        # from 6) and no clique search; a link with a vertex of degree 3 or
+        # neither rim kernel (pair closure up to length 8, path search from
+        # 9) and no clique search; a link with a vertex of degree 3 or
         # more, or a triangle component, is searched
         calls = {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}
+        lengths = Counter()  # the length ranges of the pair closures
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
+                if name == "short_chordless":
+                    lengths[args[1:]] += 1
                 return fn(*args)
             return wrapper
 
@@ -212,12 +215,15 @@ class TestLocallyLarge:
         assert calls == {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}, calls
 
         # the 600-cell's links are icosahedra, searched by pair closure at
-        # rim lengths 4 and 5, and by path search only when 6 is drawn
+        # rim lengths 4 and 5, and at length 6 only when 6 is drawn; no
+        # path is searched
         cell600 = gen("cell600")
         assert is_m_located(cell600, 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
         assert calls == {"short_chordless": 240, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert lengths == {(4,): 120, (5,): 120}, lengths
         assert len(wheels(cell600, 6, 6)) == 120 * 40
-        assert calls == {"short_chordless": 480, "grow_chordless": 120, "empty_clique": 0}, calls
+        assert calls == {"short_chordless": 600, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert lengths == {(4,): 240, (5,): 240, (6, 6): 120}, lengths
         verdict = is_locally_k_large(hollow_triangle_cone(), 5)
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
                                    "vertices": [2, 5, 7]}
@@ -262,7 +268,8 @@ class TestLocallyLargeOracle:
         corpus = self.corpus(octa, icosa, bd4, gs2, disk37, surf37)
         assert SEVERAL_CYCLES <= link_shapes(corpus)
         for X in corpus:
-            for k in range(4, 9):
+            # k = 9 closes rims up to 8 vertices, and k = 10 searches from 9
+            for k in range(4, 11):
                 got = is_locally_k_large(X, k).to_json()
                 assert got == naive_is_locally_k_large(X, k).to_json(), (X, k)
                 kinds.add(got["witness"]["kind"] if got["witness"] else "pass")
@@ -354,12 +361,13 @@ class TestWheels:
         assert found > 100 and dropped > 0, (found, dropped)
 
     def test_stream_rims_are_the_naive_wheels(self):
-        # each length hands its open paths to the next as a frontier; none
-        # is lost or grown twice: at every length 4 .. 8 the stream holds
-        # exactly the naive wheels of that length.  The inputs are flag, so
-        # no rim of the stream has a chord in X.  The 600-cell's links are
-        # all searched, and its wheels come from the per-centre referee,
-        # which the other inputs check against naive_wheels
+        # lengths 4 and 5 are closed one at a time and 6 .. 8 in one call
+        # per link, whose cycles go to their lengths; none is lost or found
+        # twice: at every length 4 .. 8 the stream holds exactly the naive
+        # wheels of that length.  The inputs are flag, so no rim of the
+        # stream has a chord in X.  The 600-cell's links are all searched,
+        # and its wheels come from the per-centre referee, which the other
+        # inputs check against naive_wheels
         cell600 = gen("cell600")
         inputs = [cell600] + [gen("random_flag", 12, 0.35, seed) for seed in range(30)]
         inputs += [cone(dwheel_complex(k, l, "identified")[0])
@@ -376,6 +384,40 @@ class TestWheels:
             assert got == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, 9)], X.name
             lengths.update(len(rim) for _, rim in ref)
         assert set(lengths) == set(range(4, 9)), lengths
+
+    def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
+        # the first draw of length 6 closes 6 .. min(k_max, 8) in one
+        # kernel call per searched link, and no path is searched; with a
+        # raised k_max, one path search per link serves the lengths from
+        # 9, and the wheels are still the naive ones
+        closures, searches = Counter(), Counter()
+        short, grow = curvature.short_chordless, curvature.grow_chordless
+
+        def closing(masks, *lengths):
+            closures[lengths] += 1
+            return short(masks, *lengths)
+
+        def searching(masks, *lengths):
+            searches[lengths] += 1
+            return grow(masks, *lengths)
+
+        monkeypatch.setattr(curvature, "short_chordless", closing)
+        monkeypatch.setattr(curvature, "grow_chordless", searching)
+        # a 10-cycle with a triangle on its edge 01: the apex link of the
+        # cone has a vertex of degree 3, so it is searched, and a rim of 10
+        ring = build_complex([(i, (i + 1) % 10) for i in range(10)] + [(0, 1, 10)])
+        for X in (gen("random_flag", 12, 0.35, 5), cone(ring)):
+            links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
+            assert links > 0, X.name
+            for k_max, top in ((7, 7), (8, 8), (10, 8)):
+                closures.clear()
+                searches.clear()
+                got = sorted((w.center, w.rim) for w in wheels(X, 4, k_max))
+                assert closures == {(4,): links, (5,): links, (6, top): links}, (X.name, closures)
+                assert searches == ({(9, 10): links} if k_max > 8 else {}), (X.name, searches)
+                assert got == [w for v in X.vertices for w in naive_wheels_at(X, v, 4, k_max)], \
+                    (X.name, k_max)
+        assert max(len(rim) for _, rim in got) == 10
 
 
 class TestDWheels:
