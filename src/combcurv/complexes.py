@@ -9,11 +9,10 @@ The face sets are frozensets, so they iterate in no fixed order; a caller
 that names a first offender reads them sorted.
 
 The flagness of a complex is decided by counts of common neighbours
-(:func:`flag_witness`).  The kernels, :func:`empty_clique` (empty
-cliques), :func:`short_chordless` (chordless cycles of up to
-``DEFAULT_CYCLE_CAP`` vertices, by pair closure) and
-:func:`grow_chordless` (longer chordless cycles, by path search), run on
-graphs given as one int bitmask of neighbours per vertex.  That graph
+(:func:`flag_witness`).  The two kernels, :func:`empty_clique` (empty
+cliques) and :func:`chordless_cycles` (chordless cycles of every length
+from 4, by pair closure), run on graphs given as one int bitmask of
+neighbours per vertex.  That graph
 is a vertex link read by ``link_masks`` on the ranks of the sorted
 neighbours of the vertex, or the 1-skeleton of the complex in its own
 ids.  On the 1-skeleton, ``empty_clique`` does not decide a pass: it runs
@@ -418,12 +417,8 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
 
     Each cycle is reported once, in canonical form.  ``max_len`` above the
     safety cap raises :class:`BoundExceeded`; pass a larger ``cap`` to allow
-    longer searches.
-
-    Up to ``DEFAULT_CYCLE_CAP`` vertices the cycles come by pair closure
-    (:func:`short_chordless`); a longer ``max_len`` runs the path search of
-    :func:`grow_chordless`, whose window cut keeps a path from s inside the
-    ball of radius ``max_len // 2`` around s.
+    longer searches.  The cycles come by pair closure
+    (:func:`chordless_cycles`) on the 1-skeleton, at every length.
     """
     if min_len < 4:
         raise ValueError("cycles start at length 4")
@@ -432,88 +427,18 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
     if max_len > cap:
         raise BoundExceeded(f"max_len {max_len} above safety cap {cap}")
 
-    close = short_chordless if max_len <= DEFAULT_CYCLE_CAP else grow_chordless
-    cycles = close(_edge_masks(X), min_len, max_len)
+    cycles = chordless_cycles(_edge_masks(X), min_len, max_len)
     return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
-def grow_chordless(masks, min_len: int, max_len: int) -> list:
+def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list:
     """The chordless cycles of the graph ``masks`` with length in
-    ``[min_len, max_len]``, by DFS over chordless paths (s, v1, ..., vt)
-    with every vi > s, as tuples in the canonical form of
-    :func:`short_chordless`, which serves every length up to
-    ``DEFAULT_CYCLE_CAP``; this search serves the longer ones.  ``masks``
-    is the adjacency as bitmasks: bit u of ``masks[v]`` is set when u and
-    v are adjacent.
-
-    Each path starts as an edge (s, v1), v1 > s, and grows one vertex at a
-    time; a path is closed into a cycle when its tip is adjacent to s, and
-    only in the orientation with path[1] < tip, so each cycle appears once
-    and already canonical.
-
-    Window lemma: a path of p vertices closes into a cycle of at most
-    ``max_len`` = L vertices only through a path of at most L - p + 1
-    edges from its tip back to s, on vertices above s.  So its tip lies
-    within L - p + 1 of s in the graph on the vertices from s up.  The tip
-    of a path is at most p - 1 from s along the path, so the bound can
-    only cut from p = L // 2 + 2 on.  Each child of that size or more
-    keeps only the tips in ``reach[L - p + 1]``, the vertices above s
-    within that distance of it.  The table is built once per s, the first
-    time a path from s gets that far, and the cycles found are the same.
-    """
-    cycles = []
-    cut_from = max_len // 2 + 2
-    reaches = {}  # s -> _reach(masks, s, max_len - cut_from + 1)
-    stack = []
-    for s, v1 in mask_edges(masks):
-        s_adj = masks[s]
-        # blocked: every vertex up to s, v1 and its neighbours; the edge
-        # grows to the neighbours of v1 above s that are not adjacent to s
-        path, blocked = (s, v1), (2 << s) - 1 | 1 << v1 | masks[v1]
-        grow = masks[v1] & ~s_adj & -2 << s
-        while True:
-            # the children of ``path`` close cycles of ``size`` vertices
-            size = len(path) + 2
-            while grow:
-                low = grow & -grow
-                grow ^= low
-                tip = low.bit_length() - 1
-                child = path + (tip,)
-                # ``blocked`` holds every vertex up to s, the child, and the
-                # neighbours of its inner vertices: a next vertex outside it
-                # is above s, repeats no vertex and closes no chord except
-                # possibly one to s
-                free = masks[tip] & ~blocked
-                if size >= min_len:
-                    # the closers above v1; v1 is blocked, so bit 0 is clear
-                    close = (free & s_adj) >> v1
-                    while close:
-                        last = close & -close
-                        close ^= last
-                        cycles.append(child + (v1 + last.bit_length() - 1,))
-                # extending past a closer would leave its chord to s in place
-                more = free & ~s_adj
-                if more and size < max_len:
-                    if size >= cut_from:
-                        reach = reaches.get(s)
-                        if reach is None:
-                            reach = reaches[s] = _reach(masks, s, max_len - cut_from + 1)
-                        more &= reach[max_len - size + 1]
-                    # the grandchildren's inner vertices gain the tip
-                    stack.append((child, blocked | masks[tip], more))
-            if not stack:
-                break
-            path, blocked, grow = stack.pop()
-    return cycles
-
-
-def short_chordless(masks, min_len: int, max_len: Optional[int] = None) -> list:
-    """The chordless cycles of the graph ``masks`` with length in
-    ``[min_len, max_len]`` (``max_len`` defaults to ``min_len``), for
-    lengths 4 to ``DEFAULT_CYCLE_CAP``, as tuples (s, v1, ..., vt) with s
-    least and v1 < vt, which is their canonical form.  They come ordered
-    by (s, v1, vt) but are not sorted.  ``masks`` is the adjacency as
+    ``[min_len, max_len]`` (``max_len`` defaults to ``min_len``), for any
+    lengths from 4 on, as tuples (s, v1, ..., vt) with s least and
+    v1 < vt, which is their canonical form.  They come ordered by
+    (s, v1, vt) but are not sorted.  ``masks`` is the adjacency as
     bitmasks: bit u of ``masks[v]`` is set when u and v are adjacent.
+    No length bound is kept here; :func:`full_cycles` keeps the safety cap.
 
     Pair-closure lemma.  With N(x) the neighbours of x, a chordless
     k-cycle (s, v1, a1, ..., a(k-3), vt) with s least has v1 < vt, two
@@ -536,11 +461,17 @@ def short_chordless(masks, min_len: int, max_len: Optional[int] = None) -> list:
     N(v1), less the same earlier neighbours.  A level closes cycles when
     its length is asked for and grows the path only when a longer one is,
     so no path is built past ``max_len``, and none outlives its pair.
+    These are the chordless paths between a fixed pair of Uno and Satoh
+    (Discovery Science 2014, LNCS 8777).  The levels of the first four
+    inner vertices, which serve the lengths up to 8, are written out; the
+    longer paths grow from there on a stack, one level at a time.
     """
     if max_len is None:
         max_len = min_len
-    if not 4 <= min_len <= max_len <= DEFAULT_CYCLE_CAP:
-        raise ValueError(f"pair closure reads lengths 4 to {DEFAULT_CYCLE_CAP}")
+    if min_len < 4:
+        raise ValueError("cycles start at length 4")
+    if min_len > max_len:
+        raise ValueError("empty length range")
     cycles = []
     four = min_len == 4
     past4 = max_len > 4
@@ -634,26 +565,36 @@ def short_chordless(masks, min_len: int, max_len: Optional[int] = None) -> list:
                                 low = fourths & -fourths
                                 fourths ^= low
                                 d = low.bit_length() - 1
-                                mid = masks[d] & lasts & ~wider
-                                while mid:
-                                    low = mid & -mid
-                                    mid ^= low
-                                    cycles.append((s, v1, a, b, c, d, low.bit_length() - 1, vt))
+                                md = masks[d]
+                                if min_len <= 8:
+                                    mid = md & lasts & ~wider
+                                    while mid:
+                                        low = mid & -mid
+                                        mid ^= low
+                                        cycles.append((s, v1, a, b, c, d, low.bit_length() - 1, vt))
+                                if max_len == 8:
+                                    continue
+                                # one level at a time from here: each path with its
+                                # next vertices and the neighbours of its inner vertices
+                                stack = [((s, v1, a, b, c, d), md & inner & ~wider, wider | md)]
+                                while stack:
+                                    path, nexts, around = stack.pop()
+                                    size = len(path) + 3  # the length a next vertex closes
+                                    while nexts:
+                                        low = nexts & -nexts
+                                        nexts ^= low
+                                        e = low.bit_length() - 1
+                                        me = masks[e]
+                                        child = path + (e,)
+                                        if min_len <= size:
+                                            mid = me & lasts & ~around
+                                            while mid:
+                                                low = mid & -mid
+                                                mid ^= low
+                                                cycles.append(child + (low.bit_length() - 1, vt))
+                                        if size < max_len:
+                                            more = me & inner & ~around
+                                            if more:
+                                                stack.append((child, more, around | me))
     return cycles
 
-
-def _reach(masks, s: int, depth: int) -> list:
-    """``reach[r]`` for r = 0 .. ``depth``: the vertices above s within
-    distance r of s in the graph on the vertices from s up, as bitmasks."""
-    above = -2 << s  # the bits above s
-    reach = [0]
-    frontier = 1 << s
-    while len(reach) <= depth:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= masks[low.bit_length() - 1]
-        frontier = nxt & above & ~reach[-1]
-        reach.append(reach[-1] | frontier)
-    return reach

@@ -18,13 +18,12 @@ from .complexes import (
     DEFAULT_CYCLE_CAP,
     SimplicialComplex,
     canonical_cycle,
+    chordless_cycles,
     chords,
     empty_clique,
     full_cycles,
-    grow_chordless,
     is_flag,
     mask_edges,
-    short_chordless,
 )
 from .errors import NotACovering
 from .verdicts import Verdict, failed, passed
@@ -201,9 +200,8 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
 
     A searched link is read shortest rim first, and the first length with
     a full cycle names the witness.  Pair closure
-    (:func:`~combcurv.complexes.short_chordless`) reads lengths 4 and 5
-    one at a time and then 6 .. min(k - 1, 8) in one call; a raised k
-    reads the lengths 9 .. k - 1 by one path search (:func:`grow_chordless`)."""
+    (:func:`~combcurv.complexes.chordless_cycles`) reads lengths 4 and 5
+    one at a time and then 6 .. k - 1 in one call."""
     check_k_and_m(k, None)
     for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
@@ -218,13 +216,11 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
             # the shortest length first: the witness is the least (length, cycle)
             cycles = []
             for length in range(4, min(k, 6)):
-                cycles = short_chordless(masks, length)
+                cycles = chordless_cycles(masks, length)
                 if cycles:
                     break
             if k > 6 and not cycles:
-                cycles = short_chordless(masks, 6, min(k - 1, DEFAULT_CYCLE_CAP))
-                if k > DEFAULT_CYCLE_CAP + 1 and not cycles:
-                    cycles = grow_chordless(masks, DEFAULT_CYCLE_CAP + 1, k - 1)
+                cycles = chordless_cycles(masks, 6, k - 1)
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:
@@ -260,7 +256,7 @@ def _large_by_wheels(X: SimplicialComplex, k: int, stream):
 
 def _link_rings(masks):
     """The cycle components of a link graph of maximum degree 2, each in the
-    form :func:`short_chordless` emits a cycle, in sorted order; None when
+    form :func:`chordless_cycles` emits a cycle, in sorted order; None when
     a vertex has degree 3 or more or a component is a triangle.
 
     Lemma: the components of a graph whose vertices have degree at most 2
@@ -323,14 +319,12 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     The rims are read off each vertex's
     :meth:`~SimplicialComplex.link_masks`, in rank space, and map back to
     ambient ids through the increasing rank map, which keeps them
-    canonical; no link complex is built.  Rims of up to 8 vertices come by
-    pair closure (the lemma of :func:`~combcurv.complexes.short_chordless`),
-    which keeps nothing but the graph between calls.  Lengths 4 and 5 are
-    closed one at a time, as most joins stop there; the first draw of 6
-    closes 6 .. min(k_max, 8) in one call per link, and the draws of 7
-    and 8 take its cycles.  A raised k_max reads the lengths from 9 by one
-    path search per link (:func:`grow_chordless`) at the draw of 9.  So
-    the stream is lazy: no kernel runs before a caller draws the first
+    canonical; no link complex is built.  The rims come by pair closure
+    (the lemma of :func:`~combcurv.complexes.chordless_cycles`), which
+    keeps nothing but the graph between calls.  Lengths 4 and 5 are closed
+    one at a time, as most joins stop there; the first draw of 6 closes
+    6 .. k_max in one call per link, and the later draws take its cycles.
+    So the stream is lazy: no kernel runs before a caller draws the first
     length it serves.
 
     A link graph of maximum degree 2 is not searched: its components are
@@ -353,18 +347,16 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
         for ring in rings:
             if len(ring) <= k_max:
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
-    closed = {}  # rim length -> its searched wheels, closed at the draw of 6 or 9
     for k in range(4, k_max + 1):
         if k < 6:
             found = [(v, tuple([ids[i] for i in cyc]))
-                     for v, ids, masks in links for cyc in sorted(short_chordless(masks, k))]
+                     for v, ids, masks in links for cyc in sorted(chordless_cycles(masks, k))]
         else:
-            if k not in closed:
-                top = min(k_max, DEFAULT_CYCLE_CAP) if k == 6 else k_max
-                close = short_chordless if k == 6 else grow_chordless
-                closed.update((j, []) for j in range(k, top + 1))
+            if k == 6:
+                # rim length -> its searched wheels, closed at the draw of 6
+                closed = {j: [] for j in range(6, k_max + 1)}
                 for v, ids, masks in links:
-                    for cyc in sorted(close(masks, k, top)):
+                    for cyc in sorted(chordless_cycles(masks, 6, k_max)):
                         closed[len(cyc)].append((v, tuple([ids[i] for i in cyc])))
             found = closed.pop(k)
         yield k, found + rings_of[k]

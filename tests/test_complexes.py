@@ -19,11 +19,10 @@ from combcurv.complexes import (
     chords,
     empty_clique,
     flag_witness,
+    chordless_cycles,
     full_cycles,
-    grow_chordless,
     is_flag,
     mask_edges,
-    short_chordless,
 )
 from combcurv.curvature import is_locally_k_large, is_m_located, wheels
 from combcurv.errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
@@ -269,10 +268,10 @@ class TestFullCycles:
         # the inputs reach every length of the ranges, so each bound is tested
         assert lengths == set(range(4, CYCLE_CAP + 1))
 
-    def test_path_search_against_the_referee(self):
-        # one search holds exactly the referee's cycles at every length up
-        # to the cap; from length 9 on, where only the search serves, it
-        # does too, alone and through full_cycles with a raised cap
+    def test_wide_and_long_ranges_against_the_referee(self):
+        # one kernel call holds exactly the referee's cycles at every length
+        # up to the cap; from length 9 on, past the cap, it does too, alone
+        # and through full_cycles with a raised cap
         rng = random.Random(1999)
         inputs = [gen("random_flag", rng.randint(6, 10), rng.choice((0.3, 0.45, 0.6)), seed)
                   for seed in range(25)]
@@ -282,7 +281,7 @@ class TestFullCycles:
         lengths = set()
         for X in inputs:
             ref = naive_full_cycles(X, 4, CYCLE_CAP)
-            got = grow_chordless(adjacency_masks(X), 4, CYCLE_CAP)
+            got = chordless_cycles(adjacency_masks(X), 4, CYCLE_CAP)
             assert sorted(got, key=lambda c: (len(c), c)) == ref, X.name
             lengths.update(map(len, ref))
         assert lengths == set(range(4, CYCLE_CAP + 1))
@@ -297,7 +296,7 @@ class TestFullCycles:
             masks = adjacency_masks(X)
             for lo, hi in ((9, 9), (9, 10), (10, 10)):
                 want = [c for c in ref if lo <= len(c) <= hi]
-                got = grow_chordless(masks, lo, hi)
+                got = chordless_cycles(masks, lo, hi)
                 assert sorted(got, key=lambda c: (len(c), c)) == want, (X.name, lo, hi)
                 mine = [c.vertices for c in full_cycles(X, lo, hi, cap=10)]
                 assert mine == want, (X.name, lo, hi)
@@ -311,12 +310,15 @@ class TestFullCycles:
             assert cyc.vertices == canonical_cycle(cyc.vertices)
 
 
-LENGTH_RANGES = [(lo, hi) for lo in range(4, CYCLE_CAP + 1) for hi in range(lo, CYCLE_CAP + 1)]
+def length_ranges(top):
+    """Every length range (lo, hi) with 4 <= lo <= hi <= top."""
+    return [(lo, hi) for lo in range(4, top + 1) for hi in range(lo, top + 1)]
 
 
 class TestShortChordless:
-    """The pair closure of chordless cycles of 4 to 8 vertices against the
-    referees, at every length and every length range."""
+    """The pair closure of chordless cycles against the referees, at every
+    length and every length range: up to 8 vertices on every input, and up
+    to 10 on the sparse ones, whose cycles are long."""
 
     def test_against_naive_full_cycles(self, octa, icosa):
         # on the 1-skeleton, flag or not, with ids that skip some values
@@ -328,17 +330,18 @@ class TestShortChordless:
         inputs += [build_complex(([3 * v + 2 for v in s] for s in X.maximal_simplices()))
                    for X in (octa, icosa, gen("c_n", 5), gen("c_n", 8))]
         # sparse draws (average degree about 4) reach the longer lengths
-        inputs += [gen("random_flag", n, 4 / n, rng.randrange(10**6)) for n in range(14, 24)]
+        sparse = [gen("random_flag", n, 4 / n, rng.randrange(10**6)) for n in range(14, 24)]
         found = Counter()
-        for X in inputs:
+        for X, top in [(X, CYCLE_CAP) for X in inputs] + [(X, 10) for X in sparse]:
             masks = adjacency_masks(X)
-            ref = naive_full_cycles(X, 4, CYCLE_CAP)
-            for lo, hi in LENGTH_RANGES:
-                got = short_chordless(masks, lo) if lo == hi else short_chordless(masks, lo, hi)
+            ref = naive_full_cycles(X, 4, top)
+            for lo, hi in length_ranges(top):
+                got = chordless_cycles(masks, lo) if lo == hi else chordless_cycles(masks, lo, hi)
                 assert len(got) == len(set(got)), (X.name, lo, hi)
                 assert sorted(got) == sorted(c for c in ref if lo <= len(c) <= hi), (X.name, lo, hi)
             found.update(map(len, ref))
         assert all(found[k] > 50 for k in range(4, CYCLE_CAP + 1)), found
+        assert found[9] > 10 and found[10] > 10, found
 
     def test_link_graphs_against_naive_wheels_at(self):
         # on the link graphs, mapped back to ambient ids through the
@@ -348,18 +351,21 @@ class TestShortChordless:
                    for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
         inputs += [two_cycles_cone(), hollow_triangle_cone()]
         # the apex link of a cone is its base, here the 2-skeleton of a
-        # sparse draw, which holds rims of up to 8 vertices
+        # sparse draw, which holds rims of up to 9 vertices, a long cycle,
+        # or the 4 x 4 grid graph, whose rims have 4, 8 and 10 vertices
         rng = random.Random(5)
+        grid = [(i, i + 1) for i in range(16) if i % 4 < 3] + [(i, i + 4) for i in range(12)]
+        sparse = [cone(gen("c_n", 9)), cone(gen("c_n", 10)), cone(build_complex(grid))]
         for n in (14, 14, 15, 15, 16, 16):
             Y = gen("random_flag", n, 4 / n, rng.randrange(10**6))
-            inputs.append(cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))))
+            sparse.append(cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))))
         found = Counter()
-        for X in inputs:
+        for X, top in [(X, CYCLE_CAP) for X in inputs] + [(X, 10) for X in sparse]:
             for v in X.vertices:
                 ids, masks = X.link_masks(v)
-                ref = naive_wheels_at(X, v, 4, CYCLE_CAP)
-                for lo, hi in LENGTH_RANGES:
-                    got = short_chordless(masks, lo, hi)
+                ref = naive_wheels_at(X, v, 4, top)
+                for lo, hi in length_ranges(top):
+                    got = chordless_cycles(masks, lo, hi)
                     assert len(got) == len(set(got)), (X.name, v, lo, hi)
                     got = sorted((v, tuple(ids[i] for i in c)) for c in got)
                     assert got == [w for w in ref if lo <= len(w[1]) <= hi], (X.name, v, lo, hi)
@@ -367,18 +373,31 @@ class TestShortChordless:
         # the 600-cell alone has 1 440 rims of 5 vertices
         assert found[4] > 20 and found[5] > 1440, found
         assert all(found[k] > 10 for k in range(6, CYCLE_CAP + 1)), found
+        assert found[9] > 3 and found[10] > 3, found
 
-    def test_lengths_outside_4_to_8_raise(self, icosa):
+    def test_lengths_below_4_and_empty_ranges_raise(self, icosa):
         masks = adjacency_masks(icosa)
-        for args in ((3,), (9,), (3, 5), (6, 9), (6, 5)):
-            with pytest.raises(ValueError, match="lengths 4 to 8"):
-                short_chordless(masks, *args)
+        for args, message in (((3,), "start at length 4"), ((3, 5), "start at length 4"),
+                              ((6, 5), "empty length range")):
+            with pytest.raises(ValueError, match=message):
+                chordless_cycles(masks, *args)
+        # past 8 vertices the lengths are read as any other
+        lengths = set()
+        for X in (icosa, gen("c_n", 9), gen("random_flag", 24, 3 / 24, 9)):
+            masks = adjacency_masks(X)
+            ref = naive_full_cycles(X, 4, 9)
+            for args in ((9,), (6, 9)):
+                want = [c for c in ref if args[0] <= len(c) <= args[-1]]
+                assert sorted(chordless_cycles(masks, *args), key=lambda c: (len(c), c)) == want
+            lengths.update(map(len, ref))
+        assert 9 in lengths, lengths
 
 
 class TestWindowCut:
-    """The distance cut of the path search against the referee, on inputs
-    where it drops paths: every reach table the search builds is watched,
-    and a family counts as cut once a table removes a candidate tip."""
+    """The kernel against the referee on inputs whose chordless paths
+    wander far from their least vertex: surfaces, long cycles and sparse
+    draws, where a path search once cut its paths to a distance window
+    around that vertex."""
 
     @staticmethod
     def families():
@@ -391,27 +410,12 @@ class TestWindowCut:
         yield "random_flag", [(gen("random_flag", n, 3 / n, rng.randrange(10**6)), 9)
                               for n in (20, 24, 28, 32, 36, 40)]
 
-    def test_same_cycles_as_the_referee_where_the_cut_prunes(self, monkeypatch):
-        # the search at every max_len of each input, and full_cycles where
-        # it still searches: from max_len 9, with a raised cap.  On the
-        # spheres and tori the referee's paths grow about fivefold per
-        # length, so those run the search up to their largest max_len only
-        cut = {"tips": 0}
-
-        class Watched(int):
-            # a reach mask that counts the candidate tips it removes
-            def __rand__(self, other):
-                kept = int(other) & int(self)
-                cut["tips"] += bin(other ^ kept).count("1")
-                return kept
-
-            __and__ = __rand__
-
-        reach = complexes._reach
-        monkeypatch.setattr(complexes, "_reach",
-                            lambda *args: [Watched(r) for r in reach(*args)])
+    def test_same_cycles_as_the_referee_where_the_cut_prunes(self):
+        # the kernel at every max_len of each input, and full_cycles past
+        # the cap: from max_len 9, with a raised cap.  On the spheres and
+        # tori the referee's paths grow about fivefold per length, so
+        # those run up to their largest max_len only
         for family, inputs in self.families():
-            cut["tips"] = 0
             searched = 0
             for X, top in inputs:
                 ref = naive_full_cycles(X, 4, top)
@@ -419,33 +423,26 @@ class TestWindowCut:
                 for hi in range(5, top + 1):
                     for lo in (4, hi):
                         want = [c for c in ref if lo <= len(c) <= hi]
-                        mine = grow_chordless(masks, lo, hi)
+                        mine = chordless_cycles(masks, lo, hi)
                         assert sorted(mine, key=lambda c: (len(c), c)) == want, (X.name, lo, hi)
                         if hi > CYCLE_CAP:
                             mine = [c.vertices for c in full_cycles(X, lo, hi, cap=hi)]
                             assert mine == want, (X.name, lo, hi)
                             searched += 1
-            assert cut["tips"] > 0, family
             if family in ("c_n", "random_flag"):
                 assert searched == 2 * len(inputs), family
 
-    def test_link_searches_build_no_reach_table(self, monkeypatch, icosa):
-        # up to length 8 every caller closes pairs, in the links and on
-        # the 1-skeleton: no path search runs, so no reach table is built
-        def refuse(*args):
-            raise AssertionError("path search run")
-
+    def test_link_searches_close_by_length_ranges(self, monkeypatch, icosa):
+        # every caller closes pairs, in the links and on the 1-skeleton:
+        # the links at lengths 4 and 5 alone and at 6 .. 8 in one call
         closures = []
-        short = curvature.short_chordless
+        close = curvature.chordless_cycles
 
         def closing(*args):
             closures.append(args[1:])
-            return short(*args)
+            return close(*args)
 
-        monkeypatch.setattr(complexes, "_reach", refuse)
-        monkeypatch.setattr(complexes, "grow_chordless", refuse)
-        monkeypatch.setattr(curvature, "grow_chordless", refuse)
-        monkeypatch.setattr(curvature, "short_chordless", closing)
+        monkeypatch.setattr(curvature, "chordless_cycles", closing)
         inputs = [gen("tri_torus", 6, 6), icosa, gen("cell600")]
         inputs += [gen("random_flag", 12, 0.35, seed) for seed in range(5)]
         for X in inputs:

@@ -178,16 +178,15 @@ class TestLocallyLarge:
 
     def test_max_degree_2_links_are_not_searched(self, gs2, icosa, torus66, monkeypatch):
         # a link graph of maximum degree 2 is read as its cycle components:
-        # neither rim kernel (pair closure up to length 8, path search from
-        # 9) and no clique search; a link with a vertex of degree 3 or
-        # more, or a triangle component, is searched
-        calls = {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}
+        # no pair closure and no clique search; a link with a vertex of
+        # degree 3 or more, or a triangle component, is searched
+        calls = {"chordless_cycles": 0, "empty_clique": 0}
         lengths = Counter()  # the length ranges of the pair closures
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
-                if name == "short_chordless":
+                if name == "chordless_cycles":
                     lengths[args[1:]] += 1
                 return fn(*args)
             return wrapper
@@ -212,17 +211,16 @@ class TestLocallyLarge:
             assert check()
             # each link is still read once
             assert masks == list(X.vertices)
-        assert calls == {"short_chordless": 0, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert calls == {"chordless_cycles": 0, "empty_clique": 0}, calls
 
         # the 600-cell's links are icosahedra, searched by pair closure at
-        # rim lengths 4 and 5, and at length 6 only when 6 is drawn; no
-        # path is searched
+        # rim lengths 4 and 5, and at length 6 only when 6 is drawn
         cell600 = gen("cell600")
         assert is_m_located(cell600, 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
-        assert calls == {"short_chordless": 240, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert calls == {"chordless_cycles": 240, "empty_clique": 0}, calls
         assert lengths == {(4,): 120, (5,): 120}, lengths
         assert len(wheels(cell600, 6, 6)) == 120 * 40
-        assert calls == {"short_chordless": 600, "grow_chordless": 0, "empty_clique": 0}, calls
+        assert calls == {"chordless_cycles": 600, "empty_clique": 0}, calls
         assert lengths == {(4,): 240, (5,): 240, (6, 6): 120}, lengths
         verdict = is_locally_k_large(hollow_triangle_cone(), 5)
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
@@ -386,35 +384,27 @@ class TestWheels:
         assert set(lengths) == set(range(4, 9)), lengths
 
     def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
-        # the first draw of length 6 closes 6 .. min(k_max, 8) in one
-        # kernel call per searched link, and no path is searched; with a
-        # raised k_max, one path search per link serves the lengths from
-        # 9, and the wheels are still the naive ones
-        closures, searches = Counter(), Counter()
-        short, grow = curvature.short_chordless, curvature.grow_chordless
+        # the first draw of length 6 closes 6 .. k_max in one kernel call
+        # per searched link, a raised k_max too, and the wheels are still
+        # the naive ones
+        closures = Counter()
+        close = curvature.chordless_cycles
 
         def closing(masks, *lengths):
             closures[lengths] += 1
-            return short(masks, *lengths)
+            return close(masks, *lengths)
 
-        def searching(masks, *lengths):
-            searches[lengths] += 1
-            return grow(masks, *lengths)
-
-        monkeypatch.setattr(curvature, "short_chordless", closing)
-        monkeypatch.setattr(curvature, "grow_chordless", searching)
+        monkeypatch.setattr(curvature, "chordless_cycles", closing)
         # a 10-cycle with a triangle on its edge 01: the apex link of the
         # cone has a vertex of degree 3, so it is searched, and a rim of 10
         ring = build_complex([(i, (i + 1) % 10) for i in range(10)] + [(0, 1, 10)])
         for X in (gen("random_flag", 12, 0.35, 5), cone(ring)):
             links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
             assert links > 0, X.name
-            for k_max, top in ((7, 7), (8, 8), (10, 8)):
+            for k_max in (7, 8, 10):
                 closures.clear()
-                searches.clear()
                 got = sorted((w.center, w.rim) for w in wheels(X, 4, k_max))
-                assert closures == {(4,): links, (5,): links, (6, top): links}, (X.name, closures)
-                assert searches == ({(9, 10): links} if k_max > 8 else {}), (X.name, searches)
+                assert closures == {(4,): links, (5,): links, (6, k_max): links}, (X.name, closures)
                 assert got == [w for v in X.vertices for w in naive_wheels_at(X, v, 4, k_max)], \
                     (X.name, k_max)
         assert max(len(rim) for _, rim in got) == 10
@@ -652,22 +642,21 @@ class TestDWheelStream:
         # no rim length is searched before the join asks for it.  These
         # draws fail 8-location at a (4,4)-dwheel of boundary 4, so the join
         # never asks for length 5: each searched link (not read as rings)
-        # is closed at length 4 once, and no path is grown
+        # is closed at length 4 once, and at no other length
         searched = []
-        short = curvature.short_chordless
+        close = curvature.chordless_cycles
 
-        def spy(masks, k):
-            searched.append(k)
-            return short(masks, k)
-        monkeypatch.setattr(curvature, "short_chordless", spy)
-        monkeypatch.setattr(curvature, "grow_chordless", lambda *args: searched.append(args))
+        def spy(masks, *lengths):
+            searched.append(lengths)
+            return close(masks, *lengths)
+        monkeypatch.setattr(curvature, "chordless_cycles", spy)
         for seed in (5, 19, 34, 45):
             X = gen("random_flag", 12, 0.35, seed)
             searched.clear()
             verdict = curvature.m_located(X, is_flag(X), 8)
             assert verdict.witness["dwheel"]["boundary_length"] == 4, seed
             links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
-            assert links > 0 and searched == [4] * links, (seed, searched)
+            assert links > 0 and searched == [(4,)] * links, (seed, searched)
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -945,26 +934,24 @@ class TestLocatedAndLarge:
                 return fn(*args)
             monkeypatch.setattr(owner, name, spy)
 
-        for name in ("empty_clique", "grow_chordless", "is_flag"):
+        for name in ("empty_clique", "is_flag"):
             count(curvature, name)
         count(cli, "is_flag")
         count(SimplicialComplex, "link_masks")
-        # rim lengths 4 and 5 come by pair closure, which builds no path:
-        # the path search, whose frontier would hand 5 040 and 7 336 open
-        # paths to the next length, is never called, as the join fails
-        # before drawing length 6
-        lengths, short = Counter(), curvature.short_chordless
+        # rim lengths 4 and 5 come by pair closure, one length a call, and
+        # no other length is closed, as the join fails before drawing 6
+        lengths, close = Counter(), curvature.chordless_cycles
 
-        def closing(masks, k):
-            calls["short_chordless"] += 1
-            lengths[k] += 1
-            return short(masks, k)
-        monkeypatch.setattr(curvature, "short_chordless", closing)
+        def closing(masks, *args):
+            calls["chordless_cycles"] += 1
+            lengths[args] += 1
+            return close(masks, *args)
+        monkeypatch.setattr(curvature, "chordless_cycles", closing)
         X = gen("cell600")
-        expected = Counter(link_masks=120, short_chordless=240, is_flag=1)
+        expected = Counter(link_masks=120, chordless_cycles=240, is_flag=1)
         curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
         assert calls == expected, calls
-        assert lengths == {4: 120, 5: 120}, lengths
+        assert lengths == {(4,): 120, (5,): 120}, lengths
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
         calls.clear()

@@ -757,7 +757,7 @@ class TestTheoremBStages:
     def test_one_link_read_per_vertex_for_both_hypotheses(self, all_pass, monkeypatch):
         # the 600-cell's links are icosahedra, read once and closed at rim
         # lengths 4 and 5 once each for local 5-largeness and 8-location
-        # together, with no path search; the flag verdict is the is_flag
+        # together, and at no other length; the flag verdict is the is_flag
         # stage's
         counts = Counter()
 
@@ -769,14 +769,14 @@ class TestTheoremBStages:
                 return fn(*args)
             monkeypatch.setattr(owner, name, spy)
 
-        for name in ("empty_clique", "grow_chordless", "short_chordless", "is_flag"):
+        for name in ("empty_clique", "chordless_cycles", "is_flag"):
             count(curvature, name)
         count(manifold, "is_flag")
         count(SimplicialComplex, "link_masks")
         verdict = verify_theorem_b(gen("cell600"))
         assert verdict.to_json() == theorem_b_fail(
             "8_located", "(5,5)-dwheel of boundary length 7 fits in no 1-ball", UNLOCATED_CELL600)
-        assert counts == Counter(link_masks=120, short_chordless=240, is_flag=1), counts
+        assert counts == Counter(link_masks=120, chordless_cycles=240, is_flag=1), counts
 
     def test_first_failing_report_verdict(self, calls, monkeypatch):
         X = build_complex([[0, 1, 2, 3]])

@@ -1,6 +1,7 @@
 """Scripts under tools/."""
 
 import importlib.util
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def test_cover_digest_meets_both_covering_failures():
 def test_local_digest_repeats():
     # the named generators up to gs2: passes, failures and refusals
     local_digest = load_tool("local_digest")
-    items = list(islice(local_digest.complexes(), 9))
+    items = list(islice(local_digest.corpus(), 9))
     hexdigest, counts = local_digest.digest(items)
     assert counts["complexes"] == 9 and counts["calls"] == 9 * 16
     assert counts["passed"] and counts["failed"] and counts["refused"]
@@ -52,9 +53,19 @@ def test_local_digest_names_empty_triangles_and_tetrahedra():
     # the draws less some triangles or tetrahedra reach both witness sizes
     # below the 5-cliques, so each of the flagness counts can fail
     local_digest = load_tool("local_digest")
-    items = list(islice(local_digest.non_flag_draws(), 30))
+    items = [(label, X, local_digest.calls)
+             for label, X in islice(local_digest.non_flag_draws(), 30)]
     counts = local_digest.digest(items)[1]
     assert counts["empty 3-cliques"] and counts["empty 4-cliques"]
+
+
+def test_local_digest_lists_cycles_and_rims_of_9_and_10_vertices():
+    # the long calls on the sparse draws and their cones read both lengths
+    local_digest = load_tool("local_digest")
+    items = list(islice(local_digest.sparse_draws(), 10))
+    cycles = Counter(len(c) for _, X in items for c in local_digest.full_cycles(X, 9, 10, cap=10))
+    rims = Counter(len(w.rim) for _, X in items for w in local_digest.wheels(X, 9, 10))
+    assert cycles[9] and cycles[10] and rims[9] and rims[10], (cycles, rims)
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blanks():

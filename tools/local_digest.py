@@ -4,8 +4,8 @@
 Runs the wheel layer and the checks built on it on every complex of the
 corpus and prints one SHA-256 over their outputs in ``--json`` form, then
 the number of complexes, of calls, of passing and failing verdicts, of
-refused calls, of the wheels and dwheels listed and of the empty cliques
-``is_flag`` names, by size.  A change that must leave these outputs
+refused calls, of the cycles, wheels and dwheels listed and of the empty
+cliques ``is_flag`` names, by size.  A change that must leave these outputs
 byte-identical prints the same digest before and after.
 
 The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
@@ -15,7 +15,10 @@ The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
 ``check_7cycle_fillings``, and ``located_and_large(X, is_flag(X), m, 5)``
 for m = 6, 7, 8, with its two verdicts and its dwheel types sorted.  A
 call that raises on a failed precondition hashes its error type and
-message.
+message.  On the sparse corpus below the calls are the long ones instead:
+``full_cycles(X, 9, 10, cap=10)``, ``wheels(X, 9, 10)`` and
+``is_locally_k_large(X, 10)``, which read chordless cycles and rims of 9
+and 10 vertices.
 
 Corpus: the named generators, the degree-7 surface and disk fixtures, the
 cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
@@ -26,11 +29,14 @@ less about an eighth of its triangles (and the tetrahedra on them, as
 ``test_curvature.without_some_triangles`` does) or of its tetrahedra.
 The first leave empty triangles and the second empty tetrahedra, and a
 draw whose graph has a 5-clique fails on it, so ``is_flag`` names
-witnesses of 3, 4 and 5 vertices.
+witnesses of 3, 4 and 5 vertices.  Then the sparse corpus: 60 seeded
+``random_flag(n, 3 / n)`` draws, n = 16 .. 40, whose graphs have average
+degree about 3 and so long chordless cycles, each followed by the cone
+over its 2-skeleton, whose apex link is that 2-skeleton.
 
 Run from the repository root:  python3 tools/local_digest.py
-On this corpus it prints 7f08c99a2ea7292a5fb0214de79c2368ee7539a34dbdff660cb66509d0685ab5
-(1341 complexes, 21456 calls).
+On this corpus it prints 1fcd164869172ba8b95364a9ff0d0d9bf9f8cd92b0f4cfd7a0f76364bdf415d3
+(1461 complexes, 21816 calls).
 """
 
 import hashlib
@@ -46,7 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
-from combcurv.complexes import SimplicialComplex, is_flag  # noqa: E402
+from combcurv.complexes import SimplicialComplex, full_cycles, is_flag  # noqa: E402
 from combcurv.curvature import (  # noqa: E402
     dwheels,
     is_locally_k_large,
@@ -71,6 +77,7 @@ NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
 CONE_TYPES = ((5, 5), (6, 5), (6, 6), (7, 5))
 DRAWS = 1000
 NON_FLAG_DRAWS = 200
+SPARSE_DRAWS = 60
 SPHERE_CHECKS = (is_5_6_star_sphere, check_sphere_cycle_lemma, check_7cycle_fillings)
 
 
@@ -126,6 +133,37 @@ def non_flag_draws():
         yield f"random_flag{list(params)} less some {dim}-simplices", X
 
 
+def sparse_draws():
+    """(label, complex) of the sparse draws, each followed by the cone over
+    its 2-skeleton from the apex ``vertex_count``."""
+    rng = random.Random(2071)
+    for _ in range(SPARSE_DRAWS):
+        n = rng.randint(16, 40)
+        params = (n, 3 / n, rng.randrange(10_000))
+        X = generate(GeneratorSpec("random_flag", params))
+        yield f"random_flag{list(params)}", X
+        apex = X.vertex_count
+        faces = (s + (apex,) for d in range(3) for s in X.simplices(d))
+        yield f"cone over random_flag{list(params)}", build_complex(faces)
+
+
+def corpus():
+    """(label, complex, calls) of the whole corpus, in a fixed order: the
+    complexes with :func:`calls`, then the sparse draws with
+    :func:`long_calls`."""
+    for label, X in complexes():
+        yield label, X, calls
+    for label, X in sparse_draws():
+        yield label, X, long_calls
+
+
+def long_calls(X):
+    """(label, thunk) of the calls that read cycles of 9 and 10 vertices."""
+    yield "full_cycles 9-10", lambda: full_cycles(X, 9, 10, cap=10)
+    yield "wheels 9-10", lambda: wheels(X, 9, 10)
+    yield "is_locally_k_large 10", lambda: is_locally_k_large(X, 10)
+
+
 def calls(X):
     """(label, thunk) of every call made on ``X``, in a fixed order."""
     yield "is_flag", lambda: is_flag(X)
@@ -149,11 +187,12 @@ def both_hypotheses(X, m: int) -> dict:
     return {"located": located.to_json(), "large": large.to_json(), "types": sorted(types)}
 
 
-def record(X, counts: Counter) -> list:
-    """The outputs of every call on ``X`` as JSON-ready data; ``counts``
-    gathers the calls, verdicts, refusals, wheels and dwheels."""
+def record(X, calls_of, counts: Counter) -> list:
+    """The outputs of the calls ``calls_of(X)`` as JSON-ready data;
+    ``counts`` gathers the calls, verdicts, refusals, and the cycles,
+    wheels and dwheels listed."""
     out = []
-    for label, call in calls(X):
+    for label, call in calls_of(X):
         counts["calls"] += 1
         try:
             result = call()
@@ -164,7 +203,8 @@ def record(X, counts: Counter) -> list:
         if isinstance(result, dict):
             out.append([label, result])
         elif isinstance(result, list):
-            counts["dwheels" if label.startswith("dwheels") else "wheels"] += len(result)
+            kind = label.split()[0]
+            counts["cycles" if kind == "full_cycles" else kind] += len(result)
             out.append([label, [item.to_json() for item in result]])
         else:
             counts["passed" if result.passed else "failed"] += 1
@@ -175,21 +215,22 @@ def record(X, counts: Counter) -> list:
 
 
 def digest(items):
-    """SHA-256 over the records of the (label, complex) ``items``, and the
-    counts of complexes, calls, verdicts, refusals, wheels and dwheels."""
+    """SHA-256 over the records of the (label, complex, calls) ``items``,
+    and the counts of complexes, calls, verdicts, refusals, cycles, wheels
+    and dwheels."""
     h = hashlib.sha256()
     counts = Counter()
-    for label, X in items:
+    for label, X, calls_of in items:
         counts["complexes"] += 1
-        rec = {"complex": label, "calls": record(X, counts)}
+        rec = {"complex": label, "calls": record(X, calls_of, counts)}
         h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode())
     return h.hexdigest(), counts
 
 
 def main() -> int:
-    hexdigest, counts = digest(complexes())
+    hexdigest, counts = digest(corpus())
     print(hexdigest)
-    for key in ("complexes", "calls", "passed", "failed", "refused", "wheels", "dwheels",
+    for key in ("complexes", "calls", "passed", "failed", "refused", "cycles", "wheels", "dwheels",
                 "empty 3-cliques", "empty 4-cliques", "empty 5-cliques"):
         print(f"{key} {counts[key]}")
     return 0
