@@ -169,9 +169,10 @@ def is_locally_k_large(X: SimplicialComplex, k: int) -> Verdict:
     No link complex is built: the 1-skeleton of Lk(v) is
     :meth:`~SimplicialComplex.link_masks`, on the ranks of the sorted
     neighbours of v, and its triangles are the tetrahedra at v.  One search
-    finds the first empty clique of the link, then the shortest full cycle
-    below k, both in rank space; the rank map is increasing, so both are
-    the same in ambient ids.  The witness names the simplex (a vertex)
+    finds the first empty clique of the link, then one pair closure lists
+    its full cycles below k, and the least (length, cycle) among them is
+    the witness, both in rank space; the rank map is increasing, so both
+    are the same in ambient ids.  The witness names the simplex (a vertex)
     together with that configuration; only the detail names a link clique
     by its ranks.
     ``links_checked`` counts the simplices whose link the verdict covers:
@@ -198,10 +199,9 @@ def _link_reads(X: SimplicialComplex):
 def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
     """:func:`is_locally_k_large` on the link reads of X (:func:`_link_reads`).
 
-    A searched link is read shortest rim first, and the first length with
-    a full cycle names the witness.  Pair closure
-    (:func:`~combcurv.complexes.chordless_cycles`) reads lengths 4 and 5
-    one at a time and then 6 .. k - 1 in one call."""
+    A searched link is read by one pair closure
+    (:func:`~combcurv.complexes.chordless_cycles`) of lengths 4 .. k - 1,
+    none when k = 4, and its least (length, cycle) names the witness."""
     check_k_and_m(k, None)
     for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
@@ -213,14 +213,7 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
                            "vertices": [ids[i] for i in clique]}
                 reason = f"not flag: clique {clique} spans no simplex"
                 break
-            # the shortest length first: the witness is the least (length, cycle)
-            cycles = []
-            for length in range(4, min(k, 6)):
-                cycles = chordless_cycles(masks, length)
-                if cycles:
-                    break
-            if k > 6 and not cycles:
-                cycles = chordless_cycles(masks, 6, k - 1)
+            cycles = chordless_cycles(masks, 4, k - 1) if k > 4 else []
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:

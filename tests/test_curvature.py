@@ -226,6 +226,15 @@ class TestLocallyLarge:
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
                                    "vertices": [2, 5, 7]}
         assert calls["empty_clique"] == 1, calls
+        # a searched link is closed once, at every length below k, and at
+        # none for k = 4: the 600-cell is locally 5-large, and its first
+        # link, an icosahedron, holds the 5-cycles that fail k = 7
+        lengths.clear()
+        assert is_locally_k_large(cell600, 4).passed and is_locally_k_large(cell600, 5).passed
+        assert lengths == {(4, 4): 120}, lengths
+        verdict = is_locally_k_large(cell600, 7)
+        assert verdict.stats["links_checked"] == 1 and len(verdict.witness["cycle"]) == 5
+        assert lengths == {(4, 4): 120, (4, 6): 1}, lengths
 
 
 def simplex_soups(rng, count):
@@ -259,7 +268,10 @@ class TestLocallyLargeOracle:
         inputs = list(fixtures)
         inputs += [gen("random_flag", rng.randint(6, 16), rng.choice((0.2, 0.3, 0.4, 0.5)),
                        seed) for seed in range(80)]
-        return inputs + list(simplex_soups(rng, 80)) + several_cycle_inputs()
+        # the cone over the icosahedron: a searched link (a 5-wheel) whose
+        # shortest full cycle has 5 vertices
+        return (inputs + list(simplex_soups(rng, 80)) + several_cycle_inputs()
+                + [cone(gen("icosahedron"))])
 
     def test_same_verdict_as_all_links(self, octa, icosa, bd4, gs2, disk37, surf37):
         kinds = set()
@@ -358,31 +370,6 @@ class TestWheels:
                 == {k: sorted(ws) for k, ws in by_length.items()}, X
         assert found > 100 and dropped > 0, (found, dropped)
 
-    def test_stream_rims_are_the_naive_wheels(self):
-        # lengths 4 and 5 are closed one at a time and 6 .. 8 in one call
-        # per link, whose cycles go to their lengths; none is lost or found
-        # twice: at every length 4 .. 8 the stream holds exactly the naive
-        # wheels of that length.  The inputs are flag, so no rim of the
-        # stream has a chord in X.  The 600-cell's links are all searched,
-        # and its wheels come from the per-centre referee, which the other
-        # inputs check against naive_wheels
-        cell600 = gen("cell600")
-        inputs = [cell600] + [gen("random_flag", 12, 0.35, seed) for seed in range(30)]
-        inputs += [cone(dwheel_complex(k, l, "identified")[0])
-                   for k, l in ((5, 5), (6, 5), (6, 6), (7, 5))]
-        inputs.append(two_cycles_cone())
-        lengths = Counter()
-        for X in inputs:
-            assert is_flag(X).passed, X.name
-            ref = [w for v in X.vertices for w in naive_wheels_at(X, v, 4, 8)]
-            if X is not cell600:
-                assert ref == naive_wheels(X, 4, 8), X.name
-            stream = curvature._wheels_by_length(X, 8, curvature._link_reads(X))
-            got = [(k, sorted(ws)) for k, ws in stream]
-            assert got == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, 9)], X.name
-            lengths.update(len(rim) for _, rim in ref)
-        assert set(lengths) == set(range(4, 9)), lengths
-
     def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
         # the first draw of length 6 closes 6 .. k_max in one kernel call
         # per searched link, a raised k_max too, and the wheels are still
@@ -441,23 +428,20 @@ class TestDWheels:
         assert len(boundary) == dw.boundary_length
         assert len(set(boundary)) == len(boundary)
 
-    def test_against_naive_oracle(self, octa, icosa, monkeypatch):
-        flag = [octa, icosa, gen("tri_torus", 4, 4), gen("random_flag", 12, 0.35, 7),
-                gen("random_flag", 12, 0.35, 5), gen("random_flag", 13, 0.4, 7)]
-        # less some triangles, a link-chordless rim can have a chord in X:
+    def test_against_naive_oracle(self, monkeypatch):
+        # the flag inputs are cases of TestDWheelStream's referee.  Less
+        # some triangles, a link-chordless rim can have a chord in X:
         # dwheels drops those wheels before the join
         rng = random.Random(1113)
         non_flag = [without_some_triangles(gen("random_flag", rng.randint(9, 13),
                                                 rng.choice((0.35, 0.45)), seed), rng)
                     for seed in range(60)]
         junctions, found, chorded = set(), 0, 0
-        for X in flag + non_flag:
+        for X in non_flag:
             mine = dwheels(X, 8)
             assert mine == naive_sorted_dwheels(X, 8), X.name
-            if X.name.startswith("random_flag"):
-                junctions.update(d.junction for d in mine)
-        for X in non_flag:
-            found += len(dwheels(X, 8))
+            junctions.update(d.junction for d in mine)
+            found += len(mine)
             for v in X.vertices:
                 link, vmap = naive_link(X, (v,))
                 chorded += sum(bool(chords(X, [vmap[u] for u in c.vertices]))
@@ -676,7 +660,8 @@ class TestDWheelStream:
         assert verdict.passed and verdict.stats["dwheels"] == 0
         assert drawn == [4, 5, 6]
 
-    def cases(self, icosa, disk37, surf37):
+    def cases(self, octa, icosa, disk37, surf37):
+        yield octa, 8
         yield icosa, 8
         yield gen("tri_torus", 4, 4), 8
         # vacuous at m = 7, then an unlocated (6,6)-dwheel at m = 8
@@ -701,11 +686,11 @@ class TestDWheelStream:
             yield X, 8
 
     @pytest.fixture(scope="class")
-    def refereed(self, icosa, disk37, surf37):
+    def refereed(self, octa, icosa, disk37, surf37):
         """Each case with the referee's sorted dwheels, built once for the
         tests of this class."""
         return [(X, top, naive_sorted_dwheels(X, top))
-                for X, top in self.cases(icosa, disk37, surf37)]
+                for X, top in self.cases(octa, icosa, disk37, surf37)]
 
     def test_same_dwheels_and_verdict_as_global_sort(self, refereed):
         outcomes, junctions, buckets, typed = set(), set(), set(), set()
@@ -763,8 +748,9 @@ class TestDWheelStream:
                 assert mirror.vertex_set == dw.vertex_set
                 assert in_one_ball(X, mirror.vertex_set) == center
                 assert (position[mirror] < i) == (a < w), (X.name, dw)
-        # edge junctions, and identified dwheels both located and not
-        assert counts == {("edge", False): 43, ("identified", False): 1120,
+        # edge junctions, and identified dwheels both located and not (the
+        # octahedron's 24 are not)
+        assert counts == {("edge", False): 43, ("identified", False): 1144,
                           ("identified", True): 22}, counts
 
     @staticmethod
