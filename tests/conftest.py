@@ -1,6 +1,7 @@
 import random
 import sys
 from bisect import insort
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from combcurv import GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large, metric
 from combcurv.complexes import SimplicialComplex
 from combcurv.formats import load_path
+
+from oracles import naive_wheels_at
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -192,6 +195,36 @@ def glued_tetrahedra():
     """Two tetrahedra sharing the triangle 1-2-3: the link of vertex 0 is
     one triangle, whose edges lie on one triangle each."""
     return build_complex([[0, 1, 2, 3], [1, 2, 3, 4]])
+
+
+def link_inputs():
+    """The inputs of the link-graph and wheel-stream referee tests, each
+    with its longest rim length.  The apex link of a cone is its base: a
+    sparse draw's 2-skeleton, with rims of up to 9 vertices, a long cycle,
+    or the 4 x 4 grid graph, whose rims have 4, 8 and 10."""
+    yield gen("cell600"), 8
+    for seed in range(30):
+        yield gen("random_flag", 12, 0.35, seed), 8
+    for k, l in ((5, 5), (6, 5), (6, 6), (7, 5)):
+        yield cone(dwheel_complex(k, l, "identified")[0]), 8
+    yield two_cycles_cone(), 8
+    yield hollow_triangle_cone(), 8
+    grid = [(i, i + 1) for i in range(16) if i % 4 < 3] + [(i, i + 4) for i in range(12)]
+    for Y in (gen("c_n", 9), gen("c_n", 10), build_complex(grid)):
+        yield cone(Y), 10
+    rng = random.Random(5)
+    for n in (14, 14, 15, 15, 16, 16):
+        Y = gen("random_flag", n, 4 / n, rng.randrange(10**6))
+        yield cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))), 10
+
+
+@pytest.fixture(scope="session")
+def link_wheels():
+    """``naive_wheels_at`` run once per vertex of each ``link_inputs()``
+    input, to its longest rim length: a list of (input, that length,
+    {vertex: its wheels})."""
+    return [(X, top, {v: naive_wheels_at(X, v, 4, top) for v in X.vertices})
+            for X, top in link_inputs()]
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from combcurv.complexes import (
     is_flag,
     mask_edges,
 )
+from combcurv.curvature import is_locally_k_large, is_m_located, wheels
 from combcurv.errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
 from combcurv.formats import dump_path, load_path
 from combcurv.generators import flag_completion
@@ -32,15 +33,11 @@ from conftest import (
     FIXTURE_DIR,
     bd4_pair_at_edge,
     bd4_pair_at_vertex,
-    cone,
-    dwheel_complex,
     gen,
     glued_tetrahedra,
-    hollow_triangle_cone,
     load_degree7_fixture,
     pinched_octahedra,
     tetrahedron_less_face,
-    two_cycles_cone,
 )
 from oracles import (
     SimplexNotPresent,
@@ -51,8 +48,6 @@ from oracles import (
     naive_link_graph,
     naive_maximal_simplices,
     naive_span,
-    naive_wheels,
-    naive_wheels_at,
 )
 from test_curvature import without_some_triangles
 
@@ -189,13 +184,15 @@ def length_ranges(top):
     return [(lo, hi) for lo in range(4, top + 1) for hi in range(lo, top + 1)]
 
 
-def refereed_cycles(X, top):
-    """The chordless cycles of X against one run of ``naive_full_cycles``
-    up to length ``top``, at every length range up to it: through
-    ``chordless_cycles``, in its range form and, for one length, in its
-    one-length form, and through ``full_cycles``, at the cap and past it
-    with a raised cap.  Returns the referee's cycles."""
-    ref = naive_full_cycles(X, 4, top)
+def refereed_cycles(X, top, ref=None):
+    """The chordless cycles of X against ``ref``, one run of
+    ``naive_full_cycles`` up to length ``top`` (made here if not given),
+    at every length range up to it: through ``chordless_cycles``, in its
+    range form and, for one length, in its one-length form, and through
+    ``full_cycles``, at the cap and past it with a raised cap.  Returns
+    the referee's cycles."""
+    if ref is None:
+        ref = naive_full_cycles(X, 4, top)
     masks = adjacency_masks(X)
     for lo, hi in length_ranges(top):
         want = [c for c in ref if lo <= len(c) <= hi]
@@ -235,6 +232,81 @@ def _named_complexes():
             build_complex(combinations(range(4), 3), name="hollow_tetrahedron")]
 
 
+def _draws_and_sparse(seed, count, n_max, degree, sizes):
+    """One seeded stream: ``count`` dense draws, then ``count`` soups,
+    then sparse draws of average degree ``degree`` on ``sizes`` vertices."""
+    rng = random.Random(seed)
+    draws = [gen("random_flag", rng.randint(6, n_max), rng.choice((0.3, 0.45, 0.6)), i)
+             for i in range(count)]
+    draws += [_two_dim_soup(rng) for _ in range(count)]
+    return draws, [gen("random_flag", n, degree / n, rng.randrange(10**6)) for n in sizes]
+
+
+def skeleton_inputs():
+    """The inputs of the 1-skeleton referee tests, each with the longest
+    length its test reads: flag or not, with ids that skip values, and
+    surfaces, long cycles and sparse draws, whose chordless paths wander
+    far from their least vertex.  Keyed by test, and for the window-cut
+    test by family."""
+    octa, icosa = gen("octahedron"), gen("icosahedron")
+    rng = random.Random(1980)
+    soups = [_two_dim_soup(rng) for _ in range(40)]
+    wide, wide_sparse = _draws_and_sparse(1999, 25, 10, 3, (20, 24, 28, 36, 40))
+    short, short_sparse = _draws_and_sparse(4805, 40, 11, 4, range(14, 24))
+    rng = random.Random(2026)
+    window_draws = [gen("random_flag", n, 3 / n, rng.randrange(10**6))
+                    for n in (20, 24, 28, 32, 36, 40)]
+
+    def at(top, inputs):
+        return [(X, top) for X in inputs]
+
+    return {
+        "corpus": at(7, [gen("c_n", 4), gen("c_n", 5), octa, icosa, gen("tri_torus", 6, 6),
+                         gen("tri_torus", 4, 5), gen("geodesic_sphere", 2)]),
+        "soups_and_gaps": at(CYCLE_CAP, soups + [_gapped(X) for X in (octa, icosa, gen("c_n", 7),
+                                                                      gen("c_n", 8))]),
+        "wide_and_long": at(CYCLE_CAP, wide + [gen("c_n", n) for n in range(4, 9)]
+                            + _named_complexes())
+        + at(10, wide_sparse + [gen("c_n", n) for n in range(9, 13)]
+             + [_gapped(gen("c_n", 9)), _gapped(gen("c_n", 10))]),
+        "short_chordless": at(CYCLE_CAP, short + [gen("c_n", n) for n in range(3, 10)]
+                              + _named_complexes()
+                              + [_gapped(X) for X in (octa, icosa, gen("c_n", 5), gen("c_n", 8))])
+        + at(10, short_sparse),
+        "past_8": at(9, [icosa, gen("c_n", 9), gen("random_flag", 24, 3 / 24, 9)]),
+        # on surfaces the referee's paths grow about fivefold per length
+        "geodesic_sphere": [(gen("geodesic_sphere", 2), 8), (gen("geodesic_sphere", 3), 7)],
+        "tri_torus": [(gen("tri_torus", n, n), 7 if n < 8 else 6) for n in range(6, 11)],
+        "c_n": at(9, [gen("c_n", n) for n in range(4, 17)]),
+        "random_flag": at(9, window_draws),
+    }
+
+
+@pytest.fixture(scope="module")
+def skeleton_refs():
+    """``naive_full_cycles`` run once per distinct input of
+    ``skeleton_inputs()``, to the longest length any test reads it at.
+    Keyed as there: a list of (input, that length, the referee's cycles)."""
+    by_test = skeleton_inputs()
+    top = {}
+    for X, length in chain.from_iterable(by_test.values()):
+        key = tuple(X.maximal_simplices())
+        top[key] = max(length, top.get(key, 0))
+    runs = {}
+    for X, _ in chain.from_iterable(by_test.values()):
+        key = tuple(X.maximal_simplices())
+        if key not in runs:
+            runs[key] = X, top[key], naive_full_cycles(X, 4, top[key])
+    return {test: [runs[tuple(X.maximal_simplices())] for X, _ in inputs]
+            for test, inputs in by_test.items()}
+
+
+def refereed_lengths(checked):
+    """The lengths of the referee's cycles of each (input, top, referee
+    run) of ``checked``, each input checked by ``refereed_cycles``."""
+    return Counter(len(c) for X, top, ref in checked for c in refereed_cycles(X, top, ref))
+
+
 class TestFullCycles:
     def test_c4_single_cycle(self, c4):
         out = full_cycles(c4, 4, 4)
@@ -256,19 +328,31 @@ class TestFullCycles:
         # explicit cap raise is allowed
         full_cycles(icosa, 4, 9, cap=9)
 
-    def test_range_validation(self, c4, icosa):
+    def test_range_validation(self, c4):
         with pytest.raises(ValueError):
             full_cycles(c4, 3, 4)
-        masks = adjacency_masks(icosa)
-        for args, message in (((3,), "start at length 4"), ((3, 5), "start at length 4"),
-                              ((6, 5), "empty length range")):
-            with pytest.raises(ValueError, match=message):
-                chordless_cycles(masks, *args)
+
+    def test_against_naive_oracle_on_corpus(self, skeleton_refs):
+        # the referee's cycles at every range up to its longest length
+        assert refereed_lengths(skeleton_refs["corpus"])
 
     @given(n=st.integers(4, 9), p=st.floats(0.2, 0.7), seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_against_naive_oracle_random(self, n, p, seed):
         refereed_cycles(gen("random_flag", n, p, seed), CYCLE_CAP)
+
+    def test_against_naive_oracle_ranges_on_soups_and_gaps(self, skeleton_refs):
+        checked = skeleton_refs["soups_and_gaps"]
+        assert sum(not is_flag(X).passed for X, _, _ in checked[:40]) >= 30
+        assert all(len(X.vertices) < X.vertex_count for X, _, _ in checked[40:])
+        # the inputs reach every length of the ranges, so each bound is tested
+        assert set(refereed_lengths(checked)) == set(range(4, CYCLE_CAP + 1))
+
+    def test_wide_and_long_ranges_against_the_referee(self, skeleton_refs):
+        # one kernel call holds exactly the referee's cycles at every length
+        # up to the cap; from length 9 on, past the cap, it does too, alone
+        # and through full_cycles with a raised cap
+        assert set(refereed_lengths(skeleton_refs["wide_and_long"])) == set(range(4, 11))
 
     def test_reported_cycles_are_chordless(self, gs2):
         for cyc in full_cycles(gs2, 4, 6):
@@ -277,130 +361,78 @@ class TestFullCycles:
             assert cyc.vertices == canonical_cycle(cyc.vertices)
 
 
-class TestChordlessCyclesAgainstReferees:
-    """Pair closure against the referees, each run once per input to the
-    longest length the input is checked at: ``naive_full_cycles`` on the
-    1-skeleton, and ``naive_wheels_at`` on the vertex link graphs, which
-    referees the wheel stream too."""
+class TestShortChordless:
+    """The pair closure of chordless cycles against the referees, at every
+    length and every length range: up to 8 vertices on every input, and up
+    to 10 on the sparse ones, whose cycles are long."""
 
-    @staticmethod
-    def skeletons():
-        """(family, input, longest length): flag or not, with ids that
-        skip values, and surfaces, long cycles and sparse draws, whose
-        chordless paths wander far from their least vertex.  An input
-        that comes twice is checked once, to the longer length."""
-        octa, icosa = gen("octahedron"), gen("icosahedron")
-        yield "named", gen("tri_torus", 4, 5), 7
-        yield "named", icosa, 9
-        for X in _named_complexes():
-            yield "named", X, CYCLE_CAP
-        for X in (octa, icosa, gen("c_n", 5), gen("c_n", 7), gen("c_n", 8)):
-            yield "gapped", _gapped(X), CYCLE_CAP
-        for X in (gen("c_n", 9), gen("c_n", 10)):
-            yield "gapped", _gapped(X), 10
-        yield "c_n", gen("c_n", 3), CYCLE_CAP
-        for n in range(4, 17):
-            yield "c_n", gen("c_n", n), 10 if 9 <= n <= 12 else 9
-        # on surfaces the referee's paths grow about fivefold per length
-        yield "geodesic_sphere", gen("geodesic_sphere", 2), 8
-        yield "geodesic_sphere", gen("geodesic_sphere", 3), 7
-        for n in range(6, 11):
-            yield "tri_torus", gen("tri_torus", n, n), 7 if n < 8 else 6
-        rng = random.Random(1980)
-        for _ in range(40):
-            yield "soups", _two_dim_soup(rng), CYCLE_CAP
-        # dense draws and soups, then sparse draws (average degree 3 or 4)
-        for seed, count, n_max, degree, sizes in ((1999, 25, 10, 3, (20, 24, 28, 36, 40)),
-                                                  (4805, 40, 11, 4, range(14, 24))):
-            rng = random.Random(seed)
-            for i in range(count):
-                p = rng.randint(6, n_max), rng.choice((0.3, 0.45, 0.6)), i
-                yield "draws", gen("random_flag", *p), CYCLE_CAP
-            for _ in range(count):
-                yield "draws", _two_dim_soup(rng), CYCLE_CAP
-            for n in sizes:
-                yield "sparse", gen("random_flag", n, degree / n, rng.randrange(10**6)), 10
-        yield "sparse", gen("random_flag", 24, 3 / 24, 9), 9
-        rng = random.Random(2026)
-        for n in (20, 24, 28, 32, 36, 40):
-            yield "random_flag", gen("random_flag", n, 3 / n, rng.randrange(10**6)), 9
-
-    def test_one_skeletons(self):
-        inputs, families = {}, {}
-        for family, X, top in self.skeletons():
-            key = tuple(X.maximal_simplices())
-            inputs[key] = X, max(top, inputs.get(key, (X, 0))[1])
-            families.setdefault(family, []).append(key)
-        found, longest = Counter(), {}
-        for key, (X, top) in inputs.items():
-            lengths = [len(c) for c in refereed_cycles(X, top)]
-            found.update(lengths)
-            longest[key] = max(lengths, default=0)
+    def test_against_naive_full_cycles(self, skeleton_refs):
+        # on the 1-skeleton, flag or not, with ids that skip some values
+        found = refereed_lengths(skeleton_refs["short_chordless"])
         assert all(found[k] > 50 for k in range(4, CYCLE_CAP + 1)), found
         assert found[9] > 10 and found[10] > 10, found
-        assert sum(not is_flag(inputs[key][0]).passed for key in families["soups"]) >= 30
-        assert all(len(X.vertices) < X.vertex_count
-                   for X, _ in map(inputs.get, families["gapped"]))
-        # each family of inputs far from their least vertex reaches its longest length
-        assert {family: max(longest[key] for key in families[family])
-                for family in ("geodesic_sphere", "tri_torus", "c_n", "random_flag")} \
-            == {"geodesic_sphere": 8, "tri_torus": 7, "c_n": 10, "random_flag": 9}
 
-    @staticmethod
-    def links():
-        """(input, longest rim length).  The apex link of a cone is its
-        base: a sparse draw's 2-skeleton, with rims of up to 9 vertices, a
-        long cycle, or the 4 x 4 grid graph, whose rims have 4, 8 and 10."""
-        yield gen("cell600"), CYCLE_CAP
-        for seed in range(30):
-            yield gen("random_flag", 12, 0.35, seed), CYCLE_CAP
-        for k, l in ((5, 5), (6, 5), (6, 6), (7, 5)):
-            yield cone(dwheel_complex(k, l, "identified")[0]), CYCLE_CAP
-        yield two_cycles_cone(), CYCLE_CAP
-        yield hollow_triangle_cone(), CYCLE_CAP
-        grid = [(i, i + 1) for i in range(16) if i % 4 < 3] + [(i, i + 4) for i in range(12)]
-        for Y in (gen("c_n", 9), gen("c_n", 10), build_complex(grid)):
-            yield cone(Y), 10
-        rng = random.Random(5)
-        for n in (14, 14, 15, 15, 16, 16):
-            Y = gen("random_flag", n, 4 / n, rng.randrange(10**6))
-            yield cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))), 10
-
-    def test_link_graphs_and_the_wheel_stream(self):
-        # the cycles of each link graph, mapped back to ambient ids through
-        # the increasing rank map, are the wheels at the vertex.  On a flag
-        # input no rim has a chord in X, and at each length the stream
-        # (lengths 4 and 5 closed one at a time, 6 and up in one call per
-        # link) holds exactly the wheels, none lost or found twice.  Off the
-        # 600-cell, up to the cap, they are the whole-complex naive_wheels
-        found, streamed, flag, whole = Counter(), set(), 0, 0
-        for X, top in self.links():
-            ref = []
+    def test_link_graphs_against_naive_wheels_at(self, link_wheels):
+        # on the link graphs, mapped back to ambient ids through the
+        # increasing rank map, the cycles are the wheels at the vertex
+        found = Counter()
+        for X, top, at in link_wheels:
             for v in X.vertices:
                 ids, masks = X.link_masks(v)
-                at = naive_wheels_at(X, v, 4, top)
                 for lo, hi in length_ranges(top):
                     got = sorted((v, tuple(ids[i] for i in c))
                                  for c in chordless_cycles(masks, lo, hi))
-                    assert got == [w for w in at if lo <= len(w[1]) <= hi], (X.name, v, lo, hi)
-                ref += at
-            found.update(len(rim) for _, rim in ref)
-            if not is_flag(X).passed:
-                continue
-            stream = curvature._wheels_by_length(X, top, curvature._link_reads(X))
-            assert [(k, sorted(ws)) for k, ws in stream] \
-                == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, top + 1)], X.name
-            streamed.update(len(rim) for _, rim in ref)
-            flag += 1
-            if top == CYCLE_CAP and X.name != "cell600":
-                assert ref == naive_wheels(X, 4, top), X.name
-                whole += 1
+                    assert got == [w for w in at[v] if lo <= len(w[1]) <= hi], (X.name, v, lo, hi)
+                found.update(len(rim) for _, rim in at[v])
         # the 600-cell alone has 1 440 rims of 5 vertices
         assert found[4] > 20 and found[5] > 1440, found
         assert all(found[k] > 10 for k in range(6, CYCLE_CAP + 1)), found
         assert found[9] > 3 and found[10] > 3, found
-        assert streamed == set(range(4, 11)), streamed
-        assert (flag, whole) == (45, 35), (flag, whole)
+
+    def test_lengths_below_4_and_empty_ranges_raise(self, icosa, skeleton_refs):
+        masks = adjacency_masks(icosa)
+        for args, message in (((3,), "start at length 4"), ((3, 5), "start at length 4"),
+                              ((6, 5), "empty length range")):
+            with pytest.raises(ValueError, match=message):
+                chordless_cycles(masks, *args)
+        # past 8 vertices the lengths are read as any other
+        assert refereed_lengths(skeleton_refs["past_8"])[9], skeleton_refs["past_8"]
+
+
+class TestWindowCut:
+    """The kernel against the referee on inputs whose chordless paths
+    wander far from their least vertex: surfaces, long cycles and sparse
+    draws, where a path search once cut its paths to a distance window
+    around that vertex."""
+
+    def test_same_cycles_as_the_referee_where_the_cut_prunes(self, skeleton_refs):
+        # the kernel at every range up to each input's longest length, and
+        # full_cycles past the cap with a raised cap; each family reaches
+        # its longest length (the long cycles c9 .. c12 are read to 10)
+        longest = {family: max(refereed_lengths(skeleton_refs[family]))
+                   for family in ("geodesic_sphere", "tri_torus", "c_n", "random_flag")}
+        assert longest == {"geodesic_sphere": 8, "tri_torus": 7, "c_n": 10, "random_flag": 9}
+
+    def test_link_searches_close_by_length_ranges(self, monkeypatch, icosa):
+        # every caller closes pairs, in the links and on the 1-skeleton:
+        # the wheel stream at lengths 4 and 5 alone and at 6 .. 8 in one
+        # call, and a searched link of the largeness check at 4 .. k - 1
+        closures = []
+        close = curvature.chordless_cycles
+
+        def closing(*args):
+            closures.append(args[1:])
+            return close(*args)
+
+        monkeypatch.setattr(curvature, "chordless_cycles", closing)
+        inputs = [gen("tri_torus", 6, 6), icosa, gen("cell600")]
+        inputs += [gen("random_flag", 12, 0.35, seed) for seed in range(5)]
+        for X in inputs:
+            is_locally_k_large(X, 9)
+            is_m_located(X, 8)
+            wheels(X, 4, 8)
+            full_cycles(X, 4, 8)
+        assert {(4,), (5,), (6, 8), (4, 8)} <= set(closures), closures
 
 
 class TestBitmaskKernels:

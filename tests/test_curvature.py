@@ -370,6 +370,30 @@ class TestWheels:
                 == {k: sorted(ws) for k, ws in by_length.items()}, X
         assert found > 100 and dropped > 0, (found, dropped)
 
+    def test_stream_rims_are_the_naive_wheels(self, link_wheels):
+        # lengths 4 and 5 are closed one at a time and 6 .. k_max in one
+        # call per link, whose cycles go to their lengths; none is lost or
+        # found twice: at every length the stream holds exactly the wheels
+        # of that length.  On a flag input no rim of the stream has a chord
+        # in X.  The 600-cell's links are all searched, and its wheels come
+        # from the per-centre referee, which the other flag inputs at 8
+        # check against naive_wheels
+        lengths, flag, whole = set(), 0, 0
+        for X, top, at in link_wheels:
+            if not is_flag(X).passed:
+                continue
+            ref = [w for v in X.vertices for w in at[v]]
+            stream = curvature._wheels_by_length(X, top, curvature._link_reads(X))
+            got = [(k, sorted(ws)) for k, ws in stream]
+            assert got == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, top + 1)], X.name
+            lengths.update(len(rim) for _, rim in ref)
+            flag += 1
+            if top == 8 and X.name != "cell600":
+                assert ref == naive_wheels(X, 4, top), X.name
+                whole += 1
+        assert lengths == set(range(4, 11)), lengths
+        assert (flag, whole) == (45, 35), (flag, whole)
+
     def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
         # the first draw of length 6 closes 6 .. k_max in one kernel call
         # per searched link, a raised k_max too, and the wheels are still
