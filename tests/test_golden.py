@@ -152,6 +152,10 @@ GOLDEN = [
     ("rf15_12", "delta", 0, "37b6f3eb056fd496b83bb40e18621a53928bf645ef6a0a636647c108b47e48b3"),
     # the 600-cell fails 8-location at its 7 201st dwheel
     ("cell600", "check", 1, "2022d736fdbdbcaed1b884d17526f5a68c1b79f5d00288ac786e001c633452dd"),
+    # a closed manifold whose every edge has degree 5, so three degree-5
+    # edges on each triangle: the manifold stages all pass, 5/6* fails
+    ("cell600", "validate", 1, "2819e9429d7ec3ae0f8be9778c804bb3c4df0d0dfeb033ff6311670368d49415"),
+    ("cell600", "theorem-b", 1, "d8d5673cba877e2252d63a3372dfebd26580ff9335f87994d083a9a0cf1615f0"),
     # interior thinness over hundreds of intervals per ball
     ("surf37_psl2_7", "cover5", 0, "5744866ae51e6fc7e5b46f1fe182e992e5469c01152e591e3036938d84d0a5c7"),
     ("torus66", "cover5", 0, "47b839f9990cdadc3dc93ef1e1bb9e13249e27e7a7a99e7765dfc74ca7d3b576"),

@@ -38,6 +38,18 @@ def test_cover_digest_meets_both_covering_failures():
     assert cover_digest.digest(runs)[0] == hexdigest
 
 
+def test_manifold_digest_meets_every_vertex_link_reason():
+    # the named complexes and four soups: the 600-cell, bd4, the glued bd4
+    # pairs and the suspensions reach each reason of the vertex-link stage
+    manifold_digest = load_tool("manifold_digest")
+    items = list(islice(manifold_digest.complexes(), 12))
+    hexdigest, counts = manifold_digest.digest(items)
+    assert hexdigest == "af27e0a220bd18072367d2290d8c0b6a1e31cc0b5ed4031bb81405578275ab0d"
+    assert counts["complexes"] == 12
+    reasons = {key for key in counts if key.startswith("vertex link: ")}
+    assert len(reasons) == 4, reasons
+
+
 def test_local_digest_repeats():
     # the named generators up to gs2: passes, failures and refusals
     local_digest = load_tool("local_digest")
