@@ -8,15 +8,20 @@ conditions, builds the pentagon/hexagon dual cellulation, and checks on every
 chordless cycle the cycle-filling facts the main pipeline relies on.
 
 The closed-surface and 5/6* degree tests read a surface as the rims (link
-graphs) of its vertices, off one pass over the faces that gives the link of
-every edge: the rim of u in a 2-complex is made of the links of its edges
-ua, and the rim of u in the link of a vertex v of a 3-complex is Lk(vu).  So
-vertex links are decided with no link complex built.
+graphs) of its vertices: the rim of u in a 2-complex is its link, and the
+rim of u in the link of a vertex v of a 3-complex is Lk(vu).  On a
+3-complex the edge links come off one pass over the tetrahedra, which also
+counts the tetrahedra on each triangle.  Two lemmas then decide the
+manifold stages by counts: an edge link whose triangles all lie on two
+tetrahedra is one cycle when one walk covers it (Lemma A), and a vertex
+link whose edge links are all cycles is a 2-sphere when it is connected
+with Euler characteristic 2 (Lemma B).  So vertex links are decided with
+no link complex built.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
@@ -64,15 +69,14 @@ class ManifoldReport:
 
 def five_six_star_verdict(X: SimplicialComplex, degrees: Optional[dict] = None) -> Verdict:
     """Every edge degree in {5, 6} and at most one degree-5 edge per triangle.
-    The degrees are read off :func:`_edge_link_graphs` unless given."""
-    degrees = degrees if degrees is not None else _edge_degrees(_edge_link_graphs(X))
+    The degrees are read off :func:`_edge_links` unless given."""
+    degrees = degrees or {e: len(pairs) for e, pairs in _edge_links(X)[0].items()}
     for e, d in sorted(degrees.items()):
         if d not in (5, 6):
             return failed("five_six_star", {"kind": "edge_degree", "edge": list(e), "degree": d},
                           detail=f"edge {e} has degree {d}")
     for tri in sorted(X.simplices(2)):
-        lows = [(tri[a], tri[b]) for a in range(3) for b in range(a + 1, 3)
-                if degrees[(tri[a], tri[b])] == 5]
+        lows = [e for e in combinations(tri, 2) if degrees[e] == 5]
         if len(lows) > 1:
             return failed("five_six_star",
                           {"kind": "triangle_two_low_edges", "triangle": list(tri),
@@ -101,80 +105,114 @@ def _surface_failure(rims: dict, name):
     if off:
         a, b = min(off)
         return f"edge {(name(a), name(b))} lies in {len(rims[a][b])} triangles"
-    if not _is_connected(rims):
+    # two spheres pinched at vertices pass the counts of _count_failure; a
+    # surface has each vertex's triangles close into one cycle.  As every
+    # edge lies on two triangles, the rim of u is a union of cycles of
+    # length >= 3 through all its neighbours: one cycle below degree 6, and
+    # one cycle exactly when it is connected.
+    pinch = [u for u in rims if len(rims[u]) >= 6 and not _is_connected(rims[u])]
+    return _count_failure(rims) or (
+        f"triangles at vertex {name(min(pinch))} do not close into one cycle" if pinch else None)
+
+
+def _count_failure(nbrs: dict):
+    """Reason a non-empty complex whose every edge lies on two triangles is
+    no 2-sphere by its connectivity or Euler characteristic, or None.
+    ``nbrs[u]`` holds the neighbours of u, so their sizes sum to 2E."""
+    if not _is_connected(nbrs):
         return "not connected"
     # every edge lies on two triangles, so 3F = 2E and chi = V - E / 3
-    chi = len(rims) - sum(map(len, rims.values())) // 6
-    if chi != 2:
-        return f"Euler characteristic {chi} != 2"
-    # two spheres pinched at vertices pass every count above; a surface has
-    # each vertex's triangles close into one cycle.  As every edge lies on
-    # two triangles, the rim of u is a union of cycles of length >= 3
-    # through all its neighbours: one cycle below degree 6.
-    pinch = [u for u in rims if len(rims[u]) >= 6 and not _is_one_cycle(rims[u])]
-    if pinch:
-        return f"triangles at vertex {name(min(pinch))} do not close into one cycle"
-    return None
+    chi = len(nbrs) - sum(map(len, nbrs.values())) // 6
+    return f"Euler characteristic {chi} != 2" if chi != 2 else None
 
 
 def _is_connected(nbrs) -> bool:
     """Whether a non-empty graph, given as vertex -> neighbours, is connected."""
-    start = next(iter(nbrs))
-    seen, todo = {start}, [start]
+    seen, todo = set(), [next(iter(nbrs))]
     while todo:
-        for u in nbrs[todo.pop()]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
+        if (u := todo.pop()) not in seen:
+            seen.add(u)
+            todo += nbrs[u]
     return len(seen) == len(nbrs)
 
 
-def _is_one_cycle(nbrs: dict) -> bool:
-    """Whether a simple graph, given as vertex -> neighbours, is one cycle:
-    at least 3 vertices, each of degree 2, and a walk from one of them
-    returns to it after visiting them all."""
-    if len(nbrs) < 3 or any(len(ns) != 2 for ns in nbrs.values()):
-        return False
-    start = next(iter(nbrs))
-    prev, cur, steps = start, next(iter(nbrs[start])), 1
-    while cur != start:
-        x, y = nbrs[cur]
-        prev, cur, steps = cur, y if x == prev else x, steps + 1
-    return steps == len(nbrs)
+def _graph(vertices, edges) -> dict:
+    """The graph on ``vertices`` with ``edges``, as vertex -> neighbours."""
+    nbrs = {x: [] for x in vertices}
+    for x, y in edges:
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    return nbrs
 
 
-def _edge_link_graphs(X: SimplicialComplex) -> dict:
-    """The link of every edge as vertex -> list of neighbours, in one pass
-    over the faces: each triangle puts its third vertex into the link of
-    each of its edges, each tetrahedron its opposite edge."""
-    links = {e: {} for e in X.simplices(1)}
-    for a, b, c in X.simplices(2):
-        links[(a, b)][c] = []
-        links[(a, c)][b] = []
-        links[(b, c)][a] = []
-    for t in X.simplices(3):
-        # the k-th edge of a tetrahedron in combinations order is opposite
-        # the k-th from the end
-        pairs = list(combinations(t, 2))
-        for e, (x, y) in zip(pairs, reversed(pairs)):
-            nbrs = links[e]
-            nbrs[x].append(y)
-            nbrs[y].append(x)
-    return links
+def _edge_links(X: SimplicialComplex):
+    """The link of every edge, read in one pass over the tetrahedra; the
+    one edge-link reader of ``validate``, ``links`` and ``lemmas``.
+
+    It returns three things.  First, each edge's list of opposite edges,
+    one per tetrahedron on the edge: the edges of its link, so the list's
+    length is the edge's degree.  Second, the triangles that do not lie on
+    exactly two tetrahedra, as (triangle, count) pairs, counted in the same
+    pass.  Third, the link of each edge as one cycle, its vertex sequence,
+    or None when it is no cycle, by Lemma A.
+
+    Lemma A.  If every triangle at e lies on exactly two tetrahedra, Lk(e)
+    is a simple 2-regular graph with deg(e) vertices and deg(e) edges, the
+    pairs of opposite edges: each triangle ec is a link vertex on two of
+    them, and two tetrahedra at e have two opposite edges.  So Lk(e) is one
+    cycle exactly when one walk covers all its deg(e) edges.  An edge on a
+    triangle that does not lie on two tetrahedra has a link vertex of
+    another degree, and an edge on no tetrahedron a link with no edge:
+    both get None, with no walk.
+    """
+    opp = {e: [] for e in X.simplices(1)}
+    faces = []
+    for a, b, c, d in X.simplices(3):
+        for e, f in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            opp[e].append(f)
+            opp[f].append(e)
+        faces += ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
+    on = Counter(faces)
+    off = [(t, c) for t in X.simplices(2) if (c := on[t]) != 2]
+    at_off = {e for t, _ in off for e in combinations(t, 2)}
+    step = [0] * X.vertex_count  # a link vertex -> the XOR of its two neighbours
+    cycles = dict.fromkeys(opp)
+    for e, pairs in opp.items():
+        if pairs and e not in at_off:
+            for x, y in pairs:
+                step[x] ^= y
+                step[y] ^= x
+            cycle, (prev, cur) = [pairs[0][0]], pairs[0]
+            while cur != cycle[0]:
+                cycle.append(cur)
+                prev, cur = cur, step[cur] ^ prev
+            for x, y in pairs:
+                step[x] = step[y] = 0
+            cycles[e] = cycle if len(cycle) == len(pairs) else None
+    return opp, off, cycles
 
 
-def _edge_degrees(links: dict) -> dict:
-    """The number of tetrahedra around each edge, read off its link
-    ``links[e]``, which holds one edge per tetrahedron."""
-    return {e: sum(map(len, nbrs.values())) // 2 for e, nbrs in links.items()}
+def _link_rims(X: SimplicialComplex, v: int, links):
+    """The rims of the link of ``v`` and the reason it is no closed
+    2-sphere, or None; ``links`` is what :func:`_edge_links` reads.
 
-
-def _vertex_link(X: SimplicialComplex, v: int, links: dict):
-    """The rims of the link of ``v`` in ``X``, read off the edge links
-    ``links``, and the naming of its vertices by rank in sorted N(v).  The
-    rim of u in the link is the link of vu."""
-    rims = {u: links[(v, u) if v < u else (u, v)] for u in X.neighbors(v)}
-    return rims, sorted(rims).index
+    Lemma B.  If every edge vu has a cycle for its link, every triangle at
+    v lies on two tetrahedra, and :func:`_surface_failure` on the rims of v
+    can fail only as :func:`_count_failure` does: every link edge lies on
+    two triangles and every rim is one cycle.  So the rim of u is read as
+    the cycle of vu, and the count test is a BFS over N(v) through the rims
+    and chi = deg(v) - t(v) / 3, with t(v) triangles at v.  Any other vertex
+    runs :func:`_surface_failure` on its full rims: the rim of u is the
+    link graph of vu, on the triangles vuc and the opposite edges of vu.
+    Link vertices are then named by rank in sorted N(v).
+    """
+    opp, _, cycles = links
+    rims = {u: cycles[(v, u) if v < u else (u, v)] for u in X.neighbors(v)}
+    if rims and all(rims.values()):
+        return rims, _count_failure(rims)
+    lk = _graph(X.neighbors(v), X.link_edges(v))
+    rims = {u: _graph(nbrs, opp[(v, u) if v < u else (u, v)]) for u, nbrs in lk.items()}
+    return rims, _surface_failure(rims, sorted(rims).index)
 
 
 def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
@@ -182,19 +220,19 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
     census.  Raises :class:`NotPure` when a maximal simplex has dimension
     below 3.
 
-    Every stage reads the edge links of :func:`_edge_link_graphs`, one pass
-    over the faces: the triangle abc lies on as many tetrahedra as c has
-    neighbours in the link of ab, and the edge e on as many as its link has
-    edges.  Purity is read off the same pass: the maximal simplices below
-    dimension 3 are the vertices with no neighbour, the edges with an empty
-    link and the triangles on no tetrahedron, and :class:`NotPure` names the
-    first of them.  Each vertex link is decided by :func:`_surface_failure`
-    on its rims, on every input, with no link complex built.
+    Every stage reads :func:`_edge_links`, one pass over the tetrahedra.
+    Purity is read off the same pass.  The maximal simplices below
+    dimension 3 are the vertices with no neighbour, the triangles on no
+    tetrahedron, and the edges on no triangle: the edges on no tetrahedron
+    that are no edge of such a triangle.  :class:`NotPure` names the first
+    of them.  The edge stage is Lemma A of :func:`_edge_links`, one walk
+    per edge link, and the vertex stage Lemma B of :func:`_link_rims`, a
+    BFS and chi per vertex link; no link complex is built.
     """
-    links = _edge_link_graphs(X)
-    off = [(t, c) for t in X.simplices(2) if (c := len(links[t[:2]][t[2]])) != 2]
-    bad = [s for s in X.simplices(0) if not X.neighbors(s[0])]
-    bad += [e for e, nbrs in links.items() if not nbrs] + [t for t, c in off if c == 0]
+    links = opp, off, cycles = _edge_links(X)
+    zero = [t for t, c in off if c == 0]
+    bad = [s for s in X.simplices(0) if not X.neighbors(s[0])] + zero
+    bad += {e for e, p in opp.items() if not p}.difference(*(combinations(t, 2) for t in zero))
     if bad or not X.simplices(3):
         raise NotPure(min(bad, default=None))
 
@@ -205,58 +243,51 @@ def validate_closed_3manifold(X: SimplicialComplex) -> ManifoldReport:
                         {"kind": "triangle_tetra_count", "triangle": list(tri), "count": c},
                         detail=f"triangle {tri} lies in {c} tetrahedra")
 
-    link_cycles = passed("edge_link_cycles", edges=len(links))
-    for e in sorted(links):
-        if not _is_one_cycle(links[e]):
-            link_cycles = failed("edge_link_cycles",
-                                 {"kind": "edge_link", "edge": list(e)},
-                                 detail=f"link of edge {e} is not a single cycle")
-            break
+    link_cycles = passed("edge_link_cycles", edges=len(opp))
+    e = min((e for e, cycle in cycles.items() if cycle is None), default=None)
+    if e is not None:
+        link_cycles = failed("edge_link_cycles", {"kind": "edge_link", "edge": list(e)},
+                             detail=f"link of edge {e} is not a single cycle")
 
     sphere_links = passed("vertex_links_spheres", vertices=len(X.simplices(0)))
-    for v in X.vertices:
-        reason = _surface_failure(*_vertex_link(X, v, links))
-        if reason is not None:
-            sphere_links = failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
-                                  detail=f"link of vertex {v}: {reason}")
-            break
+    failures = ((v, r) for v in X.vertices if (r := _link_rims(X, v, links)[1]) is not None)
+    v, reason = next(failures, (None, None))
+    if reason is not None:
+        sphere_links = failed("vertex_links_spheres", {"kind": "vertex_link", "vertex": v},
+                              detail=f"link of vertex {v}: {reason}")
 
-    degrees = _edge_degrees(links)
-    return ManifoldReport(
-        is_pseudomanifold=pseudo,
-        edge_link_cycles=link_cycles,
-        vertex_links_spheres=sphere_links,
-        edge_degrees=degrees,
-        five_six_star=five_six_star_verdict(X, degrees),
-    )
+    degrees = {e: len(pairs) for e, pairs in opp.items()}
+    return ManifoldReport(pseudo, link_cycles, sphere_links, degrees,
+                          five_six_star_verdict(X, degrees))
 
 
 def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
     """Degrees all 5 or 6 and no two degree-5 vertices adjacent.
 
     Raises :class:`NotASphere` when the input is not a closed triangulated
-    2-sphere.  The rim of u is read as the link of u in :func:`_vertex_link`,
-    one dimension down: its rims are the links of the edges ua.
+    2-sphere.  The rim of u is its link, read off the triangles at u by
+    ``Y.link_edges``.
     """
     if Y.dimension() == 3:
         raise NotASphere("dimension 3 != 2")
-    links = _edge_link_graphs(Y)
-    return _star_sphere({u: _vertex_link(Y, u, links)[0] for u in Y.vertices}, lambda u: u)
+    rims = {u: _graph(Y.neighbors(u), Y.link_edges(u)) for u in Y.vertices}
+    # int: the identity on vertex ids
+    return _star_sphere(rims, int, _surface_failure(rims, int))
 
 
-def _link_verdict(X: SimplicialComplex, v: int, links: dict) -> Verdict:
+def _link_verdict(X: SimplicialComplex, v: int, links) -> Verdict:
     """:func:`is_5_6_star_sphere` of the link of ``v``, read off the edge
-    links ``links`` of :func:`_edge_link_graphs`, with link vertices named
-    by rank in sorted N(v).  The :class:`NotASphere` reason names ``v``."""
-    return _star_sphere(*_vertex_link(X, v, links), f"link of vertex {v}: ")
+    links ``links`` of :func:`_link_rims`, with link vertices named by rank
+    in sorted N(v).  The :class:`NotASphere` reason names ``v``."""
+    rims, reason = _link_rims(X, v, links)
+    return _star_sphere(rims, sorted(rims).index, reason, f"link of vertex {v}: ")
 
 
-def _star_sphere(rims: dict, name, where: str = "") -> Verdict:
+def _star_sphere(rims: dict, name, reason, where: str = "") -> Verdict:
     """The 5/6* sphere verdict of the surface with rims ``rims``, named as
     in :func:`_surface_failure`: the degree of u is the size of its rim, and
     u, w are adjacent when w is in the rim of u.  Raises :class:`NotASphere`
-    with ``where`` before the reason when the surface is no 2-sphere."""
-    reason = _surface_failure(rims, name)
+    with ``where`` before ``reason`` when that is not None."""
     if reason is not None:
         raise NotASphere(where + reason)
     order = sorted(rims)
@@ -279,8 +310,8 @@ def link_verdicts(X: SimplicialComplex) -> list:
     """The 5/6* sphere verdict of the link of every vertex v of ``X``, in
     vertex order, reported as ``link_<v>``; a link that is no 2-sphere
     fails as ``link_sphere`` with the reason.  All links are read off one
-    :func:`_edge_link_graphs` pass."""
-    links = _edge_link_graphs(X)
+    :func:`_edge_links` pass."""
+    links = _edge_links(X)
     verdicts = []
     for v in X.vertices:
         try:
@@ -405,7 +436,7 @@ def lemma_verdicts(X: SimplicialComplex) -> list:
     named by its vertex, as in :func:`link_verdicts`.
 
     A link is given to the lemmas as its 1-skeleton in the ids of ``X``,
-    built from the rims of :func:`_vertex_link`, with no link complex built
+    read off its triangles by ``X.link_edges``, with no link complex built
     or renamed.  Lemma: the result is the one on the link complex of v,
     relabelled by rank in sorted N(v), except that the detail names v.  The
     sphere lemmas read only edges, degrees and neighbour sets (``full_cycles``,
@@ -419,11 +450,10 @@ def lemma_verdicts(X: SimplicialComplex) -> list:
     try:
         if X.dimension() == 3:
             verdicts.append(check_wheel_in_link(X))
-            links = _edge_link_graphs(X)
+            links = _edge_links(X)
             for v in X.vertices:
                 _require(_link_verdict(X, v, links))
-                rims = _vertex_link(X, v, links)[0]
-                Y = build_complex([(u, w) for u in rims for w in rims[u] if u < w])
+                Y = build_complex(X.link_edges(v))
                 where = f"link of vertex {v}"
                 verdicts += [replace(r, detail=f"{where}: {r.detail}" if r.detail else where)
                              for r in _sphere_lemmas(Y)]

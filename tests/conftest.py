@@ -17,6 +17,14 @@ from oracles import naive_wheels_at
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that appends the arguments of
+    each call to the returned list."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def complexes_built(monkeypatch):
     """Record every complex built from now on, in the returned list."""
     built, init = [], SimplicialComplex.__init__

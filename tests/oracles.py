@@ -132,15 +132,20 @@ def naive_edge_link_cycles(X):
     written: one link complex per edge, in sorted edge order, tested for a
     single cycle by its counts and degrees and one BFS."""
     for e in sorted(X.simplices(1)):
-        link, _ = naive_link(X, e)
-        n = link.vertex_count
-        ok = (n >= 3 and len(link.simplices(1)) == n
-              and all(link.degree(v) == 2 for v in range(n))
-              and float("inf") not in distances_from(link, 0))
-        if not ok:
+        if not naive_link_is_one_cycle(X, e):
             return failed("edge_link_cycles", {"kind": "edge_link", "edge": list(e)},
                           detail=f"link of edge {e} is not a single cycle")
     return passed("edge_link_cycles", edges=len(X.simplices(1)))
+
+
+def naive_link_is_one_cycle(X, e):
+    """Whether the link complex of the edge ``e`` is one cycle, by its
+    counts and degrees and one BFS."""
+    link, _ = naive_link(X, e)
+    n = link.vertex_count
+    return (n >= 3 and len(link.simplices(1)) == n
+            and all(link.degree(v) == 2 for v in range(n))
+            and float("inf") not in distances_from(link, 0))
 
 
 def naive_closed_surface_failure(Y):

@@ -19,7 +19,7 @@ from combcurv.formats import dump_path, load_path
 from combcurv.metric import DELTA_VERTEX_CAP, delta_four_point
 from combcurv.verdicts import passed
 
-from conftest import complexes_built, gen, suspension
+from conftest import complexes_built, counted, gen, suspension
 from oracles import is_full, naive_link
 
 
@@ -273,14 +273,6 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
     assert "precondition" in capsys.readouterr().out
 
 
-def counted(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper that appends the arguments of
-    each call to the returned list."""
-    calls, fn = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
-    return calls
-
-
 def test_check_flag_and_m_test_flagness_once(golden_inputs, capsys, monkeypatch):
     # with --flag, 8-location runs on the printed flag verdict: one is_flag
     # call on the 600-cell, and the output is the flag verdict's line
@@ -325,13 +317,15 @@ def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
     Y = load_path(files["s2"]).complex
     assert got == [manifold.check_sphere_cycle_lemma(Y).to_json(),
                    manifold.check_7cycle_fillings(Y).to_json()]
-    # a 3-manifold past its wheel check: one closed-surface check of the
-    # first vertex link, whose degree check then fails
+    # a 3-manifold past its wheel check: one read of the first vertex link,
+    # decided by its counts with no closed-surface check, as every edge
+    # link is a cycle; its degree check then fails
     surface_checks.clear()
+    link_reads = counted(monkeypatch, manifold, "_link_rims")
     monkeypatch.setattr(manifold, "check_wheel_in_link", lambda X: passed("wheel_in_link"))
     assert main(["--json", "lemmas", files["boundary_4_simplex"]]) == 1
     got = json.loads(capsys.readouterr().out)["verdicts"]
-    assert len(surface_checks) == 1
+    assert (len(link_reads), len(surface_checks)) == (1, 0)
     bd4 = load_path(files["boundary_4_simplex"]).complex
     with pytest.raises(PreconditionNotMet) as exc:
         manifold.check_sphere_cycle_lemma(naive_link(bd4, (0,))[0])
@@ -361,7 +355,7 @@ def cell600(tmp_path_factory):
 
 def test_links_reads_one_edge_link_pass(cell600, capsys, monkeypatch):
     built = complexes_built(monkeypatch)
-    passes = counted(monkeypatch, manifold, "_edge_link_graphs")
+    passes = counted(monkeypatch, manifold, "_edge_links")
     assert main(["--json", "links", cell600]) == 1
     # no complex is built but the input
     assert ([Y.counts() for Y in built], len(passes)) == ([(120, 720, 1200, 600)], 1)

@@ -33,6 +33,7 @@ from conftest import (
     bd4_pair_at_vertex,
     complexes_built,
     cone,
+    counted,
     dwheel_complex,
     gen,
     mixed_star,
@@ -49,6 +50,7 @@ from oracles import (
     naive_find_7cycle_filling,
     naive_five_six_star_degrees,
     naive_link,
+    naive_link_is_one_cycle,
     naive_maximal_simplices,
     naive_pseudomanifold,
     naive_rim_filled,
@@ -232,11 +234,18 @@ def sphere_reason(Y):
     return None
 
 
+def full_rims(X, v, opp):
+    """The rims of the link of ``v`` as graphs: the rim of u is the link of
+    vu, on the triangles vuc and the opposite edges ``opp[vu]``."""
+    lk = manifold._graph(X.neighbors(v), X.link_edges(v))
+    return {u: manifold._graph(nbrs, opp[tuple(sorted((u, v)))]) for u, nbrs in lk.items()}
+
+
 def link_verdict(X, v, links=None):
     """The 5/6* sphere verdict of the link of ``v`` read off the edge links
     of ``X`` (timings stripped), or the :class:`NotASphere` message."""
     try:
-        return manifold._link_verdict(X, v, links or manifold._edge_link_graphs(X)).to_json()
+        return manifold._link_verdict(X, v, links or manifold._edge_links(X)).to_json()
     except NotASphere as exc:
         return str(exc)
 
@@ -260,13 +269,17 @@ class TestVertexLinks:
     are the edge links Lk(vu), read off one pass over the faces."""
 
     def test_bd4_links_are_tetrahedron_boundaries(self, bd4):
-        links = manifold._edge_link_graphs(bd4)
+        links = manifold._edge_links(bd4)
         for v in bd4.vertices:
-            rims, name = manifold._vertex_link(bd4, v, links)
-            assert manifold._surface_failure(rims, name) is None
-            # 4 vertices of degree 3, 6 edges, and 4 triangles, each read
-            # from both ends of its 3 edges
-            assert len(rims) == 4 and all(len(rims[u]) == 3 for u in rims)
+            rims, reason = manifold._link_rims(bd4, v, links)
+            assert reason is None
+            # 4 vertices of degree 3, each with the other 3 for its rim,
+            # the 3-cycle Lk(vu); and as graphs, 6 edges and 4 triangles,
+            # each read from both ends of its 3 edges
+            assert sorted(rims) == sorted(bd4.neighbors(v))
+            assert all(sorted(rims[u]) == sorted(set(rims) - {u}) for u in rims)
+            rims = full_rims(bd4, v, links[0])
+            assert manifold._surface_failure(rims, sorted(rims).index) is None
             assert sum(len(t) for rim in rims.values() for t in rim.values()) == 4 * 6
             assert link_verdict(bd4, v, links)["witness"] == \
                 {"kind": "vertex_degree", "vertex": 0, "degree": 3}
@@ -274,9 +287,10 @@ class TestVertexLinks:
     def test_degree_transport(self, bd4):
         # link-vertex degree equals ambient edge degree, independently counted
         for X in (bd4, gen("cell600")):
-            degrees, links = naive_edge_degrees(X), manifold._edge_link_graphs(X)
+            degrees, links = naive_edge_degrees(X), manifold._edge_links(X)
+            assert {e: len(pairs) for e, pairs in links[0].items()} == degrees
             for v in X.vertices:
-                rims, _ = manifold._vertex_link(X, v, links)
+                rims, _ = manifold._link_rims(X, v, links)
                 assert {tuple(sorted((v, u))): len(rim) for u, rim in rims.items()} == \
                     {e: d for e, d in degrees.items() if v in e}
 
@@ -296,7 +310,7 @@ class TestVertexLinks:
         inputs += [mixed_star(), gen("cell600"), gen("icosahedron"), gen("tri_torus", 6, 6)]
         seen, count = set(), 0
         for X in inputs:
-            links = manifold._edge_link_graphs(X)
+            links = manifold._edge_links(X)
             for v in X.vertices:
                 L = naive_link(X, (v,))[0]
                 reason = naive_closed_surface_failure(L)
@@ -322,6 +336,62 @@ class TestVertexLinks:
                         "triangles at vertex # do not close into one cycle",
                         "vertex_degree", "adjacent_low_degree", "pass"}, seen
         assert count > 5000, count
+
+
+class TestLinkLemmas:
+    """Lemma A of ``_edge_links`` and Lemma B of ``_link_rims``, each on
+    every edge or vertex that meets its premise, not only through the first
+    failure of a stage."""
+
+    def test_lemma_a_walk_is_the_edge_link_complex(self, bd4):
+        answers, outright = Counter(), 0
+        for X in vertex_stage_inputs(bd4):
+            cycles = manifold._edge_links(X)[2]
+            for e in X.simplices(1):
+                link, vmap = naive_link(X, e)
+                one = naive_link_is_one_cycle(X, e)
+                if not all(link.degree(c) == 2 for c in range(link.vertex_count)):
+                    # a triangle at e not on two tetrahedra: no walk, no cycle
+                    assert cycles[e] is None and not one, e
+                    outright += 1
+                    continue
+                assert (cycles[e] is not None) == one, (sorted(X.simplices(3)), e)
+                answers[one] += 1
+                if one:
+                    # the walk lists the link vertices in cycle order
+                    cycle = cycles[e]
+                    assert sorted(cycle) == vmap
+                    assert all(X.has_simplex(e + (cycle[i - 1], cycle[i]))
+                               for i in range(len(cycle)))
+        # both answers of the walk, and edges that fail outright
+        assert answers[True] > 1000 and answers[False] >= 5 and outright >= 100, \
+            (answers, outright)
+
+    def test_lemma_b_counts_give_the_surface_reason(self, bd4, monkeypatch):
+        reasons, surface_failure = Counter(), manifold._surface_failure
+        surface_checks = counted(monkeypatch, manifold, "_surface_failure")
+        for X in vertex_stage_inputs(bd4):
+            links = manifold._edge_links(X)
+            for v in X.vertices:
+                link, _ = naive_link(X, (v,))
+                premise = X.neighbors(v) and all(
+                    naive_link_is_one_cycle(X, tuple(sorted((u, v)))) for u in X.neighbors(v))
+                if not premise:
+                    continue
+                rims, reason = manifold._link_rims(X, v, links)
+                assert surface_checks == [], (sorted(X.simplices(3)), v)
+                assert reason == manifold._count_failure(rims)
+                rims = full_rims(X, v, links[0])
+                assert reason == surface_failure(rims, sorted(rims).index)
+                assert reason == naive_closed_surface_failure(link), (sorted(X.simplices(3)), v)
+                reasons[re.sub(r"\d+", "#", str(reason))] += 1
+        assert set(reasons) == {"None", "not connected", "Euler characteristic # != #"}, reasons
+
+    def test_validate_runs_no_surface_test_on_manifolds(self, bd4, monkeypatch):
+        surface_checks = counted(monkeypatch, manifold, "_surface_failure")
+        for X in (gen("cell600"), bd4):
+            assert validate_closed_3manifold(X).is_closed_manifold
+        assert surface_checks == []
 
 
 class TestSphereCondition:
