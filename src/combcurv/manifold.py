@@ -276,9 +276,10 @@ def is_5_6_star_sphere(Y: SimplicialComplex) -> Verdict:
 
 
 def _link_verdict(X: SimplicialComplex, v: int, links) -> Verdict:
-    """:func:`is_5_6_star_sphere` of the link of ``v``, read off the edge
-    links ``links`` of :func:`_link_rims`, with link vertices named by rank
-    in sorted N(v).  The :class:`NotASphere` reason names ``v``."""
+    """:func:`is_5_6_star_sphere` of the link of ``v``, read by
+    :func:`_link_rims` off ``links``, what :func:`_edge_links` reads, with
+    link vertices named by rank in sorted N(v).  The :class:`NotASphere`
+    reason names ``v``."""
     rims, reason = _link_rims(X, v, links)
     return _star_sphere(rims, sorted(rims).index, reason, f"link of vertex {v}: ")
 

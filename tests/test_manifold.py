@@ -266,7 +266,7 @@ class TestClosedSurfaceTest:
 
 class TestVertexLinks:
     """The vertex-link reader of ``links`` and ``lemmas``: the rims of Lk(v)
-    are the edge links Lk(vu), read off one pass over the faces."""
+    are the edge links Lk(vu), read off one pass over the tetrahedra."""
 
     def test_bd4_links_are_tetrahedron_boundaries(self, bd4):
         links = manifold._edge_links(bd4)
