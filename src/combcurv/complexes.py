@@ -133,10 +133,6 @@ class SimplicialComplex:
             return frozenset()
         return self._faces[dim]
 
-    def all_simplices(self):
-        for d in range(MAX_DIM + 1):
-            yield from sorted(self._faces[d])
-
     def has_simplex(self, vertices: Iterable[int]) -> bool:
         vs = tuple(sorted(vertices))
         d = len(vs) - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -205,46 +205,44 @@ def _locally_large(X: SimplicialComplex, k: int, reads) -> Verdict:
     check_k_and_m(k, None)
     for links, (v, ids, masks, rings) in enumerate(reads, 1):
         if rings is None:
-            edges = mask_edges(masks)
-            clique = empty_clique(masks, edges,
+            clique = empty_clique(masks, mask_edges(masks),
                                   lambda s: X.has_simplex((v,) + tuple(ids[i] for i in s)), 2)
             if clique is not None:
                 witness = {"kind": "clique_in_link", "simplex": [v],
                            "vertices": [ids[i] for i in clique]}
                 reason = f"not flag: clique {clique} spans no simplex"
-                break
+                return failed("is_locally_k_large", witness, k=k, links_checked=links,
+                              detail=f"link of {(v,)} is not {k}-large: {reason}")
             cycles = chordless_cycles(masks, 4, k - 1) if k > 4 else []
         else:
             cycles = [c for c in rings if len(c) < k]
         if cycles:
             cycle = min(cycles, key=lambda c: (len(c), c))
-            witness = {"kind": "cycle_in_link", "simplex": [v],
-                       "cycle": [ids[i] for i in cycle]}
-            reason = f"full {len(cycle)}-cycle present"
-            break
-    else:
-        return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
-    return failed("is_locally_k_large", witness,
-                  detail=f"link of {(v,)} is not {k}-large: {reason}",
-                  k=k, links_checked=links)
+            return _cycle_in_link(k, v, [ids[i] for i in cycle], links)
+    return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
 
 
-def _large_by_wheels(X: SimplicialComplex, k: int, stream):
+def _large_by_wheels(X: SimplicialComplex, k: int, wheels_at) -> Verdict:
     """:func:`is_locally_k_large` on a flag ``X``, read off the wheels of
-    lengths 4 .. k - 1 that ``stream`` yields as :func:`_wheels_by_length`
-    does, together with the stream again from length 4.  The witness is
-    the least (center, length, rim) among them, which is the one the link
-    loop of :func:`_locally_large` names, as the rank map is increasing."""
-    shorter = list(islice(stream, k - 4))
-    stream = chain(shorter, stream)
-    least = min(((v, len(rim), rim) for _, ws in shorter for v, rim in ws), default=None)
+    lengths 4 .. k - 1 in the lookup ``wheels_at`` of
+    :func:`_wheels_by_length`.  The witness is the least (center, length,
+    rim) among them, which is the one the link loop of
+    :func:`_locally_large` names, as the rank map is increasing."""
+    least = min(((v, len(rim), rim) for j in range(4, k) for v, rim in wheels_at(j)), default=None)
     if least is None:
-        return passed("is_locally_k_large", k=k, links_checked=sum(X.counts())), stream
-    v, length, rim = least
-    witness = {"kind": "cycle_in_link", "simplex": [v], "cycle": list(rim)}
-    return failed("is_locally_k_large", witness,
-                  detail=f"link of {(v,)} is not {k}-large: full {length}-cycle present",
-                  k=k, links_checked=bisect_left(X.vertices, v) + 1), stream
+        return passed("is_locally_k_large", k=k, links_checked=sum(X.counts()))
+    v, _, rim = least
+    return _cycle_in_link(k, v, rim, bisect_left(X.vertices, v) + 1)
+
+
+def _cycle_in_link(k: int, v: int, cycle, links: int) -> Verdict:
+    """The failing verdict of :func:`is_locally_k_large` at the full
+    ``cycle``, in ambient ids, of the link of ``v``, the ``links``-th
+    vertex link read."""
+    return failed("is_locally_k_large",
+                  {"kind": "cycle_in_link", "simplex": [v], "cycle": list(cycle)},
+                  detail=f"link of {(v,)} is not {k}-large: full {len(cycle)}-cycle present",
+                  k=k, links_checked=links)
 
 
 def _link_rings(masks):
@@ -294,31 +292,33 @@ def wheels(X: SimplicialComplex, k_min: int = 4, k_max: int = DEFAULT_CYCLE_CAP)
     """All k-wheels with k in range, in (center, length, rim) order.
 
     Rims are the chordless cycles of each vertex link that stay chordless
-    in X; this ambient chord filter runs here, and drops nothing on flag X."""
+    in X; this ambient chord filter runs here, and drops nothing on flag X.
+    No rim length below ``k_min`` is read."""
     if k_min < 4:
         raise ValueError("cycles start at length 4")
     if k_min > k_max:
         raise ValueError("empty length range")
-    out = [Wheel(v, rim) for k, ws in _wheels_by_length(X, k_max, _link_reads(X)) if k >= k_min
-           for v, rim in ws if not chords(X, rim)]
+    wheels_at = _wheels_by_length(X, k_max, _link_reads(X))
+    out = [Wheel(v, rim) for k in range(k_min, k_max + 1)
+           for v, rim in wheels_at(k) if not chords(X, rim)]
     return sorted(out, key=lambda w: (w.center, len(w.rim)))
 
 
 def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
-    """Yield ``(k, the k-wheels as (center, rim) pairs)`` for
-    k = 4 .. k_max; a rim may have a chord in X if X is not flag.  The
-    links are ``reads``, as :func:`_link_reads` yields them.
+    """The lookup ``wheels_at(k)``, 4 <= k <= k_max: the k-wheels as
+    ``(center, rim)`` pairs; a rim may have a chord in X if X is not flag.
+    The links are ``reads``, as :func:`_link_reads` yields them.
 
     The rims are read off each vertex's
     :meth:`~SimplicialComplex.link_masks`, in rank space, and map back to
     ambient ids through the increasing rank map, which keeps them
     canonical; no link complex is built.  The rims come by pair closure
     (the lemma of :func:`~combcurv.complexes.chordless_cycles`), which
-    keeps nothing but the graph between calls.  Lengths 4 and 5 are closed
-    one at a time, as most joins stop there; the first draw of 6 closes
-    6 .. k_max in one call per link, and the later draws take its cycles.
-    So the stream is lazy: no kernel runs before a caller draws the first
-    length it serves.
+    keeps nothing but the graph between calls.  The lookup fills each
+    length at its first read.  Lengths 4 and 5 are closed one at a time,
+    as most joins stop there; the first read of any length from 6 closes
+    6 .. k_max in one call per link, and the later reads take its cycles.
+    So no kernel runs for a length that no caller reads.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -336,33 +336,34 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     for v, ids, masks, rings in reads:
         if rings is None:
             links.append((v, ids, masks))
-            continue
-        for ring in rings:
+        for ring in rings or ():  # a searched link has no rings
             if len(ring) <= k_max:
                 rings_of[len(ring)].append((v, tuple([ids[i] for i in ring])))
-    for k in range(4, k_max + 1):
-        if k < 6:
-            found = [(v, tuple([ids[i] for i in cyc]))
-                     for v, ids, masks in links for cyc in sorted(chordless_cycles(masks, k))]
-        else:
-            if k == 6:
-                # rim length -> its searched wheels, closed at the draw of 6
-                closed = {j: [] for j in range(6, k_max + 1)}
+    searched = {}  # k -> the searched k-wheels, once read
+
+    def wheels_at(k):
+        if k not in searched:
+            if k < 6:
+                searched[k] = [(v, tuple([ids[i] for i in cyc])) for v, ids, masks in links
+                               for cyc in sorted(chordless_cycles(masks, k))]
+            else:
+                searched.update((j, []) for j in range(6, k_max + 1))
                 for v, ids, masks in links:
                     for cyc in sorted(chordless_cycles(masks, 6, k_max)):
-                        closed[len(cyc)].append((v, tuple([ids[i] for i in cyc])))
-            found = closed.pop(k)
-        yield k, found + rings_of[k]
+                        searched[len(cyc)].append((v, tuple([ids[i] for i in cyc])))
+        return searched[k] + rings_of[k]
+
+    return wheels_at
 
 
-def _apex_pairs(max_boundary: int, by_length):
+def _apex_pairs(max_boundary: int, wheels_at):
     """The wheel pairs that can form dwheels with boundary length at most
     ``max_boundary``, one (boundary, type) bucket at a time and, in each,
     one apex pair at a time, in the order of :func:`dwheels`.  Each is
     ``(k, l, identified, (v0, v0'), first, second)``: ``first`` is the side
     of the k-wheels at v0 whose rim passes through v0', ``second`` that of
-    the l-wheels at v0' through v0.  The wheels come from ``by_length`` as
-    :func:`_wheels_by_length` yields them.
+    the l-wheels at v0' through v0.  Each length's wheels are read once,
+    from the lookup ``wheels_at`` of :func:`_wheels_by_length`.
 
     The corner of a wheel at a rim vertex x is x's two rim neighbours, as
     ``(lo, hi, wheel)`` with lo < hi, where ``wheel`` is the wheel's one
@@ -385,11 +386,10 @@ def _apex_pairs(max_boundary: int, by_length):
     matched = {}  # (k, l) -> the sorted apex pairs of both its buckets
 
     def corners_of(k):
-        # the lengths come in increasing order
-        while k not in corners:
-            n, whls = next(by_length)
-            table = corners[n] = {}
-            for center, rim in whls:
+        table = corners.get(k)
+        if table is None:
+            table = corners[k] = {}
+            for center, rim in wheels_at(k):
                 wheel = [rim, None]  # the wheel's record: its rim and, once tested, its cap
                 prev, x = rim[-2], rim[-1]
                 for nxt in rim:
@@ -400,7 +400,7 @@ def _apex_pairs(max_boundary: int, by_length):
                     else:
                         side[0].append(corner)
                     prev, x = x, nxt
-        return corners[k]
+        return table
 
     for blen in range(4, max_boundary + 1):
         # the types k >= l >= 4 with k + l - 3 or k + l - 4 equal to blen
@@ -487,10 +487,11 @@ def dwheels(X: SimplicialComplex, max_boundary: int) -> list:
     is the one at the smaller apex.  The list is sorted by boundary length,
     then type, then (apexes, shared, rim1, rim2, junction).  The ambient
     chord filter of :func:`wheels` runs here, on the wheels before the join."""
-    by_length = ((k, [(v, rim) for v, rim in ws if not chords(X, rim)])
-                 for k, ws in _wheels_by_length(X, max_boundary, _link_reads(X)))
+    wheels_at = _wheels_by_length(X, max_boundary, _link_reads(X))
+    pairs = _apex_pairs(max_boundary,
+                        lambda k: [(v, rim) for v, rim in wheels_at(k) if not chords(X, rim)])
     return [DWheel(apexes, w, arc1, arc2, "identified" if identified else "edge")
-            for _, _, identified, apexes, first, second in _apex_pairs(max_boundary, by_length)
+            for _, _, identified, apexes, first, second in pairs
             for w, arc1, arc2 in _listed(X, identified, apexes, first, second)]
 
 
@@ -554,19 +555,21 @@ def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
     The links are read once, into a list.  On a complex that is not flag,
     or that the degree sums of :func:`_locate_by_degrees` decide,
     largeness runs the link loop of :func:`is_locally_k_large` on those
-    reads.  On any other complex one wheel stream of the reads
+    reads.  On any other complex one wheel lookup of the reads
     (:func:`_wheels_by_length`), to length max(m, k - 1), feeds both:
-    largeness keeps its lengths below k, and the join of
-    :func:`_locate_by_join` reads them again and continues the stream.
+    largeness reads its lengths below k, and the join of
+    :func:`_locate_by_join` reads the lengths its buckets need; each
+    length is closed once for both.
     """
     check_k_and_m(k, m)
     reads = list(_link_reads(X))
-    # a complex that is not flag, or that the degree sums decide, draws no wheel
+    # a complex that is not flag, or that the degree sums decide, reads no wheel
     located = _locate_by_degrees(X, m, reads) if flag.passed else _not_flag(flag, m)
     if located is not None:
         return located, _locally_large(X, k, reads), set()
-    large, stream = _large_by_wheels(X, k, _wheels_by_length(X, max(m, k - 1), reads))
-    located, types = _locate_by_join(X, m, stream)
+    wheels_at = _wheels_by_length(X, max(m, k - 1), reads)
+    large = _large_by_wheels(X, k, wheels_at)
+    located, types = _locate_by_join(X, m, wheels_at)
     return located, large, types
 
 
@@ -579,11 +582,11 @@ def check_k_and_m(k: Optional[int], m: Optional[int]) -> None:
         raise ValueError("location starts at m = 6")
 
 
-def _locate_by_join(X: SimplicialComplex, m: int, stream):
+def _locate_by_join(X: SimplicialComplex, m: int, wheels_at):
     """The verdict of :func:`is_m_located` on a flag ``X`` and the types
     of :func:`located_and_large`, by the wheel-to-dwheel join
-    (:func:`_apex_pairs`) on ``stream``, the wheels by length from 4 as
-    :func:`_wheels_by_length` yields them.
+    (:func:`_apex_pairs`) on the lookup ``wheels_at`` of
+    :func:`_wheels_by_length`, read at the lengths its buckets need.
 
     An identified bucket is decided per apex pair (v0, v0'), on the
     corners of its wheels, and only an apex pair that holds a failure is
@@ -653,7 +656,7 @@ def _locate_by_join(X: SimplicialComplex, m: int, stream):
             found = wheel[1] = meet(-1, (center, *wheel[0]))
         return found
 
-    for k, l, identified, apexes, first, second in _apex_pairs(m, stream):
+    for k, l, identified, apexes, first, second in _apex_pairs(m, wheels_at):
         v0, v0p = apexes
         if identified:
             matched = [(wheel1, wheel2) for lo, hi, wheel1 in first[0]
@@ -682,7 +685,7 @@ def _locate_by_degrees(X: SimplicialComplex, m: int, reads):
     """The verdict of :func:`is_m_located` on a flag ``X`` whose every
     vertex link is a union of paths or one cycle through all the vertex's
     neighbours, read off the degree sums over its edges with no wheel
-    drawn; None on any other ``X``, read at its first other link.  The
+    read; None on any other ``X``, read at its first other link.  The
     links are ``reads``, as :func:`_link_reads` yields them.
 
     Lemma (degree sums).  Let X be flag with every vertex link a union of

@@ -206,7 +206,7 @@ def glued_tetrahedra():
 
 
 def link_inputs():
-    """The inputs of the link-graph and wheel-stream referee tests, each
+    """The inputs of the link-graph and wheel-table referee tests, each
     with its longest rim length.  The apex link of a cone is its base: a
     sparse draw's 2-skeleton, with rims of up to 9 vertices, a long cycle,
     or the 4 x 4 grid graph, whose rims have 4, 8 and 10."""

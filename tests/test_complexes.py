@@ -361,7 +361,7 @@ class TestFullCycles:
             assert cyc.vertices == canonical_cycle(cyc.vertices)
 
 
-class TestShortChordless:
+class TestChordlessCycles:
     """The pair closure of chordless cycles against the referees, at every
     length and every length range: up to 8 vertices on every input, and up
     to 10 on the sparse ones, whose cycles are long."""
@@ -399,11 +399,11 @@ class TestShortChordless:
         assert refereed_lengths(skeleton_refs["past_8"])[9], skeleton_refs["past_8"]
 
 
-class TestWindowCut:
+class TestWanderingPaths:
     """The kernel against the referee on inputs whose chordless paths
     wander far from their least vertex: surfaces, long cycles and sparse
     draws, where a path search once cut its paths to a distance window
-    around that vertex."""
+    around that vertex; and the length ranges its callers close."""
 
     def test_same_cycles_as_the_referee_where_the_cut_prunes(self, skeleton_refs):
         # the kernel at every range up to each input's longest length, and
@@ -415,7 +415,7 @@ class TestWindowCut:
 
     def test_link_searches_close_by_length_ranges(self, monkeypatch, icosa):
         # every caller closes pairs, in the links and on the 1-skeleton:
-        # the wheel stream at lengths 4 and 5 alone and at 6 .. 8 in one
+        # the wheel lookup at lengths 4 and 5 alone and at 6 .. 8 in one
         # call, and a searched link of the largeness check at 4 .. k - 1
         closures = []
         close = curvature.chordless_cycles

@@ -31,6 +31,7 @@ from combcurv.verdicts import failed
 from conftest import (
     complexes_built,
     cone,
+    counted,
     dwheel_complex,
     flip_surface,
     gen,
@@ -180,19 +181,13 @@ class TestLocallyLarge:
         # a link graph of maximum degree 2 is read as its cycle components:
         # no pair closure and no clique search; a link with a vertex of
         # degree 3 or more, or a triangle component, is searched
-        calls = {"chordless_cycles": 0, "empty_clique": 0}
-        lengths = Counter()  # the length ranges of the pair closures
+        closures = counted(monkeypatch, curvature, "chordless_cycles")
+        cliques = counted(monkeypatch, curvature, "empty_clique")
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                if name == "chordless_cycles":
-                    lengths[args[1:]] += 1
-                return fn(*args)
-            return wrapper
+        def lengths():
+            # the length ranges of the pair closures
+            return Counter(args[1:] for args in closures)
 
-        for name in calls:
-            monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
         masks = []
         link_masks = SimplicialComplex.link_masks
 
@@ -211,30 +206,31 @@ class TestLocallyLarge:
             assert check()
             # each link is still read once
             assert masks == list(X.vertices)
-        assert calls == {"chordless_cycles": 0, "empty_clique": 0}, calls
+        assert (len(closures), len(cliques)) == (0, 0), (closures, cliques)
 
         # the 600-cell's links are icosahedra, searched by pair closure at
-        # rim lengths 4 and 5, and at length 6 only when 6 is drawn
+        # rim lengths 4 and 5, and at length 6 only when 6 is read;
+        # wheels(cell600, 6, 6) reads length 6 alone
         cell600 = gen("cell600")
         assert is_m_located(cell600, 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
-        assert calls == {"chordless_cycles": 240, "empty_clique": 0}, calls
-        assert lengths == {(4,): 120, (5,): 120}, lengths
+        assert (len(closures), len(cliques)) == (240, 0)
+        assert lengths() == {(4,): 120, (5,): 120}, lengths()
         assert len(wheels(cell600, 6, 6)) == 120 * 40
-        assert calls == {"chordless_cycles": 600, "empty_clique": 0}, calls
-        assert lengths == {(4,): 240, (5,): 240, (6, 6): 120}, lengths
+        assert (len(closures), len(cliques)) == (360, 0)
+        assert lengths() == {(4,): 120, (5,): 120, (6, 6): 120}, lengths()
         verdict = is_locally_k_large(hollow_triangle_cone(), 5)
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
                                    "vertices": [2, 5, 7]}
-        assert calls["empty_clique"] == 1, calls
+        assert len(cliques) == 1, cliques
         # a searched link is closed once, at every length below k, and at
         # none for k = 4: the 600-cell is locally 5-large, and its first
         # link, an icosahedron, holds the 5-cycles that fail k = 7
-        lengths.clear()
+        closures.clear()
         assert is_locally_k_large(cell600, 4).passed and is_locally_k_large(cell600, 5).passed
-        assert lengths == {(4, 4): 120}, lengths
+        assert lengths() == {(4, 4): 120}, lengths()
         verdict = is_locally_k_large(cell600, 7)
         assert verdict.stats["links_checked"] == 1 and len(verdict.witness["cycle"]) == 5
-        assert lengths == {(4, 4): 120, (4, 6): 1}, lengths
+        assert lengths() == {(4, 4): 120, (4, 6): 1}, lengths()
 
 
 def simplex_soups(rng, count):
@@ -323,7 +319,7 @@ class TestWheels:
                 wheels(X, 6, 5)
 
     def test_chord_checks_only_the_rims_in_range(self, monkeypatch):
-        # shorter link cycles are grown through but never chord-checked
+        # shorter link cycles are neither closed nor chord-checked
         X = gen("random_flag", 30, 0.3, 1)
         links = [naive_link(X, (v,))[0] for v in X.vertices]
         shorter = sum(len(full_cycles(link, 4, 4)) for link in links)
@@ -365,17 +361,17 @@ class TestWheels:
                     rim = tuple(vmap[u] for u in c.vertices)
                     by_length[len(rim)].append((v, rim))
                     dropped += bool(chords(X, rim))
-            stream = curvature._wheels_by_length(X, 5, curvature._link_reads(X))
-            assert {k: sorted(ws) for k, ws in stream} \
+            wheels_at = curvature._wheels_by_length(X, 5, curvature._link_reads(X))
+            assert {k: sorted(wheels_at(k)) for k in (4, 5)} \
                 == {k: sorted(ws) for k, ws in by_length.items()}, X
         assert found > 100 and dropped > 0, (found, dropped)
 
     def test_stream_rims_are_the_naive_wheels(self, link_wheels):
         # lengths 4 and 5 are closed one at a time and 6 .. k_max in one
         # call per link, whose cycles go to their lengths; none is lost or
-        # found twice: at every length the stream holds exactly the wheels
-        # of that length.  On a flag input no rim of the stream has a chord
-        # in X.  The 600-cell's links are all searched, and its wheels come
+        # found twice: at every length the lookup holds exactly the wheels
+        # of that length.  On a flag input no rim it holds has a chord in
+        # X.  The 600-cell's links are all searched, and its wheels come
         # from the per-centre referee, which the other flag inputs at 8
         # check against naive_wheels
         lengths, flag, whole = set(), 0, 0
@@ -383,8 +379,8 @@ class TestWheels:
             if not is_flag(X).passed:
                 continue
             ref = [w for v in X.vertices for w in at[v]]
-            stream = curvature._wheels_by_length(X, top, curvature._link_reads(X))
-            got = [(k, sorted(ws)) for k, ws in stream]
+            wheels_at = curvature._wheels_by_length(X, top, curvature._link_reads(X))
+            got = [(k, sorted(wheels_at(k))) for k in range(4, top + 1)]
             assert got == [(k, [w for w in ref if len(w[1]) == k]) for k in range(4, top + 1)], X.name
             lengths.update(len(rim) for _, rim in ref)
             flag += 1
@@ -395,7 +391,7 @@ class TestWheels:
         assert (flag, whole) == (45, 35), (flag, whole)
 
     def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
-        # the first draw of length 6 closes 6 .. k_max in one kernel call
+        # the first read of length 6 closes 6 .. k_max in one kernel call
         # per searched link, a raised k_max too, and the wheels are still
         # the naive ones
         closures = Counter()
@@ -419,6 +415,18 @@ class TestWheels:
                 assert got == [w for v in X.vertices for w in naive_wheels_at(X, v, 4, k_max)], \
                     (X.name, k_max)
         assert max(len(rim) for _, rim in got) == 10
+
+    def test_no_length_below_k_min_is_closed(self, monkeypatch):
+        # wheels(X, k_min, k_max) reads the lengths k_min .. k_max only, so
+        # no searched link is closed below k_min; the 600-cell's 120 links
+        # are all searched.  check_wheel_in_link reads wheels(X, 5, 6)
+        closures = counted(monkeypatch, curvature, "chordless_cycles")
+        X = gen("cell600")
+        for k_min, rims, expected in ((5, {5: 1440, 6: 4800}, {(5,): 120, (6, 6): 120}),
+                                      (6, {6: 4800}, {(6, 6): 120})):
+            closures.clear()
+            assert Counter(len(w.rim) for w in wheels(X, k_min, 6)) == rims, k_min
+            assert Counter(args[1:] for args in closures) == expected, (k_min, closures)
 
 
 class TestDWheels:
@@ -572,16 +580,7 @@ class TestDWheelStream:
                       ((12, 0.45, 25), 6))
 
     def test_stops_at_first_unlocated_dwheel_on_600_cell(self, monkeypatch):
-        calls = {"DWheel": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(curvature, name, counted(name, getattr(curvature, name)))
+        built = counted(monkeypatch, curvature, "DWheel")
         with line_spy(curvature._locate_by_join, "cap(v0, wheel1) & cap(v0p, wheel2)",
                       ("identified", "v0", "v0p", "wheel1", "wheel2")) as seen:
             assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
@@ -592,7 +591,7 @@ class TestDWheelStream:
         # edge dwheels of boundary 7, comes right after 7 200 identified
         # ones.  Location is decided per apex pair on the wheels' corners,
         # so only the witness is built as a DWheel.
-        assert calls == {"DWheel": 1}, calls
+        assert len(built) == 1, built
         # the 7 200 identified dwheels are 3 600 wheel pairs with equal
         # corners, each a dwheel and its mirror, and each pair is tested
         # once; the edge-junction dwheel fails with no test
@@ -668,21 +667,20 @@ class TestDWheelStream:
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
-        # finds no wheels of its shorter rim length l <= 6 and never draws
+        # finds no wheels of its shorter rim length l <= 6 and never reads
         # the lengths 7 and 8 of its longer rim; is_m_located decides a
         # surface by degrees, so the join is called directly
-        drawn = []
+        read = []
+        wheels_at = curvature._wheels_by_length(surf37, 8, curvature._link_reads(surf37))
 
-        def recording(stream):
-            for k, found in stream:
-                drawn.append(k)
-                yield k, found
+        def recording(k):
+            read.append(k)
+            return wheels_at(k)
 
-        stream = curvature._wheels_by_length(surf37, 8, curvature._link_reads(surf37))
-        verdict, types = curvature._locate_by_join(surf37, 8, recording(stream))
+        verdict, types = curvature._locate_by_join(surf37, 8, recording)
         assert types == set()
         assert verdict.passed and verdict.stats["dwheels"] == 0
-        assert drawn == [4, 5, 6]
+        assert read == [4, 5, 6]
 
     def cases(self, octa, icosa, disk37, surf37):
         yield octa, 8
@@ -897,7 +895,7 @@ class TestLocatedAndLarge:
         return inputs
 
     def test_same_verdicts_as_each_check_alone(self, tmp_path, icosa, disk37, surf37):
-        # k - 1 > m occurs (k = 8, 9 at m = 6), so the stream outgrows the join
+        # k - 1 > m occurs (k = 8, 9 at m = 6), so largeness reads lengths past m
         seen = set()
         for X in self.corpus(tmp_path, icosa, disk37, surf37):
             large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
@@ -1173,23 +1171,15 @@ class TestMLocation:
             is_m_located(icosa, 5)
 
     def test_600_cell_chord_checks_only_the_5_rims(self, monkeypatch):
-        # the stream fails inside the (5,5) buckets, so only the 1 440 link
+        # the join fails inside the (5,5) buckets, so only the 1 440 link
         # 5-cycles are built, not all 6 240 rims up to 8; X is flag, so a
         # link-chordless rim is chordless in X and none is chord-checked.
         # The rims grow on link graphs, so no link complex is built either.
-        calls = {"chords": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         X = gen("cell600")
-        monkeypatch.setattr(curvature, "chords", counted("chords", curvature.chords))
+        checked = counted(monkeypatch, curvature, "chords")
         built = complexes_built(monkeypatch)
         assert is_m_located(X, 8).to_json() == CELL600_M8
-        assert calls == {"chords": 0} and built == [], calls
+        assert len(checked) == 0 and built == [], checked
 
     def test_vacuity_on_locally_7_large(self, disk37, surf37):
         for X in (disk37, surf37):

@@ -503,21 +503,11 @@ class TestCycleLemma:
             assert verdict.passed == filled == naive_rim_filled(Y, rim), rim
 
     def test_no_vertex_link_read(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(SimplicialComplex, "link_masks",
-                            counted("link_masks", SimplicialComplex.link_masks))
-        for module in (curvature, manifold):
-            monkeypatch.setattr(module, "wheels", counted("wheels", module.wheels))
+        calls = [counted(monkeypatch, SimplicialComplex, "link_masks")]
+        calls += [counted(monkeypatch, module, "wheels") for module in (curvature, manifold)]
         verdicts = manifold._sphere_lemmas(gen("geodesic_sphere", 4))
         assert [v.passed for v in verdicts] == [True, True]
-        assert calls == Counter(), calls
+        assert calls == [[], [], []], calls
 
 
 # a 2-sphere of two disks glued along the 5-cycle 0 1 2 3 4: vertex 5 is

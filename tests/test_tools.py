@@ -50,7 +50,7 @@ def test_manifold_digest_meets_every_vertex_link_reason():
     assert len(reasons) == 4, reasons
 
 
-def test_local_digest_repeats():
+def test_local_digest_repeats(capsys, monkeypatch):
     # the named generators up to gs2: passes, failures and refusals
     local_digest = load_tool("local_digest")
     items = list(islice(local_digest.corpus(), 9))
@@ -58,7 +58,17 @@ def test_local_digest_repeats():
     assert counts["complexes"] == 9 and counts["calls"] == 9 * 16
     assert counts["passed"] and counts["failed"] and counts["refused"]
     assert counts["wheels"] and counts["dwheels"]
-    assert local_digest.digest(items)[0] == hexdigest
+    # the pair closures by length range: a length read alone, and 6 .. 8
+    # closed in one call
+    closures = {key: n for key, n in counts.items() if key.startswith("chordless_cycles ")}
+    assert closures["chordless_cycles 4"] and closures["chordless_cycles 6-8"], closures
+    assert local_digest.digest(items) == (hexdigest, counts)
+    # main prints them last, after the digest and the other counts
+    monkeypatch.setattr(local_digest, "corpus", lambda: iter(items))
+    assert local_digest.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == hexdigest
+    assert out[-len(closures):] == [f"{key} {n}" for key, n in closures.items()]
 
 
 def test_local_digest_names_empty_triangles_and_tetrahedra():

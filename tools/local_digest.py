@@ -6,7 +6,11 @@ corpus and prints one SHA-256 over their outputs in ``--json`` form, then
 the number of complexes, of calls, of passing and failing verdicts, of
 refused calls, of the cycles, wheels and dwheels listed and of the empty
 cliques ``is_flag`` names, by size.  A change that must leave these outputs
-byte-identical prints the same digest before and after.
+byte-identical prints the same digest before and after.  Last come the
+calls of the pair closure ``chordless_cycles`` that the local checkers
+make, one line per length range as they pass it (``4`` for one length,
+``6-8`` for a range), counted by a spy on ``curvature.chordless_cycles``;
+they measure work, not output, and are not hashed.
 
 The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
 ``dwheels`` of boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
@@ -51,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
+from combcurv import GeneratorSpec, build_complex, curvature, generate  # noqa: E402
 from combcurv.complexes import SimplicialComplex, full_cycles, is_flag  # noqa: E402
 from combcurv.curvature import (  # noqa: E402
     dwheels,
@@ -217,13 +221,23 @@ def record(X, calls_of, counts: Counter) -> list:
 def digest(items):
     """SHA-256 over the records of the (label, complex, calls) ``items``,
     and the counts of complexes, calls, verdicts, refusals, cycles, wheels
-    and dwheels."""
+    and dwheels, then of the ``curvature.chordless_cycles`` calls by length
+    range, as ``chordless_cycles 4`` or ``chordless_cycles 6-8``, sorted."""
     h = hashlib.sha256()
     counts = Counter()
-    for label, X, calls_of in items:
-        counts["complexes"] += 1
-        rec = {"complex": label, "calls": record(X, calls_of, counts)}
-        h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode())
+    closures = Counter()  # length range -> pair closures of the local checkers
+    close = curvature.chordless_cycles
+    curvature.chordless_cycles = lambda masks, *lengths: (
+        closures.update([lengths]) or close(masks, *lengths))
+    try:
+        for label, X, calls_of in items:
+            counts["complexes"] += 1
+            rec = {"complex": label, "calls": record(X, calls_of, counts)}
+            h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode())
+    finally:
+        curvature.chordless_cycles = close
+    for lengths, n in sorted(closures.items()):
+        counts["chordless_cycles " + "-".join(map(str, lengths))] = n
     return h.hexdigest(), counts
 
 
@@ -233,6 +247,9 @@ def main() -> int:
     for key in ("complexes", "calls", "passed", "failed", "refused", "cycles", "wheels", "dwheels",
                 "empty 3-cliques", "empty 4-cliques", "empty 5-cliques"):
         print(f"{key} {counts[key]}")
+    for key in counts:
+        if key.startswith("chordless_cycles "):
+            print(f"{key} {counts[key]}")
     return 0
 
 
