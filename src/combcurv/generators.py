@@ -57,42 +57,22 @@ def boundary_4_simplex() -> SimplicialComplex:
 def geodesic_sphere(k: int) -> SimplicialComplex:
     """Icosahedron with each face subdivided into k^2 triangles.
 
-    Faces sharing an edge reuse the subdivision points of that edge via a
-    canonical key (position measured from the smaller endpoint), so the
-    result has exactly 10k^2 + 2 vertices: the 12 originals of degree 5 and
-    the rest of degree 6.
+    Each point is named by its barycentric weights on the 12 icosahedron
+    vertices, read as the digits of one number in base k + 1.  Faces that
+    share a point give it equal weights, and each weight is at most k, so
+    the number names that point and no other.  The result has exactly
+    10k^2 + 2 vertices: the 12 originals of degree 5, with ids 0-11, and
+    the rest of degree 6, numbered in order of first appearance.
     """
     if k < 1:
         raise ValueError("subdivision parameter must be at least 1")
-    ids = {}
-
-    def vid(key):
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
-
-    def grid_key(face_idx, a, b, c, i, j):
-        # barycentric point (k-i-j, i, j) on face (a, b, c)
-        if i == 0 and j == 0:
-            return ("v", a)
-        if i == k and j == 0:
-            return ("v", b)
-        if i == 0 and j == k:
-            return ("v", c)
-        if j == 0:
-            return ("e", a, b, i) if a < b else ("e", b, a, k - i)
-        if i == 0:
-            return ("e", a, c, j) if a < c else ("e", c, a, k - j)
-        if i + j == k:
-            return ("e", b, c, j) if b < c else ("e", c, b, k - j)
-        return ("f", face_idx, i, j)
-
-    for v in range(12):
-        vid(("v", v))
+    place = [(k + 1) ** v for v in range(12)]
+    ids = {k * p: v for v, p in enumerate(place)}
     faces = []
-    for idx, (a, b, c) in enumerate(ICOSAHEDRON_FACES):
+    for a, b, c in ICOSAHEDRON_FACES:
         def pt(i, j):
-            return vid(grid_key(idx, a, b, c, i, j))
+            # barycentric point (k-i-j, i, j) on face (a, b, c)
+            return ids.setdefault((k - i - j) * place[a] + i * place[b] + j * place[c], len(ids))
 
         for i in range(k):
             for j in range(k - i):
@@ -193,8 +173,9 @@ def generate(spec: GeneratorSpec) -> SimplicialComplex:
     if len(spec.params) != len(kinds):
         raise ValueError(f"{spec.name} takes {len(kinds)} parameter(s), got {len(spec.params)}")
     for i, (kind, x) in enumerate(zip(kinds, spec.params), 1):
-        if kind == "i" and not isinstance(x, int):
-            raise ValueError(f"{spec.name} parameter {i} must be an integer, got {x!r}")
+        if isinstance(x, bool) or not isinstance(x, int if kind == "i" else (int, float)):
+            what = "an integer" if kind == "i" else "a number"
+            raise ValueError(f"{spec.name} parameter {i} must be {what}, got {x!r}")
     return fn(*spec.params)
 
 

@@ -1,7 +1,7 @@
 import random
 import sys
 from bisect import insort
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -18,10 +18,12 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def counted(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a wrapper that appends the arguments of
-    each call to the returned list."""
+    """Replace ``owner.name`` by a wrapper that appends the positional
+    arguments of each call to the returned list, and forwards every
+    argument."""
     calls, fn = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
     return calls
 
 
@@ -129,6 +131,10 @@ def suspended_torus():
     return suspension(gen("tri_torus", 4, 4))
 
 
+# the triangular bipyramid: apexes 0 and 4 of degree 3 around the equator 1 2 3
+BIPYRAMID = [(0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4)]
+
+
 def pinched_pair(tris, poles):
     """Two copies of a sphere glued at two non-adjacent vertices ``poles``:
     every edge on two triangles, connected, Euler characteristic 2, yet
@@ -167,21 +173,30 @@ def suspended_pinched_octahedra():
     return suspension(pinched_octahedra())
 
 
-def bd4_pair_at_vertex():
-    """Two boundaries of the 4-simplex sharing vertex 0 only: every edge
-    link is a triangle, but the link of vertex 0 is two disjoint spheres."""
+def bd4_pair(shared):
+    """Two boundaries of the 4-simplex sharing their vertices below
+    ``shared``.  Sharing vertex 0 alone (1), every edge link is a
+    triangle, but the link of vertex 0 is two disjoint spheres.  Sharing
+    the edge 0-1 (2), every triangle still lies on two tetrahedra, but
+    that edge's link is two triangles, and the link of vertex 0 is two
+    spheres sharing a vertex (Euler characteristic 3)."""
     tets = sorted(gen("boundary_4_simplex").simplices(3))
-    return build_complex(tets + [[v and v + 4 for v in t] for t in tets])
+    return build_complex(tets + [[v if v < shared else v + 5 - shared for v in t] for t in tets])
 
 
-def bd4_pair_at_edge():
-    """Two boundaries of the 4-simplex sharing only the edge 0-1: every
-    triangle still lies on two tetrahedra, but that edge's link is two
-    triangles, and the link of vertex 0 is two spheres sharing a vertex
-    (Euler characteristic 3)."""
-    tets = gen("boundary_4_simplex").simplices(3)
-    second = {v: v if v < 2 else v + 3 for v in range(5)}
-    return build_complex(list(tets) + [[second[v] for v in t] for t in tets])
+def less_some(X, dim, rng, share=1 / 8):
+    """X less about ``share`` of its ``dim``-simplices (2 or 3) and the
+    tetrahedra on them.
+
+    The faces below stay, so each dropped simplex is an empty clique: X is
+    no longer flag, and for ``dim`` 2 a cycle of a vertex link can have a
+    chord in X that is not a link edge."""
+    dropped = {s for s in sorted(X.simplices(dim)) if rng.random() < share}
+    faces = {d: X.simplices(d) for d in range(4)}
+    faces[dim] = faces[dim] - dropped
+    if dim == 2:
+        faces[3] = [t for t in faces[3] if dropped.isdisjoint(combinations(t, 3))]
+    return SimplicialComplex(X.vertex_count, faces, name=X.name)
 
 
 def tetrahedron_less_face():

@@ -31,10 +31,10 @@ from combcurv.generators import flag_completion
 
 from conftest import (
     FIXTURE_DIR,
-    bd4_pair_at_edge,
-    bd4_pair_at_vertex,
+    bd4_pair,
     gen,
     glued_tetrahedra,
+    less_some,
     load_degree7_fixture,
     pinched_octahedra,
     tetrahedron_less_face,
@@ -49,7 +49,6 @@ from oracles import (
     naive_maximal_simplices,
     naive_span,
 )
-from test_curvature import without_some_triangles
 
 
 class TestBuildComplex:
@@ -228,7 +227,7 @@ def _named_complexes():
     """The small complexes of the shared fixtures and of ``conftest``."""
     return [gen("octahedron"), gen("icosahedron"), gen("boundary_4_simplex"),
             tetrahedron_less_face(), glued_tetrahedra(), pinched_octahedra(),
-            bd4_pair_at_vertex(), bd4_pair_at_edge(),
+            bd4_pair(1), bd4_pair(2),
             build_complex(combinations(range(4), 3), name="hollow_tetrahedron")]
 
 
@@ -657,7 +656,7 @@ class TestClosedFaceSets:
             dump_path(X, path)
             built["load_path"].append(load_path(path).complex)
         corpus = [X for group in built.values() for X in group]
-        built.update(span=[], naive_span=[], naive_link=[], without_some_triangles=[])
+        built.update(span=[], naive_span=[], naive_link=[], less_some=[])
         for X in corpus:
             pool = list(X.vertices)
             for keep in [set(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(3)]:
@@ -667,7 +666,7 @@ class TestClosedFaceSets:
                 built["naive_link"].append(naive_link(X, (v,))[0])
             for e in sorted(X.simplices(1))[:3]:
                 built["naive_link"].append(naive_link(X, e)[0])
-            built["without_some_triangles"].append(without_some_triangles(X, rng, 1 / 4))
+            built["less_some"].append(less_some(X, 2, rng, 1 / 4))
         for path_name, group in built.items():
             assert group, path_name
             for X in group:

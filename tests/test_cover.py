@@ -14,23 +14,11 @@ from combcurv.curvature import is_locally_k_large, is_m_located
 from combcurv.errors import HypothesisViolation, InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
-from conftest import gen
+from conftest import counted, gen
 from oracles import init_cover, naive_cover_classes, naive_span
 
 # random_flag draws whose cover reports carry warnings
 WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
-
-
-def counting(monkeypatch, owner, name) -> list:
-    """Record the arguments of every later call of ``owner.name``."""
-    calls, inner = [], getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
 
 
 def k5_over_tetra(tetra) -> CoverState:
@@ -177,7 +165,7 @@ class TestLazyHypotheses:
         # location and largeness, of the interior and of the target alike,
         # are read through one call that returns both, on the caller's
         # flag verdict
-        reads = counting(monkeypatch, cover, "located_and_large")
+        reads = counted(monkeypatch, cover, "located_and_large")
         for X in (surf37, gen("tri_torus", 8, 8)):
             del reads[:]
             assert build_cover(X, 0, 5).passed
@@ -189,8 +177,8 @@ class TestLazyHypotheses:
 
     def test_a_warned_build_reads_them_once(self, monkeypatch):
         X = gen("random_flag", 13, 0.35, 4)
-        reads = counting(monkeypatch, cover, "_meets_hypotheses")
-        located = counting(monkeypatch, cover, "located_and_large")
+        reads = counted(monkeypatch, cover, "_meets_hypotheses")
+        located = counted(monkeypatch, cover, "located_and_large")
         report = build_cover(X, 0, 4)
         # (Q) fails at radius 1 (stage 2) and at radius 3 (stage 4); each
         # is reported once, by the stage that adds its radius
@@ -200,7 +188,7 @@ class TestLazyHypotheses:
         assert sum(args[0] is X for args in located) == 1
 
     def test_a_failing_state_raises_only_under_the_hypotheses(self, tetra, icosa, monkeypatch):
-        reads = counting(monkeypatch, cover, "_meets_hypotheses")
+        reads = counted(monkeypatch, cover, "_meets_hypotheses")
         state = k5_over_tetra(tetra)
         with pytest.raises(InvariantViolation):
             _apply_invariants(state)
@@ -310,20 +298,20 @@ class TestDescentOncePerRadius:
         # carried, and the newest radius reads (T) off the expansion
         state = expand_ball(expand_ball(init_cover(surf37, 0)))
         full = check_sd_prime(state.ball, 0, 2).to_json()
-        scans = counting(monkeypatch, metric, "_triangle_condition")
+        scans = counted(monkeypatch, metric, "_triangle_condition")
         sd, _covering, problems = _verify_invariants(state)
         assert problems == [] and sd.to_json() == full and scans == []
 
     def test_surface_build_scans_each_radius_once_and_spans_nothing(self, surf37, monkeypatch):
-        triangle_scans = counting(monkeypatch, metric, "_triangle_condition")
-        vertex_scans = counting(monkeypatch, cover, "vertex_condition")
-        spans = counting(monkeypatch, SimplicialComplex, "span")
-        faces_read = counting(monkeypatch, SimplicialComplex, "has_simplex")
+        triangle_scans = counted(monkeypatch, metric, "_triangle_condition")
+        vertex_scans = counted(monkeypatch, cover, "vertex_condition")
+        spans = counted(monkeypatch, SimplicialComplex, "span")
+        faces_read = counted(monkeypatch, SimplicialComplex, "has_simplex")
         # by (P) the birth layers are the base row, so no BFS runs
-        rows = counting(monkeypatch, metric, "distances_from")
+        rows = counted(monkeypatch, metric, "distances_from")
         # stage 0 carries the empty report, so no lower radius is scanned;
         # the builder's own binding of the name is counted too, if it has one
-        reports = counting(monkeypatch, metric, "check_sd_prime")
+        reports = counted(monkeypatch, metric, "check_sd_prime")
         monkeypatch.setattr(cover, "check_sd_prime", metric.check_sd_prime, raising=False)
         assert build_cover(surf37, 0, 5).passed
         assert triangle_scans == [] and reports == []
@@ -385,7 +373,7 @@ class TestInteriorBall:
 
     def test_each_interior_link_is_read_once(self, surf37, monkeypatch):
         # location and largeness of the interior take one read of each link
-        reads = counting(monkeypatch, SimplicialComplex, "link_masks")
+        reads = counted(monkeypatch, SimplicialComplex, "link_masks")
         for X, r, located in ((surf37, 5, True), (gen("tri_torus", 8, 8), 4, False)):
             del reads[:]
             report = build_cover(X, 0, r)
@@ -417,7 +405,7 @@ class TestShortcut:
         # random_flag(13, .35, 4) first misses a shortcut at stage 2 of 4,
         # the first stage whose (Q) fails; only that verdict is reported, so
         # no other stage is verified
-        calls = counting(monkeypatch, cover, "verify_equiv_shortcut")
+        calls = counted(monkeypatch, cover, "verify_equiv_shortcut")
         report = build_cover(gen("random_flag", 13, 0.35, 4), 0, 4)
         assert [state.stage for (state,) in calls] == [2]
         assert report.shortcut.witness["pair"] == [4, 5]

@@ -36,6 +36,7 @@ from conftest import (
     flip_surface,
     gen,
     hollow_triangle_cone,
+    less_some,
     pinched_octahedra,
     two_cycles_cone,
 )
@@ -161,19 +162,12 @@ class TestLocallyLarge:
 
     def test_builds_vertex_links_only(self, gs2, monkeypatch):
         # each vertex link is read once, as bitmasks; no link complex is built
-        masks = []
-        link_masks = SimplicialComplex.link_masks
-
-        def counting_link_masks(X, v):
-            masks.append(v)
-            return link_masks(X, v)
-
         built = complexes_built(monkeypatch)
-        monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
+        masks = counted(monkeypatch, SimplicialComplex, "link_masks")
         verdict = is_locally_k_large(gs2, 5)
         assert verdict.passed
         assert built == []
-        assert masks == list(gs2.vertices)
+        assert [v for _X, v in masks] == list(gs2.vertices)
         # the stat still counts every simplex whose link is certified
         assert verdict.stats["links_checked"] == sum(gs2.counts())
 
@@ -188,14 +182,7 @@ class TestLocallyLarge:
             # the length ranges of the pair closures
             return Counter(args[1:] for args in closures)
 
-        masks = []
-        link_masks = SimplicialComplex.link_masks
-
-        def counting_link_masks(X, v):
-            masks.append(v)
-            return link_masks(X, v)
-
-        monkeypatch.setattr(SimplicialComplex, "link_masks", counting_link_masks)
+        masks = counted(monkeypatch, SimplicialComplex, "link_masks")
         checks = ((gs2, lambda: is_locally_k_large(gs2, 5).passed),
                   (torus66, lambda: is_locally_k_large(torus66, 6).passed),
                   (gs2, lambda: is_m_located(gs2, 8).stats["dwheels"] > 0),
@@ -205,7 +192,7 @@ class TestLocallyLarge:
             masks.clear()
             assert check()
             # each link is still read once
-            assert masks == list(X.vertices)
+            assert [v for _X, v in masks] == list(X.vertices)
         assert (len(closures), len(cliques)) == (0, 0), (closures, cliques)
 
         # the 600-cell's links are icosahedra, searched by pair closure at
@@ -240,18 +227,6 @@ def simplex_soups(rng, count):
         ids = sorted(rng.sample(range(14), rng.randint(5, 11)))
         yield build_complex(rng.sample(ids, rng.randint(2, 4))
                             for _ in range(rng.randint(3, 14)))
-
-
-def without_some_triangles(X, rng, share=1 / 8):
-    """X less about ``share`` of its triangles and the tetrahedra on them.
-
-    The edges stay, so each dropped triangle leaves three pairwise adjacent
-    vertices spanning nothing: X is no longer flag, and a cycle of a vertex
-    link can have a chord in X that is not a link edge."""
-    dropped = {t for t in sorted(X.simplices(2)) if rng.random() < share}
-    tets = [t for t in X.simplices(3) if dropped.isdisjoint(combinations(t, 3))]
-    faces = {0: X.simplices(0), 1: X.simplices(1), 2: X.simplices(2) - dropped, 3: tets}
-    return SimplicialComplex(X.vertex_count, faces, name=X.name)
 
 
 class TestLocallyLargeOracle:
@@ -324,17 +299,9 @@ class TestWheels:
         links = [naive_link(X, (v,))[0] for v in X.vertices]
         shorter = sum(len(full_cycles(link, 4, 4)) for link in links)
         in_range = sum(len(full_cycles(link, 5, 6)) for link in links)
-        calls = 0
-        real = curvature.chords
-
-        def counting(Y, cycle):
-            nonlocal calls
-            calls += 1
-            return real(Y, cycle)
-
-        monkeypatch.setattr(curvature, "chords", counting)
+        calls = counted(monkeypatch, curvature, "chords")
         assert len(wheels(X, 5, 6)) == 98
-        assert calls == in_range and shorter > 0, (calls, in_range, shorter)
+        assert len(calls) == in_range and shorter > 0, (len(calls), in_range, shorter)
 
     def test_against_naive_oracle_in_order(self):
         # wheels() gives canonical rims in (center, length, rim) order; the
@@ -465,8 +432,8 @@ class TestDWheels:
         # some triangles, a link-chordless rim can have a chord in X:
         # dwheels drops those wheels before the join
         rng = random.Random(1113)
-        non_flag = [without_some_triangles(gen("random_flag", rng.randint(9, 13),
-                                                rng.choice((0.35, 0.45)), seed), rng)
+        non_flag = [less_some(gen("random_flag", rng.randint(9, 13),
+                                  rng.choice((0.35, 0.45)), seed), 2, rng)
                     for seed in range(60)]
         junctions, found, chorded = set(), 0, 0
         for X in non_flag:
@@ -891,7 +858,7 @@ class TestLocatedAndLarge:
         rng = random.Random(4242)
         for seed in range(36):
             X = gen("random_flag", rng.randint(9, 14), rng.choice((0.3, 0.4, 0.5)), seed)
-            inputs.append(without_some_triangles(X, rng) if seed % 3 == 0 else X)
+            inputs.append(less_some(X, 2, rng) if seed % 3 == 0 else X)
         return inputs
 
     def test_same_verdicts_as_each_check_alone(self, tmp_path, icosa, disk37, surf37):
@@ -932,45 +899,34 @@ class TestLocatedAndLarge:
         # sums, and closed at rim lengths 4 and 5 once each; the checks
         # called alone read 241 links, search 120 for cliques and close
         # 360.  The flag test is the caller's, and the CLI's is counted too.
-        calls = Counter()
+        spied = [(name, counted(monkeypatch, owner, name)) for owner, name in (
+            (curvature, "empty_clique"), (curvature, "is_flag"), (cli, "is_flag"),
+            (SimplicialComplex, "link_masks"), (curvature, "chordless_cycles"))]
 
-        def count(owner, name):
-            fn = getattr(owner, name)
+        def calls():
+            # the calls by name since the last count
+            counts = Counter(name for name, seen in spied for _ in seen)
+            for _name, seen in spied:
+                seen.clear()
+            return counts
 
-            def spy(*args):
-                calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(owner, name, spy)
-
-        for name in ("empty_clique", "is_flag"):
-            count(curvature, name)
-        count(cli, "is_flag")
-        count(SimplicialComplex, "link_masks")
-        # rim lengths 4 and 5 come by pair closure, one length a call, and
-        # no other length is closed, as the join fails before drawing 6
-        lengths, close = Counter(), curvature.chordless_cycles
-
-        def closing(masks, *args):
-            calls["chordless_cycles"] += 1
-            lengths[args] += 1
-            return close(masks, *args)
-        monkeypatch.setattr(curvature, "chordless_cycles", closing)
         X = gen("cell600")
-        expected = Counter(link_masks=120, chordless_cycles=240, is_flag=1)
-        curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
-        assert calls == expected, calls
-        assert lengths == {(4,): 120, (5,): 120}, lengths
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
-        calls.clear()
+        expected = Counter(link_masks=120, chordless_cycles=240, is_flag=1)
+        curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
+        # rim lengths 4 and 5 come by pair closure, one length a call, and
+        # no other length is closed, as the join fails before drawing 6
+        lengths = Counter(args[1:] for args in spied[-1][1])
+        assert lengths == {(4,): 120, (5,): 120}, lengths
+        assert calls() == expected
         assert cli.main(["check", "--k", "5", "--m", "8", str(path)]) == 1
-        assert calls == expected, calls
+        assert calls() == expected
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "[pass] is_locally_k_large"
         # with --flag the printed flag verdict is the one the kernel gets
-        calls.clear()
         assert cli.main(["check", "--flag", "--k", "5", "--m", "8", str(path)]) == 1
-        assert calls == expected, calls
+        assert calls() == expected
         assert capsys.readouterr().out == "[pass] is_flag\n" + out
 
     def test_a_bad_k_is_reported_before_a_bad_m(self, icosa, monkeypatch):
@@ -1071,27 +1027,18 @@ class TestLocateByDegrees:
             assert (bool(seen), verdict.status) == (scanned, status), m
 
     def test_other_complexes_take_the_join(self, gs3, disk37, surf37, monkeypatch):
-        calls = Counter()
-
-        def count(name):
-            fn = getattr(curvature, name)
-
-            def spy(*args):
-                calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(curvature, name, spy)
-
-        for name in ("_apex_pairs", "_wheels_by_length"):
-            count(name)
+        joins = counted(monkeypatch, curvature, "_apex_pairs")
+        draws = counted(monkeypatch, curvature, "_wheels_by_length")
         for X in self.join_only():
             assert is_flag(X).passed and cycle_link_degrees(X) is None, X.name
-            calls.clear()
+            joins.clear()
             is_m_located(X, 8)
-            assert calls["_apex_pairs"] == 1, X.name
+            assert len(joins) == 1, X.name
         for X in chain(self.named(disk37, surf37), self.flipped(gs3, disk37, surf37)):
-            calls.clear()
+            joins.clear()
+            draws.clear()
             is_m_located(X, 8)
-            assert calls == Counter(), X.name
+            assert joins == draws == [], X.name
 
 
 class TestInOneBall:
@@ -1332,7 +1279,7 @@ class TestCoveringMapOracle:
         # non-flag pairs: a soup and a copy less some triangles, each the
         # cover of the other, so every dimension is compared
         for A in simplex_soups(rng, 60):
-            B = without_some_triangles(A, rng, share=1 / 3)
+            B = less_some(A, 2, rng, share=1 / 3)
             identity = tuple(range(A.vertex_count))
             a, b = rng.sample(A.vertices, 2)
             swapped = list(identity)
@@ -1347,7 +1294,7 @@ class TestCoveringMapOracle:
             ids = wide.sample(range(64), wide.randint(8, 20))
             A = build_complex(wide.sample(ids, wide.randint(2, 4))
                               for _ in range(wide.randint(10, 40)))
-            B = without_some_triangles(A, wide, share=1 / 2)
+            B = less_some(A, 2, wide, share=1 / 2)
             identity = tuple(range(A.vertex_count))
             yield identity, A, B, None
             yield identity, B, A, None

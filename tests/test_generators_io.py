@@ -1,5 +1,6 @@
 """Generator corpus invariants and file round trips."""
 
+import hashlib
 import json
 import random
 from itertools import chain, combinations
@@ -102,6 +103,11 @@ class TestGenerators:
             gen("random_flag", 10, 0.3, 1.5)
         with pytest.raises(ValueError):
             gen("random_flag", -3, 0.5, 1)
+        # a bool is not a parameter of either kind
+        with pytest.raises(ValueError, match="must be an integer"):
+            gen("geodesic_sphere", True)
+        with pytest.raises(ValueError, match="must be a number"):
+            gen("random_flag", 4, True, 0)
         assert gen("random_flag", 0, 1, 0).vertex_count == 0
         assert gen("random_flag", 4, 1, 0).counts() == gen("random_flag", 4, 1.0, 0).counts()
 
@@ -116,6 +122,16 @@ class TestGenerators:
         # canonical serialization pinned: regression guard for seeding drift
         text = serialize_text(gen("random_flag", 6, 0.5, 42))
         assert text == "0 2 3 4\n1 4\n1 5\n3 5\n"
+
+    def test_named_generators_frozen_bytes(self):
+        # the vertex ids of the named generators pinned, gs5 - gs8 included
+        specs = [("geodesic_sphere", k) for k in range(1, 9)] + [
+            ("tri_torus", 4, 4), ("tri_torus", 5, 7), ("cell600",), ("icosahedron",),
+            ("octahedron",), ("boundary_4_simplex",), ("c_n", 5)]
+        h = hashlib.sha256()
+        for spec in specs:
+            h.update(serialize_text(gen(*spec)).encode() + b"\n")
+        assert h.hexdigest() == "f4ef4a6fa764df850563e0b5c7728e38f2325fd423a544526ce65099ef22a2c1"
 
     def test_cycle_generator(self, c5):
         assert c5.counts() == (5, 5, 0, 0)

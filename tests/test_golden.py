@@ -12,6 +12,7 @@ import hashlib
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,7 @@ from combcurv.formats import dump_path
 
 from conftest import (
     FIXTURE_DIR,
-    bd4_pair_at_edge,
-    bd4_pair_at_vertex,
+    bd4_pair,
     glued_tetrahedra,
     mixed_star,
     suspended_pinched_octahedra,
@@ -47,9 +47,9 @@ GENERATED = {
 # complex of mixed dimension
 BUILT = {
     "susp_torus44": suspended_torus,
-    "bd4_pair": bd4_pair_at_vertex,
+    "bd4_pair": partial(bd4_pair, 1),
     "susp_pinched_octahedra": suspended_pinched_octahedra,
-    "bd4_pair_edge": bd4_pair_at_edge,
+    "bd4_pair_edge": partial(bd4_pair, 2),
     "glued_tetrahedra": glued_tetrahedra,
     "tetra_less_face": tetrahedron_less_face,
     "mixed_star": mixed_star,

@@ -113,3 +113,14 @@ that is code"""
 '''
     # import, class, the two lines of x, def, the later string, return
     assert code_lines.code_lines(sample) == 7
+
+
+def test_code_lines_print_the_package_total_then_the_test_and_tool_layers(capsys):
+    code_lines = load_tool("code_lines")
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for _n, name in rows[-3:]] == ["total", "tests/*.py", "tools/*.py"]
+    assert int(rows[-3][0]) == sum(int(n) for n, _name in rows[:-3])
+    for n, layer in rows[-2:]:
+        paths = TOOLS.parent.glob(layer)
+        assert int(n) == sum(code_lines.code_lines(p.read_text()) for p in paths) > 0, layer

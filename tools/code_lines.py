@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Code lines of each module of the package, and their total.
+"""Code lines of each module of the package and their total, then the
+totals of the test and tool layers, ``tests/*.py`` and ``tools/*.py``.
 
 A code line holds at least one token that is not a comment.  Blank lines,
 comment lines and the lines of module, class and function docstrings are
@@ -49,6 +50,9 @@ def main() -> int:
         total += n
         print(f"{n:6d}  {path.relative_to(ROOT)}")
     print(f"{total:6d}  total")
+    for layer in ("tests", "tools"):
+        n = sum(code_lines(path.read_text()) for path in (ROOT / layer).glob("*.py"))
+        print(f"{n:6d}  {layer}/*.py")
     return 0
 
 

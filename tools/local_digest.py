@@ -29,14 +29,16 @@ cones over one identified dwheel of each type (5, 5), (6, 5), (6, 6) and
 (7, 5), which are 8-located with two dwheels each, the vertex links of the
 600-cell (built by the test referee ``oracles.naive_link``), 1000 seeded
 ``random_flag`` draws, and 200 more draws that are mostly not flag: each
-less about an eighth of its triangles (and the tetrahedra on them, as
-``test_curvature.without_some_triangles`` does) or of its tetrahedra.
-The first leave empty triangles and the second empty tetrahedra, and a
-draw whose graph has a 5-clique fails on it, so ``is_flag`` names
-witnesses of 3, 4 and 5 vertices.  Then the sparse corpus: 60 seeded
-``random_flag(n, 3 / n)`` draws, n = 16 .. 40, whose graphs have average
-degree about 3 and so long chordless cycles, each followed by the cone
-over its 2-skeleton, whose apex link is that 2-skeleton.
+less about an eighth of its triangles (and the tetrahedra on them) or of
+its tetrahedra.  The first leave empty triangles and the second empty
+tetrahedra, and a draw whose graph has a 5-clique fails on it, so
+``is_flag`` names witnesses of 3, 4 and 5 vertices.  Then the sparse
+corpus: 60 seeded ``random_flag(n, 3 / n)`` draws, n = 16 .. 40, whose
+graphs have average degree about 3 and so long chordless cycles, each
+followed by the cone over its 2-skeleton, whose apex link is that
+2-skeleton.  The dwheel cones and the draws less some simplices are built
+as the tests build them, by ``cone``, ``dwheel_complex`` and ``less_some``
+of ``tests/conftest.py``.
 
 Run from the repository root:  python3 tools/local_digest.py
 On this corpus it prints 1fcd164869172ba8b95364a9ff0d0d9bf9f8cd92b0f4cfd7a0f76364bdf415d3
@@ -48,7 +50,6 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_complex, curvature, generate  # noqa: E402
-from combcurv.complexes import SimplicialComplex, full_cycles, is_flag  # noqa: E402
+from combcurv.complexes import full_cycles, is_flag  # noqa: E402
 from combcurv.curvature import (  # noqa: E402
     dwheels,
     is_locally_k_large,
@@ -71,6 +72,7 @@ from combcurv.manifold import (  # noqa: E402
     check_sphere_cycle_lemma,
     is_5_6_star_sphere,
 )
+from conftest import cone, dwheel_complex, less_some  # noqa: E402
 from oracles import naive_link  # noqa: E402
 
 NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
@@ -85,18 +87,6 @@ SPARSE_DRAWS = 60
 SPHERE_CHECKS = (is_5_6_star_sphere, check_sphere_cycle_lemma, check_7cycle_fillings)
 
 
-def located_cone(k: int, l: int):
-    """The cone over one identified (k, l)-dwheel: apexes 0 and 1, shared
-    vertex 2, free arcs (3, ..., k) and (3, k + 1, ..., k + l - 3); the
-    cone apex is the last vertex, and its 1-ball holds every dwheel."""
-    arc1 = tuple(range(3, k + 1))
-    arc2 = (3,) + tuple(range(k + 1, k + l - 2))
-    rims = ((0, arc1 + (2, 1)), (1, arc2 + (2, 0)))
-    apex = k + l - 2
-    return build_complex([(c, rim[i - 1], rim[i], apex) for c, rim in rims
-                          for i in range(len(rim))])
-
-
 def complexes():
     """(label, complex) of the corpus, in a fixed order."""
     for name, params in NAMED:
@@ -104,7 +94,7 @@ def complexes():
     for name in ("surf37_psl2_7", "disk37_r3"):
         yield name, load_path(ROOT / "fixtures" / f"{name}.cplx").complex
     for k, l in CONE_TYPES:
-        yield f"cone({k},{l})", located_cone(k, l)
+        yield f"cone({k},{l})", cone(dwheel_complex(k, l, "identified")[0])
     cell = generate(GeneratorSpec("cell600", ()))
     for v in cell.vertices:
         yield f"cell600 link {v}", naive_link(cell, (v,))[0]
@@ -113,18 +103,6 @@ def complexes():
         params = (rng.randint(8, 20), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10_000))
         yield f"random_flag{list(params)}", generate(GeneratorSpec("random_flag", params))
     yield from non_flag_draws()
-
-
-def less_some(X, dim: int, rng, share=1 / 8):
-    """X less about ``share`` of its ``dim``-simplices (2 or 3) and the
-    tetrahedra on them; the faces below stay, so each dropped simplex is
-    an empty clique."""
-    dropped = {s for s in sorted(X.simplices(dim)) if rng.random() < share}
-    faces = {d: X.simplices(d) for d in range(4)}
-    faces[dim] = faces[dim] - dropped
-    if dim == 2:
-        faces[3] = [t for t in faces[3] if dropped.isdisjoint(combinations(t, 3))]
-    return SimplicialComplex(X.vertex_count, faces, name=X.name)
 
 
 def non_flag_draws():

@@ -17,9 +17,12 @@ and of two triangular bipyramids glued at their apexes, whose links fail
 the closed-surface test for each of its reasons; and 300 seeded soups of
 tetrahedra: random tetrahedra on few vertices, some with a stray vertex,
 edge or triangle, and two or three randomly placed copies of bd4, some
-less a tetrahedron.  Files compact vertex
-ids, so the commands see dense ids; ``five_six_star_verdict`` sees the
-ids of the soup.
+less a tetrahedron.  Files compact vertex ids, so the commands see dense
+ids; ``five_six_star_verdict`` sees the ids of the soup.  The glued and
+suspended complexes are built as the tests build them, by ``bd4_pair``,
+``suspension``, ``pinched_pair``, ``suspended_torus`` and
+``suspended_pinched_octahedra`` of ``tests/conftest.py``, with its
+``BIPYRAMID``; the named ones by its ``gen``.
 
 Run from the repository root:  python3 tools/manifold_digest.py
 On this corpus it prints 623e122bbccbf3d460e89bb748ac920ec0d5aec70908aee2fe71fd9b0ba4e39f
@@ -39,42 +42,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from combcurv import GeneratorSpec, build_complex, generate  # noqa: E402
+from combcurv import build_complex  # noqa: E402
 from combcurv.cli import main as cli_main  # noqa: E402
 from combcurv.formats import dump_path  # noqa: E402
 from combcurv.manifold import five_six_star_verdict  # noqa: E402
+from conftest import (  # noqa: E402
+    BIPYRAMID,
+    bd4_pair,
+    gen,
+    pinched_pair,
+    suspended_pinched_octahedra,
+    suspended_torus,
+    suspension,
+)
 
 COMMANDS = ("validate", "links", "lemmas", "theorem-b")
 SOUPS = 300
-# the triangular bipyramid: apexes 0 and 4 around the equator 1 2 3
-BIPYRAMID = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 4), (2, 3, 4), (1, 3, 4))
-
-
-def bd4_pair(shared: int):
-    """Two copies of bd4 sharing their vertices below ``shared``: a vertex,
-    an edge or a triangle."""
-    tets = sorted(generate(GeneratorSpec("boundary_4_simplex", ())).simplices(3))
-    return build_complex(tets + [[v if v < shared else v + 5 - shared for v in t] for t in tets])
-
-
-def suspension(triangles):
-    """Each triangle coned from both poles, the two ids after its vertices."""
-    top = max(v for t in triangles for v in t)
-    return build_complex([tuple(t) + (p,) for t in triangles for p in (top + 1, top + 2)])
-
-
-def pinched_pair(triangles, poles):
-    """Two copies of a sphere glued at the vertices ``poles``."""
-    top = max(v for t in triangles for v in t)
-    copy = {v: v if v in poles else v + top + 1 for t in triangles for v in t}
-    return list(triangles) + [[copy[v] for v in t] for t in triangles]
 
 
 def soups():
     """Seeded soups of tetrahedra, on ids with gaps."""
     rng = random.Random(2000)
-    bd4 = sorted(generate(GeneratorSpec("boundary_4_simplex", ())).simplices(3))
+    bd4 = sorted(gen("boundary_4_simplex").simplices(3))
     for i in range(SOUPS):
         if i % 2:
             ids = rng.sample(range(14), rng.randint(5, 10))
@@ -94,13 +85,11 @@ def soups():
 def complexes():
     """(label, complex) of the corpus, in a fixed order."""
     for name in ("cell600", "boundary_4_simplex"):
-        yield name, generate(GeneratorSpec(name, ()))
+        yield name, gen(name)
     for shared, where in ((1, "vertex"), (2, "edge"), (3, "triangle")):
         yield f"bd4 pair at a {where}", bd4_pair(shared)
-    octahedron = sorted(generate(GeneratorSpec("octahedron", ())).simplices(2))
-    yield "suspended torus", suspension(
-        sorted(generate(GeneratorSpec("tri_torus", (4, 4))).simplices(2)))
-    yield "suspended pinched octahedra", suspension(pinched_pair(octahedron, (0, 5)))
+    yield "suspended torus", suspended_torus()
+    yield "suspended pinched octahedra", suspended_pinched_octahedra()
     yield "suspended pinched bipyramids", suspension(pinched_pair(BIPYRAMID, (0, 4)))
     yield from soups()
 
