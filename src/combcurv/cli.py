@@ -24,7 +24,7 @@ import time
 from . import cover as cover_mod
 from . import manifold as manifold_mod
 from .complexes import SimplicialComplex, is_flag
-from .curvature import check_k_and_m, is_locally_k_large, located_and_large, m_located
+from .curvature import check_k_and_m, is_locally_k_large, is_m_located, located_and_large
 from .errors import CombCurvError, NotASphere, NotPure
 from .formats import dump_path, load_path, serialize_text
 from .generators import generate, parse_generator_args
@@ -144,14 +144,12 @@ def cmd_check(args):
     verdicts = []
     if args.flag or (args.m is None and args.k is None and not args.sphere_56):
         verdicts.append(_call(args, is_flag, X))
-    if args.m is not None:
-        # location runs on one flag verdict (the printed one, with --flag);
-        # with --k one call reads each link once for both, largeness first
-        flag = verdicts[0] if verdicts else _call(args, is_flag, X)
-        if args.k is not None:
-            verdicts.extend(_call(args, located_and_large, X, flag, args.m, args.k)[1::-1])
-        else:
-            verdicts.append(_call(args, m_located, X, flag, args.m))
+    # the checks test flagness themselves, once per complex
+    if args.m is not None and args.k is not None:
+        # one call reads each link once for both, largeness first
+        verdicts.extend(_call(args, located_and_large, X, args.m, args.k)[1::-1])
+    elif args.m is not None:
+        verdicts.append(_call(args, is_m_located, X, args.m))
     elif args.k is not None:
         verdicts.append(_call(args, is_locally_k_large, X, args.k))
     if args.sphere_56:

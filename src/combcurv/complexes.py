@@ -48,17 +48,17 @@ DEFAULT_CYCLE_CAP = 8
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cyclic vertex sequence of length >= 4, stored in canonical form
-    (lexicographically minimal rotation/reflection)."""
+    """A full (chordless) cycle of length >= 4, stored in canonical form
+    (lexicographically minimal rotation/reflection).  Only full cycles are
+    built, so its JSON form marks every one ``"full"``."""
 
     vertices: tuple
-    is_full: bool = False
 
     def __len__(self):
         return len(self.vertices)
 
     def to_json(self):
-        return {"kind": "cycle", "vertices": list(self.vertices), "full": self.is_full}
+        return {"kind": "cycle", "vertices": list(self.vertices), "full": True}
 
 
 def canonical_cycle(vertices: Sequence[int]) -> tuple:
@@ -94,9 +94,13 @@ class SimplicialComplex:
     contain it.  It holds the same tuple objects as the face sets, so it
     adds one reference per vertex of each simplex.  ``link_masks`` and
     ``span`` read it instead of scanning every face.
+
+    Flagness is a fact about the complex: the slot ``_flag``, unset until
+    the first :func:`is_flag` call, keeps the :func:`flag_witness` that
+    call computed, and every later call reads it.
     """
 
-    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces")
+    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces", "_flag")
 
     def __init__(self, vertex_count: int, faces: dict, name: Optional[str] = None):
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -395,9 +399,14 @@ def flag_witness(X: SimplicialComplex):
 def is_flag(X: SimplicialComplex) -> Verdict:
     """Every clique of the adjacency relation spans a stored simplex.
 
-    5-cliques always fail because the dimension is capped at 3.
+    5-cliques always fail because the dimension is capped at 3.  The
+    witness is computed at the first call on ``X`` and kept on it, so each
+    complex is tested once; the checkers that need flagness call this
+    rather than take a verdict from their caller.
     """
-    w = flag_witness(X)
+    if not hasattr(X, "_flag"):
+        object.__setattr__(X, "_flag", flag_witness(X))
+    w = X._flag
     if w is None:
         return passed("is_flag")
     return failed("is_flag", {"kind": "empty_clique", "vertices": list(w)},
@@ -424,7 +433,7 @@ def full_cycles(X: SimplicialComplex, min_len: int = 4, max_len: int = 4,
         raise BoundExceeded(f"max_len {max_len} above safety cap {cap}")
 
     cycles = chordless_cycles(_edge_masks(X), min_len, max_len)
-    return [Cycle(c, is_full=True) for c in sorted(cycles, key=lambda c: (len(c), c))]
+    return [Cycle(c) for c in sorted(cycles, key=lambda c: (len(c), c))]
 
 
 def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list:

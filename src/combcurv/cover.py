@@ -214,7 +214,7 @@ def _verify_invariants(state: CoverState):
 
 def _meets_hypotheses(X: SimplicialComplex) -> bool:
     """The entry hypotheses on the base: 8-location and local 5-largeness."""
-    return all(located_and_large(X, is_flag(X), 8, 5)[:2])
+    return all(located_and_large(X, 8, 5)[:2])
 
 
 def _apply_invariants(state: CoverState) -> CoverState:
@@ -412,7 +412,7 @@ def build_cover(X: SimplicialComplex, base: int, radius: int,
 
     # by (P) the previous ball is the span of the interior
     interior = previous.ball
-    interior_located, interior_large, _ = located_and_large(interior, is_flag(interior), 8, 5)
+    interior_located, interior_large, _ = located_and_large(interior, 8, 5)
 
     # by (P) the birth stages are the base row, so no BFS runs; [1:] drops the base
     thin, _pair = interval_thinness(state.ball, (

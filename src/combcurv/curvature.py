@@ -504,21 +504,16 @@ def _center_candidates(X: SimplicialComplex, vs) -> list:
 def is_m_located(X: SimplicialComplex, m: int) -> Verdict:
     """Flag, and every dwheel with boundary length at most ``m`` lies in a
     1-ball.  The witness is the offending dwheel plus the exhausted center
-    candidates."""
+    candidates.  A bad m is reported before any flag test.
+
+    Flagness is :func:`~combcurv.complexes.is_flag`, tested at most once
+    per complex.  The links of a flag complex are read once, into a list:
+    the degree sums of :func:`_locate_by_degrees` decide it when they can,
+    and the join of :func:`_locate_by_join` takes the same reads otherwise."""
     check_k_and_m(None, m)
-    return m_located(X, is_flag(X), m)
-
-
-def m_located(X: SimplicialComplex, flag: Verdict, m: int) -> Verdict:
-    """:func:`is_m_located` on the caller's verdict ``flag``, ``is_flag(X)``;
-    no flag test runs here.  A bad m is reported before any link is read.
-
-    The links of a flag complex are read once, into a list: the degree
-    sums of :func:`_locate_by_degrees` decide it when they can, and the
-    join of :func:`_locate_by_join` takes the same reads otherwise."""
-    check_k_and_m(None, m)
-    if not flag.passed:
-        return _not_flag(flag, m)
+    fv = is_flag(X)
+    if not fv.passed:
+        return _not_flag(fv, m)
     reads = list(_link_reads(X))
     located = _locate_by_degrees(X, m, reads)
     if located is not None:
@@ -532,16 +527,16 @@ def _not_flag(fv: Verdict, m: int) -> Verdict:
     return failed("is_m_located", fv.witness, detail="not flag: " + fv.detail, m=m)
 
 
-def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
+def located_and_large(X: SimplicialComplex, m: int, k: int):
     """``(is_m_located(X, m), is_locally_k_large(X, k), types)``, with
-    each vertex link read once and searched once.  ``flag`` is the
-    caller's verdict ``is_flag(X)``; no flag test runs here.  ``types`` is
+    each vertex link read once and searched once, and flagness tested at
+    most once per complex, as :func:`is_m_located` tests it.  ``types`` is
     the set of (k, l) types of the dwheel groups (the dwheels with the
     same apexes and shared vertex, which share one type) that the
     location join located before it returned: on a pass, the types of all
     dwheels of boundary at most ``m``; empty when X is not flag or the
     degree sums decide it.  A bad k is reported before a bad m, and both
-    before any link is read.
+    before any flag test or link read.
 
     Lemma (largeness off the wheels).  Let X be flag; its dimension is at
     most 3, as every complex's is.  Then no vertex link of X has an empty
@@ -562,9 +557,9 @@ def located_and_large(X: SimplicialComplex, flag: Verdict, m: int, k: int):
     length is closed once for both.
     """
     check_k_and_m(k, m)
-    reads = list(_link_reads(X))
+    reads, fv = list(_link_reads(X)), is_flag(X)
     # a complex that is not flag, or that the degree sums decide, reads no wheel
-    located = _locate_by_degrees(X, m, reads) if flag.passed else _not_flag(flag, m)
+    located = _locate_by_degrees(X, m, reads) if fv.passed else _not_flag(fv, m)
     if located is not None:
         return located, _locally_large(X, k, reads), set()
     wheels_at = _wheels_by_length(X, max(m, k - 1), reads)
@@ -794,7 +789,9 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     :class:`NotACovering` at the first violating 1-ball, in vertex order.
 
     ``edges_decide`` says whether the span edges alone decide it; when it
-    is None, that is tested as flagness of both complexes.  If both are
+    is None, that is flagness of both complexes, by
+    :func:`~combcurv.complexes.is_flag`, which tests each complex once
+    for all its callers.  If both are
     flag, f is injective on the 1-ball, so once edges match both ways so
     do cliques, the simplices.  The same holds, with the same first
     offender, whenever the simplices of both complexes are their cliques of
@@ -883,14 +880,14 @@ def check_covering_preservation(f, cover: SimplicialComplex, base: SimplicialCom
     ``f`` maps cover vertex ids to base vertex ids.  The covering condition
     is verified first and raises :class:`NotACovering` on failure; a bad k,
     then a bad m, is reported before any work.  Each complex is tested for
-    flagness once, and its links are read once: the covering check and
-    its :func:`located_and_large` call share the test.
+    flagness once, as :func:`~combcurv.complexes.is_flag` keeps its
+    witness: the covering check and the :func:`located_and_large` call
+    read the same test.  The links of each complex are read once.
     """
     check_k_and_m(k, m)
-    cover_flag, base_flag = is_flag(cover), is_flag(base)
-    check_covering_map(f, cover, base, edges_decide=cover_flag.passed and base_flag.passed)
-    base_m, base_k, _ = located_and_large(base, base_flag, m, k)
-    cover_m, cover_k, _ = located_and_large(cover, cover_flag, m, k)
+    check_covering_map(f, cover, base)
+    base_m, base_k, _ = located_and_large(base, m, k)
+    cover_m, cover_k, _ = located_and_large(cover, m, k)
     if base_m.passed and not cover_m.passed:
         return failed("covering_preservation", cover_m.witness,
                       detail=f"base is {m}-located but the cover is not", m=m, k=k)

@@ -548,15 +548,16 @@ def _theorem_b_stages(X: SimplicialComplex, report: ManifoldReport, types: set):
     then its 5/6* verdict, flagness, local 5-largeness and 8-location.
     Each verdict up to flagness is computed only when the caller asks for
     it, once every stage before it has passed.  The last two come from one
-    :func:`~combcurv.curvature.located_and_large` call on the flag verdict,
-    which reads each vertex link once for both; the dwheel types it reads
-    are added to ``types``."""
+    :func:`~combcurv.curvature.located_and_large` call, which reads each
+    vertex link once for both and tests flagness no more: ``is_flag``
+    keeps the flagness stage's witness on ``X``.  The dwheel types it
+    reads are added to ``types``."""
     for verdict in (report.is_pseudomanifold, report.edge_link_cycles,
                     report.vertex_links_spheres):
         yield "validate", verdict
     yield "five_six_star", report.five_six_star
-    yield "is_flag", (flag := is_flag(X))
-    located, large, found = located_and_large(X, flag, 8, 5)
+    yield "is_flag", is_flag(X)
+    located, large, found = located_and_large(X, 8, 5)
     types |= found
     yield "locally_5_large", large
     yield "8_located", located

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import SimplicialComplex, is_flag
+from .complexes import SimplicialComplex
 from .curvature import located_and_large
 from .errors import DisconnectedError, PreconditionNotMet, TooLarge
 from .verdicts import Verdict, failed, passed
@@ -237,7 +237,7 @@ def check_projection_lemma(X: SimplicialComplex, o: int, n: int) -> Verdict:
     y',z' two steps down closing triangles with x), asserts that y' and z'
     are distinct, mutually adjacent, and not adjacent across to z resp. y.
     """
-    located, large, _ = located_and_large(X, is_flag(X), 8, 5)
+    located, large, _ = located_and_large(X, 8, 5)
     for name, verdict in (("is_m_located(X, 8)", located), ("is_locally_k_large(X, 5)", large)):
         if not verdict.passed:
             raise PreconditionNotMet(name, verdict.detail, verdict.witness)

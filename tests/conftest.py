@@ -104,6 +104,12 @@ def cone(Y):
     return build_complex([s + (apex,) for s in Y.maximal_simplices()] or [[apex]])
 
 
+def skeleton_cone(Y):
+    """The cone over the 2-skeleton of ``Y`` (isolated vertices kept), from
+    the apex ``Y.vertex_count``, whose link is that 2-skeleton."""
+    return cone(build_complex(chain(*(Y.simplices(d) for d in range(3)))))
+
+
 def dwheel_complex(k, l, junction):
     """Stand-alone complex consisting of one (k, l)-dwheel: two cone fans
     glued along the (apex, apex', shared) pattern."""
@@ -238,7 +244,7 @@ def link_inputs():
     rng = random.Random(5)
     for n in (14, 14, 15, 15, 16, 16):
         Y = gen("random_flag", n, 4 / n, rng.randrange(10**6))
-        yield cone(build_complex(chain(Y.simplices(1), Y.simplices(2)))), 10
+        yield skeleton_cone(Y), 10
 
 
 @pytest.fixture(scope="session")

@@ -259,7 +259,7 @@ def naive_is_k_large(X, k):
     if k > 4:
         cycles = naive_full_cycles(X, 4, k - 1)
         if cycles:
-            return failed("is_k_large", Cycle(cycles[0], is_full=True),
+            return failed("is_k_large", Cycle(cycles[0]),
                           detail=f"full {len(cycles[0])}-cycle present", k=k,
                           cycles=len(cycles))
     return passed("is_k_large", k=k)

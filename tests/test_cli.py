@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, JSON shape, file handling."""
 
 import ast
+import importlib
 import inspect
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import combcurv
-from combcurv import cli, curvature, manifold
+from combcurv import complexes, manifold
 from combcurv.cli import HANDLERS, build_parser, main
 from combcurv.errors import PreconditionNotMet
 from combcurv.formats import dump_path, load_path
@@ -257,12 +259,13 @@ def test_timings_only_add_a_top_level_object(golden_inputs, command, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--flag"]])
 def test_check_m_times_one_flag_test(golden_inputs, capsys, flags):
-    # check --m without --k runs m_located on one is_flag verdict, the same
-    # path as with --flag, where the flag verdict is also printed
+    # check --m without --k runs is_m_located, which tests flagness
+    # itself; with --flag the CLI first times the is_flag call it prints,
+    # and is_m_located reads that test
     path = str(golden_inputs["surf37_psl2_7"])
     assert main(["--json", "--timings", "check", *flags, "--m", "8", path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert list(doc.pop("timings")) == ["load", "is_flag", "m_located"]
+    assert list(doc.pop("timings")) == ["load"] + ["is_flag"] * len(flags) + ["is_m_located"]
     assert main(["--json", "check", *flags, "--m", "8", path]) == 0
     assert doc == json.loads(capsys.readouterr().out)
 
@@ -274,17 +277,17 @@ def test_lemmas_precondition_failure_is_a_fail(files, capsys):
 
 
 def test_check_flag_and_m_test_flagness_once(golden_inputs, capsys, monkeypatch):
-    # with --flag, 8-location runs on the printed flag verdict: one is_flag
-    # call on the 600-cell, and the output is the flag verdict's line
-    # followed by that of check --m alone
+    # with --flag, 8-location reads the printed flag test: one flagness
+    # computation on the 600-cell, and the output is the flag verdict's
+    # line followed by that of check --m alone
     path = str(golden_inputs["cell600"])
     for flags in ([], ["--json"]):
         assert main(flags + ["check", "--m", "8", path]) == 1
         alone = capsys.readouterr().out
-        calls = [counted(monkeypatch, owner, "is_flag") for owner in (cli, curvature)]
+        calls = counted(monkeypatch, complexes, "flag_witness")
         assert main(flags + ["check", "--flag", "--m", "8", path]) == 1
         out = capsys.readouterr().out
-        assert [len(made) for made in calls] == [1, 0]
+        assert len(calls) == 1
         monkeypatch.undo()
         if flags:
             doc, doc_alone = json.loads(out), json.loads(alone)
@@ -302,10 +305,10 @@ def test_check_flag_and_m_test_flagness_once(golden_inputs, capsys, monkeypatch)
 ], ids=["m0", "k5-m0", "flag-k3-m0", "flag-k3"])
 def test_a_bad_k_or_m_is_rejected_before_any_flag_test(files, capsys, monkeypatch, argv, message):
     # a usage error costs no pass over the complex, with or without --flag
-    calls = [counted(monkeypatch, owner, "is_flag") for owner in (cli, curvature)]
+    calls = counted(monkeypatch, complexes, "flag_witness")
     assert main([*argv, files["icosahedron"]]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert [len(made) for made in calls] == [0, 0]
+    assert calls == []
 
 
 def test_lemmas_checks_each_sphere_once(files, capsys, monkeypatch):
@@ -488,6 +491,49 @@ def test_no_module_reads_a_private_name_of_another():
                              "_wheels_by_length")):
         mutated = dict(sources, **{mod: sources[mod] + "\n" + line + "\n"})
         assert (mod, name) in private_reads(mutated), line
+
+
+def readme_gaps(readme: str) -> list:
+    """The gaps between the README's "Public names by module" and the
+    modules it lists: (module, name, "missing") for a listed name the
+    module lacks, a method in parentheses included, and (module, name,
+    "unlisted") for a public function of the module not listed."""
+    section = readme.split("Public names by module")[1].split("Names that moved or went")[0]
+    gaps = []
+    for bullet in section.split("\n* ")[1:]:
+        name, _, text = bullet.partition(":")
+        module = importlib.import_module(f"combcurv.{name.strip('`')}")
+        listed = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", text)
+        for entry, methods in listed:
+            owner = getattr(module, entry, None)
+            if owner is None:
+                gaps.append((module.__name__, entry, "missing"))
+            else:
+                gaps += [(module.__name__, method, "missing")
+                         for method in re.findall(r"`(\w+)`", methods) if not hasattr(owner, method)]
+        public = [key for key, value in vars(module).items() if inspect.isfunction(value)
+                  and value.__module__ == module.__name__ and not key.startswith("_")]
+        gaps += [(module.__name__, key, "unlisted") for key in public
+                 if key not in {entry for entry, _ in listed}]
+    return gaps
+
+
+def test_readme_lists_the_public_functions_of_each_module():
+    # both ways: every listed name exists, and every public function of
+    # complexes, curvature, metric, cover and manifold is listed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Public names by module")[1].split("Names that moved or went")[0]
+    assert re.findall(r"\n\* `(\w+)`:", section) == [
+        "complexes", "curvature", "metric", "cover", "manifold"]
+    assert readme_gaps(readme) == []
+    # the guard sees a stale name, a stale method and a name left out
+    for old, new, gap in (
+            ("`check_k_and_m`,", "`check_k_and_m`, `m_located`,",
+             ("combcurv.curvature", "m_located", "missing")),
+            ("(`span`,", "(`span`, `link`,", ("combcurv.complexes", "link", "missing")),
+            ("`soccer_dual`,", "", ("combcurv.manifold", "soccer_dual", "unlisted"))):
+        assert readme.count(old) == 1, old
+        assert readme_gaps(readme.replace(old, new)) == [gap], old
 
 
 def test_lemmas_names_link_witnesses_in_the_complex(tmp_path, capsys, monkeypatch):

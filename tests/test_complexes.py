@@ -355,7 +355,7 @@ class TestFullCycles:
 
     def test_reported_cycles_are_chordless(self, gs2):
         for cyc in full_cycles(gs2, 4, 6):
-            assert cyc.is_full
+            assert cyc.to_json()["full"] is True
             assert not chords(gs2, cyc.vertices)
             assert cyc.vertices == canonical_cycle(cyc.vertices)
 
@@ -479,7 +479,9 @@ class TestBitmaskKernels:
         monkeypatch.setattr(complexes, "empty_clique",
                             lambda *args: searches.append(args) or search(*args))
         outcomes = set()
-        for X in self.inputs() + [disk37, surf37]:
+        # newly built copies of the fixtures, whose loader tested them
+        fixtures = [build_complex(X.maximal_simplices(), X.name) for X in (disk37, surf37)]
+        for X in self.inputs() + fixtures:
             searches.clear()
             verdict = is_flag(X)
             assert verdict.passed == (naive_flag_witness(X) is None), X.name

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from combcurv import build_cover, cover, expand_ball, metric, verify_equiv_shortcut
-from combcurv.complexes import SimplicialComplex, flag_completion
+from combcurv.complexes import SimplicialComplex, flag_completion, is_flag
 from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
 from combcurv.curvature import is_locally_k_large, is_m_located
 from combcurv.errors import HypothesisViolation, InvariantViolation, NotFlag, TooLarge
@@ -163,16 +163,15 @@ class TestLazyHypotheses:
 
     def test_passing_builds_read_no_hypotheses(self, surf37, monkeypatch):
         # location and largeness, of the interior and of the target alike,
-        # are read through one call that returns both, on the caller's
-        # flag verdict
+        # are read through one call that returns both and tests flagness
         reads = counted(monkeypatch, cover, "located_and_large")
         for X in (surf37, gen("tri_torus", 8, 8)):
             del reads[:]
             assert build_cover(X, 0, 5).passed
             # the interior checks still run, once, on the previous stage
             # ball, which is flag
-            assert [args[2:] for args in reads] == [(8, 5)]
-            assert [(args[1].check, args[1].passed) for args in reads] == [("is_flag", True)]
+            assert [args[1:] for args in reads] == [(8, 5)]
+            assert [is_flag(args[0]).passed for args in reads] == [True]
             assert not [args for args in reads if args[0] is X]
 
     def test_a_warned_build_reads_them_once(self, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import build_complex, build_cover, curvature, expand_ball
+from combcurv import build_complex, build_cover, complexes, curvature, expand_ball
 from combcurv.complexes import Cycle, SimplicialComplex, chords, flag_witness, full_cycles, is_flag
 from combcurv.cover import _base_state
 from combcurv.curvature import (
@@ -579,13 +579,13 @@ class TestDWheelStream:
         # four edge-bucket apex pairs that list nothing, and a pass over the
         # four identified dwheels
         X = gen("random_flag", 12, 0.45, 25)
-        verdict = curvature.m_located(X, is_flag(X), 6)
+        verdict = is_m_located(X, 6)
         assert verdict.passed and verdict.stats["dwheels"] == 4
         assert [(identified, n) for identified, _, n in listed] == [(False, 0)] * 4, listed
         # the first edge junction fails as the first dwheel joined
         listed.clear()
         X = gen("random_flag", 11, 0.35, 28)
-        verdict = curvature.m_located(X, is_flag(X), 7)
+        verdict = is_m_located(X, 7)
         assert verdict.witness["dwheel"]["junction"] == "edge"
         assert verdict.stats["dwheels"] == 1
         assert listed == [(False, (1, 4), 2)], listed
@@ -627,7 +627,7 @@ class TestDWheelStream:
         for seed in (5, 19, 34, 45):
             X = gen("random_flag", 12, 0.35, seed)
             searched.clear()
-            verdict = curvature.m_located(X, is_flag(X), 8)
+            verdict = is_m_located(X, 8)
             assert verdict.witness["dwheel"]["boundary_length"] == 4, seed
             links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
             assert links > 0 and searched == [(4,)] * links, (seed, searched)
@@ -693,7 +693,7 @@ class TestDWheelStream:
                 if got["status"] == "pass":
                     outcomes.add("pass" if got["stats"]["dwheels"] else "vacuous")
                     # the kernel's types are those of the referee's dwheels
-                    verdict, _, types = curvature.located_and_large(X, is_flag(X), m, 4)
+                    verdict, _, types = curvature.located_and_large(X, m, 4)
                     mine = [d for d in ref if d.boundary_length <= m]
                     assert verdict.to_json() == got, (X.name, m)
                     assert types == {d.type for d in mine}, (X.name, m)
@@ -867,10 +867,9 @@ class TestLocatedAndLarge:
         for X in self.corpus(tmp_path, icosa, disk37, surf37):
             large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
             located = {m: is_m_located(X, m).to_json() for m in range(6, 10)}
-            flag = is_flag(X)
             for k in range(4, 10):
                 for m in range(6, 10):
-                    got = [v.to_json() for v in curvature.located_and_large(X, flag, m, k)[:2]]
+                    got = [v.to_json() for v in curvature.located_and_large(X, m, k)[:2]]
                     assert got == [located[m], large[k]], (X.name, m, k)
                     seen.add((got[0]["status"], got[1]["status"],
                               (got[1]["witness"] or {}).get("kind")))
@@ -886,9 +885,8 @@ class TestLocatedAndLarge:
         large = {k: is_locally_k_large(X, k).to_json() for k in range(4, 10)}
         located = {m: is_m_located(X, m).to_json() for m in (6, 8)}
         assert located[8] == CELL600_M8 and located[6]["stats"]["dwheels"] == 7200
-        flag = is_flag(X)
         for m, k in [(8, k) for k in range(4, 10)] + [(6, 5), (6, 9)]:
-            got = [v.to_json() for v in curvature.located_and_large(X, flag, m, k)[:2]]
+            got = [v.to_json() for v in curvature.located_and_large(X, m, k)[:2]]
             assert got == [located[m], large[k]], (m, k)
 
     def test_one_link_read_and_one_search_per_vertex(self, tmp_path, monkeypatch, capsys):
@@ -898,9 +896,9 @@ class TestLocatedAndLarge:
         # the 600-cell's links are icosahedra: flag, not read off degree
         # sums, and closed at rim lengths 4 and 5 once each; the checks
         # called alone read 241 links, search 120 for cliques and close
-        # 360.  The flag test is the caller's, and the CLI's is counted too.
+        # 360.  Each newly loaded complex is tested for flagness once.
         spied = [(name, counted(monkeypatch, owner, name)) for owner, name in (
-            (curvature, "empty_clique"), (curvature, "is_flag"), (cli, "is_flag"),
+            (curvature, "empty_clique"), (complexes, "flag_witness"),
             (SimplicialComplex, "link_masks"), (curvature, "chordless_cycles"))]
 
         def calls():
@@ -913,8 +911,8 @@ class TestLocatedAndLarge:
         X = gen("cell600")
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
-        expected = Counter(link_masks=120, chordless_cycles=240, is_flag=1)
-        curvature.located_and_large(X, curvature.is_flag(X), 8, 5)
+        expected = Counter(link_masks=120, chordless_cycles=240, flag_witness=1)
+        curvature.located_and_large(X, 8, 5)
         # rim lengths 4 and 5 come by pair closure, one length a call, and
         # no other length is closed, as the join fails before drawing 6
         lengths = Counter(args[1:] for args in spied[-1][1])
@@ -924,20 +922,79 @@ class TestLocatedAndLarge:
         assert calls() == expected
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "[pass] is_locally_k_large"
-        # with --flag the printed flag verdict is the one the kernel gets
+        # with --flag the kernel reads the printed flag test
         assert cli.main(["check", "--flag", "--k", "5", "--m", "8", str(path)]) == 1
         assert calls() == expected
         assert capsys.readouterr().out == "[pass] is_flag\n" + out
 
     def test_a_bad_k_is_reported_before_a_bad_m(self, icosa, monkeypatch):
         # and both before any link is read
-        flag, reads = is_flag(icosa), []
+        reads = []
         monkeypatch.setattr(SimplicialComplex, "link_masks", lambda X, v: reads.append(v))
         with pytest.raises(ValueError, match="largeness starts at k = 4"):
-            curvature.located_and_large(icosa, flag, 5, 3)
+            curvature.located_and_large(icosa, 5, 3)
         with pytest.raises(ValueError, match="location starts at m = 6"):
-            curvature.located_and_large(icosa, flag, 5, 4)
+            curvature.located_and_large(icosa, 5, 4)
         assert reads == []
+
+    def test_a_complex_that_is_not_flag_fails_location(self):
+        # the hollow triangle 0 1 2 at vertex 3 fails 8-location in the
+        # kernel as in is_m_located: each tests flagness itself
+        X = build_complex(HOLLOW_AND_WHEEL)
+        located, large = curvature.located_and_large(X, 8, 5)[:2]
+        assert (located, large) == (is_m_located(X, 8), is_locally_k_large(X, 5))
+        assert not located.passed
+        assert located.witness == {"kind": "empty_clique", "vertices": [0, 1, 2]}
+
+
+# a hollow triangle 0 1 2 coned from 3, and a 4-wheel at 3: not flag
+HOLLOW_AND_WHEEL = [(0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5), (3, 5, 6), (3, 6, 7), (3, 7, 4)]
+
+
+class TestFlagnessOncePerComplex:
+    """``is_flag`` keeps the witness of its first call on a complex, so each
+    check that needs flagness tests it itself, and each complex object is
+    tested once, whichever check comes first."""
+
+    @staticmethod
+    def once_each(calls, *expected):
+        # each complex tested has one flagness computation, and the
+        # expected complexes are among them
+        tested = Counter(id(X) for X, in calls)
+        return set(tested.values()) == {1} and {id(X) for X in expected} <= tested.keys()
+
+    def test_the_checks_in_turn(self, monkeypatch):
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        for X in (gen("icosahedron"), build_complex(HOLLOW_AND_WHEEL)):
+            del calls[:]
+            is_flag(X)
+            is_m_located(X, 8)
+            curvature.located_and_large(X, 8, 5)
+            assert calls == [(X,)], X
+
+    def test_covering_preservation_and_a_warned_build(self, monkeypatch):
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        c4 = gen("c_n", 4)
+        state = build_cover(c4, 0, 4).state
+        assert check_covering_preservation(state.sheet_map, state.ball, c4, 8, 5).passed
+        assert self.once_each(calls, c4, state.ball), calls
+        # a build whose (Q) warns reads the hypotheses on its base, which
+        # the entry check has tested for flagness already
+        del calls[:]
+        X = gen("random_flag", 13, 0.35, 4)
+        assert build_cover(X, 0, 4).state.warnings
+        assert self.once_each(calls, X), calls
+
+    def test_check_flag_k_m_on_the_600_cell(self, tmp_path, capsys, monkeypatch):
+        from combcurv import cli
+        from combcurv.formats import dump_path
+
+        path = tmp_path / "cell600.cplx"
+        dump_path(gen("cell600"), path)
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        assert cli.main(["check", "--flag", "--k", "5", "--m", "8", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("[pass] is_flag\n")
+        assert len(calls) == 1
 
 
 class TestLocateByDegrees:
@@ -984,9 +1041,9 @@ class TestLocateByDegrees:
             least = min((degrees[u] + degrees[v] for u, v in X.simplices(1)
                          if u in degrees and v in degrees), default=None)
             boundary = len(degrees) < len(X.vertices)
-            flag, reads = is_flag(X), list(curvature._link_reads(X))
+            reads = list(curvature._link_reads(X))
             for m in range(6, 11):
-                verdict, _, types = curvature.located_and_large(X, flag, m, 4)
+                verdict, _, types = curvature.located_and_large(X, m, 4)
                 assert curvature._locate_by_degrees(X, m, reads) is not None, X.name
                 join, join_types = curvature._locate_by_join(
                     X, m, curvature._wheels_by_length(X, m, reads))
@@ -1191,8 +1248,8 @@ class TestCoveringPreservation:
             witness = {"kind": "patched", "check": what}
             detail = f"base is {what} but the cover is not"
 
-            def on_ball_only(X, flag, m, k, _which=which, _witness=witness):
-                got = list(real(X, flag, m, k))
+            def on_ball_only(X, m, k, _which=which, _witness=witness):
+                got = list(real(X, m, k))
                 if X is state.ball:
                     got[_which] = failed(got[_which].check, _witness)
                 return tuple(got)
@@ -1218,11 +1275,12 @@ class TestCoveringPreservation:
         assert Counter(map(id, reads)) == {id(surf37): surf37.vertex_count,
                                            id(state.ball): state.ball.vertex_count}
 
-    def test_one_flag_test_per_complex(self, icosa, monkeypatch):
-        # the covering check and both location verdicts share the flag tests
-        calls, real = [], curvature.is_flag
-        monkeypatch.setattr(curvature, "is_flag", lambda X: calls.append(X) or real(X))
-        assert check_covering_preservation(tuple(range(12)), icosa, icosa, 8, 5).passed
+    def test_one_flag_test_per_complex(self, monkeypatch):
+        # the covering check and both location verdicts share the flag
+        # tests, on two newly built icosahedra
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        cover, base = gen("icosahedron"), gen("icosahedron")
+        assert check_covering_preservation(tuple(range(12)), cover, base, 8, 5).passed
         assert len(calls) == 2
 
     def test_full_subcomplex_inclusion_is_a_weak_covering(self, octa):
@@ -1339,18 +1397,13 @@ class TestCoveringMapOracle:
 
         monkeypatch.setattr(SimplicialComplex, "span", spanning)
         monkeypatch.setattr(SimplicialComplex, "has_simplex", looking_up)
-        reads = {id(state.ball): 0, id(surf37): 0}
         neighbors = SimplicialComplex.neighbors
-
-        def counted(self, v):
-            reads[id(self)] += 1
-            return neighbors(self, v)
-
-        monkeypatch.setattr(SimplicialComplex, "neighbors", counted)
+        calls = counted(monkeypatch, SimplicialComplex, "neighbors")
         check_covering_map(state.sheet_map, state.ball, surf37, full_at=state.interior_ids())
         monkeypatch.setattr(SimplicialComplex, "neighbors", neighbors)
+        reads = Counter(id(args[0]) for args in calls)
         n = len(state.ball.vertices)
-        assert n == 617 and reads == {id(state.ball): n, id(surf37): 0}, reads
+        assert n == 617 and reads == Counter({id(state.ball): n}), reads
         assert state.ball.simplices(2) and spans == [] and sizes == []
         assert covering_outcome(check_covering_map, f, cover, base, full_at) == got
         # the failing ball has triangles, but no simplex of more than two

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from combcurv import build_complex, curvature, manifold
+from combcurv import build_complex, complexes, curvature, manifold
 from combcurv.complexes import SimplicialComplex, canonical_cycle, full_cycles
 from combcurv.curvature import dwheels, is_locally_k_large, wheels
 from combcurv.errors import NoFillingPair, NotASphere, NotPure, PreconditionNotMet
@@ -783,35 +783,35 @@ class TestTheoremBStages:
             seen.update(doc["stats"]["dwheel_types"])
         assert seen == ALLOWED_DWHEEL_TYPES
 
-    def test_one_join_and_one_flag_test_per_call(self, all_pass, icosa, monkeypatch):
+    def test_one_join_and_one_flag_test_per_call(self, all_pass, monkeypatch):
         # the is_flag stage has passed when 8-location runs, so 8-location
         # tests flagness no more, and the types come off its one join; the
         # icosahedron's links are cycles, so it is decided by degrees with
         # no join, while a cone's apex link is not a cycle
         joins = counted(monkeypatch, curvature, "_apex_pairs")
-        flags = [counted(monkeypatch, module, "is_flag") for module in (curvature, manifold)]
+        flags = counted(monkeypatch, complexes, "flag_witness")
         inputs = {t: cone(dwheel_complex(*t, "identified")[0]) for t in LOCATED_CONE_TYPES}
-        inputs["icosahedron"] = icosa
+        inputs["icosahedron"] = icosa = gen("icosahedron")
         for name, X in inputs.items():
-            for calls in (joins, *flags):
+            for calls in (joins, flags):
                 calls.clear()
             stage = verify_theorem_b(X).stats.get("stage")
             assert stage == ("8_located" if X is icosa else None), name
-            assert (len(joins), sum(map(len, flags))) == (0 if X is icosa else 1, 1), name
+            assert (len(joins), len(flags)) == (0 if X is icosa else 1, 1), name
 
     def test_one_link_read_per_vertex_for_both_hypotheses(self, all_pass, monkeypatch):
         # the 600-cell's links are icosahedra, read once and closed at rim
         # lengths 4 and 5 once each for local 5-largeness and 8-location
-        # together, and at no other length; the flag verdict is the is_flag
+        # together, and at no other length; the one flag test is the is_flag
         # stage's
         spied = [(name, counted(monkeypatch, owner, name)) for owner, name in (
-            (curvature, "empty_clique"), (curvature, "chordless_cycles"), (curvature, "is_flag"),
-            (manifold, "is_flag"), (SimplicialComplex, "link_masks"))]
+            (curvature, "empty_clique"), (curvature, "chordless_cycles"),
+            (complexes, "flag_witness"), (SimplicialComplex, "link_masks"))]
         verdict = verify_theorem_b(gen("cell600"))
         assert verdict.to_json() == theorem_b_fail(
             "8_located", "(5,5)-dwheel of boundary length 7 fits in no 1-ball", UNLOCATED_CELL600)
         counts = Counter(name for name, calls in spied for _ in calls)
-        assert counts == Counter(link_masks=120, chordless_cycles=240, is_flag=1), counts
+        assert counts == Counter(link_masks=120, chordless_cycles=240, flag_witness=1), counts
 
     def test_first_failing_report_verdict(self, calls, monkeypatch):
         X = build_complex([[0, 1, 2, 3]])

@@ -27,7 +27,7 @@ from combcurv.metric import (
 )
 from combcurv.verdicts import passed
 
-from conftest import gen, thinness_from
+from conftest import counted, gen, thinness_from
 from oracles import (
     floyd_warshall,
     naive_check_sd_prime,
@@ -41,18 +41,6 @@ from oracles import (
 
 def path_complex(n):
     return build_complex([[i, i + 1] for i in range(n)])
-
-
-def count_bfs(monkeypatch):
-    """Record the base of every BFS run through ``metric``."""
-    bases = []
-
-    def counting(X, base):
-        bases.append(base)
-        return distances_from(X, base)
-
-    monkeypatch.setattr(metric, "distances_from", counting)
-    return bases
 
 
 class TestBallsSpheres:
@@ -134,12 +122,12 @@ class TestInterval:
                 thinness_from(X, 0, 1, o2)
 
     def test_one_bfs_from_the_first_endpoint(self, octa, torus66, monkeypatch):
-        bases = count_bfs(monkeypatch)
+        bfs = counted(monkeypatch, metric, "distances_from")
         for X in (octa, torus66):
             for o2 in X.vertices:
-                bases.clear()
+                bfs.clear()
                 interval(X, 0, o2)
-                assert bases == [0]
+                assert [base for _, base in bfs] == [0]
 
 
 class TestThinness:
@@ -243,27 +231,28 @@ class TestThinnessOracle:
     def test_rows_only_for_the_base_and_shared_layers(self, torus66, monkeypatch):
         # shared layers run no full row: their pair distances come from
         # searches stopped at the queried vertex
-        bases = count_bfs(monkeypatch)
+        bfs = counted(monkeypatch, metric, "distances_from")
         assert thinness_from(path_complex(6), 0, 6, 3) == (0, None)
-        assert bases == [0]
-        bases.clear()
+        assert [base for _, base in bfs] == [0]
+        bfs.clear()
         assert thinness_from(torus66, 0, *torus66.vertices[1:]) == (4, (2, 12))
-        assert bases == [0]
+        assert [base for _, base in bfs] == [0]
 
     def test_cover_build_rows(self, surf37, monkeypatch):
         # the stages read (Q) and the thinness intervals off the birth
         # layers, which (P) makes the base row
-        bases = count_bfs(monkeypatch)
+        bfs = counted(monkeypatch, metric, "distances_from")
         build_cover(surf37, 0, 6)
-        assert bases == []
+        assert len(bfs) == 0
 
     def test_cli_interval_and_thinness_share_the_base_row(self, torus66, tmp_path,
                                                           monkeypatch, capsys):
         path = tmp_path / "torus66.cplx"
         dump_path(torus66, path)
-        bases = count_bfs(monkeypatch)
+        bfs = counted(monkeypatch, metric, "distances_from")
         assert main(["--json", "metric", "--base", "0", "--other", "16", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
+        bases = [base for _, base in bfs]
         assert bases.count(0) == 1 and len(set(bases)) == len(bases), bases
         thin, pair = thinness_from(torus66, 0, 16)
         assert (doc["thinness"], doc["thinness_pair"]) == (thin, list(pair))
@@ -350,8 +339,8 @@ class TestProjectionLemma:
         # 8-location, the descent property fails at sphere 3, here and in
         # the referee
         real = metric.located_and_large
-        monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
-                            (passed("is_m_located"),) + real(X, flag, m, k)[1:])
+        monkeypatch.setattr(metric, "located_and_large", lambda X, m, k:
+                            (passed("is_m_located"),) + real(X, m, k)[1:])
         for check in (check_projection_lemma, naive_projection_lemma):
             with pytest.raises(PreconditionNotMet) as err:
                 check(torus66, 0, 2)
@@ -369,9 +358,9 @@ class TestProjectionLemma:
     def test_one_base_row(self, surf37, monkeypatch):
         # the descent precondition and the instance scan share one BFS row
         ball = build_cover(surf37, 0, 3).state.ball
-        bases = count_bfs(monkeypatch)
+        bfs = counted(monkeypatch, metric, "distances_from")
         assert check_projection_lemma(ball, 0, 2).passed
-        assert bases == [0]
+        assert [base for _, base in bfs] == [0]
 
     def test_one_kernel_call_names_location_then_largeness(self, surf37, octa, monkeypatch):
         # both hypotheses come from one located_and_large call, which reads
@@ -405,7 +394,7 @@ class TestProjectionLemma:
         which is not 8-located, and on the octahedron, which is not locally
         5-large.  Every configuration of the icosahedron passes; the first
         of the octahedron fails."""
-        monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
+        monkeypatch.setattr(metric, "located_and_large", lambda X, m, k:
                             (passed("is_m_located"), passed("is_locally_k_large"), set()))
         outcomes = {}
         for X in (icosa, octa):

@@ -110,7 +110,7 @@ def test_cover_witnesses_follow_the_relabelling(cover_cases):
 def test_projection_witnesses_follow_the_relabelling(monkeypatch):
     # the hypotheses and the descent precondition are patched to pass, so
     # the instance scan runs, and fails, on inputs that meet none of them
-    monkeypatch.setattr(metric, "located_and_large", lambda X, flag, m, k:
+    monkeypatch.setattr(metric, "located_and_large", lambda X, m, k:
                         (passed("is_m_located"), passed("is_locally_k_large"), set()))
     monkeypatch.setattr(metric, "check_sd_prime",
                         lambda X, o, n, dist: SDReport(base=o, max_radius=n))

@@ -16,8 +16,8 @@ The calls, per complex: ``is_flag``, ``wheels`` for lengths 4-8 and 5-6,
 ``dwheels`` of boundary at most 8, ``is_m_located`` for m = 6, 7, 8,
 ``is_locally_k_large`` for k = 5, 6, 7, the sphere checks
 ``is_5_6_star_sphere``, ``check_sphere_cycle_lemma`` and
-``check_7cycle_fillings``, and ``located_and_large(X, is_flag(X), m, 5)``
-for m = 6, 7, 8, with its two verdicts and its dwheel types sorted.  A
+``check_7cycle_fillings``, and ``located_and_large(X, m, 5)`` for
+m = 6, 7, 8, with its two verdicts and its dwheel types sorted.  A
 call that raises on a failed precondition hashes its error type and
 message.  On the sparse corpus below the calls are the long ones instead:
 ``full_cycles(X, 9, 10, cap=10)``, ``wheels(X, 9, 10)`` and
@@ -36,9 +36,10 @@ tetrahedra, and a draw whose graph has a 5-clique fails on it, so
 corpus: 60 seeded ``random_flag(n, 3 / n)`` draws, n = 16 .. 40, whose
 graphs have average degree about 3 and so long chordless cycles, each
 followed by the cone over its 2-skeleton, whose apex link is that
-2-skeleton.  The dwheel cones and the draws less some simplices are built
-as the tests build them, by ``cone``, ``dwheel_complex`` and ``less_some``
-of ``tests/conftest.py``.
+2-skeleton.  The dwheel cones, the draws less some simplices and the
+cones over the sparse draws are built as the tests build them, by
+``cone``, ``dwheel_complex``, ``less_some`` and ``skeleton_cone`` of
+``tests/conftest.py``.
 
 Run from the repository root:  python3 tools/local_digest.py
 On this corpus it prints 1fcd164869172ba8b95364a9ff0d0d9bf9f8cd92b0f4cfd7a0f76364bdf415d3
@@ -56,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from combcurv import GeneratorSpec, build_complex, curvature, generate  # noqa: E402
+from combcurv import GeneratorSpec, curvature, generate  # noqa: E402
 from combcurv.complexes import full_cycles, is_flag  # noqa: E402
 from combcurv.curvature import (  # noqa: E402
     dwheels,
@@ -72,7 +73,7 @@ from combcurv.manifold import (  # noqa: E402
     check_sphere_cycle_lemma,
     is_5_6_star_sphere,
 )
-from conftest import cone, dwheel_complex, less_some  # noqa: E402
+from conftest import cone, dwheel_complex, less_some, skeleton_cone  # noqa: E402
 from oracles import naive_link  # noqa: E402
 
 NAMED = (("triangle", ()), ("tetrahedron", ()), ("c_n", (5,)), ("c_n", (7,)),
@@ -124,9 +125,7 @@ def sparse_draws():
         params = (n, 3 / n, rng.randrange(10_000))
         X = generate(GeneratorSpec("random_flag", params))
         yield f"random_flag{list(params)}", X
-        apex = X.vertex_count
-        faces = (s + (apex,) for d in range(3) for s in X.simplices(d))
-        yield f"cone over random_flag{list(params)}", build_complex(faces)
+        yield f"cone over random_flag{list(params)}", skeleton_cone(X)
 
 
 def corpus():
@@ -163,9 +162,9 @@ def calls(X):
 
 
 def both_hypotheses(X, m: int) -> dict:
-    """``located_and_large(X, is_flag(X), m, 5)`` as JSON-ready data, its
-    dwheel types sorted."""
-    located, large, types = located_and_large(X, is_flag(X), m, 5)
+    """``located_and_large(X, m, 5)`` as JSON-ready data, its dwheel types
+    sorted."""
+    located, large, types = located_and_large(X, m, 5)
     return {"located": located.to_json(), "large": large.to_json(), "types": sorted(types)}
 
 
