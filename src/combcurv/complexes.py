@@ -2,7 +2,7 @@
 
 The complex stores its simplices explicitly per dimension (vertices, edges,
 triangles, tetrahedra) together with the adjacency relation of the
-1-skeleton and a per-vertex coface index.  All queries used by the
+1-skeleton and the stored triangles at each vertex.  All queries used by the
 curvature checkers live here: spans (induced subcomplexes), vertex link
 graphs, chord tests for cycles, flagness, and chordless-cycle enumeration.
 The face sets are frozensets, so they iterate in no fixed order; a caller
@@ -21,17 +21,20 @@ increasing, so the kernels' canonical cycles and sorted cliques map back
 to ambient ids unchanged.  The closed-surface test reads
 its links off the edge links instead, in ``manifold``.
 
-The coface index makes the local queries cost the size of a vertex star,
-not the size of the complex: ``link_edges`` (the edges of a vertex link)
-and ``link_masks`` (the same graph as bitmasks) read the star of one
-vertex, and ``span`` the stars of the kept vertices.  A per-vertex or
-per-simplex loop over a complex therefore costs about the sum of its
-vertex stars.
+The triangle index and the adjacency make the local queries cost the
+size of a vertex star, not the size of the complex: ``link_edges`` (the
+edges of a vertex link) and ``link_masks`` (the same graph as bitmasks)
+read the triangles at one vertex, and ``span`` the neighbours and
+triangles of the kept vertices.  A per-vertex or per-simplex loop over a
+complex therefore costs about the sum of its vertex stars.
+
+A clique complex made by :func:`flag_completion` records that it is flag
+when its clique enumeration meets no 5-clique, and :func:`is_flag` then
+reads that record with no count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
@@ -89,39 +92,35 @@ class SimplicialComplex:
     empty 3-clique in that count, and a complex that is not flag would
     pass.
 
-    Construction also builds the coface index, in O(F) for F faces: for
-    each vertex, the tuple of stored simplices of dimension 1 to 3 that
-    contain it.  It holds the same tuple objects as the face sets, so it
-    adds one reference per vertex of each simplex.  ``link_masks`` and
-    ``span`` read it instead of scanning every face.
+    Construction also builds the triangle index, in O(T) for T
+    triangles: for each vertex, the tuple of stored triangles that
+    contain it, in the order of the triangle set.  It holds the same tuple
+    objects as that set, so it adds three references per triangle.
+    ``link_edges`` and ``span`` read it instead of scanning every face.
 
-    Flagness is a fact about the complex: the slot ``_flag``, unset until
-    the first :func:`is_flag` call, keeps the :func:`flag_witness` that
-    call computed, and every later call reads it.
+    Flagness is a fact about the complex: the slot ``_flag`` keeps the
+    :func:`flag_witness` of the first :func:`is_flag` call, and every later
+    call reads it.  :func:`flag_completion` sets it to None, for flag, on
+    each complex it proves flag; otherwise it stays unset until that call.
     """
 
-    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_cofaces", "_flag")
+    __slots__ = ("vertex_count", "name", "_faces", "_adj", "_triangles", "_flag")
 
     def __init__(self, vertex_count: int, faces: dict, name: Optional[str] = None):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_faces", {d: frozenset(faces.get(d, ())) for d in range(MAX_DIM + 1)})
         adj = [set() for _ in range(vertex_count)]
-        # cofaces[v]: the stored simplices of dimension >= 1 containing v,
-        # edges first, then triangles, then tetrahedra (shared tuples)
-        cofaces = [[] for _ in range(vertex_count)]
-        for e in self._faces[1]:
-            u, v = e
+        for u, v in self._faces[1]:
             adj[u].add(v)
             adj[v].add(u)
-            cofaces[u].append(e)
-            cofaces[v].append(e)
-        for d in range(2, MAX_DIM + 1):
-            for s in self._faces[d]:
-                for v in s:
-                    cofaces[v].append(s)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "_cofaces", tuple(map(tuple, cofaces)))
+        # triangles[v]: the stored triangles at v, in face-set order (shared tuples)
+        triangles = [[] for _ in range(vertex_count)]
+        for t in self._faces[2]:
+            for v in t:
+                triangles[v].append(t)
+        object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
+        object.__setattr__(self, "_triangles", tuple(map(tuple, triangles)))
 
     def __setattr__(self, *args):
         raise AttributeError("SimplicialComplex is immutable")
@@ -196,14 +195,21 @@ class SimplicialComplex:
         """Full subcomplex induced by a vertex set, on the same vertex ids.
 
         Ids that are not vertices of this complex are ignored.  Each kept
-        simplex is read once, from the cofaces of its smallest vertex.
+        edge and triangle is read once, from its least vertex: the edges
+        off the adjacency, the triangles off the triangle index.  Each kept
+        tetrahedron abcd, a < b < c < d, is read once, as its kept triangle
+        abc and the kept neighbour d > c of c such that abcd is stored.
+        That finds them all, since the face sets are downward closed.
         """
-        keep = set(vertex_set)
-        faces = {d: [] for d in range(MAX_DIM + 1)}
-        for v in filter(self.has_vertex, keep):
-            for t in ((v,),) + self._cofaces[v]:
-                if t[0] == v and keep.issuperset(t):
-                    faces[len(t) - 1].append(t)
+        keep = set(filter(self.has_vertex, vertex_set))
+        adj, tetrahedra = self._adj, self._faces[3]
+        triangles = [t for v in keep for t in self._triangles[v]
+                     if t[0] == v and keep.issuperset(t)]
+        faces = {0: [(v,) for v in keep],
+                 1: [(v, u) for v in keep for u in adj[v] if u > v and u in keep],
+                 2: triangles,
+                 3: [t + (d,) for t in triangles for d in adj[t[2]]
+                     if d > t[2] and d in keep and t + (d,) in tetrahedra]}
         return SimplicialComplex(self.vertex_count, faces, name=self.name)
 
     def link_masks(self, v: int):
@@ -221,13 +227,10 @@ class SimplicialComplex:
 
     def link_edges(self, v: int) -> list:
         """The edges (a, b), a < b, of the link of vertex ``v``: t - v for
-        each triangle t at v, in no fixed order.  In v's coface tuple the
-        triangles follow its ``degree(v)`` edges and precede its
-        tetrahedra."""
-        cofaces = self._cofaces[v]
-        first = len(self._adj[v])
-        triangles = cofaces[first:bisect_left(cofaces, 4, first, key=len)]
-        return [(b, c) if a == v else (a, c) if b == v else (a, b) for a, b, c in triangles]
+        each triangle t at v, read off the triangle index, in the order of
+        the triangle set, which is no fixed order."""
+        return [(b, c) if a == v else (a, c) if b == v else (a, b)
+                for a, b, c in self._triangles[v]]
 
 
 def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str] = None) -> SimplicialComplex:
@@ -268,6 +271,15 @@ def flag_completion(n: int, edges, name: Optional[str] = None,
     triangle among them, so the face sets come out downward closed with no
     separate closure pass.
 
+    The output is flag unless the graph has a 5-clique, which the cap
+    leaves unstored.  So it records flagness (:func:`is_flag` reads it, with
+    no :func:`flag_witness` call) when no 5-clique turns up.  Each
+    tetrahedron x < a < b < c is read as an x in the set Q of common
+    neighbours of a, b and c below a, and a 5-clique y < x < a < b < c is
+    such a tetrahedron with a neighbour y of x in Q: one disjointness test
+    per tetrahedron finds it.  An output with a 5-clique records nothing,
+    so :func:`is_flag` names its least witness.
+
     ``previous``, when given, must be the clique complex of the induced
     graph on its ids ``0..previous.vertex_count - 1``.  Its triangles and
     tetrahedra are carried, and only the cliques whose largest vertex is
@@ -275,13 +287,17 @@ def flag_completion(n: int, edges, name: Optional[str] = None,
     graph on an id prefix exactly when its largest vertex does, so the
     cliques of the graph with an old largest vertex are exactly those of
     ``previous``.  The cover builder's stage balls are such a pair, by its
-    expansion lemma (P).
+    expansion lemma (P).  So a 5-clique with an old largest vertex is one of
+    ``previous``, and flagness is recorded only when ``previous`` has it
+    recorded too.
     """
     pairs = {(u, v) if u < v else (v, u) for u, v in edges}
     lower = [set() for _ in range(n)]  # the neighbours below each vertex
     for u, v in pairs:
         lower[v].add(u)
     old = previous._faces if previous is not None else {2: frozenset(), 3: frozenset()}
+    # flag unless a 5-clique turns up here, or previous may hold one
+    flag = previous is None or getattr(previous, "_flag", ()) is None
     triangles, tetrahedra = [], []
     for c in range(0 if previous is None else previous.vertex_count, n):
         below = lower[c]
@@ -289,11 +305,16 @@ def flag_completion(n: int, edges, name: Optional[str] = None,
             common = lower[b] & below
             for a in common:
                 triangles.append((a, b, c))
-                for x in lower[a] & common:
+                quad = lower[a] & common  # Q: the common neighbours below a
+                for x in quad:
                     tetrahedra.append((x, a, b, c))
+                    flag = flag and lower[x].isdisjoint(quad)
     faces = {0: {(v,) for v in range(n)}, 1: pairs,
              2: old[2].union(triangles), 3: old[3].union(tetrahedra)}
-    return SimplicialComplex(n, faces, name=name)
+    X = SimplicialComplex(n, faces, name=name)
+    if flag:
+        object.__setattr__(X, "_flag", None)
+    return X
 
 
 # -- chords and flagness ----------------------------------------------------
@@ -401,8 +422,9 @@ def is_flag(X: SimplicialComplex) -> Verdict:
 
     5-cliques always fail because the dimension is capped at 3.  The
     witness is computed at the first call on ``X`` and kept on it, so each
-    complex is tested once; the checkers that need flagness call this
-    rather than take a verdict from their caller.
+    complex is tested once, and a complex that :func:`flag_completion`
+    recorded flag is not tested at all; the checkers that need flagness
+    call this rather than take a verdict from their caller.
     """
     if not hasattr(X, "_flag"):
         object.__setattr__(X, "_flag", flag_witness(X))

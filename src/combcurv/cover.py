@@ -51,10 +51,10 @@ invariants are verified once per stage:
           (V) is scanned, and ``build_cover`` runs the shortcut test only
           at the stage its report names;
     (R) the sheet map restricts on 1-balls to isomorphisms onto image spans,
-        and onto full 1-balls at interior vertices.  The base is flag and
-        every ball is the clique complex of its graph, capped at 4 vertices,
-        so an injective map that matches edges both ways matches simplices;
-        no stage tests flagness again.  Edges are compared by counting.
+        and onto full 1-balls at interior vertices.  The base and every
+        ball are flag (the lemma below), so an injective map that matches
+        edges both ways matches simplices; no stage tests flagness again.
+        Edges are compared by counting.
         Every ball edge maps to a base edge (the expansion joins a new
         vertex only to bases and classes with adjacent targets), which one
         pass over the edges confirms per stage.  So where the map is
@@ -68,10 +68,14 @@ invariants are verified once per stage:
 So the per-stage checks read no face above the edges, except the triangle
 counts of (R).
 
-No stage looks for 5-cliques, which the cap would hide.  Every ball edge
-maps to a base edge, so a 5-clique of the ball either maps injectively
-onto a 5-clique of the flag base, which has none, or maps two adjacent
-vertices to one, and (R) rejects the 1-ball of either.
+Lemma: every stage ball is flag.  A ball is the clique complex of its
+graph capped at 4 vertices, so it is flag exactly when it has no 5-clique.
+Every ball edge maps to a base edge, whose two ends differ, so the sheet
+map is injective on each clique of the ball and maps it onto a clique of
+the base.  The base is flag, so its cliques have at most 4 vertices, and
+so do the ball's.  The completion records that flagness as it enumerates
+the cliques, so no stage ball runs a flag test: (R) and the interior
+checks read the record.
 
 The (Q) and (R) results of the last stage are the ones ``build_cover``
 reports; the final ball is not checked a second time.  Location and
@@ -199,10 +203,9 @@ def _verify_invariants(state: CoverState):
     sd = SDReport(base=state.base, max_radius=i, results=results)
 
     # (R): sheet map is a local isomorphism, full at interior vertices.  The
-    # target is flag and the ball a clique complex, so edges decide it.
+    # target and the ball are flag, so edges decide it.
     try:
-        check_covering_map(state.sheet_map, ball, state.target, state.interior_ids(),
-                           edges_decide=True)
+        check_covering_map(state.sheet_map, ball, state.target, state.interior_ids())
         covering = passed("covering_condition")
     except NotACovering as exc:
         covering = failed("covering_condition",

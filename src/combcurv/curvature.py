@@ -779,8 +779,7 @@ def _unlocated(X: SimplicialComplex, m: int, dw: DWheel, count: int) -> Verdict:
 
 
 def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
-                       full_at: Optional[Iterable[int]] = None,
-                       edges_decide: Optional[bool] = None):
+                       full_at: Optional[Iterable[int]] = None):
     """Verify that the vertex map ``f`` restricts on every 1-ball to an
     isomorphism onto the span of its image.
 
@@ -788,16 +787,14 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     addition be surjective onto the whole 1-ball of the image.  Raises
     :class:`NotACovering` at the first violating 1-ball, in vertex order.
 
-    ``edges_decide`` says whether the span edges alone decide it; when it
-    is None, that is flagness of both complexes, by
+    The span edges alone decide it when both complexes are flag, by
     :func:`~combcurv.complexes.is_flag`, which tests each complex once
-    for all its callers.  If both are
+    for all its callers and reads the flagness that
+    :func:`~combcurv.complexes.flag_completion` records.  If both are
     flag, f is injective on the 1-ball, so once edges match both ways so
-    do cliques, the simplices.  The same holds, with the same first
-    offender, whenever the simplices of both complexes are their cliques of
-    at most 4 vertices, even if a 5-clique makes one of them fail
-    ``is_flag``: the cover builder's stage balls and flag base are such a
-    pair.  Otherwise the faces of dimensions 1-3 are compared, in the same
+    do cliques, the simplices.  The cover builder's stage balls and its
+    flag base are such a pair, so its (R) check reads two records.
+    Otherwise the faces of dimensions 1-3 are compared, in the same
     order either way: same offender.
 
     ``f`` is a sequence indexed by cover vertex id; a cover vertex past its
@@ -811,7 +808,7 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     alone, not on the layout of their sets.  Counting never raises, so the
     first 1-ball that raises is the scan's.
 
-    Lemma (the edge count, when edges decide).  Let every edge of N[v] map
+    Lemma (the edge count, when both are flag).  Let every edge of N[v] map
     to a base edge, and f be injective on N[v].  Then f maps the edges of
     N[v] one-to-one into the base edges of the span of f(N[v]), so they
     match both ways exactly when the two sets have the same size.  The
@@ -831,11 +828,10 @@ def check_covering_map(f, cover: SimplicialComplex, base: SimplicialComplex,
     short = next((v for v in cover.vertices if v >= len(f)), None)
     if short is not None:
         raise ValueError(f"cover vertex {short} has no image: the vertex map has {len(f)} entries")
-    if edges_decide is None:
-        edges_decide = is_flag(cover).passed and is_flag(base).passed
-    dims = (1,) if edges_decide else (1, 2, 3)
+    both_flag = is_flag(cover).passed and is_flag(base).passed
+    dims = (1,) if both_flag else (1, 2, 3)
     full_at = set(full_at) if full_at is not None else set()
-    count = edges_decide and all(map(base.has_vertex, {f[v] for (v,) in cover.simplices(0)})) \
+    count = both_flag and all(map(base.has_vertex, {f[v] for (v,) in cover.simplices(0)})) \
         and all(base.adjacent(f[u], f[v]) for u, v in cover.simplices(1))
     triangles = Counter(chain.from_iterable(cover.simplices(2))) if count else None
     links = {}  # base vertex -> its link edges

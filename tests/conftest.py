@@ -104,6 +104,32 @@ def cone(Y):
     return build_complex([s + (apex,) for s in Y.maximal_simplices()] or [[apex]])
 
 
+def wedge(X, x, Y, y):
+    """The wedge of X and Y at the vertices x and y: Y's vertices other
+    than y are renamed above X, ``X.vertex_count`` on in their order, and y
+    becomes x.
+
+    Lemma: flagness, local 5-largeness and 8-location survive a wedge at a
+    vertex.  Call the wedge vertex w.  No edge joins the two sides but at
+    w, so each side is a full subcomplex, and every clique lies in one
+    side, where it spans a simplex when that side is flag.  The link of a
+    vertex other than w is its link in its side.  The link of w is the
+    disjoint union of the links of x and y, with no edge between them, and
+    a clique or a chordless cycle, being connected, lies in one of them;
+    the link of any larger simplex lies in one side.  So every link is
+    5-large when those of X and Y are.  A wheel's rim is a cycle in the
+    link of its centre, so each wheel lies in one side, and a dwheel, two
+    wheels on the edge of their two centres, lies in the side of that edge.
+    That side is full, so the dwheel and its boundary length are the same
+    there, and the side's 8-location puts it in a 1-ball, which lies in a
+    1-ball of the wedge."""
+    assert X.has_vertex(x) and Y.has_vertex(y), (x, y)
+    above = iter(range(X.vertex_count, X.vertex_count + len(Y.vertices)))
+    ids = {v: x if v == y else next(above) for v in Y.vertices}
+    simplices = X.maximal_simplices() + [[ids[v] for v in s] for s in Y.maximal_simplices()]
+    return build_complex(simplices, name=f"wedge({X.name},{x},{Y.name},{y})")
+
+
 def skeleton_cone(Y):
     """The cone over the 2-skeleton of ``Y`` (isolated vertices kept), from
     the apex ``Y.vertex_count``, whose link is that 2-skeleton."""

@@ -9,7 +9,8 @@ and edge are counted by a scan of every tetrahedron, edge links are
 complexes tested for one cycle by a BFS, vertex links are complexes put
 through every closed-surface check, each a plain scan, sphere degrees
 come from a scan of every edge, cycles are found by
-plain DFS over simple paths, wheel pairs are matched by trying every rotation,
+plain DFS over simple paths or over induced paths from their least vertex,
+wheel pairs are matched by trying every rotation,
 dwheels are sorted all at once and located by trying every centre,
 the wheels at one vertex by testing every set of its neighbours,
 wheel centres, the vertex whose link holds a wheel and 7-cycle filling
@@ -328,6 +329,32 @@ def naive_full_cycles(X, min_len, max_len):
             for u in X.neighbors(path[-1]):
                 if u not in path:
                     extend(path + (u,))
+
+    for v in X.vertices:
+        extend((v,))
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+def induced_path_cycles(X, min_len, max_len):
+    """Chordless cycles by a DFS over induced paths from each cycle's least
+    vertex s.  A path s, v1, ..., t grows by a neighbour u of its tip t
+    that lies above s, off the path, and adjacent to no path vertex but t
+    and s.  When u is adjacent to s the path closes into a cycle, kept if
+    it has 4 vertices or more, and is not grown further: any longer cycle
+    through it would have the chord su.  Each cycle comes twice, once per
+    direction, and is kept in canonical form."""
+    found = set()
+
+    def extend(path):
+        s, tip = path[0], path[-1]
+        for u in X.neighbors(tip):
+            if u <= s or u in path or any(X.adjacent(u, a) for a in path[1:-1]):
+                continue
+            if len(path) > 1 and X.adjacent(u, s):
+                if max(4, min_len) <= len(path) + 1:
+                    found.add(canonical_cycle(path + (u,)))
+            elif len(path) + 1 < max_len:
+                extend(path + (u,))
 
     for v in X.vertices:
         extend((v,))

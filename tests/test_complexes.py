@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combcurv import complexes, curvature
+from combcurv import build_cover, complexes, cover, curvature
 from combcurv.complexes import (
     MAX_DIM,
     SimplicialComplex,
@@ -32,6 +32,7 @@ from combcurv.generators import flag_completion
 from conftest import (
     FIXTURE_DIR,
     bd4_pair,
+    counted,
     gen,
     glued_tetrahedra,
     less_some,
@@ -41,6 +42,7 @@ from conftest import (
 )
 from oracles import (
     SimplexNotPresent,
+    induced_path_cycles,
     is_full,
     naive_flag_witness,
     naive_full_cycles,
@@ -183,15 +185,24 @@ def length_ranges(top):
     return [(lo, hi) for lo in range(4, top + 1) for hi in range(lo, top + 1)]
 
 
+def naive_cycles(X, top):
+    """``naive_full_cycles`` up to length ``top``, which the induced-path
+    DFS must list too, in all and at length ``top`` alone."""
+    ref = naive_full_cycles(X, 4, top)
+    assert induced_path_cycles(X, 4, top) == ref, X.name
+    assert induced_path_cycles(X, top, top) == [c for c in ref if len(c) == top], X.name
+    return ref
+
+
 def refereed_cycles(X, top, ref=None):
     """The chordless cycles of X against ``ref``, one run of
-    ``naive_full_cycles`` up to length ``top`` (made here if not given),
+    ``naive_cycles`` up to length ``top`` (made here if not given),
     at every length range up to it: through ``chordless_cycles``, in its
     range form and, for one length, in its one-length form, and through
     ``full_cycles``, at the cap and past it with a raised cap.  Returns
     the referee's cycles."""
     if ref is None:
-        ref = naive_full_cycles(X, 4, top)
+        ref = naive_cycles(X, top)
     masks = adjacency_masks(X)
     for lo, hi in length_ranges(top):
         want = [c for c in ref if lo <= len(c) <= hi]
@@ -283,7 +294,7 @@ def skeleton_inputs():
 
 @pytest.fixture(scope="module")
 def skeleton_refs():
-    """``naive_full_cycles`` run once per distinct input of
+    """``naive_cycles`` run once per distinct input of
     ``skeleton_inputs()``, to the longest length any test reads it at.
     Keyed as there: a list of (input, that length, the referee's cycles)."""
     by_test = skeleton_inputs()
@@ -295,7 +306,7 @@ def skeleton_refs():
     for X, _ in chain.from_iterable(by_test.values()):
         key = tuple(X.maximal_simplices())
         if key not in runs:
-            runs[key] = X, top[key], naive_full_cycles(X, 4, top[key])
+            runs[key] = X, top[key], naive_cycles(X, top[key])
     return {test: [runs[tuple(X.maximal_simplices())] for X, _ in inputs]
             for test, inputs in by_test.items()}
 
@@ -562,6 +573,81 @@ class TestCliqueEnumerator:
         assert previous == X
 
 
+class TestFlagMemo:
+    """``flag_completion`` records flagness on each output with no 5-clique,
+    so ``is_flag`` reads it with no ``flag_witness`` call; an output with
+    one leaves it unrecorded, and ``is_flag`` names the least witness.  The
+    referee is the clique scan of ``naive_flag_witness``."""
+
+    @staticmethod
+    def refereed(X, calls):
+        """X's flag verdict against the referee; the referee's witness."""
+        ref = naive_flag_witness(X)
+        del calls[:]
+        verdict = is_flag(X)
+        assert verdict.passed == (ref is None), X.name
+        if ref is not None:
+            assert verdict.witness["vertices"] == list(ref), X.name
+        # recorded exactly when flag
+        assert calls == ([] if ref is None else [(X,)]), X.name
+        return ref
+
+    @staticmethod
+    def graphs(seed):
+        """Seeded graphs on up to 12 vertices, dense enough that some hold
+        5-cliques, each as (n, its edges)."""
+        rng = random.Random(seed)
+        for _ in range(60):
+            n, p = rng.randint(5, 12), rng.choice((0.3, 0.5, 0.7, 0.85))
+            yield n, [e for e in combinations(range(n), 2) if rng.random() < p]
+
+    def test_seeded_graphs_and_generated_complexes(self, monkeypatch):
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        sizes = Counter(len(self.refereed(flag_completion(n, edges), calls) or ())
+                        for n, edges in self.graphs(56))
+        # with and without 5-cliques, which are the only witnesses here
+        assert sizes[0] > 10 and sizes[5] > 10 and set(sizes) == {0, 5}, sizes
+        for X in [gen("cell600")] + [gen("random_flag", 14, 0.45, seed) for seed in range(6)]:
+            del calls[:]
+            verdict = is_flag(X)
+            assert calls == [] and verdict.passed, X.name
+
+    def test_previous_chains(self, monkeypatch):
+        # each previous complex is the completion of the induced graph on an
+        # id prefix, grown from the one before, as the cover stages grow
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        rng = random.Random(57)
+        chains = Counter()
+        for n, edges in self.graphs(57):
+            previous, witnesses = None, []
+            for cut in sorted(rng.sample(range(1, n), 3)) + [n]:
+                previous = flag_completion(cut, [e for e in edges if e[1] < cut],
+                                           previous=previous)
+                witnesses.append(self.refereed(previous, calls) is not None)
+            chains[tuple(witnesses)] += 1
+        # chains that stay flag, and chains whose 5-clique appears at a
+        # later cut, past a flag previous
+        assert chains[False, False, False, False] and chains[False, False, False, True], chains
+        assert any(w[0] for w in chains), chains
+
+    def test_cover_stage_balls(self, monkeypatch):
+        # the builder's stage balls, each completed from the one before
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        balls, completion = [], complexes.flag_completion
+
+        def recording(*args, **kwargs):
+            balls.append(completion(*args, **kwargs))
+            return balls[-1]
+
+        monkeypatch.setattr(cover, "flag_completion", recording)
+        for X, r in ((gen("random_flag", 13, 0.35, 7), 3), (gen("icosahedron"), 3),
+                     (gen("tri_torus", 5, 5), 3)):
+            build_cover(X, 0, r)
+        assert len(balls) == 12
+        for ball in balls:
+            assert self.refereed(ball, calls) is None, ball.name
+
+
 def test_complex_equality(octa):
     again = build_complex(octa.maximal_simplices())
     assert again == octa
@@ -584,14 +670,15 @@ def _index_inputs():
                 for (n, p, seed) in ((10, 0.5, 1), (14, 0.35, 2), (16, 0.3, 3), (20, 0.25, 4)))
     yield from (_simplex_soup(seed) for seed in range(12))
     yield build_complex([])
-    for name in ("octahedron", "boundary_4_simplex"):
+    for name in ("octahedron", "boundary_4_simplex", "cell600"):
         yield gen(name)
     for name in ("disk37_r3", "surf37_psl2_7"):
         yield load_degree7_fixture(name)
 
 
 class TestCofaceIndex:
-    """The coface-indexed queries against full scans of every face."""
+    """The queries that read the triangle index (the stored triangles at
+    each vertex) against full scans of every face."""
 
     @pytest.fixture(scope="class")
     def complexes(self):
@@ -686,13 +773,14 @@ class TestClosedFaceSets:
 
 
 def test_only_complexes_reads_the_private_tables():
-    # the adjacency table, coface index and face sets are read through the
-    # public queries (``neighbors``, ``link_masks``, ``simplices``, ...)
-    # everywhere else, so their layout can change inside complexes.py alone
+    # the adjacency table, triangle index, face sets and flag record are
+    # read through the public queries (``neighbors``, ``link_masks``,
+    # ``simplices``, ``is_flag``, ...) everywhere else, so their layout can
+    # change inside complexes.py alone
     src = Path(__file__).resolve().parent.parent / "src" / "combcurv"
     modules = sorted(p for p in src.glob("*.py") if p.name != "complexes.py")
     assert len(modules) > 5
-    private = re.compile(r"\._(adj|cofaces|faces)\b")
+    private = re.compile(r"\._(adj|triangles|faces|flag)\b")
     hits = [f"{p.name}:{i}" for p in modules
             for i, line in enumerate(p.read_text().splitlines(), 1) if private.search(line)]
     assert hits == []

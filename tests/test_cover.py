@@ -7,15 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from combcurv import build_cover, cover, expand_ball, metric, verify_equiv_shortcut
-from combcurv.complexes import SimplicialComplex, flag_completion, is_flag
+from combcurv import build_cover, complexes, cover, expand_ball, metric, verify_equiv_shortcut
+from combcurv.complexes import SimplicialComplex, build_complex, flag_completion, is_flag
 from combcurv.cover import CoverState, _apply_invariants, _base_state, _verify_invariants
-from combcurv.curvature import is_locally_k_large, is_m_located
+from combcurv.curvature import is_locally_k_large, is_m_located, located_and_large
 from combcurv.errors import HypothesisViolation, InvariantViolation, NotFlag, TooLarge
 from combcurv.metric import check_sd_prime
 
-from conftest import counted, gen
-from oracles import init_cover, naive_cover_classes, naive_span
+from conftest import cone, counted, dwheel_complex, gen, wedge
+from oracles import init_cover, naive_check_covering_map, naive_cover_classes, naive_span
 
 # random_flag draws whose cover reports carry warnings
 WARNED = ((13, 0.35, 7), (15, 0.35, 11), (15, 0.35, 12))
@@ -148,8 +148,8 @@ class TestInvariants:
         assert any(which == "R" for which, _w, _d in problems)
 
     def test_five_clique_ball_raises_under_the_hypotheses(self, tetra):
-        # K5 over the tetrahedron: no stage scans for 5-cliques, because
-        # the two vertices over 0 collide in every 1-ball, which (R) rejects
+        # K5 over the tetrahedron, which no expansion builds: the two
+        # vertices over 0 collide in every 1-ball, which (R) rejects
         with pytest.raises(InvariantViolation) as info:
             _apply_invariants(k5_over_tetra(tetra))
         assert info.value.which == "R"
@@ -207,7 +207,7 @@ class TestExpansionLemma:
     """(P) is a lemma of the expansion, not a check: at every stage the
     birth layers are the BFS layers, the previous ball is the induced ball
     one radius down, and every ball edge maps to a base edge (which the
-    5-clique argument rests on)."""
+    stage-ball flagness lemma rests on)."""
 
     def test_birth_layers_and_previous_ball_are_induced(self, c4, c5, tetra, icosa, torus66,
                                                         disk37, surf37):
@@ -381,6 +381,55 @@ class TestInteriorBall:
             assert sorted(v for _ball, v in reads) == interior
             balls = {id(ball): ball for ball, _v in reads}
             assert [ball.vertex_count for ball in balls.values()] == [len(interior)]
+
+
+class TestStageBallFlagness:
+    """Every stage ball is flag: each ball edge maps to a base edge, so a
+    clique of the ball maps one-to-one onto a clique of the flag base, of
+    at most 4 vertices.  Its clique completion records that, so a build
+    tests flagness on its target alone."""
+
+    def test_a_passing_and_a_warned_build_test_only_their_target(self, surf37, monkeypatch):
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        # newly built copies, whose flagness no check has read yet
+        for X, warned in ((surf37, False), (gen("random_flag", 13, 0.35, 4), True)):
+            X = build_complex(X.maximal_simplices(), X.name)
+            del calls[:]
+            report = build_cover(X, 0, 4)
+            assert bool(report.state.warnings) == warned and report.passed != warned
+            assert calls == [(X,)], X.name
+
+
+class TestWedges:
+    """surf37 wedged at its vertex 0 with the apex of a located cone: the
+    first inputs that meet the entry hypotheses with located dwheels and
+    tetrahedra, and with an infinite cover."""
+
+    @staticmethod
+    def wedges(surf37):
+        """Each wedge, with the dwheel types that its 8-location meets."""
+        cones = [(cone(gen("icosahedron")), (5, 5))]
+        cones += [(cone(dwheel_complex(*t, "identified")[0]), t) for t in ((5, 5), (7, 5))]
+        return [(wedge(surf37, 0, Y, Y.vertex_count - 1), {t}) for Y, t in cones]
+
+    def test_located_builds_that_read_no_flagness_past_the_target(self, surf37, monkeypatch):
+        calls = counted(monkeypatch, complexes, "flag_witness")
+        for W, types in self.wedges(surf37):
+            del calls[:]
+            located, large, found = located_and_large(W, 8, 5)
+            assert located.passed and large.passed and found == types, W.name
+            for r in range(1, 6):
+                report = build_cover(W, 0, r)
+                assert report.passed and report.state.warnings == (), (W.name, r)
+                assert report.state.ball.simplices(3), (W.name, r)
+            # (R) passes at each stage, and so does the span-building referee
+            state = _base_state(W, 0)
+            while state.stage < 4:
+                state = expand_ball(state)
+                assert state.covering.passed
+                naive_check_covering_map(state.sheet_map, state.ball, W, state.interior_ids())
+            # the wedge is tested once; no stage or interior ball is
+            assert calls == [(W,)], W.name
 
 
 class TestShortcut:

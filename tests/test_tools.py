@@ -38,6 +38,17 @@ def test_cover_digest_meets_both_covering_failures():
     assert cover_digest.digest(runs)[0] == hexdigest
 
 
+def test_cover_digest_wedges_pass():
+    # the first wedge, surf37 with the apex of cone(icosahedron), at base 0
+    # and radii 1-5: every run passes
+    cover_digest = load_tool("cover_digest")
+    runs = list(islice(cover_digest.wedge_corpus(), 5))
+    assert [(base, radius) for _W, base, radius in runs] == [(0, r) for r in range(1, 6)]
+    hexdigest, counts = cover_digest.digest(runs)
+    assert hexdigest == "39f7fb912469e1fd61aea9439d0592d9b6b48db75ddf0b6049cb01c5d73ea391"
+    assert counts == Counter(runs=5, warned=0, refused=0)
+
+
 def test_manifold_digest_meets_every_vertex_link_reason():
     # the named complexes and four soups: the 600-cell, bd4, the glued bd4
     # pairs and the suspensions reach each reason of the vertex-link stage

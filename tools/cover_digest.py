@@ -16,8 +16,15 @@ map, the birth stages, the faces of every dimension, the last classes and
 the warnings as ``str`` and ``repr``; a refused run hashes its error type
 and message.
 
+Then it prints a second digest and its counts, each line prefixed
+"wedges", over the wedges of the degree-7 surface, at its vertex 0, with
+the apex of a cone: over the icosahedron and over the identified (5, 5)
+and (7, 5) dwheels, each at bases 0-2 and radii 1-5, with the same
+records.  They meet the entry hypotheses and carry located dwheels.
+
 Run from the repository root:  python3 tools/cover_digest.py
 On this corpus it prints 49f0b7d80cf154a2ae98a6d1c5c513756ebce55d1749f23c9038fbd8d520aeb3
+and, for the wedges, 7995268c93df1b68c33fe789ba324745a9710d0eabe75be85ce0ba55b1cc12a3
 """
 
 import hashlib
@@ -29,10 +36,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from combcurv import GeneratorSpec, build_cover, generate  # noqa: E402
 from combcurv.errors import CombCurvError  # noqa: E402
 from combcurv.formats import load_path  # noqa: E402
+from conftest import cone, dwheel_complex, wedge  # noqa: E402
 
 BASES = (0, 1, 2)
 RADII = (1, 2, 3, 4)
@@ -65,6 +74,18 @@ def corpus():
             for radius in RADII:
                 if radius <= top:
                     yield X, base, radius
+
+
+def wedge_corpus():
+    """Every wedge run, in a fixed order."""
+    surf37 = load_path(ROOT / "fixtures" / "surf37_psl2_7.cplx").complex
+    cones = [cone(generate(GeneratorSpec("icosahedron", ())))]
+    cones += [cone(dwheel_complex(k, l, "identified")[0]) for k, l in ((5, 5), (7, 5))]
+    for Y in cones:
+        W = wedge(surf37, 0, Y, Y.vertex_count - 1)
+        for base in BASES:
+            for radius in range(1, 6):
+                yield W, base, radius
 
 
 def record(X, base: int, radius: int):
@@ -108,12 +129,13 @@ def digest(runs):
 
 
 def main() -> int:
-    hexdigest, counts = digest(corpus())
-    print(hexdigest)
-    for key in ("runs", "warned", "refused"):
-        print(f"{key} {counts.pop(key)}")
-    for key, n in sorted(counts.items()):
-        print(f"{key} {n}")
+    for prefix, runs in (("", corpus()), ("wedges ", wedge_corpus())):
+        hexdigest, counts = digest(runs)
+        print(prefix + hexdigest)
+        for key in ("runs", "warned", "refused"):
+            print(f"{prefix}{key} {counts.pop(key)}")
+        for key, n in sorted(counts.items()):
+            print(f"{prefix}{key} {n}")
     return 0
 
 
