@@ -24,9 +24,16 @@ its links off the edge links instead, in ``manifold``.
 The triangle index and the adjacency make the local queries cost the
 size of a vertex star, not the size of the complex: ``link_edges`` (the
 edges of a vertex link) and ``link_masks`` (the same graph as bitmasks)
-read the triangles at one vertex, and ``span`` the neighbours and
-triangles of the kept vertices.  A per-vertex or per-simplex loop over a
-complex therefore costs about the sum of its vertex stars.
+each read the triangles at one vertex off the index, and ``span`` the
+neighbours and triangles of the kept vertices.  A per-vertex or
+per-simplex loop over a complex therefore costs about the sum of its
+vertex stars.
+
+Construction closes the given simplices downward once
+(:func:`downward_closure`), into one frozenset per dimension, which
+:class:`SimplicialComplex` stores as it is given, with no copy;
+:func:`build_complex` and the parsers of ``formats`` share that closure,
+each with its own checks first.
 
 A clique complex made by :func:`flag_completion` records that it is flag
 when its clique enumeration meets no 5-clique, and :func:`is_flag` then
@@ -36,7 +43,7 @@ reads that record with no count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, DimensionTooHigh, DuplicateVertexInSimplex
@@ -86,17 +93,20 @@ class SimplicialComplex:
     ``simplices(d)`` returns the stored d-simplices as sorted tuples.
 
     The face sets must be downward closed: every face of a stored simplex
-    is stored.  ``build_complex``, ``flag_completion`` and ``span`` make
-    them so, and the flagness count of :func:`flag_witness` relies on it.
-    A triangle stored without one of its edges, for one, would offset an
-    empty 3-clique in that count, and a complex that is not flag would
-    pass.
+    is stored.  :func:`downward_closure` (which ``build_complex`` and the
+    parsers call), ``flag_completion`` and ``span`` make them so, and the
+    flagness count of :func:`flag_witness` relies on it.  A triangle
+    stored without one of its edges, for one, would offset an empty
+    3-clique in that count, and a complex that is not flag would pass.
 
-    Construction also builds the triangle index, in O(T) for T
-    triangles: for each vertex, the tuple of stored triangles that
-    contain it, in the order of the triangle set.  It holds the same tuple
-    objects as that set, so it adds three references per triangle.
-    ``link_edges`` and ``span`` read it instead of scanning every face.
+    The face sets are stored as given when they are frozensets, as
+    :func:`downward_closure` builds them, with no copy; any other
+    iterable is copied into one.  Construction also builds the triangle
+    index, in O(T) for T triangles: for each vertex, the tuple of stored
+    triangles that contain it, in the order of the triangle set.  It
+    holds the same tuple objects as that set, so it adds three references
+    per triangle.  ``link_edges``, ``link_masks`` and ``span`` read it
+    instead of scanning every face.
 
     Flagness is a fact about the complex: the slot ``_flag`` keeps the
     :func:`flag_witness` of the first :func:`is_flag` call, and every later
@@ -215,11 +225,17 @@ class SimplicialComplex:
     def link_masks(self, v: int):
         """The 1-skeleton of the link of vertex ``v`` as ``(ids, masks)``:
         ``ids`` is the sorted neighbours of v, and bit j of ``masks[i]`` is
-        set when ``ids[i]`` and ``ids[j]`` are adjacent in the link."""
+        set when ``ids[i]`` and ``ids[j]`` are adjacent in the link.  Each
+        triangle at v, read off the triangle index, gives the link edge of
+        its other two vertices."""
         ids = sorted(self._adj[v])
         rank = {u: i for i, u in enumerate(ids)}
         masks = [0] * len(ids)
-        for a, b in self.link_edges(v):
+        for a, b, c in self._triangles[v]:
+            if a == v:
+                a = c
+            elif b == v:
+                b = c
             i, j = rank[a], rank[b]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
@@ -233,17 +249,31 @@ class SimplicialComplex:
                 for a, b, c in self._triangles[v]]
 
 
-def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str] = None) -> SimplicialComplex:
-    """Build a complex from maximal simplices, computing the downward closure.
-
-    Vertex ids must be non-negative; each input list may have 1..4 distinct
-    vertices.  ``vertex_count`` becomes ``max id + 1``.
+def downward_closure(given) -> dict:
+    """The face sets of the downward closure of the simplices ``given``:
+    ``given[d]`` holds d-simplices as sorted tuples of d + 1 distinct
+    non-negative ids, d = 0 .. 3, and repeats are allowed.  Nothing is
+    checked here; :func:`build_complex` and the parsers check first.
 
     The face sets are closed one dimension at a time, from the top down:
     the faces of each dimension are the given simplices of that dimension
-    and the facets of the faces one dimension up.
+    and the facets of the faces one dimension up.  Each is built once, as
+    a frozenset, which :class:`SimplicialComplex` stores as it is."""
+    faces = {MAX_DIM: frozenset(given[MAX_DIM])}
+    for d in range(MAX_DIM, 0, -1):
+        faces[d - 1] = frozenset(chain(
+            given[d - 1], chain.from_iterable(map(combinations, faces[d], repeat(d)))))
+    return faces
+
+
+def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str] = None) -> SimplicialComplex:
+    """Build a complex from maximal simplices, computing the downward closure
+    (:func:`downward_closure`).
+
+    Vertex ids must be non-negative; each input list may have 1..4 distinct
+    vertices.  ``vertex_count`` becomes ``max id + 1``.
     """
-    faces = {d: set() for d in range(MAX_DIM + 1)}
+    given = [[] for _ in range(MAX_DIM + 1)]
     for raw in maximal_simplices:
         vs = tuple(sorted(raw))
         if len(vs) > MAX_DIM + 1:
@@ -254,9 +284,8 @@ def build_complex(maximal_simplices: Iterable[Iterable[int]], name: Optional[str
             continue
         if vs[0] < 0:
             raise ValueError(f"negative vertex id in {vs}")
-        faces[len(vs) - 1].add(vs)
-    for d in range(MAX_DIM, 0, -1):
-        faces[d - 1].update(chain.from_iterable(combinations(t, d) for t in faces[d]))
+        given[len(vs) - 1].append(vs)
+    faces = downward_closure(given)
     (top,) = max(faces[0], default=(-1,))
     return SimplicialComplex(top + 1, faces, name=name)
 

@@ -315,10 +315,17 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
     canonical; no link complex is built.  The rims come by pair closure
     (the lemma of :func:`~combcurv.complexes.chordless_cycles`), which
     keeps nothing but the graph between calls.  The lookup fills each
-    length at its first read.  Lengths 4 and 5 are closed one at a time,
-    as most joins stop there; the first read of any length from 6 closes
-    6 .. k_max in one call per link, and the later reads take its cycles.
-    So no kernel runs for a length that no caller reads.
+    length at its first read, in one call per searched link for a range
+    of lengths: the first read of 4 closes 4 and 5 (4 alone when 5 has
+    been read, or k_max is 4), a first read of 5 closes 5 alone, and the
+    first read of any length from 6 closes 6 .. k_max; the later reads
+    take the cycles.  So no length is closed twice, and none past 5 for a
+    caller that reads no length past 5.  Closing 5 with 4 is one pass over
+    the pairs for both, which costs about what closing 5 alone does.  It
+    pays as a locally 5-large complex has no 4-wheels: every bucket of
+    the join before the (5,5) one at boundary 6 has 4-rims for its shorter
+    rims, so it is empty, and a join with m >= 6 reads length 5.  A join
+    that fails at a (4,4)-dwheel of boundary 4 closes 5 in vain.
 
     A link graph of maximum degree 2 is not searched: its components are
     paths and cycles, so its rims of length k >= 4 are exactly its cycle
@@ -343,14 +350,14 @@ def _wheels_by_length(X: SimplicialComplex, k_max: int, reads):
 
     def wheels_at(k):
         if k not in searched:
-            if k < 6:
-                searched[k] = [(v, tuple([ids[i] for i in cyc])) for v, ids, masks in links
-                               for cyc in sorted(chordless_cycles(masks, k))]
-            else:
-                searched.update((j, []) for j in range(6, k_max + 1))
-                for v, ids, masks in links:
-                    for cyc in sorted(chordless_cycles(masks, 6, k_max)):
-                        searched[len(cyc)].append((v, tuple([ids[i] for i in cyc])))
+            # the lengths this read closes: 6 .. k_max from 6 on, 4 with 5
+            # unless 5 is read or past k_max, and k alone otherwise
+            lengths = (6, k_max) if k > 5 else (4, 5) if k == 4 < k_max and 5 not in searched \
+                else (k,)
+            searched.update((j, []) for j in range(lengths[0], lengths[-1] + 1))
+            for v, ids, masks in links:
+                for cyc in sorted(chordless_cycles(masks, *lengths)):
+                    searched[len(cyc)].append((v, tuple(map(ids.__getitem__, cyc))))
         return searched[k] + rings_of[k]
 
     return wheels_at
@@ -369,10 +376,10 @@ def _apex_pairs(max_boundary: int, wheels_at):
     ``(lo, hi, wheel)`` with lo < hi, where ``wheel`` is the wheel's one
     record ``[rim, cap]``: all its corners point to it, and the cap, None
     until :func:`_locate_by_join` first tests the wheel, is kept there.  A
-    wheel gives one corner per rim vertex, keyed (center, x); the side of
-    a key is ``[corners, arcs]``, whose ``arcs`` :func:`_side_arcs` reads
-    off the corners when the side is first listed.  No arc is sliced
-    before then.
+    wheel gives one corner per rim vertex, filed under its center and then
+    x, so that no (center, x) key is built; the side of (center, x) is
+    ``[corners, arcs]``, whose ``arcs`` :func:`_side_arcs` reads off the
+    corners when the side is first listed.  No arc is sliced before then.
 
     A bucket has one junction kind: identified when k + l - 4 is the
     boundary, edge when k + l - 3 is.  It joins only the k-wheels with the
@@ -381,7 +388,7 @@ def _apex_pairs(max_boundary: int, wheels_at):
     l-wheel at v0', v0 < v0' when k = l, are sorted once for both its
     buckets.
     """
-    # rim length k -> (center, x) -> the corners at x of the k-wheels at center
+    # rim length k -> center -> x -> the side of the k-wheels at center through x
     corners = {}
     matched = {}  # (k, l) -> the sorted apex pairs of both its buckets
 
@@ -390,13 +397,16 @@ def _apex_pairs(max_boundary: int, wheels_at):
         if table is None:
             table = corners[k] = {}
             for center, rim in wheels_at(k):
+                sides = table.get(center)
+                if sides is None:
+                    sides = table[center] = {}
                 wheel = [rim, None]  # the wheel's record: its rim and, once tested, its cap
                 prev, x = rim[-2], rim[-1]
                 for nxt in rim:
                     corner = (prev, nxt, wheel) if prev < nxt else (nxt, prev, wheel)
-                    side = table.get((center, x))
+                    side = sides.get(x)
                     if side is None:
-                        table[center, x] = [[corner], None]
+                        sides[x] = [[corner], None]
                     else:
                         side[0].append(corner)
                     prev, x = x, nxt
@@ -416,11 +426,12 @@ def _apex_pairs(max_boundary: int, wheels_at):
             pairs = matched.get((k, l))
             if pairs is None:
                 pairs = matched[k, l] = sorted(
-                    key for key in first if key[::-1] in second and (k != l or key[0] < key[1]))
+                    (v0, v0p) for v0, sides in first.items() for v0p in sides
+                    if v0 in second.get(v0p, ()) and (k != l or v0 < v0p))
             identified = k + l - 4 == blen
             for apexes in pairs:
                 v0, v0p = apexes
-                yield k, l, identified, apexes, first[apexes], second[v0p, v0]
+                yield k, l, identified, apexes, first[v0][v0p], second[v0p][v0]
 
 
 def _listed(X: SimplicialComplex, identified: bool, apexes: tuple, first, second) -> list:
@@ -615,7 +626,10 @@ def _locate_by_join(X: SimplicialComplex, m: int, wheels_at):
     built when the wheel is first tested, and kept on the wheel's record
     (:func:`_apex_pairs`), which all its corners point to: a wheel meets
     other wheels at several apex pairs and buckets, and its cap is built
-    once for all of them.
+    once for all of them.  A cap holds its wheel's centre, which is in
+    its own closed neighbourhood and adjacent to every rim vertex, so it
+    is never 0: a test reads a kept cap inline, and calls ``cap`` only to
+    build a missing one.
 
     Lemma 1 (edge junctions).  No edge-junction dwheel lies in a 1-ball.
     Say N[x] holds one.  A vertex of a chordless rim of 4 or more vertices
@@ -635,20 +649,20 @@ def _locate_by_join(X: SimplicialComplex, m: int, wheels_at):
     first one listed."""
     count = 0
     types = set()
-    balls = {}  # vertex -> its closed neighborhood as a bitmask, built when first reached
+    # vertex -> its closed neighborhood as a bitmask, built when first reached
+    balls = [None] * X.vertex_count
 
     def meet(found, vertices):
         for a in vertices:
-            ball = balls.get(a)
+            ball = balls[a]
             if ball is None:
                 ball = balls[a] = sum(1 << u for u in X.neighbors(a)) | 1 << a
             found &= ball
         return found
 
     def cap(center, wheel):
-        found = wheel[1]
-        if found is None:
-            found = wheel[1] = meet(-1, (center, *wheel[0]))
+        # the cap of a wheel first tested, kept on its record
+        found = wheel[1] = meet(-1, (center, *wheel[0]))
         return found
 
     for k, l, identified, apexes, first, second in _apex_pairs(m, wheels_at):
@@ -657,7 +671,8 @@ def _locate_by_join(X: SimplicialComplex, m: int, wheels_at):
             matched = [(wheel1, wheel2) for lo, hi, wheel1 in first[0]
                        for lo2, hi2, wheel2 in second[0] if lo == lo2 and hi == hi2]
             for wheel1, wheel2 in matched:
-                if not cap(v0, wheel1) & cap(v0p, wheel2):
+                # a kept cap is never 0 (the lemma), so ``or`` reads it inline
+                if not (wheel1[1] or cap(v0, wheel1)) & (wheel2[1] or cap(v0p, wheel2)):
                     break
             else:
                 if matched:

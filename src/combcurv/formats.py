@@ -3,11 +3,17 @@
 Text format: UTF-8 lines, ``#`` starts a comment, every other non-blank
 line is one maximal simplex as whitespace-separated non-negative integers.
 JSON alternative: an object with optional ``name`` and a
-``maximal_simplices`` array of integer arrays.
+``maximal_simplices`` array of integer arrays.  :func:`load_path` reads
+either as UTF-8 and skips a leading byte-order mark.
 
-Sparse vertex ids are compacted on parse; the original labels are kept in
-``vertex_labels`` alongside the complex.  Serialization always emits the
-canonical form: sorted maximal simplices over dense ids.
+Each simplex is read as one sorted tuple, checked, and filed by its
+dimension; the complex is then the
+:func:`~combcurv.complexes.downward_closure` of those, with no other copy.
+Labels that are already 0 .. n - 1 are kept; sparse vertex ids are
+compacted in order, and the closure is built again on the dense ids.  The
+original labels are kept in ``vertex_labels`` alongside the complex.
+Serialization always emits the canonical form: sorted maximal simplices
+over dense ids.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .complexes import MAX_DIM, SimplicialComplex, build_complex
+from .complexes import MAX_DIM, SimplicialComplex, downward_closure
 from .errors import DimensionTooHigh, ParseError
 
 
@@ -27,33 +33,42 @@ class ParsedComplex:
     vertex_labels: tuple  # dense id -> original id
 
 
-def _compact(simplices, name) -> ParsedComplex:
-    labels = sorted({v for s in simplices for v in s})
-    back = {v: i for i, v in enumerate(labels)}
-    dense = [[back[v] for v in s] for s in simplices]
-    return ParsedComplex(build_complex(dense, name=name), tuple(labels))
+def _parsed(given, name) -> ParsedComplex:
+    """The complex of the simplices ``given`` by dimension, as
+    :func:`~combcurv.complexes.downward_closure` takes them, on dense ids:
+    labels that are already 0 .. n - 1 are kept, and any others are
+    compacted in order and closed again."""
+    faces = downward_closure(given)
+    n = len(faces[0])
+    if n and max(faces[0])[0] >= n:
+        labels = sorted(v for (v,) in faces[0])
+        back = {v: i for i, v in enumerate(labels)}
+        faces = downward_closure([[tuple(map(back.__getitem__, s)) for s in simplices]
+                                  for simplices in given])
+    else:
+        labels = range(n)
+    return ParsedComplex(SimplicialComplex(n, faces, name=name), tuple(labels))
 
 
 def parse_text(text: str, name: Optional[str] = None) -> ParsedComplex:
-    simplices = []
+    given = [[] for _ in range(MAX_DIM + 1)]  # d -> the sorted d-simplices of the lines
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
-            verts = list(map(int, parts))
+            vs = tuple(sorted(map(int, parts)))
         except ValueError as exc:
             raise ParseError(f"not an integer: {exc}", line=lineno) from None
-        if min(verts) < 0:
+        if vs[0] < 0:
             raise ParseError("negative vertex id", line=lineno)
-        if len(verts) > MAX_DIM + 1:
+        if len(vs) > MAX_DIM + 1:
             raise DimensionTooHigh(
-                f"line {lineno}: simplex with {len(verts)} vertices (max {MAX_DIM + 1})")
-        if len(set(verts)) != len(verts):
+                f"line {lineno}: simplex with {len(vs)} vertices (max {MAX_DIM + 1})")
+        if len(set(vs)) != len(vs):
             raise ParseError("repeated vertex in simplex", line=lineno)
-        simplices.append(verts)
-    return _compact(simplices, name)
+        given[len(vs) - 1].append(vs)
+    return _parsed(given, name)
 
 
 def parse_json(text: str) -> ParsedComplex:
@@ -71,12 +86,15 @@ def parse_json(text: str) -> ParsedComplex:
                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in s)
                for s in simplices):
         raise ParseError("'maximal_simplices' must be arrays of non-negative integers")
+    given = [[] for _ in range(MAX_DIM + 1)]
     for s in simplices:
         if len(s) > MAX_DIM + 1:
             raise DimensionTooHigh(f"simplex with {len(s)} vertices (max {MAX_DIM + 1})")
         if len(set(s)) != len(s):
             raise ParseError(f"repeated vertex in simplex {s}")
-    return _compact(simplices, doc.get("name"))
+        if s:
+            given[len(s) - 1].append(tuple(sorted(s)))
+    return _parsed(given, doc.get("name"))
 
 
 def serialize_text(X: SimplicialComplex) -> str:
@@ -93,7 +111,7 @@ def serialize_json(X: SimplicialComplex) -> str:
 
 def load_path(path) -> ParsedComplex:
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8-sig")
     if p.suffix == ".json":
         return parse_json(text)
     return parse_text(text, name=p.stem)

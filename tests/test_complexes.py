@@ -425,8 +425,9 @@ class TestWanderingPaths:
 
     def test_link_searches_close_by_length_ranges(self, monkeypatch, icosa):
         # every caller closes pairs, in the links and on the 1-skeleton:
-        # the wheel lookup at lengths 4 and 5 alone and at 6 .. 8 in one
-        # call, and a searched link of the largeness check at 4 .. k - 1
+        # the wheel lookup at lengths 4 and 5 in one call, at 5 alone when
+        # 5 is read first, and at 6 .. 8 in one call, and a searched link
+        # of the largeness check at 4 .. k - 1
         closures = []
         close = curvature.chordless_cycles
 
@@ -441,8 +442,9 @@ class TestWanderingPaths:
             is_locally_k_large(X, 9)
             is_m_located(X, 8)
             wheels(X, 4, 8)
+            wheels(X, 5, 8)
             full_cycles(X, 4, 8)
-        assert {(4,), (5,), (6, 8), (4, 8)} <= set(closures), closures
+        assert {(4, 5), (5,), (6, 8), (4, 8)} <= set(closures), closures
 
 
 class TestBitmaskKernels:

@@ -195,16 +195,16 @@ class TestLocallyLarge:
             assert [v for _X, v in masks] == list(X.vertices)
         assert (len(closures), len(cliques)) == (0, 0), (closures, cliques)
 
-        # the 600-cell's links are icosahedra, searched by pair closure at
-        # rim lengths 4 and 5, and at length 6 only when 6 is read;
-        # wheels(cell600, 6, 6) reads length 6 alone
+        # the 600-cell's links are icosahedra, searched by one pair closure
+        # at rim lengths 4 and 5 together, and at length 6 only when 6 is
+        # read; wheels(cell600, 6, 6) reads length 6 alone
         cell600 = gen("cell600")
         assert is_m_located(cell600, 8).stats["dwheels"] == CELL600_M8["stats"]["dwheels"]
-        assert (len(closures), len(cliques)) == (240, 0)
-        assert lengths() == {(4,): 120, (5,): 120}, lengths()
+        assert (len(closures), len(cliques)) == (120, 0)
+        assert lengths() == {(4, 5): 120}, lengths()
         assert len(wheels(cell600, 6, 6)) == 120 * 40
-        assert (len(closures), len(cliques)) == (360, 0)
-        assert lengths() == {(4,): 120, (5,): 120, (6, 6): 120}, lengths()
+        assert (len(closures), len(cliques)) == (240, 0)
+        assert lengths() == {(4, 5): 120, (6, 6): 120}, lengths()
         verdict = is_locally_k_large(hollow_triangle_cone(), 5)
         assert verdict.witness == {"kind": "clique_in_link", "simplex": [0],
                                    "vertices": [2, 5, 7]}
@@ -334,8 +334,8 @@ class TestWheels:
         assert found > 100 and dropped > 0, (found, dropped)
 
     def test_stream_rims_are_the_naive_wheels(self, link_wheels):
-        # lengths 4 and 5 are closed one at a time and 6 .. k_max in one
-        # call per link, whose cycles go to their lengths; none is lost or
+        # lengths 4 and 5 are closed in one call per link and 6 .. k_max in
+        # one more, whose cycles go to their lengths; none is lost or
         # found twice: at every length the lookup holds exactly the wheels
         # of that length.  On a flag input no rim it holds has a chord in
         # X.  The 600-cell's links are all searched, and its wheels come
@@ -357,10 +357,41 @@ class TestWheels:
         assert lengths == set(range(4, 11)), lengths
         assert (flag, whole) == (45, 35), (flag, whole)
 
+    def test_reading_order_closes_no_length_twice(self, link_wheels, monkeypatch):
+        # a first read of 4 closes 4 and 5 in one call per searched link, a
+        # first read of 5 closes 5 alone, and a read of 4 after it closes 4
+        # alone.  Read as 4 then 5, as 5 then 4, or as 5 alone, the lookup
+        # holds the per-centre referee's wheels, and no searched link is
+        # closed twice at one length
+        closed = []  # (the link's masks, the lengths closed) per call
+        close = curvature.chordless_cycles
+        monkeypatch.setattr(curvature, "chordless_cycles", lambda masks, *lengths: (
+            closed.append((id(masks), lengths)) or close(masks, *lengths)))
+        ranges = {(4, 5): {(4, 5)}, (5, 4): {(5,), (4,)}, (5,): {(5,)}}
+        searched = 0
+        for X, top, at in link_wheels:
+            if not is_flag(X).passed:
+                continue
+            reads = list(curvature._link_reads(X))
+            links = sum(rings is None for *_, rings in reads)
+            searched += links
+            for order, expected in ranges.items():
+                closed.clear()
+                wheels_at = curvature._wheels_by_length(X, top, reads)
+                for k in order:
+                    assert sorted(wheels_at(k)) == \
+                        [w for v in X.vertices for w in at[v] if len(w[1]) == k], (X.name, order)
+                lengths = Counter(chain.from_iterable(
+                    ((link, j) for j in range(ls[0], ls[-1] + 1)) for link, ls in closed))
+                assert set(lengths.values()) <= {1}, (X.name, order)
+                assert Counter(ls for _, ls in closed) == Counter(dict.fromkeys(expected, links)), \
+                    (X.name, order, closed)
+        assert searched > 120, searched
+
     def test_lengths_from_6_close_in_one_call_per_link(self, monkeypatch):
         # the first read of length 6 closes 6 .. k_max in one kernel call
-        # per searched link, a raised k_max too, and the wheels are still
-        # the naive ones
+        # per searched link, a raised k_max too, as the first read of 4
+        # closes 4 and 5, and the wheels are still the naive ones
         closures = Counter()
         close = curvature.chordless_cycles
 
@@ -378,7 +409,7 @@ class TestWheels:
             for k_max in (7, 8, 10):
                 closures.clear()
                 got = sorted((w.center, w.rim) for w in wheels(X, 4, k_max))
-                assert closures == {(4,): links, (5,): links, (6, k_max): links}, (X.name, closures)
+                assert closures == {(4, 5): links, (6, k_max): links}, (X.name, closures)
                 assert got == [w for v in X.vertices for w in naive_wheels_at(X, v, 4, k_max)], \
                     (X.name, k_max)
         assert max(len(rim) for _, rim in got) == 10
@@ -548,7 +579,7 @@ class TestDWheelStream:
 
     def test_stops_at_first_unlocated_dwheel_on_600_cell(self, monkeypatch):
         built = counted(monkeypatch, curvature, "DWheel")
-        with line_spy(curvature._locate_by_join, "cap(v0, wheel1) & cap(v0p, wheel2)",
+        with line_spy(curvature._locate_by_join, "(wheel1[1] or cap(v0, wheel1))",
                       ("identified", "v0", "v0p", "wheel1", "wheel2")) as seen:
             assert is_m_located(gen("cell600"), 8).to_json() == CELL600_M8
         # a wheel is its record [rim, cap]; a test names its two wheels by rim
@@ -597,8 +628,9 @@ class TestDWheelStream:
     def test_one_link_read_and_lazy_cores_on_600_cell(self, monkeypatch):
         # the degree sums give up at the first link, an icosahedron, and the
         # join takes the same reads.  The 3 600 tests read the caps of the
-        # 1 440 five-wheels, each built once, when its wheel is first tested,
-        # and kept on the wheel's record, which all its corners point to
+        # 1 440 five-wheels inline, from the wheel's record, which all its
+        # corners point to; cap() builds each one once, at its wheel's
+        # first test, so it runs 1 440 times, not twice per test
         reads, link_masks = [], SimplicialComplex.link_masks
         monkeypatch.setattr(SimplicialComplex, "link_masks",
                             lambda X, v: reads.append(v) or link_masks(X, v))
@@ -611,12 +643,20 @@ class TestDWheelStream:
         assert reads == list(X.vertices)
         assert len(built) == len(set(built)) == 1440
         assert {len(rim) for _, rim in built} == {5}
+        # the tests' line, which reads both caps inline, runs 3 600 times,
+        # on the same 1 440 wheels
+        with line_spy(curvature._locate_by_join, "(wheel1[1] or cap(v0, wheel1))",
+                      ("wheel1", "wheel2")) as tests:
+            assert is_m_located(X, 8).to_json() == CELL600_M8
+        assert len(tests) == 3600
+        assert len({id(wheel) for pair in tests for wheel in pair}) == 1440
 
-    def test_a_join_failing_at_boundary_4_searches_length_4_only(self, monkeypatch):
-        # no rim length is searched before the join asks for it.  These
-        # draws fail 8-location at a (4,4)-dwheel of boundary 4, so the join
-        # never asks for length 5: each searched link (not read as rings)
-        # is closed at length 4 once, and at no other length
+    def test_a_join_failing_at_boundary_4_closes_lengths_4_and_5_once(self, monkeypatch):
+        # no rim length is searched before the join asks for it, and the
+        # first read of length 4 closes 5 with it.  These draws fail
+        # 8-location at a (4,4)-dwheel of boundary 4, so the join never
+        # reads length 5, yet each searched link (not read as rings) is
+        # closed once, at lengths 4 and 5 together, and at no other length
         searched = []
         close = curvature.chordless_cycles
 
@@ -630,7 +670,7 @@ class TestDWheelStream:
             verdict = is_m_located(X, 8)
             assert verdict.witness["dwheel"]["boundary_length"] == 4, seed
             links = sum(curvature._link_rings(X.link_masks(v)[1]) is None for v in X.vertices)
-            assert links > 0 and searched == [(4,)] * links, (seed, searched)
+            assert links > 0 and searched == [(4, 5)] * links, (seed, searched)
 
     def test_a_bucket_with_no_short_wheels_draws_no_long_ones(self, surf37):
         # every rim of surf37 has length 7, so each bucket up to boundary 8
@@ -894,10 +934,11 @@ class TestLocatedAndLarge:
         from combcurv.formats import dump_path
 
         # the 600-cell's links are icosahedra: flag, not read off degree
-        # sums, and closed at rim lengths 4 and 5 once each; the checks
-        # called alone read 241 links, search 120 for cliques and close
-        # 360.  Each newly loaded complex is tested for flagness once; the
-        # generated one carries its flagness from its clique completion.
+        # sums, and closed at rim lengths 4 and 5 in one call each; the
+        # checks called alone read 241 links, search 120 for cliques and
+        # close 240.  Each newly loaded complex is tested for flagness
+        # once; the generated one carries its flagness from its clique
+        # completion.
         spied = [(name, counted(monkeypatch, owner, name)) for owner, name in (
             (curvature, "empty_clique"), (complexes, "flag_witness"),
             (SimplicialComplex, "link_masks"), (curvature, "chordless_cycles"))]
@@ -912,12 +953,12 @@ class TestLocatedAndLarge:
         X = gen("cell600")
         path = tmp_path / "cell600.cplx"
         dump_path(X, path)
-        expected = Counter(link_masks=120, chordless_cycles=240, flag_witness=1)
+        expected = Counter(link_masks=120, chordless_cycles=120, flag_witness=1)
         curvature.located_and_large(X, 8, 5)
-        # rim lengths 4 and 5 come by pair closure, one length a call, and
-        # no other length is closed, as the join fails before drawing 6
+        # rim lengths 4 and 5 come by one pair closure per link, and no
+        # other length is closed, as the join fails before drawing 6
         lengths = Counter(args[1:] for args in spied[-1][1])
-        assert lengths == {(4,): 120, (5,): 120}, lengths
+        assert lengths == {(4, 5): 120}, lengths
         assert calls() == expected - Counter(flag_witness=1)
         assert cli.main(["check", "--k", "5", "--m", "8", str(path)]) == 1
         assert calls() == expected

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from combcurv import (GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large,
                       is_m_located)
+from combcurv.complexes import SimplicialComplex, downward_closure
 from combcurv.errors import DimensionTooHigh, ParseError
 from combcurv.formats import (
     load_path,
@@ -206,6 +207,43 @@ class TestFormats:
                 assert [set(X.simplices(d)) for d in range(4)] == faces
                 assert parsed.vertex_labels == tuple(labels)
                 assert X.vertex_count == len(labels)
+
+    def test_dense_labels_are_kept_and_the_face_sets_stored(self):
+        # labels already 0 .. n - 1, shuffled over the lines, with comments,
+        # blank lines, repeated lines and faces of other simplices given
+        # again: the parse keeps the labels, and its face sets are the
+        # closure's, which the complex stores as it is given them
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(4, 12)
+            simplices = [rng.sample(range(n), rng.randint(1, 4)) for _ in range(rng.randint(1, 15))]
+            simplices += [[v] for v in set(range(n)).difference(*simplices)]
+            simplices += [rng.sample(s, rng.randint(1, len(s))) for s in rng.choices(simplices, k=3)]
+            simplices += rng.choices(simplices, k=2)
+            rng.shuffle(simplices)
+            lines = ["# dense labels", ""]
+            for s in simplices:
+                lines.append(" ".join(map(str, s)) + rng.choice(("", "  # a face", "\t")))
+                lines += [""] * rng.randint(0, 1)
+            parsed = parse_text("\n".join(lines) + "\n")
+            X = parsed.complex
+            assert parsed.vertex_labels == tuple(range(n)) and X.vertex_count == n
+            assert X == build_complex(simplices)
+            given = [[tuple(sorted(s)) for s in simplices if len(s) == d + 1] for d in range(4)]
+            faces = downward_closure(given)
+            assert [X.simplices(d) for d in range(4)] == [faces[d] for d in range(4)]
+            Y = SimplicialComplex(n, faces)
+            assert all(Y.simplices(d) is faces[d] for d in range(4))
+
+    def test_a_leading_byte_order_mark_is_accepted(self, tmp_path, octa):
+        # a UTF-8 byte-order mark before the first line, which some editors
+        # write, loads the same complex as the file without it
+        for suffix, text in ((".cplx", serialize_text(octa)), (".json", serialize_json(octa))):
+            plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+            plain.write_text(text, encoding="utf-8")
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert load_path(marked) == load_path(plain)
+            assert load_path(marked).complex == octa
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):

@@ -801,9 +801,10 @@ class TestTheoremBStages:
 
     def test_one_link_read_per_vertex_for_both_hypotheses(self, all_pass, monkeypatch):
         # the 600-cell's links are icosahedra, read once and closed at rim
-        # lengths 4 and 5 once each for local 5-largeness and 8-location
-        # together, and at no other length; the 600-cell carries its
-        # flagness from its clique completion, so the is_flag stage tests none
+        # lengths 4 and 5 in one call each for local 5-largeness and
+        # 8-location together, and at no other length; the 600-cell
+        # carries its flagness from its clique completion, so the is_flag
+        # stage tests none
         spied = [(name, counted(monkeypatch, owner, name)) for owner, name in (
             (curvature, "empty_clique"), (curvature, "chordless_cycles"),
             (complexes, "flag_witness"), (SimplicialComplex, "link_masks"))]
@@ -811,7 +812,7 @@ class TestTheoremBStages:
         assert verdict.to_json() == theorem_b_fail(
             "8_located", "(5,5)-dwheel of boundary length 7 fits in no 1-ball", UNLOCATED_CELL600)
         counts = Counter(name for name, calls in spied for _ in calls)
-        assert counts == Counter(link_masks=120, chordless_cycles=240), counts
+        assert counts == Counter(link_masks=120, chordless_cycles=120), counts
 
     def test_first_failing_report_verdict(self, calls, monkeypatch):
         X = build_complex([[0, 1, 2, 3]])

@@ -69,10 +69,13 @@ def test_local_digest_repeats(capsys, monkeypatch):
     assert counts["complexes"] == 9 and counts["calls"] == 9 * 16
     assert counts["passed"] and counts["failed"] and counts["refused"]
     assert counts["wheels"] and counts["dwheels"]
-    # the pair closures by length range: a length read alone, and 6 .. 8
-    # closed in one call
+    # the pair closures by length range: the wheel lookup closes 4 and 5
+    # in one call at a first read of 4, 5 alone at a first read of 5, and
+    # 6 .. 8 in one call; the largeness link loop closes 4 .. k - 1
     closures = {key: n for key, n in counts.items() if key.startswith("chordless_cycles ")}
-    assert closures["chordless_cycles 4"] and closures["chordless_cycles 6-8"], closures
+    assert closures == {"chordless_cycles 4-4": 4, "chordless_cycles 4-5": 46,
+                        "chordless_cycles 4-6": 4, "chordless_cycles 5": 9,
+                        "chordless_cycles 6-6": 9, "chordless_cycles 6-8": 26}, closures
     assert local_digest.digest(items) == (hexdigest, counts)
     # main prints them last, after the digest and the other counts
     monkeypatch.setattr(local_digest, "corpus", lambda: iter(items))
