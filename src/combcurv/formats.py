@@ -10,8 +10,9 @@ Each simplex is read as one sorted tuple, checked, and filed by its
 dimension; the complex is then the
 :func:`~combcurv.complexes.downward_closure` of those, with no other copy.
 Labels that are already 0 .. n - 1 are kept; sparse vertex ids are
-compacted in order, and the closure is built again on the dense ids.  The
-original labels are kept in ``vertex_labels`` alongside the complex.
+compacted in order on the given simplices, so either way the closure is
+built once, on dense ids.  The original labels are kept in
+``vertex_labels`` alongside the complex.
 Serialization always emits the canonical form: sorted maximal simplices
 over dense ids.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -37,16 +39,17 @@ def _parsed(given, name) -> ParsedComplex:
     """The complex of the simplices ``given`` by dimension, as
     :func:`~combcurv.complexes.downward_closure` takes them, on dense ids:
     labels that are already 0 .. n - 1 are kept, and any others are
-    compacted in order and closed again."""
-    faces = downward_closure(given)
-    n = len(faces[0])
-    if n and max(faces[0])[0] >= n:
-        labels = sorted(v for (v,) in faces[0])
-        back = {v: i for i, v in enumerate(labels)}
-        faces = downward_closure([[tuple(map(back.__getitem__, s)) for s in simplices]
-                                  for simplices in given])
+    compacted in order in ``given`` before the one closure."""
+    labels = set(chain.from_iterable(chain.from_iterable(given)))
+    n = len(labels)
+    if n and max(labels) >= n:
+        labels = sorted(labels)
+        back = {v: i for i, v in enumerate(labels)}.__getitem__
+        # back is increasing, so each relabelled simplex stays sorted
+        given = [[tuple(map(back, s)) for s in simplices] for simplices in given]
     else:
         labels = range(n)
+    faces = downward_closure(given)
     return ParsedComplex(SimplicialComplex(n, faces, name=name), tuple(labels))
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from combcurv import (GeneratorSpec, build_complex, generate, is_flag, is_locally_k_large,
                       is_m_located)
+from combcurv import formats
 from combcurv.complexes import SimplicialComplex, downward_closure
 from combcurv.errors import DimensionTooHigh, ParseError
 from combcurv.formats import (
@@ -234,6 +235,27 @@ class TestFormats:
             assert [X.simplices(d) for d in range(4)] == [faces[d] for d in range(4)]
             Y = SimplicialComplex(n, faces)
             assert all(Y.simplices(d) is faces[d] for d in range(4))
+
+    def test_dense_and_sparse_labels_are_closed_once(self, monkeypatch, octa):
+        # sparse labels are compacted on the given simplices, so the closure
+        # runs once on either side, on the dense ids
+        calls = []
+
+        def counted(given):
+            calls.append(given)
+            return downward_closure(given)
+
+        monkeypatch.setattr(formats, "downward_closure", counted)
+        dense = serialize_text(octa)
+        sparse = "".join(" ".join(str(3 * v + 1) for v in s) + "\n"
+                         for s in octa.maximal_simplices())
+        for text, labels in ((dense, tuple(range(6))), (sparse, tuple(range(1, 18, 3)))):
+            calls.clear()
+            parsed = parse_text(text)
+            assert len(calls) == 1
+            assert parsed.vertex_labels == labels
+            assert parsed.complex == octa
+            assert all(max(s) < 6 for simplices in calls[0] for s in simplices)
 
     def test_a_leading_byte_order_mark_is_accepted(self, tmp_path, octa):
         # a UTF-8 byte-order mark before the first line, which some editors
