@@ -521,6 +521,22 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
     (Discovery Science 2014, LNCS 8777).  The levels of the first four
     inner vertices, which serve the lengths up to 8, are written out; the
     longer paths grow from there on a stack, one level at a time.
+
+    Reach lemma.  Let inner = F less N(v1) and N(vt), lasts = N(vt) & F
+    less N(v1) (vt's side), reach_1 = N(lasts) and reach_(j+1) = reach_j
+    | N(reach_j & inner).  On a cycle of length k <= ``max_len`` through
+    the pair, a(i+1) .. a(k-4) lie in inner and a(k-3) in lasts, so ai,
+    i <= k - 4, lies in reach_(k-3-i), which is within
+    reach_(max_len-3-i).  A vertex grown at depth i outside that level
+    closes no cycle in range, and the kernel cuts it.  A level costs an OR
+    of masks per vertex it adds, so each is built at most once per pair,
+    deepest first: that of depth i once that of depth i + 1 is built, when
+    a path first has two vertices or more to grow at depth i (for depths 3
+    and 4, at depth i - 1, so that no test runs at depth i).  A level that
+    holds all of inner ends the building, as every later one would too.
+    Depths 1 and 2 are not bounded: their levels, of radius max_len - 4 and
+    max_len - 5, hold nearly every vertex a path there can reach, and
+    bounding them measured slower.
     """
     if max_len is None:
         max_len = min_len
@@ -533,6 +549,9 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
     past4 = max_len > 4
     five = min_len <= 5
     past5 = max_len > 5
+    # the depth of the last grown vertex: one at depth i lies in reach_(deepest + 1 - i)
+    deepest = max_len - 4
+    reach = frontier = 0  # a pair's last reach level, and the vertices it added
     for s, s_adj in enumerate(masks):
         far = -2 << s & ~s_adj  # F: the vertices above s not adjacent to it
         rest = s_adj & -2 << s
@@ -575,6 +594,8 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                 if not lasts:
                     continue
                 inner = far & ~m1 & ~mt  # F less both ends' neighbours
+                want = deepest  # the depth whose reach level comes next
+                inner3 = inner4 = inner  # less what the reach levels of depths 3, 4 cut
                 while firsts:
                     low = firsts & -firsts
                     firsts ^= low
@@ -587,6 +608,12 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                             mid ^= low
                             cycles.append((s, v1, a, low.bit_length() - 1, vt))
                     seconds = ma & inner
+                    if want == 3 and seconds & (seconds - 1):
+                        reach, frontier = _reach_step(masks, inner, lasts, frontier, reach,
+                                                      want == deepest)
+                        want, inner3 = 2, inner & reach
+                        if inner3 == inner:
+                            want = 0  # no level cuts any more
                     while seconds:
                         low = seconds & -seconds
                         seconds ^= low
@@ -600,7 +627,13 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                                 cycles.append((s, v1, a, b, low.bit_length() - 1, vt))
                         if max_len == 6:
                             continue
-                        thirds = mb & inner & ~ma
+                        thirds = mb & inner3 & ~ma
+                        if want == 4 and thirds & (thirds - 1):
+                            reach, frontier = _reach_step(masks, inner, lasts, frontier, reach,
+                                                          want == deepest)
+                            want, inner4 = 3, inner & reach
+                            if inner4 == inner:
+                                want = 0
                         near = ma | mb  # the neighbours of the path's inner vertices
                         while thirds:
                             low = thirds & -thirds
@@ -615,7 +648,7 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                                     cycles.append((s, v1, a, b, c, low.bit_length() - 1, vt))
                             if max_len == 7:
                                 continue
-                            fourths = mc & inner & ~near
+                            fourths = mc & inner4 & ~near
                             wider = near | mc
                             while fourths:
                                 low = fourths & -fourths
@@ -632,10 +665,25 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                                     continue
                                 # one level at a time from here: each path with its
                                 # next vertices and the neighbours of its inner vertices
-                                stack = [((s, v1, a, b, c, d), md & inner & ~wider, wider | md)]
+                                stack = [((s, v1, a, b, c, d), md, wider)]
                                 while stack:
-                                    path, nexts, around = stack.pop()
-                                    size = len(path) + 3  # the length a next vertex closes
+                                    path, tip, around = stack.pop()
+                                    depth = len(path) - 1  # of the next vertices
+                                    nexts = tip & inner & ~around
+                                    if want <= depth:
+                                        if want < depth:
+                                            nexts &= reaches[depth]
+                                        elif nexts & (nexts - 1):
+                                            if want == deepest:
+                                                reaches = [-1] * max_len
+                                            reach, frontier = _reach_step(masks, inner, lasts, frontier,
+                                                                          reach, want == deepest)
+                                            want, reaches[depth] = depth - 1, reach
+                                            nexts &= reach
+                                            if not inner & ~reach:
+                                                want = 0
+                                    around |= tip
+                                    size = depth + 4  # the length a next vertex closes
                                     while nexts:
                                         low = nexts & -nexts
                                         nexts ^= low
@@ -649,8 +697,20 @@ def chordless_cycles(masks, min_len: int, max_len: Optional[int] = None) -> list
                                                 mid ^= low
                                                 cycles.append(child + (low.bit_length() - 1, vt))
                                         if size < max_len:
-                                            more = me & inner & ~around
-                                            if more:
-                                                stack.append((child, more, around | me))
+                                            stack.append((child, me, around))
     return cycles
 
+
+def _reach_step(masks, inner, lasts, frontier, reach, first):
+    """The next reach level of :func:`chordless_cycles` and the vertices of
+    ``inner`` it adds, which the step after grows from: N(lasts) when
+    ``first``, else ``reach``, the last level, with the neighbours of
+    ``frontier``, the vertices that level added."""
+    if first:
+        reach, frontier = 0, lasts
+    grown = reach
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        reach |= masks[low.bit_length() - 1]
+    return reach, reach & inner & ~grown

@@ -1,11 +1,12 @@
 """Path-metric machinery on the 1-skeleton.
 
-Distances are hop counts in the 1-skeleton, one BFS per call (a complex
-keeps none).  On top of BFS this module provides combinatorial balls and
-spheres, geodesic intervals sliced into layers, the layered descent
-checker with its triangle (T) and vertex (V) conditions, the projection
-cross-check that consumes it, and an exact four-point hyperbolicity
-constant for small complexes.
+Distances are hop counts in the 1-skeleton, one BFS per call of
+``distances_from`` (a complex keeps none).  On top of BFS this module
+provides combinatorial balls and spheres, geodesic intervals sliced into
+layers, the layered descent checker with its triangle (T) and vertex (V)
+conditions, and the projection cross-check that consumes it.  The exact
+four-point hyperbolicity constant for small complexes runs no BFS: it
+grows the balls of all vertices at once, on int masks.
 """
 
 from __future__ import annotations
@@ -292,31 +293,98 @@ def delta_four_point(X: SimplicialComplex, cap: int = DELTA_VERTEX_CAP) -> Fract
     two far-apart pairs: no neighbour of either end is farther from the
     other end.  Far-apart pairs are taken by decreasing distance, each
     paired with the earlier ones, until d(x, y) is at most the best 2 delta
-    so far.  It still needs one BFS per vertex, hence the cap.
+    so far.  The order within one distance does not matter: no pair at
+    distance d gives more than d, and the loop stops once the best reaches d.
+
+    The distances come from one table, grown for all vertices at once on
+    int masks: the ball of radius r + 1 about v is the union of the balls
+    of radius r about v and its neighbours, and its new bits are the sphere
+    S_(r + 1)(v).  A pair (x, y) at distance d is far-apart when neither
+    N(x) & S_(d + 1)(y) nor N(y) & S_(d + 1)(x) has a bit, and the pairs at
+    distance d are read off the spheres S_d(x).  The table holds a distance
+    for every pair of vertices, hence the cap.
     """
     verts = X.vertices
     if len(verts) > cap:
         raise TooLarge(f"{len(verts)} vertices exceeds delta cap {cap}")
     if not verts:
         return Fraction(0)
-    dist = {v: distances_from(X, v) for v in verts}
-    if INF in (dist[verts[0]][v] for v in verts):
+    adj = [sum(1 << u for u in X.neighbors(v)) for v in range(X.vertex_count)]
+    spheres = _spheres(X)
+    if sum(spheres[verts[0]]) != sum(1 << v for v in verts):
         raise DisconnectedError("four-point constant needs a connected complex")
     if len(verts) < 4:
         return Fraction(0)
-    pairs = sorted(((dist[x][y], x, y) for x, y in combinations(verts, 2)), reverse=True)
+    rows = {}  # the distance rows of the ends of far-apart pairs
     worst = 0
     kept = []
-    for dxy, x, y in pairs:
+    for dxy, x, y in _pairs_by_distance(spheres, verts):
         if dxy <= worst:
             break
-        dx, dy = dist[x], dist[y]
-        if any(dy[u] > dxy for u in X.neighbors(x)) or \
-           any(dx[u] > dxy for u in X.neighbors(y)):
-            continue
+        if adj[y] & spheres[x][dxy + 1] or adj[x] & spheres[y][dxy + 1]:
+            continue  # not far-apart
+        for v in (x, y):
+            if v not in rows:
+                rows[v] = _distance_row(spheres[v], X.vertex_count)
+        dx, dy = rows[x], rows[y]
+        # a gap above worst has both other sums below above + dvw
+        above = dxy - worst
         for v, w, dvw in kept:
-            gap = dxy + dvw - max(dx[v] + dy[w], dx[w] + dy[v])
-            if gap > worst:
-                worst = gap
+            if dx[v] + dy[w] < above + dvw and dx[w] + dy[v] < above + dvw:
+                worst = dxy + dvw - max(dx[v] + dy[w], dx[w] + dy[v])
+                above = dxy - worst
         kept.append((x, y, dxy))
     return Fraction(worst, 2)
+
+
+def _spheres(X: SimplicialComplex) -> list:
+    """The spheres S_0(v), S_1(v), ... of every vertex v of X as int masks,
+    out to the last one with a bit, then one empty sphere; an empty list
+    for each id that is not a vertex.  All balls grow together, a radius
+    per round: B_(r + 1)(v) is B_r(v) with the B_r(u) of its neighbours."""
+    balls = [1 << v if X.has_vertex(v) else 0 for v in range(X.vertex_count)]
+    spheres = [[b, 0] if b else [] for b in balls]
+    growing = [v for v in X.vertices if X.degree(v)]
+    r = 0
+    while growing:
+        r += 1
+        wider = []
+        for v in growing:
+            ball = balls[v]
+            for u in X.neighbors(v):
+                ball |= balls[u]
+            wider.append(ball)
+        still = []
+        for v, ball in zip(growing, wider):
+            if ball != balls[v]:
+                spheres[v][r] = ball & ~balls[v]
+                spheres[v].append(0)
+                balls[v] = ball
+                still.append(v)
+        growing = still
+    return spheres
+
+
+def _pairs_by_distance(spheres, verts):
+    """The vertex pairs (x, y), x < y, with their distance d, by decreasing
+    d, read off the ``spheres`` of :func:`_spheres`."""
+    for d in range(max(map(len, spheres)) - 2, 0, -1):
+        for x in verts:
+            if len(spheres[x]) > d + 1:
+                ys = spheres[x][d] >> x + 1  # bit j is the vertex x + 1 + j
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    yield d, x, x + low.bit_length()
+
+
+def _distance_row(spheres, n: int) -> list:
+    """Hop distances from the vertex whose ``spheres`` these are, one per id
+    below ``n``; None off its component."""
+    row = [None] * n
+    for d, sphere in enumerate(spheres):
+        while sphere:
+            low = sphere & -sphere
+            sphere ^= low
+            row[low.bit_length() - 1] = d
+    return row

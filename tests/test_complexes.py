@@ -252,6 +252,9 @@ def _draws_and_sparse(seed, count, n_max, degree, sizes):
     return draws, [gen("random_flag", n, degree / n, rng.randrange(10**6)) for n in sizes]
 
 
+DFS_ONLY = "surfaces_to_12"  # the key of the inputs past the naive walk's reach
+
+
 def skeleton_inputs():
     """The inputs of the 1-skeleton referee tests, each with the longest
     length its test reads: flag or not, with ids that skip values, and
@@ -289,15 +292,20 @@ def skeleton_inputs():
         "tri_torus": [(gen("tri_torus", n, n), 7 if n < 8 else 6) for n in range(6, 11)],
         "c_n": at(9, [gen("c_n", n) for n in range(4, 17)]),
         "random_flag": at(9, window_draws),
+        # past the naive walk's reach: refereed by the induced-path DFS alone
+        DFS_ONLY: [(gen("tri_torus", 6, 6), 12), (gen("tri_torus", 8, 8), 10),
+                   (gen("geodesic_sphere", 2), 11)],
     }
 
 
 @pytest.fixture(scope="module")
 def skeleton_refs():
     """``naive_cycles`` run once per distinct input of
-    ``skeleton_inputs()``, to the longest length any test reads it at.
+    ``skeleton_inputs()``, to the longest length any test reads it at, and
+    ``induced_path_cycles`` alone on the inputs keyed ``DFS_ONLY``.
     Keyed as there: a list of (input, that length, the referee's cycles)."""
     by_test = skeleton_inputs()
+    long_runs = [(X, top, induced_path_cycles(X, 4, top)) for X, top in by_test.pop(DFS_ONLY)]
     top = {}
     for X, length in chain.from_iterable(by_test.values()):
         key = tuple(X.maximal_simplices())
@@ -308,7 +316,7 @@ def skeleton_refs():
         if key not in runs:
             runs[key] = X, top[key], naive_cycles(X, top[key])
     return {test: [runs[tuple(X.maximal_simplices())] for X, _ in inputs]
-            for test, inputs in by_test.items()}
+            for test, inputs in by_test.items()} | {DFS_ONLY: long_runs}
 
 
 def refereed_lengths(checked):
@@ -422,6 +430,12 @@ class TestWanderingPaths:
         longest = {family: max(refereed_lengths(skeleton_refs[family]))
                    for family in ("geodesic_sphere", "tri_torus", "c_n", "random_flag")}
         assert longest == {"geodesic_sphere": 8, "tri_torus": 7, "c_n": 10, "random_flag": 9}
+
+    def test_surfaces_to_length_12_against_the_induced_path_dfs(self, skeleton_refs):
+        # where the reach bound cuts deepest: tori and gs2 at every range up
+        # to 12, 10 and 11, on the stack past 8, against the DFS referee
+        found = refereed_lengths(skeleton_refs[DFS_ONLY])
+        assert all(found[k] > 500 for k in range(9, 12)) and found[12] > 10000, found
 
     def test_link_searches_close_by_length_ranges(self, monkeypatch, icosa):
         # every caller closes pairs, in the links and on the 1-skeleton:

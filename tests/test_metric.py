@@ -423,6 +423,17 @@ def is_violating_configuration(X, o, witness):
                                   and adj(yp, zp))
 
 
+def relabelled(X, rng, ids=None):
+    """X with its vertices permuted at random by ``rng`` and then, when
+    ``ids`` is given, moved to the ids it names."""
+    old = list(X.vertices)
+    new = old[:]
+    rng.shuffle(new)
+    perm = {v: ids(u) if ids else u for v, u in zip(old, new)}
+    return build_complex(([perm[v] for v in s] for s in X.maximal_simplices()),
+                         name=f"relabelled_{X.name}")
+
+
 class TestDelta:
     def test_path_graph_is_a_tree(self):
         assert delta_four_point(path_complex(5)) == 0
@@ -447,12 +458,32 @@ class TestDelta:
             if INF not in distances_from(X, 0):
                 inputs.append(X)
                 flags += 1
+        # the distance table is indexed by id: shuffled ids, and ids that
+        # skip values (on ids 3v and 3v + 2)
+        inputs += [relabelled(X, rng) for X in inputs[:14:2]]
+        inputs += [relabelled(X, rng, lambda v: 3 * v + step)
+                   for X in (icosa, gen("c_n", 9)) for step in (0, 2)]
         values = set()
         for X in inputs:
             delta = delta_four_point(X)
             assert delta == naive_delta(X), X.name
             values.add(delta)
         assert len(values) >= 4
+        assert sum(len(X.vertices) < X.vertex_count for X in inputs) == 4
+
+    def test_quadruple_referee_on_shuffled_and_gapped_ids(self, gs2, surf37):
+        # each input shuffled, and shuffled onto the ids 3v
+        rng = random.Random(58)
+        for X in (gs2, gen("tri_torus", 6, 7), surf37):
+            delta = naive_delta_quadruples(X)
+            for Y in (relabelled(X, rng), relabelled(X, rng, lambda v: 3 * v)):
+                assert delta_four_point(Y) == delta, Y.name
+
+    def test_no_breadth_first_search(self, monkeypatch, gs3):
+        # one distance table grown on masks, no distances_from row
+        calls = counted(monkeypatch, metric, "distances_from")
+        assert delta_four_point(gs3) == Fraction(4)
+        assert calls == []
 
     def test_quadruple_referee_on_mid_size(self, gs2, disk37, surf37):
         # too large for the Floyd-Warshall referee: every quadruple instead

@@ -138,3 +138,15 @@ def test_code_lines_print_the_package_total_then_the_test_and_tool_layers(capsys
     for n, layer in rows[-2:]:
         paths = TOOLS.parent.glob(layer)
         assert int(n) == sum(code_lines.code_lines(p.read_text()) for p in paths) > 0, layer
+
+
+def test_kernel_times_runs_its_smallest_case(capsys):
+    # one timed run of the cheapest case; the case list is the guard list
+    kernel_times = load_tool("kernel_times")
+    assert list(kernel_times.CASES) == [
+        "cell600-links-4-5", "rf40-links-4-8", "rf50-links-6-8", "rf40-skeleton-4-7",
+        "rf40-skeleton-4-8", "rf60-skeleton-4-7", "gs4-4-7", "gs4-shuffled-4-7",
+        "torus12-9-12", "delta-gs3", "delta-surf37-r3"]
+    kernel_times.main(["--repeat", "1", "rf50-links-6-8"])
+    name, ms, unit = capsys.readouterr().out.split()
+    assert name == "rf50-links-6-8" and float(ms) > 0 and unit == "ms"
